@@ -62,6 +62,7 @@ from .magnus import (
     truncation_error,
 )
 from .evolve import (
+    JointSpectrum,
     RateEstimate,
     ScalingFit,
     SimulationRun,
@@ -71,6 +72,7 @@ from .evolve import (
     estimate_rates,
     evolve,
     fit_scaling_exponent,
+    joint_spectrum,
     observable_drift,
     state_fidelity,
 )

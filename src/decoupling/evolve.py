@@ -1,8 +1,20 @@
 """Stroboscopic propagation of controlled system-bath dynamics.
 
-One control cycle is integrated exactly (piecewise-constant toggled
-Hamiltonians, each segment exponentiated by eigendecomposition), then
-repeated. Observation happens at cycle boundaries only: that is where the
+One control cycle is integrated exactly, then repeated. Every segment of
+a cycle lasts the same time and its frame acts on the system factor
+only, so the cycle propagator is a product of one free step
+``W = exp(-i H delta_t)`` conjugated by the segment frames. ``W`` comes
+from the joint Hamiltonian's spectrum, which is diagonalized once per
+model (:func:`joint_spectrum`) and shared by the controlled run, the
+free run and every point of a sweep. Frames never become joint-space
+matrices: they act by reshaping the joint index to ``(d_s, d_b)`` and
+contracting with the ``d_s x d_s`` frame.
+
+The joint state is propagated as a ``d x r`` matrix whose columns are
+``sqrt(p_i q_k) psi_i (x) phi_k``, the product of the eigen-ensembles of
+the initial system and bath states. The default states are pure, so
+``r = 1``; an explicit mixed state takes the same code path with more
+columns. Observation happens at cycle boundaries only: that is where the
 control frame returns to the physical frame and where average-Hamiltonian
 statements hold.
 
@@ -23,50 +35,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import (
-    NUMERIC_TOL,
-    STRUCT_TOL,
-    Operator,
-    distance,
-    expm_hermitian,
-    identity,
-    partial_trace_bath,
-    tensor,
-)
-from .model import SystemBathModel, bath_ground_state
+from .operators import NUMERIC_TOL, STRUCT_TOL, Operator, act_on_system, distance
+from .model import SystemBathModel, bath_ground_state, total_hamiltonian
 from .sequence import CycleSchedule
 from .groups import DecouplingGroup, project_commutant
-from .magnus import toggled_matrices
 
-#: Re-unitarize running products after this many matrix multiplies.
-_POLAR_EVERY = 64
-
-
-def _closest_unitary(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
-
-
-def _unitary_power(m: np.ndarray, n: int) -> np.ndarray:
-    """``m**n`` by repeated squaring, with periodic polar correction."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    result = np.eye(m.shape[0], dtype=complex)
-    base = m
-    mults = 0
-    while n:
-        if n & 1:
-            result = result @ base
-            mults += 1
-            if mults % _POLAR_EVERY == 0:
-                result = _closest_unitary(result)
-        n >>= 1
-        if n:
-            base = base @ base
-            mults += 1
-            if mults % _POLAR_EVERY == 0:
-                base = _closest_unitary(base)
-    return result
+#: Density-matrix eigenvalues at or below this are eigensolver round-off
+#: of exact zeros: they are left out of ensembles and square roots.
+_ROUNDOFF_EIGENVALUE = 1e-13
 
 
 def _check_density(rho: Operator, what: str):
@@ -79,6 +55,11 @@ def _check_density(rho: Operator, what: str):
         raise ValueError(f"{what} has a negative eigenvalue ({evals.min():.3e})")
 
 
+def _sqrt_density(p: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Square root of a density matrix from its eigenpairs, round-off zeroed."""
+    return (vecs * np.sqrt(np.where(p > _ROUNDOFF_EIGENVALUE, p, 0.0))) @ vecs.conj().T
+
+
 def state_fidelity(a: Operator, b: Operator) -> float:
     """Uhlmann fidelity ``(tr sqrt(sqrt(a) b sqrt(a)))**2`` of two states.
 
@@ -86,6 +67,10 @@ def state_fidelity(a: Operator, b: Operator) -> float:
     instead of the matrix square roots; it is exact and keeps full
     floating-point resolution near ``F = 1``, where the general formula
     loses about half the significant digits to clipped eigenvalues.
+    Otherwise the trace is the sum of the singular values of
+    ``sqrt(a) sqrt(b)``, with eigenvalues at round-off level zeroed before
+    each square root: the square root of a round-off zero is of order
+    1e-8, and would carry into the fidelity of rank-deficient states.
     """
     if a.dims != b.dims:
         raise ValueError("states act on different dims")
@@ -97,10 +82,9 @@ def state_fidelity(a: Operator, b: Operator) -> float:
     if float(vb[-1]) >= 1.0 - 1e-10:
         psi = ub[:, -1]
         return min(max(float(np.real(psi.conj() @ a.matrix @ psi)), 0.0), 1.0)
-    sqrt_a = (ua * np.sqrt(np.clip(va, 0.0, None))) @ ua.conj().T
-    inner = sqrt_a @ b.matrix @ sqrt_a
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    root_sum = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
+    sqrt_a = _sqrt_density(va, ua)
+    sqrt_b = _sqrt_density(vb, ub)
+    root_sum = float(np.sum(np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False)))
     return min(max(root_sum**2, 0.0), 1.0)
 
 
@@ -110,19 +94,74 @@ def coherence_l1(rho: Operator) -> float:
     return float(m.sum() - np.trace(m).real)
 
 
-def cycle_propagator(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
+@dataclass(frozen=True, eq=False)
+class JointSpectrum:
+    """Eigendecomposition ``H = V diag(w) V^dag`` of a model's total Hamiltonian.
+
+    Built by :func:`joint_spectrum`. It keeps the model it belongs to, so
+    a propagation can refuse the spectrum of another model.
+    """
+
+    model: SystemBathModel
+    energies: np.ndarray
+    vectors: np.ndarray
+
+    def propagator(self, t: float) -> np.ndarray:
+        """Matrix of ``exp(-i H t)``."""
+        v = self.vectors
+        return (v * np.exp(-1j * self.energies * float(t))) @ v.conj().T
+
+
+def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
+    """Diagonalize the model's total Hamiltonian: the one joint ``eigh`` of a run."""
+    w, v = np.linalg.eigh(total_hamiltonian(model).matrix)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return JointSpectrum(model, w, v)
+
+
+def cycle_propagator(
+    model: SystemBathModel, schedule: CycleSchedule, spectrum: JointSpectrum | None = None
+) -> Operator:
     """Exact joint propagator of one control cycle.
 
-    Product of the segment exponentials of the toggled Hamiltonians,
-    later segments to the left. Equal, by the pulse-picture identity, to
-    the free segment evolution interleaved with the boundary pulses.
+    Segment ``j`` evolves under ``(g_j (x) 1)^dag W (g_j (x) 1)`` with
+    the same free step ``W = exp(-i H delta_t)`` for every segment, built
+    from ``spectrum`` (the model's :func:`joint_spectrum`, computed here
+    when not given). In the product, later segments to the left,
+    adjacent frames merge into the boundary pulses ``g_j g_{j-1}^dag``:
+    this is the pulse-picture identity, free evolution interleaved with
+    the pulses. Each pulse acts by reshape (:func:`act_on_system`), so a
+    cycle of ``n`` segments costs ``n`` dense matrix products and no
+    eigendecomposition.
     """
-    joint_dims = tuple(model.h_s.dims) + tuple(model.h_b.dims)
-    u = identity(joint_dims)
-    for seg, h_j in zip(schedule.segments, toggled_matrices(model, schedule)):
-        step = expm_hermitian(Operator(h_j, joint_dims), seg.multiplier * schedule.delta_t)
-        u = step @ u
-    return u
+    if schedule.dims != model.h_s.dims:
+        raise ValueError(
+            f"schedule acts on dims {schedule.dims}, model system has {model.h_s.dims}"
+        )
+    if spectrum is None:
+        spectrum = joint_spectrum(model)
+    elif spectrum.model is not model:
+        raise ValueError("spectrum belongs to a different model")
+    w = spectrum.propagator(schedule.segments[0].multiplier * schedule.delta_t)
+    frames = [seg.frame.matrix for seg in schedule.segments]
+    u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
+    for prev, g in zip(frames, frames[1:]):
+        u = w @ act_on_system(g @ prev.conj().T, u)
+    u = act_on_system(frames[-1].conj().T, u)
+    return Operator(u, tuple(model.h_s.dims) + tuple(model.h_b.dims))
+
+
+def _ensemble(rho: Operator) -> np.ndarray:
+    """Columns ``sqrt(p_k) psi_k`` over the eigenpairs of a density matrix."""
+    p, vecs = np.linalg.eigh(rho.matrix)
+    keep = p > _ROUNDOFF_EIGENVALUE
+    return vecs[:, keep] * np.sqrt(p[keep])
+
+
+def _joint_purity(psi: np.ndarray) -> float:
+    """``tr(rho**2)`` of ``rho = psi psi^dag``, as ``||psi^dag psi||_F**2``."""
+    return float(np.linalg.norm(psi.conj().T @ psi) ** 2)
 
 
 @dataclass(frozen=True)
@@ -214,20 +253,20 @@ class TrajectoryResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def evolve(run: SimulationRun) -> TrajectoryResult:
-    """Propagate a run and record reduced-state snapshots."""
-    model = run.model
-    rho_b = run.initial_bath_state()
-    joint = tensor(run.rho_s0, rho_b).matrix
-    n_sys = len(model.h_s.dims)
+def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> TrajectoryResult:
+    """Propagate a run and record reduced-state snapshots.
 
-    u_cycle = cycle_propagator(model, run.schedule)
-    u_step = _unitary_power(u_cycle.matrix, run.sample_every)
+    ``spectrum`` is the model's :func:`joint_spectrum`; passing it lets
+    several runs of one model share a single eigendecomposition.
+    """
+    model = run.model
+    psi = np.kron(_ensemble(run.rho_s0), _ensemble(run.initial_bath_state()))
+    u_cycle = cycle_propagator(model, run.schedule, spectrum).matrix
     cycle_time = run.schedule.cycle_time
-    initial_purity = float(np.trace(joint @ joint).real)
+    initial_purity = _joint_purity(psi)
 
     h_ideal = run.ideal_system_hamiltonian()
-    ideal_static = h_ideal.max_abs() <= STRUCT_TOL
+    ideal = None if h_ideal.max_abs() <= STRUCT_TOL else np.linalg.eigh(h_ideal.matrix)
 
     n_snapshots = run.n_cycles // run.sample_every
     times = np.empty(n_snapshots + 1)
@@ -237,17 +276,16 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     tdist = np.empty(n_snapshots + 1)
     states: list[Operator] = []
 
-    joint_dims = list(model.h_s.dims) + list(model.h_b.dims)
     for k in range(n_snapshots + 1):
         t = k * run.sample_every * cycle_time
-        rho_s = partial_trace_bath(Operator(joint, joint_dims), n_sys)
-        if ideal_static:
+        m = psi.reshape(model.system_dim, -1)
+        rho_s = Operator(m @ m.conj().T, model.h_s.dims)
+        if ideal is None:
             sigma = run.rho_s0
         else:
-            u_ref = expm_hermitian(h_ideal, t)
-            sigma = Operator(
-                u_ref.matrix @ run.rho_s0.matrix @ u_ref.matrix.conj().T, run.rho_s0.dims
-            )
+            w, v = ideal
+            u_ref = (v * np.exp(-1j * w * t)) @ v.conj().T
+            sigma = Operator(u_ref @ run.rho_s0.matrix @ u_ref.conj().T, run.rho_s0.dims)
         times[k] = t
         cycles[k] = k * run.sample_every
         fidelity[k] = state_fidelity(rho_s, sigma)
@@ -255,8 +293,8 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
         tdist[k] = distance(rho_s, run.rho_s0, metric="trace")
         states.append(rho_s)
         if k < n_snapshots:
-            joint = u_step @ joint @ u_step.conj().T
-            joint = (joint + joint.conj().T) / 2
+            for _ in range(run.sample_every):
+                psi = u_cycle @ psi
 
     meta = {
         "n_cycles": run.n_cycles,
@@ -267,7 +305,7 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
         "n_segments": run.schedule.n_segments,
         "group_order": None if run.group is None else run.group.order,
         "initial_joint_purity": initial_purity,
-        "terminal_joint_purity": float(np.trace(joint @ joint).real),
+        "terminal_joint_purity": _joint_purity(psi),
     }
     return TrajectoryResult(
         times=times,

@@ -24,9 +24,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator, distance, expm_hermitian, identity, tensor
+from .operators import Operator, act_on_system, distance, expm_hermitian
 from .model import SystemBathModel, total_hamiltonian
 from .sequence import CycleSchedule
+from .evolve import cycle_propagator
+
+
+def _toggle(frame: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``(g (x) 1)^dag h (g (x) 1)`` by two system-factor contractions."""
+    g_dag = frame.conj().T
+    left = act_on_system(g_dag, h)
+    return act_on_system(g_dag, left.conj().T).conj().T
+
+
+def _checked_total(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
+    if schedule.dims != model.h_s.dims:
+        raise ValueError(
+            f"schedule acts on dims {schedule.dims}, model system has {model.h_s.dims}"
+        )
+    return total_hamiltonian(model)
 
 
 def toggled_hamiltonian(model: SystemBathModel, schedule: CycleSchedule, j: int) -> Operator:
@@ -36,15 +52,10 @@ def toggled_hamiltonian(model: SystemBathModel, schedule: CycleSchedule, j: int)
     through untouched: the result is ``g_j^dag H_S g_j (x) 1 + 1 (x) H_B
     + sum_a g_j^dag S_a g_j (x) B_a``.
     """
-    if schedule.dims != model.h_s.dims:
-        raise ValueError(
-            f"schedule acts on dims {schedule.dims}, model system has {model.h_s.dims}"
-        )
+    h = _checked_total(model, schedule)
     if not 0 <= j < schedule.n_segments:
         raise ValueError(f"segment index {j} out of range for {schedule.n_segments} segments")
-    lift = tensor(schedule.segments[j].frame, identity(list(model.h_b.dims)))
-    h = total_hamiltonian(model)
-    return lift.dagger() @ h @ lift
+    return Operator(_toggle(schedule.segments[j].frame.matrix, h.matrix), h.dims)
 
 
 def toggled_matrices(model: SystemBathModel, schedule: CycleSchedule) -> list[np.ndarray]:
@@ -53,17 +64,8 @@ def toggled_matrices(model: SystemBathModel, schedule: CycleSchedule) -> list[np
     Builds the total Hamiltonian once and conjugates it per segment;
     equivalent to calling :func:`toggled_hamiltonian` for each index.
     """
-    if schedule.dims != model.h_s.dims:
-        raise ValueError(
-            f"schedule acts on dims {schedule.dims}, model system has {model.h_s.dims}"
-        )
-    h = total_hamiltonian(model).matrix
-    eye_b = np.eye(model.bath_dim)
-    out = []
-    for seg in schedule.segments:
-        lift = np.kron(seg.frame.matrix, eye_b)
-        out.append(lift.conj().T @ h @ lift)
-    return out
+    h = _checked_total(model, schedule).matrix
+    return [_toggle(seg.frame.matrix, h) for seg in schedule.segments]
 
 
 def average_h0(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
@@ -133,8 +135,6 @@ def truncation_error(model: SystemBathModel, schedule: CycleSchedule, order: int
     ``order + 2`` as ``delta_t`` shrinks (one power faster again for
     palindromic cycles at order 1, whose correction vanishes).
     """
-    from .evolve import cycle_propagator  # runtime import; evolve imports this module
-
     series = average_hamiltonian_series(model, schedule)
     exact = cycle_propagator(model, schedule)
     approx = expm_hermitian(series.effective(order), schedule.cycle_time)

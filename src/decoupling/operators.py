@@ -175,6 +175,17 @@ def expm_hermitian(h: Operator, t: float) -> Operator:
     return Operator((v * phases) @ v.conj().T, h.dims)
 
 
+def act_on_system(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(g (x) 1) @ x`` without forming the Kronecker product.
+
+    ``g`` acts on the leading (system) factor of the joint space indexed
+    by the rows of ``x``: the rows reshape to ``(d_s, d_b * columns)``
+    and one ``d_s x d_s`` contraction does the rest, at
+    ``O(d_s * x.size)`` instead of ``O(d**2 * columns)``.
+    """
+    return (g @ x.reshape(g.shape[0], -1)).reshape(x.shape)
+
+
 def partial_trace_bath(rho: Operator, n_system_factors: int) -> Operator:
     """Trace out every tensor factor beyond the first ``n_system_factors``."""
     nf = len(rho.dims)

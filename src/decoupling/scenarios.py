@@ -46,11 +46,13 @@ from .groups import (
 )
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record, symmetrize
 from .evolve import (
+    JointSpectrum,
     SimulationRun,
     TrajectoryResult,
     estimate_rates,
     evolve,
     fit_scaling_exponent,
+    joint_spectrum,
 )
 
 SCENARIO_NAMES = (
@@ -348,10 +350,6 @@ def load_config(path) -> ScenarioConfig:
 
 def build_model(config: ScenarioConfig) -> SystemBathModel:
     if config.bath.kind == "boson-mode":
-        if config.coupling != "dephasing":
-            raise ConfigError(
-                "config field 'coupling': boson-mode baths support only 'dephasing'"
-            )
         return build_boson_dephasing_model(config.n_qubits, config.bath, h_s=config.h_s)
     return build_spin_bath_model(
         config.n_qubits, config.bath, coupling=config.coupling, h_s=config.h_s
@@ -389,36 +387,36 @@ def _residual_table(report) -> str:
 
 
 def _free_trajectory(
-    model: SystemBathModel, config: ScenarioConfig, cycle_time: float, n_cycles: int
+    spectrum: JointSpectrum, config: ScenarioConfig, cycle_time: float, n_cycles: int
 ) -> TrajectoryResult:
     """Uncontrolled evolution sampled on the same stroboscopic grid."""
     free_schedule = schedule_from_group(trivial_group(config.n_qubits), cycle_time)
     run = SimulationRun(
-        model=model,
+        model=spectrum.model,
         schedule=free_schedule,
         n_cycles=n_cycles,
         rho_s0=config.rho_s0,
         sample_every=config.sample_every,
         group=None,
     )
-    return evolve(run)
+    return evolve(run, spectrum)
 
 
 def _controlled_trajectory(
-    model: SystemBathModel,
+    spectrum: JointSpectrum,
     config: ScenarioConfig,
     schedule: CycleSchedule,
     n_cycles: int,
 ) -> TrajectoryResult:
     run = SimulationRun(
-        model=model,
+        model=spectrum.model,
         schedule=schedule,
         n_cycles=n_cycles,
         rho_s0=config.rho_s0,
         sample_every=config.sample_every,
         group=config.group,
     )
-    return evolve(run)
+    return evolve(run, spectrum)
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> int:
@@ -455,8 +453,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         _write_log(out, config, t_start, status="rejected: mode none")
         return 1
 
-    controlled = _controlled_trajectory(model, config, schedule, config.n_cycles)
-    free = _free_trajectory(model, config, schedule.cycle_time, config.n_cycles)
+    spectrum = joint_spectrum(model)
+    controlled = _controlled_trajectory(spectrum, config, schedule, config.n_cycles)
+    free = _free_trajectory(spectrum, config, schedule.cycle_time, config.n_cycles)
     rates = estimate_rates(free, controlled)
 
     controlled.write_csv(out / "trajectory.csv")
@@ -543,12 +542,13 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         return 1
 
     total_time, counts = _sweep_cycle_counts(config)
+    spectrum = joint_spectrum(model)
 
     def one_point(idx: int) -> dict:
         v = config.sweep_values[idx]
         schedule = build_schedule(config, delta_t=v)
-        controlled = _controlled_trajectory(model, config, schedule, counts[idx])
-        free = _free_trajectory(model, config, schedule.cycle_time, counts[idx])
+        controlled = _controlled_trajectory(spectrum, config, schedule, counts[idx])
+        free = _free_trajectory(spectrum, config, schedule.cycle_time, counts[idx])
         rates = estimate_rates(free, controlled)
         return {
             "delta_t": v,

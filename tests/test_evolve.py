@@ -324,3 +324,17 @@ def test_fit_scaling_exponent_rejects_bad_input():
         fit_scaling_exponent([(0.1, 1.0), (0.2, -2.0), (0.4, 3.0)])
     with pytest.raises(ValueError, match="distinct"):
         fit_scaling_exponent([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
+
+
+def test_state_fidelity_rank_deficient_mixed_states():
+    """Commuting states have F = (sum_i sqrt(p_i q_i))**2; rank-deficient
+    mixed pairs keep full precision (no square roots of round-off)."""
+    rng = np.random.default_rng(43)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    p = np.array([0.6, 0.4, 0.0, 0.0])
+    r = np.array([0.5, 0.3, 0.2, 0.0])
+    a = Operator((q * p) @ q.conj().T, [4])
+    b = Operator((q * r) @ q.conj().T, [4])
+    want = np.sum(np.sqrt(p * r)) ** 2
+    assert abs(state_fidelity(a, b) - want) < 1e-13
+    assert abs(state_fidelity(b, a) - want) < 1e-13
