@@ -1,6 +1,6 @@
 """Dynamical decoupling of open quantum systems by group averaging.
 
-Build bang-bang control cycles from finite unitary groups, compute the
+Build bang-bang control cycles from groups of Pauli words, compute the
 effective (average) Hamiltonians they generate, propagate system-plus-
 bath dynamics exactly, and measure how decoherence is suppressed as the
 control time step shrinks.
@@ -37,7 +37,6 @@ from .groups import (
     DecouplingReport,
     check_decoupling,
     commutant_basis,
-    group_from_words,
     minimal_group_search,
     pauli_group,
     pauli_word_operator,

@@ -4,7 +4,8 @@
 CSV/JSON artifacts into an output directory (given by ``--out`` or the
 config's ``output_dir``). ``design`` searches for the smallest Pauli
 groups that average a given interaction away and prints them with their
-pulse programs.
+pulse programs: the pulse between frames ``f_j`` and ``f_{j+1}`` is, up
+to phase, the word product of the two.
 
 Exit codes: 0 success; 1 the configured group fails to decouple the
 interaction (residual table printed); 2 bad usage or config.
@@ -13,31 +14,16 @@ interaction (residual table printed); 2 bad usage or config.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
-
-import numpy as np
 
 from .groups import (
     PAULI_LETTERS,
+    _word_product,
     commutant_basis,
     minimal_group_search,
     pauli_word_operator,
 )
-from .operators import Operator
-from .sequence import boundary_pulses, schedule_from_group
 from .scenarios import ConfigError, load_config, run_scenario, run_sweep
-
-
-def _pulse_label(pulse: Operator, n_qubits: int) -> str:
-    """Name a pulse by the Pauli word it is proportional to, if any."""
-    d = pulse.dim
-    for word in itertools.product(PAULI_LETTERS, repeat=n_qubits):
-        w = "".join(word)
-        overlap = np.trace(pauli_word_operator(w).matrix.conj().T @ pulse.matrix) / d
-        if abs(abs(overlap) - 1.0) <= 1e-9:
-            return w
-    return "(non-Pauli)"
 
 
 def _design(args) -> int:
@@ -65,12 +51,9 @@ def _design(args) -> int:
         cdim = commutant_basis(group).dimension
         mode = "maximal" if cdim == 1 else "selective"
         print(f"  group {list(group.labels)}  [{mode}, commutant dimension {cdim}]")
-        pulses = boundary_pulses(schedule_from_group(group, delta_t=1.0))
-        program: list[str] = []
-        for pulse in pulses:
-            program.append("dt")
-            program.append(_pulse_label(pulse, args.qubits))
-        print(f"    cycle (pulses up to phase): {' '.join(program)}")
+        labels = group.labels
+        pulses = [_word_product(labels[(j + 1) % len(labels)], w) for j, w in enumerate(labels)]
+        print(f"    cycle (pulses up to phase): {' '.join(f'dt {p}' for p in pulses)}")
     return 0
 
 

@@ -143,7 +143,7 @@ def cycle_propagator(
         spectrum = joint_spectrum(model)
     elif spectrum.model is not model:
         raise ValueError("spectrum belongs to a different model")
-    w = spectrum.propagator(schedule.segments[0].multiplier * schedule.delta_t)
+    w = spectrum.propagator(schedule.delta_t)
     frames = [seg.frame.matrix for seg in schedule.segments]
     u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
     for prev, g in zip(frames, frames[1:]):

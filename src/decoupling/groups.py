@@ -1,8 +1,8 @@
-"""Finite decoupling groups, group averaging, and commutant computation.
+"""Pauli decoupling groups, group averaging, and commutant computation.
 
-The control repertoire is a finite set of unitaries acting on the system
-space. Averaging a system operator over the conjugation action of that
-set,
+The control repertoire is a finite set of Pauli words acting on a qubit
+register. Averaging a system operator over the conjugation action of
+that set,
 
     S  ->  (1/|G|) * sum_j  g_j^dag S g_j,
 
@@ -13,12 +13,10 @@ survives cannot be removed by that group. Checking which case holds, and
 searching for the smallest group that achieves the first, is what this
 module does.
 
-Group elements are stored projectively: each unitary is canonicalized so
-that its first nonzero entry is real and positive, and closure under
-multiplication is only required up to a phase. Conjugation is blind to
-element phases, so nothing downstream depends on the lifted
-representatives. This matters because natural generating sets such as
-{1, sigma_x, sigma_y, sigma_z} close only projectively.
+A group is its list of words, closed under multiplication up to a
+phase. Conjugation is blind to phases, so products are taken in word
+arithmetic (signs dropped) and each element is the plain tensor product
+of its letters.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import Operator, STRUCT_TOL, NUMERIC_TOL, identity, zero, tensor_all
+from .operators import Operator, NUMERIC_TOL, zero, tensor_all
 
 PAULI_LETTERS = "IXYZ"
 
@@ -40,8 +38,8 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Projective single-letter products (signs dropped): used for subgroup
-# enumeration, where only the group structure matters.
+# Projective single-letter products (signs dropped): used for group
+# closure and subgroup enumeration, where only the group structure matters.
 _LETTER_PRODUCT = {
     ("I", "I"): "I", ("I", "X"): "X", ("I", "Y"): "Y", ("I", "Z"): "Z",
     ("X", "I"): "X", ("X", "X"): "I", ("X", "Y"): "Z", ("X", "Z"): "Y",
@@ -53,27 +51,12 @@ _LETTER_PRODUCT = {
 SEARCH_MAX_QUBITS = 3
 SEARCH_MAX_ORDER = 64
 
-#: Largest group order for which projective closure is verified
-#: exhaustively at construction time (O(|G|^2) products).
-CLOSURE_CHECK_MAX_ORDER = 64
-
 
 def pauli_word_operator(word: str) -> Operator:
     """Tensor-product operator for a Pauli word such as ``"XXI"``."""
     if not word or any(c not in PAULI_LETTERS for c in word):
         raise ValueError(f"invalid Pauli word {word!r}; letters must be in 'IXYZ'")
     return tensor_all([Operator(PAULI_MATRICES[c], (2,)) for c in word])
-
-
-def phase_canonicalized(matrix: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first nonzero entry is real positive."""
-    flat = matrix.ravel()
-    scale = np.max(np.abs(flat))
-    if scale == 0.0:
-        return matrix.copy()
-    nz = np.flatnonzero(np.abs(flat) > 1e-12 * scale)
-    pivot = flat[nz[0]]
-    return matrix * (abs(pivot) / pivot)
 
 
 def _words_anticommute(a: str, b: str) -> bool:
@@ -87,44 +70,44 @@ def _word_product(a: str, b: str) -> str:
 
 
 class DecouplingGroup:
-    """Finite list of system unitaries, closed under products up to phase.
+    """Pauli words on a qubit register, closed under products up to phase.
 
-    The first element must be (proportional to) the identity. Every
-    element is phase-canonicalized on construction; pairwise products are
-    verified to land back in the set, up to phase, whenever the order is
-    at most ``CLOSURE_CHECK_MAX_ORDER`` (the named constructors only
-    produce closed sets, so skipping the quadratic check for very large
-    groups is safe).
+    ``words`` is the full element list: equal-length words over
+    ``IXYZ``, the identity word first, none repeated. Closure is checked
+    at every order by spanning the list from its own words, one word
+    product per element, and the first product outside the list is named.
     """
 
-    def __init__(self, elements: Sequence[Operator], labels: Sequence[str] | None = None):
-        if not elements:
-            raise ValueError("a decoupling group needs at least one element")
-        dims = elements[0].dims
-        canon = []
-        for k, g in enumerate(elements):
-            if g.dims != dims:
-                raise ValueError(f"element {k} acts on dims {g.dims}, expected {dims}")
-            if not g.is_unitary():
-                raise ValueError(f"element {k} is not unitary to {STRUCT_TOL}")
-            canon.append(Operator(phase_canonicalized(g.matrix), dims))
-        eye = np.eye(canon[0].dim)
-        if float(np.max(np.abs(canon[0].matrix - eye))) > STRUCT_TOL:
-            raise ValueError("the first group element must be the identity (up to phase)")
-        for i in range(len(canon)):
-            for j in range(i + 1, len(canon)):
-                if float(np.max(np.abs(canon[i].matrix - canon[j].matrix))) <= STRUCT_TOL:
-                    raise ValueError(f"elements {i} and {j} coincide up to phase")
-        if labels is None:
-            labels = tuple(f"g{k}" for k in range(len(canon)))
-        else:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != len(canon):
-                raise ValueError("label count does not match element count")
-        self.elements: tuple[Operator, ...] = tuple(canon)
-        self.labels: tuple[str, ...] = labels
-        if self.order <= CLOSURE_CHECK_MAX_ORDER:
-            self._check_projective_closure()
+    def __init__(self, words: Sequence[str]):
+        words = tuple(str(w) for w in words)
+        if not words:
+            raise ValueError("a decoupling group needs at least one word")
+        n = len(words[0])
+        members: set[str] = set()
+        for k, w in enumerate(words):
+            if not w or any(c not in PAULI_LETTERS for c in w):
+                raise ValueError(f"group word {k} ({w!r}) is not a Pauli word over 'IXYZ'")
+            if len(w) != n:
+                raise ValueError(f"group word {k} ({w!r}) has {len(w)} letters, expected {n}")
+            if w in members:
+                raise ValueError(f"group word {k} ({w!r}) repeats an earlier word")
+            members.add(w)
+        if words[0] != "I" * n:
+            raise ValueError(f"the first group word must be the identity, got {words[0]!r}")
+        span = {words[0]}
+        for w in words:
+            if w in span:
+                continue
+            for s in list(span):
+                p = _word_product(s, w)
+                if p not in members:
+                    raise ValueError(
+                        f"not projectively closed: product of {s!r} * {w!r} "
+                        "is outside the set"
+                    )
+                span.add(p)
+        self.labels: tuple[str, ...] = words
+        self.elements: tuple[Operator, ...] = tuple(pauli_word_operator(w) for w in words)
 
     @property
     def order(self) -> int:
@@ -138,42 +121,13 @@ class DecouplingGroup:
     def dim(self) -> int:
         return self.elements[0].dim
 
-    def _check_projective_closure(self):
-        mats = [g.matrix for g in self.elements]
-        for i, a in enumerate(mats):
-            for j, b in enumerate(mats):
-                prod = phase_canonicalized(a @ b)
-                if not any(
-                    float(np.max(np.abs(prod - c))) <= STRUCT_TOL for c in mats
-                ):
-                    raise ValueError(
-                        f"not projectively closed: product of elements "
-                        f"{self.labels[i]!r} * {self.labels[j]!r} is outside the set"
-                    )
-
     def __repr__(self) -> str:
         return f"DecouplingGroup(order={self.order}, dim={self.dim}, labels={list(self.labels)})"
 
 
-def group_from_words(words: Sequence[str]) -> DecouplingGroup:
-    """Build a group from an explicit list of Pauli words.
-
-    The list is the full element list (the identity word must be present
-    and listed first) and must be projectively closed; both conditions
-    are validated.
-    """
-    words = [str(w) for w in words]
-    if not words:
-        raise ValueError("empty Pauli word list")
-    k = len(words[0])
-    if any(len(w) != k for w in words):
-        raise ValueError("all Pauli words must have the same length")
-    return DecouplingGroup([pauli_word_operator(w) for w in words], labels=words)
-
-
 def trivial_group(n_qubits: int) -> DecouplingGroup:
     """The one-element group (free evolution) on ``n_qubits`` qubits."""
-    return group_from_words(["I" * n_qubits])
+    return DecouplingGroup(["I" * n_qubits])
 
 
 def pauli_group(n_qubits: int, variant: str = "full") -> DecouplingGroup:
@@ -202,7 +156,7 @@ def pauli_group(n_qubits: int, variant: str = "full") -> DecouplingGroup:
         words = ["I" * n_qubits, "X" * n_qubits]
     else:
         raise ValueError(f"unknown variant {variant!r}; expected 'full', 'collective' or 'flip'")
-    return group_from_words(words)
+    return DecouplingGroup(words)
 
 
 def project_commutant(op: Operator, group: DecouplingGroup) -> Operator:
@@ -341,13 +295,6 @@ def _pauli_coefficients(op: Operator, words: Sequence[str]) -> dict[str, complex
     return coeffs
 
 
-def _span_of_words(gens: Sequence[str], n_qubits: int) -> frozenset[str]:
-    span = {"I" * n_qubits}
-    for g in gens:
-        span |= {_word_product(s, g) for s in span}
-    return frozenset(span)
-
-
 def minimal_group_search(interaction, n_qubits: int, max_order: int = SEARCH_MAX_ORDER) -> list[DecouplingGroup]:
     """Exhaustively find the smallest Pauli subgroups that decouple.
 
@@ -390,7 +337,7 @@ def minimal_group_search(interaction, n_qubits: int, max_order: int = SEARCH_MAX
     def confirmed(span: frozenset[str]) -> DecouplingGroup | None:
         words = sorted(span)
         words.remove(id_word)
-        group = group_from_words([id_word] + words)
+        group = DecouplingGroup([id_word] + words)
         report = check_decoupling(group, ops, h_s_zero)
         return group if report.mode != "none" else None
 

@@ -6,13 +6,13 @@ toggled Hamiltonians
     H_j = (g_j (x) 1)^dag  H  (g_j (x) 1),
 
 and the exact cycle propagator equals ``exp(-i (H0 + H1 + ...) T_c)`` for
-the series computed here. The leading term ``H0`` is the duration-weighted
-mean of the toggled Hamiltonians; when the frames run over a decoupling
-group this is exactly the group-averaging projector applied to each
-system factor, which is what makes unwanted couplings vanish to first
-order. The next term,
+the series computed here. Every segment lasts ``tau = delta_t``, so the
+leading term ``H0`` is the plain mean of the toggled Hamiltonians; when
+the frames run over a decoupling group this is exactly the
+group-averaging projector applied to each system factor, which is what
+makes unwanted couplings vanish to first order. The next term,
 
-    H1 = (-i / (2 T_c)) * sum_{j>l} tau_j tau_l [H_j, H_l],
+    H1 = (-i / (2 T_c)) * tau**2 * sum_{j>l} [H_j, H_l],
 
 is the leading correction; it flips sign under time reversal of the
 cycle, so palindromic cycles cancel it identically.
@@ -58,46 +58,32 @@ def toggled_hamiltonian(model: SystemBathModel, schedule: CycleSchedule, j: int)
     return Operator(_toggle(schedule.segments[j].frame.matrix, h.matrix), h.dims)
 
 
-def toggled_matrices(model: SystemBathModel, schedule: CycleSchedule) -> list[np.ndarray]:
-    """Raw matrices of every segment's toggled Hamiltonian.
-
-    Builds the total Hamiltonian once and conjugates it per segment;
-    equivalent to calling :func:`toggled_hamiltonian` for each index.
-    """
-    h = _checked_total(model, schedule).matrix
-    return [_toggle(seg.frame.matrix, h) for seg in schedule.segments]
-
-
 def average_h0(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
-    """Zeroth-order average: duration-weighted mean of toggled Hamiltonians."""
-    acc = None
-    for seg, h_j in zip(schedule.segments, toggled_matrices(model, schedule)):
-        term = seg.multiplier * h_j
-        acc = term if acc is None else acc + term
-    joint_dims = tuple(model.h_s.dims) + tuple(model.h_b.dims)
-    return Operator(acc / schedule.total_units, joint_dims)
+    """Zeroth-order average: the mean of the toggled Hamiltonians."""
+    h = _checked_total(model, schedule)
+    acc = sum(_toggle(seg.frame.matrix, h.matrix) for seg in schedule.segments)
+    return Operator(acc / schedule.n_segments, h.dims)
 
 
 def average_h1(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     """First-order correction from non-commuting segments.
 
-    Computed with a prefix sum: ``sum_{j>l} tau_j tau_l [H_j, H_l]``
-    equals ``sum_j [tau_j H_j, A_j]`` with ``A_j`` the accumulated earlier
-    weighted Hamiltonians, so the cost is linear in segment count.
+    Every segment lasts ``tau = delta_t``. Computed with a prefix sum:
+    ``sum_{j>l} tau**2 [H_j, H_l]`` equals ``sum_j [tau H_j, A_j]`` with
+    ``A_j`` the accumulated earlier weighted Hamiltonians, so the cost is
+    linear in segment count.
     """
-    dt = schedule.delta_t
-    joint_dims = tuple(model.h_s.dims) + tuple(model.h_b.dims)
-    toggled = toggled_matrices(model, schedule)
-    weights = [seg.multiplier * dt for seg in schedule.segments]
-    acc = np.zeros_like(toggled[0])
-    prefix = np.zeros_like(toggled[0])
-    for h, tau in zip(toggled, weights):
-        hw = tau * h
+    h = _checked_total(model, schedule)
+    tau = schedule.delta_t
+    acc = np.zeros_like(h.matrix)
+    prefix = np.zeros_like(h.matrix)
+    for seg in schedule.segments:
+        hw = tau * _toggle(seg.frame.matrix, h.matrix)
         acc += hw @ prefix - prefix @ hw
         prefix += hw
     out = (-1j / (2.0 * schedule.cycle_time)) * acc
     out = (out + out.conj().T) / 2  # exactly Hermitian despite roundoff
-    return Operator(out, joint_dims)
+    return Operator(out, h.dims)
 
 
 @dataclass(frozen=True)

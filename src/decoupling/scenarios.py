@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +37,6 @@ from .model import (
 from .groups import (
     DecouplingGroup,
     check_decoupling,
-    group_from_words,
     pauli_group,
     pauli_word_operator,
     trivial_group,
@@ -288,7 +285,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         for i, w in enumerate(words):
             if len(w) != n_qubits:
                 _fail(f"group[{i}]", f"Pauli word {w!r} is not {n_qubits} letters")
-        group = group_from_words(words)
+        group = DecouplingGroup(words)
     else:
         _fail("group", "expected a named variant or a list of Pauli words")
 
@@ -496,6 +493,12 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     return 0
 
 
+#: Terminal infidelities below this are not resolved: ``1 - F`` sits at
+#: the round-off of ``F = 1``, and a log-log fit would read it as an error
+#: that scales with ``delta_t``. The sweep fit leaves them out.
+SWEEP_FIT_FLOOR = 1e-13
+
+
 def _sweep_cycle_counts(config: ScenarioConfig) -> tuple[float, list[int]]:
     """Total time of the reference run and integer cycle counts per value.
 
@@ -504,11 +507,11 @@ def _sweep_cycle_counts(config: ScenarioConfig) -> tuple[float, list[int]]:
     sizes are comparable; each sweep value must divide that time into a
     whole number of cycles.
     """
-    units = build_schedule(config).total_units
-    total_time = config.n_cycles * units * config.delta_t
+    n_segments = build_schedule(config).n_segments
+    total_time = config.n_cycles * n_segments * config.delta_t
     counts = []
     for i, v in enumerate(config.sweep_values):
-        n_exact = total_time / (units * v)
+        n_exact = total_time / (n_segments * v)
         n = round(n_exact)
         if n < 1 or abs(n_exact - n) > 1e-9 * max(1.0, abs(n_exact)):
             raise ConfigError(
@@ -524,8 +527,9 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
 
     Writes ``sweep.csv`` (one row per value: delta_t, terminal
     infidelity, controlled/free rate ratio), ``summary.json`` with the
-    fitted log-log slope, and ``run.log``. Values run concurrently;
-    aggregation order is the config order.
+    fitted log-log slope, and ``run.log``. Values run one after another,
+    in config order. Terminal infidelities below ``SWEEP_FIT_FLOOR`` are
+    written out but left out of the fit.
     """
     if config.sweep_values is None:
         raise ConfigError("config field 'sweep': required for the sweep command")
@@ -544,22 +548,18 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     total_time, counts = _sweep_cycle_counts(config)
     spectrum = joint_spectrum(model)
 
-    def one_point(idx: int) -> dict:
-        v = config.sweep_values[idx]
+    rows = []
+    for v, n_cycles in zip(config.sweep_values, counts):
         schedule = build_schedule(config, delta_t=v)
-        controlled = _controlled_trajectory(spectrum, config, schedule, counts[idx])
-        free = _free_trajectory(spectrum, config, schedule.cycle_time, counts[idx])
+        controlled = _controlled_trajectory(spectrum, config, schedule, n_cycles)
+        free = _free_trajectory(spectrum, config, schedule.cycle_time, n_cycles)
         rates = estimate_rates(free, controlled)
-        return {
+        rows.append({
             "delta_t": v,
             "infidelity": float(1.0 - controlled.fidelity[-1]),
             "ratio": rates.ratio,
             "rates": rates.to_record(),
-        }
-
-    workers = min(len(config.sweep_values), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one_point, range(len(config.sweep_values))))
+        })
 
     lines = ["delta_t, terminal_infidelity, ratio"]
     for row in rows:
@@ -568,9 +568,12 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         lines.append(f"{row['delta_t']!r}, {row['infidelity']!r}, {ratio_text}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
 
-    usable = [(row["delta_t"], row["infidelity"]) for row in rows if row["infidelity"] > 0]
+    usable = [
+        (row["delta_t"], row["infidelity"]) for row in rows
+        if row["infidelity"] >= SWEEP_FIT_FLOOR
+    ]
     if len(usable) < len(rows):
-        saturated = [row["delta_t"] for row in rows if row["infidelity"] <= 0]
+        saturated = [row["delta_t"] for row in rows if row["infidelity"] < SWEEP_FIT_FLOOR]
         print(f"warning: infidelity at the numeric floor for delta_t in {saturated}; "
               "these points are excluded from the fit")
     fit = fit_scaling_exponent(usable)

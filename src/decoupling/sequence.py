@@ -6,10 +6,8 @@ which in the lab corresponds to a strong instantaneous pulse equal to
 ``f_{j+1} f_j^dag``. The cycle is described here entirely by its frames;
 :func:`boundary_pulses` recovers the pulse program when needed.
 
-All segments of a cycle last equally long (the cycle time is divided
-evenly among the group elements). Durations are stored as ``delta_t``
-times an integer multiplier rather than as free floats, so cycle times
-stay exact over thousands of repetitions.
+All segments of a cycle last the same ``delta_t`` (the cycle time is
+divided evenly among the segments).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import Operator, STRUCT_TOL
-from .groups import DecouplingGroup, group_from_words
+from .groups import DecouplingGroup
 
 _PAULI_WORD = re.compile(r"^[IXYZ]+$")
 
@@ -30,30 +28,26 @@ _PAULI_WORD = re.compile(r"^[IXYZ]+$")
 class Segment:
     """One constant-frame slice of a cycle.
 
-    ``frame`` is the control unitary in force during the slice, ``label``
-    names it (a Pauli word for group-derived schedules), and the slice
-    lasts ``multiplier`` base time steps.
+    ``frame`` is the control unitary in force during the slice and
+    ``label`` names it (a Pauli word for group-derived schedules).
     """
 
     frame: Operator
     label: str
-    multiplier: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.multiplier, int) or self.multiplier < 1:
-            raise ValueError("segment multiplier must be a positive integer")
         if not self.frame.is_unitary():
             raise ValueError(f"segment frame {self.label!r} is not unitary")
 
 
 @dataclass(frozen=True)
 class CycleSchedule:
-    """A full control cycle: ordered segments over a common time base.
+    """A full control cycle: ordered segments, each lasting ``delta_t``.
 
     ``symmetric`` marks palindromic cycles (validated on construction by
-    expanding multipliers and comparing mirrored frames). The labels and
-    ordering of the source group are retained so a schedule can be
-    serialized compactly and rebuilt exactly.
+    comparing mirrored frames). The labels and ordering of the source
+    group are retained so a schedule can be serialized compactly and
+    rebuilt exactly.
     """
 
     segments: tuple[Segment, ...]
@@ -68,19 +62,13 @@ class CycleSchedule:
         if not (np.isfinite(self.delta_t) and self.delta_t > 0):
             raise ValueError("delta_t must be a positive finite number")
         dims = self.segments[0].frame.dims
-        mult = self.segments[0].multiplier
         for k, seg in enumerate(self.segments):
             if seg.frame.dims != dims:
                 raise ValueError(f"segment {k} frame dims {seg.frame.dims} != {dims}")
-            if seg.multiplier != mult:
-                raise ValueError(
-                    "all segments must have equal durations (equipartition); "
-                    f"segment {k} has multiplier {seg.multiplier}, expected {mult}"
-                )
         if self.symmetric:
-            frames = self.expanded_frames()
-            for k in range(len(frames) // 2):
-                a, b = frames[k].matrix, frames[-1 - k].matrix
+            segs = self.segments
+            for k in range(len(segs) // 2):
+                a, b = segs[k].frame.matrix, segs[-1 - k].frame.matrix
                 if float(np.max(np.abs(a - b))) > STRUCT_TOL:
                     raise ValueError("schedule is marked symmetric but is not palindromic")
 
@@ -89,23 +77,12 @@ class CycleSchedule:
         return len(self.segments)
 
     @property
-    def total_units(self) -> int:
-        return sum(seg.multiplier for seg in self.segments)
-
-    @property
     def cycle_time(self) -> float:
-        return self.delta_t * self.total_units
+        return self.n_segments * self.delta_t
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.segments[0].frame.dims
-
-    def expanded_frames(self) -> list[Operator]:
-        """Frames repeated by multiplier: one entry per base time step."""
-        out: list[Operator] = []
-        for seg in self.segments:
-            out.extend([seg.frame] * seg.multiplier)
-        return out
 
 
 def schedule_from_group(
@@ -200,7 +177,7 @@ def schedule_from_record(record: dict) -> CycleSchedule:
         if extra:
             parts.append(f"unknown keys {extra}")
         raise ValueError("bad schedule record: " + ", ".join(parts))
-    group = group_from_words([str(w) for w in record["group"]])
+    group = DecouplingGroup(record["group"])
     schedule = schedule_from_group(group, float(record["delta_t"]), record["ordering"])
     if record["symmetric"]:
         schedule = symmetrize(schedule)

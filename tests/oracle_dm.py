@@ -45,8 +45,8 @@ def cycle_propagator(model, schedule):
     """Product of the per-segment exponentials, later segments to the left."""
     joint_dims = tuple(model.h_s.dims) + tuple(model.h_b.dims)
     u = identity(joint_dims)
-    for seg, h_j in zip(schedule.segments, toggled_matrices(model, schedule)):
-        step = expm_hermitian(Operator(h_j, joint_dims), seg.multiplier * schedule.delta_t)
+    for h_j in toggled_matrices(model, schedule):
+        step = expm_hermitian(Operator(h_j, joint_dims), schedule.delta_t)
         u = step @ u
     return u
 

@@ -18,6 +18,7 @@ import pytest
 
 from decoupling import (
     BathSpec,
+    DecouplingGroup,
     Operator,
     SimulationRun,
     SystemBathModel,
@@ -29,7 +30,6 @@ from decoupling import (
     build_spin_bath_model,
     commutant_basis,
     evolve,
-    group_from_words,
     interaction_space,
     minimal_group_search,
     parse_config,
@@ -106,7 +106,7 @@ def test_02_time_average_equals_factor_projection():
         build_boson_dephasing_model(1, boson, h_s=h_s),
     ]
     groups = [trivial_group(1), pauli_group(1, "flip"),
-              group_from_words(["I", "Z"]), pauli_group(1, "full")]
+              DecouplingGroup(["I", "Z"]), pauli_group(1, "full")]
     worst = 0.0
     for model in models:
         eye_b = np.eye(model.bath_dim, dtype=complex)
@@ -243,7 +243,7 @@ def test_08_maximal_averaging_freezes_dynamics():
     distance from the initial state by at least 1.5x per doubling."""
     cfg = parse_config({"scenario": "maximal-averaging", "seed": 11})
     model = build_model(cfg)
-    units = build_schedule(cfg).total_units
+    units = build_schedule(cfg).n_segments
     total_time = cfg.n_cycles * units * cfg.delta_t
     distances = []
     for n in (25, 50, 100, 200):

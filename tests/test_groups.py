@@ -15,7 +15,6 @@ from decoupling import (
     Operator,
     check_decoupling,
     commutant_basis,
-    group_from_words,
     interaction_space,
     minimal_group_search,
     pauli_group,
@@ -78,25 +77,37 @@ def test_named_groups_have_expected_elements():
 
 
 def test_group_requires_identity_first():
-    with pytest.raises(ValueError):
-        group_from_words(["X", "I"])
-    g = group_from_words(["I", "X"])
+    with pytest.raises(ValueError, match="identity"):
+        DecouplingGroup(["X", "I"])
+    with pytest.raises(ValueError, match="at least one"):
+        DecouplingGroup([])
+    g = DecouplingGroup(["I", "X"])
     assert g.labels == ("I", "X")
+    assert np.array_equal(g.elements[1].matrix, SX)
 
 
 def test_group_rejects_unclosed_sets():
     with pytest.raises(ValueError, match="closed"):
-        group_from_words(["II", "XX", "YY"])  # missing ZZ
-    with pytest.raises(ValueError):
-        DecouplingGroup((Operator(np.eye(2, dtype=complex), [2]),
-                         Operator(1.001 * SX, [2])))  # not unitary
+        DecouplingGroup(["II", "XX", "YY"])  # missing ZZ
+    with pytest.raises(ValueError, match="'IXYZ'"):
+        DecouplingGroup(["II", "XQ"])  # bad letter
+    with pytest.raises(ValueError, match="letters"):
+        DecouplingGroup(["II", "X"])  # unequal length
 
 
 def test_group_rejects_duplicates_up_to_phase():
-    eye = Operator(np.eye(2, dtype=complex), [2])
-    phased_eye = Operator(1j * np.eye(2, dtype=complex), [2])
-    with pytest.raises(ValueError):
-        DecouplingGroup((eye, phased_eye))
+    """Words are projective elements, so a repeated word is a repeated element."""
+    with pytest.raises(ValueError, match="repeats"):
+        DecouplingGroup(["I", "X", "X"])
+
+
+def test_closure_is_checked_at_every_order():
+    """The 4-qubit full word list minus one word (order 255) is not closed."""
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=4)]
+    assert DecouplingGroup(words).order == 256
+    words.remove("XYZI")
+    with pytest.raises(ValueError, match="closed"):
+        DecouplingGroup(words)
 
 
 def test_projector_matches_brute_force_average():
@@ -272,11 +283,3 @@ def test_scalar_shift_in_interaction_is_harmless():
     report = check_decoupling(pauli_group(1, "flip"), space, h0)
     assert report.mode == "selective"
     assert report.max_residual <= 1e-10
-
-
-def test_phase_canonicalization_makes_groups_comparable():
-    phased = [np.eye(2, dtype=complex), np.exp(0.3j) * SX]
-    g = DecouplingGroup(tuple(Operator(m, [2]) for m in phased))
-    plain = pauli_group(1, "flip")
-    for a, b in zip(g.elements, plain.elements):
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12

@@ -1,22 +1,27 @@
-"""Property tests of the cycle propagator over random Pauli subgroups.
+"""Property tests over random Pauli subgroups.
 
-Each example draws a register of one or two qubits, a few Pauli words
-that generate a subgroup, an ordering of that subgroup, and a random
-spin-bath model; the properties must hold for every draw. Runs are
-derandomized so the suite sees the same examples on every machine.
+Group validation and the averaging projector are checked on subgroups of
+up to three qubits, spanned from a few random generator words and listed
+in a random order. The cycle propagator is checked on one- and two-qubit
+subgroups with an ordering of the subgroup and a random spin-bath model.
+The properties must hold for every draw. Runs are derandomized so the
+suite sees the same examples on every machine.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from decoupling import (
     BathSpec,
+    DecouplingGroup,
     Operator,
     average_h1,
     build_spin_bath_model,
     cycle_propagator,
-    group_from_words,
+    identity,
     joint_spectrum,
+    project_commutant,
     schedule_from_group,
     symmetrize,
 )
@@ -46,6 +51,50 @@ def _subgroup(generators: list[str], n_qubits: int) -> list[str]:
 
 
 @st.composite
+def subgroups(draw):
+    """Words of a random subgroup on one to three qubits, identity first."""
+    n_qubits = draw(st.integers(1, 3))
+    word = st.text(alphabet="IXYZ", min_size=n_qubits, max_size=n_qubits)
+    words = _subgroup(draw(st.lists(word, min_size=1, max_size=4)), n_qubits)
+    return words[:1] + draw(st.permutations(words[1:]))
+
+
+@PROPERTY_SETTINGS
+@given(subgroups())
+def test_group_accepts_every_span(words):
+    assert DecouplingGroup(words).labels == tuple(words)
+
+
+@PROPERTY_SETTINGS
+@given(subgroups())
+def test_group_rejects_span_missing_a_word(words):
+    """Dropping a word ``w`` leaves ``a`` and ``a * w`` whenever the order
+    is at least 4; an order-2 span loses its only non-identity word and
+    leaves the trivial group, which is closed."""
+    for w in words[1:]:
+        rest = [v for v in words if v != w]
+        if len(words) == 2:
+            assert DecouplingGroup(rest).order == 1
+        else:
+            with pytest.raises(ValueError, match="closed"):
+                DecouplingGroup(rest)
+
+
+@PROPERTY_SETTINGS
+@given(subgroups(), st.integers(0, 2**16))
+def test_projector_is_idempotent_unital_trace_preserving(words, seed):
+    group = DecouplingGroup(words)
+    rng = np.random.default_rng(seed)
+    d = group.dim
+    s = Operator(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), group.dims)
+    p1 = project_commutant(s, group)
+    assert np.max(np.abs(project_commutant(p1, group).matrix - p1.matrix)) <= 1e-12
+    assert abs(p1.trace() - s.trace()) <= 1e-12
+    eye = identity(group.dims)
+    assert np.max(np.abs(project_commutant(eye, group).matrix - eye.matrix)) <= 1e-12
+
+
+@st.composite
 def cycles(draw):
     """``(model, schedule)`` for a random subgroup, ordering and model."""
     n_qubits = draw(st.integers(1, 2))
@@ -61,7 +110,7 @@ def cycles(draw):
                     coupling_scale=0.4, seed=seed)
     model = build_spin_bath_model(n_qubits, bath, coupling="linear-independent", h_s=h_s)
     delta_t = draw(st.floats(0.01, 0.5))
-    return model, schedule_from_group(group_from_words(words), delta_t, ordering)
+    return model, schedule_from_group(DecouplingGroup(words), delta_t, ordering)
 
 
 @PROPERTY_SETTINGS

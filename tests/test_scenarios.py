@@ -259,6 +259,23 @@ def test_run_sweep_outputs_and_fit(tmp_path):
     assert len(summary["points"]) == 3
 
 
+def test_run_sweep_fit_skips_round_off_infidelities(tmp_path, capsys):
+    """The last point of this sweep is 3.3e-16, round-off of a perfect
+    fidelity; kept in the fit it drags the slope to 9.4 with r^2 0.82."""
+    cfg = parse_config({
+        "scenario": "dephasing-echo", "seed": 17, "symmetric": True,
+        "bath": {"n_modes": 5},
+        "sweep": {"parameter": "delta_t", "values": [0.2, 0.1, 0.05, 0.025]},
+    })
+    assert run_sweep(cfg, tmp_path) == 0
+    assert "[0.025]" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["points"][-1]["infidelity"] < 1e-13
+    assert summary["fit_point_count"] == 3
+    assert 3.8 < summary["slope"] < 4.2
+    assert summary["r_squared"] > 0.999
+
+
 def test_run_sweep_requires_commensurate_values():
     cfg = parse_config({
         "scenario": "dephasing-echo", "seed": 7, "n_cycles": 8, "delta_t": 0.16,
