@@ -8,30 +8,14 @@ Run:
     python3 demos/06_pulse_design.py
 """
 
-import itertools
-
-import numpy as np
-
-from decoupling import (
-    boundary_pulses,
-    interaction_space,
-    minimal_group_search,
-    pauli_word_operator,
-    schedule_from_group,
-)
-from decoupling.groups import PAULI_LETTERS
+from decoupling import interaction_space, minimal_group_search, pauli_word_operator
+from decoupling.groups import _word_product
 
 
-def pulse_name(p):
-    """Match a pulse to a Pauli word up to a global phase."""
-    d = p.dim
-    n = d.bit_length() - 1
-    for letters in itertools.product(PAULI_LETTERS, repeat=n):
-        w = "".join(letters)
-        overlap = abs(np.trace(pauli_word_operator(w).matrix.conj().T @ p.matrix)) / d
-        if abs(overlap - 1.0) < 1e-9:
-            return w
-    return "(non-Pauli)"
+def pulse_names(labels):
+    """Pulse ``j`` is ``f_{j+1} f_j^dag``: up to phase, the word product of
+    neighbouring frames, the last one wrapping to the first."""
+    return [_word_product(labels[(j + 1) % len(labels)], w) for j, w in enumerate(labels)]
 
 
 for description, words in (
@@ -48,9 +32,7 @@ for description, words in (
         continue
     print(f"  minimal group order: {hits[0].order} ({len(hits)} group(s) found)")
     for group in hits[:3]:
-        sched = schedule_from_group(group, delta_t=1.0)
-        pulses = [pulse_name(p) for p in boundary_pulses(sched)]
-        cycle = " ".join(f"dt {w}" for w in pulses)
+        cycle = " ".join(f"dt {w}" for w in pulse_names(group.labels))
         print(f"  {list(group.labels)}  ->  cycle: {cycle}")
 
 print("\nEach line reads left to right: free evolution for dt, then the "

@@ -72,8 +72,6 @@ def _simulate(args) -> int:
 
 def _sweep(args) -> int:
     config = load_config(args.config)
-    if config.sweep_values is None:
-        raise ConfigError("config field 'sweep': required for the sweep command")
     return run_sweep(config, _resolve_out(args, config))
 
 

@@ -16,7 +16,9 @@ the initial system and bath states. The default states are pure, so
 ``r = 1``; an explicit mixed state takes the same code path with more
 columns. Observation happens at cycle boundaries only: that is where the
 control frame returns to the physical frame and where average-Hamiltonian
-statements hold.
+statements hold. The loop keeps only the reduced states ``M M^dag`` in
+one ``(n + 1, d_s, d_s)`` stack; each snapshot observable, and the ideal
+reference, is then computed once per trajectory on the whole stack.
 
 Two decay diagnostics are tracked. Fidelity is measured against an ideal
 reference trajectory: the system evolving alone under its effective
@@ -35,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import NUMERIC_TOL, STRUCT_TOL, Operator, act_on_system, distance
-from .model import SystemBathModel, bath_ground_state, total_hamiltonian
+from .operators import NUMERIC_TOL, STRUCT_TOL, Operator, act_on_system, as_matrices, distance
+from .model import SystemBathModel, bath_ground_vector, total_hamiltonian
 from .sequence import CycleSchedule
 from .groups import DecouplingGroup, project_commutant
 
@@ -56,42 +58,62 @@ def _check_density(rho: Operator, what: str):
 
 
 def _sqrt_density(p: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Square root of a density matrix from its eigenpairs, round-off zeroed."""
-    return (vecs * np.sqrt(np.where(p > _ROUNDOFF_EIGENVALUE, p, 0.0))) @ vecs.conj().T
+    """Square roots of density matrices from their eigenpairs, round-off zeroed."""
+    root = np.sqrt(np.where(p > _ROUNDOFF_EIGENVALUE, p, 0.0))
+    return (vecs * root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def state_fidelity(a: Operator, b: Operator) -> float:
-    """Uhlmann fidelity ``(tr sqrt(sqrt(a) b sqrt(a)))**2`` of two states.
+def _expectation(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``<psi|rho|psi>`` per state of a stack, real part."""
+    return np.einsum("...i,...ij,...j->...", psi.conj(), rho, psi).real
 
-    When either state is pure the identity ``F = <psi|rho|psi>`` is used
-    instead of the matrix square roots; it is exact and keeps full
-    floating-point resolution near ``F = 1``, where the general formula
-    loses about half the significant digits to clipped eigenvalues.
-    Otherwise the trace is the sum of the singular values of
-    ``sqrt(a) sqrt(b)``, with eigenvalues at round-off level zeroed before
-    each square root: the square root of a round-off zero is of order
-    1e-8, and would carry into the fidelity of rank-deficient states.
+
+def state_fidelity(a: Operator | np.ndarray, b: Operator | np.ndarray) -> float | np.ndarray:
+    """Uhlmann fidelity ``(tr sqrt(sqrt(a) b sqrt(a)))**2``, one value per pair.
+
+    ``a`` and ``b`` are density Operators or stacks ``(n, d, d)`` of
+    density matrices that broadcast against each other; two Operators
+    give a float. When either state of a pair is pure the identity
+    ``F = <psi|rho|psi>`` is used instead of the matrix square roots; it
+    is exact and keeps full floating-point resolution near ``F = 1``,
+    where the general formula loses about half the significant digits to
+    clipped eigenvalues. Otherwise the trace is the sum of the singular
+    values of ``sqrt(a) sqrt(b)``, with eigenvalues at round-off level
+    zeroed before each square root: the square root of a round-off zero
+    is of order 1e-8, and would carry into the fidelity of rank-deficient
+    states. Each pair of a stack takes its own branch.
     """
-    if a.dims != b.dims:
+    if isinstance(a, Operator) and isinstance(b, Operator) and a.dims != b.dims:
         raise ValueError("states act on different dims")
-    va, ua = np.linalg.eigh(a.matrix)
-    if float(va[-1]) >= 1.0 - 1e-10:
-        psi = ua[:, -1]
-        return min(max(float(np.real(psi.conj() @ b.matrix @ psi)), 0.0), 1.0)
-    vb, ub = np.linalg.eigh(b.matrix)
-    if float(vb[-1]) >= 1.0 - 1e-10:
-        psi = ub[:, -1]
-        return min(max(float(np.real(psi.conj() @ a.matrix @ psi)), 0.0), 1.0)
-    sqrt_a = _sqrt_density(va, ua)
-    sqrt_b = _sqrt_density(vb, ub)
-    root_sum = float(np.sum(np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False)))
-    return min(max(root_sum**2, 0.0), 1.0)
+    x, y = as_matrices(a), as_matrices(b)
+    if x.shape[-2:] != y.shape[-2:]:
+        raise ValueError("states act on different dims")
+    va, ua = np.linalg.eigh(x)
+    vb, ub = np.linalg.eigh(y)
+    batch = np.broadcast_shapes(va.shape[:-1], vb.shape[:-1])
+    pure_a = np.broadcast_to(va[..., -1] >= 1.0 - 1e-10, batch)
+    pure_b = np.broadcast_to(vb[..., -1] >= 1.0 - 1e-10, batch)
+    f = np.where(pure_a, _expectation(ua[..., -1], y), _expectation(ub[..., -1], x))
+    mixed = ~(pure_a | pure_b)
+    if mixed.any():
+        sqrt_a, sqrt_b = (
+            _sqrt_density(np.broadcast_to(p, batch + p.shape[-1:])[mixed],
+                          np.broadcast_to(v, batch + v.shape[-2:])[mixed])
+            for p, v in ((va, ua), (vb, ub))
+        )
+        f[mixed] = np.sum(np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False), axis=-1) ** 2
+    f = np.clip(f, 0.0, 1.0)
+    return f if f.ndim else float(f)
 
 
-def coherence_l1(rho: Operator) -> float:
-    """Sum of absolute off-diagonal entries of a density matrix."""
-    m = np.abs(rho.matrix)
-    return float(m.sum() - np.trace(m).real)
+def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:
+    """Sum of absolute off-diagonal entries, one value per density matrix.
+
+    ``rho`` is an Operator (giving a float) or a stack ``(n, d, d)``.
+    """
+    m = np.abs(as_matrices(rho))
+    out = m.sum(axis=(-2, -1)) - np.trace(m, axis1=-2, axis2=-1)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,11 +229,6 @@ class SimulationRun:
         if self.group is not None and self.group.dims != self.model.h_s.dims:
             raise ValueError("group dims do not match the model system")
 
-    def initial_bath_state(self) -> Operator:
-        if isinstance(self.rho_b0, str):
-            return bath_ground_state(self.model)
-        return self.rho_b0
-
     def ideal_system_hamiltonian(self) -> Operator:
         if self.group is None:
             return self.model.h_s
@@ -260,41 +277,35 @@ def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> Traject
     several runs of one model share a single eigendecomposition.
     """
     model = run.model
-    psi = np.kron(_ensemble(run.rho_s0), _ensemble(run.initial_bath_state()))
+    if isinstance(run.rho_b0, str):
+        bath = bath_ground_vector(model)[:, None]
+    else:
+        bath = _ensemble(run.rho_b0)
+    psi = np.kron(_ensemble(run.rho_s0), bath)
     u_cycle = cycle_propagator(model, run.schedule, spectrum).matrix
     cycle_time = run.schedule.cycle_time
     initial_purity = _joint_purity(psi)
 
-    h_ideal = run.ideal_system_hamiltonian()
-    ideal = None if h_ideal.max_abs() <= STRUCT_TOL else np.linalg.eigh(h_ideal.matrix)
-
     n_snapshots = run.n_cycles // run.sample_every
-    times = np.empty(n_snapshots + 1)
-    cycles = np.empty(n_snapshots + 1, dtype=int)
-    fidelity = np.empty(n_snapshots + 1)
-    coherence = np.empty(n_snapshots + 1)
-    tdist = np.empty(n_snapshots + 1)
-    states: list[Operator] = []
-
+    cycles = np.arange(n_snapshots + 1) * run.sample_every
+    times = cycles * cycle_time
+    d_s = model.system_dim
+    states = np.empty((n_snapshots + 1, d_s, d_s), dtype=complex)
     for k in range(n_snapshots + 1):
-        t = k * run.sample_every * cycle_time
-        m = psi.reshape(model.system_dim, -1)
-        rho_s = Operator(m @ m.conj().T, model.h_s.dims)
-        if ideal is None:
-            sigma = run.rho_s0
-        else:
-            w, v = ideal
-            u_ref = (v * np.exp(-1j * w * t)) @ v.conj().T
-            sigma = Operator(u_ref @ run.rho_s0.matrix @ u_ref.conj().T, run.rho_s0.dims)
-        times[k] = t
-        cycles[k] = k * run.sample_every
-        fidelity[k] = state_fidelity(rho_s, sigma)
-        coherence[k] = coherence_l1(rho_s)
-        tdist[k] = distance(rho_s, run.rho_s0, metric="trace")
-        states.append(rho_s)
-        if k < n_snapshots:
+        if k:
             for _ in range(run.sample_every):
                 psi = u_cycle @ psi
+        m = psi.reshape(d_s, -1)
+        states[k] = m @ m.conj().T
+
+    rho0 = run.rho_s0.matrix
+    h_ideal = run.ideal_system_hamiltonian()
+    if h_ideal.max_abs() <= STRUCT_TOL:
+        sigma = rho0
+    else:
+        w, v = np.linalg.eigh(h_ideal.matrix)
+        u_ref = (v * np.exp(-1j * w * times[:, None])[:, None, :]) @ v.conj().T
+        sigma = u_ref @ rho0 @ u_ref.conj().swapaxes(-1, -2)
 
     meta = {
         "n_cycles": run.n_cycles,
@@ -310,10 +321,10 @@ def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> Traject
     return TrajectoryResult(
         times=times,
         cycles=cycles,
-        states=tuple(states),
-        fidelity=fidelity,
-        coherence=coherence,
-        trace_distance=tdist,
+        states=tuple(Operator(rho, model.h_s.dims) for rho in states),
+        fidelity=state_fidelity(states, sigma),
+        coherence=coherence_l1(states),
+        trace_distance=distance(states, rho0, metric="trace"),
         metadata=meta,
     )
 

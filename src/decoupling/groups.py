@@ -184,39 +184,25 @@ class CommutantBasis:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def residual_outside_span(self, op: Operator) -> float:
-        """Frobenius norm of the component of ``op`` outside the span."""
-        v = op.matrix.ravel()
-        for b in self.basis:
-            bv = b.matrix.ravel()
-            v = v - np.vdot(bv, v) * bv
-        return float(np.linalg.norm(v))
-
 
 def commutant_basis(group: DecouplingGroup) -> CommutantBasis:
-    """Orthonormal basis of the commutant, via the averaging projector.
+    """Orthonormal basis of the commutant, in word space.
 
-    Projects every matrix unit through :func:`project_commutant` and
-    orthonormalizes the images by modified Gram-Schmidt, discarding
-    residuals below 1e-8. An independent route (the null space of the
-    commutation superoperator) exists in the test suite as an oracle.
+    The Pauli words are an orthogonal operator basis, and conjugation by a
+    group word maps each word to plus or minus itself, so the averaging
+    projector keeps exactly the words that commute with every group word
+    and removes the rest. The basis is those words, normalized by
+    ``sqrt(d)``. An independent route (the null space of the commutation
+    superoperator) exists in the test suite as an oracle.
     """
-    d = group.dim
-    dims = group.dims
-    accepted: list[np.ndarray] = []
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            img = project_commutant(Operator(unit, dims), group).matrix.ravel()
-            for _ in range(2):  # re-orthogonalize for stability
-                for b in accepted:
-                    img = img - np.vdot(b, img) * b
-            nrm = float(np.linalg.norm(img))
-            if nrm >= 1e-8:
-                accepted.append(img / nrm)
-    ops = tuple(Operator(v.reshape(d, d), dims) for v in accepted)
-    return CommutantBasis(ops)
+    n = len(group.labels[0])
+    scale = 1.0 / np.sqrt(group.dim)
+    words = ("".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n))
+    return CommutantBasis(tuple(
+        pauli_word_operator(w) * scale
+        for w in words
+        if not any(_words_anticommute(w, g) for g in group.labels)
+    ))
 
 
 @dataclass(frozen=True)

@@ -215,10 +215,14 @@ def interaction_space_of(model: SystemBathModel) -> InteractionSpace:
     return interaction_space([s for s, _ in model.couplings])
 
 
+def bath_ground_vector(model: SystemBathModel) -> np.ndarray:
+    """Ground-state vector of the bath Hamiltonian, its lowest eigenvector."""
+    return np.linalg.eigh(model.h_b.matrix)[1][:, 0]
+
+
 def bath_ground_state(model: SystemBathModel) -> Operator:
     """Density operator of the bath Hamiltonian's ground state."""
-    vals, vecs = np.linalg.eigh(model.h_b.matrix)
-    g = vecs[:, 0]
+    g = bath_ground_vector(model)
     return Operator(np.outer(g, g.conj()), model.h_b.dims)
 
 

@@ -202,18 +202,30 @@ def partial_trace_bath(rho: Operator, n_system_factors: int) -> Operator:
     return Operator(np.einsum("ibjb->ij", m), keep)
 
 
-def distance(a: Operator, b: Operator, metric: str = "frobenius") -> float:
-    """Distance between two same-shape operators.
+def as_matrices(x: Operator | np.ndarray) -> np.ndarray:
+    """The matrix of an :class:`Operator`, or an array of matrices, as complex."""
+    return x.matrix if isinstance(x, Operator) else np.asarray(x, dtype=np.complex128)
 
+
+def distance(
+    a: Operator | np.ndarray, b: Operator | np.ndarray, metric: str = "frobenius"
+) -> float | np.ndarray:
+    """Distance between two same-shape operators, one value per matrix.
+
+    ``a`` and ``b`` are Operators or stacks ``(n, d, d)`` of matrices that
+    broadcast against each other; two single matrices give a float.
     ``frobenius`` is the entrywise 2-norm of the difference; ``trace`` is
     half the sum of the singular values of the difference (for density
     matrices this is the usual trace distance).
     """
-    if a.matrix.shape != b.matrix.shape:
-        raise ValueError(f"shape mismatch: {a.matrix.shape} vs {b.matrix.shape}")
-    diff = a.matrix - b.matrix
+    x, y = as_matrices(a), as_matrices(b)
+    if x.shape[-2:] != y.shape[-2:]:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    diff = x - y
     if metric == "frobenius":
-        return float(np.linalg.norm(diff))
-    if metric == "trace":
-        return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
-    raise ValueError(f"unknown metric {metric!r}; expected 'frobenius' or 'trace'")
+        out = np.linalg.norm(diff, axis=(-2, -1))
+    elif metric == "trace":
+        out = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False), axis=-1)
+    else:
+        raise ValueError(f"unknown metric {metric!r}; expected 'frobenius' or 'trace'")
+    return out if out.ndim else float(out)

@@ -376,44 +376,42 @@ def _feasibility(omega_c_delta_t: float) -> str:
     )
 
 
-def _residual_table(report) -> str:
-    lines = ["coupling channel residuals after group averaging:"]
+def _reject(out: Path, config: ScenarioConfig, report, t_start: float) -> int:
+    """Report a group that fails to decouple (mode ``none``) and return 1.
+
+    Prints the per-channel residual table and writes ``summary.json`` and
+    ``run.log``; ``simulate`` and ``sweep`` reject through here alike.
+    """
+    print(f"group does not decouple this interaction (mode = {report.mode})")
+    print("coupling channel residuals after group averaging:")
     for i, r in enumerate(report.residuals):
-        lines.append(f"  S[{i}]: |projection| = {r:.3e}")
-    return "\n".join(lines)
+        print(f"  S[{i}]: |projection| = {r:.3e}")
+    omega_c_delta_t = config.bath.cutoff * config.delta_t
+    summary = {
+        "scenario": config.scenario,
+        "seed": config.seed,
+        "mode": report.mode,
+        "commutant_dimension": report.commutant_dimension,
+        "residuals": [float(r) for r in report.residuals],
+        "omega_c_delta_t": omega_c_delta_t,
+        "feasibility": _feasibility(omega_c_delta_t),
+    }
+    (out / "summary.json").write_text(_json_text(summary))
+    _write_log(out, config, t_start, status="rejected: mode none")
+    return 1
 
 
-def _free_trajectory(
-    spectrum: JointSpectrum, config: ScenarioConfig, cycle_time: float, n_cycles: int
-) -> TrajectoryResult:
-    """Uncontrolled evolution sampled on the same stroboscopic grid."""
-    free_schedule = schedule_from_group(trivial_group(config.n_qubits), cycle_time)
-    run = SimulationRun(
-        model=spectrum.model,
-        schedule=free_schedule,
-        n_cycles=n_cycles,
-        rho_s0=config.rho_s0,
-        sample_every=config.sample_every,
-        group=None,
+def _trajectories(
+    spectrum: JointSpectrum, config: ScenarioConfig, schedule: CycleSchedule, n_cycles: int
+) -> tuple[TrajectoryResult, TrajectoryResult]:
+    """Controlled and uncontrolled evolution, sampled on the same stroboscopic grid."""
+    free = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
+    return tuple(
+        evolve(SimulationRun(model=spectrum.model, schedule=sched, n_cycles=n_cycles,
+                             rho_s0=config.rho_s0, sample_every=config.sample_every,
+                             group=group), spectrum)
+        for sched, group in ((schedule, config.group), (free, None))
     )
-    return evolve(run, spectrum)
-
-
-def _controlled_trajectory(
-    spectrum: JointSpectrum,
-    config: ScenarioConfig,
-    schedule: CycleSchedule,
-    n_cycles: int,
-) -> TrajectoryResult:
-    run = SimulationRun(
-        model=spectrum.model,
-        schedule=schedule,
-        n_cycles=n_cycles,
-        rho_s0=config.rho_s0,
-        sample_every=config.sample_every,
-        group=config.group,
-    )
-    return evolve(run, spectrum)
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> int:
@@ -435,24 +433,10 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     omega_c_delta_t = config.bath.cutoff * config.delta_t
 
     if report.mode == "none":
-        print(f"group does not decouple this interaction (mode = {report.mode})")
-        print(_residual_table(report))
-        summary = {
-            "scenario": config.scenario,
-            "seed": config.seed,
-            "mode": report.mode,
-            "commutant_dimension": report.commutant_dimension,
-            "residuals": [float(r) for r in report.residuals],
-            "omega_c_delta_t": omega_c_delta_t,
-            "feasibility": _feasibility(omega_c_delta_t),
-        }
-        (out / "summary.json").write_text(_json_text(summary))
-        _write_log(out, config, t_start, status="rejected: mode none")
-        return 1
+        return _reject(out, config, report, t_start)
 
     spectrum = joint_spectrum(model)
-    controlled = _controlled_trajectory(spectrum, config, schedule, config.n_cycles)
-    free = _free_trajectory(spectrum, config, schedule.cycle_time, config.n_cycles)
+    controlled, free = _trajectories(spectrum, config, schedule, config.n_cycles)
     rates = estimate_rates(free, controlled)
 
     controlled.write_csv(out / "trajectory.csv")
@@ -529,7 +513,8 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     infidelity, controlled/free rate ratio), ``summary.json`` with the
     fitted log-log slope, and ``run.log``. Values run one after another,
     in config order. Terminal infidelities below ``SWEEP_FIT_FLOOR`` are
-    written out but left out of the fit.
+    written out but left out of the fit. A group that fails to decouple is
+    rejected as in :func:`run_scenario`.
     """
     if config.sweep_values is None:
         raise ConfigError("config field 'sweep': required for the sweep command")
@@ -540,10 +525,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     model = build_model(config)
     report = check_decoupling(config.group, interaction_space_of(model), config.h_s)
     if report.mode == "none":
-        print(f"group does not decouple this interaction (mode = {report.mode})")
-        print(_residual_table(report))
-        _write_log(out, config, t_start, status="rejected: mode none")
-        return 1
+        return _reject(out, config, report, t_start)
 
     total_time, counts = _sweep_cycle_counts(config)
     spectrum = joint_spectrum(model)
@@ -551,8 +533,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     rows = []
     for v, n_cycles in zip(config.sweep_values, counts):
         schedule = build_schedule(config, delta_t=v)
-        controlled = _controlled_trajectory(spectrum, config, schedule, n_cycles)
-        free = _free_trajectory(spectrum, config, schedule.cycle_time, n_cycles)
+        controlled, free = _trajectories(spectrum, config, schedule, n_cycles)
         rates = estimate_rates(free, controlled)
         rows.append({
             "delta_t": v,

@@ -139,16 +139,31 @@ def test_state_fidelity_pure_state_formula():
         assert abs(state_fidelity(a, b) - want) < 1e-12
 
 
+def random_pure(rng, d, dims):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return Operator(np.outer(v, v.conj()) / np.vdot(v, v).real, dims)
+
+
 def test_state_fidelity_qubit_closed_form():
-    """For qubits F = tr(rho sigma) + 2 sqrt(det rho det sigma)."""
+    """For qubits F = tr(rho sigma) + 2 sqrt(det rho det sigma). One stack
+    holds pairs with a pure first state, a pure second state and two
+    mixed states; each pair takes its own branch."""
     rng = np.random.default_rng(37)
-    for _ in range(8):
-        a = random_density(rng, 2, [2])
-        b = random_density(rng, 2, [2])
-        want = np.trace(a.matrix @ b.matrix).real
-        want += 2 * np.sqrt(max(np.linalg.det(a.matrix).real, 0.0)
-                            * max(np.linalg.det(b.matrix).real, 0.0))
-        assert abs(state_fidelity(a, b) - want) < 1e-10
+    pairs = [(random_density(rng, 2, [2]), random_density(rng, 2, [2])) for _ in range(8)]
+    pairs += [(random_pure(rng, 2, [2]), random_density(rng, 2, [2])),
+              (random_density(rng, 2, [2]), random_pure(rng, 2, [2]))]
+    want = []
+    for a, b in pairs:
+        f = np.trace(a.matrix @ b.matrix).real
+        f += 2 * np.sqrt(max(np.linalg.det(a.matrix).real, 0.0)
+                         * max(np.linalg.det(b.matrix).real, 0.0))
+        assert abs(state_fidelity(a, b) - f) < 1e-10
+        want.append(f)
+    stack_a = np.array([a.matrix for a, _ in pairs])
+    stack_b = np.array([b.matrix for _, b in pairs])
+    got = state_fidelity(stack_a, stack_b)
+    assert got.shape == (len(pairs),)
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_state_fidelity_bounds_and_symmetry():
@@ -338,3 +353,10 @@ def test_state_fidelity_rank_deficient_mixed_states():
     want = np.sum(np.sqrt(p * r)) ** 2
     assert abs(state_fidelity(a, b) - want) < 1e-13
     assert abs(state_fidelity(b, a) - want) < 1e-13
+
+    # one stack: pure first state, pure second state, both mixed
+    pure = np.array([1.0, 0.0, 0.0, 0.0])
+    stack_a = np.array([(q * pure) @ q.conj().T, a.matrix, a.matrix])
+    stack_b = np.array([b.matrix, (q * pure) @ q.conj().T, b.matrix])
+    want = [r[0], p[0], want]
+    assert np.max(np.abs(state_fidelity(stack_a, stack_b) - want)) < 1e-13

@@ -186,6 +186,14 @@ def test_commutant_basis_matches_null_space_oracle():
             assert np.linalg.norm(res) < 1e-10
 
 
+def test_commutant_basis_is_orthonormal():
+    for group in (pauli_group(1, "flip"), pauli_group(2, "collective"),
+                  pauli_group(3, "collective"), pauli_group(2, "full")):
+        mine = np.array([op.matrix.ravel() for op in commutant_basis(group).basis])
+        gram = mine.conj() @ mine.T
+        assert np.max(np.abs(gram - np.eye(len(mine)))) < 1e-12
+
+
 def test_collective_commutant_contains_pair_words():
     basis = commutant_basis(pauli_group(2, "collective"))
     assert basis.dimension == 4

@@ -3,7 +3,9 @@
 The kernel diagonalizes the joint Hamiltonian once and propagates the
 initial state's eigen-ensemble; ``oracle_dm`` steps the joint density
 matrix with one eigendecomposition per segment. Both must give the same
-snapshots on every preset and for mixed initial states.
+snapshots on every preset and for mixed initial states. The stacked
+snapshot observables must also agree, state by state, with the scalar
+kernels ``oracle_dm`` keeps.
 """
 
 import numpy as np
@@ -16,13 +18,16 @@ from decoupling import (
     build_model,
     build_schedule,
     build_spin_bath_model,
+    coherence_l1,
     cycle_propagator,
+    distance,
     evolve,
     joint_spectrum,
     parse_config,
     pauli_group,
     pauli_word_operator,
     schedule_from_group,
+    state_fidelity,
     trivial_group,
 )
 
@@ -42,6 +47,30 @@ def assert_same_snapshots(run):
         assert diff <= TOL, f"{name} differs from the oracle by {diff:.3e}"
     for key in ("initial_joint_purity", "terminal_joint_purity"):
         assert abs(got.metadata[key] - want.metadata[key]) <= TOL
+    assert_same_kernels(got.states, run.rho_s0)
+
+
+def assert_same_kernels(states, rho_s0):
+    """Stacked observables against the scalar oracle kernels on one stack.
+
+    Fidelity is taken against the initial state (the first snapshot is
+    pure) and between neighbouring snapshots (mixed after the first), so
+    the stack's members take every branch of the fidelity.
+    """
+    stack = np.array([s.matrix for s in states])
+    pairs = list(zip(states[1:], states[:-1]))
+    checks = {
+        "fidelity to rho_s0": (state_fidelity(stack, rho_s0),
+                               [oracle_dm.state_fidelity(s, rho_s0) for s in states]),
+        "neighbour fidelity": (state_fidelity(stack[1:], stack[:-1]),
+                               [oracle_dm.state_fidelity(a, b) for a, b in pairs]),
+        "coherence": (coherence_l1(stack), [oracle_dm.coherence_l1(s) for s in states]),
+        "trace distance": (distance(stack, rho_s0, metric="trace"),
+                           [oracle_dm.trace_distance(s, rho_s0) for s in states]),
+    }
+    for name, (got, want) in checks.items():
+        diff = np.max(np.abs(got - np.array(want)))
+        assert diff <= TOL, f"stacked {name} differs from the scalar kernel by {diff:.3e}"
 
 
 def preset_runs(name, **overrides):

@@ -3,8 +3,9 @@
 Group validation and the averaging projector are checked on subgroups of
 up to three qubits, spanned from a few random generator words and listed
 in a random order. The cycle propagator is checked on one- and two-qubit
-subgroups with an ordering of the subgroup and a random spin-bath model.
-The properties must hold for every draw. Runs are derandomized so the
+subgroups with an ordering of the subgroup and a random spin-bath model,
+and so is the agreement between pure and mixed propagation. The
+properties must hold for every draw. Runs are derandomized so the
 suite sees the same examples on every machine.
 """
 
@@ -16,9 +17,12 @@ from decoupling import (
     BathSpec,
     DecouplingGroup,
     Operator,
+    SimulationRun,
     average_h1,
+    bath_ground_state,
     build_spin_bath_model,
     cycle_propagator,
+    evolve,
     identity,
     joint_spectrum,
     project_commutant,
@@ -136,3 +140,48 @@ def test_first_order_term_vanishes_for_symmetrized_cycles(case):
     model, schedule = case
     h1 = average_h1(model, symmetrize(schedule)).matrix
     assert np.max(np.abs(h1)) <= 1e-12
+
+
+
+def _states(traj) -> np.ndarray:
+    return np.array([rho.matrix for rho in traj.states])
+
+
+def _random_pure(rng, dims) -> Operator:
+    d = int(np.prod(dims))
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return Operator(np.outer(v, v.conj()) / np.vdot(v, v).real, dims)
+
+
+@PROPERTY_SETTINGS
+@given(cycles(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16))
+def test_explicit_ground_state_projector_matches_default_bath(case, n_snapshots, every, seed):
+    """The default bath state propagates from the ground vector; the same
+    state passed as a projector propagates from its eigen-ensemble."""
+    model, schedule = case
+    rho_s0 = _random_pure(np.random.default_rng(seed), model.h_s.dims)
+    common = dict(model=model, schedule=schedule, n_cycles=n_snapshots * every,
+                  rho_s0=rho_s0, sample_every=every)
+    default = evolve(SimulationRun(**common))
+    explicit = evolve(SimulationRun(rho_b0=bath_ground_state(model), **common))
+    assert np.max(np.abs(_states(default) - _states(explicit))) <= 1e-12
+    for name in ("fidelity", "coherence", "trace_distance"):
+        assert np.max(np.abs(getattr(default, name) - getattr(explicit, name))) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(cycles(), st.lists(st.floats(0.05, 1.0), min_size=2, max_size=3), st.integers(0, 2**16))
+def test_mixed_system_state_is_the_weighted_sum_of_pure_runs(case, weights, seed):
+    """Reduced states are linear in the initial system state: a mixture
+    ``sum_k p_k |psi_k><psi_k|`` (states not orthogonal) evolves into the
+    p-weighted sum of the pure runs' reduced states."""
+    model, schedule = case
+    rng = np.random.default_rng(seed)
+    p = np.array(weights) / sum(weights)
+    pures = [_random_pure(rng, model.h_s.dims) for _ in p]
+    mixed = Operator(sum(pk * rho.matrix for pk, rho in zip(p, pures)), model.h_s.dims)
+    common = dict(model=model, schedule=schedule, n_cycles=6, sample_every=2)
+    got = _states(evolve(SimulationRun(rho_s0=mixed, **common)))
+    want = sum(pk * _states(evolve(SimulationRun(rho_s0=rho, **common)))
+               for pk, rho in zip(p, pures))
+    assert np.max(np.abs(got - want)) <= 1e-12

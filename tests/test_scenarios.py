@@ -216,18 +216,21 @@ def test_run_scenario_writes_outputs(tmp_path):
     assert "status=ok" in log_line
 
 
+NON_DECOUPLING = {
+    "scenario": "custom",
+    "seed": 3,
+    "K": 1,
+    "bath": {"kind": "spin-bath", "n_modes": 4, "cutoff": 1.0,
+             "coupling_scale": 0.3},
+    "coupling": "linear-independent",
+    "group": "flip",
+    "delta_t": 0.05,
+    "n_cycles": 10,
+}
+
+
 def test_run_scenario_rejects_non_decoupling_group(tmp_path, capsys):
-    cfg = parse_config({
-        "scenario": "custom",
-        "seed": 3,
-        "K": 1,
-        "bath": {"kind": "spin-bath", "n_modes": 4, "cutoff": 1.0,
-                 "coupling_scale": 0.3},
-        "coupling": "linear-independent",
-        "group": "flip",
-        "delta_t": 0.05,
-        "n_cycles": 10,
-    })
+    cfg = parse_config(NON_DECOUPLING)
     code = run_scenario(cfg, tmp_path)
     assert code == 1
     out = capsys.readouterr().out
@@ -237,6 +240,21 @@ def test_run_scenario_rejects_non_decoupling_group(tmp_path, capsys):
     assert summary["mode"] == "none"
     assert max(summary["residuals"]) > 1.0
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_run_sweep_rejects_non_decoupling_group(tmp_path, capsys):
+    """The sweep rejects like ``simulate``: same table, same summary.json."""
+    cfg = parse_config({**NON_DECOUPLING, "sweep": {"parameter": "delta_t",
+                                                    "values": [0.025, 0.05, 0.1]}})
+    assert run_sweep(cfg, tmp_path / "sweep") == 1
+    sweep_out = capsys.readouterr().out
+    assert run_scenario(parse_config(NON_DECOUPLING), tmp_path / "simulate") == 1
+    assert capsys.readouterr().out == sweep_out
+    for name in ("summary.json", "run.log"):
+        assert (tmp_path / "sweep" / name).exists()
+    assert ((tmp_path / "sweep" / "summary.json").read_text()
+            == (tmp_path / "simulate" / "summary.json").read_text())
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 def test_run_sweep_outputs_and_fit(tmp_path):
