@@ -37,7 +37,6 @@ controlled = evolve(SimulationRun(
     schedule=schedule_from_group(flip, delta_t=delta_t),
     n_cycles=n_cycles,
     rho_s0=plus,
-    group=flip,
 ))
 
 # the free run spends the same total time without any pulses: a single

@@ -36,8 +36,7 @@ print(np.array_str(kept.real, precision=3, suppress_small=True))
 print("the 0.1 * Z x 1 stray term is gone; the 0.25 * Z x Z logic term survives")
 
 run = SimulationRun(model=model, schedule=build_schedule(cfg),
-                    n_cycles=cfg.n_cycles, rho_s0=cfg.rho_s0,
-                    group=cfg.group, sample_every=10)
+                    n_cycles=cfg.n_cycles, rho_s0=cfg.rho_s0, sample_every=10)
 traj = evolve(run)
 print(f"\nterminal fidelity vs ideal projected evolution: "
       f"{traj.terminal_fidelity:.6f} over time {traj.times[-1]:.1f}")

@@ -8,14 +8,12 @@ Run:
     python3 demos/06_pulse_design.py
 """
 
-from decoupling import interaction_space, minimal_group_search, pauli_word_operator
-from decoupling.groups import _word_product
-
-
-def pulse_names(labels):
-    """Pulse ``j`` is ``f_{j+1} f_j^dag``: up to phase, the word product of
-    neighbouring frames, the last one wrapping to the first."""
-    return [_word_product(labels[(j + 1) % len(labels)], w) for j, w in enumerate(labels)]
+from decoupling import (
+    boundary_pulses,
+    interaction_space,
+    minimal_group_search,
+    pauli_word_operator,
+)
 
 
 for description, words in (
@@ -32,7 +30,7 @@ for description, words in (
         continue
     print(f"  minimal group order: {hits[0].order} ({len(hits)} group(s) found)")
     for group in hits[:3]:
-        cycle = " ".join(f"dt {w}" for w in pulse_names(group.labels))
+        cycle = " ".join(f"dt {w}" for w in boundary_pulses(group.labels))
         print(f"  {list(group.labels)}  ->  cycle: {cycle}")
 
 print("\nEach line reads left to right: free evolution for dt, then the "

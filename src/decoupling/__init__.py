@@ -45,7 +45,6 @@ from .groups import (
 )
 from .sequence import (
     CycleSchedule,
-    Segment,
     boundary_pulses,
     schedule_from_group,
     schedule_from_record,

@@ -4,8 +4,7 @@
 CSV/JSON artifacts into an output directory (given by ``--out`` or the
 config's ``output_dir``). ``design`` searches for the smallest Pauli
 groups that average a given interaction away and prints them with their
-pulse programs: the pulse between frames ``f_j`` and ``f_{j+1}`` is, up
-to phase, the word product of the two.
+pulse programs (:func:`boundary_pulses`).
 
 Exit codes: 0 success; 1 the configured group fails to decouple the
 interaction (residual table printed); 2 bad usage or config.
@@ -16,13 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .groups import (
-    PAULI_LETTERS,
-    _word_product,
-    commutant_basis,
-    minimal_group_search,
-    pauli_word_operator,
-)
+from .groups import PAULI_LETTERS, commutant_basis, minimal_group_search, pauli_word_operator
+from .sequence import boundary_pulses
 from .scenarios import ConfigError, load_config, run_scenario, run_sweep
 
 
@@ -51,9 +45,8 @@ def _design(args) -> int:
         cdim = commutant_basis(group).dimension
         mode = "maximal" if cdim == 1 else "selective"
         print(f"  group {list(group.labels)}  [{mode}, commutant dimension {cdim}]")
-        labels = group.labels
-        pulses = [_word_product(labels[(j + 1) % len(labels)], w) for j, w in enumerate(labels)]
-        print(f"    cycle (pulses up to phase): {' '.join(f'dt {p}' for p in pulses)}")
+        pulses = " ".join(f"dt {p}" for p in boundary_pulses(group.labels))
+        print(f"    cycle (pulses up to phase): {pulses}")
     return 0
 
 

@@ -3,10 +3,12 @@
 One control cycle is integrated exactly, then repeated. Every segment of
 a cycle lasts the same time and its frame acts on the system factor
 only, so the cycle propagator is a product of one free step
-``W = exp(-i H delta_t)`` conjugated by the segment frames. ``W`` comes
-from the joint Hamiltonian's spectrum, which is diagonalized once per
-model (:func:`joint_spectrum`) and shared by the controlled run, the
-free run and every point of a sweep. Frames never become joint-space
+``W = exp(-i H delta_t)`` conjugated by the segment frames, the
+schedule's group words in visiting order. ``W`` comes from the joint
+Hamiltonian's spectrum, which is diagonalized once per model
+(:func:`joint_spectrum`, together with the bath ground vector that
+default runs start from) and shared by the controlled run, the free run
+and every point of a sweep. Frames never become joint-space
 matrices: they act by reshaping the joint index to ``(d_s, d_b)`` and
 contracting with the ``d_s x d_s`` frame.
 
@@ -22,8 +24,8 @@ reference, is then computed once per trajectory on the whole stack.
 
 Two decay diagnostics are tracked. Fidelity is measured against an ideal
 reference trajectory: the system evolving alone under its effective
-Hamiltonian (the group-averaged system Hamiltonian when a group is
-attached to the run, the bare one otherwise), so it starts at one and
+Hamiltonian, the system Hamiltonian averaged over the schedule's group
+(for the free run's trivial group, the bare one), so it starts at one and
 falls only through system-bath correlation. Decoherence rates are fitted
 to the l1 coherence, whose exponential-looking decay is the directly
 observable signature of dephasing.
@@ -40,7 +42,7 @@ import numpy as np
 from .operators import NUMERIC_TOL, STRUCT_TOL, Operator, act_on_system, as_matrices, distance
 from .model import SystemBathModel, bath_ground_vector, total_hamiltonian
 from .sequence import CycleSchedule
-from .groups import DecouplingGroup, project_commutant
+from .groups import project_commutant
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
@@ -120,13 +122,16 @@ def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:
 class JointSpectrum:
     """Eigendecomposition ``H = V diag(w) V^dag`` of a model's total Hamiltonian.
 
-    Built by :func:`joint_spectrum`. It keeps the model it belongs to, so
-    a propagation can refuse the spectrum of another model.
+    Built by :func:`joint_spectrum`, next to ``bath_ground``, the ground
+    vector of ``h_b`` that every default-bath run of the model starts
+    from. It keeps the model it belongs to, so a propagation can refuse
+    the spectrum of another model.
     """
 
     model: SystemBathModel
     energies: np.ndarray
     vectors: np.ndarray
+    bath_ground: np.ndarray
 
     def propagator(self, t: float) -> np.ndarray:
         """Matrix of ``exp(-i H t)``."""
@@ -135,11 +140,13 @@ class JointSpectrum:
 
 
 def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
-    """Diagonalize the model's total Hamiltonian: the one joint ``eigh`` of a run."""
+    """Diagonalize the model's total Hamiltonian (the one joint ``eigh`` of a
+    run) and its bath Hamiltonian."""
     w, v = np.linalg.eigh(total_hamiltonian(model).matrix)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return JointSpectrum(model, w, v)
+    bath = bath_ground_vector(model)
+    for a in (w, v, bath):
+        a.setflags(write=False)
+    return JointSpectrum(model, w, v, bath)
 
 
 def cycle_propagator(
@@ -166,7 +173,7 @@ def cycle_propagator(
     elif spectrum.model is not model:
         raise ValueError("spectrum belongs to a different model")
     w = spectrum.propagator(schedule.delta_t)
-    frames = [seg.frame.matrix for seg in schedule.segments]
+    frames = schedule.frames
     u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
     for prev, g in zip(frames, frames[1:]):
         u = w @ act_on_system(g @ prev.conj().T, u)
@@ -191,11 +198,10 @@ class SimulationRun:
     """Everything needed to propagate one controlled (or free) evolution.
 
     ``rho_b0`` may be the string ``"bath-ground-state"`` (the default) or
-    an explicit bath density operator. ``group`` attaches the decoupling
-    group the schedule came from; when present, the ideal reference
-    trajectory evolves under the group-averaged system Hamiltonian.
-    Snapshots are taken every ``sample_every`` cycles, which must divide
-    ``n_cycles``.
+    an explicit bath density operator. The ideal reference trajectory
+    evolves under the system Hamiltonian averaged over the schedule's
+    group. Snapshots are taken every ``sample_every`` cycles, which must
+    divide ``n_cycles``.
     """
 
     model: SystemBathModel
@@ -204,7 +210,6 @@ class SimulationRun:
     rho_s0: Operator
     rho_b0: Operator | str = "bath-ground-state"
     sample_every: int = 1
-    group: DecouplingGroup | None = None
 
     def __post_init__(self):
         if self.n_cycles < 1:
@@ -226,13 +231,9 @@ class SimulationRun:
             if self.rho_b0.dims != self.model.h_b.dims:
                 raise ValueError("rho_b0 dims do not match the model bath")
             _check_density(self.rho_b0, "rho_b0")
-        if self.group is not None and self.group.dims != self.model.h_s.dims:
-            raise ValueError("group dims do not match the model system")
 
     def ideal_system_hamiltonian(self) -> Operator:
-        if self.group is None:
-            return self.model.h_s
-        return project_commutant(self.model.h_s, self.group)
+        return project_commutant(self.model.h_s, self.schedule.group)
 
 
 @dataclass(frozen=True)
@@ -242,12 +243,13 @@ class TrajectoryResult:
     ``fidelity`` is against the ideal reference trajectory,
     ``trace_distance`` against the initial state, ``coherence`` is the
     l1 off-diagonal mass. Arrays all share the snapshot axis, with the
-    initial state included at index 0.
+    initial state included at index 0; ``states`` is the read-only
+    ``(n + 1, d_s, d_s)`` stack of reduced states.
     """
 
     times: np.ndarray
     cycles: np.ndarray
-    states: tuple[Operator, ...]
+    states: np.ndarray
     fidelity: np.ndarray
     coherence: np.ndarray
     trace_distance: np.ndarray
@@ -277,8 +279,10 @@ def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> Traject
     several runs of one model share a single eigendecomposition.
     """
     model = run.model
+    if spectrum is None:
+        spectrum = joint_spectrum(model)
     if isinstance(run.rho_b0, str):
-        bath = bath_ground_vector(model)[:, None]
+        bath = spectrum.bath_ground[:, None]
     else:
         bath = _ensemble(run.rho_b0)
     psi = np.kron(_ensemble(run.rho_s0), bath)
@@ -314,14 +318,15 @@ def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> Traject
         "delta_t": run.schedule.delta_t,
         "omega_c_delta_t": model.cutoff * run.schedule.delta_t,
         "n_segments": run.schedule.n_segments,
-        "group_order": None if run.group is None else run.group.order,
+        "group_order": run.schedule.group.order,
         "initial_joint_purity": initial_purity,
         "terminal_joint_purity": _joint_purity(psi),
     }
+    states.setflags(write=False)
     return TrajectoryResult(
         times=times,
         cycles=cycles,
-        states=tuple(Operator(rho, model.h_s.dims) for rho in states),
+        states=states,
         fidelity=state_fidelity(states, sigma),
         coherence=coherence_l1(states),
         trace_distance=distance(states, rho0, metric="trace"),
@@ -332,26 +337,22 @@ def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> Traject
 def observable_drift(run: SimulationRun, observable: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Expectation of a group-commuting observable along a trajectory.
 
-    The observable must commute with every element of the run's group
-    (those are the quantities the control is supposed to preserve); the
-    failing element is named otherwise. Returns ``(times, values)``.
+    The observable must commute with every element of the schedule's
+    group (those are the quantities the control is supposed to preserve);
+    the failing element is named otherwise. Returns ``(times, values)``.
     """
-    if run.group is None:
-        raise ValueError("observable_drift needs a run with a group attached")
     if observable.dims != run.model.h_s.dims:
         raise ValueError("observable dims do not match the model system")
     scale = max(1.0, observable.max_abs())
-    for label, g in zip(run.group.labels, run.group.elements):
+    group = run.schedule.group
+    for label, g in zip(group.labels, group.elements):
         comm = observable.matrix @ g.matrix - g.matrix @ observable.matrix
         if float(np.linalg.norm(comm)) > NUMERIC_TOL * scale:
             raise ValueError(
                 f"observable does not commute with group element {label!r}"
             )
     traj = evolve(run)
-    values = np.array(
-        [float(np.trace(observable.matrix @ s.matrix).real) for s in traj.states]
-    )
-    return traj.times, values
+    return traj.times, np.einsum("ij,kji->k", observable.matrix, traj.states).real
 
 
 @dataclass(frozen=True)

@@ -55,13 +55,13 @@ def toggled_hamiltonian(model: SystemBathModel, schedule: CycleSchedule, j: int)
     h = _checked_total(model, schedule)
     if not 0 <= j < schedule.n_segments:
         raise ValueError(f"segment index {j} out of range for {schedule.n_segments} segments")
-    return Operator(_toggle(schedule.segments[j].frame.matrix, h.matrix), h.dims)
+    return Operator(_toggle(schedule.frames[j], h.matrix), h.dims)
 
 
 def average_h0(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     """Zeroth-order average: the mean of the toggled Hamiltonians."""
     h = _checked_total(model, schedule)
-    acc = sum(_toggle(seg.frame.matrix, h.matrix) for seg in schedule.segments)
+    acc = sum(_toggle(g, h.matrix) for g in schedule.frames)
     return Operator(acc / schedule.n_segments, h.dims)
 
 
@@ -77,8 +77,8 @@ def average_h1(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     tau = schedule.delta_t
     acc = np.zeros_like(h.matrix)
     prefix = np.zeros_like(h.matrix)
-    for seg in schedule.segments:
-        hw = tau * _toggle(seg.frame.matrix, h.matrix)
+    for g in schedule.frames:
+        hw = tau * _toggle(g, h.matrix)
         acc += hw @ prefix - prefix @ hw
         prefix += hw
     out = (-1j / (2.0 * schedule.cycle_time)) * acc

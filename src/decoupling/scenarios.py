@@ -41,7 +41,7 @@ from .groups import (
     pauli_word_operator,
     trivial_group,
 )
-from .sequence import CycleSchedule, schedule_from_group, schedule_to_record, symmetrize
+from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
 from .evolve import (
     JointSpectrum,
     SimulationRun,
@@ -285,7 +285,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
         for i, w in enumerate(words):
             if len(w) != n_qubits:
                 _fail(f"group[{i}]", f"Pauli word {w!r} is not {n_qubits} letters")
-        group = DecouplingGroup(words)
+        try:
+            group = DecouplingGroup(words)
+        except ValueError as exc:
+            _fail("group", str(exc))
     else:
         _fail("group", "expected a named variant or a list of Pauli words")
 
@@ -354,10 +357,8 @@ def build_model(config: ScenarioConfig) -> SystemBathModel:
 
 
 def build_schedule(config: ScenarioConfig, delta_t: float | None = None) -> CycleSchedule:
-    schedule = schedule_from_group(config.group, config.delta_t if delta_t is None else delta_t)
-    if config.symmetric:
-        schedule = symmetrize(schedule)
-    return schedule
+    return CycleSchedule(config.group, config.delta_t if delta_t is None else delta_t,
+                         range(config.group.order), config.symmetric)
 
 
 def _json_text(payload: dict) -> str:
@@ -408,9 +409,9 @@ def _trajectories(
     free = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
     return tuple(
         evolve(SimulationRun(model=spectrum.model, schedule=sched, n_cycles=n_cycles,
-                             rho_s0=config.rho_s0, sample_every=config.sample_every,
-                             group=group), spectrum)
-        for sched, group in ((schedule, config.group), (free, None))
+                             rho_s0=config.rho_s0, sample_every=config.sample_every),
+               spectrum)
+        for sched in (schedule, free)
     )
 
 
@@ -423,6 +424,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     coupling away (mode ``none``), with the per-channel residual table on
     stdout.
     """
+    _check_sample_every(config.n_cycles, config, "sample_every")
     t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -483,13 +485,19 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
 SWEEP_FIT_FLOOR = 1e-13
 
 
+def _check_sample_every(n_cycles: int, config: ScenarioConfig, path: str):
+    if n_cycles % config.sample_every:
+        _fail(path, f"sample_every={config.sample_every} does not divide "
+                    f"n_cycles={n_cycles}")
+
+
 def _sweep_cycle_counts(config: ScenarioConfig) -> tuple[float, list[int]]:
     """Total time of the reference run and integer cycle counts per value.
 
     The sweep holds the total evolution time fixed (that of the reference
     ``delta_t``/``n_cycles`` pair) so terminal errors at different step
     sizes are comparable; each sweep value must divide that time into a
-    whole number of cycles.
+    whole number of cycles, and ``sample_every`` must divide each count.
     """
     n_segments = build_schedule(config).n_segments
     total_time = config.n_cycles * n_segments * config.delta_t
@@ -502,6 +510,7 @@ def _sweep_cycle_counts(config: ScenarioConfig) -> tuple[float, list[int]]:
                 f"config field 'sweep.values[{i}]': delta_t={v!r} does not divide the "
                 f"total time {total_time!r} into whole cycles (got {n_exact!r})"
             )
+        _check_sample_every(n, config, f"sweep.values[{i}]")
         counts.append(n)
     return total_time, counts
 
@@ -518,6 +527,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     """
     if config.sweep_values is None:
         raise ConfigError("config field 'sweep': required for the sweep command")
+    total_time, counts = _sweep_cycle_counts(config)
     t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -527,7 +537,6 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     if report.mode == "none":
         return _reject(out, config, report, t_start)
 
-    total_time, counts = _sweep_cycle_counts(config)
     spectrum = joint_spectrum(model)
 
     rows = []

@@ -72,8 +72,8 @@ def toggled_matrices(model, schedule):
     h = total_hamiltonian(model).matrix
     eye_b = np.eye(model.bath_dim)
     out = []
-    for seg in schedule.segments:
-        lift = np.kron(seg.frame.matrix, eye_b)
+    for frame in schedule.frames:
+        lift = np.kron(frame, eye_b)
         out.append(lift.conj().T @ h @ lift)
     return out
 
@@ -149,7 +149,7 @@ def evolve(run):
     return TrajectoryResult(
         times=np.array(times),
         cycles=np.arange(n_snapshots + 1) * run.sample_every,
-        states=tuple(states),
+        states=np.array([rho.matrix for rho in states]),
         fidelity=np.array(fidelity),
         coherence=np.array(coherence),
         trace_distance=np.array(tdist),

@@ -249,7 +249,7 @@ def test_08_maximal_averaging_freezes_dynamics():
     for n in (25, 50, 100, 200):
         sched = build_schedule(cfg, delta_t=total_time / (units * n))
         run = SimulationRun(model=model, schedule=sched, n_cycles=n,
-                            rho_s0=cfg.rho_s0, group=cfg.group, sample_every=n)
+                            rho_s0=cfg.rho_s0, sample_every=n)
         distances.append(float(evolve(run).trace_distance[-1]))
     steps = [distances[i] / distances[i + 1] for i in range(3)]
     ok = all(r >= 1.5 for r in steps)
@@ -308,7 +308,7 @@ def test_11_selective_decoupling_preserves_logic():
     def infidelity(n, dt):
         sched = build_schedule(cfg, delta_t=dt)
         run = SimulationRun(model=model, schedule=sched, n_cycles=n,
-                            rho_s0=cfg.rho_s0, group=cfg.group, sample_every=n)
+                            rho_s0=cfg.rho_s0, sample_every=n)
         return 1.0 - evolve(run).terminal_fidelity
 
     base = infidelity(cfg.n_cycles, cfg.delta_t)
@@ -348,7 +348,7 @@ def test_12_echo_exactness_for_commuting_bath():
     worst = 0.0
     for dt in (0.3, 0.1, 0.05, 0.01):
         run = SimulationRun(model=model, schedule=schedule_from_group(flip, delta_t=dt),
-                            n_cycles=200, rho_s0=plus, group=flip, sample_every=200)
+                            n_cycles=200, rho_s0=plus, sample_every=200)
         worst = max(worst, 1.0 - evolve(run).terminal_fidelity)
     assert report(12, "echo exact for commuting bath", worst <= 1e-9,
                   f"max 1-F {worst:.2e}")

@@ -8,7 +8,6 @@ from decoupling import (
     Operator,
     SimulationRun,
     TrajectoryResult,
-    boundary_pulses,
     build_spin_bath_model,
     coherence_l1,
     cycle_propagator,
@@ -62,10 +61,11 @@ def test_cycle_propagator_equals_pulse_interleaved_product():
         h0 = total_hamiltonian(model)
         free = expm_hermitian(h0, sched.delta_t)
         eye_b = identity(list(model.h_b.dims))
+        frames = sched.frames
         prod = identity(list(h0.dims))
-        for pulse in boundary_pulses(sched):
-            lifted = tensor(pulse, eye_b)
-            prod = lifted @ free @ prod
+        for j, f in enumerate(frames):
+            pulse = Operator(frames[(j + 1) % len(frames)] @ f.conj().T, model.h_s.dims)
+            prod = tensor(pulse, eye_b) @ free @ prod
         assert np.max(np.abs(prod.matrix - u_frames.matrix)) < 1e-9
 
 
@@ -73,14 +73,14 @@ def test_purity_and_trace_conserved():
     model = make_model(coupling="total")
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
     run = SimulationRun(model=model, schedule=sched, n_cycles=50,
-                        rho_s0=PLUS, group=pauli_group(1, "full"),
+                        rho_s0=PLUS,
                         sample_every=5)
     traj = evolve(run)
     # the joint state stays pure under unitary evolution; its reduction
     # keeps unit trace at every snapshot
     for state in traj.states:
-        assert abs(np.trace(state.matrix) - 1.0) < 1e-9
-        evals = np.linalg.eigvalsh(state.matrix)
+        assert abs(np.trace(state) - 1.0) < 1e-9
+        evals = np.linalg.eigvalsh(state)
         assert evals.min() > -1e-9
     drift = abs(traj.metadata["terminal_joint_purity"]
                 - traj.metadata["initial_joint_purity"])
@@ -103,7 +103,7 @@ def test_echo_limit_is_exact_for_commuting_bath():
     )
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.3)
     run = SimulationRun(model=model, schedule=sched, n_cycles=100,
-                        rho_s0=PLUS, group=pauli_group(1, "flip"))
+                        rho_s0=PLUS)
     traj = evolve(run)
     assert traj.terminal_fidelity >= 1.0 - 1e-12
     assert np.all(traj.fidelity >= 1.0 - 1e-12)
@@ -123,7 +123,19 @@ def test_free_evolution_reference_uses_bare_hamiltonian():
     traj = evolve(run)
     assert traj.terminal_fidelity > 1.0 - 1e-8
     # but the state itself rotates: it is not frozen
-    assert np.max(np.abs(traj.states[-1].matrix - ground.matrix)) > 0.1
+    assert np.max(np.abs(traj.states[-1] - ground.matrix)) > 0.1
+
+
+def test_trivial_group_reference_is_the_bare_hamiltonian_exactly():
+    """Averaging over the one-element group returns ``h_s`` entry for entry,
+    so a free run's reference needs no special case."""
+    h_s = (0.3 * pauli_word_operator("XY") + 0.7 * pauli_word_operator("ZI")
+           - 0.2 * pauli_word_operator("YZ"))
+    model = make_model(n_qubits=2, coupling="linear-collective", h_s=h_s)
+    from decoupling import trivial_group
+    run = SimulationRun(model=model, schedule=schedule_from_group(trivial_group(2), 0.1),
+                        n_cycles=1, rho_s0=Operator(np.diag([1.0, 0, 0, 0]), [2, 2]))
+    assert np.array_equal(run.ideal_system_hamiltonian().matrix, model.h_s.matrix)
 
 
 def test_state_fidelity_pure_state_formula():
@@ -204,7 +216,7 @@ def test_trajectory_metadata_and_csv(tmp_path):
     model = make_model()
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
     run = SimulationRun(model=model, schedule=sched, n_cycles=10,
-                        rho_s0=PLUS, group=pauli_group(1, "flip"),
+                        rho_s0=PLUS,
                         sample_every=2)
     traj = evolve(run)
     assert len(traj.times) == 6
@@ -229,8 +241,7 @@ def test_observable_drift_requires_commutant_membership():
     group = pauli_group(2, "collective")
     sched = schedule_from_group(group, delta_t=0.05)
     run = SimulationRun(model=model, schedule=sched, n_cycles=8,
-                        rho_s0=Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2]),
-                        group=group)
+                        rho_s0=Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2]))
     times, values = observable_drift(run, pauli_word_operator("ZZ"))
     assert len(times) == len(values) == 9
     assert abs(values[0] - 0.0) < 1e-12  # <ZZ> in |++> is zero

@@ -57,16 +57,16 @@ def assert_same_kernels(states, rho_s0):
     pure) and between neighbouring snapshots (mixed after the first), so
     the stack's members take every branch of the fidelity.
     """
-    stack = np.array([s.matrix for s in states])
-    pairs = list(zip(states[1:], states[:-1]))
+    ops = [Operator(s, rho_s0.dims) for s in states]
+    pairs = list(zip(ops[1:], ops[:-1]))
     checks = {
-        "fidelity to rho_s0": (state_fidelity(stack, rho_s0),
-                               [oracle_dm.state_fidelity(s, rho_s0) for s in states]),
-        "neighbour fidelity": (state_fidelity(stack[1:], stack[:-1]),
+        "fidelity to rho_s0": (state_fidelity(states, rho_s0),
+                               [oracle_dm.state_fidelity(s, rho_s0) for s in ops]),
+        "neighbour fidelity": (state_fidelity(states[1:], states[:-1]),
                                [oracle_dm.state_fidelity(a, b) for a, b in pairs]),
-        "coherence": (coherence_l1(stack), [oracle_dm.coherence_l1(s) for s in states]),
-        "trace distance": (distance(stack, rho_s0, metric="trace"),
-                           [oracle_dm.trace_distance(s, rho_s0) for s in states]),
+        "coherence": (coherence_l1(states), [oracle_dm.coherence_l1(s) for s in ops]),
+        "trace distance": (distance(states, rho_s0, metric="trace"),
+                           [oracle_dm.trace_distance(s, rho_s0) for s in ops]),
     }
     for name, (got, want) in checks.items():
         diff = np.max(np.abs(got - np.array(want)))
@@ -80,7 +80,7 @@ def preset_runs(name, **overrides):
     free = schedule_from_group(trivial_group(cfg.n_qubits), schedule.cycle_time)
     common = dict(model=model, n_cycles=cfg.n_cycles, rho_s0=cfg.rho_s0,
                   sample_every=cfg.sample_every)
-    return (SimulationRun(schedule=schedule, group=cfg.group, **common),
+    return (SimulationRun(schedule=schedule, **common),
             SimulationRun(schedule=free, **common))
 
 
@@ -115,8 +115,7 @@ def test_mixed_initial_states_match_oracle():
     rho_b0 = thermal(model.h_b, beta=2.0)
     group = pauli_group(2, "collective")
     run = SimulationRun(model=model, schedule=schedule_from_group(group, delta_t=0.1),
-                        n_cycles=40, rho_s0=rho_s0, rho_b0=rho_b0, sample_every=2,
-                        group=group)
+                        n_cycles=40, rho_s0=rho_s0, rho_b0=rho_b0, sample_every=2)
     assert_same_snapshots(run)
     assert evolve(run).metadata["initial_joint_purity"] < 0.5
 

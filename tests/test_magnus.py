@@ -39,8 +39,8 @@ def test_toggled_hamiltonian_is_explicit_conjugation():
     sched = schedule_from_group(group, delta_t=0.1)
     h0 = total_hamiltonian(model).matrix
     eye_b = np.eye(model.bath_dim, dtype=complex)
-    for j, seg in enumerate(sched.segments):
-        lift = np.kron(seg.frame.matrix, eye_b)
+    for j, frame in enumerate(sched.frames):
+        lift = np.kron(frame, eye_b)
         want = lift.conj().T @ h0 @ lift
         got = toggled_hamiltonian(model, sched, j)
         assert np.max(np.abs(got.matrix - want)) < 1e-12

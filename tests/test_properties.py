@@ -143,10 +143,6 @@ def test_first_order_term_vanishes_for_symmetrized_cycles(case):
 
 
 
-def _states(traj) -> np.ndarray:
-    return np.array([rho.matrix for rho in traj.states])
-
-
 def _random_pure(rng, dims) -> Operator:
     d = int(np.prod(dims))
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -164,7 +160,7 @@ def test_explicit_ground_state_projector_matches_default_bath(case, n_snapshots,
                   rho_s0=rho_s0, sample_every=every)
     default = evolve(SimulationRun(**common))
     explicit = evolve(SimulationRun(rho_b0=bath_ground_state(model), **common))
-    assert np.max(np.abs(_states(default) - _states(explicit))) <= 1e-12
+    assert np.max(np.abs(default.states - explicit.states)) <= 1e-12
     for name in ("fidelity", "coherence", "trace_distance"):
         assert np.max(np.abs(getattr(default, name) - getattr(explicit, name))) <= 1e-12
 
@@ -181,7 +177,7 @@ def test_mixed_system_state_is_the_weighted_sum_of_pure_runs(case, weights, seed
     pures = [_random_pure(rng, model.h_s.dims) for _ in p]
     mixed = Operator(sum(pk * rho.matrix for pk, rho in zip(p, pures)), model.h_s.dims)
     common = dict(model=model, schedule=schedule, n_cycles=6, sample_every=2)
-    got = _states(evolve(SimulationRun(rho_s0=mixed, **common)))
-    want = sum(pk * _states(evolve(SimulationRun(rho_s0=rho, **common)))
+    got = evolve(SimulationRun(rho_s0=mixed, **common)).states
+    want = sum(pk * evolve(SimulationRun(rho_s0=rho, **common)).states
                for pk, rho in zip(p, pures))
     assert np.max(np.abs(got - want)) <= 1e-12

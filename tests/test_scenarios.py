@@ -167,8 +167,7 @@ def test_symmetric_flag_builds_palindromic_schedule():
     sched = build_schedule(cfg)
     assert sched.symmetric
     assert sched.n_segments == 4
-    labels = [s.label for s in sched.segments]
-    assert labels == ["I", "X", "X", "I"]
+    assert sched.segments == ("I", "X", "X", "I")
 
 
 def test_boson_bath_scenario():
@@ -301,6 +300,37 @@ def test_run_sweep_requires_commensurate_values():
     })
     with pytest.raises(ConfigError, match="0.07"):
         run_sweep(cfg, "/tmp/never-written")
+
+
+def _no_model(config):
+    raise AssertionError("the model was built before the config was checked")
+
+
+def test_run_scenario_checks_sample_every_before_building(tmp_path, monkeypatch):
+    monkeypatch.setattr("decoupling.scenarios.build_model", _no_model)
+    cfg = parse_config({"scenario": "dephasing-echo", "seed": 7, "sample_every": 7})
+    with pytest.raises(ConfigError, match="config field 'sample_every'.*n_cycles=80"):
+        run_scenario(cfg, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_sweep_checks_every_point_before_building(tmp_path, monkeypatch):
+    """sample_every 40 divides the 80 cycles of the first point but not the
+    100 of the second; the reference run's own count is not required."""
+    monkeypatch.setattr("decoupling.scenarios.build_model", _no_model)
+    cfg = parse_config({
+        "scenario": "dephasing-echo", "seed": 7, "sample_every": 40,
+        "sweep": {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]},
+    })
+    with pytest.raises(ConfigError, match=r"config field 'sweep.values\[1\]'.*n_cycles=100"):
+        run_sweep(cfg, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
+def test_unclosed_group_word_list_names_the_field():
+    with pytest.raises(ConfigError, match="config field 'group': not projectively closed"):
+        parse_config({"scenario": "collective-register", "seed": 1,
+                      "group": ["II", "XX", "YY"]})
 
 
 def test_run_sweep_rejects_degenerate_values(tmp_path):
