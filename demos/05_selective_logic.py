@@ -41,7 +41,7 @@ traj = evolve(run)
 print(f"\nterminal fidelity vs ideal projected evolution: "
       f"{traj.terminal_fidelity:.6f} over time {traj.times[-1]:.1f}")
 
-times, zz = observable_drift(run, pauli_word_operator("ZZ"))
+times, zz = observable_drift(traj, pauli_word_operator("ZZ"), run.schedule.group)
 print(f"\n{'time':>6}  {'<ZZ>':>8}  {'fidelity':>10}")
 for k in range(len(times)):
     print(f"{times[k]:6.1f}  {zz[k]:8.4f}  {traj.fidelity[k]:10.6f}")

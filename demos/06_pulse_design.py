@@ -8,12 +8,7 @@ Run:
     python3 demos/06_pulse_design.py
 """
 
-from decoupling import (
-    boundary_pulses,
-    interaction_space,
-    minimal_group_search,
-    pauli_word_operator,
-)
+from decoupling import boundary_pulses, minimal_group_search
 
 
 for description, words in (
@@ -21,9 +16,7 @@ for description, words in (
     ("single qubit, all three axes", ["X", "Y", "Z"]),
     ("two-qubit crosstalk ZZ plus local Z noise", ["ZI", "IZ", "ZZ"]),
 ):
-    ops = [pauli_word_operator(w) for w in words]
-    space = interaction_space(ops)
-    hits = minimal_group_search(space, n_qubits=len(words[0]))
+    hits = minimal_group_search([{w: 1.0} for w in words], n_qubits=len(words[0]))
     print(f"\ninteraction: {description}  span {words}")
     if not hits:
         print("  no Pauli decoupling group within the search cap")

@@ -15,26 +15,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .groups import PAULI_LETTERS, commutant_basis, minimal_group_search, pauli_word_operator
+from .groups import SEARCH_MAX_ORDER, SEARCH_MAX_QUBITS, minimal_group_search
 from .sequence import boundary_pulses
 from .scenarios import ConfigError, load_config, run_scenario, run_sweep
 
 
 def _design(args) -> int:
+    for flag, value, cap in (("--qubits", args.qubits, SEARCH_MAX_QUBITS),
+                             ("--max-order", args.max_order, SEARCH_MAX_ORDER)):
+        if not 1 <= value <= cap:
+            raise ValueError(f"{flag} must be between 1 and {cap}, got {value}")
     words = [w.upper() for w in args.interaction]
-    for w in words:
-        if len(w) != args.qubits or any(c not in PAULI_LETTERS for c in w):
-            print(
-                f"error: {w!r} is not a {args.qubits}-letter Pauli word",
-                file=sys.stderr,
-            )
-            return 2
-    interaction = [pauli_word_operator(w) for w in words]
-    try:
-        groups = minimal_group_search(interaction, args.qubits, max_order=args.max_order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    groups = minimal_group_search([{w: 1.0} for w in words], args.qubits, max_order=args.max_order)
 
     print(f"interaction span: {words} on {args.qubits} qubit(s)")
     if not groups:
@@ -42,7 +34,7 @@ def _design(args) -> int:
         return 1
     print(f"minimal decoupling groups (order {groups[0].order}):")
     for group in groups:
-        cdim = commutant_basis(group).dimension
+        cdim = group.commutant_dimension
         mode = "maximal" if cdim == 1 else "selective"
         print(f"  group {list(group.labels)}  [{mode}, commutant dimension {cdim}]")
         pulses = " ".join(f"dt {p}" for p in boundary_pulses(group.labels))
@@ -91,7 +83,7 @@ def main(argv=None) -> int:
     )
     p_design.add_argument("--qubits", type=int, required=True, help="register size K (max 3)")
     p_design.add_argument(
-        "--max-order", type=int, default=64, help="largest group order to consider"
+        "--max-order", type=int, default=SEARCH_MAX_ORDER, help="largest group order to consider"
     )
 
     args = parser.parse_args(argv)

@@ -42,7 +42,7 @@ import numpy as np
 from .operators import NUMERIC_TOL, STRUCT_TOL, Operator, act_on_system, as_matrices, distance
 from .model import SystemBathModel, bath_ground_vector, total_hamiltonian
 from .sequence import CycleSchedule
-from .groups import project_commutant
+from .groups import DecouplingGroup, project_commutant
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
@@ -334,24 +334,25 @@ def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> Traject
     )
 
 
-def observable_drift(run: SimulationRun, observable: Operator) -> tuple[np.ndarray, np.ndarray]:
+def observable_drift(
+    traj: TrajectoryResult, observable: Operator, group: DecouplingGroup
+) -> tuple[np.ndarray, np.ndarray]:
     """Expectation of a group-commuting observable along a trajectory.
 
-    The observable must commute with every element of the schedule's
-    group (those are the quantities the control is supposed to preserve);
-    the failing element is named otherwise. Returns ``(times, values)``.
+    The observable must commute with every element of ``group``, the
+    group the trajectory's schedule ran over (those are the quantities
+    the control is supposed to preserve); the failing element is named
+    otherwise. Returns ``(times, values)`` read from ``traj.states``.
     """
-    if observable.dims != run.model.h_s.dims:
-        raise ValueError("observable dims do not match the model system")
+    if observable.dims != group.dims:
+        raise ValueError("observable dims do not match the group")
     scale = max(1.0, observable.max_abs())
-    group = run.schedule.group
     for label, g in zip(group.labels, group.elements):
         comm = observable.matrix @ g.matrix - g.matrix @ observable.matrix
         if float(np.linalg.norm(comm)) > NUMERIC_TOL * scale:
             raise ValueError(
                 f"observable does not commute with group element {label!r}"
             )
-    traj = evolve(run)
     return traj.times, np.einsum("ij,kji->k", observable.matrix, traj.states).real
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import Operator, NUMERIC_TOL, zero, tensor_all
+from .operators import Operator, NUMERIC_TOL
 
 PAULI_LETTERS = "IXYZ"
 
@@ -47,16 +47,33 @@ _LETTER_PRODUCT = {
     ("Z", "I"): "Z", ("Z", "X"): "Y", ("Z", "Y"): "X", ("Z", "Z"): "I",
 }
 
+#: ``i**k`` for ``k = 0..3``, exactly.
+_PHASES = np.array([1, 1j, -1, -1j])
+
 #: Caps for exhaustive subgroup search.
 SEARCH_MAX_QUBITS = 3
 SEARCH_MAX_ORDER = 64
 
 
 def pauli_word_operator(word: str) -> Operator:
-    """Tensor-product operator for a Pauli word such as ``"XXI"``."""
+    """Tensor-product operator for a Pauli word such as ``"XXI"``.
+
+    A Pauli word is a signed permutation: it maps ``|j>`` to
+    ``i**(#Y) (-1)**popcount(j & z) |j ^ x>``, where ``x`` marks the X/Y
+    letters and ``z`` the Z/Y letters (first letter most significant), so
+    the matrix is filled in one pass over the basis, with no Kronecker
+    products.
+    """
     if not word or any(c not in PAULI_LETTERS for c in word):
         raise ValueError(f"invalid Pauli word {word!r}; letters must be in 'IXYZ'")
-    return tensor_all([Operator(PAULI_MATRICES[c], (2,)) for c in word])
+    j = np.arange(2 ** len(word))
+    flip, power = 0, np.full(j.shape, word.count("Y"))
+    for bit, c in zip(reversed(range(len(word))), word):
+        flip |= (c in "XY") << bit
+        power += 2 * ((j >> bit) & 1) * (c in "ZY")
+    m = np.zeros((j.size, j.size), dtype=complex)
+    m[j ^ flip, j] = _PHASES[power % 4]
+    return Operator(m, (2,) * len(word))
 
 
 def _words_anticommute(a: str, b: str) -> bool:
@@ -120,6 +137,12 @@ class DecouplingGroup:
     @property
     def dim(self) -> int:
         return self.elements[0].dim
+
+    @property
+    def commutant_dimension(self) -> int:
+        """``4**K / |G|``: the words commuting with a Pauli group form its
+        symplectic complement, and they span the commutant."""
+        return 4 ** len(self.labels[0]) // self.order
 
     def __repr__(self) -> str:
         return f"DecouplingGroup(order={self.order}, dim={self.dim}, labels={list(self.labels)})"
@@ -247,7 +270,7 @@ def check_decoupling(group: DecouplingGroup, interaction, h_s: Operator) -> Deco
     if h_s.dim != group.dim:
         raise ValueError("system Hamiltonian dimension does not match the group")
     residuals = tuple(_traceless_residual(op, group) for op in ops)
-    cdim = commutant_basis(group).dimension
+    cdim = group.commutant_dimension
     if all(r <= NUMERIC_TOL for r in residuals):
         mode = "maximal" if cdim == 1 else "selective"
     else:
@@ -263,80 +286,61 @@ def check_decoupling(group: DecouplingGroup, interaction, h_s: Operator) -> Deco
 # -- minimal-group search -------------------------------------------------
 #
 # Subgroups of the projective Pauli group on K qubits are F_2-linear
-# subspaces of the word group, so candidates are enumerated symbolically
-# (word arithmetic only) and scored by expanding each interaction operator
-# in the Pauli word basis: a word component survives averaging over the
-# subgroup iff it commutes with every subgroup element. Survivor groups
-# are then confirmed with the dense-matrix check_decoupling path.
+# subspaces of the word group, so candidates are enumerated in word
+# arithmetic and scored on each channel's Pauli word expansion: a word
+# component survives averaging over the subgroup iff it commutes with
+# every subgroup element, and the surviving traceless part has Frobenius
+# norm sqrt(d * sum |c_w|**2) over the surviving non-identity words.
 
 
-def _pauli_coefficients(op: Operator, words: Sequence[str]) -> dict[str, complex]:
-    d = op.dim
-    coeffs = {}
-    for w in words:
-        wm = pauli_word_operator(w).matrix
-        c = np.trace(wm.conj().T @ op.matrix) / d
-        if abs(c) > 1e-14:
-            coeffs[w] = c
-    return coeffs
-
-
-def minimal_group_search(interaction, n_qubits: int, max_order: int = SEARCH_MAX_ORDER) -> list[DecouplingGroup]:
+def minimal_group_search(
+    tables: Sequence[dict[str, complex]], n_qubits: int, max_order: int = SEARCH_MAX_ORDER
+) -> list[DecouplingGroup]:
     """Exhaustively find the smallest Pauli subgroups that decouple.
 
-    Enumerates every subgroup of the projective Pauli group on
-    ``n_qubits`` qubits (breadth-first by order, generators in
-    lexicographic word order) and returns all groups of minimal order for
-    which :func:`check_decoupling` reports a mode other than ``"none"``.
-    Returns an empty list if nothing within ``max_order`` works.
+    ``tables`` holds one interaction channel per entry, as a mapping from
+    Pauli word to coefficient. Identity components are dropped: they
+    commute with everything and only shift phases. Enumerates every
+    subgroup of the projective Pauli group on ``n_qubits`` qubits
+    (breadth-first by order, generators in lexicographic word order) and
+    returns all groups of minimal order whose averaging leaves no
+    channel a traceless part above ``NUMERIC_TOL``. Returns an empty list
+    if nothing within ``max_order`` works.
     """
-    if n_qubits > SEARCH_MAX_QUBITS:
-        raise ValueError(f"search capped at {SEARCH_MAX_QUBITS} qubits, got {n_qubits}")
+    if not 1 <= n_qubits <= SEARCH_MAX_QUBITS:
+        raise ValueError(f"search covers 1 to {SEARCH_MAX_QUBITS} qubits, got {n_qubits}")
     if max_order > SEARCH_MAX_ORDER:
         raise ValueError(f"search capped at order {SEARCH_MAX_ORDER}, got {max_order}")
-    ops = list(getattr(interaction, "basis", interaction))
-    d = 2**n_qubits
-    for op in ops:
-        if op.dim != d:
-            raise ValueError("interaction operator dimension does not match n_qubits")
+    for table in tables:
+        for w in table:
+            if len(w) != n_qubits or any(c not in PAULI_LETTERS for c in w):
+                raise ValueError(f"{w!r} is not a {n_qubits}-letter Pauli word")
 
+    d = 2**n_qubits
     id_word = "I" * n_qubits
     all_words = ["".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n_qubits)]
     nontrivial = [w for w in all_words if w != id_word]
-    coeff_tables = [_pauli_coefficients(op, nontrivial) for op in ops]
+    coeff_tables = [{w: c for w, c in t.items() if w != id_word} for t in tables]
 
     def symbolic_decouples(span: frozenset[str]) -> bool:
-        members = sorted(span)
         for table in coeff_tables:
             surviving = 0.0
             for w, c in table.items():
-                if all(not _words_anticommute(w, m) for m in members):
+                if all(not _words_anticommute(w, m) for m in span):
                     surviving += abs(c) ** 2
-            # Frobenius norm of the surviving traceless part: each Pauli
-            # word has squared HS norm d.
             if (d * surviving) ** 0.5 > NUMERIC_TOL:
                 return False
         return True
-
-    h_s_zero = zero((2,) * n_qubits)
-
-    def confirmed(span: frozenset[str]) -> DecouplingGroup | None:
-        words = sorted(span)
-        words.remove(id_word)
-        group = DecouplingGroup([id_word] + words)
-        report = check_decoupling(group, ops, h_s_zero)
-        return group if report.mode != "none" else None
 
     # Breadth-first over subgroup order (always a power of two).
     level: dict[frozenset[str], tuple[str, ...]] = {frozenset({id_word}): ()}
     order = 1
     while order <= max_order:
-        hits = []
-        for span, gens in sorted(level.items(), key=lambda kv: kv[1]):
-            if symbolic_decouples(span):
-                group = confirmed(span)
-                if group is not None:
-                    hits.append(group)
+        hits = [
+            DecouplingGroup([id_word] + sorted(span - {id_word}))
+            for span, gens in sorted(level.items(), key=lambda kv: kv[1])
+            if symbolic_decouples(span)
+        ]
         if hits:
             return hits
         if 2 * order > max_order:

@@ -27,7 +27,7 @@ import numpy as np
 from .operators import Operator, act_on_system, distance, expm_hermitian
 from .model import SystemBathModel, total_hamiltonian
 from .sequence import CycleSchedule
-from .evolve import cycle_propagator
+from .evolve import JointSpectrum, cycle_propagator
 
 
 def _toggle(frame: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -113,15 +113,17 @@ def average_hamiltonian_series(
     )
 
 
-def truncation_error(model: SystemBathModel, schedule: CycleSchedule, order: int) -> float:
+def truncation_error(spectrum: JointSpectrum, schedule: CycleSchedule, order: int) -> float:
     """Frobenius distance of the truncated series from the exact cycle.
 
-    ``order`` 0 keeps only the averaged Hamiltonian; 1 adds the first
-    correction. The error contracts like the cycle time to the power
-    ``order + 2`` as ``delta_t`` shrinks (one power faster again for
-    palindromic cycles at order 1, whose correction vanishes).
+    ``spectrum`` is the model's :func:`joint_spectrum`, so a scan over
+    schedules and orders diagonalizes the model once. ``order`` 0 keeps
+    only the averaged Hamiltonian; 1 adds the first correction. The error
+    contracts like the cycle time to the power ``order + 2`` as
+    ``delta_t`` shrinks (one power faster again for palindromic cycles at
+    order 1, whose correction vanishes).
     """
-    series = average_hamiltonian_series(model, schedule)
-    exact = cycle_propagator(model, schedule)
+    series = average_hamiltonian_series(spectrum.model, schedule)
+    exact = cycle_propagator(spectrum.model, schedule, spectrum)
     approx = expm_hermitian(series.effective(order), schedule.cycle_time)
     return distance(exact, approx, metric="frobenius")

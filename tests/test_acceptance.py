@@ -30,7 +30,7 @@ from decoupling import (
     build_spin_bath_model,
     commutant_basis,
     evolve,
-    interaction_space,
+    joint_spectrum,
     minimal_group_search,
     parse_config,
     pauli_group,
@@ -175,16 +175,9 @@ def test_05_minimal_group_search():
     """Exhaustive search returns order 2 for single-axis dephasing and
     order 4 for the collective two-qubit interaction, within 30 s."""
     t0 = time.time()
-    space1 = interaction_space([pauli_word_operator("Z")])
-    hits1 = minimal_group_search(space1, n_qubits=1)
-
-    def pair_sum(a, b):
-        m = pauli_word_operator(a).matrix + pauli_word_operator(b).matrix
-        return Operator(m, [2, 2])
-
-    space2 = interaction_space([pair_sum("XI", "IX"), pair_sum("YI", "IY"),
-                                pair_sum("ZI", "IZ")])
-    hits2 = minimal_group_search(space2, n_qubits=2)
+    hits1 = minimal_group_search([{"Z": 1.0}], n_qubits=1)
+    tables2 = [{"XI": 1.0, "IX": 1.0}, {"YI": 1.0, "IY": 1.0}, {"ZI": 1.0, "IZ": 1.0}]
+    hits2 = minimal_group_search(tables2, n_qubits=2)
     elapsed = time.time() - t0
 
     ok1 = sorted(h.labels for h in hits1) == [("I", "X"), ("I", "Y")]
@@ -199,11 +192,11 @@ def test_06_magnus_truncation_orders():
     """Halving the segment length divides the order-0 defect by about 4
     and the order-1 defect by about 8 on the dephasing-echo preset."""
     cfg = parse_config({"scenario": "dephasing-echo", "seed": 7})
-    model = build_model(cfg)
+    spectrum = joint_spectrum(build_model(cfg))
     steps = [0.1, 0.05, 0.025, 0.0125]
     ratios = {}
     for order in (0, 1):
-        errs = [truncation_error(model, schedule_from_group(cfg.group, delta_t=dt), order)
+        errs = [truncation_error(spectrum, schedule_from_group(cfg.group, delta_t=dt), order)
                 for dt in steps]
         ratios[order] = [errs[i] / errs[i + 1] for i in range(3)]
     ok0 = all(3.2 <= r <= 4.8 for r in ratios[0])

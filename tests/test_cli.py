@@ -116,6 +116,20 @@ def test_design_rejects_wrong_length_words(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--interaction", "Z", "--qubits", "1", "--max-order", "0"], "--max-order"),
+    (["--interaction", "Z", "--qubits", "1", "--max-order", "-4"], "--max-order"),
+    (["--interaction", "Z", "--qubits", "1", "--max-order", "65"], "--max-order"),
+    (["--interaction", "", "--qubits", "0"], "--qubits"),
+    (["--interaction", "ZIII", "--qubits", "4"], "--qubits"),
+])
+def test_design_rejects_bad_flags_before_searching(argv, flag, capsys):
+    assert main(["design", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {"scenario": "collective-register", "seed": 23,
                                   "n_cycles": 10})

@@ -242,11 +242,12 @@ def test_observable_drift_requires_commutant_membership():
     sched = schedule_from_group(group, delta_t=0.05)
     run = SimulationRun(model=model, schedule=sched, n_cycles=8,
                         rho_s0=Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2]))
-    times, values = observable_drift(run, pauli_word_operator("ZZ"))
+    traj = evolve(run)
+    times, values = observable_drift(traj, pauli_word_operator("ZZ"), group)
     assert len(times) == len(values) == 9
     assert abs(values[0] - 0.0) < 1e-12  # <ZZ> in |++> is zero
-    with pytest.raises(ValueError):
-        observable_drift(run, pauli_word_operator("ZI"))
+    with pytest.raises(ValueError, match="'XX'"):
+        observable_drift(traj, pauli_word_operator("ZI"), group)
 
 
 def synthetic_trajectory(times, coherence):

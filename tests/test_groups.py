@@ -1,8 +1,9 @@
 """Group averaging: projector algebra, commutant bases, decoupling search.
 
-The projector and the commutant are each checked against brute-force
-oracles (explicit conjugation sums, stacked-kron null spaces) so that a
-bug in the library cannot hide behind itself.
+The projector, the commutant and the minimal-group search are each
+checked against brute-force oracles (explicit conjugation sums,
+stacked-kron null spaces, dense Pauli expansions in ``oracle_groups``)
+so that a bug in the library cannot hide behind itself.
 """
 
 import itertools
@@ -23,17 +24,15 @@ from decoupling import (
     trivial_group,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
-PAULI_1Q = {"I": np.eye(2, dtype=complex), "X": SX, "Y": SY, "Z": SZ}
+from oracle_groups import (
+    PAULI_1Q,
+    all_words,
+    decouples_oracle,
+    null_space_commutant_oracle,
+    word_matrix,
+)
 
-
-def word_matrix(word):
-    out = PAULI_1Q[word[0]].copy()
-    for ch in word[1:]:
-        out = np.kron(out, PAULI_1Q[ch])
-    return out
+SX, SZ = PAULI_1Q["X"], PAULI_1Q["Z"]
 
 
 def average_oracle(group, mat):
@@ -49,10 +48,12 @@ def random_matrix(rng, d):
 
 
 def test_pauli_word_operator_matches_kron():
-    for word in ("I", "X", "ZY", "XIZ"):
+    words = [w for k in (1, 2, 3) for w in all_words(k)]
+    assert len(words) == 84
+    for word in words:
         got = pauli_word_operator(word)
         assert got.dims == (2,) * len(word)
-        assert np.allclose(got.matrix, word_matrix(word))
+        assert np.array_equal(got.matrix, word_matrix(word))
     with pytest.raises(ValueError):
         pauli_word_operator("XQ")
     with pytest.raises(ValueError):
@@ -151,22 +152,6 @@ def test_full_group_collapses_to_scalar():
         assert np.max(np.abs(got.matrix - want)) < 1e-12
 
 
-def null_space_commutant_oracle(group):
-    """Commutant as the null space of stacked commutator maps.
-
-    Row-major vectorization turns X -> gX - Xg into
-    (kron(g, I) - kron(I, g.T)) vec(X); the joint null space over all
-    group elements is exactly the commutant.
-    """
-    d = group.dim
-    eye = np.eye(d)
-    blocks = [np.kron(g.matrix, eye) - np.kron(eye, g.matrix.T) for g in group.elements]
-    stacked = np.vstack(blocks)
-    _, svals, vh = np.linalg.svd(stacked)
-    null_mask = np.concatenate([svals, np.zeros(vh.shape[0] - len(svals))]) < 1e-10
-    return vh[null_mask].conj()
-
-
 def test_commutant_basis_matches_null_space_oracle():
     for group in (pauli_group(1, "flip"), pauli_group(2, "collective"),
                   pauli_group(1, "full")):
@@ -234,21 +219,8 @@ def test_check_decoupling_reports_effective_hamiltonian():
     assert np.max(np.abs(report.effective_h_s.matrix - want)) < 1e-12
 
 
-def decouples_oracle(words, interaction_mats):
-    """Check by explicit averaging whether the word set kills every channel."""
-    mats = [word_matrix(w) for w in words]
-    for s in interaction_mats:
-        acc = np.zeros_like(s)
-        for g in mats:
-            acc = acc + g.conj().T @ s @ g
-        if np.linalg.norm(acc / len(mats)) > 1e-10:
-            return False
-    return True
-
-
 def test_minimal_search_single_qubit_dephasing():
-    space = interaction_space([pauli_word_operator("Z")])
-    hits = minimal_group_search(space, n_qubits=1)
+    hits = minimal_group_search([{"Z": 1.0}], n_qubits=1)
     labels = sorted(h.labels for h in hits)
     assert labels == [("I", "X"), ("I", "Y")]
     # oracle: these are the only order-2 candidates that work
@@ -261,8 +233,8 @@ def test_minimal_search_collective_two_qubits():
     coll = [word_matrix("XI") + word_matrix("IX"),
             word_matrix("YI") + word_matrix("IY"),
             word_matrix("ZI") + word_matrix("IZ")]
-    space = interaction_space([Operator(m, [2, 2]) for m in coll])
-    hits = minimal_group_search(space, n_qubits=2)
+    tables = [{"XI": 1.0, "IX": 1.0}, {"YI": 1.0, "IY": 1.0}, {"ZI": 1.0, "IZ": 1.0}]
+    hits = minimal_group_search(tables, n_qubits=2)
     assert hits, "search found no group"
     assert all(h.order == 4 for h in hits)
     assert ("II", "XX", "YY", "ZZ") in [h.labels for h in hits]
@@ -276,11 +248,31 @@ def test_minimal_search_collective_two_qubits():
 
 def test_minimal_search_reports_empty_when_capped():
     # all three axes need the order-4 group; an order-2 cap finds nothing
-    space = interaction_space([pauli_word_operator(w) for w in "XYZ"])
-    hits = minimal_group_search(space, n_qubits=1, max_order=2)
+    tables = [{w: 1.0} for w in "XYZ"]
+    hits = minimal_group_search(tables, n_qubits=1, max_order=2)
     assert hits == []
-    uncapped = minimal_group_search(space, n_qubits=1, max_order=4)
+    uncapped = minimal_group_search(tables, n_qubits=1, max_order=4)
     assert [h.labels for h in uncapped] == [("I", "X", "Y", "Z")]
+
+
+def test_minimal_search_drops_identity_components():
+    """An identity component commutes with everything, so it changes
+    nothing; channels that are only identity are decoupled by the
+    trivial group."""
+    labels = lambda hits: [h.labels for h in hits]
+    with_identity = minimal_group_search([{"II": 1.0, "ZI": 1.0}], 2)
+    assert with_identity
+    assert labels(with_identity) == labels(minimal_group_search([{"ZI": 1.0}], 2))
+    assert labels(minimal_group_search([{"II": 1.0}], 2)) == [("II",)]
+
+
+def test_minimal_search_rejects_bad_tables():
+    with pytest.raises(ValueError, match="2-letter Pauli word"):
+        minimal_group_search([{"ZI": 1.0}, {"Z": 1.0}], 2)
+    with pytest.raises(ValueError, match="2-letter Pauli word"):
+        minimal_group_search([{"ZQ": 1.0}], 2)
+    with pytest.raises(ValueError, match="qubits"):
+        minimal_group_search([{"": 1.0}], 0)
 
 
 def test_scalar_shift_in_interaction_is_harmless():

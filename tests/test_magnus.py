@@ -5,6 +5,8 @@ Hamiltonians and against factor-wise group projection; the first order
 is compared against the explicit commutator double sum.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from decoupling import (
     average_h1,
     average_hamiltonian_series,
     build_spin_bath_model,
+    joint_spectrum,
     pauli_group,
     project_commutant,
     schedule_from_group,
@@ -132,15 +135,35 @@ def test_series_effective_orders():
 
 def test_truncation_error_decreases_with_order_and_step():
     model = make_model()
+    spectrum = joint_spectrum(model)
     sched_a = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
     sched_b = schedule_from_group(pauli_group(1, "flip"), delta_t=0.05)
-    e0a = truncation_error(model, sched_a, order=0)
-    e1a = truncation_error(model, sched_a, order=1)
-    e0b = truncation_error(model, sched_b, order=0)
+    e0a = truncation_error(spectrum, sched_a, order=0)
+    e1a = truncation_error(spectrum, sched_a, order=1)
+    e0b = truncation_error(spectrum, sched_b, order=0)
     assert e1a < e0a
     assert e0b < e0a
     with pytest.raises(ValueError):
-        truncation_error(model, sched_a, order=3)
+        truncation_error(spectrum, sched_a, order=3)
+
+
+def test_truncation_scan_diagonalizes_the_model_once(monkeypatch):
+    """An order-0/1 scan over four step sizes shares one joint spectrum."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return joint_spectrum(model)
+
+    monkeypatch.setattr(evolve_module, "joint_spectrum", counting)
+    model = make_model()
+    spectrum = evolve_module.joint_spectrum(model)
+    for dt in (0.1, 0.05, 0.025, 0.0125):
+        sched = schedule_from_group(pauli_group(1, "flip"), delta_t=dt)
+        for order in (0, 1):
+            truncation_error(spectrum, sched, order)
+    assert len(calls) == 1
 
 
 def test_flip_average_removes_dephasing_coupling():

@@ -1,8 +1,10 @@
 """Property tests over random Pauli subgroups.
 
-Group validation and the averaging projector are checked on subgroups of
-up to three qubits, spanned from a few random generator words and listed
-in a random order. The cycle propagator is checked on one- and two-qubit
+Group validation, the averaging projector and the commutant dimension
+are checked on subgroups of up to three qubits, spanned from a few
+random generator words and listed in a random order. The minimal-group
+search is checked on random word tables against the dense oracles of
+``oracle_groups``. The cycle propagator is checked on one- and two-qubit
 subgroups with an ordering of the subgroup and a random spin-bath model,
 and so is the agreement between pure and mixed propagation. The
 properties must hold for every draw. Runs are derandomized so the
@@ -21,37 +23,28 @@ from decoupling import (
     average_h1,
     bath_ground_state,
     build_spin_bath_model,
+    commutant_basis,
     cycle_propagator,
     evolve,
     identity,
     joint_spectrum,
+    minimal_group_search,
     project_commutant,
     schedule_from_group,
     symmetrize,
 )
 
 import oracle_dm
+from oracle_groups import (
+    all_subgroups,
+    decouples_oracle,
+    null_space_commutant_oracle,
+    pauli_coefficients,
+    subgroup_words,
+    table_matrix,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
-#: Pauli letters as bit pairs (x, z): products up to phase are XORs.
-_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_LETTER = {bits: letter for letter, bits in _BITS.items()}
-
-
-def _product(a: str, b: str) -> str:
-    return "".join(
-        _LETTER[_BITS[x][0] ^ _BITS[y][0], _BITS[x][1] ^ _BITS[y][1]] for x, y in zip(a, b)
-    )
-
-
-def _subgroup(generators: list[str], n_qubits: int) -> list[str]:
-    """Words of the subgroup the generators span, identity first."""
-    words = ["I" * n_qubits]
-    for g in generators:
-        if g not in words:
-            words += [_product(g, w) for w in words]
-    return words
 
 
 @st.composite
@@ -59,7 +52,7 @@ def subgroups(draw):
     """Words of a random subgroup on one to three qubits, identity first."""
     n_qubits = draw(st.integers(1, 3))
     word = st.text(alphabet="IXYZ", min_size=n_qubits, max_size=n_qubits)
-    words = _subgroup(draw(st.lists(word, min_size=1, max_size=4)), n_qubits)
+    words = subgroup_words(draw(st.lists(word, min_size=1, max_size=4)), n_qubits)
     return words[:1] + draw(st.permutations(words[1:]))
 
 
@@ -98,12 +91,68 @@ def test_projector_is_idempotent_unital_trace_preserving(words, seed):
     assert np.max(np.abs(project_commutant(eye, group).matrix - eye.matrix)) <= 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(subgroups())
+def test_commutant_dimension_counts_the_commutant(words):
+    """``4**K / |G|`` equals the number of commuting words and the
+    dimension of the null space of the commutator maps."""
+    group = DecouplingGroup(words)
+    assert group.commutant_dimension == len(commutant_basis(group).basis)
+    assert group.commutant_dimension == null_space_commutant_oracle(group).shape[0]
+
+
+@st.composite
+def word_tables(draw, min_qubits, max_qubits):
+    """``(tables, n_qubits)``: one to three channels, each a map from one
+    to three Pauli words (the identity included) to coefficients of
+    magnitude 0.1 to 1."""
+    n_qubits = draw(st.integers(min_qubits, max_qubits))
+    word = st.text(alphabet="IXYZ", min_size=n_qubits, max_size=n_qubits)
+    coefficient = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    table = st.dictionaries(word, coefficient, min_size=1, max_size=3)
+    return draw(st.lists(table, min_size=1, max_size=3)), n_qubits
+
+
+def _check_search(tables, n_qubits):
+    """Every hit decouples by dense averaging, and the dense Pauli
+    expansion of the channels gives the same hits."""
+    mats = [table_matrix(t, n_qubits) for t in tables]
+    hits = minimal_group_search(tables, n_qubits)
+    assert hits, "the full group always decouples"
+    for h in hits:
+        assert decouples_oracle(h.labels, mats)
+    dense = minimal_group_search([pauli_coefficients(m) for m in mats], n_qubits)
+    assert [h.labels for h in dense] == [h.labels for h in hits]
+    return mats, hits
+
+
+@PROPERTY_SETTINGS
+@given(word_tables(1, 2))
+def test_minimal_search_hits_are_exactly_the_smallest_dense_decouplers(case):
+    """Up to two qubits every subgroup is enumerated: the dense check
+    passes no subgroup below the hits' order, and at that order it passes
+    exactly the hits."""
+    tables, n_qubits = case
+    mats, hits = _check_search(tables, n_qubits)
+    order = hits[0].order
+    assert all(h.order == order for h in hits)
+    passing = {g for g in all_subgroups(n_qubits) if len(g) <= order
+               and decouples_oracle(sorted(g), mats)}
+    assert passing == {frozenset(h.labels) for h in hits}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=5)
+@given(word_tables(3, 3))
+def test_minimal_search_hits_decouple_on_three_qubits(case):
+    _check_search(*case)
+
+
 @st.composite
 def cycles(draw):
     """``(model, schedule)`` for a random subgroup, ordering and model."""
     n_qubits = draw(st.integers(1, 2))
     word = st.text(alphabet="IXYZ", min_size=n_qubits, max_size=n_qubits)
-    words = _subgroup(draw(st.lists(word, min_size=1, max_size=3)), n_qubits)
+    words = subgroup_words(draw(st.lists(word, min_size=1, max_size=3)), n_qubits)
     ordering = draw(st.permutations(range(len(words))))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
