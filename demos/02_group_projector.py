@@ -14,7 +14,6 @@ import numpy as np
 from decoupling import (
     check_decoupling,
     commutant_basis,
-    interaction_space,
     pauli_group,
     pauli_word_operator,
     project_commutant,
@@ -42,14 +41,10 @@ for word in ("II", "XX", "YY", "ZZ"):
     print(f"  {word} lies in the commutant (residual {res:.1e})")
 
 print("\ndoes the flip group decouple a dephasing interaction?")
-space = interaction_space([pauli_word_operator("Z")])
-report = check_decoupling(pauli_group(1, "flip"), space,
-                          pauli_word_operator("I") * 0.0)
+report = check_decoupling(pauli_group(1, "flip"), [{"Z": 1.0}])
 print(f"mode: {report.mode}, residuals {[f'{r:.1e}' for r in report.residuals]}, "
       f"commutant dimension {report.commutant_dimension}")
 
 print("\n... and an interaction it cannot remove (an X coupling)?")
-bad = check_decoupling(pauli_group(1, "flip"),
-                       interaction_space([pauli_word_operator("X")]),
-                       pauli_word_operator("I") * 0.0)
+bad = check_decoupling(pauli_group(1, "flip"), [{"X": 1.0}])
 print(f"mode: {bad.mode}, residuals {[f'{r:.1e}' for r in bad.residuals]}")

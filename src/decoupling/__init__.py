@@ -11,24 +11,19 @@ from .operators import (
     NUMERIC_TOL,
     STRUCT_TOL,
     Operator,
-    commutator,
     distance,
     expm_hermitian,
     identity,
-    partial_trace_bath,
     tensor,
     tensor_all,
     zero,
 )
 from .model import (
     BathSpec,
-    InteractionSpace,
     SystemBathModel,
-    bath_ground_state,
     build_boson_dephasing_model,
     build_spin_bath_model,
-    interaction_space,
-    interaction_space_of,
+    coupling_tables,
     total_hamiltonian,
 )
 from .groups import (
@@ -39,6 +34,7 @@ from .groups import (
     commutant_basis,
     minimal_group_search,
     pauli_group,
+    pauli_sum,
     pauli_word_operator,
     project_commutant,
     trivial_group,

@@ -16,14 +16,19 @@ module does.
 A group is its list of words, closed under multiplication up to a
 phase. Conjugation is blind to phases, so products are taken in word
 arithmetic (signs dropped) and each element is the plain tensor product
-of its letters.
+of its letters. Couplings are Pauli word tables (word -> coefficient,
+one per channel), and both the decoupling check and the minimal-group
+search classify them in word space: conjugation by a group word maps
+each word to plus or minus itself, so averaging keeps exactly the words
+that commute with every group word.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -84,6 +89,18 @@ def _words_anticommute(a: str, b: str) -> bool:
 
 def _word_product(a: str, b: str) -> str:
     return "".join(_LETTER_PRODUCT[x, y] for x, y in zip(a, b))
+
+
+def pauli_sum(table: dict[str, complex], n_qubits: int) -> Operator:
+    """The operator ``sum_w c_w w`` of a word-to-coefficient table.
+
+    Terms are added in sorted word order, starting from zero, so equal
+    tables give bitwise equal matrices.
+    """
+    m = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for w in sorted(table):
+        m = m + pauli_word_operator(w).matrix * complex(table[w])
+    return Operator(m, (2,) * n_qubits)
 
 
 class DecouplingGroup:
@@ -230,67 +247,80 @@ def commutant_basis(group: DecouplingGroup) -> CommutantBasis:
 
 @dataclass(frozen=True)
 class DecouplingReport:
-    """Outcome of checking a group against an interaction space.
+    """Outcome of checking a group against the coupling channels.
 
     ``mode`` is ``"maximal"`` when the averaging projector kills every
     traceless system operator (commutant reduced to scalars),
-    ``"selective"`` when it kills the interaction space but leaves a
-    larger commutant for engineered dynamics, and ``"none"`` when some
-    coupling survives. ``residuals`` holds, per interaction basis
-    element, the Frobenius norm of the surviving traceless part.
+    ``"selective"`` when it kills every channel but leaves a larger
+    commutant for engineered dynamics, and ``"none"`` when some coupling
+    survives. ``residuals`` holds, per channel, the Frobenius norm of the
+    surviving traceless part.
     """
 
     mode: str
     residuals: tuple[float, ...]
     commutant_dimension: int
-    effective_h_s: Operator
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
 
 
-def _traceless_residual(op: Operator, group: DecouplingGroup) -> float:
-    proj = project_commutant(op, group)
-    tl = proj.matrix - (np.trace(proj.matrix) / op.dim) * np.eye(op.dim)
-    return float(np.linalg.norm(tl))
+# -- classification in word space -----------------------------------------
+#
+# A channel is a Pauli word table S = sum_w c_w w. Conjugation by a group
+# word maps each word to plus or minus itself, so averaging over a Pauli
+# group keeps a component iff its word commutes with every group word and
+# removes the rest. The words are orthogonal with squared Frobenius norm
+# d, so the surviving traceless part has norm sqrt(d * sum |c_w|**2) over
+# the surviving non-identity words; identity components commute with
+# everything and only shift phases. ``check_decoupling`` scores a
+# configured group this way, and ``minimal_group_search`` scores every
+# candidate subgroup, both through ``_surviving_norm``.
 
 
-def check_decoupling(group: DecouplingGroup, interaction, h_s: Operator) -> DecouplingReport:
-    """Classify what the group's averaging does to an interaction space.
+def _check_tables(tables: Sequence[dict[str, complex]], n_qubits: int):
+    for table in tables:
+        for w in table:
+            if len(w) != n_qubits or any(c not in PAULI_LETTERS for c in w):
+                raise ValueError(f"{w!r} is not a {n_qubits}-letter Pauli word")
 
-    ``interaction`` may be a ``model.InteractionSpace`` or any sequence of
-    system Operators. Identity components of the interaction operators
-    are ignored (they commute with everything and only shift phases).
+
+def _surviving_norm(table: dict[str, complex], words: Collection[str], n_qubits: int) -> float:
+    """Norm of the traceless part of ``table`` that averaging over ``words`` keeps."""
+    id_word = "I" * n_qubits
+    surviving = sum(
+        abs(c) ** 2
+        for w, c in table.items()
+        if w != id_word and not any(_words_anticommute(w, g) for g in words)
+    )
+    return math.sqrt(2**n_qubits * surviving)
+
+
+def check_decoupling(
+    group: DecouplingGroup, tables: Sequence[dict[str, complex]]
+) -> DecouplingReport:
+    """Classify what the group's averaging does to the coupling channels.
+
+    ``tables`` holds one channel per entry, as a mapping from Pauli word
+    to coefficient (see :func:`decoupling.model.coupling_tables`).
     """
-    ops = list(getattr(interaction, "basis", interaction))
-    for op in ops:
-        if op.dim != group.dim:
-            raise ValueError("interaction operator dimension does not match the group")
-    if h_s.dim != group.dim:
-        raise ValueError("system Hamiltonian dimension does not match the group")
-    residuals = tuple(_traceless_residual(op, group) for op in ops)
+    n_qubits = len(group.labels[0])
+    _check_tables(tables, n_qubits)
+    residuals = tuple(_surviving_norm(t, group.labels, n_qubits) for t in tables)
     cdim = group.commutant_dimension
     if all(r <= NUMERIC_TOL for r in residuals):
         mode = "maximal" if cdim == 1 else "selective"
     else:
         mode = "none"
-    return DecouplingReport(
-        mode=mode,
-        residuals=residuals,
-        commutant_dimension=cdim,
-        effective_h_s=project_commutant(h_s, group),
-    )
+    return DecouplingReport(mode=mode, residuals=residuals, commutant_dimension=cdim)
 
 
 # -- minimal-group search -------------------------------------------------
 #
 # Subgroups of the projective Pauli group on K qubits are F_2-linear
 # subspaces of the word group, so candidates are enumerated in word
-# arithmetic and scored on each channel's Pauli word expansion: a word
-# component survives averaging over the subgroup iff it commutes with
-# every subgroup element, and the surviving traceless part has Frobenius
-# norm sqrt(d * sum |c_w|**2) over the surviving non-identity words.
+# arithmetic and each is scored on every channel's table as above.
 
 
 def minimal_group_search(
@@ -311,26 +341,14 @@ def minimal_group_search(
         raise ValueError(f"search covers 1 to {SEARCH_MAX_QUBITS} qubits, got {n_qubits}")
     if max_order > SEARCH_MAX_ORDER:
         raise ValueError(f"search capped at order {SEARCH_MAX_ORDER}, got {max_order}")
-    for table in tables:
-        for w in table:
-            if len(w) != n_qubits or any(c not in PAULI_LETTERS for c in w):
-                raise ValueError(f"{w!r} is not a {n_qubits}-letter Pauli word")
+    _check_tables(tables, n_qubits)
 
-    d = 2**n_qubits
     id_word = "I" * n_qubits
     all_words = ["".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n_qubits)]
     nontrivial = [w for w in all_words if w != id_word]
-    coeff_tables = [{w: c for w, c in t.items() if w != id_word} for t in tables]
 
-    def symbolic_decouples(span: frozenset[str]) -> bool:
-        for table in coeff_tables:
-            surviving = 0.0
-            for w, c in table.items():
-                if all(not _words_anticommute(w, m) for m in span):
-                    surviving += abs(c) ** 2
-            if (d * surviving) ** 0.5 > NUMERIC_TOL:
-                return False
-        return True
+    def decouples(span: frozenset[str]) -> bool:
+        return all(_surviving_norm(t, span, n_qubits) <= NUMERIC_TOL for t in tables)
 
     # Breadth-first over subgroup order (always a power of two).
     level: dict[frozenset[str], tuple[str, ...]] = {frozenset({id_word}): ()}
@@ -339,7 +357,7 @@ def minimal_group_search(
         hits = [
             DecouplingGroup([id_word] + sorted(span - {id_word}))
             for span, gens in sorted(level.items(), key=lambda kv: kv[1])
-            if symbolic_decouples(span)
+            if decouples(span)
         ]
         if hits:
             return hits

@@ -21,23 +21,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .operators import (
-    DIM_CAP,
-    STRUCT_TOL,
-    Operator,
-    identity,
-    tensor,
-    tensor_all,
-    zero,
-)
-from .groups import PAULI_MATRICES, pauli_word_operator, PAULI_LETTERS
+from .operators import DIM_CAP, Operator, identity, tensor, tensor_all, zero
+from .groups import PAULI_LETTERS, PAULI_MATRICES, pauli_sum
 
 
 BATH_KINDS = ("spin-bath", "boson-mode")
+COUPLING_KINDS = ("dephasing", "linear-independent", "linear-collective", "total")
 
 
 @dataclass(frozen=True)
@@ -82,56 +74,6 @@ class BathSpec:
         jitter = rng.uniform(-0.1 * spacing, 0.1 * spacing, size=self.n_modes)
         freqs = np.clip(base + jitter, 0.5 * spacing, self.cutoff)
         object.__setattr__(self, "mode_frequencies", tuple(float(w) for w in freqs))
-
-
-@dataclass(frozen=True)
-class InteractionSpace:
-    """Linearly independent system operators spanning the coupling terms.
-
-    Construction drops operators already inside the span of the earlier
-    ones and verifies the span is closed under adjoints, so membership
-    tests against the space are meaningful for Hermitian interactions.
-    ``basis`` keeps the surviving operators as given (not orthonormalized).
-    """
-
-    basis: tuple[Operator, ...]
-
-    def __post_init__(self):
-        if not self.basis:
-            raise ValueError("interaction space needs at least one operator")
-
-
-def interaction_space(ops: Sequence[Operator]) -> InteractionSpace:
-    """Build an :class:`InteractionSpace`, pruning dependent operators."""
-    ops = list(ops)
-    if not ops:
-        raise ValueError("interaction space needs at least one operator")
-    dims = ops[0].dims
-    kept: list[Operator] = []
-    ortho: list[np.ndarray] = []
-
-    def residual_vector(m: np.ndarray) -> np.ndarray:
-        v = m.ravel().astype(complex)
-        for b in ortho:
-            v = v - np.vdot(b, v) * b
-        return v
-
-    for k, op in enumerate(ops):
-        if op.dims != dims:
-            raise ValueError(f"operator {k} acts on dims {op.dims}, expected {dims}")
-        v = residual_vector(op.matrix)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= 1e-8 * max(1.0, op.norm()):
-            continue  # linearly dependent on the earlier operators
-        kept.append(op)
-        ortho.append(v / nrm)
-    if not kept:
-        raise ValueError("all candidate interaction operators were zero or dependent")
-    for op in kept:
-        res = float(np.linalg.norm(residual_vector(op.dagger().matrix)))
-        if res > STRUCT_TOL * max(1.0, op.norm()):
-            raise ValueError("interaction span is not closed under adjoints")
-    return InteractionSpace(tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -208,22 +150,9 @@ def total_hamiltonian(model: SystemBathModel) -> Operator:
     return h
 
 
-def interaction_space_of(model: SystemBathModel) -> InteractionSpace:
-    """The span of the system-side coupling operators."""
-    if not model.couplings:
-        raise ValueError("model has no coupling terms")
-    return interaction_space([s for s, _ in model.couplings])
-
-
 def bath_ground_vector(model: SystemBathModel) -> np.ndarray:
     """Ground-state vector of the bath Hamiltonian, its lowest eigenvector."""
     return np.linalg.eigh(model.h_b.matrix)[1][:, 0]
-
-
-def bath_ground_state(model: SystemBathModel) -> Operator:
-    """Density operator of the bath Hamiltonian's ground state."""
-    g = bath_ground_vector(model)
-    return Operator(np.outer(g, g.conj()), model.h_b.dims)
 
 
 def _site_operator(local: np.ndarray, site: int, n_sites: int, local_dim: int = 2) -> Operator:
@@ -247,42 +176,26 @@ def _normalized_random_combination(
     return Operator(scale * m / nrm, dims)
 
 
-def _system_coupling_words(n_qubits: int, kind: str) -> list[tuple[str, Operator]]:
-    """Labelled system operators for each coupling flavour."""
+def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:
+    """System side of each coupling channel of a flavour, as a Pauli word table.
+
+    Channels come site by site, then letter by letter, then (``total``)
+    in ``itertools.product`` word order; the builders pair their random
+    bath operators with the channels in this order.
+    """
+    def site(letter: str, i: int) -> str:
+        return "".join(letter if j == i else "I" for j in range(n_qubits))
+
     if kind == "dephasing":
-        words = ["".join("Z" if j == i else "I" for j in range(n_qubits)) for i in range(n_qubits)]
-        return [(w, pauli_word_operator(w)) for w in words]
+        return [{site("Z", i): 1.0} for i in range(n_qubits)]
     if kind == "linear-independent":
-        out = []
-        for i in range(n_qubits):
-            for letter in "XYZ":
-                w = "".join(letter if j == i else "I" for j in range(n_qubits))
-                out.append((w, pauli_word_operator(w)))
-        return out
+        return [{site(letter, i): 1.0} for i in range(n_qubits) for letter in "XYZ"]
     if kind == "linear-collective":
-        out = []
-        for letter in "XYZ":
-            ops = [
-                pauli_word_operator("".join(letter if j == i else "I" for j in range(n_qubits)))
-                for i in range(n_qubits)
-            ]
-            acc = ops[0]
-            for op in ops[1:]:
-                acc = acc + op
-            out.append((f"sum_{letter.lower()}", acc))
-        return out
+        return [{site(letter, i): 1.0 for i in range(n_qubits)} for letter in "XYZ"]
     if kind == "total":
-        out = []
-        for word in itertools.product(PAULI_LETTERS, repeat=n_qubits):
-            w = "".join(word)
-            if w == "I" * n_qubits:
-                continue
-            out.append((w, pauli_word_operator(w)))
-        return out
-    raise ValueError(
-        f"unknown coupling kind {kind!r}; expected 'dephasing', "
-        "'linear-independent', 'linear-collective' or 'total'"
-    )
+        words = ("".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n_qubits))
+        return [{w: 1.0} for w in words if w != "I" * n_qubits]
+    raise ValueError(f"unknown coupling kind {kind!r}; expected one of {COUPLING_KINDS}")
 
 
 def build_spin_bath_model(
@@ -317,12 +230,12 @@ def build_spin_bath_model(
         raise ValueError("n_qubits must be at least 1")
     if bath.kind != "spin-bath":
         raise ValueError(f"build_spin_bath_model needs a spin-bath BathSpec, got {bath.kind!r}")
-    labelled = _system_coupling_words(n_qubits, coupling)
+    tables = coupling_tables(n_qubits, coupling)
     m = bath.n_modes
-    if len(labelled) > 2 * m:
+    if len(tables) > 2 * m:
         raise ValueError(
-            f"{len(labelled)} coupling channels need at least "
-            f"{(len(labelled) + 1) // 2} bath modes for independent bath operators; "
+            f"{len(tables)} coupling channels need at least "
+            f"{(len(tables) + 1) // 2} bath modes for independent bath operators; "
             f"got {m}"
         )
     bath_dims = (2,) * m
@@ -336,8 +249,9 @@ def build_spin_bath_model(
     ]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
     couplings = tuple(
-        (s, _normalized_random_combination(transverse, bath_dims, bath.coupling_scale, rng))
-        for _, s in labelled
+        (pauli_sum(t, n_qubits),
+         _normalized_random_combination(transverse, bath_dims, bath.coupling_scale, rng))
+        for t in tables
     )
     if h_s is None:
         h_s = zero([2] * n_qubits)
@@ -381,10 +295,10 @@ def build_boson_dephasing_model(
         _site_operator(quadrature, j, m, local_dim=n_levels).matrix for j in range(m)
     ]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
-    labelled = _system_coupling_words(n_qubits, "dephasing")
     couplings = tuple(
-        (s, _normalized_random_combination(quads, bath_dims, bath.coupling_scale, rng))
-        for _, s in labelled
+        (pauli_sum(t, n_qubits),
+         _normalized_random_combination(quads, bath_dims, bath.coupling_scale, rng))
+        for t in coupling_tables(n_qubits, "dephasing")
     )
     if h_s is None:
         h_s = zero([2] * n_qubits)

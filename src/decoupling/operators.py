@@ -157,10 +157,6 @@ def tensor_all(ops: Sequence[Operator]) -> Operator:
     return out
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a
-
-
 def expm_hermitian(h: Operator, t: float) -> Operator:
     """Unitary ``exp(-i H t)`` of a Hermitian generator.
 
@@ -184,22 +180,6 @@ def act_on_system(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``O(d_s * x.size)`` instead of ``O(d**2 * columns)``.
     """
     return (g @ x.reshape(g.shape[0], -1)).reshape(x.shape)
-
-
-def partial_trace_bath(rho: Operator, n_system_factors: int) -> Operator:
-    """Trace out every tensor factor beyond the first ``n_system_factors``."""
-    nf = len(rho.dims)
-    if not 1 <= n_system_factors <= nf:
-        raise ValueError(
-            f"n_system_factors must be in [1, {nf}], got {n_system_factors}"
-        )
-    if not rho.is_hermitian():
-        raise ValueError("partial_trace_bath requires a Hermitian operator")
-    keep = rho.dims[:n_system_factors]
-    a = math.prod(keep)
-    b = rho.dim // a
-    m = rho.matrix.reshape(a, b, a, b)
-    return Operator(np.einsum("ibjb->ij", m), keep)
 
 
 def as_matrices(x: Operator | np.ndarray) -> np.ndarray:

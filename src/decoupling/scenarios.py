@@ -26,21 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import Operator, zero
+from .operators import DIM_CAP, Operator
 from .model import (
+    BATH_KINDS,
+    COUPLING_KINDS,
     BathSpec,
     SystemBathModel,
     build_boson_dephasing_model,
     build_spin_bath_model,
-    interaction_space_of,
+    coupling_tables,
 )
-from .groups import (
-    DecouplingGroup,
-    check_decoupling,
-    pauli_group,
-    pauli_word_operator,
-    trivial_group,
-)
+from .groups import DecouplingGroup, check_decoupling, pauli_group, pauli_sum, trivial_group
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
 from .evolve import (
     JointSpectrum,
@@ -198,13 +194,11 @@ def _named_state(name: str, n_qubits: int, path: str) -> Operator:
 def _system_hamiltonian(table: dict, n_qubits: int, path: str) -> Operator:
     if not isinstance(table, dict):
         _fail(path, "expected an object mapping Pauli words to real coefficients")
-    h = zero([2] * n_qubits)
     for word in sorted(table):
-        coeff = _as_number(table[word], f"{path}.{word}")
+        _as_number(table[word], f"{path}.{word}")
         if len(word) != n_qubits or any(c not in "IXYZ" for c in word):
             _fail(f"{path}.{word}", f"not a {n_qubits}-letter Pauli word")
-        h = h + coeff * pauli_word_operator(word)
-    return h
+    return pauli_sum(table, n_qubits)
 
 
 @dataclass(frozen=True)
@@ -250,6 +244,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
             merged[key] = value
 
     n_qubits = _as_int(_require(merged, "K", ""), "K", minimum=1)
+    if 2**n_qubits > DIM_CAP:
+        _fail("K", f"register dimension 2**{n_qubits} exceeds the cap {DIM_CAP}")
 
     for key in ("kind", "n_modes", "cutoff", "coupling_scale"):
         if key not in merged_bath:
@@ -257,8 +253,16 @@ def parse_config(doc: dict) -> ScenarioConfig:
                 merged_bath["kind"] = "spin-bath"
             else:
                 _fail(f"bath.{key}", "required field is missing")
+    kind = _as_str(merged_bath["kind"], "bath.kind")
+    if kind not in BATH_KINDS:
+        _fail("bath.kind", f"unknown bath kind {kind!r}; expected one of {BATH_KINDS}")
+    truncated = merged_bath.get("boson_truncation") is not None
+    if kind == "boson-mode" and not truncated:
+        _fail("bath.boson_truncation", "required for boson-mode baths")
+    if kind != "boson-mode" and truncated:
+        _fail("bath.boson_truncation", "only applies to boson-mode baths")
     bath = BathSpec(
-        kind=_as_str(merged_bath["kind"], "bath.kind"),
+        kind=kind,
         n_modes=_as_int(merged_bath["n_modes"], "bath.n_modes", minimum=1),
         cutoff=_as_number(merged_bath["cutoff"], "bath.cutoff", positive=True),
         coupling_scale=_as_number(
@@ -266,9 +270,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         ),
         seed=_as_int(merged_bath.get("seed", seed), "bath.seed"),
         boson_truncation=(
-            None
-            if merged_bath.get("boson_truncation") is None
-            else _as_int(merged_bath["boson_truncation"], "bath.boson_truncation", minimum=2)
+            _as_int(merged_bath["boson_truncation"], "bath.boson_truncation", minimum=2)
+            if truncated else None
         ),
     )
 
@@ -277,7 +280,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if group_field == "trivial":
             group = trivial_group(n_qubits)
         elif group_field in ("full", "collective", "flip"):
-            group = pauli_group(n_qubits, group_field)
+            try:
+                group = pauli_group(n_qubits, group_field)
+            except ValueError as exc:
+                _fail("group", str(exc))
         else:
             _fail("group", f"unknown group variant {group_field!r}")
     elif isinstance(group_field, list):
@@ -293,6 +299,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _fail("group", "expected a named variant or a list of Pauli words")
 
     coupling = _as_str(_require(merged, "coupling", ""), "coupling")
+    if coupling not in COUPLING_KINDS:
+        _fail("coupling", f"unknown coupling {coupling!r}; expected one of {COUPLING_KINDS}")
     if bath.kind == "boson-mode" and coupling != "dephasing":
         _fail("coupling", "boson-mode baths support only 'dephasing'")
     h_s = _system_hamiltonian(merged.get("h_s", {}), n_qubits, "h_s")
@@ -430,7 +438,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     model = build_model(config)
-    report = check_decoupling(config.group, interaction_space_of(model), config.h_s)
+    report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
     schedule = build_schedule(config)
     omega_c_delta_t = config.bath.cutoff * config.delta_t
 
@@ -533,7 +541,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     model = build_model(config)
-    report = check_decoupling(config.group, interaction_space_of(model), config.h_s)
+    report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
     if report.mode == "none":
         return _reject(out, config, report, t_start)
 

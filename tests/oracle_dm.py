@@ -9,7 +9,9 @@ with two dense products, re-Hermitized after every step, and reduced by
 an explicit partial trace. It costs O(d**3) per step and one joint
 ``eigh`` per segment, which is why the package does not use it. The
 snapshot observables are the scalar kernels the package's stacked ones
-replaced, one call per snapshot.
+replaced, one call per snapshot. The operator helpers this path needs
+(bath ground-state projector, partial trace, commutator) live here too:
+the package itself no longer uses them.
 """
 
 import numpy as np
@@ -17,13 +19,12 @@ import numpy as np
 from decoupling import (
     Operator,
     TrajectoryResult,
-    bath_ground_state,
     expm_hermitian,
     identity,
-    partial_trace_bath,
     tensor,
     total_hamiltonian,
 )
+from decoupling.model import bath_ground_vector
 from decoupling.operators import STRUCT_TOL
 
 #: Re-unitarize running products after this many matrix multiplies.
@@ -31,6 +32,32 @@ POLAR_EVERY = 64
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off.
 ROUNDOFF_EIGENVALUE = 1e-13
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def bath_ground_state(model):
+    """Density operator of the bath Hamiltonian's ground state."""
+    g = bath_ground_vector(model)
+    return Operator(np.outer(g, g.conj()), model.h_b.dims)
+
+
+def partial_trace_bath(rho, n_system_factors):
+    """Trace out every tensor factor beyond the first ``n_system_factors``."""
+    nf = len(rho.dims)
+    if not 1 <= n_system_factors <= nf:
+        raise ValueError(
+            f"n_system_factors must be in [1, {nf}], got {n_system_factors}"
+        )
+    if not rho.is_hermitian():
+        raise ValueError("partial_trace_bath requires a Hermitian operator")
+    keep = rho.dims[:n_system_factors]
+    a = int(np.prod(keep))
+    b = rho.dim // a
+    m = rho.matrix.reshape(a, b, a, b)
+    return Operator(np.einsum("ibjb->ij", m), keep)
 
 
 def _sqrt_density(p, vecs):

@@ -2,12 +2,13 @@
 
 The package classifies Pauli groups in word arithmetic: a word survives
 averaging when it commutes with every group word, the commutant has
-dimension ``4**K / |G|``, and the minimal-group search scores word
-coefficient tables. The routines here reach the same answers another
-way: by Kronecker-built word matrices, Hilbert-Schmidt traces,
-explicit conjugation averages and null spaces of stacked commutator
-maps. The two Pauli-expansion and decoupling checks are the dense path
-the search used before it moved to word arithmetic.
+dimension ``4**K / |G|``, and the decoupling check and the minimal-group
+search score word coefficient tables. The routines here reach the same
+answers another way: by Kronecker-built word matrices, Hilbert-Schmidt
+traces, explicit conjugation averages and null spaces of stacked
+commutator maps. The Pauli expansion, the dense residual and the
+decoupling check are the dense path the search and ``check_decoupling``
+used before they moved to word arithmetic.
 """
 
 import itertools
@@ -90,6 +91,15 @@ def pauli_coefficients(mat):
     return coeffs
 
 
+def traceless_residual(words, mat):
+    """Frobenius norm of the traceless part of the explicit average of
+    ``mat`` over conjugation by the words' Kronecker-built matrices."""
+    mats = [word_matrix(w) for w in words]
+    acc = sum(g.conj().T @ mat @ g for g in mats) / len(mats)
+    traceless = acc - (np.trace(acc) / len(acc)) * np.eye(len(acc))
+    return float(np.linalg.norm(traceless))
+
+
 def decouples_oracle(words, interaction_mats):
     """Whether explicit averaging over the words kills every channel.
 
@@ -98,13 +108,7 @@ def decouples_oracle(words, interaction_mats):
     killed when the traceless part of its average has Frobenius norm at
     most 1e-10, below the package's ``NUMERIC_TOL``.
     """
-    mats = [word_matrix(w) for w in words]
-    for s in interaction_mats:
-        acc = sum(g.conj().T @ s @ g for g in mats) / len(mats)
-        traceless = acc - (np.trace(acc) / len(acc)) * np.eye(len(acc))
-        if np.linalg.norm(traceless) > 1e-10:
-            return False
-    return True
+    return all(traceless_residual(words, s) <= 1e-10 for s in interaction_mats)
 
 
 def null_space_commutant_oracle(group):

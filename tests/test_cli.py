@@ -51,6 +51,24 @@ def test_invalid_config_reports_field(tmp_path, capsys):
     assert "delta_t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"scenario": "dephasing-echo", "seed": 1, "K": 13}, "K"),
+    ({"scenario": "maximal-averaging", "seed": 1, "K": 7}, "group"),
+    ({"scenario": "dephasing-echo", "seed": 1, "bath": {"kind": "foo"}}, "bath.kind"),
+    ({"scenario": "dephasing-echo", "seed": 1, "bath": {"boson_truncation": 3}},
+     "bath.boson_truncation"),
+    ({"scenario": "dephasing-echo", "seed": 1, "bath": {"kind": "boson-mode"}},
+     "bath.boson_truncation"),
+    ({"scenario": "dephasing-echo", "seed": 1, "coupling": "quadratic"}, "coupling"),
+])
+def test_config_errors_name_the_field_before_any_output(tmp_path, capsys, doc, field):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config field {field!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_mode_none_exit_code(tmp_path):
     cfg = write_config(tmp_path, {
         "scenario": "custom", "seed": 3, "K": 1,

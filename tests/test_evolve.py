@@ -17,7 +17,6 @@ from decoupling import (
     fit_scaling_exponent,
     identity,
     observable_drift,
-    partial_trace_bath,
     pauli_group,
     pauli_word_operator,
     schedule_from_group,

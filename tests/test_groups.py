@@ -16,7 +16,6 @@ from decoupling import (
     Operator,
     check_decoupling,
     commutant_basis,
-    interaction_space,
     minimal_group_search,
     pauli_group,
     pauli_word_operator,
@@ -191,32 +190,37 @@ def test_collective_commutant_contains_pair_words():
 
 
 def test_check_decoupling_modes():
-    bath_agnostic = interaction_space([pauli_word_operator("Z")])
-    h0 = Operator(np.zeros((2, 2), dtype=complex), [2])
+    bath_agnostic = [{"Z": 1.0}]
 
-    full = check_decoupling(pauli_group(1, "full"), bath_agnostic, h0)
+    full = check_decoupling(pauli_group(1, "full"), bath_agnostic)
     assert full.mode == "maximal"
     assert full.commutant_dimension == 1
     assert full.max_residual <= 1e-10
 
-    flip = check_decoupling(pauli_group(1, "flip"), bath_agnostic, h0)
+    flip = check_decoupling(pauli_group(1, "flip"), bath_agnostic)
     assert flip.mode == "selective"
     assert flip.commutant_dimension == 2
 
     # flip group cannot remove an X coupling: the projection survives
-    bad = check_decoupling(pauli_group(1, "flip"),
-                           interaction_space([pauli_word_operator("X")]), h0)
+    bad = check_decoupling(pauli_group(1, "flip"), [{"X": 1.0}])
     assert bad.mode == "none"
     assert bad.max_residual > 1.0
 
 
 def test_check_decoupling_reports_effective_hamiltonian():
     h_s = Operator(0.25 * np.kron(SZ, SZ) + 0.1 * np.kron(SZ, np.eye(2)), [2, 2])
-    space = interaction_space([Operator(np.kron(SZ, np.eye(2)) + np.kron(np.eye(2), SZ), [2, 2])])
-    report = check_decoupling(pauli_group(2, "collective"), space, h_s)
+    group = pauli_group(2, "collective")
+    report = check_decoupling(group, [{"ZI": 1.0, "IZ": 1.0}])
     assert report.mode == "selective"
     want = 0.25 * np.kron(SZ, SZ)  # the epsilon term projects away
-    assert np.max(np.abs(report.effective_h_s.matrix - want)) < 1e-12
+    assert np.max(np.abs(project_commutant(h_s, group).matrix - want)) < 1e-12
+
+
+def test_check_decoupling_rejects_bad_tables():
+    with pytest.raises(ValueError, match="2-letter Pauli word"):
+        check_decoupling(pauli_group(2, "collective"), [{"ZI": 1.0}, {"Z": 1.0}])
+    with pytest.raises(ValueError, match="2-letter Pauli word"):
+        check_decoupling(pauli_group(2, "collective"), [{"ZQ": 1.0}])
 
 
 def test_minimal_search_single_qubit_dephasing():
@@ -278,8 +282,6 @@ def test_minimal_search_rejects_bad_tables():
 def test_scalar_shift_in_interaction_is_harmless():
     """A channel projecting onto a multiple of the identity does not
     decohere: the averaged coupling becomes a pure bath term."""
-    space = interaction_space([Operator(np.eye(2, dtype=complex) + SZ, [2])])
-    h0 = Operator(np.zeros((2, 2), dtype=complex), [2])
-    report = check_decoupling(pauli_group(1, "flip"), space, h0)
+    report = check_decoupling(pauli_group(1, "flip"), [{"I": 1.0, "Z": 1.0}])
     assert report.mode == "selective"
     assert report.max_residual <= 1e-10

