@@ -12,6 +12,13 @@ and every point of a sweep. Frames never become joint-space
 matrices: they act by reshaping the joint index to ``(d_s, d_b)`` and
 contracting with the ``d_s x d_s`` frame.
 
+Pauli words commute up to sign, so when the second half of a visiting
+order is the first half multiplied word by word by one word ``h`` (a
+coset of a subgroup), the second half's product is the first half's
+conjugated by ``h``. Every named group in its listed order, plain or
+palindromic, has that structure at each halving, so its cycle of ``n``
+segments costs ``log2 n`` dense matrix products rather than ``n - 1``.
+
 The joint state is propagated as a ``d x r`` matrix whose columns are
 ``sqrt(p_i q_k) psi_i (x) phi_k``, the product of the eigen-ensembles of
 the initial system and bath states. The default states are pure, so
@@ -42,7 +49,7 @@ import numpy as np
 from .operators import NUMERIC_TOL, STRUCT_TOL, Operator, act_on_system, as_matrices, distance
 from .model import SystemBathModel, bath_ground_vector, total_hamiltonian
 from .sequence import CycleSchedule
-from .groups import DecouplingGroup, project_commutant
+from .groups import DecouplingGroup, _word_product, project_commutant
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
@@ -124,8 +131,8 @@ class JointSpectrum:
 
     Built by :func:`joint_spectrum`, next to ``bath_ground``, the ground
     vector of ``h_b`` that every default-bath run of the model starts
-    from. It keeps the model it belongs to, so a propagation can refuse
-    the spectrum of another model.
+    from. It keeps the model it belongs to, so a propagation needs
+    nothing else.
     """
 
     model: SystemBathModel
@@ -149,36 +156,53 @@ def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
     return JointSpectrum(model, w, v, bath)
 
 
-def cycle_propagator(
-    model: SystemBathModel, schedule: CycleSchedule, spectrum: JointSpectrum | None = None
-) -> Operator:
+def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operator:
     """Exact joint propagator of one control cycle.
 
     Segment ``j`` evolves under ``(g_j (x) 1)^dag W (g_j (x) 1)`` with
     the same free step ``W = exp(-i H delta_t)`` for every segment, built
-    from ``spectrum`` (the model's :func:`joint_spectrum`, computed here
-    when not given). In the product, later segments to the left,
-    adjacent frames merge into the boundary pulses ``g_j g_{j-1}^dag``:
-    this is the pulse-picture identity, free evolution interleaved with
-    the pulses. Each pulse acts by reshape (:func:`act_on_system`), so a
-    cycle of ``n`` segments costs ``n`` dense matrix products and no
-    eigendecomposition.
+    from ``spectrum``, the :func:`joint_spectrum` of the model the
+    schedule runs on. Write ``P(v)`` for the product over a run ``v`` of
+    visits, later segments to the left. The visits are halved
+    recursively into ``A`` and ``B``. When ``B`` is ``A`` multiplied word
+    by word by one word ``h`` (checked in word arithmetic, phases
+    dropped, since they cancel in each conjugation), ``P(B) = h^dag P(A)
+    h`` and
+
+        ``P(A + B) = h^dag (P(A) (h P(A)))``,
+
+    one dense product and two frame actions by reshape
+    (:func:`act_on_system`). Otherwise ``P(A + B) = P(B) P(A)``, both
+    halves recursed. A named group's cycle, palindromic or not, halves by
+    cosets all the way down and costs ``log2`` of its segment count in
+    dense products; an order without that structure costs the
+    ``n - 1`` products of the plain segment-by-segment product. No
+    eigendecomposition is made.
     """
+    model = spectrum.model
     if schedule.dims != model.h_s.dims:
         raise ValueError(
             f"schedule acts on dims {schedule.dims}, model system has {model.h_s.dims}"
         )
-    if spectrum is None:
-        spectrum = joint_spectrum(model)
-    elif spectrum.model is not model:
-        raise ValueError("spectrum belongs to a different model")
-    w = spectrum.propagator(schedule.delta_t)
-    frames = schedule.frames
-    u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
-    for prev, g in zip(frames, frames[1:]):
-        u = w @ act_on_system(g @ prev.conj().T, u)
-    u = act_on_system(frames[-1].conj().T, u)
+    group = schedule.group
+    frames = {label: g.matrix for label, g in zip(group.labels, group.elements)}
+    u = _cycle_product(spectrum.propagator(schedule.delta_t), frames, schedule.segments)
     return Operator(u, tuple(model.h_s.dims) + tuple(model.h_b.dims))
+
+
+def _cycle_product(w: np.ndarray, frames: dict, words: Sequence[str]) -> np.ndarray:
+    """``P(words)`` of :func:`cycle_propagator`, halving by cosets where it can."""
+    if len(words) == 1:
+        g = frames[words[0]]
+        return act_on_system(g.conj().T, act_on_system(g.T, w.T).T)  # g^dag W g
+    half = len(words) // 2
+    a, b = words[:half], words[half:]
+    h = _word_product(a[0], b[0])
+    if len(a) == len(b) and all(_word_product(x, h) == y for x, y in zip(a, b)):
+        p = _cycle_product(w, frames, a)
+        g = frames[h]
+        return act_on_system(g.conj().T, p @ act_on_system(g, p))
+    return _cycle_product(w, frames, b) @ _cycle_product(w, frames, a)
 
 
 def _ensemble(rho: Operator) -> np.ndarray:
@@ -286,7 +310,7 @@ def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> Traject
     else:
         bath = _ensemble(run.rho_b0)
     psi = np.kron(_ensemble(run.rho_s0), bath)
-    u_cycle = cycle_propagator(model, run.schedule, spectrum).matrix
+    u_cycle = cycle_propagator(spectrum, run.schedule).matrix
     cycle_time = run.schedule.cycle_time
     initial_purity = _joint_purity(psi)
 

@@ -124,6 +124,6 @@ def truncation_error(spectrum: JointSpectrum, schedule: CycleSchedule, order: in
     order 1, whose correction vanishes).
     """
     series = average_hamiltonian_series(spectrum.model, schedule)
-    exact = cycle_propagator(spectrum.model, schedule, spectrum)
+    exact = cycle_propagator(spectrum, schedule)
     approx = expm_hermitian(series.effective(order), schedule.cycle_time)
     return distance(exact, approx, metric="frobenius")

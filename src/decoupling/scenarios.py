@@ -261,18 +261,26 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _fail("bath.boson_truncation", "required for boson-mode baths")
     if kind != "boson-mode" and truncated:
         _fail("bath.boson_truncation", "only applies to boson-mode baths")
+    n_modes = _as_int(merged_bath["n_modes"], "bath.n_modes", minimum=1)
+    truncation = (
+        _as_int(merged_bath["boson_truncation"], "bath.boson_truncation", minimum=2)
+        if truncated else None
+    )
+    local = truncation or 2
+    # the exponent stops where the product already exceeds the cap, so a
+    # huge n_modes never becomes a huge integer
+    if 2**n_qubits * local ** min(n_modes, DIM_CAP.bit_length()) > DIM_CAP:
+        _fail("bath.n_modes", f"joint dimension 2**{n_qubits} * {local}**{n_modes} "
+                              f"exceeds the cap {DIM_CAP}")
     bath = BathSpec(
         kind=kind,
-        n_modes=_as_int(merged_bath["n_modes"], "bath.n_modes", minimum=1),
+        n_modes=n_modes,
         cutoff=_as_number(merged_bath["cutoff"], "bath.cutoff", positive=True),
         coupling_scale=_as_number(
             merged_bath["coupling_scale"], "bath.coupling_scale", positive=True
         ),
         seed=_as_int(merged_bath.get("seed", seed), "bath.seed"),
-        boson_truncation=(
-            _as_int(merged_bath["boson_truncation"], "bath.boson_truncation", minimum=2)
-            if truncated else None
-        ),
+        boson_truncation=truncation,
     )
 
     group_field = _require(merged, "group", "")
@@ -303,6 +311,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _fail("coupling", f"unknown coupling {coupling!r}; expected one of {COUPLING_KINDS}")
     if bath.kind == "boson-mode" and coupling != "dephasing":
         _fail("coupling", "boson-mode baths support only 'dephasing'")
+    if bath.kind == "boson-mode":
+        n_channels, needed = n_qubits, n_qubits
+    else:
+        n_channels = len(coupling_tables(n_qubits, coupling))
+        needed = (n_channels + 1) // 2
+    if bath.n_modes < needed:
+        _fail("bath.n_modes", f"{n_channels} coupling channels need at least {needed} "
+                              f"bath modes, got {bath.n_modes}")
     h_s = _system_hamiltonian(merged.get("h_s", {}), n_qubits, "h_s")
     rho_s0 = _named_state(_as_str(merged["rho_s0"], "rho_s0"), n_qubits, "rho_s0")
 
@@ -427,25 +443,26 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     """Run one controlled-versus-free comparison and write artifacts.
 
     Writes ``trajectory.csv`` (controlled), ``trajectory_free.csv``,
-    ``summary.json``, and ``run.log`` into ``out_dir``. Returns a process
-    exit code: nonzero when the configured group fails to average the
-    coupling away (mode ``none``), with the per-channel residual table on
-    stdout.
+    ``summary.json``, and ``run.log`` into ``out_dir``. The summary's
+    ``diagnostics`` give each trajectory's joint purity drift, terminal
+    minus initial: unitary propagation conserves purity, so anything
+    above round-off is a numerical fault. Returns a process exit code:
+    nonzero when the configured group fails to average the coupling away
+    (mode ``none``), with the per-channel residual table on stdout; that
+    check reads the config only, so a rejected run builds no model.
     """
     _check_sample_every(config.n_cycles, config, "sample_every")
     t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    model = build_model(config)
     report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
-    schedule = build_schedule(config)
-    omega_c_delta_t = config.bath.cutoff * config.delta_t
-
     if report.mode == "none":
         return _reject(out, config, report, t_start)
 
-    spectrum = joint_spectrum(model)
+    schedule = build_schedule(config)
+    omega_c_delta_t = config.bath.cutoff * config.delta_t
+    spectrum = joint_spectrum(build_model(config))
     controlled, free = _trajectories(spectrum, config, schedule, config.n_cycles)
     rates = estimate_rates(free, controlled)
 
@@ -472,6 +489,11 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
             "coherence_free": float(free.coherence[-1]),
             "trace_distance_controlled": float(controlled.trace_distance[-1]),
             "trace_distance_free": float(free.trace_distance[-1]),
+        },
+        "diagnostics": {
+            f"joint_purity_drift_{name}": (traj.metadata["terminal_joint_purity"]
+                                           - traj.metadata["initial_joint_purity"])
+            for name, traj in (("controlled", controlled), ("free", free))
         },
     }
     (out / "summary.json").write_text(_json_text(summary))
@@ -540,12 +562,11 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    model = build_model(config)
     report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
     if report.mode == "none":
         return _reject(out, config, report, t_start)
 
-    spectrum = joint_spectrum(model)
+    spectrum = joint_spectrum(build_model(config))
 
     rows = []
     for v, n_cycles in zip(config.sweep_values, counts):

@@ -11,7 +11,9 @@ an explicit partial trace. It costs O(d**3) per step and one joint
 snapshot observables are the scalar kernels the package's stacked ones
 replaced, one call per snapshot. The operator helpers this path needs
 (bath ground-state projector, partial trace, commutator) live here too:
-the package itself no longer uses them.
+the package itself no longer uses them. So does the pulse-picture cycle
+product, one dense product per segment, that the package's coset-halving
+product replaced.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ from decoupling import (
     total_hamiltonian,
 )
 from decoupling.model import bath_ground_vector
-from decoupling.operators import STRUCT_TOL
+from decoupling.operators import STRUCT_TOL, act_on_system
 
 #: Re-unitarize running products after this many matrix multiplies.
 POLAR_EVERY = 64
@@ -113,6 +115,23 @@ def cycle_propagator(model, schedule):
         step = expm_hermitian(Operator(h_j, joint_dims), schedule.delta_t)
         u = step @ u
     return u
+
+
+def pulse_picture_propagator(spectrum, schedule):
+    """One cycle as the free step ``W`` interleaved with the boundary pulses.
+
+    ``W (g_0 (x) 1)`` first, then for each later segment the pulse
+    ``g_j g_{j-1}^dag`` followed by ``W``, and ``g_{n-1}^dag`` last: one
+    dense product per segment, frames acting by reshape.
+    """
+    model = spectrum.model
+    w = spectrum.propagator(schedule.delta_t)
+    frames = schedule.frames
+    u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
+    for prev, g in zip(frames, frames[1:]):
+        u = w @ act_on_system(g @ prev.conj().T, u)
+    u = act_on_system(frames[-1].conj().T, u)
+    return Operator(u, tuple(model.h_s.dims) + tuple(model.h_b.dims))
 
 
 def _closest_unitary(m):

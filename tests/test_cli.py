@@ -60,6 +60,11 @@ def test_invalid_config_reports_field(tmp_path, capsys):
     ({"scenario": "dephasing-echo", "seed": 1, "bath": {"kind": "boson-mode"}},
      "bath.boson_truncation"),
     ({"scenario": "dephasing-echo", "seed": 1, "coupling": "quadratic"}, "coupling"),
+    ({"scenario": "custom", "seed": 1, "K": 4, "coupling": "dephasing", "group": "flip",
+      "delta_t": 0.1, "n_cycles": 5,
+      "bath": {"n_modes": 9, "cutoff": 1.0, "coupling_scale": 0.4}}, "bath.n_modes"),
+    ({"scenario": "collective-register", "seed": 1, "coupling": "linear-independent",
+      "bath": {"n_modes": 2}}, "bath.n_modes"),
 ])
 def test_config_errors_name_the_field_before_any_output(tmp_path, capsys, doc, field):
     cfg = write_config(tmp_path, doc)

@@ -1,5 +1,8 @@
 """Exact propagation invariants, fidelity oracles, rate estimation."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from decoupling import (
     expm_hermitian,
     fit_scaling_exponent,
     identity,
+    joint_spectrum,
     observable_drift,
     pauli_group,
     pauli_word_operator,
@@ -24,6 +28,7 @@ from decoupling import (
     symmetrize,
     tensor,
     total_hamiltonian,
+    trivial_group,
 )
 
 PLUS = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
@@ -44,7 +49,7 @@ def random_density(rng, d, dims):
 def test_cycle_propagator_is_unitary():
     model = make_model()
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
-    u = cycle_propagator(model, sched)
+    u = cycle_propagator(joint_spectrum(model), sched)
     assert u.is_unitary()
 
 
@@ -55,7 +60,7 @@ def test_cycle_propagator_equals_pulse_interleaved_product():
                             ("total", pauli_group(1, "full"))):
         model = make_model(coupling=coupling)
         sched = schedule_from_group(group, delta_t=0.17)
-        u_frames = cycle_propagator(model, sched)
+        u_frames = cycle_propagator(joint_spectrum(model), sched)
 
         h0 = total_hamiltonian(model)
         free = expm_hermitian(h0, sched.delta_t)
@@ -66,6 +71,34 @@ def test_cycle_propagator_equals_pulse_interleaved_product():
             pulse = Operator(frames[(j + 1) % len(frames)] @ f.conj().T, model.h_s.dims)
             prod = tensor(pulse, eye_b) @ free @ prod
         assert np.max(np.abs(prod.matrix - u_frames.matrix)) < 1e-9
+
+
+@pytest.mark.parametrize("group, symmetric, products", [
+    (pauli_group(2, "full"), False, 4),
+    (pauli_group(2, "full"), True, 5),
+    (pauli_group(3, "full"), False, 6),
+    (pauli_group(2, "collective"), False, 2),
+    (pauli_group(2, "flip"), True, 2),
+    (trivial_group(2), False, 0),
+])
+def test_named_cycles_halve_by_cosets(monkeypatch, group, symmetric, products):
+    """A named group's cycle halves by cosets at every level: one dense
+    product and one recursive call per halving, so ``log2`` of the
+    segment count in products and one call more than that."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    calls = []
+    inner = evolve_module._cycle_product
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return inner(*args)
+
+    monkeypatch.setattr(evolve_module, "_cycle_product", counting)
+    model = make_model(n_qubits=len(group.labels[0]))
+    schedule = replace(schedule_from_group(group, delta_t=0.1), symmetric=symmetric)
+    cycle_propagator(joint_spectrum(model), schedule)
+    assert 2**products == schedule.n_segments
+    assert calls == [schedule.n_segments >> k for k in range(products + 1)]
 
 
 def test_purity_and_trace_conserved():

@@ -194,6 +194,21 @@ def test_boson_bath_scenario():
         })
 
 
+@pytest.mark.parametrize("bath, message", [
+    ({"kind": "boson-mode", "n_modes": 1, "boson_truncation": 3},
+     "2 coupling channels need at least 2 bath modes, got 1"),
+    ({"kind": "boson-mode", "n_modes": 8, "boson_truncation": 3},
+     r"joint dimension 2\*\*2 \* 3\*\*8 exceeds the cap"),
+    ({"n_modes": 10**6}, r"joint dimension 2\*\*2 \* 2\*\*1000000 exceeds the cap"),
+])
+def test_bath_size_is_checked_at_parse_time(bath, message):
+    """Mode count against the coupling channels and the joint dimension
+    against the cap, for both bath kinds, before any bath is drawn."""
+    doc = {"scenario": "collective-register", "seed": 1, "coupling": "dephasing", "bath": bath}
+    with pytest.raises(ConfigError, match=f"config field 'bath.n_modes': {message}"):
+        parse_config(doc)
+
+
 def test_run_scenario_writes_outputs(tmp_path):
     cfg = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 20})
     code = run_scenario(cfg, tmp_path)
@@ -239,6 +254,21 @@ def test_run_scenario_rejects_non_decoupling_group(tmp_path, capsys):
     assert summary["mode"] == "none"
     assert max(summary["residuals"]) > 1.0
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("run", (run_scenario, run_sweep))
+def test_rejection_builds_no_model(tmp_path, monkeypatch, run):
+    monkeypatch.setattr("decoupling.scenarios.build_model", _no_model)
+    doc = {**NON_DECOUPLING, "sweep": {"parameter": "delta_t", "values": [0.05, 0.025, 0.01]}}
+    assert run(parse_config(doc), tmp_path) == 1
+
+
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "custom"])
+def test_joint_purity_drift_is_round_off(tmp_path, name):
+    assert run_scenario(parse_config({"scenario": name, "seed": 7}), tmp_path) == 0
+    drift = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]
+    assert sorted(drift) == ["joint_purity_drift_controlled", "joint_purity_drift_free"]
+    assert max(abs(v) for v in drift.values()) <= 1e-10
 
 
 def test_run_sweep_rejects_non_decoupling_group(tmp_path, capsys):
