@@ -15,7 +15,7 @@ from decoupling import (
     BathSpec,
     Operator,
     SimulationRun,
-    build_spin_bath_model,
+    build_system_bath_model,
     estimate_rates,
     evolve,
     pauli_group,
@@ -24,7 +24,7 @@ from decoupling import (
 )
 
 bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.4, seed=7)
-model = build_spin_bath_model(1, bath, coupling="dephasing")
+model = build_system_bath_model(1, bath, coupling="dephasing")
 print("bath mode frequencies:", [f"{w:.3f}" for w in bath.mode_frequencies])
 
 plus = Operator(np.full((2, 2), 0.5, dtype=complex), [2])

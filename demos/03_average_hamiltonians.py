@@ -15,7 +15,7 @@ from decoupling import (
     BathSpec,
     average_h0,
     average_h1,
-    build_spin_bath_model,
+    build_system_bath_model,
     joint_spectrum,
     pauli_group,
     schedule_from_group,
@@ -24,7 +24,7 @@ from decoupling import (
 )
 
 bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.4, seed=7)
-model = build_spin_bath_model(1, bath, coupling="dephasing")
+model = build_system_bath_model(1, bath, coupling="dephasing")
 flip = pauli_group(1, "flip")
 
 sched = schedule_from_group(flip, delta_t=0.1)

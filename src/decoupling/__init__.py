@@ -15,14 +15,12 @@ from .operators import (
     expm_hermitian,
     identity,
     tensor,
-    tensor_all,
     zero,
 )
 from .model import (
     BathSpec,
     SystemBathModel,
-    build_boson_dephasing_model,
-    build_spin_bath_model,
+    build_system_bath_model,
     coupling_tables,
     total_hamiltonian,
 )
@@ -48,10 +46,8 @@ from .sequence import (
     symmetrize,
 )
 from .magnus import (
-    AverageHamiltonianSeries,
     average_h0,
     average_h1,
-    average_hamiltonian_series,
     toggled_hamiltonian,
     truncation_error,
 )

@@ -25,6 +25,7 @@ that commute with every group word.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -141,19 +142,23 @@ class DecouplingGroup:
                     )
                 span.add(p)
         self.labels: tuple[str, ...] = words
-        self.elements: tuple[Operator, ...] = tuple(pauli_word_operator(w) for w in words)
+
+    @functools.cached_property
+    def elements(self) -> tuple[Operator, ...]:
+        """Dense word matrices, built on first use; word-space callers never need them."""
+        return tuple(pauli_word_operator(w) for w in self.labels)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.elements[0].dims
+        return (2,) * len(self.labels[0])
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return 2 ** len(self.labels[0])
 
     @property
     def commutant_dimension(self) -> int:

@@ -20,8 +20,6 @@ cycle, so palindromic cycles cancel it identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import Operator, act_on_system, distance, expm_hermitian
@@ -86,33 +84,6 @@ def average_h1(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     return Operator(out, h.dims)
 
 
-@dataclass(frozen=True)
-class AverageHamiltonianSeries:
-    """Leading terms of the effective cycle generator."""
-
-    h0: Operator
-    h1: Operator
-    cycle_time: float
-
-    def effective(self, order: int) -> Operator:
-        """Partial sum of the series through ``order`` (0 or 1)."""
-        if order == 0:
-            return self.h0
-        if order == 1:
-            return self.h0 + self.h1
-        raise ValueError(f"order must be 0 or 1, got {order}")
-
-
-def average_hamiltonian_series(
-    model: SystemBathModel, schedule: CycleSchedule
-) -> AverageHamiltonianSeries:
-    return AverageHamiltonianSeries(
-        h0=average_h0(model, schedule),
-        h1=average_h1(model, schedule),
-        cycle_time=schedule.cycle_time,
-    )
-
-
 def truncation_error(spectrum: JointSpectrum, schedule: CycleSchedule, order: int) -> float:
     """Frobenius distance of the truncated series from the exact cycle.
 
@@ -123,7 +94,11 @@ def truncation_error(spectrum: JointSpectrum, schedule: CycleSchedule, order: in
     ``delta_t`` shrinks (one power faster again for palindromic cycles at
     order 1, whose correction vanishes).
     """
-    series = average_hamiltonian_series(spectrum.model, schedule)
+    if order not in (0, 1):
+        raise ValueError(f"order must be 0 or 1, got {order}")
+    effective = average_h0(spectrum.model, schedule)
+    if order == 1:
+        effective = effective + average_h1(spectrum.model, schedule)
     exact = cycle_propagator(spectrum, schedule)
-    approx = expm_hermitian(series.effective(order), schedule.cycle_time)
+    approx = expm_hermitian(effective, schedule.cycle_time)
     return distance(exact, approx, metric="frobenius")

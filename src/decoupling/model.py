@@ -7,9 +7,11 @@ The total Hamiltonian always has the split form
 with Hermitian system operators S_a and Hermitian bath operators B_a.
 Everything downstream (toggling frames, averaging, propagation) consumes
 a :class:`SystemBathModel` holding exactly these pieces, so the bath can
-be anything finite-dimensional. Two concrete builders are provided: a
-spin bath (each mode is a qubit precessing at its own frequency) and a
-truncated bosonic bath for pure dephasing.
+be anything finite-dimensional. One builder, :func:`build_system_bath_model`,
+makes both bath kinds from a two-row mode table: a spin bath (each mode
+is a qubit precessing at its own frequency) and a truncated bosonic bath
+for pure dephasing differ only in the single-mode Hamiltonian and the
+mode operators the couplings draw on.
 
 Mode frequencies are laid out on a uniform grid up to the cutoff and then
 jittered, so spectra are generic but reproducible from a seed. The cutoff
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DIM_CAP, Operator, identity, tensor, tensor_all, zero
+from .operators import DIM_CAP, Operator, zero
 from .groups import PAULI_LETTERS, PAULI_MATRICES, pauli_sum
 
 
@@ -83,7 +85,7 @@ class SystemBathModel:
     ``couplings`` is a tuple of ``(S_a, B_a)`` pairs; every operator is
     checked Hermitian, dimensions must multiply out under the global cap,
     and the bath operators must be linearly independent (a dependent set
-    silently merges decoherence channels, which the builders avoid by
+    silently merges decoherence channels, which the builder avoids by
     drawing enough bath modes).
     """
 
@@ -143,11 +145,12 @@ class SystemBathModel:
 
 def total_hamiltonian(model: SystemBathModel) -> Operator:
     """Assemble the full Hamiltonian on the joint system-bath space."""
-    h = tensor(model.h_s, identity(list(model.h_b.dims)))
-    h = h + tensor(identity(list(model.h_s.dims)), model.h_b)
+    eye_s = np.eye(model.system_dim, dtype=complex)
+    eye_b = np.eye(model.bath_dim, dtype=complex)
+    h = np.kron(model.h_s.matrix, eye_b) + np.kron(eye_s, model.h_b.matrix)
     for s, b in model.couplings:
-        h = h + tensor(s, b)
-    return h
+        h += np.kron(s.matrix, b.matrix)
+    return Operator(h, model.h_s.dims + model.h_b.dims)
 
 
 def bath_ground_vector(model: SystemBathModel) -> np.ndarray:
@@ -155,32 +158,11 @@ def bath_ground_vector(model: SystemBathModel) -> np.ndarray:
     return np.linalg.eigh(model.h_b.matrix)[1][:, 0]
 
 
-def _site_operator(local: np.ndarray, site: int, n_sites: int, local_dim: int = 2) -> Operator:
-    ops = []
-    for j in range(n_sites):
-        if j == site:
-            ops.append(Operator(local, (local.shape[0],)))
-        else:
-            ops.append(identity(local_dim))
-    return tensor_all(ops)
-
-
-def _normalized_random_combination(
-    basis_mats: list[np.ndarray], dims, scale: float, rng: np.random.Generator
-) -> Operator:
-    coeffs = rng.standard_normal(len(basis_mats))
-    m = sum(c * b for c, b in zip(coeffs, basis_mats))
-    nrm = float(np.linalg.norm(m, 2))
-    if nrm == 0.0:
-        raise ValueError("degenerate random draw for a bath coupling operator")
-    return Operator(scale * m / nrm, dims)
-
-
 def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:
     """System side of each coupling channel of a flavour, as a Pauli word table.
 
     Channels come site by site, then letter by letter, then (``total``)
-    in ``itertools.product`` word order; the builders pair their random
+    in ``itertools.product`` word order; the builder pairs its random
     bath operators with the channels in this order.
     """
     def site(letter: str, i: int) -> str:
@@ -198,24 +180,62 @@ def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:
     raise ValueError(f"unknown coupling kind {kind!r}; expected one of {COUPLING_KINDS}")
 
 
-def build_spin_bath_model(
+def _mode(bath: BathSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """One bath mode: its Hamiltonian per unit frequency and its coupling operators.
+
+    A spin precesses under ``sigma_z/2`` and couples through ``sigma_x``
+    and ``sigma_y``. An oscillator cut off at ``boson_truncation`` Fock
+    states has the number operator and couples through ``a + a^dag``.
+    All are complex, so every bath operator is drawn and normalized in
+    complex arithmetic.
+    """
+    if bath.kind == "spin-bath":
+        return 0.5 * PAULI_MATRICES["Z"], (PAULI_MATRICES["X"], PAULI_MATRICES["Y"])
+    n_levels = bath.boson_truncation
+    lower = np.diag(np.sqrt(np.arange(1, n_levels)), 1).astype(complex)
+    return np.diag(np.arange(n_levels)).astype(complex), (lower + lower.T,)
+
+
+def bath_capacity_problem(
+    bath: BathSpec, n_qubits: int, coupling: str
+) -> tuple[str, str] | None:
+    """Why ``bath`` cannot carry the ``coupling`` channels, or None if it can.
+
+    The answer is the config field to blame and a message. Boson baths
+    take only ``dephasing``. Each channel needs its own bath operator,
+    and the channels' operators are independent only if the modes offer
+    enough coupling directions: two per spin, one per boson.
+    """
+    if bath.kind == "boson-mode" and coupling != "dephasing":
+        return "coupling", "boson-mode baths support only 'dephasing'"
+    n_channels = len(coupling_tables(n_qubits, coupling))
+    directions = len(_mode(bath)[1])
+    needed = -(-n_channels // directions)
+    if bath.n_modes < needed:
+        return "bath.n_modes", (f"{n_channels} coupling channels need at least {needed} "
+                                f"bath modes, got {bath.n_modes}")
+    return None
+
+
+def build_system_bath_model(
     n_qubits: int,
     bath: BathSpec,
     coupling: str = "dephasing",
     h_s: Operator | None = None,
 ) -> SystemBathModel:
-    """Qubit register coupled to a bath of precessing spins.
+    """Qubit register coupled to a bath of spins or of truncated oscillators.
 
-    The bath Hamiltonian is ``sum_i (w_i/2) sigma_z^(i)`` over the jittered
-    mode frequencies. Each system coupling operator (chosen by
-    ``coupling``, see below) is paired with an independent random Hermitian
-    bath operator drawn from the span of the transverse spin components
-    ``{sigma_x^(j), sigma_y^(j)}`` and normalized to spectral norm
-    ``bath.coupling``. Transverse bath operators do not commute with the
-    bath Hamiltonian, so the joint dynamics genuinely entangles the
-    register with the bath.
+    The bath Hamiltonian is ``sum_i w_i h_mode^(i)`` over the jittered
+    mode frequencies, with ``h_mode`` the mode Hamiltonian of the bath
+    kind: ``sigma_z/2`` for a spin, ``a^dag a`` for an oscillator. Each system coupling operator (chosen by ``coupling``,
+    see below) is paired with an independent random Hermitian bath
+    operator drawn from the span of every mode's coupling operators
+    (``sigma_x``, ``sigma_y`` or ``a + a^dag``), site by site, and
+    normalized to spectral norm ``bath.coupling_scale``. These do not
+    commute with the bath Hamiltonian, so the joint dynamics genuinely
+    entangles the register with the bath.
 
-    Coupling flavours:
+    Coupling flavours (boson baths take only ``dephasing``):
 
     ``dephasing``
         one ``sigma_z`` channel per qubit (pure phase damping),
@@ -228,80 +248,33 @@ def build_spin_bath_model(
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be at least 1")
-    if bath.kind != "spin-bath":
-        raise ValueError(f"build_spin_bath_model needs a spin-bath BathSpec, got {bath.kind!r}")
     tables = coupling_tables(n_qubits, coupling)
-    m = bath.n_modes
-    if len(tables) > 2 * m:
-        raise ValueError(
-            f"{len(tables)} coupling channels need at least "
-            f"{(len(tables) + 1) // 2} bath modes for independent bath operators; "
-            f"got {m}"
-        )
-    bath_dims = (2,) * m
-    h_b = zero(list(bath_dims))
-    for i, w in enumerate(bath.mode_frequencies):
-        h_b = h_b + 0.5 * w * _site_operator(PAULI_MATRICES["Z"], i, m)
-    transverse = [
-        _site_operator(PAULI_MATRICES[letter], j, m).matrix
-        for j in range(m)
-        for letter in "XY"
-    ]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
-    couplings = tuple(
-        (pauli_sum(t, n_qubits),
-         _normalized_random_combination(transverse, bath_dims, bath.coupling_scale, rng))
-        for t in tables
-    )
+    problem = bath_capacity_problem(bath, n_qubits, coupling)
+    if problem is not None:
+        raise ValueError(problem[1])
     if h_s is None:
         h_s = zero([2] * n_qubits)
     elif h_s.dims != (2,) * n_qubits:
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
-    return SystemBathModel(h_s=h_s, h_b=h_b, couplings=couplings, cutoff=bath.cutoff)
 
+    h_mode, mode_ops = _mode(bath)
+    n, m = h_mode.shape[0], bath.n_modes
+    bath_dims = (n,) * m
 
-def build_boson_dephasing_model(
-    n_qubits: int,
-    bath: BathSpec,
-    h_s: Operator | None = None,
-) -> SystemBathModel:
-    """Qubit register dephasing against truncated oscillator modes.
+    def on_mode(local: np.ndarray, i: int) -> np.ndarray:
+        eye_left = np.eye(n**i, dtype=complex)
+        return np.kron(np.kron(eye_left, local), np.eye(n ** (m - i - 1), dtype=complex))
 
-    The bath Hamiltonian is ``sum_i w_i a_i^dag a_i`` with each mode cut
-    off at ``bath.boson_truncation`` Fock states. Every qubit's
-    ``sigma_z`` couples to its own random combination of the quadratures
-    ``a_j + a_j^dag``, normalized to spectral norm ``coupling_scale``.
-    """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be at least 1")
-    if bath.kind != "boson-mode":
-        raise ValueError(
-            f"build_boson_dephasing_model needs a boson-mode BathSpec, got {bath.kind!r}"
-        )
-    n_levels = bath.boson_truncation
-    m = bath.n_modes
-    if n_qubits > m:
-        raise ValueError(
-            f"{n_qubits} dephasing channels need at least {n_qubits} bath modes; got {m}"
-        )
-    bath_dims = (n_levels,) * m
-    lower = np.diag(np.sqrt(np.arange(1, n_levels)), 1)
-    number = np.diag(np.arange(n_levels, dtype=float))
-    quadrature = lower + lower.conj().T
-    h_b = zero(list(bath_dims))
-    for i, w in enumerate(bath.mode_frequencies):
-        h_b = h_b + w * _site_operator(number, i, m, local_dim=n_levels)
-    quads = [
-        _site_operator(quadrature, j, m, local_dim=n_levels).matrix for j in range(m)
-    ]
+    h_b = sum(w * on_mode(h_mode, i) for i, w in enumerate(bath.mode_frequencies))
+    ops = [on_mode(op, j) for j in range(m) for op in mode_ops]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
-    couplings = tuple(
-        (pauli_sum(t, n_qubits),
-         _normalized_random_combination(quads, bath_dims, bath.coupling_scale, rng))
-        for t in coupling_tables(n_qubits, "dephasing")
-    )
-    if h_s is None:
-        h_s = zero([2] * n_qubits)
-    elif h_s.dims != (2,) * n_qubits:
-        raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
-    return SystemBathModel(h_s=h_s, h_b=h_b, couplings=couplings, cutoff=bath.cutoff)
+    couplings = []
+    for table in tables:
+        b = sum(c * op for c, op in zip(rng.standard_normal(len(ops)), ops))
+        nrm = float(np.linalg.norm(b, 2))
+        if nrm == 0.0:
+            raise ValueError("degenerate random draw for a bath coupling operator")
+        couplings.append((pauli_sum(table, n_qubits),
+                          Operator(bath.coupling_scale * b / nrm, bath_dims)))
+    return SystemBathModel(h_s=h_s, h_b=Operator(h_b, bath_dims), couplings=tuple(couplings),
+                           cutoff=bath.cutoff)

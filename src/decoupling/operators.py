@@ -147,16 +147,6 @@ def tensor(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
-def tensor_all(ops: Sequence[Operator]) -> Operator:
-    """Left-to-right tensor product of a nonempty operator sequence."""
-    if not ops:
-        raise ValueError("tensor_all requires at least one operator")
-    out = ops[0]
-    for op in ops[1:]:
-        out = tensor(out, op)
-    return out
-
-
 def expm_hermitian(h: Operator, t: float) -> Operator:
     """Unitary ``exp(-i H t)`` of a Hermitian generator.
 

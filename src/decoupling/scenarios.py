@@ -32,8 +32,8 @@ from .model import (
     COUPLING_KINDS,
     BathSpec,
     SystemBathModel,
-    build_boson_dephasing_model,
-    build_spin_bath_model,
+    bath_capacity_problem,
+    build_system_bath_model,
     coupling_tables,
 )
 from .groups import DecouplingGroup, check_decoupling, pauli_group, pauli_sum, trivial_group
@@ -309,16 +309,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
     coupling = _as_str(_require(merged, "coupling", ""), "coupling")
     if coupling not in COUPLING_KINDS:
         _fail("coupling", f"unknown coupling {coupling!r}; expected one of {COUPLING_KINDS}")
-    if bath.kind == "boson-mode" and coupling != "dephasing":
-        _fail("coupling", "boson-mode baths support only 'dephasing'")
-    if bath.kind == "boson-mode":
-        n_channels, needed = n_qubits, n_qubits
-    else:
-        n_channels = len(coupling_tables(n_qubits, coupling))
-        needed = (n_channels + 1) // 2
-    if bath.n_modes < needed:
-        _fail("bath.n_modes", f"{n_channels} coupling channels need at least {needed} "
-                              f"bath modes, got {bath.n_modes}")
+    problem = bath_capacity_problem(bath, n_qubits, coupling)
+    if problem is not None:
+        _fail(*problem)
     h_s = _system_hamiltonian(merged.get("h_s", {}), n_qubits, "h_s")
     rho_s0 = _named_state(_as_str(merged["rho_s0"], "rho_s0"), n_qubits, "rho_s0")
 
@@ -373,9 +366,7 @@ def load_config(path) -> ScenarioConfig:
 
 
 def build_model(config: ScenarioConfig) -> SystemBathModel:
-    if config.bath.kind == "boson-mode":
-        return build_boson_dephasing_model(config.n_qubits, config.bath, h_s=config.h_s)
-    return build_spin_bath_model(
+    return build_system_bath_model(
         config.n_qubits, config.bath, coupling=config.coupling, h_s=config.h_s
     )
 

@@ -1,0 +1,175 @@
+"""The two bath builders the package merged, kept as oracles for ``model``.
+
+``build_system_bath_model`` makes both bath kinds from one mode table and
+places each local operator with two Kronecker products. The builders
+here are the separate spin and boson paths it replaced, verbatim: they
+build every site operator through a chain of ``Operator`` tensor
+products, and ``total_hamiltonian`` sums ``Operator`` terms. The new
+builder must reproduce their models bit for bit.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from decoupling import (
+    BathSpec,
+    Operator,
+    SystemBathModel,
+    coupling_tables,
+    identity,
+    tensor,
+    zero,
+)
+from decoupling.groups import PAULI_MATRICES, pauli_sum
+
+
+def tensor_all(ops: Sequence[Operator]) -> Operator:
+    """Left-to-right tensor product of a nonempty operator sequence."""
+    if not ops:
+        raise ValueError("tensor_all requires at least one operator")
+    out = ops[0]
+    for op in ops[1:]:
+        out = tensor(out, op)
+    return out
+
+
+def total_hamiltonian(model: SystemBathModel) -> Operator:
+    """Assemble the full Hamiltonian on the joint system-bath space."""
+    h = tensor(model.h_s, identity(list(model.h_b.dims)))
+    h = h + tensor(identity(list(model.h_s.dims)), model.h_b)
+    for s, b in model.couplings:
+        h = h + tensor(s, b)
+    return h
+
+
+def _site_operator(local: np.ndarray, site: int, n_sites: int, local_dim: int = 2) -> Operator:
+    ops = []
+    for j in range(n_sites):
+        if j == site:
+            ops.append(Operator(local, (local.shape[0],)))
+        else:
+            ops.append(identity(local_dim))
+    return tensor_all(ops)
+
+
+def _normalized_random_combination(
+    basis_mats: list[np.ndarray], dims, scale: float, rng: np.random.Generator
+) -> Operator:
+    coeffs = rng.standard_normal(len(basis_mats))
+    m = sum(c * b for c, b in zip(coeffs, basis_mats))
+    nrm = float(np.linalg.norm(m, 2))
+    if nrm == 0.0:
+        raise ValueError("degenerate random draw for a bath coupling operator")
+    return Operator(scale * m / nrm, dims)
+
+
+def build_spin_bath_model(
+    n_qubits: int,
+    bath: BathSpec,
+    coupling: str = "dephasing",
+    h_s: Operator | None = None,
+) -> SystemBathModel:
+    """Qubit register coupled to a bath of precessing spins.
+
+    The bath Hamiltonian is ``sum_i (w_i/2) sigma_z^(i)`` over the jittered
+    mode frequencies. Each system coupling operator (chosen by
+    ``coupling``, see below) is paired with an independent random Hermitian
+    bath operator drawn from the span of the transverse spin components
+    ``{sigma_x^(j), sigma_y^(j)}`` and normalized to spectral norm
+    ``bath.coupling``. Transverse bath operators do not commute with the
+    bath Hamiltonian, so the joint dynamics genuinely entangles the
+    register with the bath.
+
+    Coupling flavours:
+
+    ``dephasing``
+        one ``sigma_z`` channel per qubit (pure phase damping),
+    ``linear-independent``
+        all three Pauli components of every qubit separately,
+    ``linear-collective``
+        the three collective components ``sum_i sigma_a^(i)``,
+    ``total``
+        every nontrivial Pauli word (errors of arbitrary weight).
+    """
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be at least 1")
+    if bath.kind != "spin-bath":
+        raise ValueError(f"build_spin_bath_model needs a spin-bath BathSpec, got {bath.kind!r}")
+    tables = coupling_tables(n_qubits, coupling)
+    m = bath.n_modes
+    if len(tables) > 2 * m:
+        raise ValueError(
+            f"{len(tables)} coupling channels need at least "
+            f"{(len(tables) + 1) // 2} bath modes for independent bath operators; "
+            f"got {m}"
+        )
+    bath_dims = (2,) * m
+    h_b = zero(list(bath_dims))
+    for i, w in enumerate(bath.mode_frequencies):
+        h_b = h_b + 0.5 * w * _site_operator(PAULI_MATRICES["Z"], i, m)
+    transverse = [
+        _site_operator(PAULI_MATRICES[letter], j, m).matrix
+        for j in range(m)
+        for letter in "XY"
+    ]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
+    couplings = tuple(
+        (pauli_sum(t, n_qubits),
+         _normalized_random_combination(transverse, bath_dims, bath.coupling_scale, rng))
+        for t in tables
+    )
+    if h_s is None:
+        h_s = zero([2] * n_qubits)
+    elif h_s.dims != (2,) * n_qubits:
+        raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
+    return SystemBathModel(h_s=h_s, h_b=h_b, couplings=couplings, cutoff=bath.cutoff)
+
+
+def build_boson_dephasing_model(
+    n_qubits: int,
+    bath: BathSpec,
+    h_s: Operator | None = None,
+) -> SystemBathModel:
+    """Qubit register dephasing against truncated oscillator modes.
+
+    The bath Hamiltonian is ``sum_i w_i a_i^dag a_i`` with each mode cut
+    off at ``bath.boson_truncation`` Fock states. Every qubit's
+    ``sigma_z`` couples to its own random combination of the quadratures
+    ``a_j + a_j^dag``, normalized to spectral norm ``coupling_scale``.
+    """
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be at least 1")
+    if bath.kind != "boson-mode":
+        raise ValueError(
+            f"build_boson_dephasing_model needs a boson-mode BathSpec, got {bath.kind!r}"
+        )
+    n_levels = bath.boson_truncation
+    m = bath.n_modes
+    if n_qubits > m:
+        raise ValueError(
+            f"{n_qubits} dephasing channels need at least {n_qubits} bath modes; got {m}"
+        )
+    bath_dims = (n_levels,) * m
+    lower = np.diag(np.sqrt(np.arange(1, n_levels)), 1)
+    number = np.diag(np.arange(n_levels, dtype=float))
+    quadrature = lower + lower.conj().T
+    h_b = zero(list(bath_dims))
+    for i, w in enumerate(bath.mode_frequencies):
+        h_b = h_b + w * _site_operator(number, i, m, local_dim=n_levels)
+    quads = [
+        _site_operator(quadrature, j, m, local_dim=n_levels).matrix for j in range(m)
+    ]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
+    couplings = tuple(
+        (pauli_sum(t, n_qubits),
+         _normalized_random_combination(quads, bath_dims, bath.coupling_scale, rng))
+        for t in coupling_tables(n_qubits, "dephasing")
+    )
+    if h_s is None:
+        h_s = zero([2] * n_qubits)
+    elif h_s.dims != (2,) * n_qubits:
+        raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
+    return SystemBathModel(h_s=h_s, h_b=h_b, couplings=couplings, cutoff=bath.cutoff)

@@ -24,10 +24,9 @@ from decoupling import (
     SystemBathModel,
     average_h0,
     average_h1,
-    build_boson_dephasing_model,
     build_model,
     build_schedule,
-    build_spin_bath_model,
+    build_system_bath_model,
     commutant_basis,
     evolve,
     joint_spectrum,
@@ -101,9 +100,9 @@ def test_02_time_average_equals_factor_projection():
     boson = BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0,
                      coupling_scale=0.3, seed=7, boson_truncation=3)
     models = [
-        build_spin_bath_model(1, spin, coupling="dephasing"),
-        build_spin_bath_model(1, spin, coupling="total", h_s=h_s),
-        build_boson_dephasing_model(1, boson, h_s=h_s),
+        build_system_bath_model(1, spin, coupling="dephasing"),
+        build_system_bath_model(1, spin, coupling="total", h_s=h_s),
+        build_system_bath_model(1, boson, h_s=h_s),
     ]
     groups = [trivial_group(1), pauli_group(1, "flip"),
               DecouplingGroup(["I", "Z"]), pauli_group(1, "full")]

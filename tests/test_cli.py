@@ -1,5 +1,6 @@
 """Command-line entry points: exit codes, output files, design listing."""
 
+import importlib
 import json
 
 import pytest
@@ -119,6 +120,22 @@ def test_design_collective_register(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "order" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--interaction", "ZII", "IZI", "IIZ", "XXI", "IXX", "--qubits", "3"],
+    ["--interaction", "ZI", "IZ", "ZZ", "--qubits", "2"],
+])
+def test_design_builds_no_dense_word(argv, monkeypatch, capsys):
+    """The search and its report stay in word space: no word matrix is built."""
+    groups_module = importlib.import_module("decoupling.groups")
+
+    def refuse(word):
+        raise AssertionError(f"dense matrix built for {word!r}")
+
+    monkeypatch.setattr(groups_module, "pauli_word_operator", refuse)
+    assert main(["design", *argv]) == 0
+    assert "minimal decoupling groups" in capsys.readouterr().out
 
 
 def test_design_unsatisfiable_returns_one(capsys):

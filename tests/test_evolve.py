@@ -11,7 +11,7 @@ from decoupling import (
     Operator,
     SimulationRun,
     TrajectoryResult,
-    build_spin_bath_model,
+    build_system_bath_model,
     coherence_l1,
     cycle_propagator,
     estimate_rates,
@@ -37,7 +37,7 @@ PLUS = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
 def make_model(seed=7, coupling="dephasing", n_qubits=1, h_s=None):
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0,
                     coupling_scale=0.4, seed=seed)
-    return build_spin_bath_model(n_qubits, bath, coupling=coupling, h_s=h_s)
+    return build_system_bath_model(n_qubits, bath, coupling=coupling, h_s=h_s)
 
 
 def random_density(rng, d, dims):
@@ -147,7 +147,7 @@ def test_free_evolution_reference_uses_bare_hamiltonian():
     bath = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0,
                     coupling_scale=1e-12, seed=3)
     h_s = Operator(0.5 * np.array([[0, 1], [1, 0]], dtype=complex), [2])
-    model = build_spin_bath_model(1, bath, coupling="dephasing", h_s=h_s)
+    model = build_system_bath_model(1, bath, coupling="dephasing", h_s=h_s)
     from decoupling import trivial_group
     sched = schedule_from_group(trivial_group(1), delta_t=0.2)
     ground = Operator(np.diag([1.0, 0.0]).astype(complex), [2])

@@ -19,7 +19,7 @@ from decoupling import (
     SimulationRun,
     build_model,
     build_schedule,
-    build_spin_bath_model,
+    build_system_bath_model,
     coherence_l1,
     cycle_propagator,
     distance,
@@ -140,7 +140,7 @@ def test_mixed_initial_states_match_oracle():
     system state also exercises the mixed-state branch of the fidelity."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=11)
     h_s = 0.2 * pauli_word_operator("XX") + 0.1 * pauli_word_operator("ZI")
-    model = build_spin_bath_model(2, bath, coupling="linear-collective", h_s=h_s)
+    model = build_system_bath_model(2, bath, coupling="linear-collective", h_s=h_s)
     plus = np.full(4, 0.5)
     zero = np.eye(4)[0]
     rho_s0 = Operator(0.7 * np.outer(plus, plus) + 0.3 * np.outer(zero, zero), [2, 2])

@@ -16,8 +16,7 @@ from decoupling import (
     Operator,
     average_h0,
     average_h1,
-    average_hamiltonian_series,
-    build_spin_bath_model,
+    build_system_bath_model,
     joint_spectrum,
     pauli_group,
     project_commutant,
@@ -33,7 +32,7 @@ from decoupling import (
 def make_model(seed=7, coupling="dephasing", n_qubits=1, h_s=None):
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0,
                     coupling_scale=0.4, seed=seed)
-    return build_spin_bath_model(n_qubits, bath, coupling=coupling, h_s=h_s)
+    return build_system_bath_model(n_qubits, bath, coupling=coupling, h_s=h_s)
 
 
 def test_toggled_hamiltonian_is_explicit_conjugation():
@@ -122,17 +121,6 @@ def test_average_h1_vanishes_for_single_segment():
     assert average_h1(model, sched).norm() == 0.0
 
 
-def test_series_effective_orders():
-    model = make_model()
-    sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
-    series = average_hamiltonian_series(model, sched)
-    assert np.array_equal(series.effective(0).matrix, series.h0.matrix)
-    combined = series.h0.matrix + series.h1.matrix
-    assert np.max(np.abs(series.effective(1).matrix - combined)) < 1e-14
-    with pytest.raises(ValueError):
-        series.effective(2)
-
-
 def test_truncation_error_decreases_with_order_and_step():
     model = make_model()
     spectrum = joint_spectrum(model)
@@ -145,6 +133,20 @@ def test_truncation_error_decreases_with_order_and_step():
     assert e0b < e0a
     with pytest.raises(ValueError):
         truncation_error(spectrum, sched_a, order=3)
+
+
+def test_order_zero_truncation_builds_no_first_order_term(monkeypatch):
+    """An order-0 error needs only H0; the first-order term is never built."""
+    magnus_module = importlib.import_module("decoupling.magnus")
+    spectrum = joint_spectrum(make_model())
+    sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
+    want = truncation_error(spectrum, sched, order=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("average_h1 called for an order-0 error")
+
+    monkeypatch.setattr(magnus_module, "average_h1", refuse)
+    assert truncation_error(spectrum, sched, order=0) == want
 
 
 def test_truncation_scan_diagonalizes_the_model_once(monkeypatch):

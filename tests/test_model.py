@@ -7,15 +7,16 @@ from decoupling import (
     BathSpec,
     Operator,
     SystemBathModel,
-    build_boson_dephasing_model,
-    build_spin_bath_model,
+    build_system_bath_model,
     coupling_tables,
     pauli_sum,
     pauli_word_operator,
     total_hamiltonian,
 )
 from decoupling.model import COUPLING_KINDS
+from decoupling.operators import DIM_CAP
 
+import oracle_model
 from oracle_dm import bath_ground_state
 from oracle_groups import all_words, table_matrix
 
@@ -69,7 +70,7 @@ def test_mode_frequencies_deterministic():
 
 def test_spin_bath_model_shape_and_spectrum():
     bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.4, seed=3)
-    model = build_spin_bath_model(1, bath, coupling="dephasing")
+    model = build_system_bath_model(1, bath, coupling="dephasing")
     assert model.system_dim == 2
     assert model.bath_dim == 16
     assert model.n_system_factors == 1
@@ -88,7 +89,7 @@ def test_spin_bath_model_shape_and_spectrum():
 def test_spin_bath_coupling_is_transverse():
     """Bath coupling factors live in the span of single-site sigma_x/sigma_y."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.5, seed=8)
-    model = build_spin_bath_model(1, bath, coupling="dephasing")
+    model = build_system_bath_model(1, bath, coupling="dephasing")
     _, bop = model.couplings[0]
     # projecting onto the transverse single-site span reproduces the operator
     basis = []
@@ -107,8 +108,8 @@ def test_spin_bath_coupling_is_transverse():
 
 def test_spin_bath_builder_deterministic():
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.2, seed=12)
-    m1 = build_spin_bath_model(2, bath, coupling="linear-collective")
-    m2 = build_spin_bath_model(2, bath, coupling="linear-collective")
+    m1 = build_system_bath_model(2, bath, coupling="linear-collective")
+    m2 = build_system_bath_model(2, bath, coupling="linear-collective")
     assert np.array_equal(m1.h_b.matrix, m2.h_b.matrix)
     for (s1, b1), (s2, b2) in zip(m1.couplings, m2.couplings):
         assert np.array_equal(s1.matrix, s2.matrix)
@@ -117,13 +118,13 @@ def test_spin_bath_builder_deterministic():
 
 def test_coupling_kinds_give_expected_channel_counts():
     bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.2, seed=4)
-    assert len(build_spin_bath_model(1, bath, coupling="dephasing").couplings) == 1
-    assert len(build_spin_bath_model(1, bath, coupling="total").couplings) == 3
-    assert len(build_spin_bath_model(2, bath, coupling="dephasing").couplings) == 2
-    assert len(build_spin_bath_model(2, bath, coupling="linear-collective").couplings) == 3
-    assert len(build_spin_bath_model(2, bath, coupling="linear-independent").couplings) == 6
+    assert len(build_system_bath_model(1, bath, coupling="dephasing").couplings) == 1
+    assert len(build_system_bath_model(1, bath, coupling="total").couplings) == 3
+    assert len(build_system_bath_model(2, bath, coupling="dephasing").couplings) == 2
+    assert len(build_system_bath_model(2, bath, coupling="linear-collective").couplings) == 3
+    assert len(build_system_bath_model(2, bath, coupling="linear-independent").couplings) == 6
     with pytest.raises(ValueError):
-        build_spin_bath_model(1, bath, coupling="quadratic")
+        build_system_bath_model(1, bath, coupling="quadratic")
 
 
 def test_coupling_tables_list_channels_site_then_letter():
@@ -147,10 +148,10 @@ def test_spin_bath_couplings_are_their_word_tables(kind, n_qubits):
     if n_modes > 8:  # 'total' on 3 qubits: 63 channels need 32 bath spins
         bath = BathSpec(kind="spin-bath", n_modes=8, cutoff=1.0, coupling_scale=0.2, seed=3)
         with pytest.raises(ValueError, match="63 coupling channels"):
-            build_spin_bath_model(n_qubits, bath, coupling=kind)
+            build_system_bath_model(n_qubits, bath, coupling=kind)
         return
     bath = BathSpec(kind="spin-bath", n_modes=n_modes, cutoff=1.0, coupling_scale=0.2, seed=3)
-    model = build_spin_bath_model(n_qubits, bath, coupling=kind)
+    model = build_system_bath_model(n_qubits, bath, coupling=kind)
     assert len(model.couplings) == len(tables)
     for (s, _), table in zip(model.couplings, tables):
         assert np.array_equal(s.matrix, pauli_sum(table, n_qubits).matrix)
@@ -161,7 +162,7 @@ def test_spin_bath_couplings_are_their_word_tables(kind, n_qubits):
 def test_boson_couplings_are_dephasing_word_tables(n_qubits):
     bath = BathSpec(kind="boson-mode", n_modes=n_qubits, cutoff=1.0, coupling_scale=0.3,
                     seed=2, boson_truncation=2)
-    model = build_boson_dephasing_model(n_qubits, bath)
+    model = build_system_bath_model(n_qubits, bath)
     tables = coupling_tables(n_qubits, "dephasing")
     assert len(model.couplings) == len(tables)
     for (s, _), table in zip(model.couplings, tables):
@@ -172,7 +173,7 @@ def test_channel_count_capped_by_bath_size():
     """More coupling channels than transverse bath directions must fail."""
     tiny = BathSpec(kind="spin-bath", n_modes=1, cutoff=1.0, coupling_scale=0.2, seed=4)
     with pytest.raises(ValueError):
-        build_spin_bath_model(2, tiny, coupling="linear-independent")
+        build_system_bath_model(2, tiny, coupling="linear-independent")
 
 
 def test_linear_dependence_rejected():
@@ -191,7 +192,7 @@ def test_linear_dependence_rejected():
 def test_total_hamiltonian_assembly():
     bath = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.3, seed=5)
     h_s = Operator(0.7 * SX, [2])
-    model = build_spin_bath_model(1, bath, coupling="dephasing", h_s=h_s)
+    model = build_system_bath_model(1, bath, coupling="dephasing", h_s=h_s)
     h = total_hamiltonian(model)
     eye_b = np.eye(model.bath_dim, dtype=complex)
     eye_s = np.eye(2, dtype=complex)
@@ -205,7 +206,7 @@ def test_total_hamiltonian_assembly():
 
 def test_bath_ground_state():
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.2, seed=7)
-    model = build_spin_bath_model(1, bath, coupling="dephasing")
+    model = build_system_bath_model(1, bath, coupling="dephasing")
     rho = bath_ground_state(model)
     evals, evecs = np.linalg.eigh(model.h_b.matrix)
     ground = evecs[:, 0]
@@ -219,7 +220,7 @@ def test_bath_ground_state():
 def test_boson_model_structure():
     bath = BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.3,
                     seed=2, boson_truncation=4)
-    model = build_boson_dephasing_model(1, bath)
+    model = build_system_bath_model(1, bath)
     assert model.bath_dim == 16
     # free bath spectrum is a sum of harmonic ladders: omega * {0..3}
     evals = np.linalg.eigvalsh(model.h_b.matrix)
@@ -231,14 +232,58 @@ def test_boson_model_structure():
         assert np.allclose(s.matrix, SZ)
         assert b.is_hermitian()
     with pytest.raises(ValueError):
-        build_boson_dephasing_model(3, bath)  # more qubits than modes
+        build_system_bath_model(3, bath)  # more qubits than modes
 
 
-def test_boson_requires_boson_bath_spec():
-    spin = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.3, seed=2)
-    with pytest.raises(ValueError):
-        build_boson_dephasing_model(1, spin)
-    boson = BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.3,
-                     seed=2, boson_truncation=3)
-    with pytest.raises(ValueError):
-        build_spin_bath_model(1, boson, coupling="dephasing")
+def test_boson_bath_takes_only_dephasing():
+    boson = BathSpec(kind="boson-mode", n_modes=3, cutoff=1.0, coupling_scale=0.3,
+                     seed=2, boson_truncation=2)
+    for coupling in ("linear-independent", "linear-collective", "total"):
+        with pytest.raises(ValueError, match="support only 'dephasing'"):
+            build_system_bath_model(1, boson, coupling=coupling)
+
+
+def _spin_cases():
+    for kind in COUPLING_KINDS:
+        for n_qubits in (1, 2, 3):
+            needed = -(-len(coupling_tables(n_qubits, kind)) // 2)
+            for n_modes in (needed, needed + 1):
+                if 2 ** (n_qubits + n_modes) <= DIM_CAP:
+                    yield kind, n_qubits, n_modes
+
+
+def _assert_models_bitwise_equal(got, want):
+    assert np.array_equal(got.h_s.matrix, want.h_s.matrix)
+    assert np.array_equal(got.h_b.matrix, want.h_b.matrix)
+    assert got.h_b.dims == want.h_b.dims
+    assert len(got.couplings) == len(want.couplings)
+    for (s, b), (s_want, b_want) in zip(got.couplings, want.couplings):
+        assert np.array_equal(s.matrix, s_want.matrix)
+        assert np.array_equal(b.matrix, b_want.matrix)
+    total = total_hamiltonian(got)
+    assert total.dims == want.h_s.dims + want.h_b.dims
+    assert np.array_equal(total.matrix, oracle_model.total_hamiltonian(want).matrix)
+
+
+@pytest.mark.parametrize("seed", [3, 1009])
+@pytest.mark.parametrize("kind,n_qubits,n_modes", list(_spin_cases()))
+def test_spin_builder_matches_the_old_builder_bitwise(kind, n_qubits, n_modes, seed):
+    bath = BathSpec(kind="spin-bath", n_modes=n_modes, cutoff=1.0, coupling_scale=0.3,
+                    seed=seed)
+    h_s = pauli_sum({"X" * n_qubits: 0.3, "Z" + "I" * (n_qubits - 1): 0.2}, n_qubits)
+    _assert_models_bitwise_equal(
+        build_system_bath_model(n_qubits, bath, coupling=kind, h_s=h_s),
+        oracle_model.build_spin_bath_model(n_qubits, bath, coupling=kind, h_s=h_s),
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 1009])
+@pytest.mark.parametrize("truncation", [2, 3, 4])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_boson_builder_matches_the_old_builder_bitwise(n_qubits, truncation, seed):
+    bath = BathSpec(kind="boson-mode", n_modes=n_qubits, cutoff=1.5, coupling_scale=0.3,
+                    seed=seed, boson_truncation=truncation)
+    _assert_models_bitwise_equal(
+        build_system_bath_model(n_qubits, bath),
+        oracle_model.build_boson_dephasing_model(n_qubits, bath),
+    )

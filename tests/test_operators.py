@@ -14,7 +14,6 @@ from decoupling import (
     expm_hermitian,
     identity,
     tensor,
-    tensor_all,
     zero,
 )
 
@@ -147,7 +146,7 @@ def test_tensor_against_index_loop_oracle():
         assert got.dims == (2, 3)
         assert np.allclose(got.matrix, kron_oracle(a, b), atol=1e-13)
     c = random_matrix(rng, 2)
-    chained = tensor_all([Operator(a, [2]), Operator(b, [3]), Operator(c, [2])])
+    chained = tensor(tensor(Operator(a, [2]), Operator(b, [3])), Operator(c, [2]))
     assert chained.dims == (2, 3, 2)
     assert np.allclose(chained.matrix, kron_oracle(kron_oracle(a, b), c), atol=1e-13)
 

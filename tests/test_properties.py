@@ -23,7 +23,7 @@ from decoupling import (
     Operator,
     SimulationRun,
     average_h1,
-    build_spin_bath_model,
+    build_system_bath_model,
     check_decoupling,
     commutant_basis,
     cycle_propagator,
@@ -179,7 +179,7 @@ def cycles(draw):
     h_s = Operator(0.3 * (m + m.conj().T), [2] * n_qubits)
     bath = BathSpec(kind="spin-bath", n_modes=max(2, 3 * n_qubits // 2), cutoff=1.0,
                     coupling_scale=0.4, seed=seed)
-    model = build_spin_bath_model(n_qubits, bath, coupling="linear-independent", h_s=h_s)
+    model = build_system_bath_model(n_qubits, bath, coupling="linear-independent", h_s=h_s)
     delta_t = draw(st.floats(0.01, 0.5))
     schedule = schedule_from_group(DecouplingGroup(words), delta_t, ordering)
     return model, replace(schedule, symmetric=draw(st.booleans()))
