@@ -7,10 +7,10 @@ only, so the cycle propagator is a product of one free step
 schedule's group words in visiting order. ``W`` comes from the joint
 Hamiltonian's spectrum, which is diagonalized once per model
 (:func:`joint_spectrum`, together with the bath ground vector that
-default runs start from) and shared by the controlled run, the free run
-and every point of a sweep. Frames never become joint-space
-matrices: they act by reshaping the joint index to ``(d_s, d_b)`` and
-contracting with the ``d_s x d_s`` frame.
+default runs start from). A run carries it, so the controlled run, the
+free run and every point of a sweep share it. Frames never become
+joint-space matrices: they act by reshaping the joint index to
+``(d_s, d_b)`` and contracting with the ``d_s x d_s`` frame.
 
 Pauli words commute up to sign, so when the second half of a visiting
 order is the first half multiplied word by word by one word ``h`` (a
@@ -18,6 +18,8 @@ coset of a subgroup), the second half's product is the first half's
 conjugated by ``h``. Every named group in its listed order, plain or
 palindromic, has that structure at each halving, so its cycle of ``n``
 segments costs ``log2 n`` dense matrix products rather than ``n - 1``.
+The free run, the trivial group's, has no pulses and needs no cycle: its
+snapshots are ``V (exp(-i E t_k) * (V^dag psi_0))`` in closed form.
 
 The joint state is propagated as a ``d x r`` matrix whose columns are
 ``sqrt(p_i q_k) psi_i (x) phi_k``, the product of the eigen-ensembles of
@@ -40,13 +42,16 @@ observable signature of dephasing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .operators import NUMERIC_TOL, STRUCT_TOL, Operator, act_on_system, as_matrices, distance
+from .operators import (
+    NUMERIC_TOL, Operator, act_on_system, as_matrices, conjugate_system, distance,
+)
 from .model import SystemBathModel, bath_ground_vector, total_hamiltonian
 from .sequence import CycleSchedule
 from .groups import DecouplingGroup, _word_product, project_commutant
@@ -131,8 +136,8 @@ class JointSpectrum:
 
     Built by :func:`joint_spectrum`, next to ``bath_ground``, the ground
     vector of ``h_b`` that every default-bath run of the model starts
-    from. It keeps the model it belongs to, so a propagation needs
-    nothing else.
+    from. It keeps the model it belongs to, and a :class:`SimulationRun`
+    carries it, so a propagation needs nothing else.
     """
 
     model: SystemBathModel
@@ -154,6 +159,20 @@ def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
     for a in (w, v, bath):
         a.setflags(write=False)
     return JointSpectrum(model, w, v, bath)
+
+
+def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times):
+    """``exp(-i H t) x = V (exp(-i E t) * coeffs)`` for ``H = V diag(E) V^dag``,
+    ``coeffs = V^dag x`` and each ``t`` of ``times``, as an ``(n, d, r)`` stack."""
+    return vectors @ (np.exp(-1j * energies * times[:, None])[..., None] * coeffs)
+
+
+def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBathModel:
+    """``model``, once ``schedule`` is checked to act on its system."""
+    if schedule.dims != model.h_s.dims:
+        raise ValueError(f"schedule acts on dims {schedule.dims}, "
+                         f"model system has {model.h_s.dims}")
+    return model
 
 
 def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operator:
@@ -179,13 +198,8 @@ def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operat
     ``n - 1`` products of the plain segment-by-segment product. No
     eigendecomposition is made.
     """
-    model = spectrum.model
-    if schedule.dims != model.h_s.dims:
-        raise ValueError(
-            f"schedule acts on dims {schedule.dims}, model system has {model.h_s.dims}"
-        )
-    group = schedule.group
-    frames = {label: g.matrix for label, g in zip(group.labels, group.elements)}
+    model = _matching_model(spectrum.model, schedule)
+    frames = dict(zip(schedule.segments, schedule.frames))
     u = _cycle_product(spectrum.propagator(schedule.delta_t), frames, schedule.segments)
     return Operator(u, tuple(model.h_s.dims) + tuple(model.h_b.dims))
 
@@ -193,8 +207,7 @@ def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operat
 def _cycle_product(w: np.ndarray, frames: dict, words: Sequence[str]) -> np.ndarray:
     """``P(words)`` of :func:`cycle_propagator`, halving by cosets where it can."""
     if len(words) == 1:
-        g = frames[words[0]]
-        return act_on_system(g.conj().T, act_on_system(g.T, w.T).T)  # g^dag W g
+        return conjugate_system(frames[words[0]], w)
     half = len(words) // 2
     a, b = words[:half], words[half:]
     h = _word_product(a[0], b[0])
@@ -221,14 +234,14 @@ def _joint_purity(psi: np.ndarray) -> float:
 class SimulationRun:
     """Everything needed to propagate one controlled (or free) evolution.
 
-    ``rho_b0`` may be the string ``"bath-ground-state"`` (the default) or
-    an explicit bath density operator. The ideal reference trajectory
-    evolves under the system Hamiltonian averaged over the schedule's
-    group. Snapshots are taken every ``sample_every`` cycles, which must
-    divide ``n_cycles``.
+    ``spectrum`` is the model's :func:`joint_spectrum`, shared by its runs.
+    ``rho_b0`` may be ``"bath-ground-state"`` (the default) or an explicit
+    bath density operator. The ideal reference trajectory evolves under
+    the system Hamiltonian averaged over the schedule's group. Snapshots
+    are taken every ``sample_every`` cycles, which must divide ``n_cycles``.
     """
 
-    model: SystemBathModel
+    spectrum: JointSpectrum
     schedule: CycleSchedule
     n_cycles: int
     rho_s0: Operator
@@ -240,8 +253,7 @@ class SimulationRun:
             raise ValueError("n_cycles must be at least 1")
         if self.sample_every < 1 or self.n_cycles % self.sample_every != 0:
             raise ValueError("sample_every must be positive and divide n_cycles")
-        if self.schedule.dims != self.model.h_s.dims:
-            raise ValueError("schedule dims do not match the model system")
+        _matching_model(self.model, self.schedule)
         if self.rho_s0.dims != self.model.h_s.dims:
             raise ValueError("rho_s0 dims do not match the model system")
         _check_density(self.rho_s0, "rho_s0")
@@ -255,6 +267,10 @@ class SimulationRun:
             if self.rho_b0.dims != self.model.h_b.dims:
                 raise ValueError("rho_b0 dims do not match the model bath")
             _check_density(self.rho_b0, "rho_b0")
+
+    @property
+    def model(self) -> SystemBathModel:
+        return self.spectrum.model
 
     def ideal_system_hamiltonian(self) -> Operator:
         return project_commutant(self.model.h_s, self.schedule.group)
@@ -296,54 +312,48 @@ class TrajectoryResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> TrajectoryResult:
+def evolve(run: SimulationRun) -> TrajectoryResult:
     """Propagate a run and record reduced-state snapshots.
 
-    ``spectrum`` is the model's :func:`joint_spectrum`; passing it lets
-    several runs of one model share a single eigendecomposition.
+    A trivial-group schedule (no pulses) is read off the run's spectrum in
+    closed form; any other schedule steps its cycle propagator.
     """
-    model = run.model
-    if spectrum is None:
-        spectrum = joint_spectrum(model)
-    if isinstance(run.rho_b0, str):
-        bath = spectrum.bath_ground[:, None]
+    spectrum = run.spectrum
+    bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
+    system = _ensemble(run.rho_s0)
+    psi0 = np.kron(system, bath)
+    cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
+    times = cycles * run.schedule.cycle_time
+    if run.schedule.group.order == 1:
+        coeffs = spectrum.vectors.conj().T @ psi0
+        size = max(1, len(coeffs) // coeffs.shape[1])  # a block holds at most d x d numbers
+        snapshots = itertools.chain.from_iterable(
+            _spectral_evolution(spectrum.energies, spectrum.vectors, coeffs, times[i:i + size])
+            for i in range(0, len(times), size))
     else:
-        bath = _ensemble(run.rho_b0)
-    psi = np.kron(_ensemble(run.rho_s0), bath)
-    u_cycle = cycle_propagator(spectrum, run.schedule).matrix
-    cycle_time = run.schedule.cycle_time
-    initial_purity = _joint_purity(psi)
-
-    n_snapshots = run.n_cycles // run.sample_every
-    cycles = np.arange(n_snapshots + 1) * run.sample_every
-    times = cycles * cycle_time
-    d_s = model.system_dim
-    states = np.empty((n_snapshots + 1, d_s, d_s), dtype=complex)
-    for k in range(n_snapshots + 1):
-        if k:
-            for _ in range(run.sample_every):
-                psi = u_cycle @ psi
+        u_cycle = cycle_propagator(spectrum, run.schedule).matrix
+        every_cycle = itertools.accumulate(
+            itertools.repeat(u_cycle, run.n_cycles), lambda psi, u: u @ psi, initial=psi0)
+        snapshots = itertools.islice(every_cycle, None, None, run.sample_every)
+    d_s = run.model.system_dim
+    states = np.empty((len(cycles), d_s, d_s), dtype=complex)
+    for k, psi in enumerate(snapshots):
         m = psi.reshape(d_s, -1)
         states[k] = m @ m.conj().T
 
-    rho0 = run.rho_s0.matrix
-    h_ideal = run.ideal_system_hamiltonian()
-    if h_ideal.max_abs() <= STRUCT_TOL:
-        sigma = rho0
-    else:
-        w, v = np.linalg.eigh(h_ideal.matrix)
-        u_ref = (v * np.exp(-1j * w * times[:, None])[:, None, :]) @ v.conj().T
-        sigma = u_ref @ rho0 @ u_ref.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eigh(run.ideal_system_hamiltonian().matrix)
+    roots = _spectral_evolution(w, v, v.conj().T @ system, times)
+    sigma = roots @ roots.conj().swapaxes(-1, -2)
 
     meta = {
         "n_cycles": run.n_cycles,
         "sample_every": run.sample_every,
-        "cycle_time": cycle_time,
+        "cycle_time": run.schedule.cycle_time,
         "delta_t": run.schedule.delta_t,
-        "omega_c_delta_t": model.cutoff * run.schedule.delta_t,
+        "omega_c_delta_t": run.model.cutoff * run.schedule.delta_t,
         "n_segments": run.schedule.n_segments,
         "group_order": run.schedule.group.order,
-        "initial_joint_purity": initial_purity,
+        "initial_joint_purity": _joint_purity(psi0),
         "terminal_joint_purity": _joint_purity(psi),
     }
     states.setflags(write=False)
@@ -353,7 +363,7 @@ def evolve(run: SimulationRun, spectrum: JointSpectrum | None = None) -> Traject
         states=states,
         fidelity=state_fidelity(states, sigma),
         coherence=coherence_l1(states),
-        trace_distance=distance(states, rho0, metric="trace"),
+        trace_distance=distance(states, run.rho_s0.matrix, metric="trace"),
         metadata=meta,
     )
 

@@ -368,14 +368,15 @@ def minimal_group_search(
             return hits
         if 2 * order > max_order:
             return []
+        # Every word of a coset w * span gives the same group: extend by the first.
         nxt: dict[frozenset[str], tuple[str, ...]] = {}
         for span, gens in sorted(level.items(), key=lambda kv: kv[1]):
+            covered = set(span)
             for w in nontrivial:
-                if w in span:
-                    continue
-                bigger = frozenset(span | {_word_product(s, w) for s in span})
-                if bigger not in nxt:
-                    nxt[bigger] = gens + (w,)
+                if w not in covered:
+                    coset = {_word_product(s, w) for s in span}
+                    covered |= coset
+                    nxt.setdefault(frozenset(span | coset), gens + (w,))
         level = nxt
         order *= 2
     return []

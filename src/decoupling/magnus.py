@@ -22,25 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import Operator, act_on_system, distance, expm_hermitian
+from .operators import Operator, conjugate_system, distance, expm_hermitian
 from .model import SystemBathModel, total_hamiltonian
 from .sequence import CycleSchedule
-from .evolve import JointSpectrum, cycle_propagator
-
-
-def _toggle(frame: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``(g (x) 1)^dag h (g (x) 1)`` by two system-factor contractions."""
-    g_dag = frame.conj().T
-    left = act_on_system(g_dag, h)
-    return act_on_system(g_dag, left.conj().T).conj().T
-
-
-def _checked_total(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
-    if schedule.dims != model.h_s.dims:
-        raise ValueError(
-            f"schedule acts on dims {schedule.dims}, model system has {model.h_s.dims}"
-        )
-    return total_hamiltonian(model)
+from .evolve import JointSpectrum, _matching_model, cycle_propagator
 
 
 def toggled_hamiltonian(model: SystemBathModel, schedule: CycleSchedule, j: int) -> Operator:
@@ -50,16 +35,16 @@ def toggled_hamiltonian(model: SystemBathModel, schedule: CycleSchedule, j: int)
     through untouched: the result is ``g_j^dag H_S g_j (x) 1 + 1 (x) H_B
     + sum_a g_j^dag S_a g_j (x) B_a``.
     """
-    h = _checked_total(model, schedule)
+    h = total_hamiltonian(_matching_model(model, schedule))
     if not 0 <= j < schedule.n_segments:
         raise ValueError(f"segment index {j} out of range for {schedule.n_segments} segments")
-    return Operator(_toggle(schedule.frames[j], h.matrix), h.dims)
+    return Operator(conjugate_system(schedule.frames[j], h.matrix), h.dims)
 
 
 def average_h0(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     """Zeroth-order average: the mean of the toggled Hamiltonians."""
-    h = _checked_total(model, schedule)
-    acc = sum(_toggle(g, h.matrix) for g in schedule.frames)
+    h = total_hamiltonian(_matching_model(model, schedule))
+    acc = sum(conjugate_system(g, h.matrix) for g in schedule.frames)
     return Operator(acc / schedule.n_segments, h.dims)
 
 
@@ -71,12 +56,12 @@ def average_h1(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     ``A_j`` the accumulated earlier weighted Hamiltonians, so the cost is
     linear in segment count.
     """
-    h = _checked_total(model, schedule)
+    h = total_hamiltonian(_matching_model(model, schedule))
     tau = schedule.delta_t
     acc = np.zeros_like(h.matrix)
     prefix = np.zeros_like(h.matrix)
     for g in schedule.frames:
-        hw = tau * _toggle(g, h.matrix)
+        hw = tau * conjugate_system(g, h.matrix)
         acc += hw @ prefix - prefix @ hw
         prefix += hw
     out = (-1j / (2.0 * schedule.cycle_time)) * acc

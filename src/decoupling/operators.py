@@ -172,6 +172,11 @@ def act_on_system(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (g @ x.reshape(g.shape[0], -1)).reshape(x.shape)
 
 
+def conjugate_system(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(g (x) 1)^dag @ x @ (g (x) 1)`` by two :func:`act_on_system` contractions."""
+    return act_on_system(g.conj().T, act_on_system(g.T, x.T).T)
+
+
 def as_matrices(x: Operator | np.ndarray) -> np.ndarray:
     """The matrix of an :class:`Operator`, or an array of matrices, as complex."""
     return x.matrix if isinstance(x, Operator) else np.asarray(x, dtype=np.complex128)

@@ -423,9 +423,8 @@ def _trajectories(
     """Controlled and uncontrolled evolution, sampled on the same stroboscopic grid."""
     free = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
     return tuple(
-        evolve(SimulationRun(model=spectrum.model, schedule=sched, n_cycles=n_cycles,
-                             rho_s0=config.rho_s0, sample_every=config.sample_every),
-               spectrum)
+        evolve(SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=n_cycles,
+                             rho_s0=config.rho_s0, sample_every=config.sample_every))
         for sched in (schedule, free)
     )
 

@@ -21,8 +21,10 @@ from decoupling import (
     identity,
     joint_spectrum,
     observable_drift,
+    parse_config,
     pauli_group,
     pauli_word_operator,
+    run_scenario,
     schedule_from_group,
     state_fidelity,
     symmetrize,
@@ -101,10 +103,35 @@ def test_named_cycles_halve_by_cosets(monkeypatch, group, symmetric, products):
     assert calls == [schedule.n_segments >> k for k in range(products + 1)]
 
 
+def test_free_run_builds_no_cycle_propagator(monkeypatch, tmp_path):
+    """A trivial-group schedule, plain or palindromic, is read off the
+    spectrum in closed form, directly and as the free half of a scenario;
+    only the controlled run builds a cycle propagator."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    inner = evolve_module.cycle_propagator
+    built = []
+
+    def refuse_free(spectrum, schedule):
+        if schedule.group.order == 1:
+            raise AssertionError("the free run built a cycle propagator")
+        built.append(schedule.group.order)
+        return inner(spectrum, schedule)
+
+    monkeypatch.setattr(evolve_module, "cycle_propagator", refuse_free)
+    spectrum = joint_spectrum(make_model(n_qubits=2, coupling="linear-collective"))
+    rho_s0 = Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2])
+    for symmetric in (False, True):
+        sched = replace(schedule_from_group(trivial_group(2), 0.1), symmetric=symmetric)
+        evolve(SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=4, rho_s0=rho_s0))
+    cfg = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 10})
+    assert run_scenario(cfg, tmp_path) == 0
+    assert built == [2]
+
+
 def test_purity_and_trace_conserved():
     model = make_model(coupling="total")
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
-    run = SimulationRun(model=model, schedule=sched, n_cycles=50,
+    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=50,
                         rho_s0=PLUS,
                         sample_every=5)
     traj = evolve(run)
@@ -134,7 +161,7 @@ def test_echo_limit_is_exact_for_commuting_bath():
         cutoff=1.0,
     )
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.3)
-    run = SimulationRun(model=model, schedule=sched, n_cycles=100,
+    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=100,
                         rho_s0=PLUS)
     traj = evolve(run)
     assert traj.terminal_fidelity >= 1.0 - 1e-12
@@ -151,7 +178,7 @@ def test_free_evolution_reference_uses_bare_hamiltonian():
     from decoupling import trivial_group
     sched = schedule_from_group(trivial_group(1), delta_t=0.2)
     ground = Operator(np.diag([1.0, 0.0]).astype(complex), [2])
-    run = SimulationRun(model=model, schedule=sched, n_cycles=30, rho_s0=ground)
+    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=30, rho_s0=ground)
     traj = evolve(run)
     assert traj.terminal_fidelity > 1.0 - 1e-8
     # but the state itself rotates: it is not frozen
@@ -165,7 +192,8 @@ def test_trivial_group_reference_is_the_bare_hamiltonian_exactly():
            - 0.2 * pauli_word_operator("YZ"))
     model = make_model(n_qubits=2, coupling="linear-collective", h_s=h_s)
     from decoupling import trivial_group
-    run = SimulationRun(model=model, schedule=schedule_from_group(trivial_group(2), 0.1),
+    run = SimulationRun(spectrum=joint_spectrum(model),
+                        schedule=schedule_from_group(trivial_group(2), 0.1),
                         n_cycles=1, rho_s0=Operator(np.diag([1.0, 0, 0, 0]), [2, 2]))
     assert np.array_equal(run.ideal_system_hamiltonian().matrix, model.h_s.matrix)
 
@@ -229,25 +257,25 @@ def test_coherence_l1():
 
 
 def test_run_validation():
-    model = make_model()
+    spectrum = joint_spectrum(make_model())
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
     with pytest.raises(ValueError):
-        SimulationRun(model=model, schedule=sched, n_cycles=0, rho_s0=PLUS)
+        SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=0, rho_s0=PLUS)
     with pytest.raises(ValueError):
-        SimulationRun(model=model, schedule=sched, n_cycles=10, rho_s0=PLUS,
+        SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=10, rho_s0=PLUS,
                       sample_every=3)
     not_density = Operator(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), [2])
     with pytest.raises(ValueError):
-        SimulationRun(model=model, schedule=sched, n_cycles=10, rho_s0=not_density)
+        SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=10, rho_s0=not_density)
     with pytest.raises(ValueError):
-        SimulationRun(model=model, schedule=sched, n_cycles=10, rho_s0=PLUS,
+        SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=10, rho_s0=PLUS,
                       rho_b0="thermal")
 
 
 def test_trajectory_metadata_and_csv(tmp_path):
     model = make_model()
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
-    run = SimulationRun(model=model, schedule=sched, n_cycles=10,
+    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=10,
                         rho_s0=PLUS,
                         sample_every=2)
     traj = evolve(run)
@@ -272,7 +300,7 @@ def test_observable_drift_requires_commutant_membership():
     model = make_model(n_qubits=2, coupling="linear-collective")
     group = pauli_group(2, "collective")
     sched = schedule_from_group(group, delta_t=0.05)
-    run = SimulationRun(model=model, schedule=sched, n_cycles=8,
+    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=8,
                         rho_s0=Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2]))
     traj = evolve(run)
     times, values = observable_drift(traj, pauli_word_operator("ZZ"), group)

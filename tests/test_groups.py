@@ -6,6 +6,7 @@ stacked-kron null spaces, dense Pauli expansions in ``oracle_groups``)
 so that a bug in the library cannot hide behind itself.
 """
 
+import importlib
 import itertools
 
 import numpy as np
@@ -268,6 +269,27 @@ def test_minimal_search_drops_identity_components():
     assert with_identity
     assert labels(with_identity) == labels(minimal_group_search([{"ZI": 1.0}], 2))
     assert labels(minimal_group_search([{"II": 1.0}], 2)) == [("II",)]
+
+
+def test_minimal_search_extends_each_level_by_cosets(monkeypatch):
+    """Every word of a coset ``w * span`` spans the same larger group, so a
+    level extends each span by one word per coset. The span of all 63
+    non-identity 3-letter words needs the full group, the deepest level:
+    one word per coset takes about 155,000 word products, one per word
+    took 1.35 million."""
+    groups_module = importlib.import_module("decoupling.groups")
+    inner = groups_module._word_product
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return inner(a, b)
+
+    monkeypatch.setattr(groups_module, "_word_product", counting)
+    hits = minimal_group_search([{w: 1.0} for w in all_words(3)[1:]], n_qubits=3)
+    assert [h.order for h in hits] == [64]
+    assert calls <= 200_000
 
 
 def test_minimal_search_rejects_bad_tables():

@@ -83,7 +83,7 @@ def preset_runs(name, **overrides):
     model = build_model(cfg)
     schedule = build_schedule(cfg)
     free = schedule_from_group(trivial_group(cfg.n_qubits), schedule.cycle_time)
-    common = dict(model=model, n_cycles=cfg.n_cycles, rho_s0=cfg.rho_s0,
+    common = dict(spectrum=joint_spectrum(model), n_cycles=cfg.n_cycles, rho_s0=cfg.rho_s0,
                   sample_every=cfg.sample_every)
     return (SimulationRun(schedule=schedule, **common),
             SimulationRun(schedule=free, **common))
@@ -136,7 +136,9 @@ def thermal(h: Operator, beta: float) -> Operator:
 
 def test_mixed_initial_states_match_oracle():
     """A mixed system state and an explicit mixed bath state propagate as
-    their eigen-ensembles (rank 2 times full rank here). The rank-deficient
+    their eigen-ensembles (rank 2 times full rank here), under the
+    collective group and freely, so the free run's closed form also takes
+    16 columns (in blocks of 32 // 16 = 2 snapshots). The rank-deficient
     system state also exercises the mixed-state branch of the fidelity."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=11)
     h_s = 0.2 * pauli_word_operator("XX") + 0.1 * pauli_word_operator("ZI")
@@ -145,9 +147,10 @@ def test_mixed_initial_states_match_oracle():
     zero = np.eye(4)[0]
     rho_s0 = Operator(0.7 * np.outer(plus, plus) + 0.3 * np.outer(zero, zero), [2, 2])
     rho_b0 = thermal(model.h_b, beta=2.0)
-    group = pauli_group(2, "collective")
-    run = SimulationRun(model=model, schedule=schedule_from_group(group, delta_t=0.1),
-                        n_cycles=40, rho_s0=rho_s0, rho_b0=rho_b0, sample_every=2)
-    assert_same_snapshots(run)
-    assert evolve(run).metadata["initial_joint_purity"] < 0.5
+    spectrum = joint_spectrum(model)
+    for group, delta_t in ((pauli_group(2, "collective"), 0.1), (trivial_group(2), 0.4)):
+        run = SimulationRun(spectrum=spectrum, schedule=schedule_from_group(group, delta_t),
+                            n_cycles=40, rho_s0=rho_s0, rho_b0=rho_b0, sample_every=2)
+        assert_same_snapshots(run)
+        assert evolve(run).metadata["initial_joint_purity"] < 0.5
 
