@@ -8,26 +8,32 @@ schedule's group words in visiting order. ``W`` comes from the joint
 Hamiltonian's spectrum, which is diagonalized once per model
 (:func:`joint_spectrum`, together with the bath ground vector that
 default runs start from). A run carries it, so the controlled run, the
-free run and every point of a sweep share it. Frames never become
-joint-space matrices: they act by reshaping the joint index to
-``(d_s, d_b)`` and contracting with the ``d_s x d_s`` frame.
+free run and every point of a sweep share it.
+
+The leading register qubits on which ``h_s`` and every coupling's system
+factor are diagonal are conserved: ``H = sum_c |c><c| (x) H_c`` over their
+states ``c``, each block a contiguous slice of the joint index (one sector
+if there are none). A frame ``g_f (x) g_r`` maps sector ``c`` to ``c ^ x``
+(``x``: the X/Y letters of ``g_f``), so ``W``, the cycle and the stepping
+are block stacks, and a frame flips the stack and acts on each block
+through ``g_r`` by reshape, never as a joint-space matrix.
 
 Pauli words commute up to sign, so when the second half of a visiting
 order is the first half multiplied word by word by one word ``h`` (a
 coset of a subgroup), the second half's product is the first half's
 conjugated by ``h``. Every named group in its listed order, plain or
 palindromic, has that structure at each halving, so its cycle of ``n``
-segments costs ``log2 n`` dense matrix products rather than ``n - 1``.
+segments costs ``log2 n`` batched products rather than ``n - 1``.
 The free run, the trivial group's, has no pulses and needs no cycle: its
-snapshots are ``V (exp(-i E t_k) * (V^dag psi_0))`` in closed form.
+snapshots are ``V_c (exp(-i E_c t_k) * (V_c^dag psi_0))`` in closed form.
 
-The joint state is propagated as a ``d x r`` matrix whose columns are
-``sqrt(p_i q_k) psi_i (x) phi_k``, the product of the eigen-ensembles of
-the initial system and bath states. The default states are pure, so
-``r = 1``; an explicit mixed state takes the same code path with more
-columns. Observation happens at cycle boundaries only: that is where the
-control frame returns to the physical frame and where average-Hamiltonian
-statements hold. The loop keeps only the reduced states ``M M^dag`` in
+The joint state is propagated as ``d x r`` columns ``sqrt(p_i q_k) psi_i
+(x) phi_k``, the product of the eigen-ensembles of the initial system and
+bath states. The default states are pure, so ``r = 1``; an explicit
+mixed state takes the same code path with more columns. Observation
+happens at cycle boundaries only: that is where the control frame returns
+to the physical frame and where average-Hamiltonian statements hold.
+Snapshots are reduced in blocks, one stacked ``M M^dag`` per block, into
 one ``(n + 1, d_s, d_s)`` stack; each snapshot observable, and the ideal
 reference, is then computed once per trajectory on the whole stack.
 
@@ -49,10 +55,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import (
-    NUMERIC_TOL, Operator, act_on_system, as_matrices, conjugate_system, distance,
-)
-from .model import SystemBathModel, bath_ground_vector, total_hamiltonian
+from .operators import NUMERIC_TOL, Operator, act_on_system, as_matrices, conjugate_system
+from .model import SystemBathModel, bath_ground_vector, sector_hamiltonians
 from .sequence import CycleSchedule
 from .groups import DecouplingGroup, _word_product, project_commutant
 
@@ -132,12 +136,13 @@ def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JointSpectrum:
-    """Eigendecomposition ``H = V diag(w) V^dag`` of a model's total Hamiltonian.
+    """Eigenpairs ``H_c = V_c diag(E_c) V_c^dag`` of ``H = sum_c |c><c| (x) H_c``, where
+    ``c`` runs over the states of the leading qubits on which every system factor is
+    diagonal (frames flip ``c``): ``energies`` ``(n_c, D)``, ``vectors`` ``(n_c, D, D)``.
 
-    Built by :func:`joint_spectrum`, next to ``bath_ground``, the ground
-    vector of ``h_b`` that every default-bath run of the model starts
-    from. It keeps the model it belongs to, and a :class:`SimulationRun`
-    carries it, so a propagation needs nothing else.
+    Built by :func:`joint_spectrum`, next to ``bath_ground``, the ground vector of ``h_b``
+    that every default-bath run starts from. It keeps its model, and a
+    :class:`SimulationRun` carries it, so a propagation needs nothing else.
     """
 
     model: SystemBathModel
@@ -146,15 +151,20 @@ class JointSpectrum:
     bath_ground: np.ndarray
 
     def propagator(self, t: float) -> np.ndarray:
-        """Matrix of ``exp(-i H t)``."""
-        v = self.vectors
-        return (v * np.exp(-1j * self.energies * float(t))) @ v.conj().T
+        """The blocks of ``exp(-i H t)``, an ``(n_c, D, D)`` stack."""
+        v, phases = self.vectors, np.exp(-1j * self.energies * float(t))
+        return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
-    """Diagonalize the model's total Hamiltonian (the one joint ``eigh`` of a
-    run) and its bath Hamiltonian."""
-    w, v = np.linalg.eigh(total_hamiltonian(model).matrix)
+    """Diagonalize ``h_b`` and the total Hamiltonian: one batched ``eigh`` over the sectors
+    of the leading qubits on which every system factor is diagonal (zero off the blocks)."""
+    n_c, mats = 1, [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]
+    while (n_c < model.system_dim and model.h_s.dims[n_c.bit_length() - 1] == 2
+           and not any(x.reshape(2 * n_c, -1, 2 * n_c, len(x) // (2 * n_c)).swapaxes(1, 2)
+                       [~np.eye(2 * n_c, dtype=bool)].any() for x in mats)):
+        n_c *= 2
+    w, v = np.linalg.eigh(sector_hamiltonians(model, n_c))
     bath = bath_ground_vector(model)
     for a in (w, v, bath):
         a.setflags(write=False)
@@ -162,9 +172,11 @@ def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
 
 
 def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times):
-    """``exp(-i H t) x = V (exp(-i E t) * coeffs)`` for ``H = V diag(E) V^dag``,
-    ``coeffs = V^dag x`` and each ``t`` of ``times``, as an ``(n, d, r)`` stack."""
-    return vectors @ (np.exp(-1j * energies * times[:, None])[..., None] * coeffs)
+    """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times``, ``coeffs = V^dag psi``
+    an ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product per sector."""
+    phased = np.exp(-1j * energies[..., None, None] * times[:, None]) * coeffs[:, :, None]
+    out = vectors @ phased.reshape(*coeffs.shape[:2], -1)
+    return np.moveaxis(out.reshape(phased.shape), 2, 0)
 
 
 def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBathModel:
@@ -176,45 +188,60 @@ def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBa
 
 
 def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operator:
-    """Exact joint propagator of one control cycle.
+    """Exact joint propagator of one control cycle, as a dense Operator.
 
-    Segment ``j`` evolves under ``(g_j (x) 1)^dag W (g_j (x) 1)`` with
-    the same free step ``W = exp(-i H delta_t)`` for every segment, built
-    from ``spectrum``, the :func:`joint_spectrum` of the model the
-    schedule runs on. Write ``P(v)`` for the product over a run ``v`` of
-    visits, later segments to the left. The visits are halved
-    recursively into ``A`` and ``B``. When ``B`` is ``A`` multiplied word
-    by word by one word ``h`` (checked in word arithmetic, phases
-    dropped, since they cancel in each conjugation), ``P(B) = h^dag P(A)
-    h`` and
-
-        ``P(A + B) = h^dag (P(A) (h P(A)))``,
-
-    one dense product and two frame actions by reshape
-    (:func:`act_on_system`). Otherwise ``P(A + B) = P(B) P(A)``, both
-    halves recursed. A named group's cycle, palindromic or not, halves by
-    cosets all the way down and costs ``log2`` of its segment count in
-    dense products; an order without that structure costs the
-    ``n - 1`` products of the plain segment-by-segment product. No
-    eigendecomposition is made.
+    Segment ``j`` evolves under ``(g_j (x) 1)^dag W (g_j (x) 1)`` with the
+    same free step ``W = exp(-i H delta_t)`` for every segment, from
+    ``spectrum``, the :func:`joint_spectrum` of the model the schedule runs
+    on. The product is taken on sector blocks (:func:`_cycle_product`) and
+    assembled here. No eigendecomposition is made.
     """
-    model = _matching_model(spectrum.model, schedule)
-    frames = dict(zip(schedule.segments, schedule.frames))
-    u = _cycle_product(spectrum.propagator(schedule.delta_t), frames, schedule.segments)
-    return Operator(u, tuple(model.h_s.dims) + tuple(model.h_b.dims))
+    blocks = _cycle_blocks(spectrum, schedule)
+    dense = np.einsum("ab,aij->aibj", np.eye(len(blocks)), blocks)  # blocks on the diagonal
+    return Operator(dense.reshape(len(blocks) * blocks.shape[1], -1),
+                    spectrum.model.h_s.dims + spectrum.model.h_b.dims)
+
+
+def _cycle_blocks(spectrum: JointSpectrum, schedule: CycleSchedule) -> np.ndarray:
+    """The ``(n_c, D, D)`` sector blocks of :func:`cycle_propagator`. Each
+    frame is a flip of the sector axes and ``g_r``, ``g``'s block from sector
+    0 to sector ``x`` (its phase cancels in every conjugation)."""
+    _matching_model(spectrum.model, schedule)
+    w = spectrum.propagator(schedule.delta_t)
+    n_c, n_f = len(w), len(w).bit_length() - 1
+    frames = {}
+    for word, g in zip(schedule.segments, schedule.frames):
+        flips = tuple(slice(None, None, -1 if q in "XY" else 1) for q in word[:n_f])
+        x = np.arange(n_c).reshape((2,) * n_f)[flips].flat[0]
+        frames[word] = flips, g.reshape(n_c, len(g) // n_c, n_c, -1)[x, :, 0]
+    return _cycle_product(w.reshape((2,) * n_f + w.shape[1:]), frames,
+                          schedule.segments).reshape(w.shape)
 
 
 def _cycle_product(w: np.ndarray, frames: dict, words: Sequence[str]) -> np.ndarray:
-    """``P(words)`` of :func:`cycle_propagator`, halving by cosets where it can."""
+    """``P(words)``, the product of the segments' conjugated ``W`` blocks,
+    later segments to the left.
+
+    The visits are halved into ``A`` and ``B``. When ``B`` is ``A``
+    multiplied word by word by one word ``h`` (word arithmetic, phases
+    dropped: they cancel in each conjugation), ``P(A + B) = h^dag (P(A)
+    (h P(A)))``, whose block ``c`` is ``g_r^dag P_{c ^ x} g_r P_c``: one
+    batched product and two frame actions by reshape (:func:`act_on_system`).
+    Otherwise ``P(A + B) = P(B) P(A)``, both halves recursed. A named group's
+    cycle, palindromic or not, halves by cosets all the way down: ``log2 n``
+    products for ``n`` segments, against ``n - 1`` for an order without that
+    structure.
+    """
     if len(words) == 1:
-        return conjugate_system(frames[words[0]], w)
+        flips, g = frames[words[0]]
+        return conjugate_system(g, w[flips])
     half = len(words) // 2
     a, b = words[:half], words[half:]
     h = _word_product(a[0], b[0])
     if len(a) == len(b) and all(_word_product(x, h) == y for x, y in zip(a, b)):
         p = _cycle_product(w, frames, a)
-        g = frames[h]
-        return act_on_system(g.conj().T, p @ act_on_system(g, p))
+        flips, g = frames[h]
+        return act_on_system(g.conj().T, p[flips] @ act_on_system(g, p))
     return _cycle_product(w, frames, b) @ _cycle_product(w, frames, a)
 
 
@@ -226,8 +253,8 @@ def _ensemble(rho: Operator) -> np.ndarray:
 
 
 def _joint_purity(psi: np.ndarray) -> float:
-    """``tr(rho**2)`` of ``rho = psi psi^dag``, as ``||psi^dag psi||_F**2``."""
-    return float(np.linalg.norm(psi.conj().T @ psi) ** 2)
+    """``tr(rho**2)`` of ``rho = psi psi^dag``, as ``||sum_c psi_c^dag psi_c||_F**2``."""
+    return float(np.linalg.norm((psi.conj().swapaxes(-1, -2) @ psi).sum(0)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -316,33 +343,33 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     """Propagate a run and record reduced-state snapshots.
 
     A trivial-group schedule (no pulses) is read off the run's spectrum in
-    closed form; any other schedule steps its cycle propagator.
+    closed form, in blocks of snapshots; any other schedule steps its cycle
+    propagator's blocks, one snapshot a block.
     """
     spectrum = run.spectrum
     bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
     system = _ensemble(run.rho_s0)
-    psi0 = np.kron(system, bath)
+    psi0 = np.kron(system, bath).reshape(spectrum.energies.shape + (-1,))  # split into sectors
     cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
     times = cycles * run.schedule.cycle_time
     if run.schedule.group.order == 1:
-        coeffs = spectrum.vectors.conj().T @ psi0
-        size = max(1, len(coeffs) // coeffs.shape[1])  # a block holds at most d x d numbers
-        snapshots = itertools.chain.from_iterable(
-            _spectral_evolution(spectrum.energies, spectrum.vectors, coeffs, times[i:i + size])
-            for i in range(0, len(times), size))
+        coeffs = spectrum.vectors.conj().swapaxes(-1, -2) @ psi0
+        step = max(1, spectrum.energies.size // psi0.shape[-1])  # at most d x d numbers a block
+        blocks = (_spectral_evolution(spectrum.energies, spectrum.vectors, coeffs,
+                                      times[i:i + step]) for i in range(0, len(times), step))
     else:
-        u_cycle = cycle_propagator(spectrum, run.schedule).matrix
+        u_cycle = _cycle_blocks(spectrum, run.schedule)
         every_cycle = itertools.accumulate(
             itertools.repeat(u_cycle, run.n_cycles), lambda psi, u: u @ psi, initial=psi0)
-        snapshots = itertools.islice(every_cycle, None, None, run.sample_every)
-    d_s = run.model.system_dim
-    states = np.empty((len(cycles), d_s, d_s), dtype=complex)
-    for k, psi in enumerate(snapshots):
-        m = psi.reshape(d_s, -1)
-        states[k] = m @ m.conj().T
+        blocks = (psi[None] for psi in itertools.islice(every_cycle, None, None, run.sample_every))
+    states = []
+    for block in blocks:
+        m = block.reshape(len(block), run.model.system_dim, -1)
+        states.append(m @ m.conj().swapaxes(-1, -2))
+    states = np.concatenate(states)
 
     w, v = np.linalg.eigh(run.ideal_system_hamiltonian().matrix)
-    roots = _spectral_evolution(w, v, v.conj().T @ system, times)
+    roots = _spectral_evolution(w[None], v[None], (v.conj().T @ system)[None], times)[:, 0]
     sigma = roots @ roots.conj().swapaxes(-1, -2)
 
     meta = {
@@ -354,7 +381,7 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
         "n_segments": run.schedule.n_segments,
         "group_order": run.schedule.group.order,
         "initial_joint_purity": _joint_purity(psi0),
-        "terminal_joint_purity": _joint_purity(psi),
+        "terminal_joint_purity": _joint_purity(block[-1]),
     }
     states.setflags(write=False)
     return TrajectoryResult(
@@ -363,7 +390,7 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
         states=states,
         fidelity=state_fidelity(states, sigma),
         coherence=coherence_l1(states),
-        trace_distance=distance(states, run.rho_s0.matrix, metric="trace"),
+        trace_distance=0.5 * np.abs(np.linalg.eigvalsh(states - run.rho_s0.matrix)).sum(-1),
         metadata=meta,
     )
 

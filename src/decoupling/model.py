@@ -145,12 +145,21 @@ class SystemBathModel:
 
 def total_hamiltonian(model: SystemBathModel) -> Operator:
     """Assemble the full Hamiltonian on the joint system-bath space."""
-    eye_s = np.eye(model.system_dim, dtype=complex)
-    eye_b = np.eye(model.bath_dim, dtype=complex)
-    h = np.kron(model.h_s.matrix, eye_b) + np.kron(eye_s, model.h_b.matrix)
-    for s, b in model.couplings:
-        h += np.kron(s.matrix, b.matrix)
-    return Operator(h, model.h_s.dims + model.h_b.dims)
+    return Operator(sector_hamiltonians(model, 1)[0], model.h_s.dims + model.h_b.dims)
+
+
+def sector_hamiltonians(model: SystemBathModel, n_sectors: int) -> np.ndarray:
+    """Blocks ``H_c`` of ``H = sum_c |c><c| (x) H_c`` over equal slices ``c`` of the
+    system index, an ``(n_sectors, D, D)`` stack built from the split form with no
+    joint matrix; the sum is ``H`` when every system factor is block diagonal."""
+    m, c = model.system_dim // n_sectors, np.arange(n_sectors)
+    factors = [x.reshape(n_sectors, m, n_sectors, m)[c, :, c]
+               for x in [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]]
+    h = np.kron(factors[0], np.eye(model.bath_dim, dtype=complex))
+    h += np.kron(np.eye(m, dtype=complex), model.h_b.matrix)
+    for s, (_, b) in zip(factors[1:], model.couplings):
+        h += np.kron(s, b.matrix)
+    return h
 
 
 def bath_ground_vector(model: SystemBathModel) -> np.ndarray:
@@ -270,8 +279,11 @@ def build_system_bath_model(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
     couplings = []
     for table in tables:
-        b = sum(c * op for c, op in zip(rng.standard_normal(len(ops)), ops))
-        nrm = float(np.linalg.norm(b, 2))
+        coeffs = rng.standard_normal(len(ops))
+        b = sum(c * op for c, op in zip(coeffs, ops))
+        # extreme eigenvalues of b: sums of those of its commuting per-mode terms
+        ends = np.linalg.eigvalsh(np.tensordot(coeffs.reshape(m, -1), mode_ops, axes=1)).sum(0)
+        nrm = float(max(ends[-1], -ends[0]))
         if nrm == 0.0:
             raise ValueError("degenerate random draw for a bath coupling operator")
         couplings.append((pauli_sum(table, n_qubits),

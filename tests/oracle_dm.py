@@ -13,7 +13,9 @@ replaced, one call per snapshot. The operator helpers this path needs
 (bath ground-state projector, partial trace, commutator) live here too:
 the package itself no longer uses them. So does the pulse-picture cycle
 product, one dense product per segment, that the package's coset-halving
-product replaced.
+product replaced, and the dense kernel the package's sector blocks
+replaced: one ``eigh`` of the whole joint Hamiltonian, the coset-halving
+product on ``d x d`` matrices, and ``psi`` stepped by the dense cycle.
 """
 
 import numpy as np
@@ -26,8 +28,9 @@ from decoupling import (
     tensor,
     total_hamiltonian,
 )
+from decoupling.groups import _word_product
 from decoupling.model import bath_ground_vector
-from decoupling.operators import STRUCT_TOL, act_on_system
+from decoupling.operators import STRUCT_TOL, act_on_system, conjugate_system
 
 #: Re-unitarize running products after this many matrix multiplies.
 POLAR_EVERY = 64
@@ -125,13 +128,56 @@ def pulse_picture_propagator(spectrum, schedule):
     dense product per segment, frames acting by reshape.
     """
     model = spectrum.model
-    w = spectrum.propagator(schedule.delta_t)
+    blocks = spectrum.propagator(schedule.delta_t)
+    w = np.zeros((blocks.shape[0],) * 2 + blocks.shape[1:], dtype=complex)
+    for c, block in enumerate(blocks):
+        w[c, c] = block
+    w = w.swapaxes(1, 2).reshape(model.system_dim * model.bath_dim, -1)
     frames = schedule.frames
     u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
     for prev, g in zip(frames, frames[1:]):
         u = w @ act_on_system(g @ prev.conj().T, u)
     u = act_on_system(frames[-1].conj().T, u)
     return Operator(u, tuple(model.h_s.dims) + tuple(model.h_b.dims))
+
+
+def dense_cycle_propagator(model, schedule):
+    """The cycle from one joint ``eigh`` and the coset-halving product on
+    ``d x d`` matrices."""
+    w, v = np.linalg.eigh(total_hamiltonian(model).matrix)
+    step = (v * np.exp(-1j * w * schedule.delta_t)) @ v.conj().T
+    return _cycle_product(step, dict(zip(schedule.segments, schedule.frames)), schedule.segments)
+
+
+def _cycle_product(w, frames, words):
+    """Product of the toggled free steps of ``words``, later ones to the
+    left, halving by cosets where it can."""
+    if len(words) == 1:
+        return conjugate_system(frames[words[0]], w)
+    half = len(words) // 2
+    a, b = words[:half], words[half:]
+    h = _word_product(a[0], b[0])
+    if len(a) == len(b) and all(_word_product(x, h) == y for x, y in zip(a, b)):
+        p = _cycle_product(w, frames, a)
+        g = frames[h]
+        return act_on_system(g.conj().T, p @ act_on_system(g, p))
+    return _cycle_product(w, frames, b) @ _cycle_product(w, frames, a)
+
+
+def dense_states(run):
+    """Reduced states of a default-bath run, ``psi`` stepped by the dense cycle."""
+    model = run.model
+    p, vecs = np.linalg.eigh(run.rho_s0.matrix)
+    keep = p > ROUNDOFF_EIGENVALUE
+    psi = np.kron(vecs[:, keep] * np.sqrt(p[keep]), bath_ground_vector(model)[:, None])
+    u = dense_cycle_propagator(model, run.schedule)
+    states = []
+    for k in range(run.n_cycles + 1):
+        if k % run.sample_every == 0:
+            m = psi.reshape(model.system_dim, -1)
+            states.append(m @ m.conj().T)
+        psi = u @ psi
+    return np.array(states)
 
 
 def _closest_unitary(m):

@@ -1,6 +1,7 @@
 """Exact propagation invariants, fidelity oracles, rate estimation."""
 
 import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from decoupling import (
     Operator,
     SimulationRun,
     TrajectoryResult,
+    build_model,
     build_system_bath_model,
     coherence_l1,
     cycle_propagator,
@@ -106,9 +108,9 @@ def test_named_cycles_halve_by_cosets(monkeypatch, group, symmetric, products):
 def test_free_run_builds_no_cycle_propagator(monkeypatch, tmp_path):
     """A trivial-group schedule, plain or palindromic, is read off the
     spectrum in closed form, directly and as the free half of a scenario;
-    only the controlled run builds a cycle propagator."""
+    only the controlled run builds the cycle propagator's blocks."""
     evolve_module = importlib.import_module("decoupling.evolve")
-    inner = evolve_module.cycle_propagator
+    inner = evolve_module._cycle_blocks
     built = []
 
     def refuse_free(spectrum, schedule):
@@ -117,7 +119,7 @@ def test_free_run_builds_no_cycle_propagator(monkeypatch, tmp_path):
         built.append(schedule.group.order)
         return inner(spectrum, schedule)
 
-    monkeypatch.setattr(evolve_module, "cycle_propagator", refuse_free)
+    monkeypatch.setattr(evolve_module, "_cycle_blocks", refuse_free)
     spectrum = joint_spectrum(make_model(n_qubits=2, coupling="linear-collective"))
     rho_s0 = Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2])
     for symmetric in (False, True):
@@ -126,6 +128,60 @@ def test_free_run_builds_no_cycle_propagator(monkeypatch, tmp_path):
     cfg = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 10})
     assert run_scenario(cfg, tmp_path) == 0
     assert built == [2]
+
+
+K2_DEPHASING = {"scenario": "custom", "K": 2, "group": "full", "coupling": "dephasing",
+                "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3},
+                "delta_t": 0.05, "n_cycles": 20}
+
+
+@pytest.mark.parametrize("doc, n_sectors", [
+    ({"scenario": "dephasing-echo"}, 2),
+    ({"scenario": "collective-register"}, 1),
+    ({"scenario": "maximal-averaging"}, 1),
+    ({"scenario": "selective-logic"}, 1),
+    ({**K2_DEPHASING, "h_s": {"ZX": 0.2, "IX": 0.1}}, 2),
+    ({**K2_DEPHASING, "h_s": {"ZZ": 0.2}}, 4),
+    # the second qubit is conserved, but only a leading run of qubits counts
+    ({**K2_DEPHASING, "h_s": {"XI": 0.2}}, 1),
+], ids=["dephasing-echo", "collective-register", "maximal-averaging", "selective-logic",
+        "K2-ZX-IX", "K2-ZZ", "K2-XI"])
+def test_sectors_are_the_conserved_leading_qubits(doc, n_sectors):
+    """The spectrum splits over the computational states of the leading
+    qubits on which every system factor is diagonal; H has exact zeros
+    between those sectors, and each sector's eigenpairs rebuild its block."""
+    model = build_model(parse_config({"seed": 7, **doc}))
+    spectrum = joint_spectrum(model)
+    size = model.system_dim * model.bath_dim // n_sectors
+    assert spectrum.energies.shape == (n_sectors, size)
+    assert spectrum.vectors.shape == (n_sectors, size, size)
+    h = total_hamiltonian(model).matrix.reshape(n_sectors, size, n_sectors, size).swapaxes(1, 2)
+    assert not h[~np.eye(n_sectors, dtype=bool)].any()
+    v = spectrum.vectors
+    rebuilt = (v * spectrum.energies[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(rebuilt - h[np.eye(n_sectors, dtype=bool)])) <= 1e-12
+
+
+def test_cycle_product_keeps_four_joint_matrices():
+    """At d = 256 with one sector, building the cycle's blocks (the free
+    step W included) peaks at four d x d complex arrays over what was
+    allocated before; the slack covers the small per-frame arrays."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    bath = BathSpec(kind="spin-bath", n_modes=6, cutoff=1.0, coupling_scale=0.3, seed=7)
+    model = build_system_bath_model(2, bath, coupling="linear-collective",
+                                    h_s=0.3 * pauli_word_operator("XI"))
+    spectrum = joint_spectrum(model)
+    assert spectrum.energies.shape == (1, 256)
+    schedule = schedule_from_group(pauli_group(2, "full"), delta_t=0.05)
+    unit = 256 * 256 * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evolve_module._cycle_blocks(spectrum, schedule)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * unit + unit // 16
 
 
 def test_purity_and_trace_conserved():

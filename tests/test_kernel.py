@@ -122,6 +122,33 @@ def test_order_without_cosets_matches_pulse_picture_loop():
     assert_same_cycle(joint_spectrum(build_model(cfg)), schedule)
 
 
+BOSON = {"scenario": "custom", "K": 1, "group": "flip", "coupling": "dephasing",
+         "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0,
+                  "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}
+#: K = 2 pure dephasing under the full group, with one sector qubit (``g_r``
+#: is 2 x 2) and with both qubits conserved (four sectors).
+K2_SECTORS = {"scenario": "custom", "K": 2, "group": "full", "coupling": "dephasing",
+              "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3},
+              "delta_t": 0.05, "n_cycles": 20}
+SECTOR_CONFIGS = [{"scenario": name, "symmetric": sym} for name, sym in PRESET_CYCLES] + [
+    BOSON, {**K2_SECTORS, "h_s": {"ZX": 0.2, "IX": 0.1}}, {**K2_SECTORS, "h_s": {"ZZ": 0.2}}]
+SECTOR_IDS = CYCLE_IDS + ["boson-flip", "K2-ZX-IX", "K2-ZZ"]
+
+
+@pytest.mark.parametrize("overrides", SECTOR_CONFIGS, ids=SECTOR_IDS)
+def test_sector_blocks_match_dense_oracle(overrides):
+    """The sector-block kernel against one joint ``eigh``, the dense
+    coset-halving product and dense stepping: the cycle propagator and
+    the states of the controlled and the free run."""
+    runs = preset_runs(overrides["scenario"], **{k: v for k, v in overrides.items()
+                                                 if k != "scenario"})
+    model = runs[0].model
+    got = cycle_propagator(runs[0].spectrum, runs[0].schedule).matrix
+    assert np.max(np.abs(got - oracle_dm.dense_cycle_propagator(model, runs[0].schedule))) <= TOL
+    for run in runs:
+        assert np.max(np.abs(evolve(run).states - oracle_dm.dense_states(run))) <= TOL
+
+
 def test_symmetric_sampled_run_matches_oracle():
     """``sample_every`` > 1 takes several cycle steps between snapshots."""
     for run in preset_runs("collective-register", symmetric=True, sample_every=5):
