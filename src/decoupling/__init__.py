@@ -14,7 +14,6 @@ from .operators import (
     distance,
     expm_hermitian,
     identity,
-    tensor,
     zero,
 )
 from .model import (

@@ -64,6 +64,9 @@ from .groups import DecouplingGroup, _word_product, project_commutant
 #: of exact zeros: they are left out of ensembles and square roots.
 _ROUNDOFF_EIGENVALUE = 1e-13
 
+#: A density matrix whose top eigenvalue reaches this is treated as pure.
+_PURE_EIGENVALUE = 1.0 - 1e-10
+
 
 def _check_density(rho: Operator, what: str):
     if not rho.is_hermitian():
@@ -109,8 +112,8 @@ def state_fidelity(a: Operator | np.ndarray, b: Operator | np.ndarray) -> float 
     va, ua = np.linalg.eigh(x)
     vb, ub = np.linalg.eigh(y)
     batch = np.broadcast_shapes(va.shape[:-1], vb.shape[:-1])
-    pure_a = np.broadcast_to(va[..., -1] >= 1.0 - 1e-10, batch)
-    pure_b = np.broadcast_to(vb[..., -1] >= 1.0 - 1e-10, batch)
+    pure_a = np.broadcast_to(va[..., -1] >= _PURE_EIGENVALUE, batch)
+    pure_b = np.broadcast_to(vb[..., -1] >= _PURE_EIGENVALUE, batch)
     f = np.where(pure_a, _expectation(ua[..., -1], y), _expectation(ub[..., -1], x))
     mixed = ~(pure_a | pure_b)
     if mixed.any():
@@ -122,6 +125,22 @@ def state_fidelity(a: Operator | np.ndarray, b: Operator | np.ndarray) -> float 
         f[mixed] = np.sum(np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False), axis=-1) ** 2
     f = np.clip(f, 0.0, 1.0)
     return f if f.ndim else float(f)
+
+
+def _reference_fidelity(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """:func:`state_fidelity` of each state against its reference ``roots roots^dag``.
+
+    A pure reference, one column ``y``, is read off ``y`` with no
+    eigendecomposition of its own: ``|<u|y>|**2`` for a state whose top
+    eigenvector ``u`` passes the purity test, ``<y|rho|y>`` otherwise.
+    """
+    if roots.shape[-1] > 1:
+        return state_fidelity(states, roots @ roots.conj().swapaxes(-1, -2))
+    y = roots[..., 0]
+    p, u = np.linalg.eigh(states)
+    overlap = np.abs(np.einsum("...i,...i->...", u[..., -1].conj(), y)) ** 2
+    return np.clip(np.where(p[..., -1] >= _PURE_EIGENVALUE, overlap, _expectation(y, states)),
+                   0.0, 1.0)
 
 
 def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:
@@ -205,7 +224,8 @@ def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operat
 def _cycle_blocks(spectrum: JointSpectrum, schedule: CycleSchedule) -> np.ndarray:
     """The ``(n_c, D, D)`` sector blocks of :func:`cycle_propagator`. Each
     frame is a flip of the sector axes and ``g_r``, ``g``'s block from sector
-    0 to sector ``x`` (its phase cancels in every conjugation)."""
+    0 to sector ``x`` (its phase cancels in every conjugation), or None when
+    ``g_r`` is a phase times the identity and the frame is its flip alone."""
     _matching_model(spectrum.model, schedule)
     w = spectrum.propagator(schedule.delta_t)
     n_c, n_f = len(w), len(w).bit_length() - 1
@@ -213,7 +233,9 @@ def _cycle_blocks(spectrum: JointSpectrum, schedule: CycleSchedule) -> np.ndarra
     for word, g in zip(schedule.segments, schedule.frames):
         flips = tuple(slice(None, None, -1 if q in "XY" else 1) for q in word[:n_f])
         x = np.arange(n_c).reshape((2,) * n_f)[flips].flat[0]
-        frames[word] = flips, g.reshape(n_c, len(g) // n_c, n_c, -1)[x, :, 0]
+        g_r = g.reshape(n_c, len(g) // n_c, n_c, -1)[x, :, 0]
+        scalar = np.array_equal(g_r, g_r[0, 0] * np.eye(len(g_r)))
+        frames[word] = flips, None if scalar else g_r
     return _cycle_product(w.reshape((2,) * n_f + w.shape[1:]), frames,
                           schedule.segments).reshape(w.shape)
 
@@ -226,21 +248,24 @@ def _cycle_product(w: np.ndarray, frames: dict, words: Sequence[str]) -> np.ndar
     multiplied word by word by one word ``h`` (word arithmetic, phases
     dropped: they cancel in each conjugation), ``P(A + B) = h^dag (P(A)
     (h P(A)))``, whose block ``c`` is ``g_r^dag P_{c ^ x} g_r P_c``: one
-    batched product and two frame actions by reshape (:func:`act_on_system`).
-    Otherwise ``P(A + B) = P(B) P(A)``, both halves recursed. A named group's
-    cycle, palindromic or not, halves by cosets all the way down: ``log2 n``
-    products for ``n`` segments, against ``n - 1`` for an order without that
-    structure.
+    batched product and two frame actions by reshape (:func:`act_on_system`),
+    or the product alone when ``g_r`` is a phase times the identity.
+    Otherwise ``P(A + B) = P(B) P(A)``, both halves recursed. A named
+    group's cycle, palindromic or not, halves by cosets all the way down:
+    ``log2 n`` products for ``n`` segments, against ``n - 1`` for an order
+    without that structure.
     """
     if len(words) == 1:
         flips, g = frames[words[0]]
-        return conjugate_system(g, w[flips])
+        return w[flips] if g is None else conjugate_system(g, w[flips])
     half = len(words) // 2
     a, b = words[:half], words[half:]
     h = _word_product(a[0], b[0])
     if len(a) == len(b) and all(_word_product(x, h) == y for x, y in zip(a, b)):
         p = _cycle_product(w, frames, a)
         flips, g = frames[h]
+        if g is None:
+            return p[flips] @ p
         return act_on_system(g.conj().T, p[flips] @ act_on_system(g, p))
     return _cycle_product(w, frames, b) @ _cycle_product(w, frames, a)
 
@@ -349,7 +374,8 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     spectrum = run.spectrum
     bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
     system = _ensemble(run.rho_s0)
-    psi0 = np.kron(system, bath).reshape(spectrum.energies.shape + (-1,))  # split into sectors
+    psi0 = system[:, None, :, None] * bath[:, None]  # system (x) bath, split into sectors
+    psi0 = psi0.reshape(spectrum.energies.shape + (-1,))
     cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
     times = cycles * run.schedule.cycle_time
     if run.schedule.group.order == 1:
@@ -370,7 +396,6 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
 
     w, v = np.linalg.eigh(run.ideal_system_hamiltonian().matrix)
     roots = _spectral_evolution(w[None], v[None], (v.conj().T @ system)[None], times)[:, 0]
-    sigma = roots @ roots.conj().swapaxes(-1, -2)
 
     meta = {
         "n_cycles": run.n_cycles,
@@ -388,7 +413,7 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
         times=times,
         cycles=cycles,
         states=states,
-        fidelity=state_fidelity(states, sigma),
+        fidelity=_reference_fidelity(states, roots),
         coherence=coherence_l1(states),
         trace_distance=0.5 * np.abs(np.linalg.eigvalsh(states - run.rho_s0.matrix)).sum(-1),
         metadata=meta,

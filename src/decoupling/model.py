@@ -155,11 +155,12 @@ def sector_hamiltonians(model: SystemBathModel, n_sectors: int) -> np.ndarray:
     m, c = model.system_dim // n_sectors, np.arange(n_sectors)
     factors = [x.reshape(n_sectors, m, n_sectors, m)[c, :, c]
                for x in [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]]
-    h = np.kron(factors[0], np.eye(model.bath_dim, dtype=complex))
-    h += np.kron(np.eye(m, dtype=complex), model.h_b.matrix)
+    h = np.zeros((n_sectors, m, model.bath_dim, m, model.bath_dim), dtype=complex)
+    np.einsum("ciaja->cija", h)[...] += factors[0][..., None]  # s (x) 1 on the bath diagonal
+    np.einsum("ciaib->ciab", h)[...] += model.h_b.matrix  # 1 (x) h_b on the system diagonal
     for s, (_, b) in zip(factors[1:], model.couplings):
-        h += np.kron(s, b.matrix)
-    return h
+        h += s[:, :, None, :, None] * b.matrix[:, None, :]
+    return h.reshape(n_sectors, m * model.bath_dim, -1)
 
 
 def bath_ground_vector(model: SystemBathModel) -> np.ndarray:
@@ -236,11 +237,13 @@ def build_system_bath_model(
 
     The bath Hamiltonian is ``sum_i w_i h_mode^(i)`` over the jittered
     mode frequencies, with ``h_mode`` the mode Hamiltonian of the bath
-    kind: ``sigma_z/2`` for a spin, ``a^dag a`` for an oscillator. Each system coupling operator (chosen by ``coupling``,
-    see below) is paired with an independent random Hermitian bath
-    operator drawn from the span of every mode's coupling operators
-    (``sigma_x``, ``sigma_y`` or ``a + a^dag``), site by site, and
-    normalized to spectral norm ``bath.coupling_scale``. These do not
+    kind: ``sigma_z/2`` for a spin, ``a^dag a`` for an oscillator. Each
+    system coupling operator (chosen by ``coupling``, see below) is
+    paired with an independent random Hermitian bath operator drawn from
+    the span of every mode's coupling operators (``sigma_x``, ``sigma_y``
+    or ``a + a^dag``), site by site, and normalized to spectral norm
+    ``bath.coupling_scale``. Each mode's terms are written into the bath
+    matrix by index, with no Kronecker products. These do not
     commute with the bath Hamiltonian, so the joint dynamics genuinely
     entangles the register with the bath.
 
@@ -269,20 +272,26 @@ def build_system_bath_model(
     h_mode, mode_ops = _mode(bath)
     n, m = h_mode.shape[0], bath.n_modes
     bath_dims = (n,) * m
+    # mode i's entries of the bath matrix: rows and columns that agree off mode i
+    index = np.arange(n**m).reshape(bath_dims)
+    places = [(r[:, :, None], r[:, None, :])
+              for r in (np.moveaxis(index, i, -1).reshape(-1, n) for i in range(m))]
 
-    def on_mode(local: np.ndarray, i: int) -> np.ndarray:
-        eye_left = np.eye(n**i, dtype=complex)
-        return np.kron(np.kron(eye_left, local), np.eye(n ** (m - i - 1), dtype=complex))
+    def placed(terms) -> np.ndarray:
+        """``sum_i terms[i]`` with ``terms[i]`` acting on mode ``i``, added in mode order."""
+        out = np.zeros((n**m, n**m), dtype=complex)
+        for term, place in zip(terms, places):
+            out[place] += term
+        return out
 
-    h_b = sum(w * on_mode(h_mode, i) for i, w in enumerate(bath.mode_frequencies))
-    ops = [on_mode(op, j) for j in range(m) for op in mode_ops]
+    h_b = placed([w * h_mode for w in bath.mode_frequencies])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
     couplings = []
     for table in tables:
-        coeffs = rng.standard_normal(len(ops))
-        b = sum(c * op for c, op in zip(coeffs, ops))
+        coeffs = rng.standard_normal(m * len(mode_ops)).reshape(m, -1)
+        b = placed([sum(c * op for c, op in zip(row, mode_ops)) for row in coeffs])
         # extreme eigenvalues of b: sums of those of its commuting per-mode terms
-        ends = np.linalg.eigvalsh(np.tensordot(coeffs.reshape(m, -1), mode_ops, axes=1)).sum(0)
+        ends = np.linalg.eigvalsh(np.tensordot(coeffs, mode_ops, axes=1)).sum(0)
         nrm = float(max(ends[-1], -ends[0]))
         if nrm == 0.0:
             raise ValueError("degenerate random draw for a bath coupling operator")

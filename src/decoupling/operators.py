@@ -142,11 +142,6 @@ def zero(dims) -> Operator:
     return Operator(np.zeros((d, d)), dims)
 
 
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with ``a``'s indices major; dims concatenate."""
-    return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
-
-
 def expm_hermitian(h: Operator, t: float) -> Operator:
     """Unitary ``exp(-i H t)`` of a Hermitian generator.
 

@@ -187,7 +187,7 @@ def _named_state(name: str, n_qubits: int, path: str) -> Operator:
         _fail(path, f"unknown initial state {name!r}; expected one of {sorted(single)}")
     psi = np.array([1.0])
     for _ in range(n_qubits):
-        psi = np.kron(psi, single[name])
+        psi = (psi[:, None] * single[name]).ravel()
     return Operator(np.outer(psi, psi.conj()), (2,) * n_qubits)
 
 

@@ -25,12 +25,13 @@ from decoupling import (
     TrajectoryResult,
     expm_hermitian,
     identity,
-    tensor,
     total_hamiltonian,
 )
 from decoupling.groups import _word_product
 from decoupling.model import bath_ground_vector
 from decoupling.operators import STRUCT_TOL, act_on_system, conjugate_system
+
+from oracle_model import tensor
 
 #: Re-unitarize running products after this many matrix multiplies.
 POLAR_EVERY = 64

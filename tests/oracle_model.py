@@ -1,10 +1,11 @@
 """The two bath builders the package merged, kept as oracles for ``model``.
 
 ``build_system_bath_model`` makes both bath kinds from one mode table and
-places each local operator with two Kronecker products. The builders
+writes each mode's operators into the bath matrix by index. The builders
 here are the separate spin and boson paths it replaced, verbatim: they
-build every site operator through a chain of ``Operator`` tensor
-products, and ``total_hamiltonian`` sums ``Operator`` terms. The new
+build every site operator through a chain of :func:`tensor` products,
+the Kronecker product the package no longer has, and
+``total_hamiltonian`` sums ``Operator`` terms. The new
 builder must reproduce their models bit for bit, except the bath factors:
 they are normalized here by the SVD spectral norm, and in the package by
 per-mode eigenvalues, so the two agree to 1e-14 relative.
@@ -22,10 +23,14 @@ from decoupling import (
     SystemBathModel,
     coupling_tables,
     identity,
-    tensor,
     zero,
 )
 from decoupling.groups import PAULI_MATRICES, pauli_sum
+
+
+def tensor(a: Operator, b: Operator) -> Operator:
+    """Kronecker product with ``a``'s indices major; dims concatenate."""
+    return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def tensor_all(ops: Sequence[Operator]) -> Operator:
@@ -44,6 +49,18 @@ def total_hamiltonian(model: SystemBathModel) -> Operator:
     h = h + tensor(identity(list(model.h_s.dims)), model.h_b)
     for s, b in model.couplings:
         h = h + tensor(s, b)
+    return h
+
+
+def sector_hamiltonians(model: SystemBathModel, n_sectors: int) -> np.ndarray:
+    """The ``(n_sectors, D, D)`` diagonal sector blocks of ``H``, by ``np.kron``."""
+    m, c = model.system_dim // n_sectors, np.arange(n_sectors)
+    factors = [x.reshape(n_sectors, m, n_sectors, m)[c, :, c]
+               for x in [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]]
+    h = np.kron(factors[0], np.eye(model.bath_dim, dtype=complex))
+    h += np.kron(np.eye(m, dtype=complex), model.h_b.matrix)
+    for s, (_, b) in zip(factors[1:], model.couplings):
+        h += np.kron(s, b.matrix)
     return h
 
 

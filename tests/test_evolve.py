@@ -13,6 +13,7 @@ from decoupling import (
     SimulationRun,
     TrajectoryResult,
     build_model,
+    build_schedule,
     build_system_bath_model,
     coherence_l1,
     cycle_propagator,
@@ -25,15 +26,17 @@ from decoupling import (
     observable_drift,
     parse_config,
     pauli_group,
+    pauli_sum,
     pauli_word_operator,
     run_scenario,
     schedule_from_group,
     state_fidelity,
     symmetrize,
-    tensor,
     total_hamiltonian,
     trivial_group,
 )
+
+from oracle_model import tensor
 
 PLUS = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
 
@@ -182,6 +185,52 @@ def test_cycle_product_keeps_four_joint_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * unit + unit // 16
+
+
+@pytest.mark.parametrize("doc, frame_calls", [
+    ({"scenario": "dephasing-echo"}, 0),
+    ({"scenario": "dephasing-echo", "symmetric": True}, 0),
+    # one sector: only II is scalar; each of the log2 16 coset steps acts twice
+    ({"scenario": "maximal-averaging", "K": 2, "coupling": "linear-collective",
+      "h_s": {"XI": 0.3, "ZZ": 0.2}}, 8),
+], ids=["echo", "echo-symmetric", "K2-full"])
+def test_identity_frames_make_no_frame_action(monkeypatch, doc, frame_calls):
+    """A frame whose sector block is a phase times the identity (the first,
+    identity word; every frame of a fully conserved register) is applied as
+    its sector flip alone: no act_on_system or conjugate_system call gets it."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    calls = []
+    for name in ("act_on_system", "conjugate_system"):
+        def counting(g, x, inner=getattr(evolve_module, name), name=name):
+            assert not np.array_equal(g, g[0, 0] * np.eye(len(g))), f"{name} got a scalar frame"
+            calls.append(name)
+            return inner(g, x)
+        monkeypatch.setattr(evolve_module, name, counting)
+    config = parse_config({"seed": 7, **doc})
+    evolve_module._cycle_blocks(joint_spectrum(build_model(config)), build_schedule(config))
+    assert calls == ["act_on_system"] * frame_calls
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_initial_columns_are_the_kron_product_bitwise(monkeypatch, mixed):
+    """The joint initial columns, ``psi_i (x) phi_k`` split into sectors, are
+    ``np.kron`` of the system and bath ensembles bit for bit."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    seen = []
+    inner = evolve_module._joint_purity
+    monkeypatch.setattr(evolve_module, "_joint_purity",
+                        lambda psi: seen.append(psi.copy()) or inner(psi))
+    spectrum = joint_spectrum(make_model(n_qubits=2, h_s=pauli_sum({"ZI": 0.3, "IX": 0.2}, 2)))
+    rho_s0 = Operator(np.kron(PLUS.matrix, np.diag([0.75, 0.25]) if mixed else PLUS.matrix),
+                      [2, 2])
+    rho_b0 = Operator(np.diag([0.5, 0.3, 0.2] + [0.0] * 5), [2, 2, 2]) if mixed else None
+    schedule = schedule_from_group(pauli_group(2, "flip"), 0.1)
+    evolve(SimulationRun(spectrum=spectrum, schedule=schedule, n_cycles=2, rho_s0=rho_s0,
+                         rho_b0=rho_b0 if mixed else "bath-ground-state"))
+    bath = evolve_module._ensemble(rho_b0) if mixed else spectrum.bath_ground[:, None]
+    want = np.kron(evolve_module._ensemble(rho_s0), bath)
+    assert spectrum.energies.shape[0] == 2 and want.shape[1] == (6 if mixed else 1)
+    assert np.array_equal(seen[0], want.reshape(spectrum.energies.shape + (-1,)))
 
 
 def test_purity_and_trace_conserved():

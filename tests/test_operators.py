@@ -13,7 +13,6 @@ from decoupling import (
     distance,
     expm_hermitian,
     identity,
-    tensor,
     zero,
 )
 
@@ -33,18 +32,6 @@ def random_density(rng, d):
     m = random_matrix(rng, d)
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
-
-
-def kron_oracle(a, b):
-    """Tensor product by explicit index loops."""
-    da, db = a.shape[0], b.shape[0]
-    out = np.zeros((da * db, da * db), dtype=complex)
-    for i in range(da):
-        for j in range(da):
-            for k in range(db):
-                for l in range(db):
-                    out[i * db + k, j * db + l] = a[i, j] * b[k, l]
-    return out
 
 
 def expm_oracle(h, t):
@@ -135,20 +122,6 @@ def test_identity_and_zero_constructors():
     assert identity([2, 3]).dims == (2, 3)
     assert identity([2, 3]).dim == 6
     assert np.allclose(zero([2, 2]).matrix, np.zeros((4, 4)))
-
-
-def test_tensor_against_index_loop_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        a = random_matrix(rng, 2)
-        b = random_matrix(rng, 3)
-        got = tensor(Operator(a, [2]), Operator(b, [3]))
-        assert got.dims == (2, 3)
-        assert np.allclose(got.matrix, kron_oracle(a, b), atol=1e-13)
-    c = random_matrix(rng, 2)
-    chained = tensor(tensor(Operator(a, [2]), Operator(b, [3])), Operator(c, [2]))
-    assert chained.dims == (2, 3, 2)
-    assert np.allclose(chained.matrix, kron_oracle(kron_oracle(a, b), c), atol=1e-13)
 
 
 def test_commutator_oracle():

@@ -14,7 +14,7 @@ from decoupling import (
     run_scenario,
     run_sweep,
 )
-from decoupling.scenarios import PRESETS, SCENARIO_NAMES
+from decoupling.scenarios import PRESETS, SCENARIO_NAMES, _named_state
 
 
 def test_preset_names():
@@ -378,3 +378,16 @@ def test_run_scenario_deterministic_bytes(tmp_path):
     run_scenario(cfg, tmp_path / "b")
     for name in ("trajectory.csv", "trajectory_free.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_named_states_match_their_kron_form_bitwise(n_qubits):
+    single = {"plus": np.array([1.0, 1.0]) / np.sqrt(2.0), "zero": np.array([1.0, 0.0]),
+              "tilted": np.array([np.cos(np.pi / 5), np.sin(np.pi / 5)])}
+    for name, v in single.items():
+        psi = np.array([1.0])
+        for _ in range(n_qubits):
+            psi = np.kron(psi, v)
+        got = _named_state(name, n_qubits, "rho_s0")
+        assert got.dims == (2,) * n_qubits
+        assert np.array_equal(got.matrix, np.outer(psi, psi))
