@@ -33,9 +33,9 @@ bath states. The default states are pure, so ``r = 1``; an explicit
 mixed state takes the same code path with more columns. Observation
 happens at cycle boundaries only: that is where the control frame returns
 to the physical frame and where average-Hamiltonian statements hold.
-Snapshots are reduced in blocks, one stacked ``M M^dag`` per block, into
-one ``(n + 1, d_s, d_s)`` stack; each snapshot observable, and the ideal
-reference, is then computed once per trajectory on the whole stack.
+Snapshots, stepped or not, come in blocks of at most ``d x d`` numbers, one
+stacked ``M M^dag`` per block, into one ``(n + 1, d_s, d_s)`` stack; each
+snapshot observable and the ideal reference is computed once on that stack.
 
 Two decay diagnostics are tracked. Fidelity is measured against an ideal
 reference trajectory: the system evolving alone under its effective
@@ -48,7 +48,6 @@ observable signature of dephasing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -192,8 +191,12 @@ def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
 
 def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times):
     """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times``, ``coeffs = V^dag psi``
-    an ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product per sector."""
-    phased = np.exp(-1j * energies[..., None, None] * times[:, None]) * coeffs[:, :, None]
+    an ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product per sector. The
+    times are uniform, so ``exp(-i E t_(qb+j)) = exp(-i E t_(qb)) exp(-i E (t_j - t_0))``,
+    ``b = isqrt(n)``: each energy takes ``b + ceil(n / b)`` exponentials rather than ``n``."""
+    b, e = math.isqrt(len(times)), -1j * energies[..., None]
+    phases = np.exp(e * times[::b])[..., None] * np.exp(e * (times[:b] - times[0]))[..., None, :]
+    phased = phases.reshape(*energies.shape, -1)[..., :len(times), None] * coeffs[:, :, None]
     out = vectors @ phased.reshape(*coeffs.shape[:2], -1)
     return np.moveaxis(out.reshape(phased.shape), 2, 0)
 
@@ -268,6 +271,20 @@ def _cycle_product(w: np.ndarray, frames: dict, words: Sequence[str]) -> np.ndar
             return p[flips] @ p
         return act_on_system(g.conj().T, p[flips] @ act_on_system(g, p))
     return _cycle_product(w, frames, b) @ _cycle_product(w, frames, a)
+
+
+def _stepped_blocks(u: np.ndarray, psi: np.ndarray, n: int, step: int, every: int):
+    """The ``n`` snapshots ``u**(k every) psi`` in blocks of ``step``, each snapshot's
+    ``u @ psi`` product written into its block."""
+    for i in range(0, n, step):
+        block = np.empty((min(step, n - i),) + psi.shape, dtype=complex)
+        if i == 0:
+            block[0] = psi  # the initial state opens the first block
+        for out in block[int(i == 0):]:
+            for _ in range(every - 1):
+                psi = u @ psi
+            psi = np.matmul(u, psi, out=out)
+        yield block
 
 
 def _ensemble(rho: Operator) -> np.ndarray:
@@ -368,8 +385,8 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     """Propagate a run and record reduced-state snapshots.
 
     A trivial-group schedule (no pulses) is read off the run's spectrum in
-    closed form, in blocks of snapshots; any other schedule steps its cycle
-    propagator's blocks, one snapshot a block.
+    closed form, any other steps ``psi`` by its cycle propagator's blocks; both
+    yield blocks of at most ``d x d`` numbers, reduced one stacked product a block.
     """
     spectrum = run.spectrum
     bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
@@ -378,16 +395,14 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     psi0 = psi0.reshape(spectrum.energies.shape + (-1,))
     cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
     times = cycles * run.schedule.cycle_time
+    step = max(1, spectrum.energies.size // psi0.shape[-1])  # at most d x d numbers a block
     if run.schedule.group.order == 1:
         coeffs = spectrum.vectors.conj().swapaxes(-1, -2) @ psi0
-        step = max(1, spectrum.energies.size // psi0.shape[-1])  # at most d x d numbers a block
         blocks = (_spectral_evolution(spectrum.energies, spectrum.vectors, coeffs,
                                       times[i:i + step]) for i in range(0, len(times), step))
     else:
-        u_cycle = _cycle_blocks(spectrum, run.schedule)
-        every_cycle = itertools.accumulate(
-            itertools.repeat(u_cycle, run.n_cycles), lambda psi, u: u @ psi, initial=psi0)
-        blocks = (psi[None] for psi in itertools.islice(every_cycle, None, None, run.sample_every))
+        blocks = _stepped_blocks(_cycle_blocks(spectrum, run.schedule), psi0, len(times),
+                                 step, run.sample_every)
     states = []
     for block in blocks:
         m = block.reshape(len(block), run.model.system_dim, -1)

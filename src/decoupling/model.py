@@ -164,8 +164,12 @@ def sector_hamiltonians(model: SystemBathModel, n_sectors: int) -> np.ndarray:
 
 
 def bath_ground_vector(model: SystemBathModel) -> np.ndarray:
-    """Ground-state vector of the bath Hamiltonian, its lowest eigenvector."""
-    return np.linalg.eigh(model.h_b.matrix)[1][:, 0]
+    """Ground-state vector of the bath Hamiltonian, its lowest eigenvector: for a
+    diagonal ``h_b`` (both bath kinds) with one smallest entry, the unit vector there."""
+    h, e = model.h_b.matrix, model.h_b.matrix.diagonal().real
+    if np.count_nonzero(h) > np.count_nonzero(e) or np.count_nonzero(e == e.min()) > 1:
+        return np.linalg.eigh(h)[1][:, 0]
+    return (np.arange(len(h)) == np.argmin(e)).astype(complex)
 
 
 def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:

@@ -15,8 +15,13 @@ the package itself no longer uses them. So does the pulse-picture cycle
 product, one dense product per segment, that the package's coset-halving
 product replaced, and the dense kernel the package's sector blocks
 replaced: one ``eigh`` of the whole joint Hamiltonian, the coset-halving
-product on ``d x d`` matrices, and ``psi`` stepped by the dense cycle.
+product on ``d x d`` matrices, and ``psi`` stepped by the dense cycle. The
+package's stepping loop from before it reduced snapshots in blocks is kept
+too: ``psi`` stepped one cycle at a time by the sector blocks, each kept
+snapshot reduced on its own.
 """
+
+import itertools
 
 import numpy as np
 
@@ -27,8 +32,8 @@ from decoupling import (
     identity,
     total_hamiltonian,
 )
+from decoupling.evolve import _cycle_blocks, _ensemble
 from decoupling.groups import _word_product
-from decoupling.model import bath_ground_vector
 from decoupling.operators import STRUCT_TOL, act_on_system, conjugate_system
 
 from oracle_model import tensor
@@ -42,6 +47,11 @@ ROUNDOFF_EIGENVALUE = 1e-13
 
 def commutator(a, b):
     return a @ b - b @ a
+
+
+def bath_ground_vector(model):
+    """The bath Hamiltonian's lowest eigenvector, from ``eigh``."""
+    return np.linalg.eigh(model.h_b.matrix)[1][:, 0]
 
 
 def bath_ground_state(model):
@@ -179,6 +189,25 @@ def dense_states(run):
             states.append(m @ m.conj().T)
         psi = u @ psi
     return np.array(states)
+
+
+def stepped_snapshots(run):
+    """``psi`` at every ``sample_every``-th cycle, stepped one cycle at a time by
+    the cycle's sector blocks, and each one's reduced state, one ``M M^dag``
+    a snapshot: the kernel's loop before it reduced snapshots in blocks."""
+    spectrum = run.spectrum
+    bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
+    psi0 = _ensemble(run.rho_s0)[:, None, :, None] * bath[:, None]
+    psi0 = psi0.reshape(spectrum.energies.shape + (-1,))
+    u_cycle = _cycle_blocks(spectrum, run.schedule)
+    every_cycle = itertools.accumulate(
+        itertools.repeat(u_cycle, run.n_cycles), lambda psi, u: u @ psi, initial=psi0)
+    psis, states = [], []
+    for psi in itertools.islice(every_cycle, None, None, run.sample_every):
+        m = psi[None].reshape(1, run.model.system_dim, -1)
+        psis.append(psi)
+        states.append(m @ m.conj().swapaxes(-1, -2))
+    return np.array(psis), np.concatenate(states)
 
 
 def _closest_unitary(m):

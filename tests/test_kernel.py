@@ -5,9 +5,11 @@ initial state's eigen-ensemble; ``oracle_dm`` steps the joint density
 matrix with one eigendecomposition per segment. Both must give the same
 snapshots on every preset and for mixed initial states. The stacked
 snapshot observables must also agree, state by state, with the scalar
-kernels ``oracle_dm`` keeps.
+kernels ``oracle_dm`` keeps, and the blocks of stepped snapshots with the
+per-snapshot stepping loop it keeps.
 """
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -181,3 +183,69 @@ def test_mixed_initial_states_match_oracle():
         assert_same_snapshots(run)
         assert evolve(run).metadata["initial_joint_purity"] < 0.5
 
+
+
+def two_spin_run(group, coupling, n_cycles, sample_every, rho_s0, n_qubits=1):
+    bath = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.3, seed=7)
+    h_s = pauli_word_operator("X" * n_qubits) * 0.2
+    model = build_system_bath_model(n_qubits, bath, coupling=coupling, h_s=h_s)
+    return SimulationRun(spectrum=joint_spectrum(model),
+                         schedule=schedule_from_group(pauli_group(n_qubits, group), 0.1),
+                         n_cycles=n_cycles, rho_s0=rho_s0, sample_every=sample_every)
+
+
+PLUS = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
+MIXED = Operator(np.array([[0.6, 0.3], [0.3, 0.4]], dtype=complex), [2])
+PLUS2 = Operator(np.full((4, 4), 0.25, dtype=complex), [2, 2])
+
+
+@pytest.mark.parametrize("args, n_blocks", [
+    (("flip", "dephasing", 100, 2, PLUS), 7),  # d = 8: 51 snapshots, 8 a block
+    (("full", "total", 99, 3, MIXED), 9),  # rank 2: 34 snapshots, 4 a block
+    (("full", "dephasing", 60, 1, PLUS2, 2), 4),  # two sectors, d = 16: 61 snapshots
+], ids=["pure-every-2", "mixed-every-3", "sectors"])
+def test_stepped_blocks_match_the_per_snapshot_loop(monkeypatch, args, n_blocks):
+    """Stepped snapshots come in blocks of at most ``d x d`` numbers; every
+    ``psi`` is byte for byte the per-snapshot loop's, and the states agree
+    with its one-at-a-time reductions."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    inner = evolve_module._stepped_blocks
+    blocks = []
+
+    def recording(*a):
+        for block in inner(*a):
+            blocks.append(block.copy())
+            yield block
+
+    monkeypatch.setattr(evolve_module, "_stepped_blocks", recording)
+    run = two_spin_run(*args)
+    got = evolve(run)
+    psis, states = oracle_dm.stepped_snapshots(run)
+    d = run.model.system_dim * run.model.bath_dim
+    assert len(blocks) == n_blocks and all(b.size <= d * d for b in blocks)
+    assert np.concatenate(blocks).tobytes() == psis.tobytes()
+    assert np.max(np.abs(got.states - states)) <= 1e-14
+
+
+@pytest.mark.parametrize("angle, tol", [(1e2, 1e-13), (1e3, 4 * np.spacing(1e3))],
+                         ids=["Et-1e2", "Et-1e3"])
+@pytest.mark.parametrize("start", [0, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 321])
+def test_angle_addition_phases_match_direct_exponentials(n, start, angle, tol):
+    """The closed form's phases, built by angle addition, against ``np.exp``
+    of each time, read through identity eigenvectors: ``n`` uniform times
+    of a block opening at cycle ``2 * start`` (every other cycle sampled),
+    energies scaled so that the block's largest ``|E t|`` is ``angle``. Up
+    to 1e2 they agree to 1e-13. Near 1e3 the spacing of the angle itself
+    (1.1e-13) exceeds 1e-13 and both sides round their angles, so they
+    agree to four spacings there."""
+    rng = np.random.default_rng(n + start)
+    times = (np.arange(0, 2 * (start + n), 2) * 0.2)[start:]
+    energies = rng.uniform(-1.0, 1.0, size=(2, 6))
+    energies *= angle / (np.max(np.abs(energies)) * max(times[-1], 1.0))
+    eye = np.broadcast_to(np.eye(6, dtype=complex), (2, 6, 6))
+    evolve_module = importlib.import_module("decoupling.evolve")
+    got = evolve_module._spectral_evolution(energies, eye, np.ones((2, 6, 1), dtype=complex),
+                                            times)
+    assert got.shape == (n, 2, 6, 1)
+    assert np.max(np.abs(got[..., 0] - np.exp(-1j * energies * times[:, None, None]))) <= tol

@@ -13,7 +13,7 @@ from decoupling import (
     pauli_word_operator,
     total_hamiltonian,
 )
-from decoupling.model import COUPLING_KINDS, sector_hamiltonians
+from decoupling.model import COUPLING_KINDS, bath_ground_vector, sector_hamiltonians
 from decoupling.operators import DIM_CAP
 
 import oracle_model
@@ -216,6 +216,62 @@ def test_bath_ground_state():
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
     # purity of the projector
     assert abs(np.trace(rho.matrix @ rho.matrix) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 7, 1009])
+@pytest.mark.parametrize("kind,n_modes", [("spin-bath", 4), ("spin-bath", 7),
+                                          ("boson-mode", 2), ("boson-mode", 5)])
+def test_bath_ground_vector_of_a_diagonal_bath_is_eighs_vector(monkeypatch, kind, n_modes, seed):
+    """Both bath kinds build a diagonal ``h_b`` with one smallest entry: the
+    ground vector is the unit vector there, bit for bit ``eigh``'s, found
+    without an ``eigh``."""
+    bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
+                    boson_truncation=3 if kind == "boson-mode" else None)
+    model = build_system_bath_model(1, bath)
+    want = np.linalg.eigh(model.h_b.matrix)[1][:, 0]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    got = bath_ground_vector(model)
+    assert calls == []
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h_b", [
+    np.array([[0.3, 0.2], [0.2, -0.1]], dtype=complex),  # not diagonal
+    np.diag([0.5, -0.2, -0.2, 0.1]).astype(complex),  # degenerate minimum
+], ids=["off-diagonal", "degenerate"])
+def test_bath_ground_vector_keeps_eigh_otherwise(monkeypatch, h_b):
+    model = SystemBathModel(h_s=pauli_word_operator("Z"), h_b=Operator(h_b, [len(h_b)]),
+                            couplings=(), cutoff=1.0)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    got = bath_ground_vector(model)
+    assert len(calls) == 1
+    assert got.tobytes() == eigh(h_b)[1][:, 0].tobytes()
+    assert abs(np.vdot(got, h_b @ got).real - np.linalg.eigvalsh(h_b)[0]) < 1e-15
+
+
+@pytest.mark.parametrize("seed", [3, 1009])
+@pytest.mark.parametrize("kind,n_qubits,n_modes,coupling", [
+    ("spin-bath", 1, 3, "dephasing"), ("spin-bath", 2, 4, "linear-independent"),
+    ("spin-bath", 2, 3, "linear-collective"), ("spin-bath", 2, 8, "total"),
+    ("spin-bath", 1, 7, "dephasing"), ("boson-mode", 2, 2, "dephasing"),
+    ("boson-mode", 3, 3, "dephasing"), ("boson-mode", 1, 5, "dephasing"),
+])
+def test_bath_factors_match_the_kron_lifts_bitwise(kind, n_qubits, n_modes, coupling, seed):
+    """``h_b`` and every ``B_a`` are bit for bit the per-mode terms lifted by
+    ``np.kron`` and summed in the builder's mode order, normalized by the
+    same per-mode eigenvalues: a change of term order fails here."""
+    bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
+                    boson_truncation=3 if kind == "boson-mode" else None)
+    model = build_system_bath_model(n_qubits, bath, coupling=coupling)
+    h_b, factors = oracle_model.kron_bath(bath, len(model.couplings))
+    assert model.h_b.matrix.tobytes() == h_b.tobytes()
+    assert len(factors) == len(model.couplings)
+    for (_, b), want in zip(model.couplings, factors):
+        assert b.matrix.tobytes() == want.tobytes()
 
 
 def test_boson_model_structure():
