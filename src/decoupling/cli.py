@@ -13,6 +13,7 @@ interaction (residual table printed); 2 bad usage or config.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .groups import SEARCH_MAX_ORDER, SEARCH_MAX_QUBITS, minimal_group_search
@@ -50,17 +51,15 @@ def _resolve_out(args, config) -> str:
     raise ConfigError("no output directory: pass --out or set output_dir in the config")
 
 
-def _simulate(args) -> int:
+def _run(args) -> int:
     config = load_config(args.config)
-    return run_scenario(config, _resolve_out(args, config))
+    run = run_scenario if args.command == "simulate" else run_sweep
+    return run(config, _resolve_out(args, config))
 
 
-def _sweep(args) -> int:
-    config = load_config(args.config)
-    return run_sweep(config, _resolve_out(args, config))
-
-
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="decoupling",
         description="Bang-bang decoupling simulations: suppress decoherence "
@@ -85,18 +84,14 @@ def main(argv=None) -> int:
     p_design.add_argument(
         "--max-order", type=int, default=SEARCH_MAX_ORDER, help="largest group order to consider"
     )
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _simulate(args)
-        if args.command == "sweep":
-            return _sweep(args)
-        return _design(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return _design(args) if args.command == "design" else _run(args)
+    except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

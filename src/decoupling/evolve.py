@@ -189,16 +189,29 @@ def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
     return JointSpectrum(model, w, v, bath)
 
 
-def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times):
-    """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times``, ``coeffs = V^dag psi``
+def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times,
+                        keep=slice(None)):
+    """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times[keep]``, ``coeffs = V^dag psi``
     an ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product per sector. The
     times are uniform, so ``exp(-i E t_(qb+j)) = exp(-i E t_(qb)) exp(-i E (t_j - t_0))``,
     ``b = isqrt(n)``: each energy takes ``b + ceil(n / b)`` exponentials rather than ``n``."""
     b, e = math.isqrt(len(times)), -1j * energies[..., None]
     phases = np.exp(e * times[::b])[..., None] * np.exp(e * (times[:b] - times[0]))[..., None, :]
-    phased = phases.reshape(*energies.shape, -1)[..., :len(times), None] * coeffs[:, :, None]
+    phased = (phases.reshape(*energies.shape, -1)[..., :len(times)][..., keep, None]
+              * coeffs[:, :, None])
     out = vectors @ phased.reshape(*coeffs.shape[:2], -1)
     return np.moveaxis(out.reshape(phased.shape), 2, 0)
+
+
+def _closed_form(spectrum: JointSpectrum, psi0: np.ndarray, times: np.ndarray, keep: np.ndarray):
+    """Blocks of ``V_c exp(-i E_c t) V_c^dag psi0`` at ``times[keep]``: :func:`_spectral_evolution`
+    on each block of at most ``d x d`` numbers of the uniform ``times`` that keeps a time."""
+    step = max(1, spectrum.energies.size // psi0.shape[-1])
+    coeffs = spectrum.vectors.conj().swapaxes(-1, -2) @ psi0
+    for i in range(0, len(times), step):
+        if keep[i:i + step].any():
+            yield _spectral_evolution(spectrum.energies, spectrum.vectors, coeffs,
+                                      times[i:i + step], keep[i:i + step])
 
 
 def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBathModel:
@@ -292,6 +305,20 @@ def _ensemble(rho: Operator) -> np.ndarray:
     p, vecs = np.linalg.eigh(rho.matrix)
     keep = p > _ROUNDOFF_EIGENVALUE
     return vecs[:, keep] * np.sqrt(p[keep])
+
+
+def _initial_columns(run: SimulationRun) -> tuple[np.ndarray, np.ndarray]:
+    """The system's ensemble columns, and ``psi0``: their product with the bath's, in sectors."""
+    spectrum, system = run.spectrum, _ensemble(run.rho_s0)
+    bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
+    psi0 = system[:, None, :, None] * bath[:, None]  # system (x) bath, split into sectors
+    return system, psi0.reshape(spectrum.energies.shape + (-1,))
+
+
+def _reduce(block: np.ndarray, system_dim: int) -> np.ndarray:
+    """Reduced system states of a block of joint snapshots, one stacked ``M M^dag``."""
+    m = block.reshape(len(block), system_dim, -1)
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def _joint_purity(psi: np.ndarray) -> float:
@@ -389,24 +416,18 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     yield blocks of at most ``d x d`` numbers, reduced one stacked product a block.
     """
     spectrum = run.spectrum
-    bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
-    system = _ensemble(run.rho_s0)
-    psi0 = system[:, None, :, None] * bath[:, None]  # system (x) bath, split into sectors
-    psi0 = psi0.reshape(spectrum.energies.shape + (-1,))
+    system, psi0 = _initial_columns(run)
     cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
     times = cycles * run.schedule.cycle_time
-    step = max(1, spectrum.energies.size // psi0.shape[-1])  # at most d x d numbers a block
     if run.schedule.group.order == 1:
-        coeffs = spectrum.vectors.conj().swapaxes(-1, -2) @ psi0
-        blocks = (_spectral_evolution(spectrum.energies, spectrum.vectors, coeffs,
-                                      times[i:i + step]) for i in range(0, len(times), step))
+        blocks = _closed_form(spectrum, psi0, times, np.ones(len(times), dtype=bool))
     else:
+        step = max(1, spectrum.energies.size // psi0.shape[-1])  # at most d x d numbers a block
         blocks = _stepped_blocks(_cycle_blocks(spectrum, run.schedule), psi0, len(times),
                                  step, run.sample_every)
     states = []
     for block in blocks:
-        m = block.reshape(len(block), run.model.system_dim, -1)
-        states.append(m @ m.conj().swapaxes(-1, -2))
+        states.append(_reduce(block, run.model.system_dim))
     states = np.concatenate(states)
 
     w, v = np.linalg.eigh(run.ideal_system_hamiltonian().matrix)
@@ -433,6 +454,24 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
         trace_distance=0.5 * np.abs(np.linalg.eigvalsh(states - run.rho_s0.matrix)).sum(-1),
         metadata=meta,
     )
+
+
+def _free_coherence(runs: Sequence[SimulationRun]) -> list[np.ndarray]:
+    """The free evolution's l1 coherence on the sample grids ``j / N_i`` of the runs' common
+    total time, each distinct time evolved once: finest grid first, a run reads the fractions
+    an earlier grid has from there and evolves the rest in closed form on its own grid."""
+    spectrum, psi0 = runs[0].spectrum, _initial_columns(runs[0])[1]
+    ns, done = [run.n_cycles // run.sample_every for run in runs], {}
+    for i in sorted(range(len(runs)), key=lambda i: -ns[i]):
+        j, c, keep = np.arange(ns[i] + 1), np.empty(ns[i] + 1), np.ones(ns[i] + 1, dtype=bool)
+        for k, known in done.items():
+            on_k = keep & (j * ns[k] % ns[i] == 0)  # j / N_i = m / N_k
+            c[on_k], keep[on_k] = known[j[on_k] * ns[k] // ns[i]], False
+        times = j * runs[i].sample_every * runs[i].schedule.cycle_time
+        c[keep] = [x for b in _closed_form(spectrum, psi0, times, keep)
+                   for x in coherence_l1(_reduce(b, spectrum.model.system_dim))]
+        done[i] = c
+    return [done[i] for i in range(len(runs))]
 
 
 def observable_drift(
@@ -503,14 +542,13 @@ RATE_FIT_ONSET = 0.95
 RATE_FIT_FLOOR = 0.2
 
 
-def _decay_rate(traj: TrajectoryResult) -> tuple[float, tuple[int, int], float, str]:
-    c0 = float(traj.coherence[0])
-    t = traj.times
+def _decay_rate(t: np.ndarray, coherence: np.ndarray) -> tuple[float, tuple[int, int], float, str]:
+    c0 = float(coherence[0])
     if t[-1] <= 0:
         raise ValueError("trajectory has no positive-time snapshots")
     if c0 <= 1e-12:
         return 0.0, (0, 0), 0.0, "undefined-signal"
-    c = np.clip(traj.coherence / c0, 1e-300, None)
+    c = np.clip(coherence / c0, 1e-300, None)
     below_onset = np.flatnonzero(c <= RATE_FIT_ONSET)
     below_floor = np.flatnonzero(c < RATE_FIT_FLOOR)
     start = int(below_onset[0]) if below_onset.size else len(c)
@@ -528,8 +566,13 @@ def _decay_rate(traj: TrajectoryResult) -> tuple[float, tuple[int, int], float, 
 
 def estimate_rates(free: TrajectoryResult, controlled: TrajectoryResult) -> RateEstimate:
     """Compare decay rates of a free and a controlled trajectory."""
-    g_free, w_free, r_free, m_free = _decay_rate(free)
-    g_ctrl, w_ctrl, r_ctrl, m_ctrl = _decay_rate(controlled)
+    return _compare_rates(_decay_rate(free.times, free.coherence),
+                          _decay_rate(controlled.times, controlled.coherence))
+
+
+def _compare_rates(free: tuple, controlled: tuple) -> RateEstimate:
+    """:func:`estimate_rates` from the two trajectories' :func:`_decay_rate` fits."""
+    (g_free, w_free, r_free, m_free), (g_ctrl, w_ctrl, r_ctrl, m_ctrl) = free, controlled
     method = m_free if m_free == m_ctrl else f"{m_free}+{m_ctrl}"
     flagged = m_free != "window-fit" or m_ctrl == "undefined-signal"
     if g_free > 0:

@@ -39,14 +39,13 @@ from .model import (
 from .groups import DecouplingGroup, check_decoupling, pauli_group, pauli_sum, trivial_group
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
 from .evolve import (
-    JointSpectrum,
     SimulationRun,
-    TrajectoryResult,
     estimate_rates,
     evolve,
     fit_scaling_exponent,
     joint_spectrum,
 )
+from .evolve import _compare_rates, _decay_rate, _free_coherence
 
 SCENARIO_NAMES = (
     "dephasing-echo",
@@ -417,18 +416,6 @@ def _reject(out: Path, config: ScenarioConfig, report, t_start: float) -> int:
     return 1
 
 
-def _trajectories(
-    spectrum: JointSpectrum, config: ScenarioConfig, schedule: CycleSchedule, n_cycles: int
-) -> tuple[TrajectoryResult, TrajectoryResult]:
-    """Controlled and uncontrolled evolution, sampled on the same stroboscopic grid."""
-    free = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
-    return tuple(
-        evolve(SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=n_cycles,
-                             rho_s0=config.rho_s0, sample_every=config.sample_every))
-        for sched in (schedule, free)
-    )
-
-
 def run_scenario(config: ScenarioConfig, out_dir) -> int:
     """Run one controlled-versus-free comparison and write artifacts.
 
@@ -453,7 +440,11 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     schedule = build_schedule(config)
     omega_c_delta_t = config.bath.cutoff * config.delta_t
     spectrum = joint_spectrum(build_model(config))
-    controlled, free = _trajectories(spectrum, config, schedule, config.n_cycles)
+    free_schedule = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
+    controlled, free = (
+        evolve(SimulationRun(spectrum=spectrum, schedule=s, n_cycles=config.n_cycles,
+                             rho_s0=config.rho_s0, sample_every=config.sample_every))
+        for s in (schedule, free_schedule))
     rates = estimate_rates(free, controlled)
 
     controlled.write_csv(out / "trajectory.csv")
@@ -540,10 +531,12 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
 
     Writes ``sweep.csv`` (one row per value: delta_t, terminal
     infidelity, controlled/free rate ratio), ``summary.json`` with the
-    fitted log-log slope, and ``run.log``. Values run one after another,
-    in config order. Terminal infidelities below ``SWEEP_FIT_FLOOR`` are
-    written out but left out of the fit. A group that fails to decouple is
-    rejected as in :func:`run_scenario`.
+    fitted log-log slope, and ``run.log``. Each value's controlled run is
+    evolved as in :func:`run_scenario`; the free reference, which does not
+    depend on ``delta_t`` and of which only the coherence is read, is evolved
+    once for each distinct sample time of the sweep. Terminal infidelities
+    below ``SWEEP_FIT_FLOOR`` are written out but left out of the fit. A
+    group that fails to decouple is rejected as in :func:`run_scenario`.
     """
     if config.sweep_values is None:
         raise ConfigError("config field 'sweep': required for the sweep command")
@@ -557,22 +550,21 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         return _reject(out, config, report, t_start)
 
     spectrum = joint_spectrum(build_model(config))
+    runs = [SimulationRun(spectrum=spectrum, schedule=build_schedule(config, delta_t=v),
+                          n_cycles=n, rho_s0=config.rho_s0, sample_every=config.sample_every)
+            for v, n in zip(config.sweep_values, counts)]
 
     rows = []
-    for v, n_cycles in zip(config.sweep_values, counts):
-        schedule = build_schedule(config, delta_t=v)
-        controlled, free = _trajectories(spectrum, config, schedule, n_cycles)
-        rates = estimate_rates(free, controlled)
-        rows.append({
-            "delta_t": v,
-            "infidelity": float(1.0 - controlled.fidelity[-1]),
-            "ratio": rates.ratio,
-            "rates": rates.to_record(),
-        })
+    for v, run, free in zip(config.sweep_values, runs, _free_coherence(runs)):
+        controlled = evolve(run)
+        rates = _compare_rates(_decay_rate(controlled.times, free),
+                               _decay_rate(controlled.times, controlled.coherence))
+        rows.append({"delta_t": v, "infidelity": float(1.0 - controlled.fidelity[-1]),
+                     "rates": rates})
 
     lines = ["delta_t, terminal_infidelity, ratio"]
     for row in rows:
-        ratio = row["ratio"]
+        ratio = row["rates"].ratio
         ratio_text = repr(float(ratio)) if math.isfinite(ratio) else "nan"
         lines.append(f"{row['delta_t']!r}, {row['infidelity']!r}, {ratio_text}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
@@ -605,7 +597,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         "fit_point_count": len(usable),
         "points": [
             {"delta_t": row["delta_t"], "infidelity": row["infidelity"],
-             "rates": row["rates"]}
+             "rates": row["rates"].to_record()}
             for row in rows
         ],
         "feasibility": _feasibility(max_odt),

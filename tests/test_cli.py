@@ -179,3 +179,40 @@ def test_reruns_are_byte_identical(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+FULL_TWO_QUBIT_SPAN = ["XI", "YI", "ZI", "IX", "IY", "IZ", "XX", "XY", "XZ",
+                       "YX", "YY", "YZ", "ZX", "ZY", "ZZ"]
+
+
+def test_parser_built_once_leaks_nothing_between_calls(tmp_path, capsys):
+    """``main`` reuses one parser: a sequence of calls prints and returns what
+    each call does on a freshly built parser. The full two-qubit span needs
+    order 16, so a ``--max-order 4`` that leaked into the next call would
+    show; the last call lacks ``--interaction`` and exits through argparse."""
+    cli = importlib.import_module("decoupling.cli")
+    cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7, "n_cycles": 5})
+    calls = [
+        ["design", "--interaction", *FULL_TWO_QUBIT_SPAN, "--qubits", "2", "--max-order", "4"],
+        ["design", "--interaction", *FULL_TWO_QUBIT_SPAN, "--qubits", "2"],
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "o")],
+        ["design", "--qubits", "2"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    in_sequence = [outcome(argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_sequence == fresh
+    assert [code for code, _, _ in in_sequence] == [1, 0, 0, 2]
+    assert "order <= 4" in in_sequence[0][1] and "(order 16)" in in_sequence[1][1]

@@ -1,9 +1,12 @@
 """Scenario configs: parsing, validation, file outputs, sweep mechanics."""
 
+import importlib
 import json
 
 import numpy as np
 import pytest
+
+import oracle_sweep
 
 from decoupling import (
     ConfigError,
@@ -370,6 +373,8 @@ def test_run_sweep_rejects_degenerate_values(tmp_path):
     })
     with pytest.raises(ValueError, match="distinct"):
         run_sweep(cfg, tmp_path)
+    with pytest.raises(ValueError, match="distinct"):
+        oracle_sweep.per_point_sweep(cfg)
 
 
 def test_run_scenario_deterministic_bytes(tmp_path):
@@ -391,3 +396,72 @@ def test_named_states_match_their_kron_form_bitwise(n_qubits):
         got = _named_state(name, n_qubits, "rho_s0")
         assert got.dims == (2,) * n_qubits
         assert np.array_equal(got.matrix, np.outer(psi, psi))
+
+
+SYMMETRIC_ECHO_SWEEP = {"parameter": "delta_t", "values": [0.2, 0.1, 0.05, 0.025]}
+PLAIN_ECHO_SWEEP = {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"scenario": "dephasing-echo", "seed": 7, "symmetric": True, "bath": {"n_modes": 5},
+     "sweep": SYMMETRIC_ECHO_SWEEP},
+    {"scenario": "dephasing-echo", "seed": 17, "symmetric": True, "bath": {"n_modes": 5},
+     "sweep": SYMMETRIC_ECHO_SWEEP},
+    {"scenario": "dephasing-echo", "seed": 7, "sweep": PLAIN_ECHO_SWEEP},
+    {"scenario": "dephasing-echo", "seed": 7, "sample_every": 2,
+     "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}},
+], ids=["symmetric-echo-seed7", "symmetric-echo-seed17", "non-nested", "sample-every-2"])
+def test_run_sweep_matches_the_per_point_loop(doc, tmp_path):
+    """``run_sweep`` against the per-point loop it replaced: the controlled
+    runs are the same calls, so infidelities and the fit agree bit for bit;
+    the free coherence comes from each distinct sample time once, on the
+    finest grid that has it, so the free rate moves in its last digits only.
+    The plain echo's grids (80, 100 and 160 cycles) do not nest."""
+    config = parse_config(doc)
+    rows, fit, fit_points = oracle_sweep.per_point_sweep(config)
+    assert run_sweep(config, tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["slope"], summary["intercept"], summary["r_squared"]) == (
+        fit.slope, fit.intercept, fit.r_squared)
+    assert summary["fit_point_count"] == fit_points
+    csv_rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(summary["points"]) == len(csv_rows) == len(rows)
+    for point, line, (v, infidelity, rates) in zip(summary["points"], csv_rows, rows):
+        assert point["delta_t"] == v and point["infidelity"] == infidelity
+        assert float(line.split(",")[1]) == infidelity
+        got = point["rates"]
+        for key in ("fit_window", "method", "flagged", "gamma_controlled"):
+            assert got[key] == rates[key], key
+        for key in ("gamma_free", "ratio", "fit_residual"):
+            assert got[key] == pytest.approx(rates[key], rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.parametrize("doc, evaluated", [
+    ({"scenario": "dephasing-echo", "seed": 7, "symmetric": True, "bath": {"n_modes": 5},
+      "sweep": SYMMETRIC_ECHO_SWEEP}, 321),
+    ({"scenario": "dephasing-echo", "seed": 7, "sweep": PLAIN_ECHO_SWEEP}, 241),
+], ids=["nested", "non-nested"])
+def test_run_sweep_evolves_each_free_sample_time_once(doc, evaluated, tmp_path, monkeypatch):
+    """The symmetric echo's grids hold 321 distinct fractions of the total
+    time among 604 samples (320/160/80/40 cycles); the plain echo's hold 241
+    among 343 (80/100/160). The closed form evaluates each once, and
+    ``evolve`` runs once per point, for the controlled trajectory only."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    scenarios_module = importlib.import_module("decoupling.scenarios")
+    closed_form, evolve = evolve_module._closed_form, scenarios_module.evolve
+    counts = {"snapshots": 0, "evolve": 0}
+
+    def counting_closed_form(*args):
+        for block in closed_form(*args):
+            counts["snapshots"] += len(block)
+            yield block
+
+    def counting_evolve(run):
+        counts["evolve"] += 1
+        return evolve(run)
+
+    monkeypatch.setattr(evolve_module, "_closed_form", counting_closed_form)
+    monkeypatch.setattr(scenarios_module, "evolve", counting_evolve)
+    config = parse_config(doc)
+    assert run_sweep(config, tmp_path) == 0
+    assert counts == {"snapshots": evaluated, "evolve": len(config.sweep_values)}
