@@ -32,10 +32,10 @@ print("(flip keeps X, the full group removes everything traceless)")
 
 print("\ncommutant of the two-qubit collective group {II, XX, YY, ZZ}:")
 basis = commutant_basis(pauli_group(2, "collective"))
-print(f"dimension {basis.dimension}")
+print(f"dimension {len(basis)}")
 for word in ("II", "XX", "YY", "ZZ"):
     v = pauli_word_operator(word).matrix.ravel()
-    mine = np.array([op.matrix.ravel() for op in basis.basis])
+    mine = np.array([op.matrix.ravel() for op in basis])
     q, _ = np.linalg.qr(mine.T)
     res = np.linalg.norm(v - q @ (q.conj().T @ v)) / np.linalg.norm(v)
     print(f"  {word} lies in the commutant (residual {res:.1e})")

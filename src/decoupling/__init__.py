@@ -9,12 +9,8 @@ control time step shrinks.
 from .operators import (
     DIM_CAP,
     NUMERIC_TOL,
-    STRUCT_TOL,
     Operator,
-    distance,
     expm_hermitian,
-    identity,
-    zero,
 )
 from .model import (
     BathSpec,
@@ -24,7 +20,6 @@ from .model import (
     total_hamiltonian,
 )
 from .groups import (
-    CommutantBasis,
     DecouplingGroup,
     DecouplingReport,
     check_decoupling,
@@ -40,14 +35,12 @@ from .sequence import (
     CycleSchedule,
     boundary_pulses,
     schedule_from_group,
-    schedule_from_record,
     schedule_to_record,
     symmetrize,
 )
 from .magnus import (
     average_h0,
     average_h1,
-    toggled_hamiltonian,
     truncation_error,
 )
 from .evolve import (

@@ -16,7 +16,7 @@ import argparse
 import functools
 import sys
 
-from .groups import SEARCH_MAX_ORDER, SEARCH_MAX_QUBITS, minimal_group_search
+from .groups import SEARCH_MAX_ORDER, SEARCH_MAX_QUBITS, check_decoupling, minimal_group_search
 from .sequence import boundary_pulses
 from .scenarios import ConfigError, load_config, run_scenario, run_sweep
 
@@ -27,7 +27,8 @@ def _design(args) -> int:
         if not 1 <= value <= cap:
             raise ValueError(f"{flag} must be between 1 and {cap}, got {value}")
     words = [w.upper() for w in args.interaction]
-    groups = minimal_group_search([{w: 1.0} for w in words], args.qubits, max_order=args.max_order)
+    tables = [{w: 1.0} for w in words]
+    groups = minimal_group_search(tables, args.qubits, max_order=args.max_order)
 
     print(f"interaction span: {words} on {args.qubits} qubit(s)")
     if not groups:
@@ -35,9 +36,9 @@ def _design(args) -> int:
         return 1
     print(f"minimal decoupling groups (order {groups[0].order}):")
     for group in groups:
-        cdim = group.commutant_dimension
-        mode = "maximal" if cdim == 1 else "selective"
-        print(f"  group {list(group.labels)}  [{mode}, commutant dimension {cdim}]")
+        report = check_decoupling(group, tables)
+        print(f"  group {list(group.labels)}  "
+              f"[{report.mode}, commutant dimension {report.commutant_dimension}]")
         pulses = " ".join(f"dt {p}" for p in boundary_pulses(group.labels))
         print(f"    cycle (pulses up to phase): {pulses}")
     return 0

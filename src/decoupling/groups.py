@@ -219,19 +219,8 @@ def project_commutant(op: Operator, group: DecouplingGroup) -> Operator:
     return Operator(acc / group.order, op.dims)
 
 
-@dataclass(frozen=True)
-class CommutantBasis:
-    """Orthonormal (Hilbert-Schmidt) basis of the commutant."""
-
-    basis: tuple[Operator, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
-def commutant_basis(group: DecouplingGroup) -> CommutantBasis:
-    """Orthonormal basis of the commutant, in word space.
+def commutant_basis(group: DecouplingGroup) -> tuple[Operator, ...]:
+    """Orthonormal (Hilbert-Schmidt) basis of the commutant, in word space.
 
     The Pauli words are an orthogonal operator basis, and conjugation by a
     group word maps each word to plus or minus itself, so the averaging
@@ -243,11 +232,11 @@ def commutant_basis(group: DecouplingGroup) -> CommutantBasis:
     n = len(group.labels[0])
     scale = 1.0 / np.sqrt(group.dim)
     words = ("".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n))
-    return CommutantBasis(tuple(
+    return tuple(
         pauli_word_operator(w) * scale
         for w in words
         if not any(_words_anticommute(w, g) for g in group.labels)
-    ))
+    )
 
 
 @dataclass(frozen=True)
@@ -265,10 +254,6 @@ class DecouplingReport:
     mode: str
     residuals: tuple[float, ...]
     commutant_dimension: int
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
 
 
 # -- classification in word space -----------------------------------------

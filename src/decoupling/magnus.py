@@ -22,23 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import Operator, conjugate_system, distance, expm_hermitian
+from .operators import Operator, conjugate_system, expm_hermitian
 from .model import SystemBathModel, total_hamiltonian
 from .sequence import CycleSchedule
 from .evolve import JointSpectrum, _matching_model, cycle_propagator
-
-
-def toggled_hamiltonian(model: SystemBathModel, schedule: CycleSchedule, j: int) -> Operator:
-    """Joint Hamiltonian seen in the control frame of segment ``j``.
-
-    The frame acts on the system factor only, so the bath term passes
-    through untouched: the result is ``g_j^dag H_S g_j (x) 1 + 1 (x) H_B
-    + sum_a g_j^dag S_a g_j (x) B_a``.
-    """
-    h = total_hamiltonian(_matching_model(model, schedule))
-    if not 0 <= j < schedule.n_segments:
-        raise ValueError(f"segment index {j} out of range for {schedule.n_segments} segments")
-    return Operator(conjugate_system(schedule.frames[j], h.matrix), h.dims)
 
 
 def average_h0(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
@@ -86,4 +73,4 @@ def truncation_error(spectrum: JointSpectrum, schedule: CycleSchedule, order: in
         effective = effective + average_h1(spectrum.model, schedule)
     exact = cycle_propagator(spectrum, schedule)
     approx = expm_hermitian(effective, schedule.cycle_time)
-    return distance(exact, approx, metric="frobenius")
+    return float(np.linalg.norm(exact.matrix - approx.matrix))

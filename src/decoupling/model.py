@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DIM_CAP, Operator, zero
+from .operators import DIM_CAP, Operator
 from .groups import PAULI_LETTERS, PAULI_MATRICES, pauli_sum
 
 
@@ -137,10 +137,6 @@ class SystemBathModel:
     @property
     def bath_dim(self) -> int:
         return self.h_b.dim
-
-    @property
-    def n_system_factors(self) -> int:
-        return len(self.h_s.dims)
 
 
 def total_hamiltonian(model: SystemBathModel) -> Operator:
@@ -269,7 +265,7 @@ def build_system_bath_model(
     if problem is not None:
         raise ValueError(problem[1])
     if h_s is None:
-        h_s = zero([2] * n_qubits)
+        h_s = pauli_sum({}, n_qubits)
     elif h_s.dims != (2,) * n_qubits:
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
 

@@ -21,8 +21,7 @@ import numpy as np
 #: Hard cap on the total Hilbert-space dimension.
 DIM_CAP = 4096
 
-#: Absolute tolerance for structural identities (hermiticity, unitarity,
-#: projector algebra), relative to max(1, magnitude).
+#: Absolute tolerance for the hermiticity check, relative to max(1, magnitude).
 STRUCT_TOL = 1e-10
 
 #: Tolerance for iterative / numerical comparisons.
@@ -70,9 +69,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.dims)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -86,10 +82,6 @@ class Operator:
     def is_hermitian(self, tol: float = STRUCT_TOL) -> bool:
         scale = max(1.0, self.max_abs())
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) <= tol * scale
-
-    def is_unitary(self, tol: float = STRUCT_TOL) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
-        return float(np.max(np.abs(gram - np.eye(self.dim)))) <= tol
 
     # -- arithmetic --------------------------------------------------------
 
@@ -107,39 +99,13 @@ class Operator:
         self._require_same_space(other)
         return Operator(self.matrix - other.matrix, self.dims)
 
-    def __neg__(self) -> "Operator":
-        return Operator(-self.matrix, self.dims)
-
     def __mul__(self, scalar) -> "Operator":
         return Operator(self.matrix * complex(scalar), self.dims)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "Operator":
-        return Operator(self.matrix / complex(scalar), self.dims)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._require_same_space(other)
-        return Operator(self.matrix @ other.matrix, self.dims)
-
     def __repr__(self) -> str:
         return f"Operator(d={self.dim}, dims={self.dims})"
-
-
-def identity(dims) -> Operator:
-    """Identity operator; ``dims`` may be an int or a dimension list."""
-    if isinstance(dims, int):
-        dims = (dims,)
-    d = math.prod(dims)
-    return Operator(np.eye(d), dims)
-
-
-def zero(dims) -> Operator:
-    """Zero operator; ``dims`` may be an int or a dimension list."""
-    if isinstance(dims, int):
-        dims = (dims,)
-    d = math.prod(dims)
-    return Operator(np.zeros((d, d)), dims)
 
 
 def expm_hermitian(h: Operator, t: float) -> Operator:
@@ -176,26 +142,3 @@ def as_matrices(x: Operator | np.ndarray) -> np.ndarray:
     """The matrix of an :class:`Operator`, or an array of matrices, as complex."""
     return x.matrix if isinstance(x, Operator) else np.asarray(x, dtype=np.complex128)
 
-
-def distance(
-    a: Operator | np.ndarray, b: Operator | np.ndarray, metric: str = "frobenius"
-) -> float | np.ndarray:
-    """Distance between two same-shape operators, one value per matrix.
-
-    ``a`` and ``b`` are Operators or stacks ``(n, d, d)`` of matrices that
-    broadcast against each other; two single matrices give a float.
-    ``frobenius`` is the entrywise 2-norm of the difference; ``trace`` is
-    half the sum of the singular values of the difference (for density
-    matrices this is the usual trace distance).
-    """
-    x, y = as_matrices(a), as_matrices(b)
-    if x.shape[-2:] != y.shape[-2:]:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    if metric == "frobenius":
-        out = np.linalg.norm(diff, axis=(-2, -1))
-    elif metric == "trace":
-        out = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False), axis=-1)
-    else:
-        raise ValueError(f"unknown metric {metric!r}; expected 'frobenius' or 'trace'")
-    return out if out.ndim else float(out)

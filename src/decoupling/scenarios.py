@@ -246,12 +246,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if 2**n_qubits > DIM_CAP:
         _fail("K", f"register dimension 2**{n_qubits} exceeds the cap {DIM_CAP}")
 
-    for key in ("kind", "n_modes", "cutoff", "coupling_scale"):
+    merged_bath.setdefault("kind", "spin-bath")
+    for key in ("n_modes", "cutoff", "coupling_scale"):
         if key not in merged_bath:
-            if key == "kind":
-                merged_bath["kind"] = "spin-bath"
-            else:
-                _fail(f"bath.{key}", "required field is missing")
+            _fail(f"bath.{key}", "required field is missing")
     kind = _as_str(merged_bath["kind"], "bath.kind")
     if kind not in BATH_KINDS:
         _fail("bath.kind", f"unknown bath kind {kind!r}; expected one of {BATH_KINDS}")

@@ -116,23 +116,3 @@ def schedule_to_record(schedule: CycleSchedule) -> dict:
         "symmetric": bool(schedule.symmetric),
     }
 
-
-def schedule_from_record(record: dict) -> CycleSchedule:
-    """Rebuild a schedule written by :func:`schedule_to_record`."""
-    expected = {"group", "delta_t", "ordering", "symmetric"}
-    keys = set(record)
-    if keys != expected:
-        missing = sorted(expected - keys)
-        extra = sorted(keys - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing keys {missing}")
-        if extra:
-            parts.append(f"unknown keys {extra}")
-        raise ValueError("bad schedule record: " + ", ".join(parts))
-    return CycleSchedule(
-        DecouplingGroup(record["group"]),
-        float(record["delta_t"]),
-        record["ordering"],
-        bool(record["symmetric"]),
-    )

@@ -25,13 +25,7 @@ import itertools
 
 import numpy as np
 
-from decoupling import (
-    Operator,
-    TrajectoryResult,
-    expm_hermitian,
-    identity,
-    total_hamiltonian,
-)
+from decoupling import Operator, TrajectoryResult, expm_hermitian, total_hamiltonian
 from decoupling.evolve import _cycle_blocks, _ensemble
 from decoupling.groups import _word_product
 from decoupling.operators import STRUCT_TOL, act_on_system, conjugate_system
@@ -46,6 +40,7 @@ ROUNDOFF_EIGENVALUE = 1e-13
 
 
 def commutator(a, b):
+    """``[a, b]`` of two matrices."""
     return a @ b - b @ a
 
 
@@ -124,11 +119,10 @@ def toggled_matrices(model, schedule):
 def cycle_propagator(model, schedule):
     """Product of the per-segment exponentials, later segments to the left."""
     joint_dims = tuple(model.h_s.dims) + tuple(model.h_b.dims)
-    u = identity(joint_dims)
+    u = np.eye(model.system_dim * model.bath_dim, dtype=complex)
     for h_j in toggled_matrices(model, schedule):
-        step = expm_hermitian(Operator(h_j, joint_dims), schedule.delta_t)
-        u = step @ u
-    return u
+        u = expm_hermitian(Operator(h_j, joint_dims), schedule.delta_t).matrix @ u
+    return Operator(u, joint_dims)
 
 
 def pulse_picture_propagator(spectrum, schedule):

@@ -5,7 +5,8 @@ writes each mode's operators into the bath matrix by index. The builders
 here are the separate spin and boson paths it replaced, verbatim: they
 build every site operator through a chain of :func:`tensor` products,
 the Kronecker product the package no longer has, and
-``total_hamiltonian`` sums ``Operator`` terms. The new
+``total_hamiltonian`` sums ``Operator`` terms. Their ``identity`` and
+``zero`` constructors left the package and live here. The new
 builder must reproduce their models bit for bit, except the bath factors:
 they are normalized here by the SVD spectral norm, and in the package by
 per-mode eigenvalues, so the two agree to 1e-14 relative.
@@ -16,6 +17,7 @@ order and normalizes them by the same per-mode eigenvalues.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +27,23 @@ from decoupling import (
     Operator,
     SystemBathModel,
     coupling_tables,
-    identity,
-    zero,
 )
 from decoupling.groups import PAULI_MATRICES, pauli_sum
+
+
+def identity(dims) -> Operator:
+    """Identity operator; ``dims`` may be an int or a dimension list."""
+    if isinstance(dims, int):
+        dims = (dims,)
+    return Operator(np.eye(math.prod(dims)), dims)
+
+
+def zero(dims) -> Operator:
+    """Zero operator; ``dims`` may be an int or a dimension list."""
+    if isinstance(dims, int):
+        dims = (dims,)
+    d = math.prod(dims)
+    return Operator(np.zeros((d, d)), dims)
 
 
 def tensor(a: Operator, b: Operator) -> Operator:

@@ -151,13 +151,13 @@ def test_04_commutant_matches_null_space_oracle():
     _, svals, vh = np.linalg.svd(stacked)
     oracle = vh[np.concatenate([svals, np.zeros(16 - len(svals))]) < 1e-10].conj()
 
-    dim_ok = basis.dimension == 4 and oracle.shape[0] == 4
+    dim_ok = len(basis) == 4 and oracle.shape[0] == 4
     q, _ = np.linalg.qr(oracle.T)
     worst = 0.0
-    for op in basis.basis:
+    for op in basis:
         v = op.matrix.ravel()
         worst = max(worst, float(np.linalg.norm(v - q @ (q.conj().T @ v))))
-    mine = np.array([op.matrix.ravel() for op in basis.basis])
+    mine = np.array([op.matrix.ravel() for op in basis])
     qm, _ = np.linalg.qr(mine.T)
     for row in oracle:
         worst = max(worst, float(np.linalg.norm(row - qm @ (qm.conj().T @ row))))
@@ -167,7 +167,7 @@ def test_04_commutant_matches_null_space_oracle():
         worst = max(worst, res)
     assert report(4, "commutant equals null-space oracle",
                   dim_ok and worst <= 1e-8,
-                  f"dimension {basis.dimension}, overlap residual {worst:.2e}")
+                  f"dimension {len(basis)}, overlap residual {worst:.2e}")
 
 
 def test_05_minimal_group_search():

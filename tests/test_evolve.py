@@ -21,7 +21,6 @@ from decoupling import (
     evolve,
     expm_hermitian,
     fit_scaling_exponent,
-    identity,
     joint_spectrum,
     observable_drift,
     parse_config,
@@ -36,7 +35,7 @@ from decoupling import (
     trivial_group,
 )
 
-from oracle_model import tensor
+from oracle_model import identity, tensor
 
 PLUS = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
 
@@ -56,8 +55,8 @@ def random_density(rng, d, dims):
 def test_cycle_propagator_is_unitary():
     model = make_model()
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
-    u = cycle_propagator(joint_spectrum(model), sched)
-    assert u.is_unitary()
+    u = cycle_propagator(joint_spectrum(model), sched).matrix
+    assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-10
 
 
 def test_cycle_propagator_equals_pulse_interleaved_product():
@@ -70,14 +69,14 @@ def test_cycle_propagator_equals_pulse_interleaved_product():
         u_frames = cycle_propagator(joint_spectrum(model), sched)
 
         h0 = total_hamiltonian(model)
-        free = expm_hermitian(h0, sched.delta_t)
+        free = expm_hermitian(h0, sched.delta_t).matrix
         eye_b = identity(list(model.h_b.dims))
         frames = sched.frames
-        prod = identity(list(h0.dims))
+        prod = np.eye(h0.dim, dtype=complex)
         for j, f in enumerate(frames):
             pulse = Operator(frames[(j + 1) % len(frames)] @ f.conj().T, model.h_s.dims)
-            prod = tensor(pulse, eye_b) @ free @ prod
-        assert np.max(np.abs(prod.matrix - u_frames.matrix)) < 1e-9
+            prod = tensor(pulse, eye_b).matrix @ free @ prod
+        assert np.max(np.abs(prod - u_frames.matrix)) < 1e-9
 
 
 @pytest.mark.parametrize("group, symmetric, products", [

@@ -24,7 +24,6 @@ from decoupling import (
     build_system_bath_model,
     coherence_l1,
     cycle_propagator,
-    distance,
     evolve,
     joint_spectrum,
     parse_config,
@@ -72,8 +71,6 @@ def assert_same_kernels(states, rho_s0):
         "neighbour fidelity": (state_fidelity(states[1:], states[:-1]),
                                [oracle_dm.state_fidelity(a, b) for a, b in pairs]),
         "coherence": (coherence_l1(states), [oracle_dm.coherence_l1(s) for s in ops]),
-        "trace distance": (distance(states, rho_s0, metric="trace"),
-                           [oracle_dm.trace_distance(s, rho_s0) for s in ops]),
     }
     for name, (got, want) in checks.items():
         diff = np.max(np.abs(got - np.array(want)))

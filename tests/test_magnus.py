@@ -1,7 +1,8 @@
 """Average Hamiltonian series oracles.
 
 The zeroth order is compared against a plain arithmetic mean of toggled
-Hamiltonians and against factor-wise group projection; the first order
+Hamiltonians (conjugated by Kronecker-lifted frames) and against
+factor-wise group projection; the first order
 is compared against the explicit commutator double sum.
 """
 
@@ -22,11 +23,13 @@ from decoupling import (
     project_commutant,
     schedule_from_group,
     symmetrize,
-    toggled_hamiltonian,
     total_hamiltonian,
     truncation_error,
     trivial_group,
 )
+from decoupling.operators import conjugate_system
+
+from oracle_dm import toggled_matrices
 
 
 def make_model(seed=7, coupling="dephasing", n_qubits=1, h_s=None):
@@ -36,25 +39,21 @@ def make_model(seed=7, coupling="dephasing", n_qubits=1, h_s=None):
 
 
 def test_toggled_hamiltonian_is_explicit_conjugation():
+    """The frame conjugation the averages use, by reshape, equals the
+    Kronecker-lifted conjugation of the oracle."""
     model = make_model()
-    group = pauli_group(1, "full")
-    sched = schedule_from_group(group, delta_t=0.1)
-    h0 = total_hamiltonian(model).matrix
-    eye_b = np.eye(model.bath_dim, dtype=complex)
-    for j, frame in enumerate(sched.frames):
-        lift = np.kron(frame, eye_b)
-        want = lift.conj().T @ h0 @ lift
-        got = toggled_hamiltonian(model, sched, j)
+    sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
+    h0 = total_hamiltonian(model)
+    for frame, want in zip(sched.frames, toggled_matrices(model, sched), strict=True):
+        got = Operator(conjugate_system(frame, h0.matrix), h0.dims)
         assert np.max(np.abs(got.matrix - want)) < 1e-12
         assert got.is_hermitian()
-    with pytest.raises(ValueError):
-        toggled_hamiltonian(model, sched, 4)
 
 
 def test_average_h0_is_arithmetic_mean():
     model = make_model()
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.07)
-    mats = [toggled_hamiltonian(model, sched, j).matrix for j in range(sched.n_segments)]
+    mats = toggled_matrices(model, sched)
     want = sum(mats) / len(mats)
     got = average_h0(model, sched)
     assert np.max(np.abs(got.matrix - want)) < 1e-12
@@ -92,7 +91,7 @@ def test_average_h0_invariant_under_cyclic_rotation():
 def test_average_h1_matches_double_sum():
     model = make_model(coupling="total")
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.13)
-    mats = [toggled_hamiltonian(model, sched, j).matrix for j in range(sched.n_segments)]
+    mats = toggled_matrices(model, sched)
     n = len(mats)
     dt = sched.delta_t
     acc = np.zeros_like(mats[0])

@@ -74,7 +74,7 @@ def test_spin_bath_model_shape_and_spectrum():
     model = build_system_bath_model(1, bath, coupling="dephasing")
     assert model.system_dim == 2
     assert model.bath_dim == 16
-    assert model.n_system_factors == 1
+    assert model.h_s.dims == (2,)
     assert len(model.couplings) == 1
     sword, bop = model.couplings[0]
     assert np.allclose(sword.matrix, SZ)

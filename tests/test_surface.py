@@ -1,0 +1,72 @@
+"""The package's public names, pinned.
+
+The list holds what the command line, the demos and the acceptance
+criteria call. A name is added or removed by editing it here.
+"""
+
+import types
+
+import decoupling
+
+PUBLIC_NAMES = [
+    "BathSpec",
+    "ConfigError",
+    "CycleSchedule",
+    "DIM_CAP",
+    "DecouplingGroup",
+    "DecouplingReport",
+    "JointSpectrum",
+    "NUMERIC_TOL",
+    "Operator",
+    "PRESETS",
+    "RateEstimate",
+    "SCENARIO_NAMES",
+    "ScalingFit",
+    "ScenarioConfig",
+    "SimulationRun",
+    "SystemBathModel",
+    "TrajectoryResult",
+    "average_h0",
+    "average_h1",
+    "boundary_pulses",
+    "build_model",
+    "build_schedule",
+    "build_system_bath_model",
+    "check_decoupling",
+    "coherence_l1",
+    "commutant_basis",
+    "coupling_tables",
+    "cycle_propagator",
+    "estimate_rates",
+    "evolve",
+    "expm_hermitian",
+    "fit_scaling_exponent",
+    "joint_spectrum",
+    "load_config",
+    "minimal_group_search",
+    "observable_drift",
+    "parse_config",
+    "pauli_group",
+    "pauli_sum",
+    "pauli_word_operator",
+    "project_commutant",
+    "run_scenario",
+    "run_sweep",
+    "schedule_from_group",
+    "schedule_to_record",
+    "state_fidelity",
+    "symmetrize",
+    "total_hamiltonian",
+    "trivial_group",
+    "truncation_error",
+]
+
+
+def test_public_names_are_pinned():
+    """Submodules are left out: ``decoupling.cli`` becomes an attribute
+    only once something imports it."""
+    public = sorted(
+        name for name, value in vars(decoupling).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == PUBLIC_NAMES
