@@ -26,9 +26,9 @@ for label, overrides in (("plain", {"n_cycles": 40}),
         "sweep": {"parameter": "delta_t", "values": values},
         **overrides,
     })
-    out = Path(tempfile.mkdtemp(prefix=f"sweep-{label}-"))
-    run_sweep(cfg, out)
-    results[label] = json.loads((out / "summary.json").read_text())
+    with tempfile.TemporaryDirectory(prefix=f"sweep-{label}-") as out:
+        run_sweep(cfg, out)
+        results[label] = json.loads((Path(out) / "summary.json").read_text())
 
 print(f"\n{'dt':>6}  {'plain 1-F':>12}  {'symmetric 1-F':>14}")
 for p, s in zip(results["plain"]["points"], results["symmetric"]["points"]):

@@ -63,9 +63,6 @@ from .groups import DecouplingGroup, _word_product, project_commutant
 #: of exact zeros: they are left out of ensembles and square roots.
 _ROUNDOFF_EIGENVALUE = 1e-13
 
-#: A density matrix whose top eigenvalue reaches this is treated as pure.
-_PURE_EIGENVALUE = 1.0 - 1e-10
-
 
 def _check_density(rho: Operator, what: str):
     if not rho.is_hermitian():
@@ -83,63 +80,41 @@ def _sqrt_density(p: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (vecs * root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _expectation(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``<psi|rho|psi>`` per state of a stack, real part."""
-    return np.einsum("...i,...ij,...j->...", psi.conj(), rho, psi).real
-
-
 def state_fidelity(a: Operator | np.ndarray, b: Operator | np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity ``(tr sqrt(sqrt(a) b sqrt(a)))**2``, one value per pair.
 
     ``a`` and ``b`` are density Operators or stacks ``(n, d, d)`` of
     density matrices that broadcast against each other; two Operators
-    give a float. When either state of a pair is pure the identity
-    ``F = <psi|rho|psi>`` is used instead of the matrix square roots; it
-    is exact and keeps full floating-point resolution near ``F = 1``,
-    where the general formula loses about half the significant digits to
-    clipped eigenvalues. Otherwise the trace is the sum of the singular
-    values of ``sqrt(a) sqrt(b)``, with eigenvalues at round-off level
+    give a float. The trace is the sum of the singular values of
+    ``sqrt(a) sqrt(b)``, with eigenvalues at or below round-off level
     zeroed before each square root: the square root of a round-off zero
     is of order 1e-8, and would carry into the fidelity of rank-deficient
-    states. Each pair of a stack takes its own branch.
+    states. For a rank-one ``a = |u><u|`` this is ``<u|b|u>``. The states
+    are taken as given, not renormalized: the fidelity is of ``a`` and
+    ``b``, not of ``a / tr a`` and ``b / tr b``. Values are clipped to
+    ``[0, 1]``.
     """
     if isinstance(a, Operator) and isinstance(b, Operator) and a.dims != b.dims:
         raise ValueError("states act on different dims")
     x, y = as_matrices(a), as_matrices(b)
     if x.shape[-2:] != y.shape[-2:]:
         raise ValueError("states act on different dims")
-    va, ua = np.linalg.eigh(x)
-    vb, ub = np.linalg.eigh(y)
-    batch = np.broadcast_shapes(va.shape[:-1], vb.shape[:-1])
-    pure_a = np.broadcast_to(va[..., -1] >= _PURE_EIGENVALUE, batch)
-    pure_b = np.broadcast_to(vb[..., -1] >= _PURE_EIGENVALUE, batch)
-    f = np.where(pure_a, _expectation(ua[..., -1], y), _expectation(ub[..., -1], x))
-    mixed = ~(pure_a | pure_b)
-    if mixed.any():
-        sqrt_a, sqrt_b = (
-            _sqrt_density(np.broadcast_to(p, batch + p.shape[-1:])[mixed],
-                          np.broadcast_to(v, batch + v.shape[-2:])[mixed])
-            for p, v in ((va, ua), (vb, ub))
-        )
-        f[mixed] = np.sum(np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False), axis=-1) ** 2
-    f = np.clip(f, 0.0, 1.0)
+    sqrt_a, sqrt_b = (_sqrt_density(*np.linalg.eigh(m)) for m in (x, y))
+    f = np.clip(np.sum(np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False), axis=-1) ** 2, 0.0, 1.0)
     return f if f.ndim else float(f)
 
 
 def _reference_fidelity(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """:func:`state_fidelity` of each state against its reference ``roots roots^dag``.
+    """:func:`state_fidelity` of each state ``rho`` against its reference ``roots roots^dag``.
 
-    A pure reference, one column ``y``, is read off ``y`` with no
-    eigendecomposition of its own: ``|<u|y>|**2`` for a state whose top
-    eigenvector ``u`` passes the purity test, ``<y|rho|y>`` otherwise.
+    A pure reference, one column ``y``, gives ``<y|rho|y>`` exactly, with no
+    eigendecomposition; a mixed one takes :func:`state_fidelity`. As there,
+    the fidelity is of ``rho``, not of ``rho / tr rho``, clipped to ``[0, 1]``.
     """
     if roots.shape[-1] > 1:
         return state_fidelity(states, roots @ roots.conj().swapaxes(-1, -2))
     y = roots[..., 0]
-    p, u = np.linalg.eigh(states)
-    overlap = np.abs(np.einsum("...i,...i->...", u[..., -1].conj(), y)) ** 2
-    return np.clip(np.where(p[..., -1] >= _PURE_EIGENVALUE, overlap, _expectation(y, states)),
-                   0.0, 1.0)
+    return np.clip(np.einsum("...i,...ij,...j->...", y.conj(), states, y).real, 0.0, 1.0)
 
 
 def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:

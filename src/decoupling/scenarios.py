@@ -488,12 +488,6 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     return 0
 
 
-#: Terminal infidelities below this are not resolved: ``1 - F`` sits at
-#: the round-off of ``F = 1``, and a log-log fit would read it as an error
-#: that scales with ``delta_t``. The sweep fit leaves them out.
-SWEEP_FIT_FLOOR = 1e-13
-
-
 def _check_sample_every(n_cycles: int, config: ScenarioConfig, path: str):
     if n_cycles % config.sample_every:
         _fail(path, f"sample_every={config.sample_every} does not divide "
@@ -529,12 +523,15 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
 
     Writes ``sweep.csv`` (one row per value: delta_t, terminal
     infidelity, controlled/free rate ratio), ``summary.json`` with the
-    fitted log-log slope, and ``run.log``. Each value's controlled run is
-    evolved as in :func:`run_scenario`; the free reference, which does not
-    depend on ``delta_t`` and of which only the coherence is read, is evolved
-    once for each distinct sample time of the sweep. Terminal infidelities
-    below ``SWEEP_FIT_FLOOR`` are written out but left out of the fit. A
-    group that fails to decouple is rejected as in :func:`run_scenario`.
+    log-log fit of terminal infidelity against delta_t over every value
+    (``fit_point_count`` of them), and ``run.log``. The infidelity is
+    ``1 - <y|rho|y>`` for the pure reference ``y`` of every named initial
+    state, read off the reduced state ``rho`` as it is, not renormalized.
+    Each value's controlled run is evolved as in :func:`run_scenario`; the
+    free reference, which does not depend on ``delta_t`` and of which only
+    the coherence is read, is evolved once for each distinct sample time of
+    the sweep. A group that fails to decouple is rejected as in
+    :func:`run_scenario`.
     """
     if config.sweep_values is None:
         raise ConfigError("config field 'sweep': required for the sweep command")
@@ -567,15 +564,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         lines.append(f"{row['delta_t']!r}, {row['infidelity']!r}, {ratio_text}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
 
-    usable = [
-        (row["delta_t"], row["infidelity"]) for row in rows
-        if row["infidelity"] >= SWEEP_FIT_FLOOR
-    ]
-    if len(usable) < len(rows):
-        saturated = [row["delta_t"] for row in rows if row["infidelity"] < SWEEP_FIT_FLOOR]
-        print(f"warning: infidelity at the numeric floor for delta_t in {saturated}; "
-              "these points are excluded from the fit")
-    fit = fit_scaling_exponent(usable)
+    fit = fit_scaling_exponent([(row["delta_t"], row["infidelity"]) for row in rows])
 
     max_odt = config.bath.cutoff * max(config.sweep_values)
     summary = {
@@ -592,7 +581,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
-        "fit_point_count": len(usable),
+        "fit_point_count": len(rows),
         "points": [
             {"delta_t": row["delta_t"], "infidelity": row["infidelity"],
              "rates": row["rates"].to_record()}

@@ -19,12 +19,12 @@ from decoupling import (
     schedule_from_group,
     trivial_group,
 )
-from decoupling.scenarios import SWEEP_FIT_FLOOR, _sweep_cycle_counts
+from decoupling.scenarios import _sweep_cycle_counts
 
 
 def per_point_sweep(config):
     """``(rows, fit, fit_point_count)``: one ``(delta_t, infidelity, rate record)``
-    row per sweep value, and the log-log fit of the resolved infidelities."""
+    row per sweep value, and the log-log fit of every infidelity."""
     _, counts = _sweep_cycle_counts(config)
     spectrum = joint_spectrum(build_model(config))
     rows = []
@@ -37,5 +37,4 @@ def per_point_sweep(config):
             for s in (schedule, free))
         rates = estimate_rates(free, controlled)
         rows.append((v, float(1.0 - controlled.fidelity[-1]), rates.to_record()))
-    usable = [(v, infidelity) for v, infidelity, _ in rows if infidelity >= SWEEP_FIT_FLOOR]
-    return rows, fit_scaling_exponent(usable), len(usable)
+    return rows, fit_scaling_exponent([(v, infidelity) for v, infidelity, _ in rows]), len(rows)

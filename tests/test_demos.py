@@ -13,10 +13,14 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    """Each demo runs with its own temporary directory, which it leaves empty."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    env = dict(os.environ, TMPDIR=str(temp), PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert [p.name for p in temp.iterdir()] == []

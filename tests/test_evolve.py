@@ -321,9 +321,9 @@ def random_pure(rng, d, dims):
 
 
 def test_state_fidelity_qubit_closed_form():
-    """For qubits F = tr(rho sigma) + 2 sqrt(det rho det sigma). One stack
-    holds pairs with a pure first state, a pure second state and two
-    mixed states; each pair takes its own branch."""
+    """For qubits F = tr(rho sigma) + 2 sqrt(det rho det sigma), on pairs
+    with a pure first state, a pure second state and two mixed states,
+    one at a time and in one stack."""
     rng = np.random.default_rng(37)
     pairs = [(random_density(rng, 2, [2]), random_density(rng, 2, [2])) for _ in range(8)]
     pairs += [(random_pure(rng, 2, [2]), random_density(rng, 2, [2])),
@@ -536,3 +536,30 @@ def test_state_fidelity_rank_deficient_mixed_states():
     stack_b = np.array([b.matrix, (q * pure) @ q.conj().T, b.matrix])
     want = [r[0], p[0], want]
     assert np.max(np.abs(state_fidelity(stack_a, stack_b) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("d, seed, tol", [(2, None, 1e-15), (2, 0, 1e-14), (4, 0, 1e-14),
+                                           (8, 0, 1e-14)],
+                         ids=["basis", "random-2", "random-4", "random-8"])
+def test_near_pure_state_fidelity_is_exact(d, seed, tol):
+    """``rho = (1 - eps)|psi><psi| + eps|phi><phi|`` with ``phi`` orthogonal to
+    ``psi`` has fidelity ``1 - eps`` with ``|psi><psi|``. At ``eps = 5e-11``
+    the top eigenvalue of ``rho`` is within 1e-10 of one; ``state_fidelity``
+    in both argument orders, and a run's reference fidelity against the pure
+    reference ``psi``, still read the ``eps``: to 1e-15 for ``|0>, |1>``, and
+    to 1e-14 for random orthonormal pairs, whose entries round when ``rho``
+    is built (up to 1.4e-15 in ``<psi|rho|psi>`` and 6e-15 through the
+    eigensolver and SVD, over 300 draws each in 2, 4 and 8 dimensions)."""
+    q = np.eye(d, dtype=complex)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    psi, phi = q[:, 0], q[:, 1]
+    eps = 5e-11
+    rho = Operator((1 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj()), [d])
+    pure = Operator(np.outer(psi, psi.conj()), [d])
+    assert abs(state_fidelity(rho, pure) - (1 - eps)) <= tol
+    assert abs(state_fidelity(pure, rho) - (1 - eps)) <= tol
+    evolve_module = importlib.import_module("decoupling.evolve")
+    got = evolve_module._reference_fidelity(rho.matrix[None], psi[None, :, None])
+    assert got.shape == (1,) and abs(got[0] - (1 - eps)) <= tol

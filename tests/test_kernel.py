@@ -25,6 +25,7 @@ from decoupling import (
     coherence_l1,
     cycle_propagator,
     evolve,
+    expm_hermitian,
     joint_spectrum,
     parse_config,
     pauli_group,
@@ -33,6 +34,8 @@ from decoupling import (
     state_fidelity,
     trivial_group,
 )
+
+from decoupling.evolve import _ensemble
 
 import oracle_dm
 
@@ -57,11 +60,11 @@ def assert_same_snapshots(run):
 
 
 def assert_same_kernels(states, rho_s0):
-    """Stacked observables against the scalar oracle kernels on one stack.
+    """Stacked observables against the oracle kernels, one snapshot at a time.
 
     Fidelity is taken against the initial state (the first snapshot is
     pure) and between neighbouring snapshots (mixed after the first), so
-    the stack's members take every branch of the fidelity.
+    the oracle's fidelity takes both its pure and its mixed branch.
     """
     ops = [Operator(s, rho_s0.dims) for s in states]
     pairs = list(zip(ops[1:], ops[:-1]))
@@ -160,12 +163,9 @@ def thermal(h: Operator, beta: float) -> Operator:
     return Operator((v * (p / p.sum())) @ v.conj().T, h.dims)
 
 
-def test_mixed_initial_states_match_oracle():
-    """A mixed system state and an explicit mixed bath state propagate as
-    their eigen-ensembles (rank 2 times full rank here), under the
-    collective group and freely, so the free run's closed form also takes
-    16 columns (in blocks of 32 // 16 = 2 snapshots). The rank-deficient
-    system state also exercises the mixed-state branch of the fidelity."""
+def mixed_runs():
+    """A rank-2 system state and a thermal bath state, under the collective
+    group and freely."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=11)
     h_s = 0.2 * pauli_word_operator("XX") + 0.1 * pauli_word_operator("ZI")
     model = build_system_bath_model(2, bath, coupling="linear-collective", h_s=h_s)
@@ -174,9 +174,20 @@ def test_mixed_initial_states_match_oracle():
     rho_s0 = Operator(0.7 * np.outer(plus, plus) + 0.3 * np.outer(zero, zero), [2, 2])
     rho_b0 = thermal(model.h_b, beta=2.0)
     spectrum = joint_spectrum(model)
-    for group, delta_t in ((pauli_group(2, "collective"), 0.1), (trivial_group(2), 0.4)):
-        run = SimulationRun(spectrum=spectrum, schedule=schedule_from_group(group, delta_t),
-                            n_cycles=40, rho_s0=rho_s0, rho_b0=rho_b0, sample_every=2)
+    return [SimulationRun(spectrum=spectrum, schedule=schedule_from_group(group, delta_t),
+                          n_cycles=40, rho_s0=rho_s0, rho_b0=rho_b0, sample_every=2)
+            for group, delta_t in ((pauli_group(2, "collective"), 0.1),
+                                   (trivial_group(2), 0.4))]
+
+
+def test_mixed_initial_states_match_oracle():
+    """A mixed system state and an explicit mixed bath state propagate as
+    their eigen-ensembles (rank 2 times full rank here), under the
+    collective group and freely, so the free run's closed form also takes
+    16 columns (in blocks of 32 // 16 = 2 snapshots). The rank-deficient
+    system state also gives a mixed reference, whose fidelity takes
+    :func:`state_fidelity`."""
+    for run in mixed_runs():
         assert_same_snapshots(run)
         assert evolve(run).metadata["initial_joint_purity"] < 0.5
 
@@ -246,3 +257,26 @@ def test_angle_addition_phases_match_direct_exponentials(n, start, angle, tol):
                                             times)
     assert got.shape == (n, 2, 6, 1)
     assert np.max(np.abs(got[..., 0] - np.exp(-1j * energies * times[:, None, None]))) <= tol
+
+
+def assert_fidelity_matches_the_threshold_kernel(run):
+    """Every fidelity of ``run`` against the kernel that read a state within
+    1e-10 of pure as pure, on the same states and a reference evolved by
+    its own exponential: they differ by at most that 1e-10."""
+    got = evolve(run)
+    system = _ensemble(run.rho_s0)
+    h_ideal = run.ideal_system_hamiltonian()
+    roots = np.array([expm_hermitian(h_ideal, t).matrix @ system for t in got.times])
+    diff = np.max(np.abs(got.fidelity - oracle_dm.reference_fidelity(got.states, roots)))
+    assert diff <= TOL, f"fidelity differs from the threshold kernel by {diff:.3e}"
+
+
+@pytest.mark.parametrize("name, symmetric", PRESET_CYCLES, ids=CYCLE_IDS)
+def test_preset_fidelity_matches_the_threshold_kernel(name, symmetric):
+    for run in preset_runs(name, symmetric=symmetric):
+        assert_fidelity_matches_the_threshold_kernel(run)
+
+
+def test_mixed_state_fidelity_matches_the_threshold_kernel():
+    for run in mixed_runs() + [two_spin_run("full", "total", 99, 3, MIXED)]:
+        assert_fidelity_matches_the_threshold_kernel(run)
