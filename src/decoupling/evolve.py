@@ -27,6 +27,20 @@ segments costs ``log2 n`` batched products rather than ``n - 1``.
 The free run, the trivial group's, has no pulses and needs no cycle: its
 snapshots are ``V_c (exp(-i E_c t_k) * (V_c^dag psi_0))`` in closed form.
 
+When every register qubit is conserved, the model comes from the builder
+(its :class:`~decoupling.model.ModeTable`) and the bath starts in its
+ground state, a run takes the product path. Each sector is one register
+state ``c`` and ``H_c = E_c + sum_i h_ci`` is a sum of commuting
+single-mode terms, and the ground state is a product over modes, so
+``rho_cc'(t) = rho_cc'(0) prod_i <phi_i^c'(t)|phi_i^c(t)>`` with
+``phi_i^c`` mode ``i``'s vector in sector ``c``. Each mode's cycle in each
+sector is an ``n x n`` matrix from the same segment order as the sector
+blocks', its steps exponentiated in extended precision, and the snapshots
+are its powers; a free run takes the modes' closed form. No joint or
+sector ``eigh`` is made and no ``d x d`` array is built. Every other run
+(a register not fully conserved, a hand-built model, an explicit
+``rho_b0``) takes the sector path, the product path's oracle.
+
 The joint state is propagated as ``d x r`` columns ``sqrt(p_i q_k) psi_i
 (x) phi_k``, the product of the eigen-ensembles of the initial system and
 bath states. The default states are pure, so ``r = 1``; an explicit
@@ -50,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -149,15 +164,20 @@ class JointSpectrum:
         return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
-    """Diagonalize ``h_b`` and the total Hamiltonian: one batched ``eigh`` over the sectors
-    of the leading qubits on which every system factor is diagonal (zero off the blocks)."""
+def _sector_count(model: SystemBathModel) -> int:
+    """``2**n_f``, for the leading ``n_f`` qubits on which every system factor is diagonal."""
     n_c, mats = 1, [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]
     while (n_c < model.system_dim and model.h_s.dims[n_c.bit_length() - 1] == 2
            and not any(x.reshape(2 * n_c, -1, 2 * n_c, len(x) // (2 * n_c)).swapaxes(1, 2)
                        [~np.eye(2 * n_c, dtype=bool)].any() for x in mats)):
         n_c *= 2
-    w, v = np.linalg.eigh(sector_hamiltonians(model, n_c))
+    return n_c
+
+
+def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
+    """Diagonalize ``h_b`` and the total Hamiltonian: one batched ``eigh`` over the sectors
+    of the leading qubits on which every system factor is diagonal (zero off the blocks)."""
+    w, v = np.linalg.eigh(sector_hamiltonians(model, _sector_count(model)))
     bath = bath_ground_vector(model)
     for a in (w, v, bath):
         a.setflags(write=False)
@@ -178,15 +198,15 @@ def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.nd
     return np.moveaxis(out.reshape(phased.shape), 2, 0)
 
 
-def _closed_form(spectrum: JointSpectrum, psi0: np.ndarray, times: np.ndarray, keep: np.ndarray):
+def _closed_form(energies: np.ndarray, vectors: np.ndarray, psi0: np.ndarray, step: int,
+                 times: np.ndarray, keep: np.ndarray):
     """Blocks of ``V_c exp(-i E_c t) V_c^dag psi0`` at ``times[keep]``: :func:`_spectral_evolution`
-    on each block of at most ``d x d`` numbers of the uniform ``times`` that keeps a time."""
-    step = max(1, spectrum.energies.size // psi0.shape[-1])
-    coeffs = spectrum.vectors.conj().swapaxes(-1, -2) @ psi0
+    on each block of ``step`` of the uniform ``times`` that keeps a time."""
+    coeffs = vectors.conj().swapaxes(-1, -2) @ psi0
     for i in range(0, len(times), step):
         if keep[i:i + step].any():
-            yield _spectral_evolution(spectrum.energies, spectrum.vectors, coeffs,
-                                      times[i:i + step], keep[i:i + step])
+            yield _spectral_evolution(energies, vectors, coeffs, times[i:i + step],
+                                      keep[i:i + step])
 
 
 def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBathModel:
@@ -213,12 +233,17 @@ def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operat
 
 
 def _cycle_blocks(spectrum: JointSpectrum, schedule: CycleSchedule) -> np.ndarray:
-    """The ``(n_c, D, D)`` sector blocks of :func:`cycle_propagator`. Each
+    """The ``(n_c, D, D)`` sector blocks of :func:`cycle_propagator`."""
+    _matching_model(spectrum.model, schedule)
+    return _sector_cycle(spectrum.propagator(schedule.delta_t), schedule)
+
+
+def _sector_cycle(w: np.ndarray, schedule: CycleSchedule) -> np.ndarray:
+    """The cycle of a free step ``w``, an ``(n_c, ...)`` stack of sector blocks. Each
     frame is a flip of the sector axes and ``g_r``, ``g``'s block from sector
     0 to sector ``x`` (its phase cancels in every conjugation), or None when
-    ``g_r`` is a phase times the identity and the frame is its flip alone."""
-    _matching_model(spectrum.model, schedule)
-    w = spectrum.propagator(schedule.delta_t)
+    ``g_r`` is a phase times the identity and the frame is its flip alone, as
+    it is for every frame when each sector is one register state."""
     n_c, n_f = len(w), len(w).bit_length() - 1
     frames = {}
     for word, g in zip(schedule.segments, schedule.frames):
@@ -282,12 +307,12 @@ def _ensemble(rho: Operator) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(p[keep])
 
 
-def _initial_columns(run: SimulationRun) -> tuple[np.ndarray, np.ndarray]:
-    """The system's ensemble columns, and ``psi0``: their product with the bath's, in sectors."""
+def _initial_columns(run: SimulationRun) -> np.ndarray:
+    """``psi0``: the system's ensemble columns times the bath's, split into sectors."""
     spectrum, system = run.spectrum, _ensemble(run.rho_s0)
     bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
     psi0 = system[:, None, :, None] * bath[:, None]  # system (x) bath, split into sectors
-    return system, psi0.reshape(spectrum.energies.shape + (-1,))
+    return psi0.reshape(spectrum.energies.shape + (-1,))
 
 
 def _reduce(block: np.ndarray, system_dim: int) -> np.ndarray:
@@ -301,18 +326,105 @@ def _joint_purity(psi: np.ndarray) -> float:
     return float(np.linalg.norm((psi.conj().swapaxes(-1, -2) @ psi).sum(0)) ** 2)
 
 
+def _mode_wise(model: SystemBathModel) -> bool:
+    """Whether the product path evolves the model's default-bath runs: it has a mode
+    table and every register qubit is conserved, so each sector is one register state."""
+    return model.modes is not None and _sector_count(model) == model.system_dim
+
+
+def _mode_hamiltonians(model: SystemBathModel) -> np.ndarray:
+    """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of sector ``c``'s
+    Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of ``h_s``, added
+    to mode 0: a ``(d_s m, n, n)`` stack, sector major."""
+    t = model.modes
+    diag = np.array([x.matrix.diagonal().real
+                     for x in [model.h_s] + [s for s, _ in model.couplings]])
+    h = t.frequencies[:, None, None] * t.h_mode + np.tensordot(
+        diag[1:].T, np.tensordot(t.coefficients, t.operators, axes=1), axes=1)
+    h[:, 0] += diag[0][:, None, None] * np.eye(len(t.h_mode))
+    return h.reshape(-1, *h.shape[-2:])
+
+
+def _expm(h: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i h t)`` of a stack of small Hermitian matrices, in extended precision: 17
+    Taylor terms of ``-i h t / 2**s`` (1-norm at most 1/2), squared ``s`` times. A cycle's
+    powers then keep their norm, where steps from ``eigh`` lose a few ulp a cycle."""
+    a = (-1j * float(t)) * h.astype(np.clongdouble)
+    s = max(0, int(np.frexp(2 * float(np.abs(a).sum(-1).max()))[1]))
+    out = term = np.eye(h.shape[-1], dtype=a.dtype)
+    for j in range(1, 18):
+        term = term @ a / (j * 2**s)
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _powers(u: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
+    """``u**k psi`` for ``k < n``, by doubling: ``log2 n`` products."""
+    out = psi[None]
+    while len(out) < n:
+        out, u = np.concatenate([out, u @ out]), u @ u
+    return out[:n]
+
+
+def _mode_reduce(rho0: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Reduced states ``rho0_cc' prod_i <phi_i^c'|phi_i^c>`` of a block of per-mode vectors."""
+    phi = block.reshape(len(block), len(rho0), -1, block.shape[-2])
+    return rho0 * np.einsum("kcia,kdia->kcdi", phi, phi.conj()).prod(-1)
+
+
+def _mode_purity(rho0: np.ndarray, psi: np.ndarray) -> float:
+    """``tr(rho**2) = sum_cc' |rho0_cc'|**2 N_c N_c'`` of the joint state whose sector ``c``
+    holds the product of the per-mode vectors ``psi``, of squared norm ``N_c``."""
+    norms = (np.abs(psi) ** 2).sum((-2, -1)).reshape(len(rho0), -1).prod(-1)
+    return float(norms @ (np.abs(rho0) ** 2) @ norms)
+
+
+def _path(run: SimulationRun):
+    """``(closed_form, stepped, reduce, purity, psi0)``: a run's snapshots in closed form
+    (``closed_form(times, keep)``) and stepped by its cycle (``stepped(n)``), both in blocks,
+    the reduced states of a block, the joint purity of a snapshot, and the initial one.
+
+    The product path, when the run's model is :func:`_mode_wise` and its bath starts in
+    its ground state, evolves each mode's vector in each sector from that mode's ground
+    state; otherwise the sector path evolves ``psi`` on the run's joint spectrum."""
+    model, schedule, every = run.model, run.schedule, run.sample_every
+    d = model.system_dim * model.bath_dim
+    if not (isinstance(run.rho_b0, str) and _mode_wise(model)):
+        spectrum, psi0 = run.spectrum, _initial_columns(run)
+        step = max(1, d * d // psi0.size)  # snapshots of at most d x d numbers a block
+        return (partial(_closed_form, spectrum.energies, spectrum.vectors, psi0, step),
+                lambda n: _stepped_blocks(_cycle_blocks(spectrum, schedule), psi0, n, step,
+                                          every),
+                lambda block: _reduce(block, model.system_dim), _joint_purity, psi0)
+    rho0, h = run.rho_s0.matrix, _mode_hamiltonians(model)
+    psi0 = np.zeros(h.shape[:-1] + (1,), dtype=complex)
+    psi0[:, np.argmin(model.modes.h_mode.diagonal().real)] = 1.0
+
+    def stepped(n):
+        w = _expm(h, schedule.delta_t).reshape(len(rho0), -1, *h.shape[-2:])
+        u = np.linalg.matrix_power(_sector_cycle(w, schedule).reshape(h.shape), every)
+        return [_powers(u, psi0.astype(u.dtype), n).astype(complex)]
+
+    return (partial(_closed_form, *np.linalg.eigh(h), psi0, max(1, d * d // psi0.size)), stepped,
+            partial(_mode_reduce, rho0), partial(_mode_purity, rho0), psi0)
+
+
 @dataclass(frozen=True)
 class SimulationRun:
     """Everything needed to propagate one controlled (or free) evolution.
 
-    ``spectrum`` is the model's :func:`joint_spectrum`, shared by its runs.
+    ``spectrum`` is the model's :func:`joint_spectrum`, shared by its runs,
+    or the model itself for a run that the product path evolves (see
+    :func:`evolve`), which needs no joint spectrum.
     ``rho_b0`` may be ``"bath-ground-state"`` (the default) or an explicit
     bath density operator. The ideal reference trajectory evolves under
     the system Hamiltonian averaged over the schedule's group. Snapshots
     are taken every ``sample_every`` cycles, which must divide ``n_cycles``.
     """
 
-    spectrum: JointSpectrum
+    spectrum: JointSpectrum | SystemBathModel
     schedule: CycleSchedule
     n_cycles: int
     rho_s0: Operator
@@ -338,10 +450,13 @@ class SimulationRun:
             if self.rho_b0.dims != self.model.h_b.dims:
                 raise ValueError("rho_b0 dims do not match the model bath")
             _check_density(self.rho_b0, "rho_b0")
+        if not isinstance(self.spectrum, JointSpectrum) and not (
+                isinstance(self.rho_b0, str) and _mode_wise(self.model)):
+            raise ValueError("the run takes the sector path: pass the model's joint_spectrum")
 
     @property
     def model(self) -> SystemBathModel:
-        return self.spectrum.model
+        return self.spectrum.model if isinstance(self.spectrum, JointSpectrum) else self.spectrum
 
     def ideal_system_hamiltonian(self) -> Operator:
         return project_commutant(self.model.h_s, self.schedule.group)
@@ -386,26 +501,42 @@ class TrajectoryResult:
 def evolve(run: SimulationRun) -> TrajectoryResult:
     """Propagate a run and record reduced-state snapshots.
 
-    A trivial-group schedule (no pulses) is read off the run's spectrum in
-    closed form, any other steps ``psi`` by its cycle propagator's blocks; both
-    yield blocks of at most ``d x d`` numbers, reduced one stacked product a block.
+    A trivial-group schedule (no pulses) is read off the eigenpairs in closed
+    form; any other steps ``psi`` by its cycle. On the sector path, snapshots
+    come in blocks of at most ``d x d`` numbers, reduced one stacked product
+    a block. On the product path (a builder's model whose register qubits
+    are all conserved, bath in its ground state) the cycle is made per mode
+    and per sector and the snapshots are its powers.
     """
-    spectrum = run.spectrum
-    system, psi0 = _initial_columns(run)
+    times, cycles, states, fidelity, meta = _trajectory(run)
+    return TrajectoryResult(
+        times=times,
+        cycles=cycles,
+        states=states,
+        fidelity=fidelity,
+        coherence=coherence_l1(states),
+        trace_distance=0.5 * np.abs(np.linalg.eigvalsh(states - run.rho_s0.matrix)).sum(-1),
+        metadata=meta,
+    )
+
+
+def _trajectory(run: SimulationRun):
+    """``(times, cycles, states, fidelity, metadata)`` of a run: every record of
+    :func:`evolve` but the coherence and the trace distance."""
+    closed_form, stepped, reduce, purity, psi0 = _path(run)
     cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
     times = cycles * run.schedule.cycle_time
     if run.schedule.group.order == 1:
-        blocks = _closed_form(spectrum, psi0, times, np.ones(len(times), dtype=bool))
+        blocks = closed_form(times, np.ones(len(times), dtype=bool))
     else:
-        step = max(1, spectrum.energies.size // psi0.shape[-1])  # at most d x d numbers a block
-        blocks = _stepped_blocks(_cycle_blocks(spectrum, run.schedule), psi0, len(times),
-                                 step, run.sample_every)
+        blocks = stepped(len(times))
     states = []
     for block in blocks:
-        states.append(_reduce(block, run.model.system_dim))
+        states.append(reduce(block))
     states = np.concatenate(states)
 
     w, v = np.linalg.eigh(run.ideal_system_hamiltonian().matrix)
+    system = _ensemble(run.rho_s0)
     roots = _spectral_evolution(w[None], v[None], (v.conj().T @ system)[None], times)[:, 0]
 
     meta = {
@@ -416,26 +547,18 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
         "omega_c_delta_t": run.model.cutoff * run.schedule.delta_t,
         "n_segments": run.schedule.n_segments,
         "group_order": run.schedule.group.order,
-        "initial_joint_purity": _joint_purity(psi0),
-        "terminal_joint_purity": _joint_purity(block[-1]),
+        "initial_joint_purity": purity(psi0),
+        "terminal_joint_purity": purity(block[-1]),
     }
     states.setflags(write=False)
-    return TrajectoryResult(
-        times=times,
-        cycles=cycles,
-        states=states,
-        fidelity=_reference_fidelity(states, roots),
-        coherence=coherence_l1(states),
-        trace_distance=0.5 * np.abs(np.linalg.eigvalsh(states - run.rho_s0.matrix)).sum(-1),
-        metadata=meta,
-    )
+    return times, cycles, states, _reference_fidelity(states, roots), meta
 
 
 def _free_coherence(runs: Sequence[SimulationRun]) -> list[np.ndarray]:
     """The free evolution's l1 coherence on the sample grids ``j / N_i`` of the runs' common
     total time, each distinct time evolved once: finest grid first, a run reads the fractions
     an earlier grid has from there and evolves the rest in closed form on its own grid."""
-    spectrum, psi0 = runs[0].spectrum, _initial_columns(runs[0])[1]
+    closed_form, _, reduce, _, _ = _path(runs[0])
     ns, done = [run.n_cycles // run.sample_every for run in runs], {}
     for i in sorted(range(len(runs)), key=lambda i: -ns[i]):
         j, c, keep = np.arange(ns[i] + 1), np.empty(ns[i] + 1), np.ones(ns[i] + 1, dtype=bool)
@@ -443,8 +566,7 @@ def _free_coherence(runs: Sequence[SimulationRun]) -> list[np.ndarray]:
             on_k = keep & (j * ns[k] % ns[i] == 0)  # j / N_i = m / N_k
             c[on_k], keep[on_k] = known[j[on_k] * ns[k] // ns[i]], False
         times = j * runs[i].sample_every * runs[i].schedule.cycle_time
-        c[keep] = [x for b in _closed_form(spectrum, psi0, times, keep)
-                   for x in coherence_l1(_reduce(b, spectrum.model.system_dim))]
+        c[keep] = [x for b in closed_form(times, keep) for x in coherence_l1(reduce(b))]
         done[i] = c
     return [done[i] for i in range(len(runs))]
 

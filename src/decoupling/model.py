@@ -78,6 +78,25 @@ class BathSpec:
         object.__setattr__(self, "mode_frequencies", tuple(float(w) for w in freqs))
 
 
+@dataclass(frozen=True, eq=False)
+class ModeTable:
+    """The bath of :func:`build_system_bath_model`, mode by mode: ``h_b = sum_i
+    frequencies[i] h_mode^(i)`` and ``B_a = sum_i (sum_k coefficients[a, i, k]
+    operators[k])^(i)``, ``x^(i)`` acting on mode ``i`` alone. ``coefficients[a]``
+    are channel ``a``'s drawn rows times ``coupling_scale / norm``, ``norm`` the
+    spectral norm of their sum. Shapes ``(m,)``, ``(n, n)``, ``(k, n, n)``, ``(n_a, m, k)``.
+    """
+
+    frequencies: np.ndarray
+    h_mode: np.ndarray
+    operators: np.ndarray
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.frequencies, self.h_mode, self.operators, self.coefficients):
+            a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class SystemBathModel:
     """Finite-dimensional system-bath Hamiltonian in split form.
@@ -87,12 +106,18 @@ class SystemBathModel:
     and the bath operators must be linearly independent (a dependent set
     silently merges decoherence channels, which the builder avoids by
     drawing enough bath modes).
+
+    ``modes`` is the builder's :class:`ModeTable`, the frequencies, mode
+    operators and coefficient rows the bath operators were placed from, its
+    shapes checked against the bath and the channels. A hand-built model has
+    none and is always evolved on its joint spectrum.
     """
 
     h_s: Operator
     h_b: Operator
     couplings: tuple[tuple[Operator, Operator], ...]
     cutoff: float
+    modes: ModeTable | None = None
 
     def __post_init__(self):
         if not self.h_s.is_hermitian():
@@ -129,6 +154,11 @@ class SystemBathModel:
                     "bath coupling operators are linearly dependent; "
                     "draw more bath modes or fewer coupling channels"
                 )
+        if self.modes is not None:
+            m, (k, n, _) = len(self.modes.frequencies), self.modes.operators.shape
+            shape = (len(self.couplings), m, k)
+            if n**m != self.bath_dim or self.modes.coefficients.shape != shape:
+                raise ValueError("mode table does not match the bath and its channels")
 
     @property
     def system_dim(self) -> int:
@@ -286,7 +316,7 @@ def build_system_bath_model(
 
     h_b = placed([w * h_mode for w in bath.mode_frequencies])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
-    couplings = []
+    couplings, rows = [], []
     for table in tables:
         coeffs = rng.standard_normal(m * len(mode_ops)).reshape(m, -1)
         b = placed([sum(c * op for c, op in zip(row, mode_ops)) for row in coeffs])
@@ -297,5 +327,8 @@ def build_system_bath_model(
             raise ValueError("degenerate random draw for a bath coupling operator")
         couplings.append((pauli_sum(table, n_qubits),
                           Operator(bath.coupling_scale * b / nrm, bath_dims)))
+        rows.append(coeffs * (bath.coupling_scale / nrm))
+    modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops),
+                      np.array(rows).reshape(len(tables), m, len(mode_ops)))
     return SystemBathModel(h_s=h_s, h_b=Operator(h_b, bath_dims), couplings=tuple(couplings),
-                           cutoff=bath.cutoff)
+                           cutoff=bath.cutoff, modes=modes)

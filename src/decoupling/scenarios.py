@@ -40,12 +40,13 @@ from .groups import DecouplingGroup, check_decoupling, pauli_group, pauli_sum, t
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
 from .evolve import (
     SimulationRun,
+    coherence_l1,
     estimate_rates,
     evolve,
     fit_scaling_exponent,
     joint_spectrum,
 )
-from .evolve import _compare_rates, _decay_rate, _free_coherence
+from .evolve import _compare_rates, _decay_rate, _free_coherence, _mode_wise, _trajectory
 
 SCENARIO_NAMES = (
     "dephasing-echo",
@@ -437,7 +438,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
 
     schedule = build_schedule(config)
     omega_c_delta_t = config.bath.cutoff * config.delta_t
-    spectrum = joint_spectrum(build_model(config))
+    model = build_model(config)
+    # the product path needs no joint spectrum
+    spectrum = model if _mode_wise(model) else joint_spectrum(model)
     free_schedule = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
     controlled, free = (
         evolve(SimulationRun(spectrum=spectrum, schedule=s, n_cycles=config.n_cycles,
@@ -527,10 +530,11 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     (``fit_point_count`` of them), and ``run.log``. The infidelity is
     ``1 - <y|rho|y>`` for the pure reference ``y`` of every named initial
     state, read off the reduced state ``rho`` as it is, not renormalized.
-    Each value's controlled run is evolved as in :func:`run_scenario`; the
-    free reference, which does not depend on ``delta_t`` and of which only
-    the coherence is read, is evolved once for each distinct sample time of
-    the sweep. A group that fails to decouple is rejected as in
+    Each value's controlled run is evolved as in :func:`run_scenario`, but
+    with no trace distance, which the sweep does not write; the free
+    reference, which does not depend on ``delta_t`` and of which only the
+    coherence is read, is evolved once for each distinct sample time of the
+    sweep. A group that fails to decouple is rejected as in
     :func:`run_scenario`.
     """
     if config.sweep_values is None:
@@ -544,18 +548,18 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     if report.mode == "none":
         return _reject(out, config, report, t_start)
 
-    spectrum = joint_spectrum(build_model(config))
+    model = build_model(config)
+    spectrum = model if _mode_wise(model) else joint_spectrum(model)
     runs = [SimulationRun(spectrum=spectrum, schedule=build_schedule(config, delta_t=v),
                           n_cycles=n, rho_s0=config.rho_s0, sample_every=config.sample_every)
             for v, n in zip(config.sweep_values, counts)]
 
     rows = []
     for v, run, free in zip(config.sweep_values, runs, _free_coherence(runs)):
-        controlled = evolve(run)
-        rates = _compare_rates(_decay_rate(controlled.times, free),
-                               _decay_rate(controlled.times, controlled.coherence))
-        rows.append({"delta_t": v, "infidelity": float(1.0 - controlled.fidelity[-1]),
-                     "rates": rates})
+        times, _, states, fidelity, _ = _trajectory(run)
+        rates = _compare_rates(_decay_rate(times, free),
+                               _decay_rate(times, coherence_l1(states)))
+        rows.append({"delta_t": v, "infidelity": float(1.0 - fidelity[-1]), "rates": rates})
 
     lines = ["delta_t, terminal_infidelity, ratio"]
     for row in rows:

@@ -11,6 +11,7 @@ from decoupling import (
     BathSpec,
     Operator,
     SimulationRun,
+    SystemBathModel,
     TrajectoryResult,
     build_model,
     build_schedule,
@@ -28,6 +29,7 @@ from decoupling import (
     pauli_sum,
     pauli_word_operator,
     run_scenario,
+    run_sweep,
     schedule_from_group,
     state_fidelity,
     symmetrize,
@@ -110,7 +112,9 @@ def test_named_cycles_halve_by_cosets(monkeypatch, group, symmetric, products):
 def test_free_run_builds_no_cycle_propagator(monkeypatch, tmp_path):
     """A trivial-group schedule, plain or palindromic, is read off the
     spectrum in closed form, directly and as the free half of a scenario;
-    only the controlled run builds the cycle propagator's blocks."""
+    only the controlled run builds the cycle propagator's blocks. The
+    scenario is one the sector path evolves: a ``dephasing-echo`` builds no
+    sector blocks at all (see ``test_echo_runs_build_no_joint_spectrum``)."""
     evolve_module = importlib.import_module("decoupling.evolve")
     inner = evolve_module._cycle_blocks
     built = []
@@ -127,14 +131,72 @@ def test_free_run_builds_no_cycle_propagator(monkeypatch, tmp_path):
     for symmetric in (False, True):
         sched = replace(schedule_from_group(trivial_group(2), 0.1), symmetric=symmetric)
         evolve(SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=4, rho_s0=rho_s0))
-    cfg = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 10})
+    cfg = parse_config({"scenario": "collective-register", "seed": 7, "n_cycles": 10})
     assert run_scenario(cfg, tmp_path) == 0
-    assert built == [2]
+    assert built == [4]
 
 
 K2_DEPHASING = {"scenario": "custom", "K": 2, "group": "full", "coupling": "dephasing",
                 "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3},
                 "delta_t": 0.05, "n_cycles": 20}
+
+
+def test_echo_runs_build_no_joint_spectrum(monkeypatch, tmp_path):
+    """An echo ``simulate`` and an echo ``sweep`` take the product path: no
+    ``joint_spectrum``, no sector cycle, and no ``eigh`` larger than a
+    register or a bath mode. A register that is not fully conserved
+    (K2-ZX-IX), a hand-built model (no mode table) and an explicit ``rho_b0``
+    still take the sector path."""
+    evolve_module = importlib.import_module("decoupling.evolve")
+    scenarios_module = importlib.import_module("decoupling.scenarios")
+    calls, sizes = [], []
+
+    def recording(name, inner):
+        return lambda *args: calls.append(name) or inner(*args)
+
+    for module in (evolve_module, scenarios_module):
+        monkeypatch.setattr(module, "joint_spectrum",
+                            recording("joint_spectrum", module.joint_spectrum))
+    monkeypatch.setattr(evolve_module, "_cycle_blocks",
+                        recording("_cycle_blocks", evolve_module._cycle_blocks))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape[-1]) or eigh(a))
+    echo = {"scenario": "dephasing-echo", "seed": 7, "symmetric": True}
+    assert run_scenario(parse_config(echo), tmp_path / "simulate") == 0
+    sweep = {**echo, "sweep": {"parameter": "delta_t", "values": [0.2, 0.1, 0.05]}}
+    assert run_sweep(parse_config(sweep), tmp_path / "sweep") == 0
+    assert calls == [] and max(sizes) == 2
+
+    k2 = {"seed": 7, **K2_DEPHASING, "h_s": {"ZX": 0.2, "IX": 0.1}}
+    assert run_scenario(parse_config(k2), tmp_path / "k2") == 0
+    assert calls == ["joint_spectrum", "_cycle_blocks"]
+    calls.clear()
+    config = parse_config(echo)
+    model = build_model(config)
+    hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
+    ground = model.h_b.matrix.diagonal().real == model.h_b.matrix.diagonal().real.min()
+    for spectrum, rho_b0 in ((joint_spectrum(hand_built), "bath-ground-state"),
+                             (joint_spectrum(model), Operator(np.diag(ground), model.h_b.dims))):
+        evolve(SimulationRun(spectrum=spectrum, schedule=build_schedule(config), n_cycles=4,
+                             rho_s0=config.rho_s0, rho_b0=rho_b0))
+    assert calls == ["_cycle_blocks"] * 2
+
+
+def test_a_run_carrying_its_model_must_take_the_product_path():
+    """A run may carry its model instead of a joint spectrum only where the
+    product path evolves it; it then gives the same trajectory bit for bit."""
+    config = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 6})
+    model = build_model(config)
+    common = dict(schedule=build_schedule(config), n_cycles=6, rho_s0=config.rho_s0)
+    with_spectrum = evolve(SimulationRun(spectrum=joint_spectrum(model), **common))
+    with_model = evolve(SimulationRun(spectrum=model, **common))
+    for name in ("states", "fidelity", "coherence", "trace_distance"):
+        assert getattr(with_model, name).tobytes() == getattr(with_spectrum, name).tobytes()
+    hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
+    mixed_bath = Operator(np.eye(model.bath_dim) / model.bath_dim, model.h_b.dims)
+    for spectrum, rho_b0 in ((hand_built, "bath-ground-state"), (model, mixed_bath)):
+        with pytest.raises(ValueError, match="sector path"):
+            SimulationRun(spectrum=spectrum, rho_b0=rho_b0, **common)
 
 
 @pytest.mark.parametrize("doc, n_sectors", [

@@ -35,7 +35,7 @@ from decoupling import (
     trivial_group,
 )
 
-from decoupling.evolve import _ensemble
+from decoupling.evolve import _ensemble, _mode_wise
 
 import oracle_dm
 
@@ -149,6 +149,63 @@ def test_sector_blocks_match_dense_oracle(overrides):
     assert np.max(np.abs(got - oracle_dm.dense_cycle_propagator(model, runs[0].schedule))) <= TOL
     for run in runs:
         assert np.max(np.abs(evolve(run).states - oracle_dm.dense_states(run))) <= TOL
+
+
+#: Fully conserved registers with a mode table and the default bath, which
+#: the product path evolves mode by mode.
+PRODUCT_CONFIGS = [{"scenario": "dephasing-echo"},
+                   {"scenario": "dephasing-echo", "symmetric": True},
+                   {"scenario": "dephasing-echo", "symmetric": True, "sample_every": 4},
+                   BOSON, {**K2_SECTORS, "h_s": {"ZZ": 0.2}}]
+PRODUCT_IDS = ["echo", "echo-symmetric", "echo-every-4", "boson-flip", "K2-ZZ"]
+#: The product path against the sector path, every field of a trajectory.
+PRODUCT_TOL = 1e-11
+
+
+def assert_product_path_matches_the_sector_path(run):
+    """Every :class:`TrajectoryResult` field of ``run`` (which takes the
+    product path) against the same run on the sector path: its model
+    without the mode table, on its joint spectrum. The states are also held
+    to the dense oracle. Returns the largest difference."""
+    got = evolve(run)
+    sector_run = replace(run, spectrum=joint_spectrum(replace(run.model, modes=None)))
+    want = evolve(sector_run)
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.cycles, want.cycles)
+    diffs = {name: np.max(np.abs(getattr(got, name) - getattr(want, name)))
+             for name in ("states", "fidelity", "coherence", "trace_distance")}
+    assert sorted(got.metadata) == sorted(want.metadata)
+    for key, value in want.metadata.items():
+        if key.endswith("joint_purity"):
+            diffs[key] = abs(got.metadata[key] - value)
+        else:
+            assert got.metadata[key] == value, key
+    diffs["dense states"] = np.max(np.abs(got.states - oracle_dm.dense_states(run)))
+    worst = max(diffs, key=diffs.get)
+    assert diffs[worst] <= PRODUCT_TOL, f"{worst} differs by {diffs[worst]:.3e}"
+    return diffs[worst]
+
+
+@pytest.mark.parametrize("overrides", PRODUCT_CONFIGS, ids=PRODUCT_IDS)
+def test_product_path_matches_the_sector_path(overrides):
+    for run in preset_runs(overrides["scenario"], **{k: v for k, v in overrides.items()
+                                                     if k != "scenario"}):
+        assert _mode_wise(run.model) and isinstance(run.rho_b0, str)
+        assert_product_path_matches_the_sector_path(run)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_product_path_matches_the_sector_path_for_mixed_states(n_qubits):
+    """A mixed ``rho_s0`` passed through the library: the product path reads
+    ``rho0`` itself, the sector path its eigen-ensemble (here of rank 2)."""
+    bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.4, seed=5)
+    h_s = pauli_word_operator("Z" * n_qubits) * 0.3
+    model = build_system_bath_model(n_qubits, bath, coupling="dephasing", h_s=h_s)
+    rho_s0 = MIXED if n_qubits == 1 else Operator(np.kron(MIXED.matrix, PLUS.matrix), [2, 2])
+    for group, delta_t in ((pauli_group(n_qubits, "full"), 0.1), (trivial_group(n_qubits), 0.4)):
+        run = SimulationRun(spectrum=model, schedule=schedule_from_group(group, delta_t),
+                            n_cycles=30, rho_s0=rho_s0, sample_every=3)
+        assert_product_path_matches_the_sector_path(run)
 
 
 def test_symmetric_sampled_run_matches_oracle():

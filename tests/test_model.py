@@ -1,5 +1,7 @@
 """System-bath model construction: bath grids, coupling channels, validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -263,7 +265,8 @@ def test_bath_ground_vector_keeps_eigh_otherwise(monkeypatch, h_b):
 def test_bath_factors_match_the_kron_lifts_bitwise(kind, n_qubits, n_modes, coupling, seed):
     """``h_b`` and every ``B_a`` are bit for bit the per-mode terms lifted by
     ``np.kron`` and summed in the builder's mode order, normalized by the
-    same per-mode eigenvalues: a change of term order fails here."""
+    same per-mode eigenvalues: a change of term order fails here. The model's
+    mode table rebuilds them, lifted the same way, to round-off."""
     bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
                     boson_truncation=3 if kind == "boson-mode" else None)
     model = build_system_bath_model(n_qubits, bath, coupling=coupling)
@@ -272,6 +275,26 @@ def test_bath_factors_match_the_kron_lifts_bitwise(kind, n_qubits, n_modes, coup
     assert len(factors) == len(model.couplings)
     for (_, b), want in zip(model.couplings, factors):
         assert b.matrix.tobytes() == want.tobytes()
+    table = model.modes
+    n = len(table.h_mode)
+
+    def lift(terms):
+        return sum(np.kron(np.kron(np.eye(n**i), x), np.eye(n ** (n_modes - 1 - i)))
+                   for i, x in enumerate(terms))
+
+    assert np.max(np.abs(lift(table.frequencies[:, None, None] * table.h_mode) - h_b)) <= 1e-15
+    for rows, want in zip(table.coefficients, factors):
+        assert np.max(np.abs(lift(np.tensordot(rows, table.operators, axes=1)) - want)) <= 1e-15
+
+
+def test_mode_table_must_match_the_bath():
+    bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
+    model = build_system_bath_model(2, bath)
+    table = model.modes
+    for bad in (replace(table, frequencies=table.frequencies[:2]),
+                replace(table, coefficients=table.coefficients[:1])):
+        with pytest.raises(ValueError, match="mode table"):
+            replace(model, modes=bad)
 
 
 def test_boson_model_structure():

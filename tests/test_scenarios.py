@@ -448,10 +448,11 @@ def test_run_sweep_evolves_each_free_sample_time_once(doc, evaluated, tmp_path, 
     """The symmetric echo's grids hold 321 distinct fractions of the total
     time among 604 samples (320/160/80/40 cycles); the plain echo's hold 241
     among 343 (80/100/160). The closed form evaluates each once, and
-    ``evolve`` runs once per point, for the controlled trajectory only."""
+    the sweep propagates once per point (``_trajectory``, :func:`evolve`
+    without the trace distance), for the controlled trajectory only."""
     evolve_module = importlib.import_module("decoupling.evolve")
     scenarios_module = importlib.import_module("decoupling.scenarios")
-    closed_form, evolve = evolve_module._closed_form, scenarios_module.evolve
+    closed_form, trajectory = evolve_module._closed_form, scenarios_module._trajectory
     counts = {"snapshots": 0, "evolve": 0}
 
     def counting_closed_form(*args):
@@ -459,12 +460,12 @@ def test_run_sweep_evolves_each_free_sample_time_once(doc, evaluated, tmp_path, 
             counts["snapshots"] += len(block)
             yield block
 
-    def counting_evolve(run):
+    def counting_trajectory(run):
         counts["evolve"] += 1
-        return evolve(run)
+        return trajectory(run)
 
     monkeypatch.setattr(evolve_module, "_closed_form", counting_closed_form)
-    monkeypatch.setattr(scenarios_module, "evolve", counting_evolve)
+    monkeypatch.setattr(scenarios_module, "_trajectory", counting_trajectory)
     config = parse_config(doc)
     assert run_sweep(config, tmp_path) == 0
     assert counts == {"snapshots": evaluated, "evolve": len(config.sweep_values)}
