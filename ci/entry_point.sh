@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Command-line checks of the decoupling entry point: design, simulate and
+# sweep calls whose exit codes, line counts and summary keys are asserted.
+#
+# Usage: ci/entry_point.sh COMMAND...
+#   COMMAND runs the command line, e.g. `decoupling` once the package is
+#   installed, or `python -m decoupling.cli` with PYTHONPATH=src.
+# `python` on PATH reads the summaries. Exits non-zero at the first failure.
+set -eo pipefail
+if [ $# -eq 0 ]; then
+  echo "usage: $0 COMMAND..." >&2
+  exit 2
+fi
+cli=("$@")
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+fit_points() {
+  python -c 'import json, sys; assert json.load(open(sys.argv[1]))["fit_point_count"] == int(sys.argv[2])' "$1" "$2"
+}
+
+"${cli[@]}" design --interaction ZI IZ ZZ --qubits 2
+words=$(python -c 'import itertools; print(*["".join(w) for w in itertools.product("IXYZ", repeat=3)][1:])')
+"${cli[@]}" design --interaction $words --qubits 3 > "$work/design63.txt"
+grep -q "order 64" "$work/design63.txt"
+echo '{"scenario": "dephasing-echo", "seed": 7}' > "$work/echo.json"
+"${cli[@]}" simulate --config "$work/echo.json" --out "$work/echo"
+echo '{"scenario": "maximal-averaging", "seed": 7}' > "$work/maximal.json"
+"${cli[@]}" simulate --config "$work/maximal.json" --out "$work/maximal"
+echo '{"scenario": "selective-logic", "seed": 7}' > "$work/selective.json"
+"${cli[@]}" simulate --config "$work/selective.json" --out "$work/selective"
+echo '{"scenario": "collective-register", "seed": 7, "group": "flip"}' > "$work/flip.json"
+code=0
+"${cli[@]}" simulate --config "$work/flip.json" --out "$work/flip" || code=$?
+test "$code" -eq 1
+echo '{"scenario": "dephasing-echo", "seed": 7, "symmetric": true, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/sweep.json"
+"${cli[@]}" sweep --config "$work/sweep.json" --out "$work/sweep"
+echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}' > "$work/boson.json"
+"${cli[@]}" simulate --config "$work/boson.json" --out "$work/boson"
+# the first qubit is not conserved: one joint eigh
+echo '{"scenario": "custom", "seed": 7, "K": 2, "group": "full", "coupling": "dephasing", "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZX": 0.2, "IX": 0.1}}' > "$work/partial.json"
+"${cli[@]}" simulate --config "$work/partial.json" --out "$work/partial"
+echo '{"scenario": "custom", "seed": 7, "K": 2, "group": "full", "coupling": "dephasing", "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZZ": 0.2}}' > "$work/conserved.json"
+"${cli[@]}" simulate --config "$work/conserved.json" --out "$work/conserved"
+echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/boson-sweep.json"
+"${cli[@]}" sweep --config "$work/boson-sweep.json" --out "$work/boson-sweep"
+fit_points "$work/boson-sweep/summary.json" 3
+echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"n_modes": 2, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 100, "sample_every": 2}' > "$work/blocks.json"
+"${cli[@]}" simulate --config "$work/blocks.json" --out "$work/blocks"
+test $(wc -l < "$work/blocks/trajectory.csv") -eq 52
+echo '{"scenario": "dephasing-echo", "seed": 7, "sweep": {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]}}' > "$work/mixed.json"
+"${cli[@]}" sweep --config "$work/mixed.json" --out "$work/mixed"
+test $(wc -l < "$work/mixed/sweep.csv") -eq 4
+fit_points "$work/mixed/summary.json" 3
+echo '{"scenario": "dephasing-echo", "seed": 17, "symmetric": true, "bath": {"n_modes": 5}, "sweep": {"parameter": "delta_t", "values": [0.2, 0.1, 0.05, 0.025]}}' > "$work/seed17.json"
+"${cli[@]}" sweep --config "$work/seed17.json" --out "$work/seed17" > "$work/seed17.txt"
+if grep -q warning "$work/seed17.txt"; then exit 1; fi
+fit_points "$work/seed17/summary.json" 4

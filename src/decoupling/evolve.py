@@ -4,19 +4,28 @@ One control cycle is integrated exactly, then repeated. Every segment of
 a cycle lasts the same time and its frame acts on the system factor
 only, so the cycle propagator is a product of one free step
 ``W = exp(-i H delta_t)`` conjugated by the segment frames, the
-schedule's group words in visiting order. ``W`` comes from the joint
-Hamiltonian's spectrum, which is diagonalized once per model
-(:func:`joint_spectrum`, together with the bath ground vector that
-default runs start from). A run carries it, so the controlled run, the
-free run and every point of a sweep share it.
+schedule's group words in visiting order. A run takes one of two paths.
 
-The leading register qubits on which ``h_s`` and every coupling's system
-factor are diagonal are conserved: ``H = sum_c |c><c| (x) H_c`` over their
-states ``c``, each block a contiguous slice of the joint index (one sector
-if there are none). A frame ``g_f (x) g_r`` maps sector ``c`` to ``c ^ x``
-(``x``: the X/Y letters of ``g_f``), so ``W``, the cycle and the stepping
-are block stacks, and a frame flips the stack and acts on each block
-through ``g_r`` by reshape, never as a joint-space matrix.
+The product path takes a fully conserved register (``h_s`` and every
+coupling's system factor diagonal) of a model from the builder (its
+:class:`~decoupling.model.ModeTable`) whose bath starts in its ground
+state. Register state ``c`` then sees ``H_c = E_c + sum_i h_ci``, a sum of
+commuting single-mode terms, and the ground state is a product over modes,
+so ``rho_cc'(t) = rho_cc'(0) prod_i <phi_i^c'(t)|phi_i^c(t)>`` with
+``phi_i^c`` mode ``i``'s vector in state ``c``. A frame maps ``c`` to
+``c ^ x`` (``x``: the X/Y letters of its word), a flip of the register
+axes. Each mode's cycle in each state is an ``n x n`` matrix, its steps
+exponentiated in extended precision, and the snapshots are its powers; a
+free run takes the modes' closed form. No joint ``eigh`` is made and no
+``d x d`` array is built.
+
+Every other run (a register not fully conserved, a hand-built model, an
+explicit ``rho_b0``) takes the joint path, the product path's oracle.
+``W`` comes from one ``eigh`` of the ``d x d`` joint Hamiltonian, made once
+per model (:func:`joint_spectrum`, together with the bath ground vector
+that default runs start from). A run carries it, so the controlled run,
+the free run and every point of a sweep share it. A frame acts on ``W``
+through its ``d_s x d_s`` matrix by reshape, never as a joint-space matrix.
 
 Pauli words commute up to sign, so when the second half of a visiting
 order is the first half multiplied word by word by one word ``h`` (a
@@ -25,31 +34,18 @@ conjugated by ``h``. Every named group in its listed order, plain or
 palindromic, has that structure at each halving, so its cycle of ``n``
 segments costs ``log2 n`` batched products rather than ``n - 1``.
 The free run, the trivial group's, has no pulses and needs no cycle: its
-snapshots are ``V_c (exp(-i E_c t_k) * (V_c^dag psi_0))`` in closed form.
+snapshots are ``V (exp(-i E t_k) * (V^dag psi_0))`` in closed form.
 
-When every register qubit is conserved, the model comes from the builder
-(its :class:`~decoupling.model.ModeTable`) and the bath starts in its
-ground state, a run takes the product path. Each sector is one register
-state ``c`` and ``H_c = E_c + sum_i h_ci`` is a sum of commuting
-single-mode terms, and the ground state is a product over modes, so
-``rho_cc'(t) = rho_cc'(0) prod_i <phi_i^c'(t)|phi_i^c(t)>`` with
-``phi_i^c`` mode ``i``'s vector in sector ``c``. Each mode's cycle in each
-sector is an ``n x n`` matrix from the same segment order as the sector
-blocks', its steps exponentiated in extended precision, and the snapshots
-are its powers; a free run takes the modes' closed form. No joint or
-sector ``eigh`` is made and no ``d x d`` array is built. Every other run
-(a register not fully conserved, a hand-built model, an explicit
-``rho_b0``) takes the sector path, the product path's oracle.
-
-The joint state is propagated as ``d x r`` columns ``sqrt(p_i q_k) psi_i
-(x) phi_k``, the product of the eigen-ensembles of the initial system and
-bath states. The default states are pure, so ``r = 1``; an explicit
-mixed state takes the same code path with more columns. Observation
-happens at cycle boundaries only: that is where the control frame returns
-to the physical frame and where average-Hamiltonian statements hold.
-Snapshots, stepped or not, come in blocks of at most ``d x d`` numbers, one
-stacked ``M M^dag`` per block, into one ``(n + 1, d_s, d_s)`` stack; each
-snapshot observable and the ideal reference is computed once on that stack.
+On the joint path the state is propagated as ``d x r`` columns
+``sqrt(p_i q_k) psi_i (x) phi_k``, the product of the eigen-ensembles of
+the initial system and bath states. The default states are pure, so
+``r = 1``; an explicit mixed state takes the same code path with more
+columns. Observation happens at cycle boundaries only: that is where the
+control frame returns to the physical frame and where average-Hamiltonian
+statements hold. Snapshots, stepped or not, come in blocks of at most
+``d x d`` numbers, one stacked ``M M^dag`` per block, into one
+``(n + 1, d_s, d_s)`` stack; each snapshot observable and the ideal
+reference is computed once on that stack.
 
 Two decay diagnostics are tracked. Fidelity is measured against an ideal
 reference trajectory: the system evolving alone under its effective
@@ -70,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import NUMERIC_TOL, Operator, act_on_system, as_matrices, conjugate_system
-from .model import SystemBathModel, bath_ground_vector, sector_hamiltonians
+from .model import SystemBathModel, bath_ground_vector, hamiltonian_matrix
 from .sequence import CycleSchedule
 from .groups import DecouplingGroup, _word_product, project_commutant
 
@@ -144,9 +140,8 @@ def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JointSpectrum:
-    """Eigenpairs ``H_c = V_c diag(E_c) V_c^dag`` of ``H = sum_c |c><c| (x) H_c``, where
-    ``c`` runs over the states of the leading qubits on which every system factor is
-    diagonal (frames flip ``c``): ``energies`` ``(n_c, D)``, ``vectors`` ``(n_c, D, D)``.
+    """Eigenpairs ``H = V diag(E) V^dag`` of the joint Hamiltonian: ``energies`` ``(d,)``,
+    ``vectors`` ``(d, d)``.
 
     Built by :func:`joint_spectrum`, next to ``bath_ground``, the ground vector of ``h_b``
     that every default-bath run starts from. It keeps its model, and a
@@ -159,25 +154,14 @@ class JointSpectrum:
     bath_ground: np.ndarray
 
     def propagator(self, t: float) -> np.ndarray:
-        """The blocks of ``exp(-i H t)``, an ``(n_c, D, D)`` stack."""
-        v, phases = self.vectors, np.exp(-1j * self.energies * float(t))
-        return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _sector_count(model: SystemBathModel) -> int:
-    """``2**n_f``, for the leading ``n_f`` qubits on which every system factor is diagonal."""
-    n_c, mats = 1, [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]
-    while (n_c < model.system_dim and model.h_s.dims[n_c.bit_length() - 1] == 2
-           and not any(x.reshape(2 * n_c, -1, 2 * n_c, len(x) // (2 * n_c)).swapaxes(1, 2)
-                       [~np.eye(2 * n_c, dtype=bool)].any() for x in mats)):
-        n_c *= 2
-    return n_c
+        """``exp(-i H t)``, a ``d x d`` array."""
+        v = self.vectors
+        return (v * np.exp(-1j * self.energies * float(t))) @ v.conj().T
 
 
 def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
-    """Diagonalize ``h_b`` and the total Hamiltonian: one batched ``eigh`` over the sectors
-    of the leading qubits on which every system factor is diagonal (zero off the blocks)."""
-    w, v = np.linalg.eigh(sector_hamiltonians(model, _sector_count(model)))
+    """Diagonalize ``h_b`` and the total Hamiltonian, one ``eigh`` of the ``d x d`` matrix."""
+    w, v = np.linalg.eigh(hamiltonian_matrix(model))
     bath = bath_ground_vector(model)
     for a in (w, v, bath):
         a.setflags(write=False)
@@ -187,7 +171,7 @@ def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
 def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times,
                         keep=slice(None)):
     """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times[keep]``, ``coeffs = V^dag psi``
-    an ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product per sector. The
+    an ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product per block. The
     times are uniform, so ``exp(-i E t_(qb+j)) = exp(-i E t_(qb)) exp(-i E (t_j - t_0))``,
     ``b = isqrt(n)``: each energy takes ``b + ceil(n / b)`` exponentials rather than ``n``."""
     b, e = math.isqrt(len(times)), -1j * energies[..., None]
@@ -223,49 +207,41 @@ def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operat
     Segment ``j`` evolves under ``(g_j (x) 1)^dag W (g_j (x) 1)`` with the
     same free step ``W = exp(-i H delta_t)`` for every segment, from
     ``spectrum``, the :func:`joint_spectrum` of the model the schedule runs
-    on. The product is taken on sector blocks (:func:`_cycle_product`) and
-    assembled here. No eigendecomposition is made.
+    on, multiplied by :func:`_cycle_product`. No eigendecomposition is made.
     """
-    blocks = _cycle_blocks(spectrum, schedule)
-    dense = np.einsum("ab,aij->aibj", np.eye(len(blocks)), blocks)  # blocks on the diagonal
-    return Operator(dense.reshape(len(blocks) * blocks.shape[1], -1),
+    return Operator(_cycle_blocks(spectrum, schedule),
                     spectrum.model.h_s.dims + spectrum.model.h_b.dims)
 
 
 def _cycle_blocks(spectrum: JointSpectrum, schedule: CycleSchedule) -> np.ndarray:
-    """The ``(n_c, D, D)`` sector blocks of :func:`cycle_propagator`."""
+    """The ``d x d`` matrix of :func:`cycle_propagator`: each frame acts through its
+    matrix, but the identity word's, which leaves ``W`` as it is."""
     _matching_model(spectrum.model, schedule)
-    return _sector_cycle(spectrum.propagator(schedule.delta_t), schedule)
+    frames = {word: ((), None if word == "I" * len(word) else g)
+              for word, g in zip(schedule.segments, schedule.frames)}
+    return _cycle_product(spectrum.propagator(schedule.delta_t), frames, schedule.segments)
 
 
-def _sector_cycle(w: np.ndarray, schedule: CycleSchedule) -> np.ndarray:
-    """The cycle of a free step ``w``, an ``(n_c, ...)`` stack of sector blocks. Each
-    frame is a flip of the sector axes and ``g_r``, ``g``'s block from sector
-    0 to sector ``x`` (its phase cancels in every conjugation), or None when
-    ``g_r`` is a phase times the identity and the frame is its flip alone, as
-    it is for every frame when each sector is one register state."""
-    n_c, n_f = len(w), len(w).bit_length() - 1
-    frames = {}
-    for word, g in zip(schedule.segments, schedule.frames):
-        flips = tuple(slice(None, None, -1 if q in "XY" else 1) for q in word[:n_f])
-        x = np.arange(n_c).reshape((2,) * n_f)[flips].flat[0]
-        g_r = g.reshape(n_c, len(g) // n_c, n_c, -1)[x, :, 0]
-        scalar = np.array_equal(g_r, g_r[0, 0] * np.eye(len(g_r)))
-        frames[word] = flips, None if scalar else g_r
-    return _cycle_product(w.reshape((2,) * n_f + w.shape[1:]), frames,
+def _flip_cycle(w: np.ndarray, schedule: CycleSchedule) -> np.ndarray:
+    """The cycle of a free step ``w``, a ``(d_s, ...)`` stack over the register states:
+    each frame flips the register axes at its word's X/Y letters (its phase cancels in
+    every conjugation)."""
+    frames = {word: (tuple(slice(None, None, -1 if q in "XY" else 1) for q in word), None)
+              for word in schedule.segments}
+    return _cycle_product(w.reshape(schedule.dims + w.shape[1:]), frames,
                           schedule.segments).reshape(w.shape)
 
 
 def _cycle_product(w: np.ndarray, frames: dict, words: Sequence[str]) -> np.ndarray:
     """``P(words)``, the product of the segments' conjugated ``W`` blocks,
-    later segments to the left.
+    later segments to the left; ``frames[word]`` is ``(flips, g)``, a flip of
+    ``w``'s register axes and the frame's matrix on the system factor, or None.
 
     The visits are halved into ``A`` and ``B``. When ``B`` is ``A``
     multiplied word by word by one word ``h`` (word arithmetic, phases
     dropped: they cancel in each conjugation), ``P(A + B) = h^dag (P(A)
-    (h P(A)))``, whose block ``c`` is ``g_r^dag P_{c ^ x} g_r P_c``: one
-    batched product and two frame actions by reshape (:func:`act_on_system`),
-    or the product alone when ``g_r`` is a phase times the identity.
+    (h P(A)))``: one batched product, with two frame actions by reshape
+    (:func:`act_on_system`) or, for a frame that is its flip alone, none.
     Otherwise ``P(A + B) = P(B) P(A)``, both halves recursed. A named
     group's cycle, palindromic or not, halves by cosets all the way down:
     ``log2 n`` products for ``n`` segments, against ``n - 1`` for an order
@@ -308,11 +284,11 @@ def _ensemble(rho: Operator) -> np.ndarray:
 
 
 def _initial_columns(run: SimulationRun) -> np.ndarray:
-    """``psi0``: the system's ensemble columns times the bath's, split into sectors."""
-    spectrum, system = run.spectrum, _ensemble(run.rho_s0)
-    bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
-    psi0 = system[:, None, :, None] * bath[:, None]  # system (x) bath, split into sectors
-    return psi0.reshape(spectrum.energies.shape + (-1,))
+    """``psi0``: the system's ensemble columns times the bath's, a ``d x r`` array."""
+    system = _ensemble(run.rho_s0)
+    bath = (run.spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str)
+            else _ensemble(run.rho_b0))
+    return (system[:, None, :, None] * bath[:, None]).reshape(len(system) * len(bath), -1)
 
 
 def _reduce(block: np.ndarray, system_dim: int) -> np.ndarray:
@@ -322,20 +298,22 @@ def _reduce(block: np.ndarray, system_dim: int) -> np.ndarray:
 
 
 def _joint_purity(psi: np.ndarray) -> float:
-    """``tr(rho**2)`` of ``rho = psi psi^dag``, as ``||sum_c psi_c^dag psi_c||_F**2``."""
-    return float(np.linalg.norm((psi.conj().swapaxes(-1, -2) @ psi).sum(0)) ** 2)
+    """``tr(rho**2)`` of ``rho = psi psi^dag``, as ``||psi^dag psi||_F**2``."""
+    return float(np.linalg.norm(psi.conj().swapaxes(-1, -2) @ psi) ** 2)
 
 
 def _mode_wise(model: SystemBathModel) -> bool:
     """Whether the product path evolves the model's default-bath runs: it has a mode
-    table and every register qubit is conserved, so each sector is one register state."""
-    return model.modes is not None and _sector_count(model) == model.system_dim
+    table, and ``h_s`` and every coupling's system factor are diagonal."""
+    return model.modes is not None and all(
+        np.array_equal(x, np.diag(x.diagonal()))
+        for x in [model.h_s.matrix] + [s.matrix for s, _ in model.couplings])
 
 
 def _mode_hamiltonians(model: SystemBathModel) -> np.ndarray:
-    """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of sector ``c``'s
-    Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of ``h_s``, added
-    to mode 0: a ``(d_s m, n, n)`` stack, sector major."""
+    """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of register state
+    ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of ``h_s``,
+    added to mode 0: a ``(d_s m, n, n)`` stack, register state major."""
     t = model.modes
     diag = np.array([x.matrix.diagonal().real
                      for x in [model.h_s] + [s for s, _ in model.couplings]])
@@ -375,7 +353,7 @@ def _mode_reduce(rho0: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _mode_purity(rho0: np.ndarray, psi: np.ndarray) -> float:
-    """``tr(rho**2) = sum_cc' |rho0_cc'|**2 N_c N_c'`` of the joint state whose sector ``c``
+    """``tr(rho**2) = sum_cc' |rho0_cc'|**2 N_c N_c'`` of the joint state whose state ``c``
     holds the product of the per-mode vectors ``psi``, of squared norm ``N_c``."""
     norms = (np.abs(psi) ** 2).sum((-2, -1)).reshape(len(rho0), -1).prod(-1)
     return float(norms @ (np.abs(rho0) ** 2) @ norms)
@@ -387,14 +365,15 @@ def _path(run: SimulationRun):
     the reduced states of a block, the joint purity of a snapshot, and the initial one.
 
     The product path, when the run's model is :func:`_mode_wise` and its bath starts in
-    its ground state, evolves each mode's vector in each sector from that mode's ground
-    state; otherwise the sector path evolves ``psi`` on the run's joint spectrum."""
+    its ground state, evolves each mode's vector in each register state from that mode's
+    ground state; otherwise the joint path evolves ``psi`` on the run's joint spectrum."""
     model, schedule, every = run.model, run.schedule, run.sample_every
     d = model.system_dim * model.bath_dim
     if not (isinstance(run.rho_b0, str) and _mode_wise(model)):
         spectrum, psi0 = run.spectrum, _initial_columns(run)
         step = max(1, d * d // psi0.size)  # snapshots of at most d x d numbers a block
-        return (partial(_closed_form, spectrum.energies, spectrum.vectors, psi0, step),
+        return (partial(_closed_form, spectrum.energies[None], spectrum.vectors[None],
+                        psi0[None], step),
                 lambda n: _stepped_blocks(_cycle_blocks(spectrum, schedule), psi0, n, step,
                                           every),
                 lambda block: _reduce(block, model.system_dim), _joint_purity, psi0)
@@ -404,7 +383,7 @@ def _path(run: SimulationRun):
 
     def stepped(n):
         w = _expm(h, schedule.delta_t).reshape(len(rho0), -1, *h.shape[-2:])
-        u = np.linalg.matrix_power(_sector_cycle(w, schedule).reshape(h.shape), every)
+        u = np.linalg.matrix_power(_flip_cycle(w, schedule).reshape(h.shape), every)
         return [_powers(u, psi0.astype(u.dtype), n).astype(complex)]
 
     return (partial(_closed_form, *np.linalg.eigh(h), psi0, max(1, d * d // psi0.size)), stepped,
@@ -452,7 +431,7 @@ class SimulationRun:
             _check_density(self.rho_b0, "rho_b0")
         if not isinstance(self.spectrum, JointSpectrum) and not (
                 isinstance(self.rho_b0, str) and _mode_wise(self.model)):
-            raise ValueError("the run takes the sector path: pass the model's joint_spectrum")
+            raise ValueError("the run takes the joint path: pass the model's joint_spectrum")
 
     @property
     def model(self) -> SystemBathModel:
@@ -502,11 +481,11 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     """Propagate a run and record reduced-state snapshots.
 
     A trivial-group schedule (no pulses) is read off the eigenpairs in closed
-    form; any other steps ``psi`` by its cycle. On the sector path, snapshots
+    form; any other steps ``psi`` by its cycle. On the joint path, snapshots
     come in blocks of at most ``d x d`` numbers, reduced one stacked product
     a block. On the product path (a builder's model whose register qubits
     are all conserved, bath in its ground state) the cycle is made per mode
-    and per sector and the snapshots are its powers.
+    and per register state and the snapshots are its powers.
     """
     times, cycles, states, fidelity, meta = _trajectory(run)
     return TrajectoryResult(

@@ -171,22 +171,19 @@ class SystemBathModel:
 
 def total_hamiltonian(model: SystemBathModel) -> Operator:
     """Assemble the full Hamiltonian on the joint system-bath space."""
-    return Operator(sector_hamiltonians(model, 1)[0], model.h_s.dims + model.h_b.dims)
+    return Operator(hamiltonian_matrix(model), model.h_s.dims + model.h_b.dims)
 
 
-def sector_hamiltonians(model: SystemBathModel, n_sectors: int) -> np.ndarray:
-    """Blocks ``H_c`` of ``H = sum_c |c><c| (x) H_c`` over equal slices ``c`` of the
-    system index, an ``(n_sectors, D, D)`` stack built from the split form with no
-    joint matrix; the sum is ``H`` when every system factor is block diagonal."""
-    m, c = model.system_dim // n_sectors, np.arange(n_sectors)
-    factors = [x.reshape(n_sectors, m, n_sectors, m)[c, :, c]
-               for x in [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]]
-    h = np.zeros((n_sectors, m, model.bath_dim, m, model.bath_dim), dtype=complex)
-    np.einsum("ciaja->cija", h)[...] += factors[0][..., None]  # s (x) 1 on the bath diagonal
-    np.einsum("ciaib->ciab", h)[...] += model.h_b.matrix  # 1 (x) h_b on the system diagonal
-    for s, (_, b) in zip(factors[1:], model.couplings):
-        h += s[:, :, None, :, None] * b.matrix[:, None, :]
-    return h.reshape(n_sectors, m * model.bath_dim, -1)
+def hamiltonian_matrix(model: SystemBathModel) -> np.ndarray:
+    """The ``d x d`` array of :func:`total_hamiltonian`, placed from the split form with
+    no Kronecker products."""
+    d_s, d_b = model.system_dim, model.bath_dim
+    h = np.zeros((d_s, d_b, d_s, d_b), dtype=complex)
+    np.einsum("iaja->ija", h)[...] += model.h_s.matrix[..., None]  # s (x) 1 on the bath diagonal
+    np.einsum("iaib->iab", h)[...] += model.h_b.matrix  # 1 (x) h_b on the system diagonal
+    for s, b in model.couplings:
+        h += s.matrix[:, None, :, None] * b.matrix[:, None]
+    return h.reshape(d_s * d_b, -1)
 
 
 def bath_ground_vector(model: SystemBathModel) -> np.ndarray:

@@ -326,6 +326,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
         sweep_values = tuple(
             _as_number(v, f"sweep.values[{i}]", positive=True) for i, v in enumerate(raw_values)
         )
+        for i, v in enumerate(sweep_values):
+            if v in sweep_values[:i]:
+                _fail(f"sweep.values[{i}]",
+                      f"repeats {v!r}, sweep.values[{sweep_values.index(v)}]")
 
     output_dir = merged.get("output_dir")
     if output_dir is not None:

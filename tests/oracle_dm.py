@@ -13,12 +13,12 @@ replaced, one call per snapshot. The operator helpers this path needs
 (bath ground-state projector, partial trace, commutator) live here too:
 the package itself no longer uses them. So does the pulse-picture cycle
 product, one dense product per segment, that the package's coset-halving
-product replaced, and the dense kernel the package's sector blocks
-replaced: one ``eigh`` of the whole joint Hamiltonian, the coset-halving
-product on ``d x d`` matrices, and ``psi`` stepped by the dense cycle. The
-package's stepping loop from before it reduced snapshots in blocks is kept
-too: ``psi`` stepped one cycle at a time by the sector blocks, each kept
-snapshot reduced on its own. The fidelity kernels are the package's from
+product replaced, and a dense kernel from ``np.kron`` parts: one ``eigh``
+of the whole joint Hamiltonian, the coset-halving product on ``d x d``
+matrices, and ``psi`` stepped by the dense cycle. The package's stepping
+loop from before it reduced snapshots in blocks is kept too: ``psi``
+stepped one cycle at a time by the package's cycle, each kept snapshot
+reduced on its own. The fidelity kernels are the package's from
 before every fidelity took one exact formula: they read a state within
 1e-10 of pure as pure.
 """
@@ -166,11 +166,7 @@ def pulse_picture_propagator(spectrum, schedule):
     dense product per segment, frames acting by reshape.
     """
     model = spectrum.model
-    blocks = spectrum.propagator(schedule.delta_t)
-    w = np.zeros((blocks.shape[0],) * 2 + blocks.shape[1:], dtype=complex)
-    for c, block in enumerate(blocks):
-        w[c, c] = block
-    w = w.swapaxes(1, 2).reshape(model.system_dim * model.bath_dim, -1)
+    w = spectrum.propagator(schedule.delta_t)
     frames = schedule.frames
     u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
     for prev, g in zip(frames, frames[1:]):
@@ -220,7 +216,7 @@ def dense_states(run):
 
 def stepped_snapshots(run):
     """``psi`` at every ``sample_every``-th cycle, stepped one cycle at a time by
-    the cycle's sector blocks, and each one's reduced state, one ``M M^dag``
+    the package's cycle, and each one's reduced state, one ``M M^dag``
     a snapshot: the kernel's loop before it reduced snapshots in blocks."""
     spectrum = run.spectrum
     bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)

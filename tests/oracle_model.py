@@ -70,18 +70,6 @@ def total_hamiltonian(model: SystemBathModel) -> Operator:
     return h
 
 
-def sector_hamiltonians(model: SystemBathModel, n_sectors: int) -> np.ndarray:
-    """The ``(n_sectors, D, D)`` diagonal sector blocks of ``H``, by ``np.kron``."""
-    m, c = model.system_dim // n_sectors, np.arange(n_sectors)
-    factors = [x.reshape(n_sectors, m, n_sectors, m)[c, :, c]
-               for x in [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]]
-    h = np.kron(factors[0], np.eye(model.bath_dim, dtype=complex))
-    h += np.kron(np.eye(m, dtype=complex), model.h_b.matrix)
-    for s, (_, b) in zip(factors[1:], model.couplings):
-        h += np.kron(s, b.matrix)
-    return h
-
-
 def _site_operator(local: np.ndarray, site: int, n_sites: int, local_dim: int = 2) -> Operator:
     ops = []
     for j in range(n_sites):

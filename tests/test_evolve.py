@@ -112,9 +112,9 @@ def test_named_cycles_halve_by_cosets(monkeypatch, group, symmetric, products):
 def test_free_run_builds_no_cycle_propagator(monkeypatch, tmp_path):
     """A trivial-group schedule, plain or palindromic, is read off the
     spectrum in closed form, directly and as the free half of a scenario;
-    only the controlled run builds the cycle propagator's blocks. The
-    scenario is one the sector path evolves: a ``dephasing-echo`` builds no
-    sector blocks at all (see ``test_echo_runs_build_no_joint_spectrum``)."""
+    only the controlled run builds the cycle propagator. The scenario is
+    one the joint path evolves: a ``dephasing-echo`` builds no joint cycle
+    at all (see ``test_echo_runs_build_no_joint_spectrum``)."""
     evolve_module = importlib.import_module("decoupling.evolve")
     inner = evolve_module._cycle_blocks
     built = []
@@ -143,10 +143,10 @@ K2_DEPHASING = {"scenario": "custom", "K": 2, "group": "full", "coupling": "deph
 
 def test_echo_runs_build_no_joint_spectrum(monkeypatch, tmp_path):
     """An echo ``simulate`` and an echo ``sweep`` take the product path: no
-    ``joint_spectrum``, no sector cycle, and no ``eigh`` larger than a
+    ``joint_spectrum``, no joint cycle, and no ``eigh`` larger than a
     register or a bath mode. A register that is not fully conserved
     (K2-ZX-IX), a hand-built model (no mode table) and an explicit ``rho_b0``
-    still take the sector path."""
+    still take the joint path."""
     evolve_module = importlib.import_module("decoupling.evolve")
     scenarios_module = importlib.import_module("decoupling.scenarios")
     calls, sizes = [], []
@@ -195,39 +195,65 @@ def test_a_run_carrying_its_model_must_take_the_product_path():
     hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
     mixed_bath = Operator(np.eye(model.bath_dim) / model.bath_dim, model.h_b.dims)
     for spectrum, rho_b0 in ((hand_built, "bath-ground-state"), (model, mixed_bath)):
-        with pytest.raises(ValueError, match="sector path"):
+        with pytest.raises(ValueError, match="joint path"):
             SimulationRun(spectrum=spectrum, rho_b0=rho_b0, **common)
 
 
-@pytest.mark.parametrize("doc, n_sectors", [
-    ({"scenario": "dephasing-echo"}, 2),
-    ({"scenario": "collective-register"}, 1),
-    ({"scenario": "maximal-averaging"}, 1),
-    ({"scenario": "selective-logic"}, 1),
-    ({**K2_DEPHASING, "h_s": {"ZX": 0.2, "IX": 0.1}}, 2),
-    ({**K2_DEPHASING, "h_s": {"ZZ": 0.2}}, 4),
-    # the second qubit is conserved, but only a leading run of qubits counts
-    ({**K2_DEPHASING, "h_s": {"XI": 0.2}}, 1),
-], ids=["dephasing-echo", "collective-register", "maximal-averaging", "selective-logic",
-        "K2-ZX-IX", "K2-ZZ", "K2-XI"])
-def test_sectors_are_the_conserved_leading_qubits(doc, n_sectors):
-    """The spectrum splits over the computational states of the leading
-    qubits on which every system factor is diagonal; H has exact zeros
-    between those sectors, and each sector's eigenpairs rebuild its block."""
-    model = build_model(parse_config({"seed": 7, **doc}))
+BOSON_ECHO = {"scenario": "custom", "K": 1, "group": "flip", "coupling": "dephasing",
+              "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3,
+                       "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}
+ECHO = {"scenario": "dephasing-echo"}
+
+
+@pytest.mark.parametrize("doc, variant, product", [
+    (ECHO, None, True),
+    (BOSON_ECHO, None, True),
+    ({**K2_DEPHASING, "h_s": {"ZZ": 0.2}}, None, True),
+    ({**K2_DEPHASING, "h_s": {"ZX": 0.2, "IX": 0.1}}, None, False),
+    # the second qubit is conserved, the first is not
+    ({**K2_DEPHASING, "h_s": {"XI": 0.2}}, None, False),
+    ({"scenario": "collective-register"}, None, False),
+    ({"scenario": "maximal-averaging"}, None, False),
+    ({"scenario": "selective-logic"}, None, False),
+    (ECHO, "hand-built", False),
+    (ECHO, "rho_b0", False),
+], ids=["dephasing-echo", "boson-echo", "K2-ZZ", "K2-ZX-IX", "K2-XI", "collective-register",
+        "maximal-averaging", "selective-logic", "hand-built-echo", "echo-rho_b0"])
+def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
+    """A builder's model whose ``h_s`` and system factors are all diagonal,
+    with the default bath, takes the product path: it carries its model and
+    makes no ``eigh`` of joint size. Every other run takes the joint path,
+    whose spectrum is one ``eigh`` of the ``d x d`` Hamiltonian: energies
+    ``(d,)`` and vectors ``(d, d)`` that rebuild it."""
+    config = parse_config({"seed": 7, **doc})
+    model = build_model(config)
+    d, rho_b0 = model.system_dim * model.bath_dim, "bath-ground-state"
+    if variant == "hand-built":
+        model = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
+    elif variant == "rho_b0":
+        ground = model.h_b.matrix.diagonal().real == model.h_b.matrix.diagonal().real.min()
+        rho_b0 = Operator(np.diag(ground), model.h_b.dims)
+    common = dict(schedule=build_schedule(config), n_cycles=4, rho_s0=config.rho_s0,
+                  rho_b0=rho_b0)
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    if product:
+        evolve(SimulationRun(spectrum=model, **common))
+        assert max(shape[-1] for shape in shapes) < d
+        return
+    with pytest.raises(ValueError, match="joint path"):
+        SimulationRun(spectrum=model, **common)
     spectrum = joint_spectrum(model)
-    size = model.system_dim * model.bath_dim // n_sectors
-    assert spectrum.energies.shape == (n_sectors, size)
-    assert spectrum.vectors.shape == (n_sectors, size, size)
-    h = total_hamiltonian(model).matrix.reshape(n_sectors, size, n_sectors, size).swapaxes(1, 2)
-    assert not h[~np.eye(n_sectors, dtype=bool)].any()
+    assert shapes == [(d, d)]
+    assert spectrum.energies.shape == (d,) and spectrum.vectors.shape == (d, d)
     v = spectrum.vectors
-    rebuilt = (v * spectrum.energies[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    assert np.max(np.abs(rebuilt - h[np.eye(n_sectors, dtype=bool)])) <= 1e-12
+    rebuilt = (v * spectrum.energies) @ v.conj().T
+    assert np.max(np.abs(rebuilt - total_hamiltonian(model).matrix)) <= 1e-12
 
 
 def test_cycle_product_keeps_four_joint_matrices():
-    """At d = 256 with one sector, building the cycle's blocks (the free
+    """At d = 256, building the cycle's matrix (the free
     step W included) peaks at four d x d complex arrays over what was
     allocated before; the slack covers the small per-frame arrays."""
     evolve_module = importlib.import_module("decoupling.evolve")
@@ -235,7 +261,7 @@ def test_cycle_product_keeps_four_joint_matrices():
     model = build_system_bath_model(2, bath, coupling="linear-collective",
                                     h_s=0.3 * pauli_word_operator("XI"))
     spectrum = joint_spectrum(model)
-    assert spectrum.energies.shape == (1, 256)
+    assert spectrum.energies.shape == (256,)
     schedule = schedule_from_group(pauli_group(2, "full"), delta_t=0.05)
     unit = 256 * 256 * 16
     tracemalloc.start()
@@ -249,16 +275,17 @@ def test_cycle_product_keeps_four_joint_matrices():
 
 
 @pytest.mark.parametrize("doc, frame_calls", [
-    ({"scenario": "dephasing-echo"}, 0),
-    ({"scenario": "dephasing-echo", "symmetric": True}, 0),
-    # one sector: only II is scalar; each of the log2 16 coset steps acts twice
+    # the coset step of X acts twice; a palindrome halves once more by X
+    ({"scenario": "dephasing-echo"}, 2),
+    ({"scenario": "dephasing-echo", "symmetric": True}, 4),
+    # each of the log2 16 coset steps acts twice
     ({"scenario": "maximal-averaging", "K": 2, "coupling": "linear-collective",
       "h_s": {"XI": 0.3, "ZZ": 0.2}}, 8),
 ], ids=["echo", "echo-symmetric", "K2-full"])
 def test_identity_frames_make_no_frame_action(monkeypatch, doc, frame_calls):
-    """A frame whose sector block is a phase times the identity (the first,
-    identity word; every frame of a fully conserved register) is applied as
-    its sector flip alone: no act_on_system or conjugate_system call gets it."""
+    """On the joint path the identity word's frame is skipped: no
+    act_on_system or conjugate_system call gets a scalar frame, and each
+    other word's matrix acts twice per coset step."""
     evolve_module = importlib.import_module("decoupling.evolve")
     calls = []
     for name in ("act_on_system", "conjugate_system"):
@@ -274,8 +301,8 @@ def test_identity_frames_make_no_frame_action(monkeypatch, doc, frame_calls):
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_initial_columns_are_the_kron_product_bitwise(monkeypatch, mixed):
-    """The joint initial columns, ``psi_i (x) phi_k`` split into sectors, are
-    ``np.kron`` of the system and bath ensembles bit for bit."""
+    """The joint initial columns, ``psi_i (x) phi_k``, are ``np.kron`` of the
+    system and bath ensembles bit for bit."""
     evolve_module = importlib.import_module("decoupling.evolve")
     seen = []
     inner = evolve_module._joint_purity
@@ -290,8 +317,8 @@ def test_initial_columns_are_the_kron_product_bitwise(monkeypatch, mixed):
                          rho_b0=rho_b0 if mixed else "bath-ground-state"))
     bath = evolve_module._ensemble(rho_b0) if mixed else spectrum.bath_ground[:, None]
     want = np.kron(evolve_module._ensemble(rho_s0), bath)
-    assert spectrum.energies.shape[0] == 2 and want.shape[1] == (6 if mixed else 1)
-    assert np.array_equal(seen[0], want.reshape(spectrum.energies.shape + (-1,)))
+    assert spectrum.energies.shape == (32,) and want.shape == (32, 6 if mixed else 1)
+    assert np.array_equal(seen[0], want)
 
 
 def test_purity_and_trace_conserved():

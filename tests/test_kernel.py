@@ -127,19 +127,19 @@ def test_order_without_cosets_matches_pulse_picture_loop():
 BOSON = {"scenario": "custom", "K": 1, "group": "flip", "coupling": "dephasing",
          "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0,
                   "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}
-#: K = 2 pure dephasing under the full group, with one sector qubit (``g_r``
-#: is 2 x 2) and with both qubits conserved (four sectors).
-K2_SECTORS = {"scenario": "custom", "K": 2, "group": "full", "coupling": "dephasing",
-              "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3},
-              "delta_t": 0.05, "n_cycles": 20}
-SECTOR_CONFIGS = [{"scenario": name, "symmetric": sym} for name, sym in PRESET_CYCLES] + [
-    BOSON, {**K2_SECTORS, "h_s": {"ZX": 0.2, "IX": 0.1}}, {**K2_SECTORS, "h_s": {"ZZ": 0.2}}]
-SECTOR_IDS = CYCLE_IDS + ["boson-flip", "K2-ZX-IX", "K2-ZZ"]
+#: K = 2 pure dephasing under the full group, with the first qubit not
+#: conserved (the joint path) and with both qubits conserved (the product path).
+K2_DEPHASING = {"scenario": "custom", "K": 2, "group": "full", "coupling": "dephasing",
+                "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3},
+                "delta_t": 0.05, "n_cycles": 20}
+JOINT_CONFIGS = [{"scenario": name, "symmetric": sym} for name, sym in PRESET_CYCLES] + [
+    BOSON, {**K2_DEPHASING, "h_s": {"ZX": 0.2, "IX": 0.1}}, {**K2_DEPHASING, "h_s": {"ZZ": 0.2}}]
+JOINT_IDS = CYCLE_IDS + ["boson-flip", "K2-ZX-IX", "K2-ZZ"]
 
 
-@pytest.mark.parametrize("overrides", SECTOR_CONFIGS, ids=SECTOR_IDS)
+@pytest.mark.parametrize("overrides", JOINT_CONFIGS, ids=JOINT_IDS)
 def test_sector_blocks_match_dense_oracle(overrides):
-    """The sector-block kernel against one joint ``eigh``, the dense
+    """The joint kernel against one joint ``eigh`` of ``np.kron`` parts, the dense
     coset-halving product and dense stepping: the cycle propagator and
     the states of the controlled and the free run."""
     runs = preset_runs(overrides["scenario"], **{k: v for k, v in overrides.items()
@@ -156,20 +156,19 @@ def test_sector_blocks_match_dense_oracle(overrides):
 PRODUCT_CONFIGS = [{"scenario": "dephasing-echo"},
                    {"scenario": "dephasing-echo", "symmetric": True},
                    {"scenario": "dephasing-echo", "symmetric": True, "sample_every": 4},
-                   BOSON, {**K2_SECTORS, "h_s": {"ZZ": 0.2}}]
+                   BOSON, {**K2_DEPHASING, "h_s": {"ZZ": 0.2}}]
 PRODUCT_IDS = ["echo", "echo-symmetric", "echo-every-4", "boson-flip", "K2-ZZ"]
-#: The product path against the sector path, every field of a trajectory.
+#: The product path against the joint path, every field of a trajectory.
 PRODUCT_TOL = 1e-11
 
 
-def assert_product_path_matches_the_sector_path(run):
+def assert_product_path_matches_the_joint_path(run):
     """Every :class:`TrajectoryResult` field of ``run`` (which takes the
-    product path) against the same run on the sector path: its model
+    product path) against the same run on the joint path: its model
     without the mode table, on its joint spectrum. The states are also held
     to the dense oracle. Returns the largest difference."""
     got = evolve(run)
-    sector_run = replace(run, spectrum=joint_spectrum(replace(run.model, modes=None)))
-    want = evolve(sector_run)
+    want = evolve(replace(run, spectrum=joint_spectrum(replace(run.model, modes=None))))
     np.testing.assert_array_equal(got.times, want.times)
     np.testing.assert_array_equal(got.cycles, want.cycles)
     diffs = {name: np.max(np.abs(getattr(got, name) - getattr(want, name)))
@@ -191,13 +190,13 @@ def test_product_path_matches_the_sector_path(overrides):
     for run in preset_runs(overrides["scenario"], **{k: v for k, v in overrides.items()
                                                      if k != "scenario"}):
         assert _mode_wise(run.model) and isinstance(run.rho_b0, str)
-        assert_product_path_matches_the_sector_path(run)
+        assert_product_path_matches_the_joint_path(run)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_product_path_matches_the_sector_path_for_mixed_states(n_qubits):
     """A mixed ``rho_s0`` passed through the library: the product path reads
-    ``rho0`` itself, the sector path its eigen-ensemble (here of rank 2)."""
+    ``rho0`` itself, the joint path its eigen-ensemble (here of rank 2)."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.4, seed=5)
     h_s = pauli_word_operator("Z" * n_qubits) * 0.3
     model = build_system_bath_model(n_qubits, bath, coupling="dephasing", h_s=h_s)
@@ -205,7 +204,7 @@ def test_product_path_matches_the_sector_path_for_mixed_states(n_qubits):
     for group, delta_t in ((pauli_group(n_qubits, "full"), 0.1), (trivial_group(n_qubits), 0.4)):
         run = SimulationRun(spectrum=model, schedule=schedule_from_group(group, delta_t),
                             n_cycles=30, rho_s0=rho_s0, sample_every=3)
-        assert_product_path_matches_the_sector_path(run)
+        assert_product_path_matches_the_joint_path(run)
 
 
 def test_symmetric_sampled_run_matches_oracle():
@@ -267,7 +266,7 @@ PLUS2 = Operator(np.full((4, 4), 0.25, dtype=complex), [2, 2])
 @pytest.mark.parametrize("args, n_blocks", [
     (("flip", "dephasing", 100, 2, PLUS), 7),  # d = 8: 51 snapshots, 8 a block
     (("full", "total", 99, 3, MIXED), 9),  # rank 2: 34 snapshots, 4 a block
-    (("full", "dephasing", 60, 1, PLUS2, 2), 4),  # two sectors, d = 16: 61 snapshots
+    (("full", "dephasing", 60, 1, PLUS2, 2), 4),  # K = 2, d = 16: 61 snapshots
 ], ids=["pure-every-2", "mixed-every-3", "sectors"])
 def test_stepped_blocks_match_the_per_snapshot_loop(monkeypatch, args, n_blocks):
     """Stepped snapshots come in blocks of at most ``d x d`` numbers; every

@@ -15,7 +15,7 @@ from decoupling import (
     pauli_word_operator,
     total_hamiltonian,
 )
-from decoupling.model import COUPLING_KINDS, bath_ground_vector, sector_hamiltonians
+from decoupling.model import COUPLING_KINDS, bath_ground_vector
 from decoupling.operators import DIM_CAP
 
 import oracle_model
@@ -396,20 +396,3 @@ def test_tensor_against_index_loop_oracle():
     chained = tensor(tensor(Operator(a, [2]), Operator(b, [3])), Operator(c, [2]))
     assert chained.dims == (2, 3, 2)
     assert np.allclose(chained.matrix, kron_oracle(kron_oracle(a, b), c), atol=1e-13)
-
-
-@pytest.mark.parametrize("n_qubits,kind,n_modes", [
-    (1, "spin-bath", 4), (2, "spin-bath", 3), (3, "spin-bath", 3), (2, "boson-mode", 2),
-])
-def test_sector_blocks_match_the_kron_blocks_bitwise(n_qubits, kind, n_modes):
-    """The sector blocks placed from the split form are the ``np.kron``
-    blocks bit for bit, for the slices of two and four sectors."""
-    bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=7,
-                    boson_truncation=3 if kind == "boson-mode" else None)
-    h_s = pauli_sum({"Z" * n_qubits: 0.3, "I" * (n_qubits - 1) + "X": 0.2}, n_qubits)
-    model = build_system_bath_model(n_qubits, bath, coupling="dephasing", h_s=h_s)
-    for n_sectors in (2, 4)[:n_qubits]:
-        got = sector_hamiltonians(model, n_sectors)
-        want = oracle_model.sector_hamiltonians(model, n_sectors)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,9 @@ def test_sweep_validation():
     with pytest.raises(ConfigError, match="values"):
         parse_config(dict(base, sweep={"parameter": "delta_t",
                                        "values": [0.1, -0.2, 0.3]}))
+    # a repeated value would be run twice and weigh double in the fit
+    with pytest.raises(ConfigError, match=r"'sweep.values\[2\]': repeats 0.1,"):
+        parse_config(dict(base, sweep={"parameter": "delta_t", "values": [0.1, 0.05, 0.1]}))
     cfg = parse_config(dict(base, sweep={"parameter": "delta_t",
                                          "values": [0.1, 0.05, 0.025]}))
     assert cfg.sweep_values == (0.1, 0.05, 0.025)
@@ -370,10 +374,13 @@ def test_unclosed_group_word_list_names_the_field():
 
 
 def test_run_sweep_rejects_degenerate_values(tmp_path):
-    cfg = parse_config({
-        "scenario": "dephasing-echo", "seed": 7, "n_cycles": 8, "delta_t": 0.16,
-        "sweep": {"parameter": "delta_t", "values": [0.16, 0.16, 0.16]},
-    })
+    """The parser names the first repeated value; a config made without it
+    still fails at the fit."""
+    doc = {"scenario": "dephasing-echo", "seed": 7, "n_cycles": 8, "delta_t": 0.16,
+           "sweep": {"parameter": "delta_t", "values": [0.16, 0.16, 0.16]}}
+    with pytest.raises(ConfigError, match=r"'sweep.values\[1\]': repeats 0.16,"):
+        parse_config(doc)
+    cfg = replace(parse_config({**doc, "sweep": None}), sweep_values=(0.16,) * 3)
     with pytest.raises(ValueError, match="distinct"):
         run_sweep(cfg, tmp_path)
     with pytest.raises(ValueError, match="distinct"):
