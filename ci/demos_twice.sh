@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Runs every demo twice and fails unless both runs print the same output.
+# Runs every demo twice and fails unless both runs exit 0, print the same
+# output and leave their own empty TMPDIR empty.
 #
 # Usage: ci/demos_twice.sh COMMAND...
 #   COMMAND runs a Python script, e.g. `env -u PYTHONPATH python` against the
@@ -14,9 +15,15 @@ demos=$(cd "$(dirname "$0")/../demos" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
+mkdir tmp
 for demo in "$demos"/*.py; do
   name=$(basename "$demo" .py)
-  "$@" "$demo" > "$name.1.txt"
-  "$@" "$demo" > "$name.2.txt"
+  for run in 1 2; do
+    TMPDIR="$work/tmp" "$@" "$demo" > "$name.$run.txt"
+    if [ -n "$(ls -A tmp)" ]; then
+      echo "$name left files in its TMPDIR:" $(ls -A tmp) >&2
+      exit 1
+    fi
+  done
   cmp "$name.1.txt" "$name.2.txt"
 done

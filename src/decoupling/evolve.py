@@ -16,8 +16,10 @@ so ``rho_cc'(t) = rho_cc'(0) prod_i <phi_i^c'(t)|phi_i^c(t)>`` with
 ``c ^ x`` (``x``: the X/Y letters of its word), a flip of the register
 axes. Each mode's cycle in each state is an ``n x n`` matrix, its steps
 exponentiated in extended precision, and the snapshots are its powers; a
-free run takes the modes' closed form. No joint ``eigh`` is made and no
-``d x d`` array is built.
+free run takes the modes' closed form. No joint ``eigh`` is made, and
+neither the ``d x d`` joint matrix nor any ``d_b x d_b`` bath matrix is
+built: the model's ``h_b`` and ``B_a`` are never placed, and the per-mode
+Hamiltonians ``h_ci`` are made once per model.
 
 Every other run (a register not fully conserved, a hand-built model, an
 explicit ``rho_b0``) takes the joint path, the product path's oracle.
@@ -305,22 +307,7 @@ def _joint_purity(psi: np.ndarray) -> float:
 def _mode_wise(model: SystemBathModel) -> bool:
     """Whether the product path evolves the model's default-bath runs: it has a mode
     table, and ``h_s`` and every coupling's system factor are diagonal."""
-    return model.modes is not None and all(
-        np.array_equal(x, np.diag(x.diagonal()))
-        for x in [model.h_s.matrix] + [s.matrix for s, _ in model.couplings])
-
-
-def _mode_hamiltonians(model: SystemBathModel) -> np.ndarray:
-    """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of register state
-    ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of ``h_s``,
-    added to mode 0: a ``(d_s m, n, n)`` stack, register state major."""
-    t = model.modes
-    diag = np.array([x.matrix.diagonal().real
-                     for x in [model.h_s] + [s for s, _ in model.couplings]])
-    h = t.frequencies[:, None, None] * t.h_mode + np.tensordot(
-        diag[1:].T, np.tensordot(t.coefficients, t.operators, axes=1), axes=1)
-    h[:, 0] += diag[0][:, None, None] * np.eye(len(t.h_mode))
-    return h.reshape(-1, *h.shape[-2:])
+    return model._mode_hamiltonians is not None
 
 
 def _expm(h: np.ndarray, t: float) -> np.ndarray:
@@ -377,17 +364,19 @@ def _path(run: SimulationRun):
                 lambda n: _stepped_blocks(_cycle_blocks(spectrum, schedule), psi0, n, step,
                                           every),
                 lambda block: _reduce(block, model.system_dim), _joint_purity, psi0)
-    rho0, h = run.rho_s0.matrix, _mode_hamiltonians(model)
+    rho0, h = run.rho_s0.matrix, model._mode_hamiltonians
     psi0 = np.zeros(h.shape[:-1] + (1,), dtype=complex)
     psi0[:, np.argmin(model.modes.h_mode.diagonal().real)] = 1.0
+
+    def closed_form(times, keep):
+        return _closed_form(*np.linalg.eigh(h), psi0, max(1, d * d // psi0.size), times, keep)
 
     def stepped(n):
         w = _expm(h, schedule.delta_t).reshape(len(rho0), -1, *h.shape[-2:])
         u = np.linalg.matrix_power(_flip_cycle(w, schedule).reshape(h.shape), every)
         return [_powers(u, psi0.astype(u.dtype), n).astype(complex)]
 
-    return (partial(_closed_form, *np.linalg.eigh(h), psi0, max(1, d * d // psi0.size)), stepped,
-            partial(_mode_reduce, rho0), partial(_mode_purity, rho0), psi0)
+    return (closed_form, stepped, partial(_mode_reduce, rho0), partial(_mode_purity, rho0), psi0)
 
 
 @dataclass(frozen=True)
@@ -633,11 +622,16 @@ def _decay_rate(t: np.ndarray, coherence: np.ndarray) -> tuple[float, tuple[int,
     if stop - start >= 2 and t[stop - 1] > 0:
         tt = t[start:stop]
         dd = -np.log(c[start:stop])
-        gamma = max(float(np.dot(tt, dd) / np.dot(tt, tt)), 0.0)
+        gamma = _nonnegative(float(np.dot(tt, dd) / np.dot(tt, tt)))
         resid = float(np.sqrt(np.mean((dd - gamma * tt) ** 2)))
         return gamma, window, resid, "window-fit"
-    gamma = max(float(-math.log(min(float(c[-1]), 1.0)) / float(t[-1])), 0.0)
+    gamma = _nonnegative(float(-math.log(min(float(c[-1]), 1.0)) / float(t[-1])))
     return gamma, (len(c) - 1, len(c)), 0.0, "endpoint-secant"
+
+
+def _nonnegative(rate: float) -> float:
+    """``max(rate, 0.0)``, with a zero rate always ``+0.0``: ``-0.0`` would be written as such."""
+    return max(rate, 0.0) + 0.0
 
 
 def estimate_rates(free: TrajectoryResult, controlled: TrajectoryResult) -> RateEstimate:

@@ -6,12 +6,15 @@ The total Hamiltonian always has the split form
 
 with Hermitian system operators S_a and Hermitian bath operators B_a.
 Everything downstream (toggling frames, averaging, propagation) consumes
-a :class:`SystemBathModel` holding exactly these pieces, so the bath can
-be anything finite-dimensional. One builder, :func:`build_system_bath_model`,
+a :class:`SystemBathModel` holding these pieces as Operators, so the bath
+can be anything finite-dimensional. One builder, :func:`build_system_bath_model`,
 makes both bath kinds from a two-row mode table: a spin bath (each mode
 is a qubit precessing at its own frequency) and a truncated bosonic bath
 for pure dephasing differ only in the single-mode Hamiltonian and the
-mode operators the couplings draw on.
+mode operators the couplings draw on. The builder's model keeps that
+table (:class:`ModeTable`) as its bath and is checked on it; its ``H_B``
+and ``B_a`` place their ``d_b x d_b`` matrices only when something reads
+them, which the mode-by-mode product path never does.
 
 Mode frequencies are laid out on a uniform grid up to the cutoff and then
 jittered, so spectra are generic but reproducible from a seed. The cutoff
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Sequence
 
 import numpy as np
 
@@ -96,6 +101,17 @@ class ModeTable:
         for a in (self.frequencies, self.h_mode, self.operators, self.coefficients):
             a.setflags(write=False)
 
+    def gram(self) -> np.ndarray:
+        """The Frobenius Gram ``tr(B_a^dag B_b)`` of the channels, from per-mode traces:
+        ``n**(m-1) sum_i tr(b_ai^dag b_bi) + n**(m-2) sum_(i != j) tr(b_ai)^* tr(b_bj)``,
+        ``b_ai`` channel ``a``'s term on mode ``i``."""
+        n, m = len(self.h_mode), len(self.frequencies)
+        flat, c = self.operators.reshape(len(self.operators), -1), self.coefficients
+        same = np.einsum("aik,kl,bil->ab", c.conj(), flat.conj() @ flat.T, c)
+        t = c @ self.operators.trace(axis1=1, axis2=2)  # tr(b_ai), (n_a, m)
+        cross = np.outer(t.sum(1).conj(), t.sum(1)) - t.conj() @ t.T
+        return n ** (m - 1) * same + n ** (m - 2.0) * cross
+
 
 @dataclass(frozen=True)
 class SystemBathModel:
@@ -108,9 +124,14 @@ class SystemBathModel:
     drawing enough bath modes).
 
     ``modes`` is the builder's :class:`ModeTable`, the frequencies, mode
-    operators and coefficient rows the bath operators were placed from, its
-    shapes checked against the bath and the channels. A hand-built model has
-    none and is always evolved on its joint spectrum.
+    operators and coefficient rows ``h_b`` and the ``B_a`` are placed from,
+    its shapes checked against the bath and the channels. A model with a
+    table is checked on it: ``h_mode`` and the mode operators Hermitian, the
+    frequencies and coefficients real, the Gram of the ``B_a`` from
+    :meth:`ModeTable.gram`. Its ``h_b`` and ``B_a`` are deferred Operators,
+    whose ``d_b x d_b`` matrices are placed only when read (by the joint path).
+    A hand-built model has no table, is checked on its matrices, and is
+    always evolved on its joint spectrum.
     """
 
     h_s: Operator
@@ -120,9 +141,16 @@ class SystemBathModel:
     modes: ModeTable | None = None
 
     def __post_init__(self):
+        table = self.modes
+        if table is not None:
+            m, (k, n, _) = len(table.frequencies), table.operators.shape
+            shape = (len(self.couplings), m, k)
+            if n**m != self.bath_dim or table.coefficients.shape != shape:
+                raise ValueError("mode table does not match the bath and its channels")
         if not self.h_s.is_hermitian():
             raise ValueError("system Hamiltonian is not Hermitian")
-        if not self.h_b.is_hermitian():
+        if not (self.h_b.is_hermitian() if table is None else
+                np.isrealobj(table.frequencies) and Operator(table.h_mode).is_hermitian()):
             raise ValueError("bath Hamiltonian is not Hermitian")
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
@@ -130,20 +158,27 @@ class SystemBathModel:
             raise ValueError(
                 f"total dimension {self.h_s.dim * self.h_b.dim} exceeds the cap {DIM_CAP}"
             )
+        operators_hermitian = table is not None and all(
+            Operator(x).is_hermitian() for x in table.operators)
         for k, (s, b) in enumerate(self.couplings):
             if s.dims != self.h_s.dims:
                 raise ValueError(f"coupling {k}: system factor dims {s.dims} != {self.h_s.dims}")
             if b.dims != self.h_b.dims:
                 raise ValueError(f"coupling {k}: bath factor dims {b.dims} != {self.h_b.dims}")
-            if not s.is_hermitian() or not b.is_hermitian():
+            if not s.is_hermitian() or not (
+                    b.is_hermitian() if table is None else
+                    operators_hermitian and not np.imag(table.coefficients[k]).any()):
                 raise ValueError(f"coupling {k} is not Hermitian")
         if self.couplings:
-            gram = np.array(
-                [
-                    [np.vdot(a.matrix.ravel(), b.matrix.ravel()) for _, b in self.couplings]
-                    for _, a in self.couplings
-                ]
-            )
+            if table is None:
+                gram = np.array(
+                    [
+                        [np.vdot(a.matrix.ravel(), b.matrix.ravel()) for _, b in self.couplings]
+                        for _, a in self.couplings
+                    ]
+                )
+            else:
+                gram = table.gram()
             # numerical rank relative to the leading eigenvalue, so the
             # check is insensitive to the overall coupling strength
             evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
@@ -154,11 +189,6 @@ class SystemBathModel:
                     "bath coupling operators are linearly dependent; "
                     "draw more bath modes or fewer coupling channels"
                 )
-        if self.modes is not None:
-            m, (k, n, _) = len(self.modes.frequencies), self.modes.operators.shape
-            shape = (len(self.couplings), m, k)
-            if n**m != self.bath_dim or self.modes.coefficients.shape != shape:
-                raise ValueError("mode table does not match the bath and its channels")
 
     @property
     def system_dim(self) -> int:
@@ -167,6 +197,24 @@ class SystemBathModel:
     @property
     def bath_dim(self) -> int:
         return self.h_b.dim
+
+    @cached_property
+    def _mode_hamiltonians(self) -> np.ndarray | None:
+        """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of register state
+        ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of
+        ``h_s``, added to mode 0: a ``(d_s m, n, n)`` stack, register state major. None unless
+        the model has a mode table and ``h_s`` and every ``S_a`` are diagonal (every register
+        qubit conserved). Made once per model, on the first read."""
+        system = [self.h_s.matrix] + [s.matrix for s, _ in self.couplings]
+        if self.modes is None or not all(np.array_equal(x, np.diag(x.diagonal())) for x in system):
+            return None
+        t, diag = self.modes, np.array([x.diagonal().real for x in system])
+        h = t.frequencies[:, None, None] * t.h_mode + np.tensordot(
+            diag[1:].T, np.tensordot(t.coefficients, t.operators, axes=1), axes=1)
+        h[:, 0] += diag[0][:, None, None] * np.eye(len(t.h_mode))
+        h = h.reshape(-1, *h.shape[-2:])
+        h.setflags(write=False)
+        return h
 
 
 def total_hamiltonian(model: SystemBathModel) -> Operator:
@@ -269,8 +317,10 @@ def build_system_bath_model(
     paired with an independent random Hermitian bath operator drawn from
     the span of every mode's coupling operators (``sigma_x``, ``sigma_y``
     or ``a + a^dag``), site by site, and normalized to spectral norm
-    ``bath.coupling_scale``. Each mode's terms are written into the bath
-    matrix by index, with no Kronecker products. These do not
+    ``bath.coupling_scale``. The model keeps the mode table; ``h_b`` and
+    each ``B_a`` are deferred, each mode's terms written into the bath
+    matrix by index, with no Kronecker products, on the first read of its
+    ``matrix``. The bath operators do not
     commute with the bath Hamiltonian, so the joint dynamics genuinely
     entangles the register with the bath.
 
@@ -297,35 +347,41 @@ def build_system_bath_model(
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
 
     h_mode, mode_ops = _mode(bath)
-    n, m = h_mode.shape[0], bath.n_modes
-    bath_dims = (n,) * m
-    # mode i's entries of the bath matrix: rows and columns that agree off mode i
-    index = np.arange(n**m).reshape(bath_dims)
-    places = [(r[:, :, None], r[:, None, :])
-              for r in (np.moveaxis(index, i, -1).reshape(-1, n) for i in range(m))]
-
-    def placed(terms) -> np.ndarray:
-        """``sum_i terms[i]`` with ``terms[i]`` acting on mode ``i``, added in mode order."""
-        out = np.zeros((n**m, n**m), dtype=complex)
-        for term, place in zip(terms, places):
-            out[place] += term
-        return out
-
-    h_b = placed([w * h_mode for w in bath.mode_frequencies])
+    m = bath.n_modes
+    bath_dims = (len(h_mode),) * m
+    h_b = Operator.deferred(partial(_placed, [w * h_mode for w in bath.mode_frequencies]),
+                            bath_dims)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
     couplings, rows = [], []
     for table in tables:
         coeffs = rng.standard_normal(m * len(mode_ops)).reshape(m, -1)
-        b = placed([sum(c * op for c, op in zip(row, mode_ops)) for row in coeffs])
         # extreme eigenvalues of b: sums of those of its commuting per-mode terms
         ends = np.linalg.eigvalsh(np.tensordot(coeffs, mode_ops, axes=1)).sum(0)
         nrm = float(max(ends[-1], -ends[0]))
         if nrm == 0.0:
             raise ValueError("degenerate random draw for a bath coupling operator")
-        couplings.append((pauli_sum(table, n_qubits),
-                          Operator(bath.coupling_scale * b / nrm, bath_dims)))
+        terms = [sum(c * op for c, op in zip(row, mode_ops)) for row in coeffs]
+        couplings.append((pauli_sum(table, n_qubits), Operator.deferred(
+            partial(_normalized, terms, bath.coupling_scale, nrm), bath_dims)))
         rows.append(coeffs * (bath.coupling_scale / nrm))
     modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops),
                       np.array(rows).reshape(len(tables), m, len(mode_ops)))
-    return SystemBathModel(h_s=h_s, h_b=Operator(h_b, bath_dims), couplings=tuple(couplings),
-                           cutoff=bath.cutoff, modes=modes)
+    return SystemBathModel(h_s=h_s, h_b=h_b, couplings=tuple(couplings), cutoff=bath.cutoff,
+                           modes=modes)
+
+
+def _placed(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_i terms[i]`` with ``terms[i]`` acting on mode ``i`` alone, added in mode order
+    into the bath matrix with no Kronecker products: mode ``i``'s entries, the rows and
+    columns that agree off mode ``i``, are a diagonal view of the matrix."""
+    n, m = len(terms[0]), len(terms)
+    out = np.zeros((n**m, n**m), dtype=complex)
+    for i, term in enumerate(terms):
+        blocks = out.reshape(n**i, n, n ** (m - 1 - i), n**i, n, n ** (m - 1 - i))
+        np.einsum("aibajb->abij", blocks)[...] += term
+    return out
+
+
+def _normalized(terms: Sequence[np.ndarray], scale: float, norm: float) -> np.ndarray:
+    """:func:`_placed` ``terms`` brought from spectral norm ``norm`` to ``scale``."""
+    return scale * _placed(terms) / norm

@@ -6,9 +6,13 @@ complex square matrix tagged with the ordered list of tensor-factor
 dimensions of the space it acts on. Hamiltonians carry angular-frequency
 units (hbar = 1); unitaries and density matrices are dimensionless.
 
-Operators are immutable. The wrapped array is write-protected at
-construction and every operation returns a new instance, so any function
-in this package may be called concurrently without locking.
+Operators are immutable. The wrapped array is write-protected and every
+operation returns a new instance, so any function in this package may be
+called concurrently without locking. A deferred operator
+(:meth:`Operator.deferred`) places its matrix on the first read of
+``matrix``: the array is filled once, then write-protected and kept. Two
+threads racing on that first read may both place it, but each sees a whole
+array, never a partial one.
 """
 
 from __future__ import annotations
@@ -40,25 +44,37 @@ class Operator:
         Defaults to the single factor ``(d,)``.
     """
 
-    __slots__ = ("matrix", "dims")
+    __slots__ = ("matrix", "dims", "_place")
 
     def __init__(self, matrix, dims: Sequence[int] | None = None):
         arr = np.array(matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {arr.shape}")
-        d = arr.shape[0]
-        if d < 1:
-            raise ValueError("operator dimension must be at least 1")
-        if d > DIM_CAP:
-            raise ValueError(f"dimension {d} exceeds the hard cap {DIM_CAP}")
-        if dims is None:
-            dims = (d,)
-        dims = tuple(int(n) for n in dims)
-        if any(n < 1 for n in dims) or math.prod(dims) != d:
-            raise ValueError(f"dims {dims} do not multiply to matrix dimension {d}")
+        dims = _checked_dims(arr.shape[0], dims)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_place", None)
+
+    @classmethod
+    def deferred(cls, place, dims: Sequence[int]) -> "Operator":
+        """An Operator on ``dims`` whose matrix is ``place()``, a fresh ``d x d`` array,
+        called on the first read of ``matrix``; ``dims`` and ``dim`` never call it."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "dims", _checked_dims(math.prod(dims), dims))
+        object.__setattr__(op, "_place", place)
+        return op
+
+    def __getattr__(self, name):
+        # reached only while a deferred operator's matrix slot is unset
+        if name != "matrix" or self._place is None:
+            raise AttributeError(name)
+        arr = np.asarray(self._place(), dtype=np.complex128)
+        if arr.shape != (self.dim, self.dim):
+            raise ValueError(f"placed matrix has shape {arr.shape}, expected dims {self.dims}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrix", arr)
+        return arr
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator instances are immutable")
@@ -67,7 +83,7 @@ class Operator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return math.prod(self.dims)
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -106,6 +122,18 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"Operator(d={self.dim}, dims={self.dims})"
+
+
+def _checked_dims(d: int, dims: Sequence[int] | None) -> tuple[int, ...]:
+    """``dims`` (default ``(d,)``) as a tuple, checked to multiply to ``d``, at most the cap."""
+    if d < 1:
+        raise ValueError("operator dimension must be at least 1")
+    if d > DIM_CAP:
+        raise ValueError(f"dimension {d} exceeds the hard cap {DIM_CAP}")
+    dims = (d,) if dims is None else tuple(int(n) for n in dims)
+    if any(n < 1 for n in dims) or math.prod(dims) != d:
+        raise ValueError(f"dims {dims} do not multiply to matrix dimension {d}")
+    return dims
 
 
 def expm_hermitian(h: Operator, t: float) -> Operator:

@@ -28,5 +28,7 @@ def test_entry_point_checks_pass():
 
 
 def test_demos_print_the_same_output_twice():
+    """Each demo exits 0 twice, prints the same bytes both times and leaves its
+    TMPDIR empty."""
     proc = run_ci_script("demos_twice.sh", sys.executable)
     assert proc.returncode == 0, proc.stdout + proc.stderr

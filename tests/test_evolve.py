@@ -1,6 +1,7 @@
 """Exact propagation invariants, fidelity oracles, rate estimation."""
 
 import importlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -575,6 +576,17 @@ def test_rate_fit_flags_undefined_signal():
     assert est.gamma == 0.0
     rec = est.to_record()
     assert rec["ratio"] is None or rec["ratio"] != rec["ratio"]  # non-finite out
+
+
+def test_constant_coherence_gives_positive_zero_rates():
+    """``-log(1) = -0.0``: a run that keeps its coherence must still write ``0.0``."""
+    t = np.linspace(0.0, 10.0, 51)
+    flat = synthetic_trajectory(t, np.full(51, 0.5))
+    rec = estimate_rates(synthetic_trajectory(t, np.exp(-0.5 * t)), flat).to_record()
+    assert math.copysign(1.0, rec["gamma_controlled"]) == 1.0
+    assert math.copysign(1.0, rec["ratio"]) == 1.0
+    est = estimate_rates(flat, flat)
+    assert math.copysign(1.0, est.gamma) == math.copysign(1.0, est.gamma_c) == 1.0
 
 
 def test_rate_record_is_json_friendly():

@@ -297,6 +297,78 @@ def test_mode_table_must_match_the_bath():
             replace(model, modes=bad)
 
 
+@pytest.mark.parametrize("kind,n_qubits,n_modes,coupling", [
+    ("spin-bath", 1, 1, "dephasing"), ("spin-bath", 1, 3, "dephasing"),
+    ("spin-bath", 2, 4, "linear-independent"), ("spin-bath", 2, 3, "linear-collective"),
+    ("spin-bath", 1, 3, "total"), ("boson-mode", 1, 1, "dephasing"),
+    ("boson-mode", 2, 2, "dephasing"), ("boson-mode", 3, 4, "dephasing"),
+])
+def test_table_gram_is_the_dense_gram(kind, n_qubits, n_modes, coupling):
+    """The model checks a builder's bath on its mode table: the Gram from
+    per-mode traces is that of the placed ``B_a``."""
+    bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=3,
+                    boson_truncation=3 if kind == "boson-mode" else None)
+    model = build_system_bath_model(n_qubits, bath, coupling=coupling)
+    want = np.array([[np.vdot(a.matrix, b.matrix) for _, b in model.couplings]
+                     for _, a in model.couplings])
+    assert np.max(np.abs(model.modes.gram() - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_table_gram_counts_traced_mode_operators():
+    """Cross terms between modes carry the mode operators' traces: a table
+    with a traced operator (not one the builder draws) still gives the Gram
+    of the operators it places."""
+    bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
+    model = build_system_bath_model(2, bath, coupling="dephasing")
+    ops = np.array([SX + 0.5 * np.eye(2), SZ + 0.2 * np.eye(2)])
+    table = replace(model.modes, operators=ops)
+    n = len(table.h_mode)
+
+    def lift(terms):
+        return sum(np.kron(np.kron(np.eye(n**i), x), np.eye(n ** (3 - 1 - i)))
+                   for i, x in enumerate(terms))
+
+    placed = [lift(np.tensordot(rows, ops, axes=1)) for rows in table.coefficients]
+    want = np.array([[np.vdot(a, b) for b in placed] for a in placed])
+    assert np.max(np.abs(table.gram() - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_table_models_reject_what_dense_checks_reject():
+    bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
+    model = build_system_bath_model(2, bath)
+    table = model.modes
+    rows = table.coefficients.copy()
+    rows[1] = 2.0 * rows[0]
+    with pytest.raises(ValueError, match="linearly dependent"):
+        replace(model, modes=replace(table, coefficients=rows))
+    with pytest.raises(ValueError, match="coupling 0 is not Hermitian"):
+        replace(model, modes=replace(table, operators=np.array([SX, [[0, 1], [0, 0]]])))
+    with pytest.raises(ValueError, match="coupling 1 is not Hermitian"):
+        replace(model, modes=replace(table, coefficients=table.coefficients * [[[1]], [[1j]]]))
+    with pytest.raises(ValueError, match="bath Hamiltonian is not Hermitian"):
+        replace(model, modes=replace(table, h_mode=np.array([[0, 1], [0, 0]], dtype=complex)))
+
+
+def test_builder_model_places_no_bath_matrix():
+    """The builder's ``h_b`` and ``B_a`` are placed on their first read, not before."""
+    bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.3, seed=3)
+    model = build_system_bath_model(1, bath)
+    bath_ops = [model.h_b] + [b for _, b in model.couplings]
+    assert model.bath_dim == 16 and model.h_b.dims == (2,) * 4
+    assert not any(_placed(op) for op in bath_ops)
+    total_hamiltonian(model)
+    assert all(_placed(op) for op in bath_ops)
+
+
+def _placed(op):
+    """Whether ``op``'s matrix is held, read without placing it."""
+    try:
+        object.__getattribute__(op, "matrix")
+    except AttributeError:
+        return False
+    return True
+
+
 def test_boson_model_structure():
     bath = BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.3,
                     seed=2, boson_truncation=4)

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +249,20 @@ NON_DECOUPLING = {
     "delta_t": 0.05,
     "n_cycles": 10,
 }
+
+
+def test_a_d4096_echo_places_no_bath_matrix(tmp_path):
+    """The product path evolves the echo from the mode table: a d = 4096
+    ``simulate`` (2048 x 2048 bath, one complex matrix of which is 64 MiB)
+    allocates less than 16 MiB in all."""
+    config = parse_config({"scenario": "dephasing-echo", "seed": 7, "bath": {"n_modes": 11}})
+    tracemalloc.start()
+    try:
+        assert run_scenario(config, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_run_scenario_rejects_non_decoupling_group(tmp_path, capsys):
