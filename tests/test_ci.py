@@ -3,23 +3,9 @@
 CI runs the same scripts against the installed ``decoupling`` command.
 """
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def run_ci_script(name, *command):
-    """``ci/<name> command...`` with this checkout's ``src`` importable and
-    this interpreter first on ``PATH``, as the scripts' own ``python``."""
-    env = dict(os.environ,
-               PATH=os.pathsep.join([str(Path(sys.executable).parent), os.environ["PATH"]]),
-               PYTHONPATH=os.pathsep.join(
-                   p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run(["bash", str(ROOT / "ci" / name), *command], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+from ci_scripts import run_ci_script
 
 
 def test_entry_point_checks_pass():
@@ -27,8 +13,7 @@ def test_entry_point_checks_pass():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_demos_print_the_same_output_twice():
+def test_demos_print_the_same_output_twice(demos_twice):
     """Each demo exits 0 twice, prints the same bytes both times and leaves its
     TMPDIR empty."""
-    proc = run_ci_script("demos_twice.sh", sys.executable)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert demos_twice.returncode == 0, demos_twice.stdout + demos_twice.stderr
