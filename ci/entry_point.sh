@@ -18,6 +18,9 @@ trap 'rm -rf "$work"' EXIT
 fit_points() {
   python -c 'import json, sys; assert json.load(open(sys.argv[1]))["fit_point_count"] == int(sys.argv[2])' "$1" "$2"
 }
+path_is() {
+  python -c 'import json, sys; assert json.load(open(sys.argv[1]))["path"] == sys.argv[2]' "$1" "$2"
+}
 
 "${cli[@]}" design --interaction ZI IZ ZZ --qubits 2
 words=$(python -c 'import itertools; print(*["".join(w) for w in itertools.product("IXYZ", repeat=3)][1:])')
@@ -56,3 +59,8 @@ echo '{"scenario": "dephasing-echo", "seed": 17, "symmetric": true, "bath": {"n_
 "${cli[@]}" sweep --config "$work/seed17.json" --out "$work/seed17" > "$work/seed17.txt"
 if grep -q warning "$work/seed17.txt"; then exit 1; fi
 fit_points "$work/seed17/summary.json" 4
+# the couplings do not commute with the bath: a sweep on the joint path
+echo '{"scenario": "maximal-averaging", "seed": 7, "symmetric": true, "delta_t": 0.16, "n_cycles": 20, "sweep": {"parameter": "delta_t", "values": [0.02, 0.04, 0.08, 0.16]}}' > "$work/joint-sweep.json"
+"${cli[@]}" sweep --config "$work/joint-sweep.json" --out "$work/joint-sweep"
+fit_points "$work/joint-sweep/summary.json" 4
+path_is "$work/joint-sweep/summary.json" joint

@@ -20,7 +20,6 @@ from decoupling import (
     check_decoupling,
     coupling_tables,
     evolve,
-    joint_spectrum,
     observable_drift,
     parse_config,
     pauli_word_operator,
@@ -37,7 +36,7 @@ kept = project_commutant(model.h_s, cfg.group).matrix
 print(np.array_str(kept.real, precision=3, suppress_small=True))
 print("the 0.1 * Z x 1 stray term is gone; the 0.25 * Z x Z logic term survives")
 
-run = SimulationRun(spectrum=joint_spectrum(model), schedule=build_schedule(cfg),
+run = SimulationRun(model=model, schedule=build_schedule(cfg),
                     n_cycles=cfg.n_cycles, rho_s0=cfg.rho_s0, sample_every=10)
 traj = evolve(run)
 print(f"\nterminal fidelity vs ideal projected evolution: "

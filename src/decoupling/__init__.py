@@ -44,7 +44,6 @@ from .magnus import (
     truncation_error,
 )
 from .evolve import (
-    JointSpectrum,
     RateEstimate,
     ScalingFit,
     SimulationRun,
@@ -54,7 +53,6 @@ from .evolve import (
     estimate_rates,
     evolve,
     fit_scaling_exponent,
-    joint_spectrum,
     observable_drift,
     state_fidelity,
 )

@@ -7,7 +7,8 @@ groups that average a given interaction away and prints them with their
 pulse programs (:func:`boundary_pulses`).
 
 Exit codes: 0 success; 1 the configured group fails to decouple the
-interaction (residual table printed); 2 bad usage or config.
+interaction (residual table printed); 2 bad usage or config, or an output
+directory that cannot be made.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _design(args) if args.command == "design" else _run(args)
-    except ValueError as exc:  # a ConfigError too
+    except (OSError, ValueError) as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

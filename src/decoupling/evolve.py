@@ -23,11 +23,13 @@ Hamiltonians ``h_ci`` are made once per model.
 
 Every other run (a register not fully conserved, a hand-built model, an
 explicit ``rho_b0``) takes the joint path, the product path's oracle.
-``W`` comes from one ``eigh`` of the ``d x d`` joint Hamiltonian, made once
-per model (:func:`joint_spectrum`, together with the bath ground vector
-that default runs start from). A run carries it, so the controlled run,
-the free run and every point of a sweep share it. A frame acts on ``W``
-through its ``d_s x d_s`` matrix by reshape, never as a joint-space matrix.
+``W`` comes from one ``eigh`` of the ``d x d`` joint Hamiltonian, which the
+model makes on first use and keeps, together with the bath ground vector
+that default runs start from, so the controlled run, the free run and every
+point of a sweep share it. A frame acts on ``W`` through its ``d_s x d_s``
+matrix by reshape, never as a joint-space matrix. :func:`evolve` alone picks
+the path, and records it in the trajectory's ``metadata["path"]``:
+``"modes"`` or ``"joint"``.
 
 Pauli words commute up to sign, so when the second half of a visiting
 order is the first half multiplied word by word by one word ``h`` (a
@@ -62,13 +64,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
 from .operators import NUMERIC_TOL, Operator, act_on_system, as_matrices, conjugate_system
-from .model import SystemBathModel, bath_ground_vector, hamiltonian_matrix
+from .model import SystemBathModel
 from .sequence import CycleSchedule
 from .groups import DecouplingGroup, _word_product, project_commutant
 
@@ -140,36 +142,6 @@ def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True, eq=False)
-class JointSpectrum:
-    """Eigenpairs ``H = V diag(E) V^dag`` of the joint Hamiltonian: ``energies`` ``(d,)``,
-    ``vectors`` ``(d, d)``.
-
-    Built by :func:`joint_spectrum`, next to ``bath_ground``, the ground vector of ``h_b``
-    that every default-bath run starts from. It keeps its model, and a
-    :class:`SimulationRun` carries it, so a propagation needs nothing else.
-    """
-
-    model: SystemBathModel
-    energies: np.ndarray
-    vectors: np.ndarray
-    bath_ground: np.ndarray
-
-    def propagator(self, t: float) -> np.ndarray:
-        """``exp(-i H t)``, a ``d x d`` array."""
-        v = self.vectors
-        return (v * np.exp(-1j * self.energies * float(t))) @ v.conj().T
-
-
-def joint_spectrum(model: SystemBathModel) -> JointSpectrum:
-    """Diagonalize ``h_b`` and the total Hamiltonian, one ``eigh`` of the ``d x d`` matrix."""
-    w, v = np.linalg.eigh(hamiltonian_matrix(model))
-    bath = bath_ground_vector(model)
-    for a in (w, v, bath):
-        a.setflags(write=False)
-    return JointSpectrum(model, w, v, bath)
-
-
 def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times,
                         keep=slice(None)):
     """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times[keep]``, ``coeffs = V^dag psi``
@@ -203,25 +175,25 @@ def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBa
     return model
 
 
-def cycle_propagator(spectrum: JointSpectrum, schedule: CycleSchedule) -> Operator:
+def cycle_propagator(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     """Exact joint propagator of one control cycle, as a dense Operator.
 
     Segment ``j`` evolves under ``(g_j (x) 1)^dag W (g_j (x) 1)`` with the
-    same free step ``W = exp(-i H delta_t)`` for every segment, from
-    ``spectrum``, the :func:`joint_spectrum` of the model the schedule runs
-    on, multiplied by :func:`_cycle_product`. No eigendecomposition is made.
+    same free step ``W = exp(-i H delta_t)`` for every segment, from the
+    model's joint spectrum (one ``eigh`` per model, whatever the schedule),
+    multiplied by :func:`_cycle_product`.
     """
-    return Operator(_cycle_blocks(spectrum, schedule),
-                    spectrum.model.h_s.dims + spectrum.model.h_b.dims)
+    return Operator(_cycle_blocks(model, schedule), model.h_s.dims + model.h_b.dims)
 
 
-def _cycle_blocks(spectrum: JointSpectrum, schedule: CycleSchedule) -> np.ndarray:
+def _cycle_blocks(model: SystemBathModel, schedule: CycleSchedule) -> np.ndarray:
     """The ``d x d`` matrix of :func:`cycle_propagator`: each frame acts through its
     matrix, but the identity word's, which leaves ``W`` as it is."""
-    _matching_model(spectrum.model, schedule)
+    _matching_model(model, schedule)
     frames = {word: ((), None if word == "I" * len(word) else g)
               for word, g in zip(schedule.segments, schedule.frames)}
-    return _cycle_product(spectrum.propagator(schedule.delta_t), frames, schedule.segments)
+    return _cycle_product(model._joint_spectrum.propagator(schedule.delta_t), frames,
+                          schedule.segments)
 
 
 def _flip_cycle(w: np.ndarray, schedule: CycleSchedule) -> np.ndarray:
@@ -288,7 +260,7 @@ def _ensemble(rho: Operator) -> np.ndarray:
 def _initial_columns(run: SimulationRun) -> np.ndarray:
     """``psi0``: the system's ensemble columns times the bath's, a ``d x r`` array."""
     system = _ensemble(run.rho_s0)
-    bath = (run.spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str)
+    bath = (run.model._joint_spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str)
             else _ensemble(run.rho_b0))
     return (system[:, None, :, None] * bath[:, None]).reshape(len(system) * len(bath), -1)
 
@@ -304,10 +276,10 @@ def _joint_purity(psi: np.ndarray) -> float:
     return float(np.linalg.norm(psi.conj().swapaxes(-1, -2) @ psi) ** 2)
 
 
-def _mode_wise(model: SystemBathModel) -> bool:
-    """Whether the product path evolves the model's default-bath runs: it has a mode
-    table, and ``h_s`` and every coupling's system factor are diagonal."""
-    return model._mode_hamiltonians is not None
+def _mode_wise(run: SimulationRun) -> bool:
+    """Whether the product path evolves the run: its bath starts in its ground state, and
+    its model has a mode table and diagonal ``h_s`` and coupling system factors."""
+    return isinstance(run.rho_b0, str) and run.model._mode_hamiltonians is not None
 
 
 def _expm(h: np.ndarray, t: float) -> np.ndarray:
@@ -351,17 +323,17 @@ def _path(run: SimulationRun):
     (``closed_form(times, keep)``) and stepped by its cycle (``stepped(n)``), both in blocks,
     the reduced states of a block, the joint purity of a snapshot, and the initial one.
 
-    The product path, when the run's model is :func:`_mode_wise` and its bath starts in
-    its ground state, evolves each mode's vector in each register state from that mode's
-    ground state; otherwise the joint path evolves ``psi`` on the run's joint spectrum."""
+    The product path, when the run is :func:`_mode_wise`, evolves each mode's vector in
+    each register state from that mode's ground state; otherwise the joint path evolves
+    ``psi`` on the model's joint spectrum."""
     model, schedule, every = run.model, run.schedule, run.sample_every
     d = model.system_dim * model.bath_dim
-    if not (isinstance(run.rho_b0, str) and _mode_wise(model)):
-        spectrum, psi0 = run.spectrum, _initial_columns(run)
+    if not _mode_wise(run):
+        spectrum, psi0 = model._joint_spectrum, _initial_columns(run)
         step = max(1, d * d // psi0.size)  # snapshots of at most d x d numbers a block
         return (partial(_closed_form, spectrum.energies[None], spectrum.vectors[None],
                         psi0[None], step),
-                lambda n: _stepped_blocks(_cycle_blocks(spectrum, schedule), psi0, n, step,
+                lambda n: _stepped_blocks(_cycle_blocks(model, schedule), psi0, n, step,
                                           every),
                 lambda block: _reduce(block, model.system_dim), _joint_purity, psi0)
     rho0, h = run.rho_s0.matrix, model._mode_hamiltonians
@@ -383,16 +355,13 @@ def _path(run: SimulationRun):
 class SimulationRun:
     """Everything needed to propagate one controlled (or free) evolution.
 
-    ``spectrum`` is the model's :func:`joint_spectrum`, shared by its runs,
-    or the model itself for a run that the product path evolves (see
-    :func:`evolve`), which needs no joint spectrum.
     ``rho_b0`` may be ``"bath-ground-state"`` (the default) or an explicit
     bath density operator. The ideal reference trajectory evolves under
     the system Hamiltonian averaged over the schedule's group. Snapshots
     are taken every ``sample_every`` cycles, which must divide ``n_cycles``.
     """
 
-    spectrum: JointSpectrum | SystemBathModel
+    model: SystemBathModel
     schedule: CycleSchedule
     n_cycles: int
     rho_s0: Operator
@@ -418,13 +387,6 @@ class SimulationRun:
             if self.rho_b0.dims != self.model.h_b.dims:
                 raise ValueError("rho_b0 dims do not match the model bath")
             _check_density(self.rho_b0, "rho_b0")
-        if not isinstance(self.spectrum, JointSpectrum) and not (
-                isinstance(self.rho_b0, str) and _mode_wise(self.model)):
-            raise ValueError("the run takes the joint path: pass the model's joint_spectrum")
-
-    @property
-    def model(self) -> SystemBathModel:
-        return self.spectrum.model if isinstance(self.spectrum, JointSpectrum) else self.spectrum
 
     def ideal_system_hamiltonian(self) -> Operator:
         return project_commutant(self.model.h_s, self.schedule.group)
@@ -435,10 +397,12 @@ class TrajectoryResult:
     """Snapshots of the reduced system state at cycle boundaries.
 
     ``fidelity`` is against the ideal reference trajectory,
-    ``trace_distance`` against the initial state, ``coherence`` is the
-    l1 off-diagonal mass. Arrays all share the snapshot axis, with the
-    initial state included at index 0; ``states`` is the read-only
-    ``(n + 1, d_s, d_s)`` stack of reduced states.
+    ``trace_distance`` against the initial state ``rho_s0``, ``coherence``
+    is the l1 off-diagonal mass. Arrays all share the snapshot axis, with
+    the initial state included at index 0; ``states`` is the read-only
+    ``(n + 1, d_s, d_s)`` stack of reduced states. The trace distance is
+    computed on its first read, so a caller that never reads it (a sweep)
+    pays nothing for it.
     """
 
     times: np.ndarray
@@ -446,8 +410,12 @@ class TrajectoryResult:
     states: np.ndarray
     fidelity: np.ndarray
     coherence: np.ndarray
-    trace_distance: np.ndarray
+    rho_s0: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def trace_distance(self) -> np.ndarray:
+        return 0.5 * np.abs(np.linalg.eigvalsh(self.states - self.rho_s0)).sum(-1)
 
     @property
     def terminal_fidelity(self) -> float:
@@ -474,23 +442,9 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     come in blocks of at most ``d x d`` numbers, reduced one stacked product
     a block. On the product path (a builder's model whose register qubits
     are all conserved, bath in its ground state) the cycle is made per mode
-    and per register state and the snapshots are its powers.
+    and per register state and the snapshots are its powers. The path taken
+    is ``metadata["path"]``, ``"modes"`` or ``"joint"``.
     """
-    times, cycles, states, fidelity, meta = _trajectory(run)
-    return TrajectoryResult(
-        times=times,
-        cycles=cycles,
-        states=states,
-        fidelity=fidelity,
-        coherence=coherence_l1(states),
-        trace_distance=0.5 * np.abs(np.linalg.eigvalsh(states - run.rho_s0.matrix)).sum(-1),
-        metadata=meta,
-    )
-
-
-def _trajectory(run: SimulationRun):
-    """``(times, cycles, states, fidelity, metadata)`` of a run: every record of
-    :func:`evolve` but the coherence and the trace distance."""
     closed_form, stepped, reduce, purity, psi0 = _path(run)
     cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
     times = cycles * run.schedule.cycle_time
@@ -508,6 +462,7 @@ def _trajectory(run: SimulationRun):
     roots = _spectral_evolution(w[None], v[None], (v.conj().T @ system)[None], times)[:, 0]
 
     meta = {
+        "path": "modes" if _mode_wise(run) else "joint",
         "n_cycles": run.n_cycles,
         "sample_every": run.sample_every,
         "cycle_time": run.schedule.cycle_time,
@@ -519,7 +474,8 @@ def _trajectory(run: SimulationRun):
         "terminal_joint_purity": purity(block[-1]),
     }
     states.setflags(write=False)
-    return times, cycles, states, _reference_fidelity(states, roots), meta
+    return TrajectoryResult(times, cycles, states, _reference_fidelity(states, roots),
+                            coherence_l1(states), run.rho_s0.matrix, meta)
 
 
 def _free_coherence(runs: Sequence[SimulationRun]) -> list[np.ndarray]:

@@ -25,7 +25,7 @@ import numpy as np
 from .operators import Operator, conjugate_system, expm_hermitian
 from .model import SystemBathModel, total_hamiltonian
 from .sequence import CycleSchedule
-from .evolve import JointSpectrum, _matching_model, cycle_propagator
+from .evolve import _matching_model, cycle_propagator
 
 
 def average_h0(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
@@ -55,10 +55,10 @@ def average_h1(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     return Operator((-1j / (2.0 * schedule.cycle_time)) * acc, h.dims)
 
 
-def truncation_error(spectrum: JointSpectrum, schedule: CycleSchedule, order: int) -> float:
+def truncation_error(model: SystemBathModel, schedule: CycleSchedule, order: int) -> float:
     """Frobenius distance of the truncated series from the exact cycle.
 
-    ``spectrum`` is the model's :func:`joint_spectrum`, so a scan over
+    The exact cycle comes from the model's joint spectrum, so a scan over
     schedules and orders diagonalizes the model once. ``order`` 0 keeps
     only the averaged Hamiltonian; 1 adds the first correction. The error
     contracts like the cycle time to the power ``order + 2`` as
@@ -67,9 +67,9 @@ def truncation_error(spectrum: JointSpectrum, schedule: CycleSchedule, order: in
     """
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order}")
-    effective = average_h0(spectrum.model, schedule)
+    effective = average_h0(model, schedule)
     if order == 1:
-        effective = effective + average_h1(spectrum.model, schedule)
-    exact = cycle_propagator(spectrum, schedule)
+        effective = effective + average_h1(model, schedule)
+    exact = cycle_propagator(model, schedule)
     approx = expm_hermitian(effective, schedule.cycle_time)
     return float(np.linalg.norm(exact.matrix - approx.matrix))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +111,21 @@ class ModeTable:
         t = c @ self.operators.trace(axis1=1, axis2=2)  # tr(b_ai), (n_a, m)
         cross = np.outer(t.sum(1).conj(), t.sum(1)) - t.conj() @ t.T
         return n ** (m - 1) * same + n ** (m - 2.0) * cross
+
+
+class _JointSpectrum(NamedTuple):
+    """Eigenpairs ``H = V diag(E) V^dag`` of the joint Hamiltonian, ``energies`` ``(d,)`` and
+    ``vectors`` ``(d, d)``, next to ``bath_ground``, the ground vector of ``h_b`` that every
+    default-bath run starts from. It holds no reference to its model."""
+
+    energies: np.ndarray
+    vectors: np.ndarray
+    bath_ground: np.ndarray
+
+    def propagator(self, t: float) -> np.ndarray:
+        """``exp(-i H t)``, a ``d x d`` array."""
+        v = self.vectors
+        return (v * np.exp(-1j * self.energies * float(t))) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -215,6 +230,16 @@ class SystemBathModel:
         h = h.reshape(-1, *h.shape[-2:])
         h.setflags(write=False)
         return h
+
+    @cached_property
+    def _joint_spectrum(self) -> _JointSpectrum:
+        """The joint path's spectrum: one ``eigh`` of the ``d x d`` Hamiltonian, made once per
+        model, on the first read, and shared by every run, cycle and truncation error of it."""
+        w, v = np.linalg.eigh(hamiltonian_matrix(self))
+        spectrum = _JointSpectrum(w, v, bath_ground_vector(self))
+        for a in spectrum:
+            a.setflags(write=False)
+        return spectrum
 
 
 def total_hamiltonian(model: SystemBathModel) -> Operator:

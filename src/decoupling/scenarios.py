@@ -38,15 +38,8 @@ from .model import (
 )
 from .groups import DecouplingGroup, check_decoupling, pauli_group, pauli_sum, trivial_group
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
-from .evolve import (
-    SimulationRun,
-    coherence_l1,
-    estimate_rates,
-    evolve,
-    fit_scaling_exponent,
-    joint_spectrum,
-)
-from .evolve import _compare_rates, _decay_rate, _free_coherence, _mode_wise, _trajectory
+from .evolve import SimulationRun, estimate_rates, evolve, fit_scaling_exponent
+from .evolve import _compare_rates, _decay_rate, _free_coherence
 
 SCENARIO_NAMES = (
     "dephasing-echo",
@@ -231,7 +224,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     scenario = _as_str(_require(doc, "scenario", ""), "scenario")
     if scenario not in SCENARIO_NAMES:
         _fail("scenario", f"unknown scenario {scenario!r}; expected one of {SCENARIO_NAMES}")
-    seed = _as_int(_require(doc, "seed", ""), "seed")
+    seed = _as_int(_require(doc, "seed", ""), "seed", minimum=0)
 
     preset = PRESETS[scenario]
     merged = dict(preset)
@@ -277,7 +270,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         coupling_scale=_as_number(
             merged_bath["coupling_scale"], "bath.coupling_scale", positive=True
         ),
-        seed=_as_int(merged_bath.get("seed", seed), "bath.seed"),
+        seed=_as_int(merged_bath.get("seed", seed), "bath.seed", minimum=0),
         boson_truncation=truncation,
     )
 
@@ -424,12 +417,14 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
 
     Writes ``trajectory.csv`` (controlled), ``trajectory_free.csv``,
     ``summary.json``, and ``run.log`` into ``out_dir``. The summary's
-    ``diagnostics`` give each trajectory's joint purity drift, terminal
-    minus initial: unitary propagation conserves purity, so anything
-    above round-off is a numerical fault. Returns a process exit code:
-    nonzero when the configured group fails to average the coupling away
-    (mode ``none``), with the per-channel residual table on stdout; that
-    check reads the config only, so a rejected run builds no model.
+    ``path`` is the one both runs took (``"modes"`` or ``"joint"``, see
+    :func:`evolve`); its ``diagnostics`` give each trajectory's joint
+    purity drift, terminal minus initial: unitary propagation conserves
+    purity, so anything above round-off is a numerical fault. Returns a
+    process exit code: nonzero when the configured group fails to average
+    the coupling away (mode ``none``), with the per-channel residual table
+    on stdout; that check reads the config only, so a rejected run builds
+    no model.
     """
     _check_sample_every(config.n_cycles, config, "sample_every")
     t_start = time.time()
@@ -443,11 +438,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     schedule = build_schedule(config)
     omega_c_delta_t = config.bath.cutoff * config.delta_t
     model = build_model(config)
-    # the product path needs no joint spectrum
-    spectrum = model if _mode_wise(model) else joint_spectrum(model)
     free_schedule = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
     controlled, free = (
-        evolve(SimulationRun(spectrum=spectrum, schedule=s, n_cycles=config.n_cycles,
+        evolve(SimulationRun(model=model, schedule=s, n_cycles=config.n_cycles,
                              rho_s0=config.rho_s0, sample_every=config.sample_every))
         for s in (schedule, free_schedule))
     rates = estimate_rates(free, controlled)
@@ -459,6 +452,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         "scenario": config.scenario,
         "seed": config.seed,
         "mode": report.mode,
+        "path": controlled.metadata["path"],
         "commutant_dimension": report.commutant_dimension,
         "residuals": [float(r) for r in report.residuals],
         "schedule": schedule_to_record(schedule),
@@ -534,11 +528,12 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     (``fit_point_count`` of them), and ``run.log``. The infidelity is
     ``1 - <y|rho|y>`` for the pure reference ``y`` of every named initial
     state, read off the reduced state ``rho`` as it is, not renormalized.
-    Each value's controlled run is evolved as in :func:`run_scenario`, but
-    with no trace distance, which the sweep does not write; the free
-    reference, which does not depend on ``delta_t`` and of which only the
-    coherence is read, is evolved once for each distinct sample time of the
-    sweep. A group that fails to decouple is rejected as in
+    Each value's controlled run is evolved by :func:`evolve`, as in
+    :func:`run_scenario`, and its trace distance, which the sweep does not
+    write, is never computed; the free reference, which does not depend on
+    ``delta_t`` and of which only the coherence is read, is evolved once for
+    each distinct sample time of the sweep. The summary's ``path`` is the
+    one every point took. A group that fails to decouple is rejected as in
     :func:`run_scenario`.
     """
     if config.sweep_values is None:
@@ -553,17 +548,17 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         return _reject(out, config, report, t_start)
 
     model = build_model(config)
-    spectrum = model if _mode_wise(model) else joint_spectrum(model)
-    runs = [SimulationRun(spectrum=spectrum, schedule=build_schedule(config, delta_t=v),
+    runs = [SimulationRun(model=model, schedule=build_schedule(config, delta_t=v),
                           n_cycles=n, rho_s0=config.rho_s0, sample_every=config.sample_every)
             for v, n in zip(config.sweep_values, counts)]
 
     rows = []
     for v, run, free in zip(config.sweep_values, runs, _free_coherence(runs)):
-        times, _, states, fidelity, _ = _trajectory(run)
-        rates = _compare_rates(_decay_rate(times, free),
-                               _decay_rate(times, coherence_l1(states)))
-        rows.append({"delta_t": v, "infidelity": float(1.0 - fidelity[-1]), "rates": rates})
+        traj = evolve(run)
+        rates = _compare_rates(_decay_rate(traj.times, free),
+                               _decay_rate(traj.times, traj.coherence))
+        rows.append({"delta_t": v, "infidelity": float(1.0 - traj.fidelity[-1]),
+                     "rates": rates})
 
     lines = ["delta_t, terminal_infidelity, ratio"]
     for row in rows:
@@ -579,6 +574,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         "scenario": config.scenario,
         "seed": config.seed,
         "mode": report.mode,
+        "path": traj.metadata["path"],  # the same for every point
         "sweep": {
             "parameter": "delta_t",
             "values": list(config.sweep_values),

@@ -24,10 +24,11 @@ before every fidelity took one exact formula: they read a state within
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
-from decoupling import Operator, TrajectoryResult, expm_hermitian, total_hamiltonian
+from decoupling import Operator, expm_hermitian, total_hamiltonian
 from decoupling.evolve import _cycle_blocks, _ensemble
 from decoupling.groups import _word_product
 from decoupling.operators import STRUCT_TOL, act_on_system, as_matrices, conjugate_system
@@ -158,15 +159,14 @@ def cycle_propagator(model, schedule):
     return Operator(u, joint_dims)
 
 
-def pulse_picture_propagator(spectrum, schedule):
+def pulse_picture_propagator(model, schedule):
     """One cycle as the free step ``W`` interleaved with the boundary pulses.
 
     ``W (g_0 (x) 1)`` first, then for each later segment the pulse
     ``g_j g_{j-1}^dag`` followed by ``W``, and ``g_{n-1}^dag`` last: one
     dense product per segment, frames acting by reshape.
     """
-    model = spectrum.model
-    w = spectrum.propagator(schedule.delta_t)
+    w = model._joint_spectrum.propagator(schedule.delta_t)
     frames = schedule.frames
     u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
     for prev, g in zip(frames, frames[1:]):
@@ -218,11 +218,11 @@ def stepped_snapshots(run):
     """``psi`` at every ``sample_every``-th cycle, stepped one cycle at a time by
     the package's cycle, and each one's reduced state, one ``M M^dag``
     a snapshot: the kernel's loop before it reduced snapshots in blocks."""
-    spectrum = run.spectrum
+    spectrum = run.model._joint_spectrum
     bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
     psi0 = _ensemble(run.rho_s0)[:, None, :, None] * bath[:, None]
     psi0 = psi0.reshape(spectrum.energies.shape + (-1,))
-    u_cycle = _cycle_blocks(spectrum, run.schedule)
+    u_cycle = _cycle_blocks(run.model, run.schedule)
     every_cycle = itertools.accumulate(
         itertools.repeat(u_cycle, run.n_cycles), lambda psi, u: u @ psi, initial=psi0)
     psis, states = [], []
@@ -259,7 +259,8 @@ def unitary_power(m, n):
 
 
 def evolve(run):
-    """Density-matrix counterpart of :func:`decoupling.evolve`."""
+    """Density-matrix counterpart of :func:`decoupling.evolve`: its records,
+    the trace distance among them, each computed here."""
     model = run.model
     rho_b0 = bath_ground_state(model) if isinstance(run.rho_b0, str) else run.rho_b0
     joint = tensor(run.rho_s0, rho_b0).matrix
@@ -291,7 +292,7 @@ def evolve(run):
             joint = u_step @ joint @ u_step.conj().T
             joint = (joint + joint.conj().T) / 2
 
-    return TrajectoryResult(
+    return SimpleNamespace(
         times=np.array(times),
         cycles=np.arange(n_snapshots + 1) * run.sample_every,
         states=np.array([rho.matrix for rho in states]),

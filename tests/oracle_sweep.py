@@ -15,7 +15,6 @@ from decoupling import (
     estimate_rates,
     evolve,
     fit_scaling_exponent,
-    joint_spectrum,
     schedule_from_group,
     trivial_group,
 )
@@ -26,13 +25,13 @@ def per_point_sweep(config):
     """``(rows, fit, fit_point_count)``: one ``(delta_t, infidelity, rate record)``
     row per sweep value, and the log-log fit of every infidelity."""
     _, counts = _sweep_cycle_counts(config)
-    spectrum = joint_spectrum(build_model(config))
+    model = build_model(config)
     rows = []
     for v, n_cycles in zip(config.sweep_values, counts):
         schedule = build_schedule(config, delta_t=v)
         free = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
         controlled, free = (
-            evolve(SimulationRun(spectrum=spectrum, schedule=s, n_cycles=n_cycles,
+            evolve(SimulationRun(model=model, schedule=s, n_cycles=n_cycles,
                                  rho_s0=config.rho_s0, sample_every=config.sample_every))
             for s in (schedule, free))
         rates = estimate_rates(free, controlled)

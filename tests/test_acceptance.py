@@ -29,7 +29,6 @@ from decoupling import (
     build_system_bath_model,
     commutant_basis,
     evolve,
-    joint_spectrum,
     minimal_group_search,
     parse_config,
     pauli_group,
@@ -191,11 +190,11 @@ def test_06_magnus_truncation_orders():
     """Halving the segment length divides the order-0 defect by about 4
     and the order-1 defect by about 8 on the dephasing-echo preset."""
     cfg = parse_config({"scenario": "dephasing-echo", "seed": 7})
-    spectrum = joint_spectrum(build_model(cfg))
+    model = build_model(cfg)
     steps = [0.1, 0.05, 0.025, 0.0125]
     ratios = {}
     for order in (0, 1):
-        errs = [truncation_error(spectrum, schedule_from_group(cfg.group, delta_t=dt), order)
+        errs = [truncation_error(model, schedule_from_group(cfg.group, delta_t=dt), order)
                 for dt in steps]
         ratios[order] = [errs[i] / errs[i + 1] for i in range(3)]
     ok0 = all(3.2 <= r <= 4.8 for r in ratios[0])
@@ -234,13 +233,13 @@ def test_08_maximal_averaging_freezes_dynamics():
     """At fixed total time, quadrupling the pulse rate keeps shrinking the
     distance from the initial state by at least 1.5x per doubling."""
     cfg = parse_config({"scenario": "maximal-averaging", "seed": 11})
-    spectrum = joint_spectrum(build_model(cfg))
+    model = build_model(cfg)
     units = build_schedule(cfg).n_segments
     total_time = cfg.n_cycles * units * cfg.delta_t
     distances = []
     for n in (25, 50, 100, 200):
         sched = build_schedule(cfg, delta_t=total_time / (units * n))
-        run = SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=n,
+        run = SimulationRun(model=model, schedule=sched, n_cycles=n,
                             rho_s0=cfg.rho_s0, sample_every=n)
         distances.append(float(evolve(run).trace_distance[-1]))
     steps = [distances[i] / distances[i + 1] for i in range(3)]
@@ -295,11 +294,11 @@ def test_11_selective_decoupling_preserves_logic():
     """The collective group removes the bath and the stray single-qubit
     term while the engineered two-qubit interaction keeps running."""
     cfg = parse_config({"scenario": "collective-register", "seed": 11})
-    spectrum = joint_spectrum(build_model(cfg))
+    model = build_model(cfg)
 
     def infidelity(n, dt):
         sched = build_schedule(cfg, delta_t=dt)
-        run = SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=n,
+        run = SimulationRun(model=model, schedule=sched, n_cycles=n,
                             rho_s0=cfg.rho_s0, sample_every=n)
         return 1.0 - evolve(run).terminal_fidelity
 
@@ -335,12 +334,11 @@ def test_12_echo_exactness_for_commuting_bath():
         couplings=((pauli_word_operator("Z"), Operator(bz, [2] * m)),),
         cutoff=1.0,
     )
-    spectrum = joint_spectrum(model)
     flip = pauli_group(1, "flip")
     plus = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
     worst = 0.0
     for dt in (0.3, 0.1, 0.05, 0.01):
-        run = SimulationRun(spectrum=spectrum, schedule=schedule_from_group(flip, delta_t=dt),
+        run = SimulationRun(model=model, schedule=schedule_from_group(flip, delta_t=dt),
                               n_cycles=200, rho_s0=plus, sample_every=200)
         worst = max(worst, 1.0 - evolve(run).terminal_fidelity)
     assert report(12, "echo exact for commuting bath", worst <= 1e-9,

@@ -45,6 +45,27 @@ def test_bad_config_path(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["--out", "output_dir"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_an_output_directory_under_a_file_exits_2(tmp_path, capsys, command, via):
+    """An output directory that cannot be made is an ``error:`` line and exit
+    2, like an unreadable config: not a traceback, and not exit 1, which
+    says that the group does not decouple."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    doc = {"scenario": "dephasing-echo", "seed": 7, "n_cycles": 8, "delta_t": 0.16,
+           "sweep": {"parameter": "delta_t", "values": [0.04, 0.08, 0.16]}}
+    if via == "output_dir":
+        argv = [command, "--config", write_config(tmp_path, {**doc, "output_dir": str(out)})]
+    else:
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
 def test_invalid_config_reports_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7,
                                   "delta_t": -0.1})
@@ -66,6 +87,8 @@ def test_invalid_config_reports_field(tmp_path, capsys):
       "bath": {"n_modes": 9, "cutoff": 1.0, "coupling_scale": 0.4}}, "bath.n_modes"),
     ({"scenario": "collective-register", "seed": 1, "coupling": "linear-independent",
       "bath": {"n_modes": 2}}, "bath.n_modes"),
+    ({"scenario": "dephasing-echo", "seed": -1}, "seed"),
+    ({"scenario": "dephasing-echo", "seed": 1, "bath": {"seed": -1}}, "bath.seed"),
 ])
 def test_config_errors_name_the_field_before_any_output(tmp_path, capsys, doc, field):
     cfg = write_config(tmp_path, doc)

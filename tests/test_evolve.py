@@ -1,8 +1,11 @@
 """Exact propagation invariants, fidelity oracles, rate estimation."""
 
+import gc
 import importlib
+import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +26,6 @@ from decoupling import (
     evolve,
     expm_hermitian,
     fit_scaling_exponent,
-    joint_spectrum,
     observable_drift,
     parse_config,
     pauli_group,
@@ -58,7 +60,7 @@ def random_density(rng, d, dims):
 def test_cycle_propagator_is_unitary():
     model = make_model()
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
-    u = cycle_propagator(joint_spectrum(model), sched).matrix
+    u = cycle_propagator(model, sched).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-10
 
 
@@ -69,7 +71,7 @@ def test_cycle_propagator_equals_pulse_interleaved_product():
                             ("total", pauli_group(1, "full"))):
         model = make_model(coupling=coupling)
         sched = schedule_from_group(group, delta_t=0.17)
-        u_frames = cycle_propagator(joint_spectrum(model), sched)
+        u_frames = cycle_propagator(model, sched)
 
         h0 = total_hamiltonian(model)
         free = expm_hermitian(h0, sched.delta_t).matrix
@@ -105,7 +107,7 @@ def test_named_cycles_halve_by_cosets(monkeypatch, group, symmetric, products):
     monkeypatch.setattr(evolve_module, "_cycle_product", counting)
     model = make_model(n_qubits=len(group.labels[0]))
     schedule = replace(schedule_from_group(group, delta_t=0.1), symmetric=symmetric)
-    cycle_propagator(joint_spectrum(model), schedule)
+    cycle_propagator(model, schedule)
     assert 2**products == schedule.n_segments
     assert calls == [schedule.n_segments >> k for k in range(products + 1)]
 
@@ -120,18 +122,18 @@ def test_free_run_builds_no_cycle_propagator(monkeypatch, tmp_path):
     inner = evolve_module._cycle_blocks
     built = []
 
-    def refuse_free(spectrum, schedule):
+    def refuse_free(model, schedule):
         if schedule.group.order == 1:
             raise AssertionError("the free run built a cycle propagator")
         built.append(schedule.group.order)
-        return inner(spectrum, schedule)
+        return inner(model, schedule)
 
     monkeypatch.setattr(evolve_module, "_cycle_blocks", refuse_free)
-    spectrum = joint_spectrum(make_model(n_qubits=2, coupling="linear-collective"))
+    model = make_model(n_qubits=2, coupling="linear-collective")
     rho_s0 = Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2])
     for symmetric in (False, True):
         sched = replace(schedule_from_group(trivial_group(2), 0.1), symmetric=symmetric)
-        evolve(SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=4, rho_s0=rho_s0))
+        evolve(SimulationRun(model=model, schedule=sched, n_cycles=4, rho_s0=rho_s0))
     cfg = parse_config({"scenario": "collective-register", "seed": 7, "n_cycles": 10})
     assert run_scenario(cfg, tmp_path) == 0
     assert built == [4]
@@ -144,20 +146,19 @@ K2_DEPHASING = {"scenario": "custom", "K": 2, "group": "full", "coupling": "deph
 
 def test_echo_runs_build_no_joint_spectrum(monkeypatch, tmp_path):
     """An echo ``simulate`` and an echo ``sweep`` take the product path: no
-    ``joint_spectrum``, no joint cycle, and no ``eigh`` larger than a
+    joint Hamiltonian, no joint cycle, and no ``eigh`` larger than a
     register or a bath mode. A register that is not fully conserved
     (K2-ZX-IX), a hand-built model (no mode table) and an explicit ``rho_b0``
     still take the joint path."""
     evolve_module = importlib.import_module("decoupling.evolve")
-    scenarios_module = importlib.import_module("decoupling.scenarios")
+    model_module = importlib.import_module("decoupling.model")
     calls, sizes = [], []
 
     def recording(name, inner):
         return lambda *args: calls.append(name) or inner(*args)
 
-    for module in (evolve_module, scenarios_module):
-        monkeypatch.setattr(module, "joint_spectrum",
-                            recording("joint_spectrum", module.joint_spectrum))
+    monkeypatch.setattr(model_module, "hamiltonian_matrix",
+                        recording("hamiltonian_matrix", model_module.hamiltonian_matrix))
     monkeypatch.setattr(evolve_module, "_cycle_blocks",
                         recording("_cycle_blocks", evolve_module._cycle_blocks))
     eigh = np.linalg.eigh
@@ -170,34 +171,37 @@ def test_echo_runs_build_no_joint_spectrum(monkeypatch, tmp_path):
 
     k2 = {"seed": 7, **K2_DEPHASING, "h_s": {"ZX": 0.2, "IX": 0.1}}
     assert run_scenario(parse_config(k2), tmp_path / "k2") == 0
-    assert calls == ["joint_spectrum", "_cycle_blocks"]
+    assert calls == ["hamiltonian_matrix", "_cycle_blocks"]
     calls.clear()
     config = parse_config(echo)
     model = build_model(config)
     hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
     ground = model.h_b.matrix.diagonal().real == model.h_b.matrix.diagonal().real.min()
-    for spectrum, rho_b0 in ((joint_spectrum(hand_built), "bath-ground-state"),
-                             (joint_spectrum(model), Operator(np.diag(ground), model.h_b.dims))):
-        evolve(SimulationRun(spectrum=spectrum, schedule=build_schedule(config), n_cycles=4,
+    for m, rho_b0 in ((hand_built, "bath-ground-state"),
+                      (model, Operator(np.diag(ground), model.h_b.dims))):
+        evolve(SimulationRun(model=m, schedule=build_schedule(config), n_cycles=4,
                              rho_s0=config.rho_s0, rho_b0=rho_b0))
-    assert calls == ["_cycle_blocks"] * 2
+    assert calls == ["hamiltonian_matrix", "_cycle_blocks"] * 2
 
 
-def test_a_run_carrying_its_model_must_take_the_product_path():
-    """A run may carry its model instead of a joint spectrum only where the
-    product path evolves it; it then gives the same trajectory bit for bit."""
+def test_a_cached_joint_spectrum_leaves_the_path_alone():
+    """The run, not what its model has cached, picks the path: an echo run
+    takes the product path, bit for bit the same, before and after its
+    model's joint spectrum is read; a hand-built model and an explicit
+    ``rho_b0`` take the joint path."""
     config = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 6})
     model = build_model(config)
     common = dict(schedule=build_schedule(config), n_cycles=6, rho_s0=config.rho_s0)
-    with_spectrum = evolve(SimulationRun(spectrum=joint_spectrum(model), **common))
-    with_model = evolve(SimulationRun(spectrum=model, **common))
+    fresh = evolve(SimulationRun(model=model, **common))
+    assert model._joint_spectrum.energies.shape == (model.system_dim * model.bath_dim,)
+    cached = evolve(SimulationRun(model=model, **common))
     for name in ("states", "fidelity", "coherence", "trace_distance"):
-        assert getattr(with_model, name).tobytes() == getattr(with_spectrum, name).tobytes()
+        assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+    assert fresh.metadata["path"] == cached.metadata["path"] == "modes"
     hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
     mixed_bath = Operator(np.eye(model.bath_dim) / model.bath_dim, model.h_b.dims)
-    for spectrum, rho_b0 in ((hand_built, "bath-ground-state"), (model, mixed_bath)):
-        with pytest.raises(ValueError, match="joint path"):
-            SimulationRun(spectrum=spectrum, rho_b0=rho_b0, **common)
+    for m, rho_b0 in ((hand_built, "bath-ground-state"), (model, mixed_bath)):
+        assert evolve(SimulationRun(model=m, rho_b0=rho_b0, **common)).metadata["path"] == "joint"
 
 
 BOSON_ECHO = {"scenario": "custom", "K": 1, "group": "flip", "coupling": "dephasing",
@@ -222,10 +226,11 @@ ECHO = {"scenario": "dephasing-echo"}
         "maximal-averaging", "selective-logic", "hand-built-echo", "echo-rho_b0"])
 def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
     """A builder's model whose ``h_s`` and system factors are all diagonal,
-    with the default bath, takes the product path: it carries its model and
-    makes no ``eigh`` of joint size. Every other run takes the joint path,
-    whose spectrum is one ``eigh`` of the ``d x d`` Hamiltonian: energies
-    ``(d,)`` and vectors ``(d, d)`` that rebuild it."""
+    with the default bath, takes the product path (``metadata["path"]`` is
+    ``"modes"``) and makes no ``eigh`` of joint size. Every other run takes
+    the joint path (``"joint"``), whose spectrum, cached on the model, is one
+    ``eigh`` of the ``d x d`` Hamiltonian: energies ``(d,)`` and vectors
+    ``(d, d)`` that rebuild it, and the run makes no other."""
     config = parse_config({"seed": 7, **doc})
     model = build_model(config)
     d, rho_b0 = model.system_dim * model.bath_dim, "bath-ground-state"
@@ -240,17 +245,62 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
     if product:
-        evolve(SimulationRun(spectrum=model, **common))
+        assert evolve(SimulationRun(model=model, **common)).metadata["path"] == "modes"
         assert max(shape[-1] for shape in shapes) < d
         return
-    with pytest.raises(ValueError, match="joint path"):
-        SimulationRun(spectrum=model, **common)
-    spectrum = joint_spectrum(model)
+    spectrum = model._joint_spectrum
     assert shapes == [(d, d)]
+    assert evolve(SimulationRun(model=model, **common)).metadata["path"] == "joint"
+    assert shapes.count((d, d)) == 1
     assert spectrum.energies.shape == (d,) and spectrum.vectors.shape == (d, d)
     v = spectrum.vectors
     rebuilt = (v * spectrum.energies) @ v.conj().T
     assert np.max(np.abs(rebuilt - total_hamiltonian(model).matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("scenario, joint_eighs", [
+    ("maximal-averaging", 1), ("dephasing-echo", 0)], ids=["joint", "echo"])
+def test_a_simulate_and_a_sweep_each_diagonalize_the_model_once(monkeypatch, tmp_path,
+                                                                 scenario, joint_eighs):
+    """One ``simulate`` (the controlled and the free run) and one whole ``sweep``
+    (every point and the free reference) share the spectrum their model caches:
+    one ``eigh`` of ``d x d`` each on the joint path, none for the echo. The
+    summary names the path."""
+    config = parse_config({"scenario": scenario, "seed": 7, "symmetric": True,
+                           "delta_t": 0.16, "n_cycles": 20,
+                           "sweep": {"parameter": "delta_t", "values": [0.02, 0.04, 0.08, 0.16]}})
+    d = 2 ** (config.n_qubits + config.bath.n_modes)
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    for run in (run_scenario, run_sweep):
+        shapes.clear()
+        assert run(config, tmp_path / run.__name__) == 0
+        assert shapes.count((d, d)) == joint_eighs
+        summary = json.loads((tmp_path / run.__name__ / "summary.json").read_text())
+        assert summary["path"] == ("joint" if joint_eighs else "modes")
+
+
+@pytest.mark.parametrize("scenario, path", [
+    ("maximal-averaging", "joint"), ("dephasing-echo", "modes")])
+def test_a_model_is_freed_with_its_last_reference(scenario, path):
+    """What a model caches (its joint spectrum, its mode Hamiltonians) holds no
+    reference back to it, so reference counting alone frees a model that an
+    ``evolve`` used, with the cyclic collector off: no joint array outlives it."""
+    config = parse_config({"scenario": scenario, "seed": 7})
+    gc.disable()
+    try:
+        model = build_model(config)
+        traj = evolve(SimulationRun(model=model, schedule=build_schedule(config), n_cycles=4,
+                                    rho_s0=config.rho_s0))
+        assert traj.metadata["path"] == path
+        assert ("_joint_spectrum" in vars(model)) == (path == "joint")
+        assert traj.trace_distance.shape == (5,)
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cycle_product_keeps_four_joint_matrices():
@@ -261,14 +311,13 @@ def test_cycle_product_keeps_four_joint_matrices():
     bath = BathSpec(kind="spin-bath", n_modes=6, cutoff=1.0, coupling_scale=0.3, seed=7)
     model = build_system_bath_model(2, bath, coupling="linear-collective",
                                     h_s=0.3 * pauli_word_operator("XI"))
-    spectrum = joint_spectrum(model)
-    assert spectrum.energies.shape == (256,)
+    assert model._joint_spectrum.energies.shape == (256,)
     schedule = schedule_from_group(pauli_group(2, "full"), delta_t=0.05)
     unit = 256 * 256 * 16
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        evolve_module._cycle_blocks(spectrum, schedule)
+        evolve_module._cycle_blocks(model, schedule)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -296,7 +345,7 @@ def test_identity_frames_make_no_frame_action(monkeypatch, doc, frame_calls):
             return inner(g, x)
         monkeypatch.setattr(evolve_module, name, counting)
     config = parse_config({"seed": 7, **doc})
-    evolve_module._cycle_blocks(joint_spectrum(build_model(config)), build_schedule(config))
+    evolve_module._cycle_blocks(build_model(config), build_schedule(config))
     assert calls == ["act_on_system"] * frame_calls
 
 
@@ -309,13 +358,14 @@ def test_initial_columns_are_the_kron_product_bitwise(monkeypatch, mixed):
     inner = evolve_module._joint_purity
     monkeypatch.setattr(evolve_module, "_joint_purity",
                         lambda psi: seen.append(psi.copy()) or inner(psi))
-    spectrum = joint_spectrum(make_model(n_qubits=2, h_s=pauli_sum({"ZI": 0.3, "IX": 0.2}, 2)))
+    model = make_model(n_qubits=2, h_s=pauli_sum({"ZI": 0.3, "IX": 0.2}, 2))
     rho_s0 = Operator(np.kron(PLUS.matrix, np.diag([0.75, 0.25]) if mixed else PLUS.matrix),
                       [2, 2])
     rho_b0 = Operator(np.diag([0.5, 0.3, 0.2] + [0.0] * 5), [2, 2, 2]) if mixed else None
     schedule = schedule_from_group(pauli_group(2, "flip"), 0.1)
-    evolve(SimulationRun(spectrum=spectrum, schedule=schedule, n_cycles=2, rho_s0=rho_s0,
+    evolve(SimulationRun(model=model, schedule=schedule, n_cycles=2, rho_s0=rho_s0,
                          rho_b0=rho_b0 if mixed else "bath-ground-state"))
+    spectrum = model._joint_spectrum
     bath = evolve_module._ensemble(rho_b0) if mixed else spectrum.bath_ground[:, None]
     want = np.kron(evolve_module._ensemble(rho_s0), bath)
     assert spectrum.energies.shape == (32,) and want.shape == (32, 6 if mixed else 1)
@@ -325,7 +375,7 @@ def test_initial_columns_are_the_kron_product_bitwise(monkeypatch, mixed):
 def test_purity_and_trace_conserved():
     model = make_model(coupling="total")
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
-    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=50,
+    run = SimulationRun(model=model, schedule=sched, n_cycles=50,
                         rho_s0=PLUS,
                         sample_every=5)
     traj = evolve(run)
@@ -355,7 +405,7 @@ def test_echo_limit_is_exact_for_commuting_bath():
         cutoff=1.0,
     )
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.3)
-    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=100,
+    run = SimulationRun(model=model, schedule=sched, n_cycles=100,
                         rho_s0=PLUS)
     traj = evolve(run)
     assert traj.terminal_fidelity >= 1.0 - 1e-12
@@ -372,7 +422,7 @@ def test_free_evolution_reference_uses_bare_hamiltonian():
     from decoupling import trivial_group
     sched = schedule_from_group(trivial_group(1), delta_t=0.2)
     ground = Operator(np.diag([1.0, 0.0]).astype(complex), [2])
-    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=30, rho_s0=ground)
+    run = SimulationRun(model=model, schedule=sched, n_cycles=30, rho_s0=ground)
     traj = evolve(run)
     assert traj.terminal_fidelity > 1.0 - 1e-8
     # but the state itself rotates: it is not frozen
@@ -386,7 +436,7 @@ def test_trivial_group_reference_is_the_bare_hamiltonian_exactly():
            - 0.2 * pauli_word_operator("YZ"))
     model = make_model(n_qubits=2, coupling="linear-collective", h_s=h_s)
     from decoupling import trivial_group
-    run = SimulationRun(spectrum=joint_spectrum(model),
+    run = SimulationRun(model=model,
                         schedule=schedule_from_group(trivial_group(2), 0.1),
                         n_cycles=1, rho_s0=Operator(np.diag([1.0, 0, 0, 0]), [2, 2]))
     assert np.array_equal(run.ideal_system_hamiltonian().matrix, model.h_s.matrix)
@@ -451,25 +501,25 @@ def test_coherence_l1():
 
 
 def test_run_validation():
-    spectrum = joint_spectrum(make_model())
+    model = make_model()
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
     with pytest.raises(ValueError):
-        SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=0, rho_s0=PLUS)
+        SimulationRun(model=model, schedule=sched, n_cycles=0, rho_s0=PLUS)
     with pytest.raises(ValueError):
-        SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=10, rho_s0=PLUS,
+        SimulationRun(model=model, schedule=sched, n_cycles=10, rho_s0=PLUS,
                       sample_every=3)
     not_density = Operator(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), [2])
     with pytest.raises(ValueError):
-        SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=10, rho_s0=not_density)
+        SimulationRun(model=model, schedule=sched, n_cycles=10, rho_s0=not_density)
     with pytest.raises(ValueError):
-        SimulationRun(spectrum=spectrum, schedule=sched, n_cycles=10, rho_s0=PLUS,
+        SimulationRun(model=model, schedule=sched, n_cycles=10, rho_s0=PLUS,
                       rho_b0="thermal")
 
 
 def test_trajectory_metadata_and_csv(tmp_path):
     model = make_model()
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
-    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=10,
+    run = SimulationRun(model=model, schedule=sched, n_cycles=10,
                         rho_s0=PLUS,
                         sample_every=2)
     traj = evolve(run)
@@ -494,7 +544,7 @@ def test_observable_drift_requires_commutant_membership():
     model = make_model(n_qubits=2, coupling="linear-collective")
     group = pauli_group(2, "collective")
     sched = schedule_from_group(group, delta_t=0.05)
-    run = SimulationRun(spectrum=joint_spectrum(model), schedule=sched, n_cycles=8,
+    run = SimulationRun(model=model, schedule=sched, n_cycles=8,
                         rho_s0=Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2]))
     traj = evolve(run)
     times, values = observable_drift(traj, pauli_word_operator("ZZ"), group)
@@ -515,7 +565,7 @@ def synthetic_trajectory(times, coherence):
         states=dummy,
         fidelity=np.ones(n),
         coherence=coherence,
-        trace_distance=np.zeros(n),
+        rho_s0=PLUS.matrix,
         metadata={},
     )
 

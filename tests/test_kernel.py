@@ -26,7 +26,6 @@ from decoupling import (
     cycle_propagator,
     evolve,
     expm_hermitian,
-    joint_spectrum,
     parse_config,
     pauli_group,
     pauli_word_operator,
@@ -85,7 +84,7 @@ def preset_runs(name, **overrides):
     model = build_model(cfg)
     schedule = build_schedule(cfg)
     free = schedule_from_group(trivial_group(cfg.n_qubits), schedule.cycle_time)
-    common = dict(spectrum=joint_spectrum(model), n_cycles=cfg.n_cycles, rho_s0=cfg.rho_s0,
+    common = dict(model=model, n_cycles=cfg.n_cycles, rho_s0=cfg.rho_s0,
                   sample_every=cfg.sample_every)
     return (SimulationRun(schedule=schedule, **common),
             SimulationRun(schedule=free, **common))
@@ -97,9 +96,9 @@ def test_presets_match_density_matrix_oracle(name, symmetric):
         assert_same_snapshots(run)
 
 
-def assert_same_cycle(spectrum, schedule):
-    got = cycle_propagator(spectrum, schedule).matrix
-    want = oracle_dm.pulse_picture_propagator(spectrum, schedule).matrix
+def assert_same_cycle(model, schedule):
+    got = cycle_propagator(model, schedule).matrix
+    want = oracle_dm.pulse_picture_propagator(model, schedule).matrix
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -107,7 +106,7 @@ def assert_same_cycle(spectrum, schedule):
 def test_cycle_product_matches_pulse_picture_loop(name, symmetric):
     """The coset-halving product against the per-segment pulse loop."""
     cfg = parse_config({"scenario": name, "seed": 7, "symmetric": symmetric})
-    assert_same_cycle(joint_spectrum(build_model(cfg)), build_schedule(cfg))
+    assert_same_cycle(build_model(cfg), build_schedule(cfg))
 
 
 def test_order_without_cosets_matches_pulse_picture_loop():
@@ -121,7 +120,7 @@ def test_order_without_cosets_matches_pulse_picture_loop():
     ordering = list(range(16))
     ordering[1], ordering[8] = 8, 1
     schedule = replace(build_schedule(cfg), ordering=ordering)
-    assert_same_cycle(joint_spectrum(build_model(cfg)), schedule)
+    assert_same_cycle(build_model(cfg), schedule)
 
 
 BOSON = {"scenario": "custom", "K": 1, "group": "flip", "coupling": "dephasing",
@@ -145,7 +144,7 @@ def test_sector_blocks_match_dense_oracle(overrides):
     runs = preset_runs(overrides["scenario"], **{k: v for k, v in overrides.items()
                                                  if k != "scenario"})
     model = runs[0].model
-    got = cycle_propagator(runs[0].spectrum, runs[0].schedule).matrix
+    got = cycle_propagator(runs[0].model, runs[0].schedule).matrix
     assert np.max(np.abs(got - oracle_dm.dense_cycle_propagator(model, runs[0].schedule))) <= TOL
     for run in runs:
         assert np.max(np.abs(evolve(run).states - oracle_dm.dense_states(run))) <= TOL
@@ -168,16 +167,17 @@ def assert_product_path_matches_the_joint_path(run):
     without the mode table, on its joint spectrum. The states are also held
     to the dense oracle. Returns the largest difference."""
     got = evolve(run)
-    want = evolve(replace(run, spectrum=joint_spectrum(replace(run.model, modes=None))))
+    want = evolve(replace(run, model=replace(run.model, modes=None)))
     np.testing.assert_array_equal(got.times, want.times)
     np.testing.assert_array_equal(got.cycles, want.cycles)
     diffs = {name: np.max(np.abs(getattr(got, name) - getattr(want, name)))
              for name in ("states", "fidelity", "coherence", "trace_distance")}
     assert sorted(got.metadata) == sorted(want.metadata)
+    assert (got.metadata["path"], want.metadata["path"]) == ("modes", "joint")
     for key, value in want.metadata.items():
         if key.endswith("joint_purity"):
             diffs[key] = abs(got.metadata[key] - value)
-        else:
+        elif key != "path":
             assert got.metadata[key] == value, key
     diffs["dense states"] = np.max(np.abs(got.states - oracle_dm.dense_states(run)))
     worst = max(diffs, key=diffs.get)
@@ -189,7 +189,7 @@ def assert_product_path_matches_the_joint_path(run):
 def test_product_path_matches_the_sector_path(overrides):
     for run in preset_runs(overrides["scenario"], **{k: v for k, v in overrides.items()
                                                      if k != "scenario"}):
-        assert _mode_wise(run.model) and isinstance(run.rho_b0, str)
+        assert _mode_wise(run)
         assert_product_path_matches_the_joint_path(run)
 
 
@@ -202,7 +202,7 @@ def test_product_path_matches_the_sector_path_for_mixed_states(n_qubits):
     model = build_system_bath_model(n_qubits, bath, coupling="dephasing", h_s=h_s)
     rho_s0 = MIXED if n_qubits == 1 else Operator(np.kron(MIXED.matrix, PLUS.matrix), [2, 2])
     for group, delta_t in ((pauli_group(n_qubits, "full"), 0.1), (trivial_group(n_qubits), 0.4)):
-        run = SimulationRun(spectrum=model, schedule=schedule_from_group(group, delta_t),
+        run = SimulationRun(model=model, schedule=schedule_from_group(group, delta_t),
                             n_cycles=30, rho_s0=rho_s0, sample_every=3)
         assert_product_path_matches_the_joint_path(run)
 
@@ -229,8 +229,7 @@ def mixed_runs():
     zero = np.eye(4)[0]
     rho_s0 = Operator(0.7 * np.outer(plus, plus) + 0.3 * np.outer(zero, zero), [2, 2])
     rho_b0 = thermal(model.h_b, beta=2.0)
-    spectrum = joint_spectrum(model)
-    return [SimulationRun(spectrum=spectrum, schedule=schedule_from_group(group, delta_t),
+    return [SimulationRun(model=model, schedule=schedule_from_group(group, delta_t),
                           n_cycles=40, rho_s0=rho_s0, rho_b0=rho_b0, sample_every=2)
             for group, delta_t in ((pauli_group(2, "collective"), 0.1),
                                    (trivial_group(2), 0.4))]
@@ -253,7 +252,7 @@ def two_spin_run(group, coupling, n_cycles, sample_every, rho_s0, n_qubits=1):
     bath = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.3, seed=7)
     h_s = pauli_word_operator("X" * n_qubits) * 0.2
     model = build_system_bath_model(n_qubits, bath, coupling=coupling, h_s=h_s)
-    return SimulationRun(spectrum=joint_spectrum(model),
+    return SimulationRun(model=model,
                          schedule=schedule_from_group(pauli_group(n_qubits, group), 0.1),
                          n_cycles=n_cycles, rho_s0=rho_s0, sample_every=sample_every)
 

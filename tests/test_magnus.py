@@ -18,7 +18,6 @@ from decoupling import (
     average_h0,
     average_h1,
     build_system_bath_model,
-    joint_spectrum,
     pauli_group,
     project_commutant,
     schedule_from_group,
@@ -122,49 +121,51 @@ def test_average_h1_vanishes_for_single_segment():
 
 def test_truncation_error_decreases_with_order_and_step():
     model = make_model()
-    spectrum = joint_spectrum(model)
     sched_a = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
     sched_b = schedule_from_group(pauli_group(1, "flip"), delta_t=0.05)
-    e0a = truncation_error(spectrum, sched_a, order=0)
-    e1a = truncation_error(spectrum, sched_a, order=1)
-    e0b = truncation_error(spectrum, sched_b, order=0)
+    e0a = truncation_error(model, sched_a, order=0)
+    e1a = truncation_error(model, sched_a, order=1)
+    e0b = truncation_error(model, sched_b, order=0)
     assert e1a < e0a
     assert e0b < e0a
     with pytest.raises(ValueError):
-        truncation_error(spectrum, sched_a, order=3)
+        truncation_error(model, sched_a, order=3)
 
 
 def test_order_zero_truncation_builds_no_first_order_term(monkeypatch):
     """An order-0 error needs only H0; the first-order term is never built."""
     magnus_module = importlib.import_module("decoupling.magnus")
-    spectrum = joint_spectrum(make_model())
+    model = make_model()
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
-    want = truncation_error(spectrum, sched, order=0)
+    want = truncation_error(model, sched, order=0)
 
     def refuse(*args, **kwargs):
         raise AssertionError("average_h1 called for an order-0 error")
 
     monkeypatch.setattr(magnus_module, "average_h1", refuse)
-    assert truncation_error(spectrum, sched, order=0) == want
+    assert truncation_error(model, sched, order=0) == want
 
 
 def test_truncation_scan_diagonalizes_the_model_once(monkeypatch):
-    """An order-0/1 scan over four step sizes shares one joint spectrum."""
-    evolve_module = importlib.import_module("decoupling.evolve")
-    calls = []
-
-    def counting(model):
-        calls.append(model)
-        return joint_spectrum(model)
-
-    monkeypatch.setattr(evolve_module, "joint_spectrum", counting)
+    """An order-0/1 scan over four step sizes shares one joint spectrum, which
+    the model keeps: one ``eigh`` of the joint Hamiltonian. Every other ``d x d``
+    ``eigh`` is ``expm_hermitian``'s, one per truncated series."""
     model = make_model()
-    spectrum = evolve_module.joint_spectrum(model)
+    d, h = model.system_dim * model.bath_dim, total_hamiltonian(model).matrix
+    joint, series = [], []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        if a.shape == (d, d):
+            (joint if np.array_equal(a, h) else series).append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     for dt in (0.1, 0.05, 0.025, 0.0125):
         sched = schedule_from_group(pauli_group(1, "flip"), delta_t=dt)
         for order in (0, 1):
-            truncation_error(spectrum, sched, order)
-    assert len(calls) == 1
+            truncation_error(model, sched, order)
+    assert len(joint) == 1 and len(series) == 8
 
 
 def test_flip_average_removes_dephasing_coupling():

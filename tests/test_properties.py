@@ -28,7 +28,6 @@ from decoupling import (
     commutant_basis,
     cycle_propagator,
     evolve,
-    joint_spectrum,
     minimal_group_search,
     project_commutant,
     schedule_from_group,
@@ -189,7 +188,7 @@ def cycles(draw):
 @given(cycles())
 def test_cycle_propagator_is_unitary(case):
     model, schedule = case
-    u = cycle_propagator(joint_spectrum(model), schedule).matrix
+    u = cycle_propagator(model, schedule).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-12
 
 
@@ -197,7 +196,7 @@ def test_cycle_propagator_is_unitary(case):
 @given(cycles())
 def test_cycle_propagator_equals_per_segment_product(case):
     model, schedule = case
-    got = cycle_propagator(joint_spectrum(model), schedule).matrix
+    got = cycle_propagator(model, schedule).matrix
     want = oracle_dm.cycle_propagator(model, schedule).matrix
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -224,7 +223,7 @@ def test_explicit_ground_state_projector_matches_default_bath(case, n_snapshots,
     state passed as a projector propagates from its eigen-ensemble."""
     model, schedule = case
     rho_s0 = _random_pure(np.random.default_rng(seed), model.h_s.dims)
-    common = dict(spectrum=joint_spectrum(model), schedule=schedule,
+    common = dict(model=model, schedule=schedule,
                   n_cycles=n_snapshots * every, rho_s0=rho_s0, sample_every=every)
     default = evolve(SimulationRun(**common))
     explicit = evolve(SimulationRun(rho_b0=bath_ground_state(model), **common))
@@ -244,7 +243,7 @@ def test_mixed_system_state_is_the_weighted_sum_of_pure_runs(case, weights, seed
     p = np.array(weights) / sum(weights)
     pures = [_random_pure(rng, model.h_s.dims) for _ in p]
     mixed = Operator(sum(pk * rho.matrix for pk, rho in zip(p, pures)), model.h_s.dims)
-    common = dict(spectrum=joint_spectrum(model), schedule=schedule, n_cycles=6, sample_every=2)
+    common = dict(model=model, schedule=schedule, n_cycles=6, sample_every=2)
     got = evolve(SimulationRun(rho_s0=mixed, **common)).states
     want = sum(pk * evolve(SimulationRun(rho_s0=rho, **common)).states
                for pk, rho in zip(p, pures))

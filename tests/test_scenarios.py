@@ -229,6 +229,7 @@ def test_run_scenario_writes_outputs(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["scenario"] == "dephasing-echo"
     assert summary["mode"] == "selective"
+    assert summary["path"] == "modes"
     assert summary["schedule"]["group"] == ["I", "X"]
     assert summary["rates"]["ratio"] < 0.05
     assert summary["total_time"] == pytest.approx(20 * 2 * 0.1)
@@ -425,6 +426,9 @@ def test_named_states_match_their_kron_form_bitwise(n_qubits):
 
 SYMMETRIC_ECHO_SWEEP = {"parameter": "delta_t", "values": [0.2, 0.1, 0.05, 0.025]}
 PLAIN_ECHO_SWEEP = {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]}
+#: A joint-path sweep at a fixed total time, 20 cycles of the largest value.
+JOINT_SWEEP = {"scenario": "maximal-averaging", "seed": 7, "delta_t": 0.16, "n_cycles": 20,
+               "sweep": {"parameter": "delta_t", "values": [0.02, 0.04, 0.08, 0.16]}}
 
 
 @pytest.mark.parametrize("doc", [
@@ -435,17 +439,23 @@ PLAIN_ECHO_SWEEP = {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]}
     {"scenario": "dephasing-echo", "seed": 7, "sweep": PLAIN_ECHO_SWEEP},
     {"scenario": "dephasing-echo", "seed": 7, "sample_every": 2,
      "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}},
-], ids=["symmetric-echo-seed7", "symmetric-echo-seed17", "non-nested", "sample-every-2"])
+    {**JOINT_SWEEP, "symmetric": False},
+    {**JOINT_SWEEP, "symmetric": True},
+], ids=["symmetric-echo-seed7", "symmetric-echo-seed17", "non-nested", "sample-every-2",
+        "joint-plain", "joint-symmetric"])
 def test_run_sweep_matches_the_per_point_loop(doc, tmp_path):
     """``run_sweep`` against the per-point loop it replaced: the controlled
     runs are the same calls, so infidelities and the fit agree bit for bit;
     the free coherence comes from each distinct sample time once, on the
     finest grid that has it, so the free rate moves in its last digits only.
-    The plain echo's grids (80, 100 and 160 cycles) do not nest."""
+    The plain echo's grids (80, 100 and 160 cycles) do not nest. The echoes
+    take the product path; ``maximal-averaging``, whose couplings do not
+    commute with the bath, the joint path."""
     config = parse_config(doc)
     rows, fit, fit_points = oracle_sweep.per_point_sweep(config)
     assert run_sweep(config, tmp_path) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["path"] == ("joint" if doc["scenario"] == "maximal-averaging" else "modes")
     assert (summary["slope"], summary["intercept"], summary["r_squared"]) == (
         fit.slope, fit.intercept, fit.r_squared)
     assert summary["fit_point_count"] == fit_points
@@ -470,24 +480,26 @@ def test_run_sweep_evolves_each_free_sample_time_once(doc, evaluated, tmp_path, 
     """The symmetric echo's grids hold 321 distinct fractions of the total
     time among 604 samples (320/160/80/40 cycles); the plain echo's hold 241
     among 343 (80/100/160). The closed form evaluates each once, and
-    the sweep propagates once per point (``_trajectory``, :func:`evolve`
-    without the trace distance), for the controlled trajectory only."""
+    the sweep propagates once per point through :func:`evolve`, for the
+    controlled trajectory only, and computes no trace distance."""
     evolve_module = importlib.import_module("decoupling.evolve")
     scenarios_module = importlib.import_module("decoupling.scenarios")
-    closed_form, trajectory = evolve_module._closed_form, scenarios_module._trajectory
-    counts = {"snapshots": 0, "evolve": 0}
+    closed_form, evolve = evolve_module._closed_form, scenarios_module.evolve
+    counts, results = {"snapshots": 0, "evolve": 0}, []
 
     def counting_closed_form(*args):
         for block in closed_form(*args):
             counts["snapshots"] += len(block)
             yield block
 
-    def counting_trajectory(run):
+    def counting_evolve(run):
         counts["evolve"] += 1
-        return trajectory(run)
+        results.append(evolve(run))
+        return results[-1]
 
     monkeypatch.setattr(evolve_module, "_closed_form", counting_closed_form)
-    monkeypatch.setattr(scenarios_module, "_trajectory", counting_trajectory)
+    monkeypatch.setattr(scenarios_module, "evolve", counting_evolve)
     config = parse_config(doc)
     assert run_sweep(config, tmp_path) == 0
     assert counts == {"snapshots": evaluated, "evolve": len(config.sweep_values)}
+    assert not any("trace_distance" in vars(result) for result in results)

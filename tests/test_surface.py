@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "DIM_CAP",
     "DecouplingGroup",
     "DecouplingReport",
-    "JointSpectrum",
     "NUMERIC_TOL",
     "Operator",
     "PRESETS",
@@ -41,7 +40,6 @@ PUBLIC_NAMES = [
     "evolve",
     "expm_hermitian",
     "fit_scaling_exponent",
-    "joint_spectrum",
     "load_config",
     "minimal_group_search",
     "observable_drift",
