@@ -64,3 +64,7 @@ echo '{"scenario": "maximal-averaging", "seed": 7, "symmetric": true, "delta_t":
 "${cli[@]}" sweep --config "$work/joint-sweep.json" --out "$work/joint-sweep"
 fit_points "$work/joint-sweep/summary.json" 4
 path_is "$work/joint-sweep/summary.json" joint
+# a 3-qubit register under the full group: a 64-frame cycle on the joint path
+echo '{"scenario": "custom", "seed": 7, "K": 3, "group": "full", "coupling": "linear-collective", "bath": {"n_modes": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.02, "n_cycles": 20, "h_s": {"ZZI": 0.2}}' > "$work/k3-full.json"
+"${cli[@]}" simulate --config "$work/k3-full.json" --out "$work/k3-full"
+path_is "$work/k3-full/summary.json" joint

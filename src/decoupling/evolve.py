@@ -26,10 +26,10 @@ explicit ``rho_b0``) takes the joint path, the product path's oracle.
 ``W`` comes from one ``eigh`` of the ``d x d`` joint Hamiltonian, which the
 model makes on first use and keeps, together with the bath ground vector
 that default runs start from, so the controlled run, the free run and every
-point of a sweep share it. A frame acts on ``W`` through its ``d_s x d_s``
-matrix by reshape, never as a joint-space matrix. :func:`evolve` alone picks
-the path, and records it in the trajectory's ``metadata["path"]``:
-``"modes"`` or ``"joint"``.
+point of a sweep share it. A frame acts on ``W`` as the signed flip of its
+register axes (:func:`~decoupling.groups.conjugate_word`), never as a matrix.
+:func:`evolve` alone picks the path, and records it in the trajectory's
+``metadata["path"]``: ``"modes"`` or ``"joint"``.
 
 Pauli words commute up to sign, so when the second half of a visiting
 order is the first half multiplied word by word by one word ``h`` (a
@@ -69,10 +69,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import NUMERIC_TOL, Operator, act_on_system, as_matrices, conjugate_system
+from .operators import NUMERIC_TOL, Operator, as_matrices
 from .model import SystemBathModel
 from .sequence import CycleSchedule
-from .groups import DecouplingGroup, _word_product, project_commutant
+from .groups import (DecouplingGroup, _signed_flip, _word_product, conjugate_word,
+                     project_commutant)
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
@@ -187,53 +188,34 @@ def cycle_propagator(model: SystemBathModel, schedule: CycleSchedule) -> Operato
 
 
 def _cycle_blocks(model: SystemBathModel, schedule: CycleSchedule) -> np.ndarray:
-    """The ``d x d`` matrix of :func:`cycle_propagator`: each frame acts through its
-    matrix, but the identity word's, which leaves ``W`` as it is."""
+    """The ``d x d`` matrix of :func:`cycle_propagator`: each frame acts by
+    :func:`~decoupling.groups.conjugate_word`."""
     _matching_model(model, schedule)
-    frames = {word: ((), None if word == "I" * len(word) else g)
-              for word, g in zip(schedule.segments, schedule.frames)}
-    return _cycle_product(model._joint_spectrum.propagator(schedule.delta_t), frames,
-                          schedule.segments)
+    return _cycle_product(model._joint_spectrum.propagator(schedule.delta_t),
+                          partial(conjugate_word, d_b=model.bath_dim), schedule.segments)
 
 
-def _flip_cycle(w: np.ndarray, schedule: CycleSchedule) -> np.ndarray:
-    """The cycle of a free step ``w``, a ``(d_s, ...)`` stack over the register states:
-    each frame flips the register axes at its word's X/Y letters (its phase cancels in
-    every conjugation)."""
-    frames = {word: (tuple(slice(None, None, -1 if q in "XY" else 1) for q in word), None)
-              for word in schedule.segments}
-    return _cycle_product(w.reshape(schedule.dims + w.shape[1:]), frames,
-                          schedule.segments).reshape(w.shape)
-
-
-def _cycle_product(w: np.ndarray, frames: dict, words: Sequence[str]) -> np.ndarray:
-    """``P(words)``, the product of the segments' conjugated ``W`` blocks,
-    later segments to the left; ``frames[word]`` is ``(flips, g)``, a flip of
-    ``w``'s register axes and the frame's matrix on the system factor, or None.
+def _cycle_product(w: np.ndarray, conj, words: Sequence[str]) -> np.ndarray:
+    """``P(words)``, the product of the segments' toggled free steps ``conj(word, w)``,
+    later segments to the left; ``conj(word, x)`` conjugates ``x`` by the word's frame.
 
     The visits are halved into ``A`` and ``B``. When ``B`` is ``A``
     multiplied word by word by one word ``h`` (word arithmetic, phases
-    dropped: they cancel in each conjugation), ``P(A + B) = h^dag (P(A)
-    (h P(A)))``: one batched product, with two frame actions by reshape
-    (:func:`act_on_system`) or, for a frame that is its flip alone, none.
-    Otherwise ``P(A + B) = P(B) P(A)``, both halves recursed. A named
-    group's cycle, palindromic or not, halves by cosets all the way down:
-    ``log2 n`` products for ``n`` segments, against ``n - 1`` for an order
-    without that structure.
+    dropped: they cancel in each conjugation), ``P(A + B) = conj(h, P(A))
+    P(A)``: one batched product and one frame action. Otherwise ``P(A + B)
+    = P(B) P(A)``, both halves recursed. A named group's cycle, palindromic
+    or not, halves by cosets all the way down: ``log2 n`` products for ``n``
+    segments, against ``n - 1`` for an order without that structure.
     """
     if len(words) == 1:
-        flips, g = frames[words[0]]
-        return w[flips] if g is None else conjugate_system(g, w[flips])
+        return conj(words[0], w)
     half = len(words) // 2
     a, b = words[:half], words[half:]
     h = _word_product(a[0], b[0])
     if len(a) == len(b) and all(_word_product(x, h) == y for x, y in zip(a, b)):
-        p = _cycle_product(w, frames, a)
-        flips, g = frames[h]
-        if g is None:
-            return p[flips] @ p
-        return act_on_system(g.conj().T, p[flips] @ act_on_system(g, p))
-    return _cycle_product(w, frames, b) @ _cycle_product(w, frames, a)
+        p = _cycle_product(w, conj, a)
+        return conj(h, p) @ p
+    return _cycle_product(w, conj, b) @ _cycle_product(w, conj, a)
 
 
 def _stepped_blocks(u: np.ndarray, psi: np.ndarray, n: int, step: int, every: int):
@@ -298,11 +280,12 @@ def _expm(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def _powers(u: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
-    """``u**k psi`` for ``k < n``, by doubling: ``log2 n`` products."""
+    """``u**k psi`` for ``k < n``, by doubling: ``log2 n`` products, the last one
+    of only the snapshots still missing."""
     out = psi[None]
     while len(out) < n:
-        out, u = np.concatenate([out, u @ out]), u @ u
-    return out[:n]
+        out, u = np.concatenate([out, u @ out[:n - len(out)]]), u @ u
+    return out
 
 
 def _mode_reduce(rho0: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -343,9 +326,10 @@ def _path(run: SimulationRun):
     def closed_form(times, keep):
         return _closed_form(*np.linalg.eigh(h), psi0, max(1, d * d // psi0.size), times, keep)
 
-    def stepped(n):
-        w = _expm(h, schedule.delta_t).reshape(len(rho0), -1, *h.shape[-2:])
-        u = np.linalg.matrix_power(_flip_cycle(w, schedule).reshape(h.shape), every)
+    def stepped(n):  # a frame flips the register axes of the stack at its X/Y letters
+        w = _expm(h, schedule.delta_t).reshape(schedule.dims + (-1,) + h.shape[-2:])
+        w = _cycle_product(w, lambda word, p: p[_signed_flip(word)[0]], schedule.segments)
+        u = np.linalg.matrix_power(w.reshape(h.shape), every)
         return [_powers(u, psi0.astype(u.dtype), n).astype(complex)]
 
     return (closed_form, stepped, partial(_mode_reduce, rho0), partial(_mode_purity, rho0), psi0)
@@ -507,10 +491,10 @@ def observable_drift(
     """
     if observable.dims != group.dims:
         raise ValueError("observable dims do not match the group")
-    scale = max(1.0, observable.max_abs())
-    for label, g in zip(group.labels, group.elements):
-        comm = observable.matrix @ g.matrix - g.matrix @ observable.matrix
-        if float(np.linalg.norm(comm)) > NUMERIC_TOL * scale:
+    scale, o = max(1.0, observable.max_abs()), observable.matrix
+    for label in group.labels:
+        # ||g^dag O g - O|| = ||O g - g O||: g is unitary
+        if float(np.linalg.norm(conjugate_word(label, o, 1) - o)) > NUMERIC_TOL * scale:
             raise ValueError(
                 f"observable does not commute with group element {label!r}"
             )

@@ -61,25 +61,47 @@ SEARCH_MAX_QUBITS = 3
 SEARCH_MAX_ORDER = 64
 
 
-def pauli_word_operator(word: str) -> Operator:
-    """Tensor-product operator for a Pauli word such as ``"XXI"``.
+def _signed_flip(word: str) -> tuple[tuple[slice, ...], np.ndarray, int]:
+    """A Pauli word as a signed permutation of the register axes, ``(flips, parity, n_y)``.
 
-    A Pauli word is a signed permutation: it maps ``|j>`` to
-    ``i**(#Y) (-1)**popcount(j & z) |j ^ x>``, where ``x`` marks the X/Y
-    letters and ``z`` the Z/Y letters (first letter most significant), so
-    the matrix is filled in one pass over the basis, with no Kronecker
-    products.
+    With ``x`` and ``z`` the masks of its X/Y and Z/Y letters, the word maps
+    ``|j>`` to ``i**n_y (-1)**parity[j] |j ^ x>``: ``flips`` reverses the
+    register axes in ``x``, which maps ``j`` to ``j ^ x``, and ``parity`` holds
+    that of ``j & z`` over the ``(2,) * K`` register axes.
     """
     if not word or any(c not in PAULI_LETTERS for c in word):
         raise ValueError(f"invalid Pauli word {word!r}; letters must be in 'IXYZ'")
-    j = np.arange(2 ** len(word))
-    flip, power = 0, np.full(j.shape, word.count("Y"))
-    for bit, c in zip(reversed(range(len(word))), word):
-        flip |= (c in "XY") << bit
-        power += 2 * ((j >> bit) & 1) * (c in "ZY")
+    flips = tuple(slice(None, None, -1 if c in "XY" else 1) for c in word)
+    parity = np.indices((2,) * len(word))[[c in "ZY" for c in word]].sum(0) % 2
+    return flips, parity, word.count("Y")
+
+
+def pauli_word_operator(word: str) -> Operator:
+    """Tensor-product operator for a Pauli word such as ``"XXI"``, filled in
+    one pass over the basis from its :func:`_signed_flip`, with no Kronecker
+    products."""
+    flips, parity, n_y = _signed_flip(word)
+    j = np.arange(parity.size)
     m = np.zeros((j.size, j.size), dtype=complex)
-    m[j ^ flip, j] = _PHASES[power % 4]
+    m[j.reshape(parity.shape)[flips].ravel(), j] = _PHASES[(n_y + 2 * parity.ravel()) % 4]
     return Operator(m, (2,) * len(word))
+
+
+def conjugate_word(word: str, x: np.ndarray, d_b: int) -> np.ndarray:
+    """``(g (x) 1)^dag x (g (x) 1)`` for the word's matrix ``g``, per matrix of a
+    ``(..., d, d)`` array ``x`` with system-major rows and columns, ``d = 2**K d_b``.
+
+    Its :func:`_signed_flip` flips the register axes of rows and columns (a view),
+    and one ``+-1`` array multiplies in the signs of both (the phase cancels): the
+    result is exact and one new array. The identity word returns ``x`` itself.
+    """
+    if set(word) == {"I"}:
+        return x
+    flips, parity, _ = _signed_flip(word)
+    s = (1 - 2 * parity)[..., None]
+    rows = flips + (slice(None),)
+    view = x.reshape(x.shape[:-2] + 2 * (parity.shape + (d_b,)))[(..., *rows, *rows)]
+    return (view * np.multiply.outer(s, s)).reshape(x.shape)
 
 
 def _words_anticommute(a: str, b: str) -> bool:
@@ -214,8 +236,8 @@ def project_commutant(op: Operator, group: DecouplingGroup) -> Operator:
     if op.dim != group.dim:
         raise ValueError(f"operator dim {op.dim} does not match group dim {group.dim}")
     acc = np.zeros_like(op.matrix)
-    for g in group.elements:
-        acc += g.matrix.conj().T @ op.matrix @ g.matrix
+    for w in group.labels:
+        acc += conjugate_word(w, op.matrix, 1)
     return Operator(acc / group.order, op.dims)
 
 

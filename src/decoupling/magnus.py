@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import Operator, conjugate_system, expm_hermitian
+from .operators import Operator, expm_hermitian
+from .groups import conjugate_word
 from .model import SystemBathModel, total_hamiltonian
 from .sequence import CycleSchedule
 from .evolve import _matching_model, cycle_propagator
@@ -31,7 +32,7 @@ from .evolve import _matching_model, cycle_propagator
 def average_h0(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     """Zeroth-order average: the mean of the toggled Hamiltonians."""
     h = total_hamiltonian(_matching_model(model, schedule))
-    acc = sum(conjugate_system(g, h.matrix) for g in schedule.frames)
+    acc = sum(conjugate_word(w, h.matrix, model.bath_dim) for w in schedule.segments)
     return Operator(acc / schedule.n_segments, h.dims)
 
 
@@ -48,8 +49,8 @@ def average_h1(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     tau = schedule.delta_t
     acc = np.zeros_like(h.matrix)
     prefix = np.zeros_like(h.matrix)
-    for g in schedule.frames:
-        hw = tau * conjugate_system(g, h.matrix)
+    for w in schedule.segments:
+        hw = tau * conjugate_word(w, h.matrix, model.bath_dim)
         acc += hw @ prefix - prefix @ hw
         prefix += hw
     return Operator((-1j / (2.0 * schedule.cycle_time)) * acc, h.dims)

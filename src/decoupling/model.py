@@ -254,8 +254,9 @@ def hamiltonian_matrix(model: SystemBathModel) -> np.ndarray:
     h = np.zeros((d_s, d_b, d_s, d_b), dtype=complex)
     np.einsum("iaja->ija", h)[...] += model.h_s.matrix[..., None]  # s (x) 1 on the bath diagonal
     np.einsum("iaib->iab", h)[...] += model.h_b.matrix  # 1 (x) h_b on the system diagonal
-    for s, b in model.couplings:
-        h += s.matrix[:, None, :, None] * b.matrix[:, None]
+    for s, b in model.couplings:  # S_a is a Pauli sum: add s_ij B_a at its nonzero s_ij only
+        for i, j in zip(*np.nonzero(s.matrix)):
+            h[i, :, j] += s.matrix[i, j] * b.matrix
     return h.reshape(d_s * d_b, -1)
 
 

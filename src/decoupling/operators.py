@@ -150,22 +150,6 @@ def expm_hermitian(h: Operator, t: float) -> Operator:
     return Operator((v * phases) @ v.conj().T, h.dims)
 
 
-def act_on_system(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(g (x) 1) @ x`` without forming the Kronecker product.
-
-    ``g`` acts on the leading (system) factor of the joint space indexed
-    by the rows of ``x`` (of each matrix of a stack): the rows reshape to
-    ``(d_s, d_b * columns)`` and one ``d_s x d_s`` contraction does the
-    rest, at ``O(d_s * x.size)`` instead of ``O(d**2 * columns)``.
-    """
-    return (g @ x.reshape(x.shape[:-2] + (g.shape[0], -1))).reshape(x.shape)
-
-
-def conjugate_system(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(g (x) 1)^dag @ x @ (g (x) 1)`` per matrix of ``x``, by two :func:`act_on_system`."""
-    return act_on_system(g.conj().T, act_on_system(g.T, x.swapaxes(-1, -2)).swapaxes(-1, -2))
-
-
 def as_matrices(x: Operator | np.ndarray) -> np.ndarray:
     """The matrix of an :class:`Operator`, or an array of matrices, as complex."""
     return x.matrix if isinstance(x, Operator) else np.asarray(x, dtype=np.complex128)

@@ -237,7 +237,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
             merged[key] = value
 
     n_qubits = _as_int(_require(merged, "K", ""), "K", minimum=1)
-    if 2**n_qubits > DIM_CAP:
+    if n_qubits >= DIM_CAP.bit_length():  # 2**K > DIM_CAP, with no huge 2**K formed
         _fail("K", f"register dimension 2**{n_qubits} exceeds the cap {DIM_CAP}")
 
     merged_bath.setdefault("kind", "spin-bath")

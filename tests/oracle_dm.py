@@ -11,7 +11,9 @@ an explicit partial trace. It costs O(d**3) per step and one joint
 snapshot observables are the scalar kernels the package's stacked ones
 replaced, one call per snapshot. The operator helpers this path needs
 (bath ground-state projector, partial trace, commutator) live here too:
-the package itself no longer uses them. So does the pulse-picture cycle
+the package itself no longer uses them. So do the frame actions by a
+``d_s x d_s`` matrix on the system factor that the package's signed flips
+replaced, and the pulse-picture cycle
 product, one dense product per segment, that the package's coset-halving
 product replaced, and a dense kernel from ``np.kron`` parts: one ``eigh``
 of the whole joint Hamiltonian, the coset-halving product on ``d x d``
@@ -31,7 +33,7 @@ import numpy as np
 from decoupling import Operator, expm_hermitian, total_hamiltonian
 from decoupling.evolve import _cycle_blocks, _ensemble
 from decoupling.groups import _word_product
-from decoupling.operators import STRUCT_TOL, act_on_system, as_matrices, conjugate_system
+from decoupling.operators import STRUCT_TOL, as_matrices
 
 from oracle_model import tensor
 
@@ -40,6 +42,18 @@ POLAR_EVERY = 64
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off.
 ROUNDOFF_EIGENVALUE = 1e-13
+
+
+def act_on_system(g, x):
+    """``(g (x) 1) @ x`` without forming the Kronecker product: the rows of
+    ``x`` (of each matrix of a stack) reshape to ``(d_s, d_b * columns)`` and
+    one ``d_s x d_s`` contraction does the rest."""
+    return (g @ x.reshape(x.shape[:-2] + (g.shape[0], -1))).reshape(x.shape)
+
+
+def conjugate_system(g, x):
+    """``(g (x) 1)^dag @ x @ (g (x) 1)`` per matrix of ``x``, by two :func:`act_on_system`."""
+    return act_on_system(g.conj().T, act_on_system(g.T, x.swapaxes(-1, -2)).swapaxes(-1, -2))
 
 
 def commutator(a, b):

@@ -89,6 +89,7 @@ def test_invalid_config_reports_field(tmp_path, capsys):
       "bath": {"n_modes": 2}}, "bath.n_modes"),
     ({"scenario": "dephasing-echo", "seed": -1}, "seed"),
     ({"scenario": "dephasing-echo", "seed": 1, "bath": {"seed": -1}}, "bath.seed"),
+    ({"scenario": "dephasing-echo", "seed": 1, "K": 10**12}, "K"),
 ])
 def test_config_errors_name_the_field_before_any_output(tmp_path, capsys, doc, field):
     cfg = write_config(tmp_path, doc)

@@ -3,7 +3,9 @@
 Output files are byte-identical for a fixed library build and BLAS
 thread count. At another thread count the BLAS may sum in another
 order, so the promise there is that every number agrees to
-``1e-12 * max(1, |x|)`` and everything else is equal.
+``1e-12 * max(1, |x|)`` and everything else is equal. The product path
+makes no BLAS call whose result depends on the thread count, so its
+outputs stay byte-identical across thread counts too.
 """
 
 import json
@@ -74,7 +76,7 @@ def test_simulate_agrees_across_blas_thread_counts(tmp_path):
 
 def test_echo_sweep_agrees_across_blas_thread_counts(tmp_path):
     """The symmetric echo sweep, which the product path evolves mode by mode,
-    at d = 256 under the same rule."""
+    at d = 256 under the same rule, and byte for byte."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
         {"scenario": "dephasing-echo", "seed": 7, "symmetric": True, "bath": {"n_modes": 7},
@@ -86,3 +88,5 @@ def test_echo_sweep_agrees_across_blas_thread_counts(tmp_path):
     assert_close(json.loads((one / "summary.json").read_text()),
                  json.loads((two / "summary.json").read_text()), "summary")
     assert_close(csv_values(one / "sweep.csv"), csv_values(two / "sweep.csv"), "sweep.csv")
+    for name in ("summary.json", "sweep.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name

@@ -324,29 +324,38 @@ def test_cycle_product_keeps_four_joint_matrices():
     assert peak <= 4 * unit + unit // 16
 
 
-@pytest.mark.parametrize("doc, frame_calls", [
-    # the coset step of X acts twice; a palindrome halves once more by X
-    ({"scenario": "dephasing-echo"}, 2),
-    ({"scenario": "dephasing-echo", "symmetric": True}, 4),
-    # each of the log2 16 coset steps acts twice
+@pytest.mark.parametrize("doc, coset_steps", [
+    # one coset step by X; a palindrome halves once more by X
+    ({"scenario": "dephasing-echo"}, 1),
+    ({"scenario": "dephasing-echo", "symmetric": True}, 2),
+    # one coset step per halving of the 16 segments
     ({"scenario": "maximal-averaging", "K": 2, "coupling": "linear-collective",
-      "h_s": {"XI": 0.3, "ZZ": 0.2}}, 8),
+      "h_s": {"XI": 0.3, "ZZ": 0.2}}, 4),
 ], ids=["echo", "echo-symmetric", "K2-full"])
-def test_identity_frames_make_no_frame_action(monkeypatch, doc, frame_calls):
-    """On the joint path the identity word's frame is skipped: no
-    act_on_system or conjugate_system call gets a scalar frame, and each
-    other word's matrix acts twice per coset step."""
+def test_identity_frames_make_no_frame_action(monkeypatch, doc, coset_steps):
+    """On the joint path the identity word's frame returns its input and
+    allocates no array; every other word acts once per coset step, each
+    time into a new array."""
     evolve_module = importlib.import_module("decoupling.evolve")
-    calls = []
-    for name in ("act_on_system", "conjugate_system"):
-        def counting(g, x, inner=getattr(evolve_module, name), name=name):
-            assert not np.array_equal(g, g[0, 0] * np.eye(len(g))), f"{name} got a scalar frame"
-            calls.append(name)
-            return inner(g, x)
-        monkeypatch.setattr(evolve_module, name, counting)
+    calls, inner = [], evolve_module.conjugate_word
+
+    def recording(word, x, d_b):
+        tracemalloc.start()
+        try:
+            out = inner(word, x, d_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        calls.append((set(word) == {"I"}, out is x, peak))
+        return out
+
+    monkeypatch.setattr(evolve_module, "conjugate_word", recording)
     config = parse_config({"seed": 7, **doc})
     evolve_module._cycle_blocks(build_model(config), build_schedule(config))
-    assert calls == ["act_on_system"] * frame_calls
+    identity = [(same, peak) for is_identity, same, peak in calls if is_identity]
+    others = [same for is_identity, same, _ in calls if not is_identity]
+    assert identity and all(same and peak < 1024 for same, peak in identity)
+    assert len(others) == coset_steps and not any(others)
 
 
 @pytest.mark.parametrize("mixed", [False, True])

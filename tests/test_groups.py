@@ -23,6 +23,7 @@ from decoupling import (
     project_commutant,
     trivial_group,
 )
+from decoupling.groups import conjugate_word
 
 from oracle_groups import (
     PAULI_1Q,
@@ -58,6 +59,22 @@ def test_pauli_word_operator_matches_kron():
         pauli_word_operator("XQ")
     with pytest.raises(ValueError):
         pauli_word_operator("")
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("d_b", [1, 3])
+def test_conjugate_word_is_the_dense_conjugation(n_qubits, d_b):
+    """``conjugate_word`` equals ``(g (x) 1)^dag x (g (x) 1)`` from the
+    Kronecker-lifted word matrix, entry for entry, for every word and for
+    each matrix of a stack: a signed flip is exact."""
+    rng = np.random.default_rng(n_qubits * 10 + d_b)
+    d = 2**n_qubits * d_b
+    x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    for word in all_words(n_qubits):
+        lift = np.kron(word_matrix(word), np.eye(d_b))
+        assert np.array_equal(conjugate_word(word, x, d_b), lift.conj().T @ x @ lift), word
+    with pytest.raises(ValueError):
+        conjugate_word("XQ", x, d_b)
 
 
 def test_named_groups_have_expected_elements():

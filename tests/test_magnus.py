@@ -26,9 +26,7 @@ from decoupling import (
     truncation_error,
     trivial_group,
 )
-from decoupling.operators import conjugate_system
-
-from oracle_dm import toggled_matrices
+from oracle_dm import conjugate_system, toggled_matrices
 
 
 def make_model(seed=7, coupling="dephasing", n_qubits=1, h_s=None):

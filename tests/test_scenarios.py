@@ -217,6 +217,15 @@ def test_bath_size_is_checked_at_parse_time(bath, message):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("k", [13, 10**12])
+def test_register_size_is_checked_without_forming_its_dimension(k):
+    """A register above the cap fails on ``K`` with its size in the message;
+    a huge ``K`` is compared by bit length, so ``2**K`` is never formed."""
+    with pytest.raises(ConfigError, match=rf"config field 'K': register dimension 2\*\*{k} "
+                                          "exceeds the cap 4096"):
+        parse_config({"scenario": "dephasing-echo", "seed": 1, "K": k})
+
+
 def test_run_scenario_writes_outputs(tmp_path):
     cfg = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 20})
     code = run_scenario(cfg, tmp_path)
@@ -469,6 +478,57 @@ def test_run_sweep_matches_the_per_point_loop(doc, tmp_path):
             assert got[key] == rates[key], key
         for key in ("gamma_free", "ratio", "fit_residual"):
             assert got[key] == pytest.approx(rates[key], rel=1e-12, abs=0.0), key
+
+
+@pytest.fixture(scope="module")
+def joint_sweeps(tmp_path_factory):
+    """``joint_sweeps(scenario, seed)``: the summaries of the plain and the
+    palindromic ``JOINT_SWEEP`` of a preset, each run once per module."""
+    done = {}
+
+    def summaries(scenario, seed):
+        if (scenario, seed) not in done:
+            done[scenario, seed] = {}
+            for symmetric in (False, True):
+                config = parse_config({**JOINT_SWEEP, "scenario": scenario, "seed": seed,
+                                       "symmetric": symmetric})
+                out = tmp_path_factory.mktemp(f"{scenario}-{seed}-{symmetric}")
+                assert run_sweep(config, out) == 0
+                done[scenario, seed][symmetric] = json.loads((out / "summary.json").read_text())
+        return done[scenario, seed]
+
+    return summaries
+
+
+JOINT_SWEEP_CASES = [(scenario, seed) for scenario in ("maximal-averaging", "collective-register")
+                     for seed in (7, 1009)]
+
+
+@pytest.mark.parametrize("scenario, seed", JOINT_SWEEP_CASES)
+def test_joint_path_sweeps_meet_the_scaling_bounds(joint_sweeps, scenario, seed):
+    """The scaling law on models the theory does not solve exactly: the
+    couplings do not commute with the bath, so the sweeps take the joint
+    path. At a fixed total time the plain cycle's terminal infidelity meets
+    criterion 09's bounds (slope in [1.5, 2.5], r^2 >= 0.98) and the
+    palindromic one criterion 10's (slope in [3.2, 4.8], r^2 >= 0.95)."""
+    plain, sym = joint_sweeps(scenario, seed)[False], joint_sweeps(scenario, seed)[True]
+    assert plain["path"] == sym["path"] == "joint"
+    assert plain["fit_point_count"] == sym["fit_point_count"] == 4
+    assert 1.5 <= plain["slope"] <= 2.5 and plain["r_squared"] >= 0.98
+    assert 3.2 <= sym["slope"] <= 4.8 and sym["r_squared"] >= 0.95
+
+
+@pytest.mark.parametrize("scenario, seed", [
+    pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=(
+        "at delta_t 0.16 (omega_c T_c = 1.28) the palindromic infidelity, 5.4e-4, "
+        "lies above the plain one, 4.3e-4")))
+    if case == ("collective-register", 7) else case
+    for case in JOINT_SWEEP_CASES])
+def test_joint_path_palindromic_sweeps_lie_below_the_plain_ones(joint_sweeps, scenario, seed):
+    """Criterion 10's second half on the joint path: every point of the
+    palindromic curve lies below the plain one."""
+    plain, sym = joint_sweeps(scenario, seed)[False], joint_sweeps(scenario, seed)[True]
+    assert all(a["infidelity"] < b["infidelity"] for a, b in zip(sym["points"], plain["points"]))
 
 
 @pytest.mark.parametrize("doc, evaluated", [
