@@ -55,6 +55,7 @@ echo '{"scenario": "dephasing-echo", "seed": 7, "sweep": {"parameter": "delta_t"
 "${cli[@]}" sweep --config "$work/mixed.json" --out "$work/mixed"
 test $(wc -l < "$work/mixed/sweep.csv") -eq 4
 fit_points "$work/mixed/summary.json" 3
+path_is "$work/mixed/summary.json" modes
 echo '{"scenario": "dephasing-echo", "seed": 17, "symmetric": true, "bath": {"n_modes": 5}, "sweep": {"parameter": "delta_t", "values": [0.2, 0.1, 0.05, 0.025]}}' > "$work/seed17.json"
 "${cli[@]}" sweep --config "$work/seed17.json" --out "$work/seed17" > "$work/seed17.txt"
 if grep -q warning "$work/seed17.txt"; then exit 1; fi
@@ -64,6 +65,11 @@ echo '{"scenario": "maximal-averaging", "seed": 7, "symmetric": true, "delta_t":
 "${cli[@]}" sweep --config "$work/joint-sweep.json" --out "$work/joint-sweep"
 fit_points "$work/joint-sweep/summary.json" 4
 path_is "$work/joint-sweep/summary.json" joint
+# the first qubit is not conserved: a joint-path sweep whose grids (10, 20 and 25 cycles) do not nest
+echo '{"scenario": "custom", "seed": 7, "K": 2, "group": "full", "coupling": "dephasing", "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZX": 0.2, "IX": 0.1}, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.04]}}' > "$work/partial-sweep.json"
+"${cli[@]}" sweep --config "$work/partial-sweep.json" --out "$work/partial-sweep"
+fit_points "$work/partial-sweep/summary.json" 3
+path_is "$work/partial-sweep/summary.json" joint
 # a 3-qubit register under the full group: a 64-frame cycle on the joint path
 echo '{"scenario": "custom", "seed": 7, "K": 3, "group": "full", "coupling": "linear-collective", "bath": {"n_modes": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.02, "n_cycles": 20, "h_s": {"ZZI": 0.2}}' > "$work/k3-full.json"
 "${cli[@]}" simulate --config "$work/k3-full.json" --out "$work/k3-full"

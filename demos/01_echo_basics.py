@@ -54,7 +54,8 @@ for k in range(0, len(controlled.times), 10):
     print(f"{controlled.times[k]:6.1f}  {free.coherence[k]:15.4f}  "
           f"{controlled.coherence[k]:15.4f}")
 
-rates = estimate_rates(free, controlled)
+# both runs are sampled at the same times, once a cycle
+rates = estimate_rates(controlled.times, free.coherence, controlled.coherence)
 print(f"\nfree decay rate        {rates.gamma:.4e}")
 print(f"controlled decay rate  {rates.gamma_c:.4e}")
 print(f"suppression ratio      {rates.ratio:.2e}   (method: {rates.method})")

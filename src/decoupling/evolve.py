@@ -143,29 +143,25 @@ def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times,
-                        keep=slice(None)):
-    """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times[keep]``, ``coeffs = V^dag psi``
-    an ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product per block. The
-    times are uniform, so ``exp(-i E t_(qb+j)) = exp(-i E t_(qb)) exp(-i E (t_j - t_0))``,
+def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times):
+    """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times``, ``coeffs = V^dag psi`` an
+    ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product. The times are
+    uniform, so ``exp(-i E t_(qb+j)) = exp(-i E t_(qb)) exp(-i E (t_j - t_0))``,
     ``b = isqrt(n)``: each energy takes ``b + ceil(n / b)`` exponentials rather than ``n``."""
     b, e = math.isqrt(len(times)), -1j * energies[..., None]
     phases = np.exp(e * times[::b])[..., None] * np.exp(e * (times[:b] - times[0]))[..., None, :]
-    phased = (phases.reshape(*energies.shape, -1)[..., :len(times)][..., keep, None]
-              * coeffs[:, :, None])
+    phased = phases.reshape(*energies.shape, -1)[..., :len(times), None] * coeffs[:, :, None]
     out = vectors @ phased.reshape(*coeffs.shape[:2], -1)
     return np.moveaxis(out.reshape(phased.shape), 2, 0)
 
 
 def _closed_form(energies: np.ndarray, vectors: np.ndarray, psi0: np.ndarray, step: int,
-                 times: np.ndarray, keep: np.ndarray):
-    """Blocks of ``V_c exp(-i E_c t) V_c^dag psi0`` at ``times[keep]``: :func:`_spectral_evolution`
-    on each block of ``step`` of the uniform ``times`` that keeps a time."""
+                 times: np.ndarray):
+    """Blocks of ``V_c exp(-i E_c t) V_c^dag psi0`` at ``times``: :func:`_spectral_evolution`
+    on each block of ``step`` of the uniform ``times``."""
     coeffs = vectors.conj().swapaxes(-1, -2) @ psi0
     for i in range(0, len(times), step):
-        if keep[i:i + step].any():
-            yield _spectral_evolution(energies, vectors, coeffs, times[i:i + step],
-                                      keep[i:i + step])
+        yield _spectral_evolution(energies, vectors, coeffs, times[i:i + step])
 
 
 def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBathModel:
@@ -301,38 +297,37 @@ def _mode_purity(rho0: np.ndarray, psi: np.ndarray) -> float:
     return float(norms @ (np.abs(rho0) ** 2) @ norms)
 
 
-def _path(run: SimulationRun):
-    """``(closed_form, stepped, reduce, purity, psi0)``: a run's snapshots in closed form
-    (``closed_form(times, keep)``) and stepped by its cycle (``stepped(n)``), both in blocks,
+def _path(run: SimulationRun, times: np.ndarray):
+    """``(blocks, reduce, purity, psi0)``: the run's snapshots at ``times`` in blocks, in
+    closed form for a trivial-group schedule (no pulses) and stepped by its cycle otherwise,
     the reduced states of a block, the joint purity of a snapshot, and the initial one.
 
     The product path, when the run is :func:`_mode_wise`, evolves each mode's vector in
     each register state from that mode's ground state; otherwise the joint path evolves
     ``psi`` on the model's joint spectrum."""
     model, schedule, every = run.model, run.schedule, run.sample_every
-    d = model.system_dim * model.bath_dim
+    d, free = model.system_dim * model.bath_dim, schedule.group.order == 1
     if not _mode_wise(run):
         spectrum, psi0 = model._joint_spectrum, _initial_columns(run)
         step = max(1, d * d // psi0.size)  # snapshots of at most d x d numbers a block
-        return (partial(_closed_form, spectrum.energies[None], spectrum.vectors[None],
-                        psi0[None], step),
-                lambda n: _stepped_blocks(_cycle_blocks(model, schedule), psi0, n, step,
-                                          every),
-                lambda block: _reduce(block, model.system_dim), _joint_purity, psi0)
+        if free:
+            blocks = _closed_form(spectrum.energies[None], spectrum.vectors[None], psi0[None],
+                                  step, times)
+        else:
+            blocks = _stepped_blocks(_cycle_blocks(model, schedule), psi0, len(times), step,
+                                     every)
+        return blocks, lambda block: _reduce(block, model.system_dim), _joint_purity, psi0
     rho0, h = run.rho_s0.matrix, model._mode_hamiltonians
     psi0 = np.zeros(h.shape[:-1] + (1,), dtype=complex)
     psi0[:, np.argmin(model.modes.h_mode.diagonal().real)] = 1.0
-
-    def closed_form(times, keep):
-        return _closed_form(*np.linalg.eigh(h), psi0, max(1, d * d // psi0.size), times, keep)
-
-    def stepped(n):  # a frame flips the register axes of the stack at its X/Y letters
+    if free:
+        blocks = _closed_form(*np.linalg.eigh(h), psi0, max(1, d * d // psi0.size), times)
+    else:  # a frame flips the register axes of the stack at its X/Y letters
         w = _expm(h, schedule.delta_t).reshape(schedule.dims + (-1,) + h.shape[-2:])
         w = _cycle_product(w, lambda word, p: p[_signed_flip(word)[0]], schedule.segments)
         u = np.linalg.matrix_power(w.reshape(h.shape), every)
-        return [_powers(u, psi0.astype(u.dtype), n).astype(complex)]
-
-    return (closed_form, stepped, partial(_mode_reduce, rho0), partial(_mode_purity, rho0), psi0)
+        blocks = [_powers(u, psi0.astype(u.dtype), len(times)).astype(complex)]
+    return blocks, partial(_mode_reduce, rho0), partial(_mode_purity, rho0), psi0
 
 
 @dataclass(frozen=True)
@@ -429,13 +424,9 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     and per register state and the snapshots are its powers. The path taken
     is ``metadata["path"]``, ``"modes"`` or ``"joint"``.
     """
-    closed_form, stepped, reduce, purity, psi0 = _path(run)
     cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
     times = cycles * run.schedule.cycle_time
-    if run.schedule.group.order == 1:
-        blocks = closed_form(times, np.ones(len(times), dtype=bool))
-    else:
-        blocks = stepped(len(times))
+    blocks, reduce, purity, psi0 = _path(run, times)
     states = []
     for block in blocks:
         states.append(reduce(block))
@@ -460,23 +451,6 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     states.setflags(write=False)
     return TrajectoryResult(times, cycles, states, _reference_fidelity(states, roots),
                             coherence_l1(states), run.rho_s0.matrix, meta)
-
-
-def _free_coherence(runs: Sequence[SimulationRun]) -> list[np.ndarray]:
-    """The free evolution's l1 coherence on the sample grids ``j / N_i`` of the runs' common
-    total time, each distinct time evolved once: finest grid first, a run reads the fractions
-    an earlier grid has from there and evolves the rest in closed form on its own grid."""
-    closed_form, _, reduce, _, _ = _path(runs[0])
-    ns, done = [run.n_cycles // run.sample_every for run in runs], {}
-    for i in sorted(range(len(runs)), key=lambda i: -ns[i]):
-        j, c, keep = np.arange(ns[i] + 1), np.empty(ns[i] + 1), np.ones(ns[i] + 1, dtype=bool)
-        for k, known in done.items():
-            on_k = keep & (j * ns[k] % ns[i] == 0)  # j / N_i = m / N_k
-            c[on_k], keep[on_k] = known[j[on_k] * ns[k] // ns[i]], False
-        times = j * runs[i].sample_every * runs[i].schedule.cycle_time
-        c[keep] = [x for b in closed_form(times, keep) for x in coherence_l1(reduce(b))]
-        done[i] = c
-    return [done[i] for i in range(len(runs))]
 
 
 def observable_drift(
@@ -574,15 +548,13 @@ def _nonnegative(rate: float) -> float:
     return max(rate, 0.0) + 0.0
 
 
-def estimate_rates(free: TrajectoryResult, controlled: TrajectoryResult) -> RateEstimate:
-    """Compare decay rates of a free and a controlled trajectory."""
-    return _compare_rates(_decay_rate(free.times, free.coherence),
-                          _decay_rate(controlled.times, controlled.coherence))
-
-
-def _compare_rates(free: tuple, controlled: tuple) -> RateEstimate:
-    """:func:`estimate_rates` from the two trajectories' :func:`_decay_rate` fits."""
-    (g_free, w_free, r_free, m_free), (g_ctrl, w_ctrl, r_ctrl, m_ctrl) = free, controlled
+def estimate_rates(times: np.ndarray, free: np.ndarray, controlled: np.ndarray) -> RateEstimate:
+    """Compare the decay rates of a free and a controlled coherence sampled at ``times``."""
+    for name, coherence in (("free", free), ("controlled", controlled)):
+        if len(coherence) != len(times):
+            raise ValueError(f"{name} has {len(coherence)} samples, times has {len(times)}")
+    (g_free, w_free, r_free, m_free), (g_ctrl, w_ctrl, r_ctrl, m_ctrl) = (
+        _decay_rate(times, c) for c in (free, controlled))
     method = m_free if m_free == m_ctrl else f"{m_free}+{m_ctrl}"
     flagged = m_free != "window-fit" or m_ctrl == "undefined-signal"
     if g_free > 0:

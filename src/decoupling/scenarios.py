@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from .model import (
 from .groups import DecouplingGroup, check_decoupling, pauli_group, pauli_sum, trivial_group
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
 from .evolve import SimulationRun, estimate_rates, evolve, fit_scaling_exponent
-from .evolve import _compare_rates, _decay_rate, _free_coherence
 
 SCENARIO_NAMES = (
     "dephasing-echo",
@@ -437,13 +436,10 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
 
     schedule = build_schedule(config)
     omega_c_delta_t = config.bath.cutoff * config.delta_t
-    model = build_model(config)
-    free_schedule = schedule_from_group(trivial_group(config.n_qubits), schedule.cycle_time)
-    controlled, free = (
-        evolve(SimulationRun(model=model, schedule=s, n_cycles=config.n_cycles,
-                             rho_s0=config.rho_s0, sample_every=config.sample_every))
-        for s in (schedule, free_schedule))
-    rates = estimate_rates(free, controlled)
+    run = SimulationRun(model=build_model(config), schedule=schedule, n_cycles=config.n_cycles,
+                        rho_s0=config.rho_s0, sample_every=config.sample_every)
+    controlled, free = evolve(run), evolve(_free_run(run))
+    rates = estimate_rates(controlled.times, free.coherence, controlled.coherence)
 
     controlled.write_csv(out / "trajectory.csv")
     free.write_csv(out / "trajectory_free.csv")
@@ -489,6 +485,14 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     return 0
 
 
+def _free_run(run: SimulationRun) -> SimulationRun:
+    """``run`` with the trivial group's schedule of the same cycle time: its free reference,
+    on the same model, initial state and sample times."""
+    n_qubits = len(run.schedule.dims)
+    return replace(run, schedule=schedule_from_group(trivial_group(n_qubits),
+                                                     run.schedule.cycle_time))
+
+
 def _check_sample_every(n_cycles: int, config: ScenarioConfig, path: str):
     if n_cycles % config.sample_every:
         _fail(path, f"sample_every={config.sample_every} does not divide "
@@ -528,12 +532,13 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     (``fit_point_count`` of them), and ``run.log``. The infidelity is
     ``1 - <y|rho|y>`` for the pure reference ``y`` of every named initial
     state, read off the reduced state ``rho`` as it is, not renormalized.
-    Each value's controlled run is evolved by :func:`evolve`, as in
-    :func:`run_scenario`, and its trace distance, which the sweep does not
-    write, is never computed; the free reference, which does not depend on
-    ``delta_t`` and of which only the coherence is read, is evolved once for
-    each distinct sample time of the sweep. The summary's ``path`` is the
-    one every point took. A group that fails to decouple is rejected as in
+    Every trajectory is evolved by :func:`evolve`, as in :func:`run_scenario`,
+    and no trace distance, which the sweep does not write, is computed. The
+    free reference does not depend on ``delta_t`` but only on the sample
+    grid: free runs go finest grid first, and a grid whose cycle count
+    divides that of an evolved one reads its every k-th sample, while any
+    other grid evolves its own. The summary's ``path`` is the one every
+    point took. A group that fails to decouple is rejected as in
     :func:`run_scenario`.
     """
     if config.sweep_values is None:
@@ -552,13 +557,16 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
                           n_cycles=n, rho_s0=config.rho_s0, sample_every=config.sample_every)
             for v, n in zip(config.sweep_values, counts)]
 
+    free = {}  # cycle count -> free coherence, finest grid first
+    for run in sorted(runs, key=lambda run: -run.n_cycles):
+        n = run.n_cycles
+        m = next((m for m in free if m % n == 0), None)
+        free[n] = evolve(_free_run(run)).coherence if m is None else free[m][::m // n]
     rows = []
-    for v, run, free in zip(config.sweep_values, runs, _free_coherence(runs)):
+    for v, run in zip(config.sweep_values, runs):
         traj = evolve(run)
-        rates = _compare_rates(_decay_rate(traj.times, free),
-                               _decay_rate(traj.times, traj.coherence))
         rows.append({"delta_t": v, "infidelity": float(1.0 - traj.fidelity[-1]),
-                     "rates": rates})
+                     "rates": estimate_rates(traj.times, free[run.n_cycles], traj.coherence)})
 
     lines = ["delta_t, terminal_infidelity, ratio"]
     for row in rows:

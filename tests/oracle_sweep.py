@@ -3,9 +3,10 @@
 Every sweep point runs two full trajectories through the public
 ``evolve``: the controlled one and the free one (trivial group, same
 cycle time, same sample grid), and compares their decay rates with
-``estimate_rates``. The package instead evolves the free reference once
-for each distinct sample time of the whole sweep and reads only its
-coherence; the controlled runs are the same calls.
+``estimate_rates``. The package makes the same controlled calls, but
+evolves one free run for the finest grid and for each grid whose cycle
+count divides no evolved one, and reads every other grid's free
+coherence off an evolved one, every k-th sample.
 """
 
 from decoupling import (
@@ -34,6 +35,6 @@ def per_point_sweep(config):
             evolve(SimulationRun(model=model, schedule=s, n_cycles=n_cycles,
                                  rho_s0=config.rho_s0, sample_every=config.sample_every))
             for s in (schedule, free))
-        rates = estimate_rates(free, controlled)
+        rates = estimate_rates(controlled.times, free.coherence, controlled.coherence)
         rows.append((v, float(1.0 - controlled.fidelity[-1]), rates.to_record()))
     return rows, fit_scaling_exponent([(v, infidelity) for v, infidelity, _ in rows]), len(rows)

@@ -16,7 +16,6 @@ from decoupling import (
     Operator,
     SimulationRun,
     SystemBathModel,
-    TrajectoryResult,
     build_model,
     build_schedule,
     build_system_bath_model,
@@ -563,28 +562,10 @@ def test_observable_drift_requires_commutant_membership():
         observable_drift(traj, pauli_word_operator("ZI"), group)
 
 
-def synthetic_trajectory(times, coherence):
-    times = np.asarray(times, dtype=float)
-    coherence = np.asarray(coherence, dtype=float)
-    n = len(times)
-    dummy = tuple(PLUS for _ in range(n))
-    return TrajectoryResult(
-        times=times,
-        cycles=np.arange(n),
-        states=dummy,
-        fidelity=np.ones(n),
-        coherence=coherence,
-        rho_s0=PLUS.matrix,
-        metadata={},
-    )
-
-
 def test_rate_fit_recovers_known_exponential():
     t = np.linspace(0.0, 10.0, 101)
     gamma_free, gamma_ctrl = 0.5, 0.02
-    free = synthetic_trajectory(t, np.exp(-gamma_free * t))
-    ctrl = synthetic_trajectory(t, np.exp(-gamma_ctrl * t))
-    est = estimate_rates(free, ctrl)
+    est = estimate_rates(t, np.exp(-gamma_free * t), np.exp(-gamma_ctrl * t))
     assert abs(est.gamma - gamma_free) < 1e-9
     assert est.method == "window-fit"
     assert not est.flagged
@@ -599,7 +580,7 @@ def test_rate_fit_recovers_known_exponential():
 def test_rate_fit_window_endpoints():
     t = np.linspace(0.0, 10.0, 201)
     c = np.exp(-0.8 * t)
-    est = estimate_rates(synthetic_trajectory(t, c), synthetic_trajectory(t, c))
+    est = estimate_rates(t, c, c)
     (start, stop), _ = est.fit_window
     assert np.all(c[:start] > 0.95)
     assert c[stop] < 0.2  # the first excluded point is past the floor
@@ -609,9 +590,8 @@ def test_rate_fit_falls_back_to_endpoint_secant():
     """A barely-decaying controlled run uses the secant estimate and is
     not flagged; the comparison is still meaningful."""
     t = np.linspace(0.0, 10.0, 51)
-    free = synthetic_trajectory(t, np.exp(-0.5 * t))
-    ctrl = synthetic_trajectory(t, np.exp(-1e-4 * t))  # never leaves [0.95, 1]
-    est = estimate_rates(free, ctrl)
+    # the controlled coherence never leaves [0.95, 1]
+    est = estimate_rates(t, np.exp(-0.5 * t), np.exp(-1e-4 * t))
     assert est.method == "window-fit+endpoint-secant"
     assert not est.flagged
     assert abs(est.gamma_c - 1e-4) < 1e-9
@@ -619,17 +599,13 @@ def test_rate_fit_falls_back_to_endpoint_secant():
 
 def test_rate_fit_flags_unresolved_free_run():
     t = np.linspace(0.0, 10.0, 51)
-    free = synthetic_trajectory(t, np.exp(-1e-4 * t))
-    ctrl = synthetic_trajectory(t, np.exp(-1e-5 * t))
-    est = estimate_rates(free, ctrl)
+    est = estimate_rates(t, np.exp(-1e-4 * t), np.exp(-1e-5 * t))
     assert est.flagged
 
 
 def test_rate_fit_flags_undefined_signal():
     t = np.linspace(0.0, 5.0, 11)
-    diagonal = synthetic_trajectory(t, np.zeros(11))  # no coherence at all
-    decaying = synthetic_trajectory(t, np.exp(-0.5 * t))
-    est = estimate_rates(diagonal, decaying)
+    est = estimate_rates(t, np.zeros(11), np.exp(-0.5 * t))  # free: no coherence at all
     assert est.flagged
     assert est.method.startswith("undefined-signal")
     assert est.gamma == 0.0
@@ -640,18 +616,29 @@ def test_rate_fit_flags_undefined_signal():
 def test_constant_coherence_gives_positive_zero_rates():
     """``-log(1) = -0.0``: a run that keeps its coherence must still write ``0.0``."""
     t = np.linspace(0.0, 10.0, 51)
-    flat = synthetic_trajectory(t, np.full(51, 0.5))
-    rec = estimate_rates(synthetic_trajectory(t, np.exp(-0.5 * t)), flat).to_record()
+    flat = np.full(51, 0.5)
+    rec = estimate_rates(t, np.exp(-0.5 * t), flat).to_record()
     assert math.copysign(1.0, rec["gamma_controlled"]) == 1.0
     assert math.copysign(1.0, rec["ratio"]) == 1.0
-    est = estimate_rates(flat, flat)
+    est = estimate_rates(t, flat, flat)
     assert math.copysign(1.0, est.gamma) == math.copysign(1.0, est.gamma_c) == 1.0
+
+
+@pytest.mark.parametrize("name", ["free", "controlled"])
+@pytest.mark.parametrize("n", [50, 52])
+def test_rate_fit_rejects_a_coherence_off_the_time_grid(name, n):
+    """A coherence of another length than ``times`` is named, not paired with the
+    wrong times: a shorter one would give the endpoint secant ``c[-1]`` at ``t[-1]``."""
+    t = np.linspace(0.0, 10.0, 51)
+    coherences = {"free": np.exp(-0.5 * t), "controlled": np.exp(-1e-4 * t)}
+    coherences[name] = np.exp(-0.5 * np.linspace(0.0, 10.0, n))
+    with pytest.raises(ValueError, match=f"^{name} has {n} samples, times has 51$"):
+        estimate_rates(t, coherences["free"], coherences["controlled"])
 
 
 def test_rate_record_is_json_friendly():
     t = np.linspace(0.0, 10.0, 101)
-    est = estimate_rates(synthetic_trajectory(t, np.exp(-0.5 * t)),
-                         synthetic_trajectory(t, np.exp(-0.1 * t)))
+    est = estimate_rates(t, np.exp(-0.5 * t), np.exp(-0.1 * t))
     rec = est.to_record()
     assert set(rec) == {"gamma_free", "gamma_controlled", "ratio", "fit_window",
                         "fit_residual", "method", "flagged"}

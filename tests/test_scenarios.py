@@ -438,6 +438,13 @@ PLAIN_ECHO_SWEEP = {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]}
 #: A joint-path sweep at a fixed total time, 20 cycles of the largest value.
 JOINT_SWEEP = {"scenario": "maximal-averaging", "seed": 7, "delta_t": 0.16, "n_cycles": 20,
                "sweep": {"parameter": "delta_t", "values": [0.02, 0.04, 0.08, 0.16]}}
+#: A joint-path sweep whose grids (10, 20 and 25 cycles) do not nest: the first
+#: qubit is not conserved, the K2-ZX-IX custom config.
+K2_ZX_IX_SWEEP = {"scenario": "custom", "seed": 7, "K": 2, "group": "full",
+                  "coupling": "dephasing",
+                  "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3},
+                  "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZX": 0.2, "IX": 0.1},
+                  "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.04]}}
 
 
 @pytest.mark.parametrize("doc", [
@@ -450,21 +457,24 @@ JOINT_SWEEP = {"scenario": "maximal-averaging", "seed": 7, "delta_t": 0.16, "n_c
      "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}},
     {**JOINT_SWEEP, "symmetric": False},
     {**JOINT_SWEEP, "symmetric": True},
+    K2_ZX_IX_SWEEP,
 ], ids=["symmetric-echo-seed7", "symmetric-echo-seed17", "non-nested", "sample-every-2",
-        "joint-plain", "joint-symmetric"])
+        "joint-plain", "joint-symmetric", "joint-non-nested"])
 def test_run_sweep_matches_the_per_point_loop(doc, tmp_path):
     """``run_sweep`` against the per-point loop it replaced: the controlled
     runs are the same calls, so infidelities and the fit agree bit for bit;
-    the free coherence comes from each distinct sample time once, on the
-    finest grid that has it, so the free rate moves in its last digits only.
-    The plain echo's grids (80, 100 and 160 cycles) do not nest. The echoes
-    take the product path; ``maximal-averaging``, whose couplings do not
-    commute with the bath, the joint path."""
+    a grid whose cycle count divides that of an evolved free run reads that
+    run's coherence, every k-th sample, so the free rate moves in its last
+    digits only. The plain echo's grids (80, 100 and 160 cycles) and
+    K2-ZX-IX's (10, 20 and 25) do not nest: 100 and 20 evolve their own free
+    runs. The echoes take the product path; ``maximal-averaging``, whose
+    couplings do not commute with the bath, and K2-ZX-IX, whose first qubit
+    is not conserved, the joint path."""
     config = parse_config(doc)
     rows, fit, fit_points = oracle_sweep.per_point_sweep(config)
     assert run_sweep(config, tmp_path) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["path"] == ("joint" if doc["scenario"] == "maximal-averaging" else "modes")
+    assert summary["path"] == ("modes" if doc["scenario"] == "dephasing-echo" else "joint")
     assert (summary["slope"], summary["intercept"], summary["r_squared"]) == (
         fit.slope, fit.intercept, fit.r_squared)
     assert summary["fit_point_count"] == fit_points
@@ -531,35 +541,30 @@ def test_joint_path_palindromic_sweeps_lie_below_the_plain_ones(joint_sweeps, sc
     assert all(a["infidelity"] < b["infidelity"] for a, b in zip(sym["points"], plain["points"]))
 
 
-@pytest.mark.parametrize("doc, evaluated", [
+@pytest.mark.parametrize("doc, free_snapshots", [
     ({"scenario": "dephasing-echo", "seed": 7, "symmetric": True, "bath": {"n_modes": 5},
-      "sweep": SYMMETRIC_ECHO_SWEEP}, 321),
-    ({"scenario": "dephasing-echo", "seed": 7, "sweep": PLAIN_ECHO_SWEEP}, 241),
+      "sweep": SYMMETRIC_ECHO_SWEEP}, [321]),
+    ({"scenario": "dephasing-echo", "seed": 7, "sweep": PLAIN_ECHO_SWEEP}, [161, 101]),
 ], ids=["nested", "non-nested"])
-def test_run_sweep_evolves_each_free_sample_time_once(doc, evaluated, tmp_path, monkeypatch):
-    """The symmetric echo's grids hold 321 distinct fractions of the total
-    time among 604 samples (320/160/80/40 cycles); the plain echo's hold 241
-    among 343 (80/100/160). The closed form evaluates each once, and
-    the sweep propagates once per point through :func:`evolve`, for the
-    controlled trajectory only, and computes no trace distance."""
-    evolve_module = importlib.import_module("decoupling.evolve")
+def test_run_sweep_evolves_each_free_sample_time_once(doc, free_snapshots, tmp_path,
+                                                      monkeypatch):
+    """Every trajectory of a sweep is one :func:`evolve` call. The symmetric
+    echo's grids (320/160/80/40 cycles) nest in the finest: one free run of
+    321 snapshots serves every point. The plain echo's (80/100/160) do not:
+    160's free run serves 80, and 100 evolves its own, 161 + 101 = 262
+    snapshots for the 241 distinct fractions of the total time. Each point
+    adds one controlled run, and no trajectory computes a trace distance."""
     scenarios_module = importlib.import_module("decoupling.scenarios")
-    closed_form, evolve = evolve_module._closed_form, scenarios_module.evolve
-    counts, results = {"snapshots": 0, "evolve": 0}, []
+    evolve, results = scenarios_module.evolve, []
 
-    def counting_closed_form(*args):
-        for block in closed_form(*args):
-            counts["snapshots"] += len(block)
-            yield block
-
-    def counting_evolve(run):
-        counts["evolve"] += 1
+    def recording_evolve(run):
         results.append(evolve(run))
         return results[-1]
 
-    monkeypatch.setattr(evolve_module, "_closed_form", counting_closed_form)
-    monkeypatch.setattr(scenarios_module, "evolve", counting_evolve)
+    monkeypatch.setattr(scenarios_module, "evolve", recording_evolve)
     config = parse_config(doc)
     assert run_sweep(config, tmp_path) == 0
-    assert counts == {"snapshots": evaluated, "evolve": len(config.sweep_values)}
+    free = [len(result.times) for result in results if result.metadata["group_order"] == 1]
+    assert free == free_snapshots
+    assert len(results) == len(free) + len(config.sweep_values)
     assert not any("trace_distance" in vars(result) for result in results)

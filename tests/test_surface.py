@@ -4,7 +4,9 @@ The list holds what the command line, the demos and the acceptance
 criteria call. A name is added or removed by editing it here.
 """
 
+import ast
 import types
+from pathlib import Path
 
 import decoupling
 
@@ -68,3 +70,17 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert public == PUBLIC_NAMES
+
+
+def test_scenarios_imports_no_private_evolve_name():
+    """Every run of a command, the free reference of a sweep included, goes
+    through the public ``evolve`` API: ``scenarios`` imports no name of
+    ``decoupling.evolve`` that starts with an underscore."""
+    source = Path(decoupling.__file__).with_name("scenarios.py").read_text()
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "evolve"
+        for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("_")]
