@@ -21,6 +21,9 @@ fit_points() {
 path_is() {
   python -c 'import json, sys; assert json.load(open(sys.argv[1]))["path"] == sys.argv[2]' "$1" "$2"
 }
+mode_is() {
+  python -c 'import json, sys; assert json.load(open(sys.argv[1]))["mode"] == sys.argv[2]' "$1" "$2"
+}
 
 "${cli[@]}" design --interaction ZI IZ ZZ --qubits 2
 words=$(python -c 'import itertools; print(*["".join(w) for w in itertools.product("IXYZ", repeat=3)][1:])')
@@ -36,6 +39,19 @@ echo '{"scenario": "collective-register", "seed": 7, "group": "flip"}' > "$work/
 code=0
 "${cli[@]}" simulate --config "$work/flip.json" --out "$work/flip" || code=$?
 test "$code" -eq 1
+# a sweep rejects the same way, before any sweep point is run
+echo '{"scenario": "collective-register", "seed": 7, "group": "flip", "sweep": {"parameter": "delta_t", "values": [0.05, 0.025, 0.01]}}' > "$work/flip-sweep.json"
+code=0
+"${cli[@]}" sweep --config "$work/flip-sweep.json" --out "$work/flip-sweep" || code=$?
+test "$code" -eq 1
+mode_is "$work/flip-sweep/summary.json" none
+test ! -e "$work/flip-sweep/sweep.csv"
+# a step exponent that overflows is an error line and exit 2, not exit 1
+echo '{"scenario": "dephasing-echo", "seed": 7, "h_s": {"Z": 1e308}}' > "$work/overflow.json"
+code=0
+"${cli[@]}" simulate --config "$work/overflow.json" --out "$work/overflow" 2> "$work/overflow.txt" || code=$?
+test "$code" -eq 2
+grep -q '^error: ' "$work/overflow.txt"
 echo '{"scenario": "dephasing-echo", "seed": 7, "symmetric": true, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/sweep.json"
 "${cli[@]}" sweep --config "$work/sweep.json" --out "$work/sweep"
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}' > "$work/boson.json"

@@ -7,8 +7,9 @@ groups that average a given interaction away and prints them with their
 pulse programs (:func:`boundary_pulses`).
 
 Exit codes: 0 success; 1 the configured group fails to decouple the
-interaction (residual table printed); 2 bad usage or config, or an output
-directory that cannot be made.
+interaction (residual table printed); 2 bad usage or config, an output
+directory that cannot be made, or a run whose numbers overflow or whose
+arrays do not fit in memory.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _design(args) if args.command == "design" else _run(args)
-    except (OSError, ValueError) as exc:  # a ConfigError too
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,8 +56,8 @@ _TOP_KEYS = {
 _BATH_KEYS = {"kind", "n_modes", "cutoff", "coupling_scale", "boson_truncation", "seed"}
 _SWEEP_KEYS = {"parameter", "values"}
 
-#: Frozen defaults for the named presets. A user config overrides any
-#: field; ``custom`` supplies no physics defaults at all.
+#: Frozen defaults for the named presets. ``custom``'s entries, which fix
+#: no physics, are every preset's base; a user config overrides any field.
 PRESETS: dict[str, dict] = {
     "dephasing-echo": {
         "K": 1,
@@ -66,10 +66,6 @@ PRESETS: dict[str, dict] = {
         "group": "flip",
         "delta_t": 0.1,
         "n_cycles": 80,
-        "symmetric": False,
-        "h_s": {},
-        "rho_s0": "plus",
-        "sample_every": 1,
     },
     "collective-register": {
         "K": 2,
@@ -78,10 +74,7 @@ PRESETS: dict[str, dict] = {
         "group": "collective",
         "delta_t": 0.05,
         "n_cycles": 60,
-        "symmetric": False,
         "h_s": {"ZZ": 0.25, "ZI": 0.1},
-        "rho_s0": "plus",
-        "sample_every": 1,
     },
     "maximal-averaging": {
         "K": 1,
@@ -90,10 +83,8 @@ PRESETS: dict[str, dict] = {
         "group": "full",
         "delta_t": 0.05,
         "n_cycles": 50,
-        "symmetric": False,
         "h_s": {"X": 0.3, "Z": 0.2},
         "rho_s0": "tilted",
-        "sample_every": 1,
     },
     "selective-logic": {
         "K": 2,
@@ -102,10 +93,8 @@ PRESETS: dict[str, dict] = {
         "group": "collective",
         "delta_t": 0.05,
         "n_cycles": 60,
-        "symmetric": False,
         "h_s": {"XX": 0.2},
         "rho_s0": "zero",
-        "sample_every": 1,
     },
     "custom": {
         "symmetric": False,
@@ -226,7 +215,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     seed = _as_int(_require(doc, "seed", ""), "seed", minimum=0)
 
     preset = PRESETS[scenario]
-    merged = dict(preset)
+    merged = {**PRESETS["custom"], **preset}
     merged_bath = dict(preset.get("bath", {}))
     for key, value in doc.items():
         if key == "bath":
@@ -386,29 +375,44 @@ def _feasibility(omega_c_delta_t: float) -> str:
     )
 
 
-def _reject(out: Path, config: ScenarioConfig, report, t_start: float) -> int:
-    """Report a group that fails to decouple (mode ``none``) and return 1.
+def _command(config: ScenarioConfig, out_dir, body) -> int:
+    """The frame ``simulate`` and ``sweep`` run in; returns the process exit code.
 
-    Prints the per-channel residual table and writes ``summary.json`` and
-    ``run.log``; ``simulate`` and ``sweep`` reject through here alike.
+    Makes ``out_dir`` and checks that the group averages the coupling away.
+    A group that does not (mode ``none``) is rejected: the per-channel
+    residual table goes to stdout, ``summary.json`` holds the residuals, no
+    model is built, and the code is 1. Otherwise ``body(model, out, report)``
+    runs on the one model and returns the summary keys past the shared
+    ``scenario``/``seed``/``mode`` head and the text to print. Either way
+    the frame writes ``summary.json`` and ``run.log``.
     """
-    print(f"group does not decouple this interaction (mode = {report.mode})")
-    print("coupling channel residuals after group averaging:")
-    for i, r in enumerate(report.residuals):
-        print(f"  S[{i}]: |projection| = {r:.3e}")
-    omega_c_delta_t = config.bath.cutoff * config.delta_t
-    summary = {
-        "scenario": config.scenario,
-        "seed": config.seed,
-        "mode": report.mode,
-        "commutant_dimension": report.commutant_dimension,
-        "residuals": [float(r) for r in report.residuals],
-        "omega_c_delta_t": omega_c_delta_t,
-        "feasibility": _feasibility(omega_c_delta_t),
-    }
+    t_start = time.time()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
+    if report.mode == "none":
+        omega_c_delta_t = config.bath.cutoff * config.delta_t
+        keys = {
+            "commutant_dimension": report.commutant_dimension,
+            "residuals": [float(r) for r in report.residuals],
+            "omega_c_delta_t": omega_c_delta_t,
+            "feasibility": _feasibility(omega_c_delta_t),
+        }
+        text = "\n".join([
+            f"group does not decouple this interaction (mode = {report.mode})",
+            "coupling channel residuals after group averaging:",
+            *(f"  S[{i}]: |projection| = {r:.3e}" for i, r in enumerate(report.residuals)),
+        ])
+        status, code = "rejected: mode none", 1
+    else:
+        keys, text = body(build_model(config), out, report)
+        status, code = "ok", 0
+    summary = {"scenario": config.scenario, "seed": config.seed, "mode": report.mode, **keys}
     (out / "summary.json").write_text(_json_text(summary))
-    _write_log(out, config, t_start, status="rejected: mode none")
-    return 1
+    _write_log(out, config, t_start, status=status)
+    print(text)
+    return code
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> int:
@@ -426,63 +430,50 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     no model.
     """
     _check_sample_every(config.n_cycles, config, "sample_every")
-    t_start = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
-    if report.mode == "none":
-        return _reject(out, config, report, t_start)
+    def body(model, out, report):
+        schedule = build_schedule(config)
+        omega_c_delta_t = config.bath.cutoff * config.delta_t
+        run = SimulationRun(model=model, schedule=schedule, n_cycles=config.n_cycles,
+                            rho_s0=config.rho_s0, sample_every=config.sample_every)
+        controlled, free = evolve(run), evolve(_free_run(run))
+        rates = estimate_rates(controlled.times, free.coherence, controlled.coherence)
 
-    schedule = build_schedule(config)
-    omega_c_delta_t = config.bath.cutoff * config.delta_t
-    run = SimulationRun(model=build_model(config), schedule=schedule, n_cycles=config.n_cycles,
-                        rho_s0=config.rho_s0, sample_every=config.sample_every)
-    controlled, free = evolve(run), evolve(_free_run(run))
-    rates = estimate_rates(controlled.times, free.coherence, controlled.coherence)
+        controlled.write_csv(out / "trajectory.csv")
+        free.write_csv(out / "trajectory_free.csv")
 
-    controlled.write_csv(out / "trajectory.csv")
-    free.write_csv(out / "trajectory_free.csv")
+        keys = {
+            "path": controlled.metadata["path"],
+            "commutant_dimension": report.commutant_dimension,
+            "residuals": [float(r) for r in report.residuals],
+            "schedule": schedule_to_record(schedule),
+            "n_cycles": config.n_cycles,
+            "total_time": config.n_cycles * schedule.cycle_time,
+            "omega_c_delta_t": omega_c_delta_t,
+            "feasibility": _feasibility(omega_c_delta_t),
+            "rates": rates.to_record(),
+            "terminal": {
+                "fidelity_controlled": float(controlled.fidelity[-1]),
+                "fidelity_free": float(free.fidelity[-1]),
+                "infidelity_controlled": float(1.0 - controlled.fidelity[-1]),
+                "coherence_controlled": float(controlled.coherence[-1]),
+                "coherence_free": float(free.coherence[-1]),
+                "trace_distance_controlled": float(controlled.trace_distance[-1]),
+                "trace_distance_free": float(free.trace_distance[-1]),
+            },
+            "diagnostics": {
+                f"joint_purity_drift_{name}": (traj.metadata["terminal_joint_purity"]
+                                               - traj.metadata["initial_joint_purity"])
+                for name, traj in (("controlled", controlled), ("free", free))
+            },
+        }
+        text = (f"{config.scenario}: mode={report.mode}, "
+                f"terminal fidelity={controlled.fidelity[-1]:.6f} "
+                f"(free {free.fidelity[-1]:.6f}), rate ratio={keys['rates']['ratio']}\n"
+                f"{keys['feasibility']}")
+        return keys, text
 
-    summary = {
-        "scenario": config.scenario,
-        "seed": config.seed,
-        "mode": report.mode,
-        "path": controlled.metadata["path"],
-        "commutant_dimension": report.commutant_dimension,
-        "residuals": [float(r) for r in report.residuals],
-        "schedule": schedule_to_record(schedule),
-        "n_cycles": config.n_cycles,
-        "total_time": config.n_cycles * schedule.cycle_time,
-        "omega_c_delta_t": omega_c_delta_t,
-        "feasibility": _feasibility(omega_c_delta_t),
-        "rates": rates.to_record(),
-        "terminal": {
-            "fidelity_controlled": float(controlled.fidelity[-1]),
-            "fidelity_free": float(free.fidelity[-1]),
-            "infidelity_controlled": float(1.0 - controlled.fidelity[-1]),
-            "coherence_controlled": float(controlled.coherence[-1]),
-            "coherence_free": float(free.coherence[-1]),
-            "trace_distance_controlled": float(controlled.trace_distance[-1]),
-            "trace_distance_free": float(free.trace_distance[-1]),
-        },
-        "diagnostics": {
-            f"joint_purity_drift_{name}": (traj.metadata["terminal_joint_purity"]
-                                           - traj.metadata["initial_joint_purity"])
-            for name, traj in (("controlled", controlled), ("free", free))
-        },
-    }
-    (out / "summary.json").write_text(_json_text(summary))
-    _write_log(out, config, t_start, status="ok")
-
-    ratio = rates.to_record()["ratio"]
-    print(
-        f"{config.scenario}: mode={report.mode}, "
-        f"terminal fidelity={controlled.fidelity[-1]:.6f} "
-        f"(free {free.fidelity[-1]:.6f}), rate ratio={ratio}"
-    )
-    print(_feasibility(omega_c_delta_t))
-    return 0
+    return _command(config, out_dir, body)
 
 
 def _free_run(run: SimulationRun) -> SimulationRun:
@@ -544,71 +535,55 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     if config.sweep_values is None:
         raise ConfigError("config field 'sweep': required for the sweep command")
     total_time, counts = _sweep_cycle_counts(config)
-    t_start = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
-    if report.mode == "none":
-        return _reject(out, config, report, t_start)
+    def body(model, out, report):
+        runs = [SimulationRun(model=model, schedule=build_schedule(config, delta_t=v),
+                              n_cycles=n, rho_s0=config.rho_s0, sample_every=config.sample_every)
+                for v, n in zip(config.sweep_values, counts)]
 
-    model = build_model(config)
-    runs = [SimulationRun(model=model, schedule=build_schedule(config, delta_t=v),
-                          n_cycles=n, rho_s0=config.rho_s0, sample_every=config.sample_every)
-            for v, n in zip(config.sweep_values, counts)]
+        free = {}  # cycle count -> free coherence, finest grid first
+        for run in sorted(runs, key=lambda run: -run.n_cycles):
+            n = run.n_cycles
+            m = next((m for m in free if m % n == 0), None)
+            free[n] = evolve(_free_run(run)).coherence if m is None else free[m][::m // n]
+        rows = []
+        for v, run in zip(config.sweep_values, runs):
+            traj = evolve(run)
+            rows.append({"delta_t": v, "infidelity": float(1.0 - traj.fidelity[-1]),
+                         "rates": estimate_rates(traj.times, free[run.n_cycles], traj.coherence)})
 
-    free = {}  # cycle count -> free coherence, finest grid first
-    for run in sorted(runs, key=lambda run: -run.n_cycles):
-        n = run.n_cycles
-        m = next((m for m in free if m % n == 0), None)
-        free[n] = evolve(_free_run(run)).coherence if m is None else free[m][::m // n]
-    rows = []
-    for v, run in zip(config.sweep_values, runs):
-        traj = evolve(run)
-        rows.append({"delta_t": v, "infidelity": float(1.0 - traj.fidelity[-1]),
-                     "rates": estimate_rates(traj.times, free[run.n_cycles], traj.coherence)})
+        lines = ["delta_t, terminal_infidelity, ratio"]
+        for row in rows:
+            lines.append(f"{row['delta_t']!r}, {row['infidelity']!r}, "
+                         f"{float(row['rates'].ratio)!r}")
+        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
 
-    lines = ["delta_t, terminal_infidelity, ratio"]
-    for row in rows:
-        ratio = row["rates"].ratio
-        ratio_text = repr(float(ratio)) if math.isfinite(ratio) else "nan"
-        lines.append(f"{row['delta_t']!r}, {row['infidelity']!r}, {ratio_text}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        fit = fit_scaling_exponent([(row["delta_t"], row["infidelity"]) for row in rows])
+        keys = {
+            "path": traj.metadata["path"],  # the same for every point
+            "sweep": {
+                "parameter": "delta_t",
+                "values": list(config.sweep_values),
+                "total_time": total_time,
+                "n_cycles": counts,
+                "symmetric": config.symmetric,
+            },
+            "slope": fit.slope,
+            "intercept": fit.intercept,
+            "r_squared": fit.r_squared,
+            "fit_point_count": len(rows),
+            "points": [
+                {"delta_t": row["delta_t"], "infidelity": row["infidelity"],
+                 "rates": row["rates"].to_record()}
+                for row in rows
+            ],
+            "feasibility": _feasibility(config.bath.cutoff * max(config.sweep_values)),
+        }
+        text = (f"{config.scenario} sweep: slope={fit.slope:.3f}, r^2={fit.r_squared:.4f} "
+                f"over {len(rows)} values (total time {total_time!r})")
+        return keys, text
 
-    fit = fit_scaling_exponent([(row["delta_t"], row["infidelity"]) for row in rows])
-
-    max_odt = config.bath.cutoff * max(config.sweep_values)
-    summary = {
-        "scenario": config.scenario,
-        "seed": config.seed,
-        "mode": report.mode,
-        "path": traj.metadata["path"],  # the same for every point
-        "sweep": {
-            "parameter": "delta_t",
-            "values": list(config.sweep_values),
-            "total_time": total_time,
-            "n_cycles": counts,
-            "symmetric": config.symmetric,
-        },
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "fit_point_count": len(rows),
-        "points": [
-            {"delta_t": row["delta_t"], "infidelity": row["infidelity"],
-             "rates": row["rates"].to_record()}
-            for row in rows
-        ],
-        "feasibility": _feasibility(max_odt),
-    }
-    (out / "summary.json").write_text(_json_text(summary))
-    _write_log(out, config, t_start, status="ok")
-
-    print(
-        f"{config.scenario} sweep: slope={fit.slope:.3f}, r^2={fit.r_squared:.4f} "
-        f"over {len(rows)} values (total time {total_time!r})"
-    )
-    return 0
+    return _command(config, out_dir, body)
 
 
 def _write_log(out: Path, config: ScenarioConfig, t_start: float, status: str):

@@ -66,6 +66,33 @@ def test_an_output_directory_under_a_file_exits_2(tmp_path, capsys, command, via
     assert captured.err.startswith("error: ") and str(out) in captured.err
 
 
+@pytest.mark.parametrize("overrides", [{"h_s": {"Z": 1e308}}, {"delta_t": 1e308},
+                                       {"bath": {"cutoff": 1e308}}],
+                         ids=["h_s", "delta_t", "cutoff"])
+def test_an_overflowing_run_exits_2(tmp_path, capsys, overrides):
+    """A run whose step exponent overflows is an ``error:`` line and exit 2:
+    exit 1 says only that the group does not decouple."""
+    cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7, **overrides})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_run_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
+    """An allocation that fails (numpy's ``MemoryError``, e.g. for an
+    ``n_cycles`` of 10**13) is an ``error:`` line and exit 2. The failure is
+    simulated: a real one would first try to fill the memory."""
+    def refuse(run):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr("decoupling.scenarios.evolve", refuse)
+    cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7, "n_cycles": 8,
+                                  "delta_t": 0.16, "sweep": {"parameter": "delta_t",
+                                                             "values": [0.04, 0.08, 0.16]}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 72.8 TiB for an array\n"
+
+
 def test_invalid_config_reports_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7,
                                   "delta_t": -0.1})

@@ -155,8 +155,11 @@ def test_sector_blocks_match_dense_oracle(overrides):
 PRODUCT_CONFIGS = [{"scenario": "dephasing-echo"},
                    {"scenario": "dephasing-echo", "symmetric": True},
                    {"scenario": "dephasing-echo", "symmetric": True, "sample_every": 4},
-                   BOSON, {**K2_DEPHASING, "h_s": {"ZZ": 0.2}}]
-PRODUCT_IDS = ["echo", "echo-symmetric", "echo-every-4", "boson-flip", "K2-ZZ"]
+                   BOSON, {**K2_DEPHASING, "h_s": {"ZZ": 0.2}},
+                   # |-i h delta_t| > 1/2: _expm squares its Taylor step once
+                   {"scenario": "dephasing-echo", "delta_t": 1.0, "n_cycles": 40}]
+PRODUCT_IDS = ["echo", "echo-symmetric", "echo-every-4", "boson-flip", "K2-ZZ",
+               "echo-squared"]
 #: The product path against the joint path, every field of a trajectory.
 PRODUCT_TOL = 1e-11
 

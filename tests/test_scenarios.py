@@ -338,6 +338,24 @@ def test_run_sweep_outputs_and_fit(tmp_path):
     assert len(summary["points"]) == 3
 
 
+def test_sweep_csv_writes_an_infinite_rate_ratio_as_inf(tmp_path):
+    """Every point's free coherence stays put (``gamma_free`` 0) while the
+    controlled one decays: each ratio is infinite, and ``sweep.csv`` says so
+    where ``summary.json``, which has no infinity, writes null."""
+    cfg = parse_config({
+        "scenario": "maximal-averaging", "seed": 7, "n_cycles": 2, "delta_t": 0.04,
+        "h_s": {"X": 3.0, "Z": 0.2},
+        "sweep": {"parameter": "delta_t", "values": [0.01, 0.02, 0.04]},
+    })
+    assert run_sweep(cfg, tmp_path) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(", ")[2] for row in rows] == ["inf"] * 3
+    points = json.loads((tmp_path / "summary.json").read_text())["points"]
+    for point in points:
+        assert point["rates"]["gamma_free"] == 0.0 and point["rates"]["gamma_controlled"] > 0
+        assert point["rates"]["ratio"] is None
+
+
 def test_run_sweep_fits_every_point_of_a_symmetric_echo(tmp_path, capsys):
     """The last point of this sweep is 9.70e-11, ``1 - <+|rho|+>`` of a reduced
     state whose top eigenvalue is within 1e-10 of one; a fidelity that took
