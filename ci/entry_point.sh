@@ -52,6 +52,7 @@ code=0
 "${cli[@]}" simulate --config "$work/overflow.json" --out "$work/overflow" 2> "$work/overflow.txt" || code=$?
 test "$code" -eq 2
 grep -q '^error: ' "$work/overflow.txt"
+test ! -e "$work/overflow"
 echo '{"scenario": "dephasing-echo", "seed": 7, "symmetric": true, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/sweep.json"
 "${cli[@]}" sweep --config "$work/sweep.json" --out "$work/sweep"
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}' > "$work/boson.json"

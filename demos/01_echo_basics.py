@@ -62,4 +62,4 @@ print(f"suppression ratio      {rates.ratio:.2e}   (method: {rates.method})")
 print(f"terminal fidelity      {controlled.terminal_fidelity:.6f} "
       f"vs free {free.terminal_fidelity:.6f}")
 # the qubit is conserved by the coupling, so both runs are evolved mode by mode
-print(f"path                   {controlled.metadata['path']}")
+print(f"path                   {controlled.path}")

@@ -28,8 +28,8 @@ model makes on first use and keeps, together with the bath ground vector
 that default runs start from, so the controlled run, the free run and every
 point of a sweep share it. A frame acts on ``W`` as the signed flip of its
 register axes (:func:`~decoupling.groups.conjugate_word`), never as a matrix.
-:func:`evolve` alone picks the path, and records it in the trajectory's
-``metadata["path"]``: ``"modes"`` or ``"joint"``.
+:func:`evolve` alone picks the path, and records it as the trajectory's
+``path``: ``"modes"`` or ``"joint"``.
 
 Pauli words commute up to sign, so when the second half of a visiting
 order is the first half multiplied word by word by one word ``h`` (a
@@ -48,8 +48,8 @@ columns. Observation happens at cycle boundaries only: that is where the
 control frame returns to the physical frame and where average-Hamiltonian
 statements hold. Snapshots, stepped or not, come in blocks of at most
 ``d x d`` numbers, one stacked ``M M^dag`` per block, into one
-``(n + 1, d_s, d_s)`` stack; each snapshot observable and the ideal
-reference is computed once on that stack.
+``(n + 1, d_s, d_s)`` stack; each snapshot observable, and the ideal
+reference of fidelity, is computed on that stack on its first read.
 
 Two decay diagnostics are tracked. Fidelity is measured against an ideal
 reference trajectory: the system evolving alone under its effective
@@ -63,7 +63,7 @@ observable signature of dephasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -72,8 +72,7 @@ import numpy as np
 from .operators import NUMERIC_TOL, Operator, as_matrices
 from .model import SystemBathModel
 from .sequence import CycleSchedule
-from .groups import (DecouplingGroup, _signed_flip, _word_product, conjugate_word,
-                     project_commutant)
+from .groups import _signed_flip, _word_product, conjugate_word, project_commutant
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
@@ -187,8 +186,8 @@ def _cycle_blocks(model: SystemBathModel, schedule: CycleSchedule) -> np.ndarray
     """The ``d x d`` matrix of :func:`cycle_propagator`: each frame acts by
     :func:`~decoupling.groups.conjugate_word`."""
     _matching_model(model, schedule)
-    return _cycle_product(model._joint_spectrum.propagator(schedule.delta_t),
-                          partial(conjugate_word, d_b=model.bath_dim), schedule.segments)
+    return _cycle_product(model._joint_spectrum.propagator(schedule.delta_t), conjugate_word,
+                          schedule.segments)
 
 
 def _cycle_product(w: np.ndarray, conj, words: Sequence[str]) -> np.ndarray:
@@ -238,7 +237,7 @@ def _ensemble(rho: Operator) -> np.ndarray:
 def _initial_columns(run: SimulationRun) -> np.ndarray:
     """``psi0``: the system's ensemble columns times the bath's, a ``d x r`` array."""
     system = _ensemble(run.rho_s0)
-    bath = (run.model._joint_spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str)
+    bath = (run.model._joint_spectrum.bath_ground[:, None] if run.rho_b0 is None
             else _ensemble(run.rho_b0))
     return (system[:, None, :, None] * bath[:, None]).reshape(len(system) * len(bath), -1)
 
@@ -257,7 +256,7 @@ def _joint_purity(psi: np.ndarray) -> float:
 def _mode_wise(run: SimulationRun) -> bool:
     """Whether the product path evolves the run: its bath starts in its ground state, and
     its model has a mode table and diagonal ``h_s`` and coupling system factors."""
-    return isinstance(run.rho_b0, str) and run.model._mode_hamiltonians is not None
+    return run.rho_b0 is None and run.model._mode_hamiltonians is not None
 
 
 def _expm(h: np.ndarray, t: float) -> np.ndarray:
@@ -334,8 +333,8 @@ def _path(run: SimulationRun, times: np.ndarray):
 class SimulationRun:
     """Everything needed to propagate one controlled (or free) evolution.
 
-    ``rho_b0`` may be ``"bath-ground-state"`` (the default) or an explicit
-    bath density operator. The ideal reference trajectory evolves under
+    ``rho_b0`` is a bath density operator, ``None`` (the default) for the
+    bath ground state. The ideal reference trajectory evolves under
     the system Hamiltonian averaged over the schedule's group. Snapshots
     are taken every ``sample_every`` cycles, which must divide ``n_cycles``.
     """
@@ -344,7 +343,7 @@ class SimulationRun:
     schedule: CycleSchedule
     n_cycles: int
     rho_s0: Operator
-    rho_b0: Operator | str = "bath-ground-state"
+    rho_b0: Operator | None = None
     sample_every: int = 1
 
     def __post_init__(self):
@@ -356,13 +355,9 @@ class SimulationRun:
         if self.rho_s0.dims != self.model.h_s.dims:
             raise ValueError("rho_s0 dims do not match the model system")
         _check_density(self.rho_s0, "rho_s0")
-        if isinstance(self.rho_b0, str):
-            if self.rho_b0 != "bath-ground-state":
-                raise ValueError(
-                    f"unknown bath state {self.rho_b0!r}; "
-                    "pass an Operator or 'bath-ground-state'"
-                )
-        else:
+        if self.rho_b0 is not None:
+            if not isinstance(self.rho_b0, Operator):
+                raise ValueError(f"unknown bath state {self.rho_b0!r}; pass an Operator or None")
             if self.rho_b0.dims != self.model.h_b.dims:
                 raise ValueError("rho_b0 dims do not match the model bath")
             _check_density(self.rho_b0, "rho_b0")
@@ -373,28 +368,43 @@ class SimulationRun:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """Snapshots of the reduced system state at cycle boundaries.
+    """A run and the read-only ``(n + 1, d_s, d_s)`` stack of its reduced
+    states at cycle boundaries, the initial one at index 0; the ``path``
+    :func:`evolve` took and the ``joint_purity``, ``(initial, terminal)``.
 
-    ``fidelity`` is against the ideal reference trajectory,
-    ``trace_distance`` against the initial state ``rho_s0``, ``coherence``
-    is the l1 off-diagonal mass. Arrays all share the snapshot axis, with
-    the initial state included at index 0; ``states`` is the read-only
-    ``(n + 1, d_s, d_s)`` stack of reduced states. The trace distance is
-    computed on its first read, so a caller that never reads it (a sweep)
-    pays nothing for it.
+    ``cycles``, ``times``, the l1 ``coherence``, the ``fidelity`` against
+    the ideal reference trajectory and the ``trace_distance`` to ``rho_s0``
+    are computed from ``run`` and ``states`` on first read, so a caller
+    that never reads one (a sweep's free run) pays nothing for it.
     """
 
-    times: np.ndarray
-    cycles: np.ndarray
+    run: SimulationRun
     states: np.ndarray
-    fidelity: np.ndarray
-    coherence: np.ndarray
-    rho_s0: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    path: str
+    joint_purity: tuple[float, float]
+
+    @cached_property
+    def cycles(self) -> np.ndarray:
+        return np.arange(0, self.run.n_cycles + 1, self.run.sample_every)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return self.cycles * self.run.schedule.cycle_time
+
+    @cached_property
+    def coherence(self) -> np.ndarray:
+        return coherence_l1(self.states)
+
+    @cached_property
+    def fidelity(self) -> np.ndarray:
+        w, v = np.linalg.eigh(self.run.ideal_system_hamiltonian().matrix)
+        system = v.conj().T @ _ensemble(self.run.rho_s0)
+        roots = _spectral_evolution(w[None], v[None], system[None], self.times)[:, 0]
+        return _reference_fidelity(self.states, roots)
 
     @cached_property
     def trace_distance(self) -> np.ndarray:
-        return 0.5 * np.abs(np.linalg.eigvalsh(self.states - self.rho_s0)).sum(-1)
+        return 0.5 * np.abs(np.linalg.eigvalsh(self.states - self.run.rho_s0.matrix)).sum(-1)
 
     @property
     def terminal_fidelity(self) -> float:
@@ -414,61 +424,41 @@ class TrajectoryResult:
 
 
 def evolve(run: SimulationRun) -> TrajectoryResult:
-    """Propagate a run and record reduced-state snapshots.
+    """Propagate a run and record its reduced-state snapshots.
 
     A trivial-group schedule (no pulses) is read off the eigenpairs in closed
     form; any other steps ``psi`` by its cycle. On the joint path, snapshots
     come in blocks of at most ``d x d`` numbers, reduced one stacked product
     a block. On the product path (a builder's model whose register qubits
     are all conserved, bath in its ground state) the cycle is made per mode
-    and per register state and the snapshots are its powers. The path taken
-    is ``metadata["path"]``, ``"modes"`` or ``"joint"``.
+    and per register state and the snapshots are its powers.
     """
-    cycles = np.arange(0, run.n_cycles + 1, run.sample_every)
-    times = cycles * run.schedule.cycle_time
+    times = np.arange(0, run.n_cycles + 1, run.sample_every) * run.schedule.cycle_time
     blocks, reduce, purity, psi0 = _path(run, times)
     states = []
     for block in blocks:
         states.append(reduce(block))
     states = np.concatenate(states)
-
-    w, v = np.linalg.eigh(run.ideal_system_hamiltonian().matrix)
-    system = _ensemble(run.rho_s0)
-    roots = _spectral_evolution(w[None], v[None], (v.conj().T @ system)[None], times)[:, 0]
-
-    meta = {
-        "path": "modes" if _mode_wise(run) else "joint",
-        "n_cycles": run.n_cycles,
-        "sample_every": run.sample_every,
-        "cycle_time": run.schedule.cycle_time,
-        "delta_t": run.schedule.delta_t,
-        "omega_c_delta_t": run.model.cutoff * run.schedule.delta_t,
-        "n_segments": run.schedule.n_segments,
-        "group_order": run.schedule.group.order,
-        "initial_joint_purity": purity(psi0),
-        "terminal_joint_purity": purity(block[-1]),
-    }
     states.setflags(write=False)
-    return TrajectoryResult(times, cycles, states, _reference_fidelity(states, roots),
-                            coherence_l1(states), run.rho_s0.matrix, meta)
+    return TrajectoryResult(run, states, "modes" if _mode_wise(run) else "joint",
+                            (purity(psi0), purity(block[-1])))
 
 
-def observable_drift(
-    traj: TrajectoryResult, observable: Operator, group: DecouplingGroup
-) -> tuple[np.ndarray, np.ndarray]:
+def observable_drift(traj: TrajectoryResult, observable: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Expectation of a group-commuting observable along a trajectory.
 
-    The observable must commute with every element of ``group``, the
-    group the trajectory's schedule ran over (those are the quantities
-    the control is supposed to preserve); the failing element is named
-    otherwise. Returns ``(times, values)`` read from ``traj.states``.
+    The observable must commute with every element of the group the
+    trajectory's schedule ran over (those are the quantities the control
+    is supposed to preserve); the failing element is named otherwise.
+    Returns ``(times, values)`` read from ``traj.states``.
     """
+    group = traj.run.schedule.group
     if observable.dims != group.dims:
         raise ValueError("observable dims do not match the group")
     scale, o = max(1.0, observable.max_abs()), observable.matrix
     for label in group.labels:
         # ||g^dag O g - O|| = ||O g - g O||: g is unitary
-        if float(np.linalg.norm(conjugate_word(label, o, 1) - o)) > NUMERIC_TOL * scale:
+        if float(np.linalg.norm(conjugate_word(label, o) - o)) > NUMERIC_TOL * scale:
             raise ValueError(
                 f"observable does not commute with group element {label!r}"
             )

@@ -87,7 +87,7 @@ def pauli_word_operator(word: str) -> Operator:
     return Operator(m, (2,) * len(word))
 
 
-def conjugate_word(word: str, x: np.ndarray, d_b: int) -> np.ndarray:
+def conjugate_word(word: str, x: np.ndarray) -> np.ndarray:
     """``(g (x) 1)^dag x (g (x) 1)`` for the word's matrix ``g``, per matrix of a
     ``(..., d, d)`` array ``x`` with system-major rows and columns, ``d = 2**K d_b``.
 
@@ -100,8 +100,8 @@ def conjugate_word(word: str, x: np.ndarray, d_b: int) -> np.ndarray:
     flips, parity, _ = _signed_flip(word)
     s = (1 - 2 * parity)[..., None]
     rows = flips + (slice(None),)
-    view = x.reshape(x.shape[:-2] + 2 * (parity.shape + (d_b,)))[(..., *rows, *rows)]
-    return (view * np.multiply.outer(s, s)).reshape(x.shape)
+    view = x.reshape(x.shape[:-2] + 2 * (parity.shape + (x.shape[-1] // parity.size,)))
+    return (view[(..., *rows, *rows)] * np.multiply.outer(s, s)).reshape(x.shape)
 
 
 def _words_anticommute(a: str, b: str) -> bool:
@@ -229,15 +229,16 @@ def pauli_group(n_qubits: int, variant: str = "full") -> DecouplingGroup:
 def project_commutant(op: Operator, group: DecouplingGroup) -> Operator:
     """Average ``op`` over conjugation by the group elements.
 
-    Returns ``(1/|G|) sum_j g_j^dag op g_j``, the projection of ``op``
-    onto the commutant of the group. The map is idempotent, unital,
+    Returns ``(1/|G|) sum_j (g_j (x) 1)^dag op (g_j (x) 1)``, the projection
+    of ``op``, whose leading factors are the group's register, onto the
+    commutant of the group. The map is idempotent, unital,
     trace-preserving, and independent of element phases.
     """
-    if op.dim != group.dim:
-        raise ValueError(f"operator dim {op.dim} does not match group dim {group.dim}")
+    if op.dims[:len(group.dims)] != group.dims:
+        raise ValueError(f"operator dims {op.dims} do not start with group dims {group.dims}")
     acc = np.zeros_like(op.matrix)
     for w in group.labels:
-        acc += conjugate_word(w, op.matrix, 1)
+        acc += conjugate_word(w, op.matrix)
     return Operator(acc / group.order, op.dims)
 
 

@@ -23,17 +23,17 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import Operator, expm_hermitian
-from .groups import conjugate_word
+from .groups import conjugate_word, project_commutant
 from .model import SystemBathModel, total_hamiltonian
 from .sequence import CycleSchedule
 from .evolve import _matching_model, cycle_propagator
 
 
 def average_h0(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
-    """Zeroth-order average: the mean of the toggled Hamiltonians."""
-    h = total_hamiltonian(_matching_model(model, schedule))
-    acc = sum(conjugate_word(w, h.matrix, model.bath_dim) for w in schedule.segments)
-    return Operator(acc / schedule.n_segments, h.dims)
+    """Zeroth-order average: the mean of the toggled Hamiltonians. A cycle visits
+    every group word equally often, so that mean is the group average."""
+    return project_commutant(total_hamiltonian(_matching_model(model, schedule)),
+                             schedule.group)
 
 
 def average_h1(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
@@ -50,7 +50,7 @@ def average_h1(model: SystemBathModel, schedule: CycleSchedule) -> Operator:
     acc = np.zeros_like(h.matrix)
     prefix = np.zeros_like(h.matrix)
     for w in schedule.segments:
-        hw = tau * conjugate_word(w, h.matrix, model.bath_dim)
+        hw = tau * conjugate_word(w, h.matrix)
         acc += hw @ prefix - prefix @ hw
         prefix += hw
     return Operator((-1j / (2.0 * schedule.cycle_time)) * acc, h.dims)

@@ -384,35 +384,41 @@ def _command(config: ScenarioConfig, out_dir, body) -> int:
     model is built, and the code is 1. Otherwise ``body(model, out, report)``
     runs on the one model and returns the summary keys past the shared
     ``scenario``/``seed``/``mode`` head and the text to print. Either way
-    the frame writes ``summary.json`` and ``run.log``.
+    the frame writes ``summary.json`` and ``run.log``; if the run raises,
+    an ``out_dir`` it made that is still empty is removed.
     """
     t_start = time.time()
     out = Path(out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-
-    report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
-    if report.mode == "none":
-        omega_c_delta_t = config.bath.cutoff * config.delta_t
-        keys = {
-            "commutant_dimension": report.commutant_dimension,
-            "residuals": [float(r) for r in report.residuals],
-            "omega_c_delta_t": omega_c_delta_t,
-            "feasibility": _feasibility(omega_c_delta_t),
-        }
-        text = "\n".join([
-            f"group does not decouple this interaction (mode = {report.mode})",
-            "coupling channel residuals after group averaging:",
-            *(f"  S[{i}]: |projection| = {r:.3e}" for i, r in enumerate(report.residuals)),
-        ])
-        status, code = "rejected: mode none", 1
-    else:
-        keys, text = body(build_model(config), out, report)
-        status, code = "ok", 0
-    summary = {"scenario": config.scenario, "seed": config.seed, "mode": report.mode, **keys}
-    (out / "summary.json").write_text(_json_text(summary))
-    _write_log(out, config, t_start, status=status)
-    print(text)
-    return code
+    try:
+        report = check_decoupling(config.group, coupling_tables(config.n_qubits, config.coupling))
+        if report.mode == "none":
+            omega_c_delta_t = config.bath.cutoff * config.delta_t
+            keys = {
+                "commutant_dimension": report.commutant_dimension,
+                "residuals": [float(r) for r in report.residuals],
+                "omega_c_delta_t": omega_c_delta_t,
+                "feasibility": _feasibility(omega_c_delta_t),
+            }
+            text = "\n".join([
+                f"group does not decouple this interaction (mode = {report.mode})",
+                "coupling channel residuals after group averaging:",
+                *(f"  S[{i}]: |projection| = {r:.3e}" for i, r in enumerate(report.residuals)),
+            ])
+            status, code = "rejected: mode none", 1
+        else:
+            keys, text = body(build_model(config), out, report)
+            status, code = "ok", 0
+        summary = {"scenario": config.scenario, "seed": config.seed, "mode": report.mode, **keys}
+        (out / "summary.json").write_text(_json_text(summary))
+        _write_log(out, config, t_start, status=status)
+        print(text)
+        return code
+    except BaseException:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> int:
@@ -443,7 +449,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         free.write_csv(out / "trajectory_free.csv")
 
         keys = {
-            "path": controlled.metadata["path"],
+            "path": controlled.path,
             "commutant_dimension": report.commutant_dimension,
             "residuals": [float(r) for r in report.residuals],
             "schedule": schedule_to_record(schedule),
@@ -462,8 +468,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
                 "trace_distance_free": float(free.trace_distance[-1]),
             },
             "diagnostics": {
-                f"joint_purity_drift_{name}": (traj.metadata["terminal_joint_purity"]
-                                               - traj.metadata["initial_joint_purity"])
+                f"joint_purity_drift_{name}": traj.joint_purity[1] - traj.joint_purity[0]
                 for name, traj in (("controlled", controlled), ("free", free))
             },
         }
@@ -524,11 +529,11 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     ``1 - <y|rho|y>`` for the pure reference ``y`` of every named initial
     state, read off the reduced state ``rho`` as it is, not renormalized.
     Every trajectory is evolved by :func:`evolve`, as in :func:`run_scenario`,
-    and no trace distance, which the sweep does not write, is computed. The
-    free reference does not depend on ``delta_t`` but only on the sample
-    grid: free runs go finest grid first, and a grid whose cycle count
-    divides that of an evolved one reads its every k-th sample, while any
-    other grid evolves its own. The summary's ``path`` is the one every
+    and only what the sweep reads is computed: no trace distance, and no
+    fidelity of a free run. The free reference does not depend on
+    ``delta_t`` but only on the sample grid: free runs go finest grid
+    first, and a grid whose cycle count divides that of an evolved one
+    reads its every k-th sample, while any other grid evolves its own. The summary's ``path`` is the one every
     point took. A group that fails to decouple is rejected as in
     :func:`run_scenario`.
     """
@@ -560,7 +565,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
 
         fit = fit_scaling_exponent([(row["delta_t"], row["infidelity"]) for row in rows])
         keys = {
-            "path": traj.metadata["path"],  # the same for every point
+            "path": traj.path,  # the same for every point
             "sweep": {
                 "parameter": "delta_t",
                 "values": list(config.sweep_values),

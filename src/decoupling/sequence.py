@@ -43,6 +43,8 @@ class CycleSchedule:
                 f"got {list(ordering)}"
             )
         object.__setattr__(self, "ordering", ordering)
+        if not np.isfinite(self.n_segments * float(self.delta_t)):
+            raise ValueError(f"delta_t={self.delta_t!r}: cycle time n_segments * delta_t overflows")
 
     @property
     def _visits(self) -> tuple[int, ...]:

@@ -233,7 +233,7 @@ def stepped_snapshots(run):
     the package's cycle, and each one's reduced state, one ``M M^dag``
     a snapshot: the kernel's loop before it reduced snapshots in blocks."""
     spectrum = run.model._joint_spectrum
-    bath = spectrum.bath_ground[:, None] if isinstance(run.rho_b0, str) else _ensemble(run.rho_b0)
+    bath = spectrum.bath_ground[:, None] if run.rho_b0 is None else _ensemble(run.rho_b0)
     psi0 = _ensemble(run.rho_s0)[:, None, :, None] * bath[:, None]
     psi0 = psi0.reshape(spectrum.energies.shape + (-1,))
     u_cycle = _cycle_blocks(run.model, run.schedule)
@@ -276,7 +276,7 @@ def evolve(run):
     """Density-matrix counterpart of :func:`decoupling.evolve`: its records,
     the trace distance among them, each computed here."""
     model = run.model
-    rho_b0 = bath_ground_state(model) if isinstance(run.rho_b0, str) else run.rho_b0
+    rho_b0 = bath_ground_state(model) if run.rho_b0 is None else run.rho_b0
     joint = tensor(run.rho_s0, rho_b0).matrix
     n_sys = len(model.h_s.dims)
     u_step = unitary_power(cycle_propagator(model, run.schedule).matrix, run.sample_every)
@@ -313,8 +313,5 @@ def evolve(run):
         fidelity=np.array(fidelity),
         coherence=np.array(coherence),
         trace_distance=np.array(tdist),
-        metadata={
-            "initial_joint_purity": initial_purity,
-            "terminal_joint_purity": float(np.trace(joint @ joint).real),
-        },
+        joint_purity=(initial_purity, float(np.trace(joint @ joint).real)),
     )

@@ -70,18 +70,21 @@ def test_an_output_directory_under_a_file_exits_2(tmp_path, capsys, command, via
                                        {"bath": {"cutoff": 1e308}}],
                          ids=["h_s", "delta_t", "cutoff"])
 def test_an_overflowing_run_exits_2(tmp_path, capsys, overrides):
-    """A run whose step exponent overflows is an ``error:`` line and exit 2:
-    exit 1 says only that the group does not decouple."""
+    """A run whose step exponent or cycle time overflows is an ``error:``
+    line and exit 2 (exit 1 says only that the group does not decouple),
+    and leaves no output directory behind."""
     cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7, **overrides})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_a_run_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
     """An allocation that fails (numpy's ``MemoryError``, e.g. for an
-    ``n_cycles`` of 10**13) is an ``error:`` line and exit 2. The failure is
-    simulated: a real one would first try to fill the memory."""
+    ``n_cycles`` of 10**13) is an ``error:`` line and exit 2, and leaves no
+    output directory behind. The failure is simulated: a real one would
+    first try to fill the memory."""
     def refuse(run):
         raise MemoryError("Unable to allocate 72.8 TiB for an array")
 
@@ -91,6 +94,7 @@ def test_a_run_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
                                                              "values": [0.04, 0.08, 0.16]}})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: Unable to allocate 72.8 TiB for an array\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_config_reports_field(tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 import math
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -176,8 +176,7 @@ def test_echo_runs_build_no_joint_spectrum(monkeypatch, tmp_path):
     model = build_model(config)
     hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
     ground = model.h_b.matrix.diagonal().real == model.h_b.matrix.diagonal().real.min()
-    for m, rho_b0 in ((hand_built, "bath-ground-state"),
-                      (model, Operator(np.diag(ground), model.h_b.dims))):
+    for m, rho_b0 in ((hand_built, None), (model, Operator(np.diag(ground), model.h_b.dims))):
         evolve(SimulationRun(model=m, schedule=build_schedule(config), n_cycles=4,
                              rho_s0=config.rho_s0, rho_b0=rho_b0))
     assert calls == ["hamiltonian_matrix", "_cycle_blocks"] * 2
@@ -196,11 +195,11 @@ def test_a_cached_joint_spectrum_leaves_the_path_alone():
     cached = evolve(SimulationRun(model=model, **common))
     for name in ("states", "fidelity", "coherence", "trace_distance"):
         assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
-    assert fresh.metadata["path"] == cached.metadata["path"] == "modes"
+    assert fresh.path == cached.path == "modes"
     hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
     mixed_bath = Operator(np.eye(model.bath_dim) / model.bath_dim, model.h_b.dims)
-    for m, rho_b0 in ((hand_built, "bath-ground-state"), (model, mixed_bath)):
-        assert evolve(SimulationRun(model=m, rho_b0=rho_b0, **common)).metadata["path"] == "joint"
+    for m, rho_b0 in ((hand_built, None), (model, mixed_bath)):
+        assert evolve(SimulationRun(model=m, rho_b0=rho_b0, **common)).path == "joint"
 
 
 BOSON_ECHO = {"scenario": "custom", "K": 1, "group": "flip", "coupling": "dephasing",
@@ -225,14 +224,14 @@ ECHO = {"scenario": "dephasing-echo"}
         "maximal-averaging", "selective-logic", "hand-built-echo", "echo-rho_b0"])
 def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
     """A builder's model whose ``h_s`` and system factors are all diagonal,
-    with the default bath, takes the product path (``metadata["path"]`` is
+    with the default bath, takes the product path (its trajectory's ``path`` is
     ``"modes"``) and makes no ``eigh`` of joint size. Every other run takes
     the joint path (``"joint"``), whose spectrum, cached on the model, is one
     ``eigh`` of the ``d x d`` Hamiltonian: energies ``(d,)`` and vectors
     ``(d, d)`` that rebuild it, and the run makes no other."""
     config = parse_config({"seed": 7, **doc})
     model = build_model(config)
-    d, rho_b0 = model.system_dim * model.bath_dim, "bath-ground-state"
+    d, rho_b0 = model.system_dim * model.bath_dim, None
     if variant == "hand-built":
         model = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
     elif variant == "rho_b0":
@@ -244,12 +243,12 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
     if product:
-        assert evolve(SimulationRun(model=model, **common)).metadata["path"] == "modes"
-        assert max(shape[-1] for shape in shapes) < d
+        assert evolve(SimulationRun(model=model, **common)).path == "modes"
+        assert all(shape[-1] < d for shape in shapes)
         return
     spectrum = model._joint_spectrum
     assert shapes == [(d, d)]
-    assert evolve(SimulationRun(model=model, **common)).metadata["path"] == "joint"
+    assert evolve(SimulationRun(model=model, **common)).path == "joint"
     assert shapes.count((d, d)) == 1
     assert spectrum.energies.shape == (d,) and spectrum.vectors.shape == (d, d)
     v = spectrum.vectors
@@ -285,18 +284,21 @@ def test_a_simulate_and_a_sweep_each_diagonalize_the_model_once(monkeypatch, tmp
 def test_a_model_is_freed_with_its_last_reference(scenario, path):
     """What a model caches (its joint spectrum, its mode Hamiltonians) holds no
     reference back to it, so reference counting alone frees a model that an
-    ``evolve`` used, with the cyclic collector off: no joint array outlives it."""
+    ``evolve`` used, with the cyclic collector off, once its trajectory (which
+    holds the run, and so the model) is gone: no joint array outlives it."""
     config = parse_config({"scenario": scenario, "seed": 7})
     gc.disable()
     try:
         model = build_model(config)
         traj = evolve(SimulationRun(model=model, schedule=build_schedule(config), n_cycles=4,
                                     rho_s0=config.rho_s0))
-        assert traj.metadata["path"] == path
+        assert traj.path == path
         assert ("_joint_spectrum" in vars(model)) == (path == "joint")
-        assert traj.trace_distance.shape == (5,)
+        assert traj.trace_distance.shape == traj.fidelity.shape == (5,)
         ref = weakref.ref(model)
         del model
+        assert ref() is traj.run.model
+        del traj
         assert ref() is None
     finally:
         gc.enable()
@@ -338,10 +340,10 @@ def test_identity_frames_make_no_frame_action(monkeypatch, doc, coset_steps):
     evolve_module = importlib.import_module("decoupling.evolve")
     calls, inner = [], evolve_module.conjugate_word
 
-    def recording(word, x, d_b):
+    def recording(word, x):
         tracemalloc.start()
         try:
-            out = inner(word, x, d_b)
+            out = inner(word, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -372,7 +374,7 @@ def test_initial_columns_are_the_kron_product_bitwise(monkeypatch, mixed):
     rho_b0 = Operator(np.diag([0.5, 0.3, 0.2] + [0.0] * 5), [2, 2, 2]) if mixed else None
     schedule = schedule_from_group(pauli_group(2, "flip"), 0.1)
     evolve(SimulationRun(model=model, schedule=schedule, n_cycles=2, rho_s0=rho_s0,
-                         rho_b0=rho_b0 if mixed else "bath-ground-state"))
+                         rho_b0=rho_b0))
     spectrum = model._joint_spectrum
     bath = evolve_module._ensemble(rho_b0) if mixed else spectrum.bath_ground[:, None]
     want = np.kron(evolve_module._ensemble(rho_s0), bath)
@@ -393,10 +395,9 @@ def test_purity_and_trace_conserved():
         assert abs(np.trace(state) - 1.0) < 1e-9
         evals = np.linalg.eigvalsh(state)
         assert evals.min() > -1e-9
-    drift = abs(traj.metadata["terminal_joint_purity"]
-                - traj.metadata["initial_joint_purity"])
-    assert drift < 1e-9
-    assert traj.metadata["initial_joint_purity"] > 1.0 - 1e-12
+    initial, terminal = traj.joint_purity
+    assert abs(terminal - initial) < 1e-9
+    assert initial > 1.0 - 1e-12
 
 
 def test_echo_limit_is_exact_for_commuting_bath():
@@ -531,10 +532,11 @@ def test_trajectory_metadata_and_csv(tmp_path):
                         rho_s0=PLUS,
                         sample_every=2)
     traj = evolve(run)
+    assert [f.name for f in fields(traj)] == ["run", "states", "path", "joint_purity"]
     assert len(traj.times) == 6
-    assert traj.metadata["n_cycles"] == 10
-    assert traj.metadata["omega_c_delta_t"] == 0.1
-    assert traj.metadata["group_order"] == 2
+    assert traj.run.n_cycles == 10
+    assert traj.run.schedule.group.order == 2
+    assert traj.cycles.tolist() == [0, 2, 4, 6, 8, 10]
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
     lines = path.read_text().splitlines()
@@ -555,11 +557,11 @@ def test_observable_drift_requires_commutant_membership():
     run = SimulationRun(model=model, schedule=sched, n_cycles=8,
                         rho_s0=Operator(np.kron(PLUS.matrix, PLUS.matrix), [2, 2]))
     traj = evolve(run)
-    times, values = observable_drift(traj, pauli_word_operator("ZZ"), group)
+    times, values = observable_drift(traj, pauli_word_operator("ZZ"))
     assert len(times) == len(values) == 9
     assert abs(values[0] - 0.0) < 1e-12  # <ZZ> in |++> is zero
     with pytest.raises(ValueError, match="'XX'"):
-        observable_drift(traj, pauli_word_operator("ZI"), group)
+        observable_drift(traj, pauli_word_operator("ZI"))
 
 
 def test_rate_fit_recovers_known_exponential():

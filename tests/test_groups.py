@@ -66,15 +66,16 @@ def test_pauli_word_operator_matches_kron():
 def test_conjugate_word_is_the_dense_conjugation(n_qubits, d_b):
     """``conjugate_word`` equals ``(g (x) 1)^dag x (g (x) 1)`` from the
     Kronecker-lifted word matrix, entry for entry, for every word and for
-    each matrix of a stack: a signed flip is exact."""
+    each matrix of a stack, reading ``d_b`` off the stack's shape: a signed
+    flip is exact."""
     rng = np.random.default_rng(n_qubits * 10 + d_b)
     d = 2**n_qubits * d_b
     x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
     for word in all_words(n_qubits):
         lift = np.kron(word_matrix(word), np.eye(d_b))
-        assert np.array_equal(conjugate_word(word, x, d_b), lift.conj().T @ x @ lift), word
+        assert np.array_equal(conjugate_word(word, x), lift.conj().T @ x @ lift), word
     with pytest.raises(ValueError):
-        conjugate_word("XQ", x, d_b)
+        conjugate_word("XQ", x)
 
 
 def test_named_groups_have_expected_elements():

@@ -53,8 +53,7 @@ def assert_same_snapshots(run):
     for name in ("fidelity", "coherence", "trace_distance"):
         diff = np.max(np.abs(getattr(got, name) - getattr(want, name)))
         assert diff <= TOL, f"{name} differs from the oracle by {diff:.3e}"
-    for key in ("initial_joint_purity", "terminal_joint_purity"):
-        assert abs(got.metadata[key] - want.metadata[key]) <= TOL
+    assert np.max(np.abs(np.subtract(got.joint_purity, want.joint_purity))) <= TOL
     assert_same_kernels(got.states, run.rho_s0)
 
 
@@ -165,23 +164,17 @@ PRODUCT_TOL = 1e-11
 
 
 def assert_product_path_matches_the_joint_path(run):
-    """Every :class:`TrajectoryResult` field of ``run`` (which takes the
-    product path) against the same run on the joint path: its model
-    without the mode table, on its joint spectrum. The states are also held
-    to the dense oracle. Returns the largest difference."""
+    """Every :class:`TrajectoryResult` field and observable of ``run`` (which
+    takes the product path) against the same run on the joint path: its
+    model without the mode table, on its joint spectrum. The states are also
+    held to the dense oracle. Returns the largest difference."""
     got = evolve(run)
     want = evolve(replace(run, model=replace(run.model, modes=None)))
     np.testing.assert_array_equal(got.times, want.times)
     np.testing.assert_array_equal(got.cycles, want.cycles)
-    diffs = {name: np.max(np.abs(getattr(got, name) - getattr(want, name)))
-             for name in ("states", "fidelity", "coherence", "trace_distance")}
-    assert sorted(got.metadata) == sorted(want.metadata)
-    assert (got.metadata["path"], want.metadata["path"]) == ("modes", "joint")
-    for key, value in want.metadata.items():
-        if key.endswith("joint_purity"):
-            diffs[key] = abs(got.metadata[key] - value)
-        elif key != "path":
-            assert got.metadata[key] == value, key
+    diffs = {name: np.max(np.abs(np.subtract(getattr(got, name), getattr(want, name))))
+             for name in ("states", "fidelity", "coherence", "trace_distance", "joint_purity")}
+    assert (got.path, want.path) == ("modes", "joint")
     diffs["dense states"] = np.max(np.abs(got.states - oracle_dm.dense_states(run)))
     worst = max(diffs, key=diffs.get)
     assert diffs[worst] <= PRODUCT_TOL, f"{worst} differs by {diffs[worst]:.3e}"
@@ -247,7 +240,7 @@ def test_mixed_initial_states_match_oracle():
     :func:`state_fidelity`."""
     for run in mixed_runs():
         assert_same_snapshots(run)
-        assert evolve(run).metadata["initial_joint_purity"] < 0.5
+        assert evolve(run).joint_purity[0] < 0.5
 
 
 

@@ -571,7 +571,8 @@ def test_run_sweep_evolves_each_free_sample_time_once(doc, free_snapshots, tmp_p
     321 snapshots serves every point. The plain echo's (80/100/160) do not:
     160's free run serves 80, and 100 evolves its own, 161 + 101 = 262
     snapshots for the 241 distinct fractions of the total time. Each point
-    adds one controlled run, and no trajectory computes a trace distance."""
+    adds one controlled run. No free run computes a fidelity (or its ideal
+    reference), and no trajectory computes a trace distance."""
     scenarios_module = importlib.import_module("decoupling.scenarios")
     evolve, results = scenarios_module.evolve, []
 
@@ -582,7 +583,8 @@ def test_run_sweep_evolves_each_free_sample_time_once(doc, free_snapshots, tmp_p
     monkeypatch.setattr(scenarios_module, "evolve", recording_evolve)
     config = parse_config(doc)
     assert run_sweep(config, tmp_path) == 0
-    free = [len(result.times) for result in results if result.metadata["group_order"] == 1]
-    assert free == free_snapshots
+    free = [result for result in results if result.run.schedule.group.order == 1]
+    assert [len(result.times) for result in free] == free_snapshots
     assert len(results) == len(free) + len(config.sweep_values)
+    assert not any("fidelity" in vars(result) for result in free)
     assert not any("trace_distance" in vars(result) for result in results)

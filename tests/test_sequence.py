@@ -28,6 +28,19 @@ def test_schedule_basic_properties():
         schedule_from_group(pauli_group(1, "full"), delta_t=float("nan"))
 
 
+def test_an_overflowing_cycle_time_is_rejected():
+    """A ``delta_t`` whose cycle time ``n_segments * delta_t`` is not finite
+    is rejected by name, also when only the mirrored cycle overflows."""
+    with pytest.raises(ValueError, match="delta_t"):
+        schedule_from_group(pauli_group(1, "full"), delta_t=1e308)
+    with pytest.raises(ValueError, match="delta_t"):
+        schedule_from_group(pauli_group(1, "full"), delta_t=np.float64(1e308))
+    plain = schedule_from_group(pauli_group(1, "flip"), delta_t=0.6e308)
+    assert plain.cycle_time == 1.2e308
+    with pytest.raises(ValueError, match="delta_t"):
+        symmetrize(plain)
+
+
 def test_custom_ordering_is_validated():
     group = pauli_group(1, "full")
     sched = schedule_from_group(group, delta_t=0.1, ordering=[0, 2, 1, 3])
