@@ -46,13 +46,20 @@ code=0
 test "$code" -eq 1
 mode_is "$work/flip-sweep/summary.json" none
 test ! -e "$work/flip-sweep/sweep.csv"
-# a step exponent that overflows is an error line and exit 2, not exit 1
+# a coefficient whose phase a double cannot resolve is a config error naming
+# the field and exit 2, not exit 1, before any output is written
 echo '{"scenario": "dephasing-echo", "seed": 7, "h_s": {"Z": 1e308}}' > "$work/overflow.json"
 code=0
 "${cli[@]}" simulate --config "$work/overflow.json" --out "$work/overflow" 2> "$work/overflow.txt" || code=$?
 test "$code" -eq 2
-grep -q '^error: ' "$work/overflow.txt"
+grep -q "^error: config field 'h_s.Z'" "$work/overflow.txt"
 test ! -e "$work/overflow"
+echo '{"scenario": "dephasing-echo", "seed": 7, "h_s": {"Z": 1e200}}' > "$work/overflow2.json"
+code=0
+"${cli[@]}" simulate --config "$work/overflow2.json" --out "$work/overflow2" 2> "$work/overflow2.txt" || code=$?
+test "$code" -eq 2
+grep -q "^error: config field 'h_s.Z'" "$work/overflow2.txt"
+test ! -e "$work/overflow2"
 echo '{"scenario": "dephasing-echo", "seed": 7, "symmetric": true, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/sweep.json"
 "${cli[@]}" sweep --config "$work/sweep.json" --out "$work/sweep"
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}' > "$work/boson.json"
@@ -60,8 +67,10 @@ echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "de
 # the first qubit is not conserved: one joint eigh
 echo '{"scenario": "custom", "seed": 7, "K": 2, "group": "full", "coupling": "dephasing", "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZX": 0.2, "IX": 0.1}}' > "$work/partial.json"
 "${cli[@]}" simulate --config "$work/partial.json" --out "$work/partial"
+path_is "$work/partial/summary.json" joint
 echo '{"scenario": "custom", "seed": 7, "K": 2, "group": "full", "coupling": "dephasing", "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZZ": 0.2}}' > "$work/conserved.json"
 "${cli[@]}" simulate --config "$work/conserved.json" --out "$work/conserved"
+path_is "$work/conserved/summary.json" modes
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/boson-sweep.json"
 "${cli[@]}" sweep --config "$work/boson-sweep.json" --out "$work/boson-sweep"
 fit_points "$work/boson-sweep/summary.json" 3

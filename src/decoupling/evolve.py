@@ -6,10 +6,11 @@ only, so the cycle propagator is a product of one free step
 ``W = exp(-i H delta_t)`` conjugated by the segment frames, the
 schedule's group words in visiting order. A run takes one of two paths.
 
-The product path takes a fully conserved register (``h_s`` and every
-coupling's system factor diagonal) of a model from the builder (its
-:class:`~decoupling.model.ModeTable`) whose bath starts in its ground
-state. Register state ``c`` then sees ``H_c = E_c + sum_i h_ci``, a sum of
+The product path takes a fully conserved register (every word of ``h_s``
+and of each coupling's system factor in {I, Z}^K) of a model from the
+builder (its word tables and :class:`~decoupling.model.ModeTable`) whose
+bath starts in its ground state. Register state ``c`` then sees
+``H_c = E_c + sum_i h_ci``, a sum of
 commuting single-mode terms, and the ground state is a product over modes,
 so ``rho_cc'(t) = rho_cc'(0) prod_i <phi_i^c'(t)|phi_i^c(t)>`` with
 ``phi_i^c`` mode ``i``'s vector in state ``c``. A frame maps ``c`` to
@@ -255,7 +256,7 @@ def _joint_purity(psi: np.ndarray) -> float:
 
 def _mode_wise(run: SimulationRun) -> bool:
     """Whether the product path evolves the run: its bath starts in its ground state, and
-    its model has a mode table and diagonal ``h_s`` and coupling system factors."""
+    its model has the builder's tables, with every system word in {I, Z}^K."""
     return run.rho_b0 is None and run.model._mode_hamiltonians is not None
 
 

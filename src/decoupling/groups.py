@@ -25,7 +25,6 @@ that commute with every group word.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -104,10 +103,11 @@ def conjugate_word(word: str, x: np.ndarray) -> np.ndarray:
     return (view[(..., *rows, *rows)] * np.multiply.outer(s, s)).reshape(x.shape)
 
 
-def _words_anticommute(a: str, b: str) -> bool:
-    """Whether two Pauli words anticommute (else they commute)."""
-    clashes = sum(1 for x, y in zip(a, b) if x != "I" and y != "I" and x != y)
-    return clashes % 2 == 1
+def _kept(word: str, group_words: Collection[str]) -> bool:
+    """Whether averaging over ``group_words`` keeps ``word``: whether it commutes with each,
+    their letters clashing (both non-identity and different) at an even number of sites."""
+    return not any(sum(1 for x, y in zip(word, g) if x != "I" and y != "I" and x != y) % 2
+                   for g in group_words)
 
 
 def _word_product(a: str, b: str) -> str:
@@ -118,8 +118,10 @@ def pauli_sum(table: dict[str, complex], n_qubits: int) -> Operator:
     """The operator ``sum_w c_w w`` of a word-to-coefficient table.
 
     Terms are added in sorted word order, starting from zero, so equal
-    tables give bitwise equal matrices.
+    tables give bitwise equal matrices. A word of other than ``n_qubits``
+    letters over ``IXYZ`` is named in a ``ValueError``.
     """
+    _check_tables([table], n_qubits)
     m = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
     for w in sorted(table):
         m = m + pauli_word_operator(w).matrix * complex(table[w])
@@ -164,11 +166,6 @@ class DecouplingGroup:
                     )
                 span.add(p)
         self.labels: tuple[str, ...] = words
-
-    @functools.cached_property
-    def elements(self) -> tuple[Operator, ...]:
-        """Dense word matrices, built on first use; word-space callers never need them."""
-        return tuple(pauli_word_operator(w) for w in self.labels)
 
     @property
     def order(self) -> int:
@@ -243,23 +240,15 @@ def project_commutant(op: Operator, group: DecouplingGroup) -> Operator:
 
 
 def commutant_basis(group: DecouplingGroup) -> tuple[Operator, ...]:
-    """Orthonormal (Hilbert-Schmidt) basis of the commutant, in word space.
-
-    The Pauli words are an orthogonal operator basis, and conjugation by a
-    group word maps each word to plus or minus itself, so the averaging
-    projector keeps exactly the words that commute with every group word
-    and removes the rest. The basis is those words, normalized by
-    ``sqrt(d)``. An independent route (the null space of the commutation
-    superoperator) exists in the test suite as an oracle.
+    """Orthonormal (Hilbert-Schmidt) basis of the commutant, in word space: the
+    Pauli words, an orthogonal operator basis, that averaging keeps (:func:`_kept`),
+    normalized by ``sqrt(d)``. An independent route (the null space of the
+    commutation superoperator) exists in the test suite as an oracle.
     """
     n = len(group.labels[0])
     scale = 1.0 / np.sqrt(group.dim)
     words = ("".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n))
-    return tuple(
-        pauli_word_operator(w) * scale
-        for w in words
-        if not any(_words_anticommute(w, g) for g in group.labels)
-    )
+    return tuple(pauli_word_operator(w) * scale for w in words if _kept(w, group.labels))
 
 
 @dataclass(frozen=True)
@@ -281,15 +270,14 @@ class DecouplingReport:
 
 # -- classification in word space -----------------------------------------
 #
-# A channel is a Pauli word table S = sum_w c_w w. Conjugation by a group
-# word maps each word to plus or minus itself, so averaging over a Pauli
-# group keeps a component iff its word commutes with every group word and
-# removes the rest. The words are orthogonal with squared Frobenius norm
-# d, so the surviving traceless part has norm sqrt(d * sum |c_w|**2) over
-# the surviving non-identity words; identity components commute with
-# everything and only shift phases. ``check_decoupling`` scores a
-# configured group this way, and ``minimal_group_search`` scores every
-# candidate subgroup, both through ``_surviving_norm``.
+# A channel is a Pauli word table S = sum_w c_w w, and averaging keeps a
+# component iff ``_kept`` keeps its word. The words are orthogonal with
+# squared Frobenius norm d, so the surviving traceless part has norm
+# sqrt(d * sum |c_w|**2) over the surviving non-identity words; identity
+# components commute with everything and only shift phases.
+# ``check_decoupling`` scores a configured group this way, and
+# ``minimal_group_search`` scores every candidate subgroup, both through
+# ``_surviving_norm``.
 
 
 def _check_tables(tables: Sequence[dict[str, complex]], n_qubits: int):
@@ -305,7 +293,7 @@ def _surviving_norm(table: dict[str, complex], words: Collection[str], n_qubits:
     surviving = sum(
         abs(c) ** 2
         for w, c in table.items()
-        if w != id_word and not any(_words_anticommute(w, g) for g in words)
+        if w != id_word and _kept(w, words)
     )
     return math.sqrt(2**n_qubits * surviving)
 

@@ -11,10 +11,11 @@ can be anything finite-dimensional. One builder, :func:`build_system_bath_model`
 makes both bath kinds from a two-row mode table: a spin bath (each mode
 is a qubit precessing at its own frequency) and a truncated bosonic bath
 for pure dephasing differ only in the single-mode Hamiltonian and the
-mode operators the couplings draw on. The builder's model keeps that
-table (:class:`ModeTable`) as its bath and is checked on it; its ``H_B``
-and ``B_a`` place their ``d_b x d_b`` matrices only when something reads
-them, which the mode-by-mode product path never does.
+mode operators the couplings draw on. The builder's model keeps its system
+side as Pauli word tables, and that mode table (:class:`ModeTable`) as its
+bath, on which it is checked; its ``H_B`` and ``B_a`` place their
+``d_b x d_b`` matrices only when something reads them, which the
+mode-by-mode product path never does.
 
 Mode frequencies are laid out on a uniform grid up to the cutoff and then
 jittered, so spectra are generic but reproducible from a seed. The cutoff
@@ -145,8 +146,9 @@ class SystemBathModel:
     frequencies and coefficients real, the Gram of the ``B_a`` from
     :meth:`ModeTable.gram`. Its ``h_b`` and ``B_a`` are deferred Operators,
     whose ``d_b x d_b`` matrices are placed only when read (by the joint path).
-    A hand-built model has no table, is checked on its matrices, and is
-    always evolved on its joint spectrum.
+    ``words`` holds the Pauli word tables ``h_s`` and each ``S_a`` are the sums
+    of, in that order. A hand-built model has neither table, is checked on its
+    matrices, and is always evolved on its joint spectrum.
     """
 
     h_s: Operator
@@ -154,6 +156,7 @@ class SystemBathModel:
     couplings: tuple[tuple[Operator, Operator], ...]
     cutoff: float
     modes: ModeTable | None = None
+    words: tuple[dict[str, complex], ...] | None = None
 
     def __post_init__(self):
         table = self.modes
@@ -218,11 +221,12 @@ class SystemBathModel:
         """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of register state
         ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of
         ``h_s``, added to mode 0: a ``(d_s m, n, n)`` stack, register state major. None unless
-        the model has a mode table and ``h_s`` and every ``S_a`` are diagonal (every register
-        qubit conserved). Made once per model, on the first read."""
-        system = [self.h_s.matrix] + [s.matrix for s, _ in self.couplings]
-        if self.modes is None or not all(np.array_equal(x, np.diag(x.diagonal())) for x in system):
+        the model has both tables and every word with a nonzero coefficient is in {I, Z}^K
+        (every register qubit conserved). Made once per model, on the first read."""
+        if self.modes is None or self.words is None or any(
+                c and set(w) - set("IZ") for table in self.words for w, c in table.items()):
             return None
+        system = [self.h_s.matrix] + [s.matrix for s, _ in self.couplings]
         t, diag = self.modes, np.array([x.diagonal().real for x in system])
         h = t.frequencies[:, None, None] * t.h_mode + np.tensordot(
             diag[1:].T, np.tensordot(t.coefficients, t.operators, axes=1), axes=1)
@@ -332,7 +336,7 @@ def build_system_bath_model(
     n_qubits: int,
     bath: BathSpec,
     coupling: str = "dephasing",
-    h_s: Operator | None = None,
+    h_s: dict[str, float] | None = None,
 ) -> SystemBathModel:
     """Qubit register coupled to a bath of spins or of truncated oscillators.
 
@@ -343,12 +347,13 @@ def build_system_bath_model(
     paired with an independent random Hermitian bath operator drawn from
     the span of every mode's coupling operators (``sigma_x``, ``sigma_y``
     or ``a + a^dag``), site by site, and normalized to spectral norm
-    ``bath.coupling_scale``. The model keeps the mode table; ``h_b`` and
-    each ``B_a`` are deferred, each mode's terms written into the bath
-    matrix by index, with no Kronecker products, on the first read of its
-    ``matrix``. The bath operators do not
-    commute with the bath Hamiltonian, so the joint dynamics genuinely
-    entangles the register with the bath.
+    ``bath.coupling_scale``. ``h_s`` is a Pauli word table, empty by
+    default. The model keeps the word tables of ``h_s`` and the system
+    side of each coupling, and the mode table; ``h_b`` and each ``B_a``
+    are deferred, each mode's terms written into the bath matrix by index,
+    with no Kronecker products, on the first read of its ``matrix``. The
+    bath operators do not commute with the bath Hamiltonian, so the joint
+    dynamics genuinely entangles the register with the bath.
 
     Coupling flavours (boson baths take only ``dephasing``):
 
@@ -367,10 +372,7 @@ def build_system_bath_model(
     problem = bath_capacity_problem(bath, n_qubits, coupling)
     if problem is not None:
         raise ValueError(problem[1])
-    if h_s is None:
-        h_s = pauli_sum({}, n_qubits)
-    elif h_s.dims != (2,) * n_qubits:
-        raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
+    words = (dict(h_s or {}), *tables)
 
     h_mode, mode_ops = _mode(bath)
     m = bath.n_modes
@@ -392,8 +394,9 @@ def build_system_bath_model(
         rows.append(coeffs * (bath.coupling_scale / nrm))
     modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops),
                       np.array(rows).reshape(len(tables), m, len(mode_ops)))
-    return SystemBathModel(h_s=h_s, h_b=h_b, couplings=tuple(couplings), cutoff=bath.cutoff,
-                           modes=modes)
+    return SystemBathModel(h_s=pauli_sum(words[0], n_qubits), h_b=h_b,
+                           couplings=tuple(couplings), cutoff=bath.cutoff, modes=modes,
+                           words=words)
 
 
 def _placed(terms: Sequence[np.ndarray]) -> np.ndarray:

@@ -36,7 +36,7 @@ from .model import (
     build_system_bath_model,
     coupling_tables,
 )
-from .groups import DecouplingGroup, check_decoupling, pauli_group, pauli_sum, trivial_group
+from .groups import DecouplingGroup, check_decoupling, pauli_group, trivial_group
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
 from .evolve import SimulationRun, estimate_rates, evolve, fit_scaling_exponent
 
@@ -55,6 +55,10 @@ _TOP_KEYS = {
 }
 _BATH_KEYS = {"kind", "n_modes", "cutoff", "coupling_scale", "boson_truncation", "seed"}
 _SWEEP_KEYS = {"parameter", "values"}
+
+#: Bound on |coefficient| * total time of an ``h_s`` word, the cutoff and the coupling
+#: scale: from 2**52 on, neighbouring doubles are a radian apart, so phases are round-off.
+_PHASE_LIMIT = 2.0**52
 
 #: Frozen defaults for the named presets. ``custom``'s entries, which fix
 #: no physics, are every preset's base; a user config overrides any field.
@@ -130,7 +134,7 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_number(value, path: str, positive: bool = False) -> float:
     if type(value) is bool or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
+    v = float(value) if abs(value) < 2**1024 else math.inf  # no OverflowError for huge ints
     if not math.isfinite(v):
         _fail(path, "must be finite")
     if positive and v <= 0:
@@ -172,14 +176,14 @@ def _named_state(name: str, n_qubits: int, path: str) -> Operator:
     return Operator(np.outer(psi, psi.conj()), (2,) * n_qubits)
 
 
-def _system_hamiltonian(table: dict, n_qubits: int, path: str) -> Operator:
+def _word_table(table: dict, n_qubits: int, path: str) -> dict[str, float]:
     if not isinstance(table, dict):
         _fail(path, "expected an object mapping Pauli words to real coefficients")
     for word in sorted(table):
         _as_number(table[word], f"{path}.{word}")
         if len(word) != n_qubits or any(c not in "IXYZ" for c in word):
             _fail(f"{path}.{word}", f"not a {n_qubits}-letter Pauli word")
-    return pauli_sum(table, n_qubits)
+    return {word: float(table[word]) for word in sorted(table)}
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ class ScenarioConfig:
     n_cycles: int
     symmetric: bool
     coupling: str
-    h_s: Operator
+    h_s: dict[str, float]
     rho_s0: Operator
     sample_every: int
     sweep_values: tuple[float, ...] | None
@@ -291,7 +295,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     problem = bath_capacity_problem(bath, n_qubits, coupling)
     if problem is not None:
         _fail(*problem)
-    h_s = _system_hamiltonian(merged.get("h_s", {}), n_qubits, "h_s")
+    h_s = _word_table(merged.get("h_s", {}), n_qubits, "h_s")
     rho_s0 = _named_state(_as_str(merged["rho_s0"], "rho_s0"), n_qubits, "rho_s0")
 
     sweep_values = None
@@ -316,15 +320,27 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if output_dir is not None:
         output_dir = _as_str(output_dir, "output_dir")
 
+    delta_t = _as_number(_require(merged, "delta_t", ""), "delta_t", positive=True)
+    n_cycles = _as_int(_require(merged, "n_cycles", ""), "n_cycles", minimum=1)
+    symmetric = _as_bool(merged["symmetric"], "symmetric")
+    total_time = _as_number(n_cycles, "n_cycles") * group.order * (1 + symmetric) * delta_t
+    if not math.isfinite(total_time):
+        _fail("delta_t", "the total time n_cycles * n_segments * delta_t overflows")
+    for path, value in [*((f"h_s.{w}", c) for w, c in h_s.items()),
+                        ("bath.cutoff", bath.cutoff), ("bath.coupling_scale", bath.coupling_scale)]:
+        if abs(value) * total_time > _PHASE_LIMIT:
+            _fail(path, f"{value!r} x total time {total_time!r} exceeds 2**52 in magnitude, "
+                        "where a double no longer resolves one radian")
+
     return ScenarioConfig(
         scenario=scenario,
         seed=seed,
         n_qubits=n_qubits,
         bath=bath,
         group=group,
-        delta_t=_as_number(_require(merged, "delta_t", ""), "delta_t", positive=True),
-        n_cycles=_as_int(_require(merged, "n_cycles", ""), "n_cycles", minimum=1),
-        symmetric=_as_bool(merged["symmetric"], "symmetric"),
+        delta_t=delta_t,
+        n_cycles=n_cycles,
+        symmetric=symmetric,
         coupling=coupling,
         h_s=h_s,
         rho_s0=rho_s0,

@@ -47,24 +47,14 @@ class CycleSchedule:
             raise ValueError(f"delta_t={self.delta_t!r}: cycle time n_segments * delta_t overflows")
 
     @property
-    def _visits(self) -> tuple[int, ...]:
-        if self.symmetric:
-            return self.ordering + self.ordering[::-1]
-        return self.ordering
-
-    @property
     def segments(self) -> tuple[str, ...]:
         """The frame word of each segment, in time order."""
-        return tuple(self.group.labels[k] for k in self._visits)
-
-    @property
-    def frames(self) -> tuple[np.ndarray, ...]:
-        """The frame matrix of each segment, in time order."""
-        return tuple(self.group.elements[k].matrix for k in self._visits)
+        visits = self.ordering + self.ordering[::-1] if self.symmetric else self.ordering
+        return tuple(self.group.labels[k] for k in visits)
 
     @property
     def n_segments(self) -> int:
-        return len(self._visits)
+        return len(self.ordering) * (1 + self.symmetric)
 
     @property
     def cycle_time(self) -> float:

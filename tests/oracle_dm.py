@@ -35,6 +35,7 @@ from decoupling.evolve import _cycle_blocks, _ensemble
 from decoupling.groups import _word_product
 from decoupling.operators import STRUCT_TOL, as_matrices
 
+from oracle_groups import frames as schedule_frames
 from oracle_model import tensor
 
 #: Re-unitarize running products after this many matrix multiplies.
@@ -158,7 +159,7 @@ def toggled_matrices(model, schedule):
     h = total_hamiltonian(model).matrix
     eye_b = np.eye(model.bath_dim)
     out = []
-    for frame in schedule.frames:
+    for frame in schedule_frames(schedule):
         lift = np.kron(frame, eye_b)
         out.append(lift.conj().T @ h @ lift)
     return out
@@ -181,7 +182,7 @@ def pulse_picture_propagator(model, schedule):
     dense product per segment, frames acting by reshape.
     """
     w = model._joint_spectrum.propagator(schedule.delta_t)
-    frames = schedule.frames
+    frames = schedule_frames(schedule)
     u = act_on_system(frames[0].conj().T, w.conj().T).conj().T  # W (g_0 (x) 1)
     for prev, g in zip(frames, frames[1:]):
         u = w @ act_on_system(g @ prev.conj().T, u)
@@ -194,7 +195,8 @@ def dense_cycle_propagator(model, schedule):
     ``d x d`` matrices."""
     w, v = np.linalg.eigh(total_hamiltonian(model).matrix)
     step = (v * np.exp(-1j * w * schedule.delta_t)) @ v.conj().T
-    return _cycle_product(step, dict(zip(schedule.segments, schedule.frames)), schedule.segments)
+    frames = dict(zip(schedule.segments, schedule_frames(schedule)))
+    return _cycle_product(step, frames, schedule.segments)
 
 
 def _cycle_product(w, frames, words):

@@ -8,12 +8,16 @@ answers another way: by Kronecker-built word matrices, Hilbert-Schmidt
 traces, explicit conjugation averages and null spaces of stacked
 commutator maps. The Pauli expansion, the dense residual and the
 decoupling check are the dense path the search and ``check_decoupling``
-used before they moved to word arithmetic.
+used before they moved to word arithmetic. A group's and a schedule's
+dense word matrices, which the package no longer builds, are made here
+from their words.
 """
 
 import itertools
 
 import numpy as np
+
+from decoupling.groups import pauli_word_operator
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -33,6 +37,16 @@ def word_matrix(word):
     for ch in word[1:]:
         out = np.kron(out, PAULI_1Q[ch])
     return out
+
+
+def elements(group):
+    """The group's word Operators, in group order."""
+    return tuple(pauli_word_operator(w) for w in group.labels)
+
+
+def frames(schedule):
+    """The frame matrix of each segment of ``schedule``, in time order."""
+    return tuple(pauli_word_operator(w).matrix for w in schedule.segments)
 
 
 def all_words(n_qubits):
@@ -120,7 +134,7 @@ def null_space_commutant_oracle(group):
     """
     d = group.dim
     eye = np.eye(d)
-    blocks = [np.kron(g.matrix, eye) - np.kron(eye, g.matrix.T) for g in group.elements]
+    blocks = [np.kron(g.matrix, eye) - np.kron(eye, g.matrix.T) for g in elements(group)]
     stacked = np.vstack(blocks)
     _, svals, vh = np.linalg.svd(stacked)
     null_mask = np.concatenate([svals, np.zeros(vh.shape[0] - len(svals))]) < 1e-10

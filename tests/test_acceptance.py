@@ -77,11 +77,11 @@ def test_01_projector_algebra():
             worst = max(worst, float(np.max(np.abs(
                 project_commutant(eye, group).matrix - eye.matrix))))
             worst = max(worst, abs(p.trace() - s.trace()))
-            for g in group.elements:
+            for g in (pauli_word_operator(w) for w in group.labels):
                 comm = g.matrix @ p.matrix - p.matrix @ g.matrix
                 worst = max(worst, float(np.max(np.abs(comm))))
             phased = np.zeros_like(s.matrix)
-            for k, g in enumerate(group.elements):
+            for k, g in enumerate(pauli_word_operator(w) for w in group.labels):
                 u = np.exp(1j * phases[k]) * g.matrix
                 phased = phased + u.conj().T @ s.matrix @ u
             phased /= group.order
@@ -93,7 +93,7 @@ def test_01_projector_algebra():
 def test_02_time_average_equals_factor_projection():
     """The zeroth-order average Hamiltonian equals the group projection
     applied factor-wise, for 3 model kinds x 4 groups."""
-    h_s = Operator(np.array([[0.3, 0.1], [0.1, -0.3]], dtype=complex), [2])
+    h_s = {"X": 0.1, "Z": 0.3}
     spin = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0,
                     coupling_scale=0.4, seed=7)
     boson = BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0,
@@ -146,7 +146,7 @@ def test_04_commutant_matches_null_space_oracle():
     basis = commutant_basis(group)
     eye = np.eye(4)
     stacked = np.vstack([np.kron(g.matrix, eye) - np.kron(eye, g.matrix.T)
-                         for g in group.elements])
+                         for g in (pauli_word_operator(w) for w in group.labels)])
     _, svals, vh = np.linalg.svd(stacked)
     oracle = vh[np.concatenate([svals, np.zeros(16 - len(svals))]) < 1e-10].conj()
 

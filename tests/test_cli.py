@@ -2,9 +2,11 @@
 
 import importlib
 import json
+import math
 
 import pytest
 
+from decoupling import ConfigError, parse_config
 from decoupling.cli import main
 
 
@@ -66,17 +68,35 @@ def test_an_output_directory_under_a_file_exits_2(tmp_path, capsys, command, via
     assert captured.err.startswith("error: ") and str(out) in captured.err
 
 
-@pytest.mark.parametrize("overrides", [{"h_s": {"Z": 1e308}}, {"delta_t": 1e308},
-                                       {"bath": {"cutoff": 1e308}}],
-                         ids=["h_s", "delta_t", "cutoff"])
-def test_an_overflowing_run_exits_2(tmp_path, capsys, overrides):
-    """A run whose step exponent or cycle time overflows is an ``error:``
-    line and exit 2 (exit 1 says only that the group does not decouple),
-    and leaves no output directory behind."""
+@pytest.mark.parametrize("overrides, field", [
+    ({"h_s": {"Z": 1e308}}, "h_s.Z"),
+    ({"delta_t": 1e308}, "delta_t"),
+    ({"bath": {"cutoff": 1e308}}, "bath.cutoff"),
+    ({"h_s": {"Z": 1e200}}, "h_s.Z"),
+    ({"h_s": {"Z": -1e200}}, "h_s.Z"),
+    ({"h_s": {"Z": 1e18}}, "h_s.Z"),
+    ({"bath": {"coupling_scale": 1e308}}, "bath.coupling_scale"),
+    ({"scenario": "collective-register", "h_s": {"ZZ": 1e308}}, "h_s.ZZ"),
+], ids=["h_s", "delta_t", "cutoff", "h_s-1e200", "h_s-negative", "h_s-1e18", "coupling_scale",
+        "collective-ZZ"])
+def test_an_overflowing_run_exits_2(tmp_path, capsys, overrides, field):
+    """A run whose phases a double cannot resolve (a coefficient times the
+    total time past 2**52) or whose total time overflows is rejected at
+    parse time: an ``error:`` line naming the field and exit 2 (exit 1 says
+    only that the group does not decouple), and no output directory."""
     cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7, **overrides})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: config field '{field}': ")
     assert not (tmp_path / "o").exists()
+
+
+def test_the_phase_bound_is_inclusive():
+    """``|coefficient| * total time`` may reach 2**52 and no further: here the
+    total time is 64 cycles of two 0.125 segments, 16."""
+    doc = {"scenario": "dephasing-echo", "seed": 7, "delta_t": 0.125, "n_cycles": 64}
+    assert parse_config({**doc, "h_s": {"Z": 2.0**48}}).h_s == {"Z": 2.0**48}
+    with pytest.raises(ConfigError, match="config field 'h_s.Z'"):
+        parse_config({**doc, "h_s": {"Z": math.nextafter(2.0**48, math.inf)}})
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

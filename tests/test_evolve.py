@@ -28,7 +28,6 @@ from decoupling import (
     observable_drift,
     parse_config,
     pauli_group,
-    pauli_sum,
     pauli_word_operator,
     run_scenario,
     run_sweep,
@@ -39,6 +38,7 @@ from decoupling import (
     trivial_group,
 )
 
+from oracle_groups import frames as schedule_frames
 from oracle_model import identity, tensor
 
 PLUS = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
@@ -75,7 +75,7 @@ def test_cycle_propagator_equals_pulse_interleaved_product():
         h0 = total_hamiltonian(model)
         free = expm_hermitian(h0, sched.delta_t).matrix
         eye_b = identity(list(model.h_b.dims))
-        frames = sched.frames
+        frames = schedule_frames(sched)
         prod = np.eye(h0.dim, dtype=complex)
         for j, f in enumerate(frames):
             pulse = Operator(frames[(j + 1) % len(frames)] @ f.conj().T, model.h_s.dims)
@@ -212,19 +212,26 @@ ECHO = {"scenario": "dephasing-echo"}
     (ECHO, None, True),
     (BOSON_ECHO, None, True),
     ({**K2_DEPHASING, "h_s": {"ZZ": 0.2}}, None, True),
+    # a word with a zero coefficient is no term: the register is still conserved
+    ({**K2_DEPHASING, "h_s": {"ZZ": 0.2, "XI": 0.0}}, None, True),
     ({**K2_DEPHASING, "h_s": {"ZX": 0.2, "IX": 0.1}}, None, False),
+    # any nonzero X or Y word, however small
+    ({**K2_DEPHASING, "h_s": {"ZZ": 0.2, "IY": 1e-300}}, None, False),
+    ({**K2_DEPHASING, "h_s": {"YZ": -0.1}}, None, False),
     # the second qubit is conserved, the first is not
     ({**K2_DEPHASING, "h_s": {"XI": 0.2}}, None, False),
     ({"scenario": "collective-register"}, None, False),
     ({"scenario": "maximal-averaging"}, None, False),
     ({"scenario": "selective-logic"}, None, False),
     (ECHO, "hand-built", False),
+    ({**K2_DEPHASING, "h_s": {"ZZ": 0.2}}, "hand-built", False),
     (ECHO, "rho_b0", False),
-], ids=["dephasing-echo", "boson-echo", "K2-ZZ", "K2-ZX-IX", "K2-XI", "collective-register",
-        "maximal-averaging", "selective-logic", "hand-built-echo", "echo-rho_b0"])
+], ids=["dephasing-echo", "boson-echo", "K2-ZZ", "K2-ZZ-XI0", "K2-ZX-IX", "K2-ZZ-IY1e-300",
+        "K2-YZ", "K2-XI", "collective-register", "maximal-averaging", "selective-logic",
+        "hand-built-echo", "hand-built-K2-ZZ", "echo-rho_b0"])
 def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
-    """A builder's model whose ``h_s`` and system factors are all diagonal,
-    with the default bath, takes the product path (its trajectory's ``path`` is
+    """A builder's model whose ``h_s`` and system factors have no nonzero X or Y
+    word, with the default bath, takes the product path (its trajectory's ``path`` is
     ``"modes"``) and makes no ``eigh`` of joint size. Every other run takes
     the joint path (``"joint"``), whose spectrum, cached on the model, is one
     ``eigh`` of the ``d x d`` Hamiltonian: energies ``(d,)`` and vectors
@@ -311,7 +318,7 @@ def test_cycle_product_keeps_four_joint_matrices():
     evolve_module = importlib.import_module("decoupling.evolve")
     bath = BathSpec(kind="spin-bath", n_modes=6, cutoff=1.0, coupling_scale=0.3, seed=7)
     model = build_system_bath_model(2, bath, coupling="linear-collective",
-                                    h_s=0.3 * pauli_word_operator("XI"))
+                                    h_s={"XI": 0.3})
     assert model._joint_spectrum.energies.shape == (256,)
     schedule = schedule_from_group(pauli_group(2, "full"), delta_t=0.05)
     unit = 256 * 256 * 16
@@ -368,7 +375,7 @@ def test_initial_columns_are_the_kron_product_bitwise(monkeypatch, mixed):
     inner = evolve_module._joint_purity
     monkeypatch.setattr(evolve_module, "_joint_purity",
                         lambda psi: seen.append(psi.copy()) or inner(psi))
-    model = make_model(n_qubits=2, h_s=pauli_sum({"ZI": 0.3, "IX": 0.2}, 2))
+    model = make_model(n_qubits=2, h_s={"ZI": 0.3, "IX": 0.2})
     rho_s0 = Operator(np.kron(PLUS.matrix, np.diag([0.75, 0.25]) if mixed else PLUS.matrix),
                       [2, 2])
     rho_b0 = Operator(np.diag([0.5, 0.3, 0.2] + [0.0] * 5), [2, 2, 2]) if mixed else None
@@ -426,8 +433,7 @@ def test_free_evolution_reference_uses_bare_hamiltonian():
     alone, so an isolated system holds fidelity one."""
     bath = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0,
                     coupling_scale=1e-12, seed=3)
-    h_s = Operator(0.5 * np.array([[0, 1], [1, 0]], dtype=complex), [2])
-    model = build_system_bath_model(1, bath, coupling="dephasing", h_s=h_s)
+    model = build_system_bath_model(1, bath, coupling="dephasing", h_s={"X": 0.5})
     from decoupling import trivial_group
     sched = schedule_from_group(trivial_group(1), delta_t=0.2)
     ground = Operator(np.diag([1.0, 0.0]).astype(complex), [2])
@@ -441,8 +447,7 @@ def test_free_evolution_reference_uses_bare_hamiltonian():
 def test_trivial_group_reference_is_the_bare_hamiltonian_exactly():
     """Averaging over the one-element group returns ``h_s`` entry for entry,
     so a free run's reference needs no special case."""
-    h_s = (0.3 * pauli_word_operator("XY") + 0.7 * pauli_word_operator("ZI")
-           - 0.2 * pauli_word_operator("YZ"))
+    h_s = {"XY": 0.3, "ZI": 0.7, "YZ": -0.2}
     model = make_model(n_qubits=2, coupling="linear-collective", h_s=h_s)
     from decoupling import trivial_group
     run = SimulationRun(model=model,

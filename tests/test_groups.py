@@ -19,6 +19,7 @@ from decoupling import (
     commutant_basis,
     minimal_group_search,
     pauli_group,
+    pauli_sum,
     pauli_word_operator,
     project_commutant,
     trivial_group,
@@ -29,6 +30,7 @@ from oracle_groups import (
     PAULI_1Q,
     all_words,
     decouples_oracle,
+    elements,
     null_space_commutant_oracle,
     word_matrix,
 )
@@ -39,7 +41,7 @@ SX, SZ = PAULI_1Q["X"], PAULI_1Q["Z"]
 def average_oracle(group, mat):
     """Conjugation average written as a plain loop."""
     acc = np.zeros_like(mat)
-    for g in group.elements:
+    for g in elements(group):
         acc = acc + g.matrix.conj().T @ mat @ g.matrix
     return acc / group.order
 
@@ -102,7 +104,17 @@ def test_group_requires_identity_first():
         DecouplingGroup([])
     g = DecouplingGroup(["I", "X"])
     assert g.labels == ("I", "X")
-    assert np.array_equal(g.elements[1].matrix, SX)
+    assert np.array_equal(elements(g)[1].matrix, SX)
+
+
+def test_pauli_sum_names_a_word_of_the_wrong_length():
+    """A word that is not ``n_qubits`` letters over IXYZ is named, not broadcast."""
+    with pytest.raises(ValueError, match="'ZZZ' is not a 2-letter Pauli word"):
+        pauli_sum({"ZZZ": 1.0}, 2)
+    with pytest.raises(ValueError, match="'Z' is not a 2-letter Pauli word"):
+        pauli_sum({"ZZ": 1.0, "Z": 0.5}, 2)
+    with pytest.raises(ValueError, match="'ZQ' is not a 2-letter Pauli word"):
+        pauli_sum({"ZQ": 1.0}, 2)
 
 
 def test_group_rejects_unclosed_sets():
@@ -153,7 +165,7 @@ def test_projector_idempotent_unital_trace_preserving():
         p2 = project_commutant(p1, group)
         assert np.max(np.abs(p2.matrix - p1.matrix)) < 1e-12
         assert abs(p1.trace() - s.trace()) < 1e-12
-        for g in group.elements:
+        for g in elements(group):
             comm = g.matrix @ p1.matrix - p1.matrix @ g.matrix
             assert np.max(np.abs(comm)) < 1e-12
 

@@ -28,7 +28,6 @@ from decoupling import (
     expm_hermitian,
     parse_config,
     pauli_group,
-    pauli_word_operator,
     schedule_from_group,
     state_fidelity,
     trivial_group,
@@ -194,7 +193,7 @@ def test_product_path_matches_the_sector_path_for_mixed_states(n_qubits):
     """A mixed ``rho_s0`` passed through the library: the product path reads
     ``rho0`` itself, the joint path its eigen-ensemble (here of rank 2)."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.4, seed=5)
-    h_s = pauli_word_operator("Z" * n_qubits) * 0.3
+    h_s = {"Z" * n_qubits: 0.3}
     model = build_system_bath_model(n_qubits, bath, coupling="dephasing", h_s=h_s)
     rho_s0 = MIXED if n_qubits == 1 else Operator(np.kron(MIXED.matrix, PLUS.matrix), [2, 2])
     for group, delta_t in ((pauli_group(n_qubits, "full"), 0.1), (trivial_group(n_qubits), 0.4)):
@@ -219,7 +218,7 @@ def mixed_runs():
     """A rank-2 system state and a thermal bath state, under the collective
     group and freely."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=11)
-    h_s = 0.2 * pauli_word_operator("XX") + 0.1 * pauli_word_operator("ZI")
+    h_s = {"XX": 0.2, "ZI": 0.1}
     model = build_system_bath_model(2, bath, coupling="linear-collective", h_s=h_s)
     plus = np.full(4, 0.5)
     zero = np.eye(4)[0]
@@ -246,7 +245,7 @@ def test_mixed_initial_states_match_oracle():
 
 def two_spin_run(group, coupling, n_cycles, sample_every, rho_s0, n_qubits=1):
     bath = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.3, seed=7)
-    h_s = pauli_word_operator("X" * n_qubits) * 0.2
+    h_s = {"X" * n_qubits: 0.2}
     model = build_system_bath_model(n_qubits, bath, coupling=coupling, h_s=h_s)
     return SimulationRun(model=model,
                          schedule=schedule_from_group(pauli_group(n_qubits, group), 0.1),

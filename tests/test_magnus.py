@@ -27,6 +27,7 @@ from decoupling import (
     trivial_group,
 )
 from oracle_dm import conjugate_system, toggled_matrices
+from oracle_groups import frames as schedule_frames
 
 
 def make_model(seed=7, coupling="dephasing", n_qubits=1, h_s=None):
@@ -41,7 +42,7 @@ def test_toggled_hamiltonian_is_explicit_conjugation():
     model = make_model()
     sched = schedule_from_group(pauli_group(1, "full"), delta_t=0.1)
     h0 = total_hamiltonian(model)
-    for frame, want in zip(sched.frames, toggled_matrices(model, sched), strict=True):
+    for frame, want in zip(schedule_frames(sched), toggled_matrices(model, sched), strict=True):
         got = Operator(conjugate_system(frame, h0.matrix), h0.dims)
         assert np.max(np.abs(got.matrix - want)) < 1e-12
         assert got.is_hermitian()
@@ -59,8 +60,7 @@ def test_average_h0_is_arithmetic_mean():
 def test_average_h0_equals_factor_wise_projection():
     """Time averaging over the cycle equals group averaging channel by
     channel: project h_s and each system coupling factor, keep the bath."""
-    model = make_model(coupling="total",
-                       h_s=Operator(np.array([[0.3, 0.1], [0.1, -0.3]], dtype=complex), [2]))
+    model = make_model(coupling="total", h_s={"X": 0.1, "Z": 0.3})
     group = pauli_group(1, "full")
     sched = schedule_from_group(group, delta_t=0.05)
     eye_b = np.eye(model.bath_dim, dtype=complex)

@@ -194,12 +194,11 @@ def test_linear_dependence_rejected():
 
 def test_total_hamiltonian_assembly():
     bath = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.3, seed=5)
-    h_s = Operator(0.7 * SX, [2])
-    model = build_system_bath_model(1, bath, coupling="dephasing", h_s=h_s)
+    model = build_system_bath_model(1, bath, coupling="dephasing", h_s={"X": 0.7})
     h = total_hamiltonian(model)
     eye_b = np.eye(model.bath_dim, dtype=complex)
     eye_s = np.eye(2, dtype=complex)
-    want = np.kron(h_s.matrix, eye_b) + np.kron(eye_s, model.h_b.matrix)
+    want = np.kron(0.7 * SX, eye_b) + np.kron(eye_s, model.h_b.matrix)
     for s, b in model.couplings:
         want = want + np.kron(s.matrix, b.matrix)
     assert np.max(np.abs(h.matrix - want)) < 1e-13
@@ -425,10 +424,11 @@ def _assert_models_bitwise_equal(got, want):
 def test_spin_builder_matches_the_old_builder_bitwise(kind, n_qubits, n_modes, seed):
     bath = BathSpec(kind="spin-bath", n_modes=n_modes, cutoff=1.0, coupling_scale=0.3,
                     seed=seed)
-    h_s = pauli_sum({"X" * n_qubits: 0.3, "Z" + "I" * (n_qubits - 1): 0.2}, n_qubits)
+    h_s = {"X" * n_qubits: 0.3, "Z" + "I" * (n_qubits - 1): 0.2}
     _assert_models_bitwise_equal(
         build_system_bath_model(n_qubits, bath, coupling=kind, h_s=h_s),
-        oracle_model.build_spin_bath_model(n_qubits, bath, coupling=kind, h_s=h_s),
+        oracle_model.build_spin_bath_model(n_qubits, bath, coupling=kind,
+                                           h_s=pauli_sum(h_s, n_qubits)),
     )
 
 

@@ -37,6 +37,7 @@ import oracle_dm
 from oracle_dm import bath_ground_state
 from oracle_groups import (
     all_subgroups,
+    all_words,
     decouples_oracle,
     null_space_commutant_oracle,
     pauli_coefficients,
@@ -173,9 +174,10 @@ def cycles(draw):
     ordering = draw(st.permutations(range(len(words))))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
-    d_s = 2**n_qubits
-    m = rng.standard_normal((d_s, d_s)) + 1j * rng.standard_normal((d_s, d_s))
-    h_s = Operator(0.3 * (m + m.conj().T), [2] * n_qubits)
+    # a real table over all words spans every Hermitian h_s; the scale matches the Frobenius
+    # norm of 0.3 (m + m^dag) for a complex Gaussian m
+    scale = 0.6 / np.sqrt(2**n_qubits)
+    h_s = {w: scale * c for w, c in zip(all_words(n_qubits), rng.standard_normal(4**n_qubits))}
     bath = BathSpec(kind="spin-bath", n_modes=max(2, 3 * n_qubits // 2), cutoff=1.0,
                     coupling_scale=0.4, seed=seed)
     model = build_system_bath_model(n_qubits, bath, coupling="linear-independent", h_s=h_s)

@@ -16,6 +16,7 @@ from decoupling import (
     build_schedule,
     load_config,
     parse_config,
+    pauli_sum,
     run_scenario,
     run_sweep,
 )
@@ -42,7 +43,7 @@ def test_minimal_preset_config():
     assert cfg.sweep_values is None
     # plus state on one qubit
     assert np.allclose(cfg.rho_s0.matrix, np.full((2, 2), 0.5))
-    assert np.allclose(cfg.h_s.matrix, np.zeros((2, 2)))
+    assert np.allclose(pauli_sum(cfg.h_s, cfg.n_qubits).matrix, np.zeros((2, 2)))
 
 
 def test_seed_is_required():
@@ -124,7 +125,7 @@ def test_named_system_hamiltonian_terms():
     cfg = parse_config({"scenario": "collective-register", "seed": 3})
     sz = np.diag([1.0, -1.0])
     want = 0.25 * np.kron(sz, sz) + 0.1 * np.kron(sz, np.eye(2))
-    assert np.max(np.abs(cfg.h_s.matrix - want)) < 1e-12
+    assert np.max(np.abs(pauli_sum(cfg.h_s, cfg.n_qubits).matrix - want)) < 1e-12
 
 
 def test_sweep_validation():
