@@ -25,7 +25,11 @@ mode_is() {
   python -c 'import json, sys; assert json.load(open(sys.argv[1]))["mode"] == sys.argv[2]' "$1" "$2"
 }
 
-"${cli[@]}" design --interaction ZI IZ ZZ --qubits 2
+# the listing's length and order: 16 groups of order 4, two lines each
+"${cli[@]}" design --interaction ZI IZ ZZ --qubits 2 > "$work/design2.txt"
+test $(wc -l < "$work/design2.txt") -eq 34
+test $(grep -c "^  group " "$work/design2.txt") -eq 16
+grep -m1 "^  group " "$work/design2.txt" | grep -qF "group ['II', 'IX', 'XI', 'XX']"
 words=$(python -c 'import itertools; print(*["".join(w) for w in itertools.product("IXYZ", repeat=3)][1:])')
 "${cli[@]}" design --interaction $words --qubits 3 > "$work/design63.txt"
 grep -q "order 64" "$work/design63.txt"

@@ -73,7 +73,7 @@ import numpy as np
 from .operators import NUMERIC_TOL, Operator, as_matrices
 from .model import SystemBathModel
 from .sequence import CycleSchedule
-from .groups import _signed_flip, _word_product, conjugate_word, project_commutant
+from .groups import _conjugate, _flips, conjugate_word, project_commutant
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
@@ -187,28 +187,30 @@ def _cycle_blocks(model: SystemBathModel, schedule: CycleSchedule) -> np.ndarray
     """The ``d x d`` matrix of :func:`cycle_propagator`: each frame acts by
     :func:`~decoupling.groups.conjugate_word`."""
     _matching_model(model, schedule)
-    return _cycle_product(model._joint_spectrum.propagator(schedule.delta_t), conjugate_word,
-                          schedule.segments)
+    n = schedule.group.n_qubits
+    return _cycle_product(model._joint_spectrum.propagator(schedule.delta_t),
+                          lambda code, x: _conjugate(code, n, x), schedule.codes)
 
 
-def _cycle_product(w: np.ndarray, conj, words: Sequence[str]) -> np.ndarray:
-    """``P(words)``, the product of the segments' toggled free steps ``conj(word, w)``,
-    later segments to the left; ``conj(word, x)`` conjugates ``x`` by the word's frame.
+def _cycle_product(w: np.ndarray, conj, codes: np.ndarray) -> np.ndarray:
+    """``P(codes)``, the product of the segments' toggled free steps ``conj(code, w)``,
+    later segments to the left; ``conj(code, x)`` conjugates ``x`` by the frame of the
+    word of ``code`` (see :mod:`decoupling.groups`).
 
     The visits are halved into ``A`` and ``B``. When ``B`` is ``A``
-    multiplied word by word by one word ``h`` (word arithmetic, phases
+    multiplied word by word by one word ``h`` (one XOR of codes, phases
     dropped: they cancel in each conjugation), ``P(A + B) = conj(h, P(A))
     P(A)``: one batched product and one frame action. Otherwise ``P(A + B)
     = P(B) P(A)``, both halves recursed. A named group's cycle, palindromic
     or not, halves by cosets all the way down: ``log2 n`` products for ``n``
     segments, against ``n - 1`` for an order without that structure.
     """
-    if len(words) == 1:
-        return conj(words[0], w)
-    half = len(words) // 2
-    a, b = words[:half], words[half:]
-    h = _word_product(a[0], b[0])
-    if len(a) == len(b) and all(_word_product(x, h) == y for x, y in zip(a, b)):
+    if len(codes) == 1:
+        return conj(codes[0], w)
+    half = len(codes) // 2
+    a, b = codes[:half], codes[half:]
+    h = a[0] ^ b[0]
+    if len(a) == len(b) and np.array_equal(a ^ h, b):
         p = _cycle_product(w, conj, a)
         return conj(h, p) @ p
     return _cycle_product(w, conj, b) @ _cycle_product(w, conj, a)
@@ -324,7 +326,8 @@ def _path(run: SimulationRun, times: np.ndarray):
         blocks = _closed_form(*np.linalg.eigh(h), psi0, max(1, d * d // psi0.size), times)
     else:  # a frame flips the register axes of the stack at its X/Y letters
         w = _expm(h, schedule.delta_t).reshape(schedule.dims + (-1,) + h.shape[-2:])
-        w = _cycle_product(w, lambda word, p: p[_signed_flip(word)[0]], schedule.segments)
+        n = schedule.group.n_qubits
+        w = _cycle_product(w, lambda code, p: p[_flips(code, n)], schedule.codes)
         u = np.linalg.matrix_power(w.reshape(h.shape), every)
         blocks = [_powers(u, psi0.astype(u.dtype), len(times)).astype(complex)]
     return blocks, partial(_mode_reduce, rho0), partial(_mode_purity, rho0), psi0
@@ -412,16 +415,13 @@ class TrajectoryResult:
         return float(self.fidelity[-1])
 
     def write_csv(self, path):
-        """Write snapshots as CSV, deterministically (repr floats)."""
-        lines = ["cycle, time, fidelity, coherence, trace_distance"]
-        for k in range(len(self.times)):
-            lines.append(
-                f"{int(self.cycles[k])}, {float(self.times[k])!r}, "
-                f"{float(self.fidelity[k])!r}, {float(self.coherence[k])!r}, "
-                f"{float(self.trace_distance[k])!r}"
-            )
+        """Write snapshots as CSV, deterministically (repr floats), formatted from
+        the five columns' Python values and written at once."""
+        columns = (self.cycles, self.times, self.fidelity, self.coherence, self.trace_distance)
+        rows = zip(*(c.tolist() for c in columns))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("cycle, time, fidelity, coherence, trace_distance\n" + "".join(
+                f"{k}, {t!r}, {f!r}, {c!r}, {d!r}\n" for k, t, f, c, d in rows))
 
 
 def evolve(run: SimulationRun) -> TrajectoryResult:

@@ -14,13 +14,18 @@ searching for the smallest group that achieves the first, is what this
 module does.
 
 A group is its list of words, closed under multiplication up to a
-phase. Conjugation is blind to phases, so products are taken in word
-arithmetic (signs dropped) and each element is the plain tensor product
-of its letters. Couplings are Pauli word tables (word -> coefficient,
-one per channel), and both the decoupling check and the minimal-group
-search classify them in word space: conjugation by a group word maps
-each word to plus or minus itself, so averaging keeps exactly the words
-that commute with every group word.
+phase. Conjugation is blind to phases, so each element is the plain
+tensor product of its letters. Inside the module a word is its binary
+symplectic form: the bit masks ``x`` of its X and Y letters and ``z`` of
+its Z and Y letters, packed into one integer code ``x << K | z``. A
+product of words (signs dropped) is the XOR of their codes, and two words
+commute when ``x_a & z_b ^ z_a & x_b`` has an even popcount. Couplings
+are Pauli word tables (word -> coefficient, one per channel), and both
+the decoupling check and the minimal-group search classify them by
+codes: conjugation by a group word maps each word to plus or minus
+itself, so averaging keeps exactly the words that commute with every
+group word. Strings remain only where words come in or go out: configs,
+``labels``, printed output and error messages.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,75 +48,129 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Projective single-letter products (signs dropped): used for group
-# closure and subgroup enumeration, where only the group structure matters.
-_LETTER_PRODUCT = {
-    ("I", "I"): "I", ("I", "X"): "X", ("I", "Y"): "Y", ("I", "Z"): "Z",
-    ("X", "I"): "X", ("X", "X"): "I", ("X", "Y"): "Z", ("X", "Z"): "Y",
-    ("Y", "I"): "Y", ("Y", "X"): "Z", ("Y", "Y"): "I", ("Y", "Z"): "X",
-    ("Z", "I"): "Z", ("Z", "X"): "Y", ("Z", "Y"): "X", ("Z", "Z"): "I",
-}
-
 #: ``i**k`` for ``k = 0..3``, exactly.
 _PHASES = np.array([1, 1j, -1, -1j])
 
-#: Caps for exhaustive subgroup search.
+#: A word's x bits (X, Y) then its z bits (Z, Y), read as one binary code.
+_X_BITS = bytes.maketrans(b"IXYZ", b"0110")
+_Z_BITS = bytes.maketrans(b"IXYZ", b"0011")
+#: The letter of digit ``2 x + z``.
+_DIGIT_LETTERS = str.maketrans("0123", "IZXY")
+
+#: Caps for exhaustive subgroup search. At most 3 qubits, a subgroup's
+#: membership over the 64 codes fits one unsigned 64-bit key.
 SEARCH_MAX_QUBITS = 3
 SEARCH_MAX_ORDER = 64
 
+#: Most matrix entries one gathered stack of conjugates holds.
+_GATHER_ENTRIES = 2**18
 
-def _signed_flip(word: str) -> tuple[tuple[slice, ...], np.ndarray, int]:
-    """A Pauli word as a signed permutation of the register axes, ``(flips, parity, n_y)``.
 
-    With ``x`` and ``z`` the masks of its X/Y and Z/Y letters, the word maps
-    ``|j>`` to ``i**n_y (-1)**parity[j] |j ^ x>``: ``flips`` reverses the
-    register axes in ``x``, which maps ``j`` to ``j ^ x``, and ``parity`` holds
-    that of ``j & z`` over the ``(2,) * K`` register axes.
-    """
-    if not word or any(c not in PAULI_LETTERS for c in word):
-        raise ValueError(f"invalid Pauli word {word!r}; letters must be in 'IXYZ'")
-    flips = tuple(slice(None, None, -1 if c in "XY" else 1) for c in word)
-    parity = np.indices((2,) * len(word))[[c in "ZY" for c in word]].sum(0) % 2
-    return flips, parity, word.count("Y")
+def _is_word(word: str, n_qubits: int | None = None) -> bool:
+    return bool(word) and not word.strip(PAULI_LETTERS) and n_qubits in (None, len(word))
+
+
+def _code(word: str) -> int:
+    """The code ``x << K | z`` of a checked ``K``-letter word: letter ``k`` is bit
+    ``K - 1 - k`` of ``x`` and of ``z``."""
+    letters = word.encode()
+    return int(letters.translate(_X_BITS) + letters.translate(_Z_BITS), 2)
+
+
+def _codes(words: Sequence[str]) -> np.ndarray:
+    """The codes of checked, equal-length words."""
+    return np.array([_code(w) for w in words], dtype=np.int64)
+
+
+def _label(code: int, n_qubits: int) -> str:
+    """The word of a code: the binary digits of ``x`` and ``z`` read as decimal numbers
+    give ``2 x + z`` the decimal digit ``2 x_k + z_k`` at letter ``k`` (no carries)."""
+    x, z = format(code >> n_qubits, "b"), format(code & (1 << n_qubits) - 1, "b")
+    return str(2 * int(x) + int(z)).zfill(n_qubits).translate(_DIGIT_LETTERS)
+
+
+def _overlap(a, b, n_qubits: int):
+    """``x_a & z_b ^ z_a & x_b`` of codes ``a`` and ``b`` (integers or arrays): their
+    words anticommute iff its popcount is odd."""
+    return (a >> n_qubits & b) ^ (a & b >> n_qubits)
+
+
+def _kept(code: int, group_codes: Sequence[int], n_qubits: int) -> bool:
+    """Whether averaging over the group keeps the word of ``code``: whether it commutes
+    with every group word."""
+    return not any(_overlap(code, g, n_qubits).bit_count() & 1 for g in group_codes)
+
+
+def _flips(code: int, n_qubits: int) -> tuple[slice, ...]:
+    """Slices reversing the register axes of the word's X and Y letters: read through
+    them, an array's index ``j`` holds its entry at ``j ^ x``."""
+    return tuple(slice(None, None, -1 if code >> (2 * n_qubits - 1 - k) & 1 else 1)
+                 for k in range(n_qubits))
+
+
+def _parities(code, n_qubits: int) -> np.ndarray:
+    """The parity of ``j & z`` for each basis index ``j`` (last axis), per code."""
+    return np.bitwise_count(np.arange(2**n_qubits) & np.asarray(code)[..., None]) & 1
+
+
+def _phases(code, n_qubits: int) -> np.ndarray:
+    """The entry ``i**n_y (-1)**parity(j & z)`` at ``(j ^ x, j)`` of each word's matrix
+    (``n_y`` its number of Y letters), for each ``j`` (last axis)."""
+    n_y = np.bitwise_count(np.asarray(code) >> n_qubits & code)[..., None]
+    return _PHASES[(n_y + 2 * _parities(code, n_qubits)) % 4]
 
 
 def pauli_word_operator(word: str) -> Operator:
     """Tensor-product operator for a Pauli word such as ``"XXI"``, filled in
-    one pass over the basis from its :func:`_signed_flip`, with no Kronecker
-    products."""
-    flips, parity, n_y = _signed_flip(word)
-    j = np.arange(parity.size)
+    one pass over the basis from its code (see :func:`_phases`), with no
+    Kronecker products."""
+    if not _is_word(word):
+        raise ValueError(f"invalid Pauli word {word!r}; letters must be in 'IXYZ'")
+    n, code = len(word), _code(word)
+    j = np.arange(2**n)
     m = np.zeros((j.size, j.size), dtype=complex)
-    m[j.reshape(parity.shape)[flips].ravel(), j] = _PHASES[(n_y + 2 * parity.ravel()) % 4]
-    return Operator(m, (2,) * len(word))
+    m[j ^ code >> n, j] = _phases(code, n)
+    return Operator(m, (2,) * n)
+
+
+def _conjugate(code: int, n_qubits: int, x: np.ndarray) -> np.ndarray:
+    """:func:`conjugate_word` of the word of ``code``."""
+    if code == 0:
+        return x
+    s = (1 - 2 * _parities(code, n_qubits).astype(int)).reshape((2,) * n_qubits + (1,))
+    rows = _flips(code, n_qubits) + (slice(None),)
+    view = x.reshape(x.shape[:-2] + 2 * (s.shape[:-1] + (x.shape[-1] // 2**n_qubits,)))
+    return (view[(..., *rows, *rows)] * np.multiply.outer(s, s)).reshape(x.shape)
 
 
 def conjugate_word(word: str, x: np.ndarray) -> np.ndarray:
     """``(g (x) 1)^dag x (g (x) 1)`` for the word's matrix ``g``, per matrix of a
     ``(..., d, d)`` array ``x`` with system-major rows and columns, ``d = 2**K d_b``.
 
-    Its :func:`_signed_flip` flips the register axes of rows and columns (a view),
-    and one ``+-1`` array multiplies in the signs of both (the phase cancels): the
-    result is exact and one new array. The identity word returns ``x`` itself.
+    The word's ``x`` mask flips the register axes of rows and columns (a view),
+    and one ``+-1`` array from its ``z`` mask multiplies in the signs of both (the
+    phase cancels): the result is exact and one new array. The identity word
+    returns ``x`` itself.
     """
-    if set(word) == {"I"}:
-        return x
-    flips, parity, _ = _signed_flip(word)
-    s = (1 - 2 * parity)[..., None]
-    rows = flips + (slice(None),)
-    view = x.reshape(x.shape[:-2] + 2 * (parity.shape + (x.shape[-1] // parity.size,)))
-    return (view[(..., *rows, *rows)] * np.multiply.outer(s, s)).reshape(x.shape)
+    if not _is_word(word):
+        raise ValueError(f"invalid Pauli word {word!r}; letters must be in 'IXYZ'")
+    return _conjugate(_code(word), len(word), x)
 
 
-def _kept(word: str, group_words: Collection[str]) -> bool:
-    """Whether averaging over ``group_words`` keeps ``word``: whether it commutes with each,
-    their letters clashing (both non-identity and different) at an even number of sites."""
-    return not any(sum(1 for x, y in zip(word, g) if x != "I" and y != "I" and x != y) % 2
-                   for g in group_words)
-
-
-def _word_product(a: str, b: str) -> str:
-    return "".join(_LETTER_PRODUCT[x, y] for x, y in zip(a, b))
+def _pauli_sums(tables: Sequence[dict[str, complex]], n_qubits: int) -> np.ndarray:
+    """The ``(len(tables), d, d)`` stack of :func:`pauli_sum` matrices, in one pass: every
+    term ``c_w w`` is written at its ``(j ^ x, j)`` entries by one unbuffered add, which
+    adds each table's terms in sorted word order, starting from zero."""
+    _check_tables(tables, n_qubits)
+    words = [sorted(table) for table in tables]
+    owner = np.repeat(np.arange(len(tables)), [len(w) for w in words])
+    code = _codes([w for ws in words for w in ws])
+    coeffs = np.array([complex(t[w]) for t, ws in zip(tables, words) for w in ws])
+    j = np.arange(2**n_qubits)
+    out = np.zeros((len(tables), j.size, j.size), dtype=complex)
+    np.add.at(out, (owner[:, None], j ^ code[:, None] >> n_qubits, j),
+              _phases(code, n_qubits) * coeffs.reshape(-1, 1))
+    return out
 
 
 def pauli_sum(table: dict[str, complex], n_qubits: int) -> Operator:
@@ -121,20 +180,17 @@ def pauli_sum(table: dict[str, complex], n_qubits: int) -> Operator:
     tables give bitwise equal matrices. A word of other than ``n_qubits``
     letters over ``IXYZ`` is named in a ``ValueError``.
     """
-    _check_tables([table], n_qubits)
-    m = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for w in sorted(table):
-        m = m + pauli_word_operator(w).matrix * complex(table[w])
-    return Operator(m, (2,) * n_qubits)
+    return Operator(_pauli_sums([table], n_qubits)[0], (2,) * n_qubits)
 
 
 class DecouplingGroup:
     """Pauli words on a qubit register, closed under products up to phase.
 
     ``words`` is the full element list: equal-length words over
-    ``IXYZ``, the identity word first, none repeated. Closure is checked
-    at every order by spanning the list from its own words, one word
-    product per element, and the first product outside the list is named.
+    ``IXYZ``, the identity word first, none repeated. ``codes`` holds
+    their codes, in that order. Closure is checked at every order by
+    spanning the list from its own words, one XOR per element, and the
+    first product outside the list is named.
     """
 
     def __init__(self, words: Sequence[str]):
@@ -142,48 +198,61 @@ class DecouplingGroup:
         if not words:
             raise ValueError("a decoupling group needs at least one word")
         n = len(words[0])
-        members: set[str] = set()
+        position: dict[int, int] = {}  # code -> word index
         for k, w in enumerate(words):
-            if not w or any(c not in PAULI_LETTERS for c in w):
+            if not _is_word(w):
                 raise ValueError(f"group word {k} ({w!r}) is not a Pauli word over 'IXYZ'")
             if len(w) != n:
                 raise ValueError(f"group word {k} ({w!r}) has {len(w)} letters, expected {n}")
-            if w in members:
+            if position.setdefault(_code(w), k) != k:
                 raise ValueError(f"group word {k} ({w!r}) repeats an earlier word")
-            members.add(w)
         if words[0] != "I" * n:
             raise ValueError(f"the first group word must be the identity, got {words[0]!r}")
-        span = {words[0]}
-        for w in words:
-            if w in span:
+        span, spanned = [0], {0}
+        for k, c in enumerate(position):
+            if c in spanned:
                 continue
-            for s in list(span):
-                p = _word_product(s, w)
-                if p not in members:
+            coset = [s ^ c for s in span]
+            for s, p in zip(span, coset):
+                if p not in position:
                     raise ValueError(
-                        f"not projectively closed: product of {s!r} * {w!r} "
-                        "is outside the set"
+                        f"not projectively closed: product of {words[position[s]]!r} * "
+                        f"{words[k]!r} is outside the set"
                     )
-                span.add(p)
+            span += coset
+            spanned.update(coset)
         self.labels: tuple[str, ...] = words
+        self.codes: tuple[int, ...] = tuple(position)
+
+    @classmethod
+    def _closed(cls, words: Sequence[str], codes: Sequence[int]) -> DecouplingGroup:
+        """The group of ``words`` and their ``codes``, known to be a closed list in the
+        constructor's form (a subgroup the search spanned), built without its checks."""
+        group = object.__new__(cls)
+        group.labels, group.codes = tuple(words), tuple(codes)
+        return group
 
     @property
     def order(self) -> int:
         return len(self.labels)
 
     @property
+    def n_qubits(self) -> int:
+        return len(self.labels[0])
+
+    @property
     def dims(self) -> tuple[int, ...]:
-        return (2,) * len(self.labels[0])
+        return (2,) * self.n_qubits
 
     @property
     def dim(self) -> int:
-        return 2 ** len(self.labels[0])
+        return 2**self.n_qubits
 
     @property
     def commutant_dimension(self) -> int:
         """``4**K / |G|``: the words commuting with a Pauli group form its
         symplectic complement, and they span the commutant."""
-        return 4 ** len(self.labels[0]) // self.order
+        return 4**self.n_qubits // self.order
 
     def __repr__(self) -> str:
         return f"DecouplingGroup(order={self.order}, dim={self.dim}, labels={list(self.labels)})"
@@ -192,6 +261,11 @@ class DecouplingGroup:
 def trivial_group(n_qubits: int) -> DecouplingGroup:
     """The one-element group (free evolution) on ``n_qubits`` qubits."""
     return DecouplingGroup(["I" * n_qubits])
+
+
+def _all_words(n_qubits: int) -> list[str]:
+    """Every ``n_qubits``-letter word, in ``IXYZ`` order."""
+    return ["".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n_qubits)]
 
 
 def pauli_group(n_qubits: int, variant: str = "full") -> DecouplingGroup:
@@ -213,7 +287,7 @@ def pauli_group(n_qubits: int, variant: str = "full") -> DecouplingGroup:
     if variant == "full":
         if 4**n_qubits > 4096:
             raise ValueError(f"full Pauli group on {n_qubits} qubits exceeds the order cap")
-        words = ["".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n_qubits)]
+        words = _all_words(n_qubits)
     elif variant == "collective":
         words = [c * n_qubits for c in PAULI_LETTERS]
     elif variant == "flip":
@@ -230,12 +304,33 @@ def project_commutant(op: Operator, group: DecouplingGroup) -> Operator:
     of ``op``, whose leading factors are the group's register, onto the
     commutant of the group. The map is idempotent, unital,
     trace-preserving, and independent of element phases.
+
+    Word ``g`` reads the ``d_b x d_b`` block ``(i, j)`` of the conjugate at
+    block ``(i ^ x_g, j ^ x_g)`` of ``op``, negated when the parities of
+    ``i & z_g`` and ``j & z_g`` differ. So one index operation into the blocks
+    and their negatives gathers the conjugates of a run of words, at most
+    ``_GATHER_ENTRIES`` entries (one word at a time when ``op`` alone is
+    larger), and one sum adds them to the running total in group order,
+    starting from zero, as a word-by-word loop would.
     """
     if op.dims[:len(group.dims)] != group.dims:
         raise ValueError(f"operator dims {op.dims} do not start with group dims {group.dims}")
-    acc = np.zeros_like(op.matrix)
-    for w in group.labels:
-        acc += conjugate_word(w, op.matrix)
+    n, d_s, d = group.n_qubits, group.dim, op.matrix.shape[-1]
+    d_b = d // d_s
+    blocks = op.matrix.reshape(d_s, d_b, d_s, d_b).transpose(0, 2, 1, 3).reshape(d_s**2, -1)
+    codes = np.array(group.codes)
+    rows, parity = np.arange(d_s) ^ (codes[:, None] >> n), _parities(codes, n)
+    index = ((rows[:, :, None] * d_s + rows[:, None, :])
+             + d_s**2 * (parity[:, :, None] ^ parity[:, None, :])).reshape(group.order, -1)
+    signed = np.concatenate([blocks, -blocks])
+    acc, step = np.zeros_like(blocks), max(1, _GATHER_ENTRIES // d**2)
+    for k in range(0, group.order, step):
+        run = index[k:k + step]
+        stack = np.empty((1 + len(run),) + blocks.shape, dtype=blocks.dtype)
+        stack[0] = acc
+        np.take(signed, run, axis=0, out=stack[1:], mode="clip")  # in range: unbuffered
+        acc = np.add.reduce(stack, axis=0)
+    acc = acc.reshape(d_s, d_s, d_b, d_b).transpose(0, 2, 1, 3).reshape(d, d)
     return Operator(acc / group.order, op.dims)
 
 
@@ -245,10 +340,9 @@ def commutant_basis(group: DecouplingGroup) -> tuple[Operator, ...]:
     normalized by ``sqrt(d)``. An independent route (the null space of the
     commutation superoperator) exists in the test suite as an oracle.
     """
-    n = len(group.labels[0])
+    n, codes = group.n_qubits, group.codes
     scale = 1.0 / np.sqrt(group.dim)
-    words = ("".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n))
-    return tuple(pauli_word_operator(w) * scale for w in words if _kept(w, group.labels))
+    return tuple(pauli_word_operator(w) * scale for w in _all_words(n) if _kept(_code(w), codes, n))
 
 
 @dataclass(frozen=True)
@@ -268,33 +362,30 @@ class DecouplingReport:
     commutant_dimension: int
 
 
-# -- classification in word space -----------------------------------------
+# -- classification by codes ----------------------------------------------
 #
 # A channel is a Pauli word table S = sum_w c_w w, and averaging keeps a
 # component iff ``_kept`` keeps its word. The words are orthogonal with
 # squared Frobenius norm d, so the surviving traceless part has norm
-# sqrt(d * sum |c_w|**2) over the surviving non-identity words; identity
-# components commute with everything and only shift phases.
-# ``check_decoupling`` scores a configured group this way, and
-# ``minimal_group_search`` scores every candidate subgroup, both through
-# ``_surviving_norm``.
+# sqrt(d * sum |c_w|**2) over the surviving non-identity words, summed in
+# table order; identity components commute with everything and only shift
+# phases. ``check_decoupling`` scores a configured group this way, and
+# ``minimal_group_search`` scores every candidate subgroup of a level at once.
 
 
 def _check_tables(tables: Sequence[dict[str, complex]], n_qubits: int):
     for table in tables:
         for w in table:
-            if len(w) != n_qubits or any(c not in PAULI_LETTERS for c in w):
+            if not _is_word(w, n_qubits):
                 raise ValueError(f"{w!r} is not a {n_qubits}-letter Pauli word")
 
 
-def _surviving_norm(table: dict[str, complex], words: Collection[str], n_qubits: int) -> float:
-    """Norm of the traceless part of ``table`` that averaging over ``words`` keeps."""
+def _surviving_norm(table: dict[str, complex], codes: Sequence[int], n_qubits: int) -> float:
+    """Norm of the traceless part of ``table`` that averaging over the group of ``codes``
+    keeps."""
     id_word = "I" * n_qubits
-    surviving = sum(
-        abs(c) ** 2
-        for w, c in table.items()
-        if w != id_word and _kept(w, words)
-    )
+    surviving = sum(abs(c) ** 2 for w, c in table.items()
+                    if w != id_word and _kept(_code(w), codes, n_qubits))
     return math.sqrt(2**n_qubits * surviving)
 
 
@@ -306,9 +397,9 @@ def check_decoupling(
     ``tables`` holds one channel per entry, as a mapping from Pauli word
     to coefficient (see :func:`decoupling.model.coupling_tables`).
     """
-    n_qubits = len(group.labels[0])
+    n_qubits, codes = group.n_qubits, group.codes
     _check_tables(tables, n_qubits)
-    residuals = tuple(_surviving_norm(t, group.labels, n_qubits) for t in tables)
+    residuals = tuple(_surviving_norm(t, codes, n_qubits) for t in tables)
     cdim = group.commutant_dimension
     if all(r <= NUMERIC_TOL for r in residuals):
         mode = "maximal" if cdim == 1 else "selective"
@@ -320,8 +411,19 @@ def check_decoupling(
 # -- minimal-group search -------------------------------------------------
 #
 # Subgroups of the projective Pauli group on K qubits are F_2-linear
-# subspaces of the word group, so candidates are enumerated in word
-# arithmetic and each is scored on every channel's table as above.
+# subspaces of the codes. A level holds every subgroup of one order, in
+# the order of their generators' words: its elements' codes, its
+# generators' codes and its membership key (bit c set for code c).
+
+
+def _coset_leaders(elements: np.ndarray, nontrivial: np.ndarray, rank: np.ndarray):
+    """The cosets ``w * span`` each span of a level extends by, one per coset: ``(p, j,
+    cosets)`` with ``nontrivial[j]`` the code of the first word of its coset in ``IXYZ``
+    order (``rank``) and not in span ``p``, span-major and then in word order, and the
+    ``(S, W, |span|)`` codes of every coset."""
+    cosets = nontrivial[None, :, None] ^ elements[:, None, :]
+    p, j = np.nonzero(rank[cosets].min(-1) == rank[nontrivial])
+    return p, j, cosets
 
 
 def minimal_group_search(
@@ -343,36 +445,43 @@ def minimal_group_search(
     if max_order > SEARCH_MAX_ORDER:
         raise ValueError(f"search capped at order {SEARCH_MAX_ORDER}, got {max_order}")
     _check_tables(tables, n_qubits)
-
-    id_word = "I" * n_qubits
-    all_words = ["".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n_qubits)]
-    nontrivial = [w for w in all_words if w != id_word]
-
-    def decouples(span: frozenset[str]) -> bool:
-        return all(_surviving_norm(t, span, n_qubits) <= NUMERIC_TOL for t in tables)
+    # every channel's terms, flattened: channel, code and |c|**2 (zero for the identity)
+    owner = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+    terms = _codes([w for t in tables for w in t])[:, None, None]
+    weights = np.array([abs(c) ** 2 for t in tables for c in t.values()], dtype=float)
+    weights[terms[:, 0, 0] == 0] = 0.0
+    words = _all_words(n_qubits)
+    codes = _codes(words)  # IXYZ order
+    rank = np.empty_like(codes)  # code -> position in IXYZ order
+    rank[codes] = np.arange(len(codes))
+    one = np.uint64(1)
 
     # Breadth-first over subgroup order (always a power of two).
-    level: dict[frozenset[str], tuple[str, ...]] = {frozenset({id_word}): ()}
+    elements = np.zeros((1, 1), dtype=np.int64)
+    gens = np.zeros((1, 0), dtype=np.int64)
+    keys = np.ones(1, dtype=np.uint64)
     order = 1
-    while order <= max_order:
-        hits = [
-            DecouplingGroup([id_word] + sorted(span - {id_word}))
-            for span, gens in sorted(level.items(), key=lambda kv: kv[1])
-            if decouples(span)
-        ]
-        if hits:
-            return hits
+    while order <= max_order and len(elements):
+        # each span's surviving norms: its words commute with every generator
+        kept = ~(np.bitwise_count(_overlap(terms, gens, n_qubits)) & 1).any(-1)
+        surviving = np.zeros((len(tables), len(gens)))
+        np.add.at(surviving, owner, np.where(kept, weights[:, None], 0.0))
+        hits = (np.sqrt(2**n_qubits * surviving) <= NUMERIC_TOL).all(0)
+        if hits.any():  # identity first, then IXYZ order
+            spans = [sorted(rank[row].tolist()) for row in elements[hits]]
+            return [DecouplingGroup._closed([words[k] for k in ks], [int(codes[k]) for k in ks])
+                    for ks in spans]
         if 2 * order > max_order:
             return []
         # Every word of a coset w * span gives the same group: extend by the first.
-        nxt: dict[frozenset[str], tuple[str, ...]] = {}
-        for span, gens in sorted(level.items(), key=lambda kv: kv[1]):
-            covered = set(span)
-            for w in nontrivial:
-                if w not in covered:
-                    coset = {_word_product(s, w) for s in span}
-                    covered |= coset
-                    nxt.setdefault(frozenset(span | coset), gens + (w,))
-        level = nxt
-        order *= 2
+        p, j, cosets = _coset_leaders(elements, codes[1:], rank)
+        cosets = cosets[p, j]
+        spanned = keys[p] | np.bitwise_or.reduce(one << cosets.astype(np.uint64), axis=1)
+        found: dict[int, int] = {}  # each new span at its first extension
+        for i, key in enumerate(spanned.tolist()):
+            found.setdefault(key, i)
+        first = np.fromiter(found.values(), dtype=np.intp, count=len(found))
+        elements = np.concatenate([elements[p[first]], cosets[first]], axis=1)
+        gens = np.concatenate([gens[p[first]], codes[1:][j[first], None]], axis=1)
+        keys, order = spanned[first], 2 * order
     return []

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import DIM_CAP, Operator
-from .groups import PAULI_LETTERS, PAULI_MATRICES, pauli_sum
+from .groups import PAULI_LETTERS, PAULI_MATRICES, _pauli_sums
 
 
 BATH_KINDS = ("spin-bath", "boson-mode")
@@ -379,24 +379,25 @@ def build_system_bath_model(
     bath_dims = (len(h_mode),) * m
     h_b = Operator.deferred(partial(_placed, [w * h_mode for w in bath.mode_frequencies]),
                             bath_dims)
+    # every channel's per-mode rows from one draw, the stream of one draw per channel
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
-    couplings, rows = [], []
-    for table in tables:
-        coeffs = rng.standard_normal(m * len(mode_ops)).reshape(m, -1)
-        # extreme eigenvalues of b: sums of those of its commuting per-mode terms
-        ends = np.linalg.eigvalsh(np.tensordot(coeffs, mode_ops, axes=1)).sum(0)
-        nrm = float(max(ends[-1], -ends[0]))
-        if nrm == 0.0:
-            raise ValueError("degenerate random draw for a bath coupling operator")
-        terms = [sum(c * op for c, op in zip(row, mode_ops)) for row in coeffs]
-        couplings.append((pauli_sum(table, n_qubits), Operator.deferred(
-            partial(_normalized, terms, bath.coupling_scale, nrm), bath_dims)))
-        rows.append(coeffs * (bath.coupling_scale / nrm))
-    modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops),
-                      np.array(rows).reshape(len(tables), m, len(mode_ops)))
-    return SystemBathModel(h_s=pauli_sum(words[0], n_qubits), h_b=h_b,
-                           couplings=tuple(couplings), cutoff=bath.cutoff, modes=modes,
-                           words=words)
+    coeffs = rng.standard_normal((len(tables), m, len(mode_ops)))
+    terms = np.tensordot(coeffs, mode_ops, axes=1)  # (channels, modes, n, n)
+    # extreme eigenvalues of each b: sums of those of its commuting per-mode terms
+    ends = np.linalg.eigvalsh(terms).sum(1)
+    norms = np.maximum(ends[:, -1], -ends[:, 0]).tolist()
+    if 0.0 in norms:
+        raise ValueError("degenerate random draw for a bath coupling operator")
+    system = _pauli_sums(words, n_qubits)
+    dims = (2,) * n_qubits
+    couplings = tuple(
+        (Operator(s, dims), Operator.deferred(
+            partial(_normalized, t, bath.coupling_scale, nrm), bath_dims))
+        for s, t, nrm in zip(system[1:], terms, norms))
+    rows = coeffs * (bath.coupling_scale / np.array(norms))[:, None, None]
+    modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops), rows)
+    return SystemBathModel(h_s=Operator(system[0], dims), h_b=h_b, couplings=couplings,
+                           cutoff=bath.cutoff, modes=modes, words=words)
 
 
 def _placed(terms: Sequence[np.ndarray]) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import DecouplingGroup, _word_product
+from .groups import DecouplingGroup, _code, _label
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,19 @@ class CycleSchedule:
             raise ValueError(f"delta_t={self.delta_t!r}: cycle time n_segments * delta_t overflows")
 
     @property
+    def visits(self) -> tuple[int, ...]:
+        """The group index of each segment's frame, in time order."""
+        return self.ordering + self.ordering[::-1] if self.symmetric else self.ordering
+
+    @property
     def segments(self) -> tuple[str, ...]:
         """The frame word of each segment, in time order."""
-        visits = self.ordering + self.ordering[::-1] if self.symmetric else self.ordering
-        return tuple(self.group.labels[k] for k in visits)
+        return tuple(self.group.labels[k] for k in self.visits)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The code of each segment's frame word, in time order."""
+        return np.array([self.group.codes[k] for k in self.visits])
 
     @property
     def n_segments(self) -> int:
@@ -93,10 +102,12 @@ def boundary_pulses(words: Sequence[str]) -> list[str]:
 
     Pulse ``j`` fires at the end of segment ``j`` and equals
     ``f_{j+1} f_j^dag`` up to phase (the frame after the last segment
-    wraps to the first): the word product of the two frames.
+    wraps to the first): the word product of the two frames, the XOR of
+    their codes.
     """
-    n = len(words)
-    return [_word_product(words[(j + 1) % n], w) for j, w in enumerate(words)]
+    n, codes = len(words[0]), [_code(w) for w in words]
+    named = dict(zip(codes, words))  # a group's pulses are its own words
+    return [named.get(p) or _label(p, n) for p in map(int.__xor__, codes[1:] + codes[:1], codes)]
 
 
 def schedule_to_record(schedule: CycleSchedule) -> dict:

@@ -32,10 +32,9 @@ import numpy as np
 
 from decoupling import Operator, expm_hermitian, total_hamiltonian
 from decoupling.evolve import _cycle_blocks, _ensemble
-from decoupling.groups import _word_product
 from decoupling.operators import STRUCT_TOL, as_matrices
 
-from oracle_groups import frames as schedule_frames
+from oracle_groups import frames as schedule_frames, word_product
 from oracle_model import tensor
 
 #: Re-unitarize running products after this many matrix multiplies.
@@ -206,8 +205,8 @@ def _cycle_product(w, frames, words):
         return conjugate_system(frames[words[0]], w)
     half = len(words) // 2
     a, b = words[:half], words[half:]
-    h = _word_product(a[0], b[0])
-    if len(a) == len(b) and all(_word_product(x, h) == y for x, y in zip(a, b)):
+    h = word_product(a[0], b[0])
+    if len(a) == len(b) and all(word_product(x, h) == y for x, y in zip(a, b)):
         p = _cycle_product(w, frames, a)
         g = frames[h]
         return act_on_system(g.conj().T, p @ act_on_system(g, p))

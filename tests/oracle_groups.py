@@ -11,13 +11,21 @@ decoupling check are the dense path the search and ``check_decoupling``
 used before they moved to word arithmetic. A group's and a schedule's
 dense word matrices, which the package no longer builds, are made here
 from their words.
+
+The package does its word arithmetic on (x, z) bit masks. The letter
+arithmetic it used before is kept here as the oracle for it: a product
+table of single letters, the letter-by-letter commutation rule, the
+closure check and minimal-group search on strings, and the word-by-word
+conjugation loop of ``project_commutant``.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from decoupling.groups import pauli_word_operator
+from decoupling.groups import conjugate_word, pauli_word_operator
+from decoupling.operators import NUMERIC_TOL
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -139,3 +147,100 @@ def null_space_commutant_oracle(group):
     _, svals, vh = np.linalg.svd(stacked)
     null_mask = np.concatenate([svals, np.zeros(vh.shape[0] - len(svals))]) < 1e-10
     return vh[null_mask].conj()
+
+
+# -- letter arithmetic: the package's word operations before bit masks -----
+
+#: Projective single-letter products (signs dropped).
+LETTER_PRODUCT = {
+    ("I", "I"): "I", ("I", "X"): "X", ("I", "Y"): "Y", ("I", "Z"): "Z",
+    ("X", "I"): "X", ("X", "X"): "I", ("X", "Y"): "Z", ("X", "Z"): "Y",
+    ("Y", "I"): "Y", ("Y", "X"): "Z", ("Y", "Y"): "I", ("Y", "Z"): "X",
+    ("Z", "I"): "Z", ("Z", "X"): "Y", ("Z", "Y"): "X", ("Z", "Z"): "I",
+}
+
+
+def letter_product(a, b):
+    """Product of two words up to phase, letter by letter."""
+    return "".join(LETTER_PRODUCT[x, y] for x, y in zip(a, b))
+
+
+def kept_by_letters(word, group_words):
+    """Whether averaging over ``group_words`` keeps ``word``: its letters clash
+    (both non-identity and different) with each group word's at an even
+    number of sites."""
+    return not any(sum(1 for x, y in zip(word, g) if x != "I" and y != "I" and x != y) % 2
+                   for g in group_words)
+
+
+def closure_error(words):
+    """The closure check on strings: the message naming the first product
+    outside ``words``, or None when they are closed. The span is walked in
+    the order its words were added."""
+    members, span = set(words), [words[0]]
+    for w in words:
+        if w in span:
+            continue
+        for s in list(span):
+            p = letter_product(s, w)
+            if p not in members:
+                return f"not projectively closed: product of {s!r} * {w!r} is outside the set"
+            span.append(p)
+    return None
+
+
+def surviving_norm_by_letters(table, words, n_qubits):
+    """Norm of the traceless part of ``table`` that averaging over ``words`` keeps,
+    its ``|c|**2`` summed in table order."""
+    surviving = sum(abs(c) ** 2 for w, c in table.items()
+                    if w != "I" * n_qubits and kept_by_letters(w, words))
+    return math.sqrt(2**n_qubits * surviving)
+
+
+def search_by_letters(tables, n_qubits, max_order=64):
+    """The minimal-group search on strings: breadth-first by order, each
+    level's spans in the order of their generators' words, each span extended
+    by the first word of every coset. Returns the hits' word lists."""
+    id_word = "I" * n_qubits
+    nontrivial = all_words(n_qubits)[1:]
+
+    def decouples(span):
+        return all(surviving_norm_by_letters(t, span, n_qubits) <= NUMERIC_TOL for t in tables)
+
+    level = {frozenset({id_word}): ()}
+    order = 1
+    while order <= max_order:
+        ranked = sorted(level.items(), key=lambda kv: kv[1])
+        hits = [[id_word] + sorted(span - {id_word}) for span, _ in ranked if decouples(span)]
+        if hits:
+            return hits
+        if 2 * order > max_order:
+            return []
+        nxt = {}
+        for span, gens in ranked:
+            covered = set(span)
+            for w in nontrivial:
+                if w not in covered:
+                    coset = {letter_product(s, w) for s in span}
+                    covered |= coset
+                    nxt.setdefault(frozenset(span | coset), gens + (w,))
+        level = nxt
+        order *= 2
+    return []
+
+
+def project_commutant_loop(op, group):
+    """The group average of ``op`` as a loop, one conjugation per group word,
+    added in group order starting from zero."""
+    acc = np.zeros_like(op.matrix)
+    for w in group.labels:
+        acc += conjugate_word(w, op.matrix)
+    return acc / group.order
+
+
+def pauli_sum_loop(table, n_qubits):
+    """``sum_w c_w w`` one word matrix at a time, in sorted word order from zero."""
+    m = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for w in sorted(table):
+        m = m + pauli_word_operator(w).matrix * complex(table[w])
+    return m

@@ -37,6 +37,7 @@ from decoupling import (
     total_hamiltonian,
     trivial_group,
 )
+from decoupling.scenarios import PRESETS, _free_run
 
 from oracle_groups import frames as schedule_frames
 from oracle_model import identity, tensor
@@ -345,19 +346,19 @@ def test_identity_frames_make_no_frame_action(monkeypatch, doc, coset_steps):
     allocates no array; every other word acts once per coset step, each
     time into a new array."""
     evolve_module = importlib.import_module("decoupling.evolve")
-    calls, inner = [], evolve_module.conjugate_word
+    calls, inner = [], evolve_module._conjugate
 
-    def recording(word, x):
+    def recording(code, n_qubits, x):
         tracemalloc.start()
         try:
-            out = inner(word, x)
+            out = inner(code, n_qubits, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        calls.append((set(word) == {"I"}, out is x, peak))
+        calls.append((code == 0, out is x, peak))
         return out
 
-    monkeypatch.setattr(evolve_module, "conjugate_word", recording)
+    monkeypatch.setattr(evolve_module, "_conjugate", recording)
     config = parse_config({"seed": 7, **doc})
     evolve_module._cycle_blocks(build_model(config), build_schedule(config))
     identity = [(same, peak) for is_identity, same, peak in calls if is_identity]
@@ -553,6 +554,33 @@ def test_trajectory_metadata_and_csv(tmp_path):
     # repr floats round-trip exactly
     last = lines[-1].split(", ")
     assert float(last[2]) == traj.terminal_fidelity
+
+
+def rows_csv(traj):
+    """The trajectory CSV formatted row by row, each number read off its array."""
+    lines = ["cycle, time, fidelity, coherence, trace_distance"]
+    for k in range(len(traj.times)):
+        lines.append(
+            f"{int(traj.cycles[k])}, {float(traj.times[k])!r}, "
+            f"{float(traj.fidelity[k])!r}, {float(traj.coherence[k])!r}, "
+            f"{float(traj.trace_distance[k])!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scenario", [n for n in PRESETS if n != "custom"])
+def test_column_csv_matches_the_row_formatter(tmp_path, scenario):
+    """``write_csv`` formats the five columns at once; on every preset's
+    controlled and free trajectory the bytes are those of the row-by-row
+    formatter."""
+    config = parse_config({"scenario": scenario, "seed": 7})
+    run = SimulationRun(model=build_model(config), schedule=build_schedule(config),
+                        n_cycles=config.n_cycles, rho_s0=config.rho_s0,
+                        sample_every=config.sample_every)
+    for traj in (evolve(run), evolve(_free_run(run))):
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == rows_csv(traj).encode()
 
 
 def test_observable_drift_requires_commutant_membership():

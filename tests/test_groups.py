@@ -29,9 +29,14 @@ from decoupling.groups import conjugate_word
 from oracle_groups import (
     PAULI_1Q,
     all_words,
+    closure_error,
     decouples_oracle,
     elements,
     null_space_commutant_oracle,
+    pauli_sum_loop,
+    project_commutant_loop,
+    search_by_letters,
+    surviving_norm_by_letters,
     word_matrix,
 )
 
@@ -303,23 +308,24 @@ def test_minimal_search_drops_identity_components():
 
 def test_minimal_search_extends_each_level_by_cosets(monkeypatch):
     """Every word of a coset ``w * span`` spans the same larger group, so a
-    level extends each span by one word per coset. The span of all 63
-    non-identity 3-letter words needs the full group, the deepest level:
-    one word per coset takes about 155,000 word products, one per word
-    took 1.35 million."""
+    level extends each span by one word per coset, the coset's first word.
+    The span of all 63 non-identity 3-letter words needs the full group, the
+    deepest level: one word per coset makes 23,562 extensions over the
+    levels, one per word outside the span would make 154,413."""
     groups_module = importlib.import_module("decoupling.groups")
-    inner = groups_module._word_product
-    calls = 0
+    inner = groups_module._coset_leaders
+    extensions = 0
 
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
-        return inner(a, b)
+    def counting(elements, nontrivial, rank):
+        nonlocal extensions
+        p, j, cosets = inner(elements, nontrivial, rank)
+        extensions += len(p)
+        return p, j, cosets
 
-    monkeypatch.setattr(groups_module, "_word_product", counting)
+    monkeypatch.setattr(groups_module, "_coset_leaders", counting)
     hits = minimal_group_search([{w: 1.0} for w in all_words(3)[1:]], n_qubits=3)
     assert [h.order for h in hits] == [64]
-    assert calls <= 200_000
+    assert extensions <= 30_000
 
 
 def test_minimal_search_rejects_bad_tables():
@@ -337,3 +343,134 @@ def test_scalar_shift_in_interaction_is_harmless():
     report = check_decoupling(pauli_group(1, "flip"), [{"I": 1.0, "Z": 1.0}])
     assert report.mode == "selective"
     assert max(report.residuals) <= 1e-10
+
+
+# -- bit-mask word arithmetic against the letter arithmetic it replaced ----
+
+
+def signed_zero_matrix(rng, d):
+    """A random complex matrix with exact and negative zeros among its entries."""
+    m = random_matrix(rng, d)
+    m.real[rng.random((d, d)) < 0.2] = -0.0
+    m.imag[rng.random((d, d)) < 0.2] = 0.0
+    m[rng.random((d, d)) < 0.1] = complex(-0.0, -0.0)
+    return m
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("d_b", [1, 2, 4])
+def test_gathered_projection_matches_the_word_loop_bitwise(monkeypatch, n_qubits, d_b):
+    """The gathered average adds the conjugates in group order from zero, as
+    the word-by-word loop does: equal bytes for whole-group gathers, for gathers
+    of three words at a time (a block boundary inside the group) and of one."""
+    groups_module = importlib.import_module("decoupling.groups")
+    rng = np.random.default_rng(1000 * n_qubits + d_b)
+    d = 2**n_qubits * d_b
+    op = Operator(signed_zero_matrix(rng, d), (2,) * n_qubits + ((d_b,) if d_b > 1 else ()))
+    for group in (pauli_group(n_qubits, "full"), pauli_group(n_qubits, "collective"),
+                  pauli_group(n_qubits, "flip"), trivial_group(n_qubits)):
+        expected = project_commutant_loop(op, group).tobytes()
+        for entries in (groups_module._GATHER_ENTRIES, 3 * d * d, 1):
+            monkeypatch.setattr(groups_module, "_GATHER_ENTRIES", entries)
+            assert project_commutant(op, group).matrix.tobytes() == expected
+
+
+def test_pauli_sum_matches_the_word_loop_bitwise():
+    """One scatter of every term equals adding the word matrices one at a time
+    in sorted word order, for random complex tables on 1 to 3 qubits."""
+    rng = np.random.default_rng(28)
+    for n_qubits in (1, 2, 3):
+        words = all_words(n_qubits)
+        for size in sorted({1, 2, min(5, len(words)), len(words)}):
+            chosen = rng.choice(words, size=size, replace=False)
+            table = {str(w): complex(*rng.standard_normal(2)) for w in chosen}
+            assert (pauli_sum(table, n_qubits).matrix.tobytes()
+                    == pauli_sum_loop(table, n_qubits).tobytes())
+
+
+def interactions():
+    """Every 1- and 2-word interaction on 1 and 2 qubits, the benchmark's two
+    ``design`` interactions and the CI's 63-word one."""
+    cases = []
+    for n_qubits in (1, 2):
+        words = all_words(n_qubits)[1:]
+        cases += [(list(ws), n_qubits) for r in (1, 2) for ws in itertools.combinations(words, r)]
+    cases.append((["ZII", "IZI", "IIZ", "XXI", "IXX"], 3))
+    cases.append((["ZI", "IZ", "ZZ"], 2))
+    cases.append((all_words(3)[1:], 3))
+    return cases
+
+
+def test_mask_search_lists_the_letter_search_groups_in_order():
+    """The same groups in the same order; each hit, built from the search's
+    codes without the constructor's checks, equals the checked group of its
+    words."""
+    for words, n_qubits in interactions():
+        tables = [{w: 1.0} for w in words]
+        hits = minimal_group_search(tables, n_qubits)
+        assert [list(g.labels) for g in hits] == search_by_letters(tables, n_qubits), words
+        assert [g.codes for g in hits] == [DecouplingGroup(g.labels).codes for g in hits]
+
+
+def test_mask_search_matches_the_letter_search_near_the_tolerance():
+    """Multi-word channels with coefficients around the tolerance, and capped
+    orders: the same groups in the same order, or none. The first two channels
+    sit on the tolerance: summed in table order the trivial group decouples the
+    second and not the first, summed in reverse order the other way round."""
+    for table in ({"X": 2.8497758327403963e-09, "Y": 4.019600192980973e-09,
+                   "Z": 5.0716458858753256e-09},
+                  {"X": 4.12860152054027e-09, "Y": 1.3276442961990657e-09,
+                   "Z": 5.584980761592887e-09}):
+        got = [list(g.labels) for g in minimal_group_search([table], 1)]
+        assert got == search_by_letters([table], 1)
+    rng = np.random.default_rng(7)
+    words = all_words(2)
+    for _ in range(40):
+        tables = [{str(w): float(rng.choice([1.0, 3e-9, 1e-8, 0.7]))
+                   for w in rng.choice(words, size=rng.integers(1, 4), replace=False)}
+                  for _ in range(rng.integers(1, 4))]
+        max_order = int(rng.choice([1, 2, 4, 16]))
+        got = [list(g.labels) for g in minimal_group_search(tables, 2, max_order=max_order)]
+        assert got == search_by_letters(tables, 2, max_order=max_order), tables
+
+
+def test_check_decoupling_residuals_match_the_letter_rule_bitwise():
+    """Kept ``|c|**2`` are summed in table order: coefficients spread over
+    eight decades make any other order show in the last bits."""
+    rng = np.random.default_rng(11)
+    for n_qubits in (1, 2, 3):
+        words = all_words(n_qubits)
+        tables = [{str(w): complex(*rng.standard_normal(2)) * 10 ** rng.uniform(-4, 4)
+                   for w in rng.choice(words, size=rng.integers(1, len(words) + 1),
+                                       replace=False)}
+                  for _ in range(6)]
+        for group in [pauli_group(n_qubits, v) for v in ("full", "collective", "flip")] + [
+                trivial_group(n_qubits)]:
+            report = check_decoupling(group, tables)
+            assert report.residuals == tuple(
+                surviving_norm_by_letters(t, group.labels, n_qubits) for t in tables)
+
+
+def test_closure_errors_read_as_the_letter_oracle():
+    """Unclosed word lists name the same pair as the string closure check, and
+    closed ones build."""
+    rng = np.random.default_rng(3)
+    cases = [["II", "XX", "YY"], ["II", "XX", "ZZ", "XY"]]
+    words4 = all_words(4)
+    cases.append([w for w in words4 if w != "XYZI"])
+    for n_qubits in (2, 3):
+        words = all_words(n_qubits)
+        for _ in range(100):
+            size = int(rng.integers(2, len(words)))
+            cases.append([words[0]] + [str(w) for w in rng.choice(words[1:], size - 1,
+                                                                  replace=False)])
+    closed = 0
+    for words in cases:
+        message = closure_error(words)
+        if message is None:
+            closed += DecouplingGroup(words).order == len(words)
+        else:
+            with pytest.raises(ValueError) as err:
+                DecouplingGroup(words)
+            assert str(err.value) == message
+    assert closed < len(cases)

@@ -13,6 +13,7 @@ from decoupling import (
     trivial_group,
 )
 
+from oracle_groups import all_words, letter_product
 from oracle_groups import frames as schedule_frames
 
 
@@ -109,3 +110,16 @@ def test_schedule_record_fields():
         "symmetric": False,
     }
     assert schedule_to_record(symmetrize(sched))["symmetric"] is True
+
+
+def test_boundary_pulses_of_any_word_list_are_letter_products():
+    """A pulse among the words is named by them; one outside them, as between
+    the frames of a list that is not a group, is named from its code. Both are
+    the letter-by-letter product of the neighbouring words."""
+    rng = np.random.default_rng(28)
+    cases = [["X", "Z"], ["IX", "ZI", "YY"]]
+    cases += [[str(w) for w in rng.choice(all_words(3), size=5)] for _ in range(20)]
+    for words in cases:
+        n = len(words)
+        assert boundary_pulses(words) == [letter_product(words[(j + 1) % n], w)
+                                          for j, w in enumerate(words)]
