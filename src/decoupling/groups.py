@@ -109,8 +109,10 @@ def _flips(code: int, n_qubits: int) -> tuple[slice, ...]:
 
 
 def _parities(code, n_qubits: int) -> np.ndarray:
-    """The parity of ``j & z`` for each basis index ``j`` (last axis), per code."""
-    return np.bitwise_count(np.arange(2**n_qubits) & np.asarray(code)[..., None]) & 1
+    """The parity of ``j & z`` for each basis index ``j`` (last axis), per code, as
+    ``intp`` (a popcount is ``uint8``, too narrow for index arithmetic)."""
+    overlap = np.arange(2**n_qubits) & np.asarray(code)[..., None]
+    return np.bitwise_count(overlap).astype(np.intp) & 1
 
 
 def _phases(code, n_qubits: int) -> np.ndarray:
@@ -137,7 +139,7 @@ def _conjugate(code: int, n_qubits: int, x: np.ndarray) -> np.ndarray:
     """:func:`conjugate_word` of the word of ``code``."""
     if code == 0:
         return x
-    s = (1 - 2 * _parities(code, n_qubits).astype(int)).reshape((2,) * n_qubits + (1,))
+    s = (1 - 2 * _parities(code, n_qubits)).reshape((2,) * n_qubits + (1,))
     rows = _flips(code, n_qubits) + (slice(None),)
     view = x.reshape(x.shape[:-2] + 2 * (s.shape[:-1] + (x.shape[-1] // 2**n_qubits,)))
     return (view[(..., *rows, *rows)] * np.multiply.outer(s, s)).reshape(x.shape)
@@ -224,14 +226,6 @@ class DecouplingGroup:
         self.labels: tuple[str, ...] = words
         self.codes: tuple[int, ...] = tuple(position)
 
-    @classmethod
-    def _closed(cls, words: Sequence[str], codes: Sequence[int]) -> DecouplingGroup:
-        """The group of ``words`` and their ``codes``, known to be a closed list in the
-        constructor's form (a subgroup the search spanned), built without its checks."""
-        group = object.__new__(cls)
-        group.labels, group.codes = tuple(words), tuple(codes)
-        return group
-
     @property
     def order(self) -> int:
         return len(self.labels)
@@ -309,29 +303,34 @@ def project_commutant(op: Operator, group: DecouplingGroup) -> Operator:
     block ``(i ^ x_g, j ^ x_g)`` of ``op``, negated when the parities of
     ``i & z_g`` and ``j & z_g`` differ. So one index operation into the blocks
     and their negatives gathers the conjugates of a run of words, at most
-    ``_GATHER_ENTRIES`` entries (one word at a time when ``op`` alone is
-    larger), and one sum adds them to the running total in group order,
-    starting from zero, as a word-by-word loop would.
+    ``_GATHER_ENTRIES`` entries, and one sum adds them to the running total in
+    group order, starting from zero, as a word-by-word loop would. An ``op``
+    too large for a run of two words is that loop: one conjugate at a time,
+    read through strided views (:func:`conjugate_word`).
     """
     if op.dims[:len(group.dims)] != group.dims:
         raise ValueError(f"operator dims {op.dims} do not start with group dims {group.dims}")
     n, d_s, d = group.n_qubits, group.dim, op.matrix.shape[-1]
+    step = _GATHER_ENTRIES // d**2
+    if step < 2:
+        acc = np.zeros_like(op.matrix)
+        for code in group.codes:
+            acc += _conjugate(code, n, op.matrix)
+        return Operator(acc / group.order, op.dims)
     d_b = d // d_s
     blocks = op.matrix.reshape(d_s, d_b, d_s, d_b).transpose(0, 2, 1, 3).reshape(d_s**2, -1)
-    codes = np.array(group.codes)
-    rows, parity = np.arange(d_s) ^ (codes[:, None] >> n), _parities(codes, n)
-    index = ((rows[:, :, None] * d_s + rows[:, None, :])
-             + d_s**2 * (parity[:, :, None] ^ parity[:, None, :])).reshape(group.order, -1)
     signed = np.concatenate([blocks, -blocks])
-    acc, step = np.zeros_like(blocks), max(1, _GATHER_ENTRIES // d**2)
+    codes, acc = np.array(group.codes), np.zeros_like(blocks)
     for k in range(0, group.order, step):
-        run = index[k:k + step]
-        stack = np.empty((1 + len(run),) + blocks.shape, dtype=blocks.dtype)
-        stack[0] = acc
-        np.take(signed, run, axis=0, out=stack[1:], mode="clip")  # in range: unbuffered
-        acc = np.add.reduce(stack, axis=0)
-    acc = acc.reshape(d_s, d_s, d_b, d_b).transpose(0, 2, 1, 3).reshape(d, d)
-    return Operator(acc / group.order, op.dims)
+        run = codes[k:k + step]
+        rows, parity = np.arange(d_s) ^ run[:, None] >> n, _parities(run, n)
+        index = (rows[:, :, None] * d_s + rows[:, None, :]
+                 + d_s**2 * (parity[:, :, None] ^ parity[:, None, :]))
+        stack = np.take(signed, index.reshape(len(run), -1), axis=0)
+        stack[0] += acc  # acc + first conjugate, the same sum either way round
+        np.add.reduce(stack, axis=0, out=acc)
+    acc /= group.order
+    return Operator(acc.reshape(d_s, d_s, d_b, d_b).transpose(0, 2, 1, 3).reshape(d, d), op.dims)
 
 
 def commutant_basis(group: DecouplingGroup) -> tuple[Operator, ...]:
@@ -469,8 +468,7 @@ def minimal_group_search(
         hits = (np.sqrt(2**n_qubits * surviving) <= NUMERIC_TOL).all(0)
         if hits.any():  # identity first, then IXYZ order
             spans = [sorted(rank[row].tolist()) for row in elements[hits]]
-            return [DecouplingGroup._closed([words[k] for k in ks], [int(codes[k]) for k in ks])
-                    for ks in spans]
+            return [DecouplingGroup([words[k] for k in ks]) for ks in spans]
         if 2 * order > max_order:
             return []
         # Every word of a coset w * span gives the same group: extend by the first.

@@ -106,8 +106,7 @@ def boundary_pulses(words: Sequence[str]) -> list[str]:
     their codes.
     """
     n, codes = len(words[0]), [_code(w) for w in words]
-    named = dict(zip(codes, words))  # a group's pulses are its own words
-    return [named.get(p) or _label(p, n) for p in map(int.__xor__, codes[1:] + codes[:1], codes)]
+    return [_label(p, n) for p in map(int.__xor__, codes[1:] + codes[:1], codes)]
 
 
 def schedule_to_record(schedule: CycleSchedule) -> dict:

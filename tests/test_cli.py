@@ -161,6 +161,20 @@ def test_simulate_mode_none_exit_code(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_simulate_runs_a_four_qubit_register(tmp_path):
+    """The fidelity reference averages h_s over the group on four qubits, where
+    the projection's block offsets pass 255."""
+    cfg = write_config(tmp_path, {
+        "scenario": "custom", "seed": 1, "K": 4, "coupling": "dephasing", "group": "flip",
+        "delta_t": 0.1, "n_cycles": 5,
+        "bath": {"n_modes": 2, "cutoff": 1.0, "coupling_scale": 0.4},
+    })
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0.0 <= summary["terminal"]["fidelity_controlled"] <= 1.0 + 1e-9
+
+
 def test_sweep_command(tmp_path):
     cfg = write_config(tmp_path, {
         "scenario": "dephasing-echo", "seed": 7, "n_cycles": 8, "delta_t": 0.16,
