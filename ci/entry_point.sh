@@ -33,12 +33,20 @@ grep -m1 "^  group " "$work/design2.txt" | grep -qF "group ['II', 'IX', 'XI', 'X
 words=$(python -c 'import itertools; print(*["".join(w) for w in itertools.product("IXYZ", repeat=3)][1:])')
 "${cli[@]}" design --interaction $words --qubits 3 > "$work/design63.txt"
 grep -q "order 64" "$work/design63.txt"
+# the benchmark's 3-qubit interaction: 2 groups of order 2, in word order
+"${cli[@]}" design --interaction ZII IZI IIZ XXI IXX --qubits 3 > "$work/design3.txt"
+grep -qx "minimal decoupling groups (order 2):" "$work/design3.txt"
+test $(grep -c "^  group " "$work/design3.txt") -eq 2
+grep -m1 "^  group " "$work/design3.txt" | grep -qF "group ['III', 'XYX']"
 echo '{"scenario": "dephasing-echo", "seed": 7}' > "$work/echo.json"
 "${cli[@]}" simulate --config "$work/echo.json" --out "$work/echo"
+mode_is "$work/echo/summary.json" selective
 echo '{"scenario": "maximal-averaging", "seed": 7}' > "$work/maximal.json"
 "${cli[@]}" simulate --config "$work/maximal.json" --out "$work/maximal"
+mode_is "$work/maximal/summary.json" maximal
 echo '{"scenario": "selective-logic", "seed": 7}' > "$work/selective.json"
 "${cli[@]}" simulate --config "$work/selective.json" --out "$work/selective"
+mode_is "$work/selective/summary.json" selective
 echo '{"scenario": "collective-register", "seed": 7, "group": "flip"}' > "$work/flip.json"
 code=0
 "${cli[@]}" simulate --config "$work/flip.json" --out "$work/flip" || code=$?
@@ -104,3 +112,4 @@ path_is "$work/partial-sweep/summary.json" joint
 echo '{"scenario": "custom", "seed": 7, "K": 3, "group": "full", "coupling": "linear-collective", "bath": {"n_modes": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.02, "n_cycles": 20, "h_s": {"ZZI": 0.2}}' > "$work/k3-full.json"
 "${cli[@]}" simulate --config "$work/k3-full.json" --out "$work/k3-full"
 path_is "$work/k3-full/summary.json" joint
+mode_is "$work/k3-full/summary.json" maximal

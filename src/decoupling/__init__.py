@@ -4,6 +4,11 @@ Build bang-bang control cycles from groups of Pauli words, compute the
 effective (average) Hamiltonians they generate, propagate system-plus-
 bath dynamics exactly, and measure how decoherence is suppressed as the
 control time step shrinks.
+
+The package attribute ``evolve`` is the function
+:func:`decoupling.evolve.evolve`, which hides the submodule of that name:
+``import decoupling.evolve as m`` binds the function too. The module is
+``importlib.import_module("decoupling.evolve")``.
 """
 
 from .operators import (

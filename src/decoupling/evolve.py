@@ -73,7 +73,7 @@ import numpy as np
 from .operators import NUMERIC_TOL, Operator, as_matrices
 from .model import SystemBathModel
 from .sequence import CycleSchedule
-from .groups import _conjugate, _flips, conjugate_word, project_commutant
+from .groups import _conjugate, _flips, _label, project_commutant
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
@@ -450,18 +450,19 @@ def observable_drift(traj: TrajectoryResult, observable: Operator) -> tuple[np.n
 
     The observable must commute with every element of the group the
     trajectory's schedule ran over (those are the quantities the control
-    is supposed to preserve); the failing element is named otherwise.
-    Returns ``(times, values)`` read from ``traj.states``.
+    is supposed to preserve), that is with each of its generators; the
+    failing generator is named otherwise. Returns ``(times, values)`` read
+    from ``traj.states``.
     """
     group = traj.run.schedule.group
     if observable.dims != group.dims:
         raise ValueError("observable dims do not match the group")
-    scale, o = max(1.0, observable.max_abs()), observable.matrix
-    for label in group.labels:
+    n, scale, o = group.n_qubits, max(1.0, observable.max_abs()), observable.matrix
+    for g in group.generators:
         # ||g^dag O g - O|| = ||O g - g O||: g is unitary
-        if float(np.linalg.norm(conjugate_word(label, o) - o)) > NUMERIC_TOL * scale:
+        if float(np.linalg.norm(_conjugate(g, n, o) - o)) > NUMERIC_TOL * scale:
             raise ValueError(
-                f"observable does not commute with group element {label!r}"
+                f"observable does not commute with group element {_label(g, n)!r}"
             )
     return traj.times, np.einsum("ij,kji->k", observable.matrix, traj.states).real
 

@@ -24,8 +24,9 @@ are Pauli word tables (word -> coefficient, one per channel), and both
 the decoupling check and the minimal-group search classify them by
 codes: conjugation by a group word maps each word to plus or minus
 itself, so averaging keeps exactly the words that commute with every
-group word. Strings remain only where words come in or go out: configs,
-``labels``, printed output and error messages.
+group word, that is with each of its generators. Strings remain only
+where words come in or go out: configs, ``labels``, printed output and
+error messages.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ _DIGIT_LETTERS = str.maketrans("0123", "IZXY")
 SEARCH_MAX_QUBITS = 3
 SEARCH_MAX_ORDER = 64
 
-#: Most matrix entries one gathered stack of conjugates holds.
-_GATHER_ENTRIES = 2**18
-
 
 def _is_word(word: str, n_qubits: int | None = None) -> bool:
     return bool(word) and not word.strip(PAULI_LETTERS) and n_qubits in (None, len(word))
@@ -95,10 +93,10 @@ def _overlap(a, b, n_qubits: int):
     return (a >> n_qubits & b) ^ (a & b >> n_qubits)
 
 
-def _kept(code: int, group_codes: Sequence[int], n_qubits: int) -> bool:
+def _kept(code: int, generators: Sequence[int], n_qubits: int) -> bool:
     """Whether averaging over the group keeps the word of ``code``: whether it commutes
-    with every group word."""
-    return not any(_overlap(code, g, n_qubits).bit_count() & 1 for g in group_codes)
+    with every generator, and so with every group word."""
+    return not any(_overlap(code, g, n_qubits).bit_count() & 1 for g in generators)
 
 
 def _flips(code: int, n_qubits: int) -> tuple[slice, ...]:
@@ -110,7 +108,7 @@ def _flips(code: int, n_qubits: int) -> tuple[slice, ...]:
 
 def _parities(code, n_qubits: int) -> np.ndarray:
     """The parity of ``j & z`` for each basis index ``j`` (last axis), per code, as
-    ``intp`` (a popcount is ``uint8``, too narrow for index arithmetic)."""
+    ``intp`` (a popcount is ``uint8``, which cannot hold the sign ``1 - 2 p``)."""
     overlap = np.arange(2**n_qubits) & np.asarray(code)[..., None]
     return np.bitwise_count(overlap).astype(np.intp) & 1
 
@@ -192,7 +190,9 @@ class DecouplingGroup:
     ``IXYZ``, the identity word first, none repeated. ``codes`` holds
     their codes, in that order. Closure is checked at every order by
     spanning the list from its own words, one XOR per element, and the
-    first product outside the list is named.
+    first product outside the list is named. ``generators`` holds the
+    code of the first word of each new coset of that walk, in list order:
+    ``log2 |G|`` codes whose XOR span is ``codes``.
     """
 
     def __init__(self, words: Sequence[str]):
@@ -210,7 +210,7 @@ class DecouplingGroup:
                 raise ValueError(f"group word {k} ({w!r}) repeats an earlier word")
         if words[0] != "I" * n:
             raise ValueError(f"the first group word must be the identity, got {words[0]!r}")
-        span, spanned = [0], {0}
+        span, spanned, generators = [0], {0}, []
         for k, c in enumerate(position):
             if c in spanned:
                 continue
@@ -223,8 +223,10 @@ class DecouplingGroup:
                     )
             span += coset
             spanned.update(coset)
+            generators.append(c)
         self.labels: tuple[str, ...] = words
         self.codes: tuple[int, ...] = tuple(position)
+        self.generators: tuple[int, ...] = tuple(generators)
 
     @property
     def order(self) -> int:
@@ -299,38 +301,18 @@ def project_commutant(op: Operator, group: DecouplingGroup) -> Operator:
     commutant of the group. The map is idempotent, unital,
     trace-preserving, and independent of element phases.
 
-    Word ``g`` reads the ``d_b x d_b`` block ``(i, j)`` of the conjugate at
-    block ``(i ^ x_g, j ^ x_g)`` of ``op``, negated when the parities of
-    ``i & z_g`` and ``j & z_g`` differ. So one index operation into the blocks
-    and their negatives gathers the conjugates of a run of words, at most
-    ``_GATHER_ENTRIES`` entries, and one sum adds them to the running total in
-    group order, starting from zero, as a word-by-word loop would. An ``op``
-    too large for a run of two words is that loop: one conjugate at a time,
-    read through strided views (:func:`conjugate_word`).
+    Conjugations by Pauli words commute and compose as their products do,
+    and every group word is the product of a subset of the generators, so
+    the average is ``prod_i (1 + Ad_{g_i}) / 2``: one strided conjugate
+    (:func:`conjugate_word`) and one halved sum per generator. A word that
+    anticommutes with a generator cancels exactly, ``(a - a) / 2``.
     """
     if op.dims[:len(group.dims)] != group.dims:
         raise ValueError(f"operator dims {op.dims} do not start with group dims {group.dims}")
-    n, d_s, d = group.n_qubits, group.dim, op.matrix.shape[-1]
-    step = _GATHER_ENTRIES // d**2
-    if step < 2:
-        acc = np.zeros_like(op.matrix)
-        for code in group.codes:
-            acc += _conjugate(code, n, op.matrix)
-        return Operator(acc / group.order, op.dims)
-    d_b = d // d_s
-    blocks = op.matrix.reshape(d_s, d_b, d_s, d_b).transpose(0, 2, 1, 3).reshape(d_s**2, -1)
-    signed = np.concatenate([blocks, -blocks])
-    codes, acc = np.array(group.codes), np.zeros_like(blocks)
-    for k in range(0, group.order, step):
-        run = codes[k:k + step]
-        rows, parity = np.arange(d_s) ^ run[:, None] >> n, _parities(run, n)
-        index = (rows[:, :, None] * d_s + rows[:, None, :]
-                 + d_s**2 * (parity[:, :, None] ^ parity[:, None, :]))
-        stack = np.take(signed, index.reshape(len(run), -1), axis=0)
-        stack[0] += acc  # acc + first conjugate, the same sum either way round
-        np.add.reduce(stack, axis=0, out=acc)
-    acc /= group.order
-    return Operator(acc.reshape(d_s, d_s, d_b, d_b).transpose(0, 2, 1, 3).reshape(d, d), op.dims)
+    x = op.matrix
+    for g in group.generators:
+        x = (x + _conjugate(g, group.n_qubits, x)) / 2
+    return Operator(x, op.dims)
 
 
 def commutant_basis(group: DecouplingGroup) -> tuple[Operator, ...]:
@@ -339,9 +321,9 @@ def commutant_basis(group: DecouplingGroup) -> tuple[Operator, ...]:
     normalized by ``sqrt(d)``. An independent route (the null space of the
     commutation superoperator) exists in the test suite as an oracle.
     """
-    n, codes = group.n_qubits, group.codes
+    n, gens = group.n_qubits, group.generators
     scale = 1.0 / np.sqrt(group.dim)
-    return tuple(pauli_word_operator(w) * scale for w in _all_words(n) if _kept(_code(w), codes, n))
+    return tuple(pauli_word_operator(w) * scale for w in _all_words(n) if _kept(_code(w), gens, n))
 
 
 @dataclass(frozen=True)
@@ -379,12 +361,12 @@ def _check_tables(tables: Sequence[dict[str, complex]], n_qubits: int):
                 raise ValueError(f"{w!r} is not a {n_qubits}-letter Pauli word")
 
 
-def _surviving_norm(table: dict[str, complex], codes: Sequence[int], n_qubits: int) -> float:
-    """Norm of the traceless part of ``table`` that averaging over the group of ``codes``
-    keeps."""
+def _surviving_norm(table: dict[str, complex], generators: Sequence[int], n_qubits: int) -> float:
+    """Norm of the traceless part of ``table`` that averaging over the group of
+    ``generators`` keeps."""
     id_word = "I" * n_qubits
     surviving = sum(abs(c) ** 2 for w, c in table.items()
-                    if w != id_word and _kept(_code(w), codes, n_qubits))
+                    if w != id_word and _kept(_code(w), generators, n_qubits))
     return math.sqrt(2**n_qubits * surviving)
 
 
@@ -396,9 +378,9 @@ def check_decoupling(
     ``tables`` holds one channel per entry, as a mapping from Pauli word
     to coefficient (see :func:`decoupling.model.coupling_tables`).
     """
-    n_qubits, codes = group.n_qubits, group.codes
+    n_qubits, gens = group.n_qubits, group.generators
     _check_tables(tables, n_qubits)
-    residuals = tuple(_surviving_norm(t, codes, n_qubits) for t in tables)
+    residuals = tuple(_surviving_norm(t, gens, n_qubits) for t in tables)
     cdim = group.commutant_dimension
     if all(r <= NUMERIC_TOL for r in residuals):
         mode = "maximal" if cdim == 1 else "selective"

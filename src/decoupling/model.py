@@ -25,7 +25,6 @@ cycle completes in a fraction of ``1/cutoff``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple, Sequence
@@ -33,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import DIM_CAP, Operator
-from .groups import PAULI_LETTERS, PAULI_MATRICES, _pauli_sums
+from .groups import PAULI_MATRICES, _all_words, _pauli_sums
 
 
 BATH_KINDS = ("spin-bath", "boson-mode")
@@ -277,7 +276,7 @@ def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:
     """System side of each coupling channel of a flavour, as a Pauli word table.
 
     Channels come site by site, then letter by letter, then (``total``)
-    in ``itertools.product`` word order; the builder pairs its random
+    in ``IXYZ`` word order; the builder pairs its random
     bath operators with the channels in this order.
     """
     def site(letter: str, i: int) -> str:
@@ -290,8 +289,7 @@ def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:
     if kind == "linear-collective":
         return [{site(letter, i): 1.0 for i in range(n_qubits)} for letter in "XYZ"]
     if kind == "total":
-        words = ("".join(w) for w in itertools.product(PAULI_LETTERS, repeat=n_qubits))
-        return [{w: 1.0} for w in words if w != "I" * n_qubits]
+        return [{w: 1.0} for w in _all_words(n_qubits)[1:]]
     raise ValueError(f"unknown coupling kind {kind!r}; expected one of {COUPLING_KINDS}")
 
 

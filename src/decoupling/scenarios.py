@@ -36,7 +36,7 @@ from .model import (
     build_system_bath_model,
     coupling_tables,
 )
-from .groups import DecouplingGroup, check_decoupling, pauli_group, trivial_group
+from .groups import DecouplingGroup, _is_word, check_decoupling, pauli_group, trivial_group
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
 from .evolve import SimulationRun, estimate_rates, evolve, fit_scaling_exponent
 
@@ -181,7 +181,7 @@ def _word_table(table: dict, n_qubits: int, path: str) -> dict[str, float]:
         _fail(path, "expected an object mapping Pauli words to real coefficients")
     for word in sorted(table):
         _as_number(table[word], f"{path}.{word}")
-        if len(word) != n_qubits or any(c not in "IXYZ" for c in word):
+        if not _is_word(word, n_qubits):
             _fail(f"{path}.{word}", f"not a {n_qubits}-letter Pauli word")
     return {word: float(table[word]) for word in sorted(table)}
 

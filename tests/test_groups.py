@@ -25,7 +25,7 @@ from decoupling import (
     project_commutant,
     trivial_group,
 )
-from decoupling.groups import conjugate_word
+from decoupling.groups import _label, conjugate_word
 
 from oracle_groups import (
     PAULI_1Q,
@@ -101,6 +101,26 @@ def test_named_groups_have_expected_elements():
     assert full2.order == 16
     with pytest.raises(ValueError):
         pauli_group(1, "cyclic")
+
+
+def assert_generates(group):
+    """``log2 |G|`` generators whose XOR span is exactly the group's codes."""
+    assert len(group.generators) == group.order.bit_length() - 1
+    span = {0}
+    for g in group.generators:
+        span |= {s ^ g for s in span}
+    assert span == set(group.codes) and len(span) == group.order
+
+
+def test_named_groups_record_their_generators():
+    """The first word of each new coset, in list order."""
+    assert trivial_group(2).generators == ()
+    assert [_label(g, 2) for g in pauli_group(2, "collective").generators] == ["XX", "YY"]
+    assert [_label(g, 2) for g in pauli_group(2, "full").generators] == ["IX", "IY", "XI", "YI"]
+    for n_qubits in (1, 2, 3, 4):
+        for variant in ("full", "collective", "flip"):
+            assert_generates(pauli_group(n_qubits, variant))
+        assert_generates(trivial_group(n_qubits))
 
 
 def test_group_requires_identity_first():
@@ -361,32 +381,38 @@ def signed_zero_matrix(rng, d):
 @pytest.mark.parametrize("n_qubits, d_b",
                          [(n_qubits, d_b) for n_qubits in (1, 2, 3, 4) for d_b in (1, 2, 4)]
                          + [(6, 1)])
-def test_gathered_projection_matches_the_word_loop_bitwise(monkeypatch, n_qubits, d_b):
-    """The gathered average adds the conjugates in group order from zero, as
-    the word-by-word loop does: equal bytes for whole-group gathers, for gathers
-    of three and of two words at a time (a block boundary inside the group) and
-    for the one-word loop. From four qubits on, ``d_s**2`` index offsets no
-    longer fit a byte."""
-    groups_module = importlib.import_module("decoupling.groups")
+def test_generator_projection_matches_the_word_loop(n_qubits, d_b):
+    """One signed flip per generator agrees with adding every group word's
+    conjugate in group order from zero to within a few units of round-off;
+    the trivial group, which has no generators, returns its input."""
     rng = np.random.default_rng(1000 * n_qubits + d_b)
     d = 2**n_qubits * d_b
     op = Operator(signed_zero_matrix(rng, d), (2,) * n_qubits + ((d_b,) if d_b > 1 else ()))
+    scale = np.abs(op.matrix).max()
     for group in (pauli_group(n_qubits, "full"), pauli_group(n_qubits, "collective"),
-                  pauli_group(n_qubits, "flip"), trivial_group(n_qubits)):
-        expected = project_commutant_loop(op, group).tobytes()
-        for entries in (groups_module._GATHER_ENTRIES, 3 * d * d, 2 * d * d, 1):
-            monkeypatch.setattr(groups_module, "_GATHER_ENTRIES", entries)
-            assert project_commutant(op, group).matrix.tobytes() == expected
+                  pauli_group(n_qubits, "flip")):
+        error = np.abs(project_commutant(op, group).matrix - project_commutant_loop(op, group))
+        assert error.max() <= 1e-15 * scale, (group.order, error.max() / scale)
+    assert project_commutant(op, trivial_group(n_qubits)).matrix.tobytes() == op.matrix.tobytes()
+
+
+def test_projection_cancels_anticommuting_words_exactly():
+    """Each generator either keeps a word, ``(a + a) / 2``, or cancels it,
+    ``(a - a) / 2``: the full group averages the benchmark's system
+    Hamiltonians to exact zeros, where a sum over all words leaves round-off."""
+    for table, n_qubits in (({"XI": 0.3, "ZZ": 0.2}, 2), ({"ZZI": 0.2}, 3)):
+        projected = project_commutant(pauli_sum(table, n_qubits), pauli_group(n_qubits, "full"))
+        assert not projected.matrix.any(), (table, np.abs(projected.matrix).max())
 
 
 def test_projection_memory_is_bounded():
     """A joint-size operator is averaged with about three operator-sized
-    arrays, and a 4096-word group's gather, index included, stays within a few
-    stacks of ``_GATHER_ENTRIES`` entries."""
-    groups_module = importlib.import_module("decoupling.groups")
+    arrays, however many words the group has, and the 4096-word group holds
+    under 1 MiB on a 64 x 64 operator."""
     rng = np.random.default_rng(5)
-    for group, d_b, bound in ((pauli_group(2, "full"), 128, None), (pauli_group(6, "full"), 1,
-                              4 * 16 * groups_module._GATHER_ENTRIES)):
+    for group, d_b, bound in ((pauli_group(2, "full"), 128, None),
+                              (pauli_group(3, "full"), 64, None),
+                              (pauli_group(6, "full"), 1, 2**20)):
         d = group.dim * d_b
         op = Operator(random_matrix(rng, d), group.dims + ((d_b,) if d_b > 1 else ()))
         tracemalloc.start()
@@ -425,11 +451,13 @@ def interactions():
 
 
 def test_mask_search_lists_the_letter_search_groups_in_order():
-    """The same groups in the same order."""
+    """The same groups in the same order, each spanned by its generators."""
     for words, n_qubits in interactions():
         tables = [{w: 1.0} for w in words]
         hits = minimal_group_search(tables, n_qubits)
         assert [list(g.labels) for g in hits] == search_by_letters(tables, n_qubits), words
+        for group in hits:
+            assert_generates(group)
 
 
 def test_mask_search_matches_the_letter_search_near_the_tolerance():

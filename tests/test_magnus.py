@@ -3,7 +3,9 @@
 The zeroth order is compared against a plain arithmetic mean of toggled
 Hamiltonians (conjugated by Kronecker-lifted frames) and against
 factor-wise group projection; the first order
-is compared against the explicit commutator double sum.
+is compared against the explicit commutator double sum. The exact cycle's
+distance from the zeroth-order average bounds the infidelity of every
+snapshot of a run.
 """
 
 import importlib
@@ -15,9 +17,16 @@ from decoupling import (
     BathSpec,
     DecouplingGroup,
     Operator,
+    SimulationRun,
     average_h0,
     average_h1,
+    build_model,
+    build_schedule,
     build_system_bath_model,
+    cycle_propagator,
+    evolve,
+    expm_hermitian,
+    parse_config,
     pauli_group,
     project_commutant,
     schedule_from_group,
@@ -185,3 +194,39 @@ def test_phase_flip_group_keeps_dephasing_coupling():
     residual = h0bar.matrix - np.kron(np.eye(2, dtype=complex), model.h_b.matrix)
     want = np.kron(s.matrix, b.matrix)
     assert np.max(np.abs(residual - want)) < 1e-12
+
+
+#: The presets' defaults, the symmetric collective register (also at the
+#: delta_t 0.16, 20-cycle point where its palindrome sweeps above the plain
+#: cycle) and the symmetric echo: both propagation paths, plain and palindromic.
+ERROR_BOUND_CONFIGS = [
+    {"scenario": "dephasing-echo"},
+    {"scenario": "collective-register"},
+    {"scenario": "maximal-averaging"},
+    {"scenario": "selective-logic"},
+    {"scenario": "collective-register", "symmetric": True},
+    {"scenario": "collective-register", "symmetric": True, "delta_t": 0.16, "n_cycles": 20},
+    {"scenario": "dephasing-echo", "symmetric": True},
+]
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("doc", ERROR_BOUND_CONFIGS,
+                         ids=lambda doc: "-".join(str(v) for v in doc.values()))
+def test_infidelity_obeys_the_zeroth_order_error_bound(doc, seed):
+    """With ``eps = ||U_c - exp(-i H0 T_c)||_2`` the distance of the exact cycle
+    from its zeroth-order average, telescoping gives ``||U_c^k - V^k||_2 <= k eps``.
+    A decoupling group makes ``V^k`` map the pure product initial state to the
+    ideal reference times a bath state, so ``1 - F_k <= (k eps)**2`` at every
+    snapshot. At ``k = 0`` both sides are zero up to the float64 norm of the
+    initial state."""
+    config = parse_config({**doc, "seed": seed})
+    model, schedule = build_model(config), build_schedule(config)
+    traj = evolve(SimulationRun(model=model, schedule=schedule, n_cycles=config.n_cycles,
+                                rho_s0=config.rho_s0, sample_every=config.sample_every))
+    average = expm_hermitian(average_h0(model, schedule), schedule.cycle_time)
+    eps = np.linalg.norm(cycle_propagator(model, schedule).matrix - average.matrix, 2)
+    infidelity, k = 1.0 - traj.fidelity, traj.cycles
+    assert k[0] == 0 and abs(infidelity[0]) <= 1e-15
+    ratio = infidelity[1:] / (k[1:] * eps) ** 2
+    assert (infidelity[1:] <= (k[1:] * eps) ** 2).all(), ratio.max()

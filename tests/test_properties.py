@@ -41,6 +41,7 @@ from oracle_groups import (
     decouples_oracle,
     null_space_commutant_oracle,
     pauli_coefficients,
+    project_commutant_loop,
     subgroup_words,
     table_matrix,
     traceless_residual,
@@ -88,6 +89,8 @@ def test_projector_is_idempotent_unital_trace_preserving(words, seed):
     d = group.dim
     s = Operator(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), group.dims)
     p1 = project_commutant(s, group)
+    loop = project_commutant_loop(s, group)
+    assert np.max(np.abs(p1.matrix - loop)) <= 1e-15 * np.max(np.abs(s.matrix))
     assert np.max(np.abs(project_commutant(p1, group).matrix - p1.matrix)) <= 1e-12
     assert abs(p1.trace() - s.trace()) <= 1e-12
     eye = identity(group.dims)

@@ -5,6 +5,7 @@ criteria call. A name is added or removed by editing it here.
 """
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -84,3 +85,13 @@ def test_scenarios_imports_no_private_evolve_name():
         for alias in node.names
     ]
     assert imported and not [name for name in imported if name.startswith("_")]
+
+
+def test_package_evolve_is_the_function_and_importlib_reaches_the_module():
+    """The function hides its submodule on the package, so patching
+    ``decoupling.evolve`` patches nothing the runs read."""
+    module = importlib.import_module("decoupling.evolve")
+    assert isinstance(module, types.ModuleType) and module.__name__ == "decoupling.evolve"
+    assert decoupling.evolve is module.evolve
+    import decoupling.evolve as bound
+    assert bound is module.evolve
