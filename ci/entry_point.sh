@@ -74,8 +74,11 @@ grep -q "^error: config field 'h_s.Z'" "$work/overflow2.txt"
 test ! -e "$work/overflow2"
 echo '{"scenario": "dephasing-echo", "seed": 7, "symmetric": true, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/sweep.json"
 "${cli[@]}" sweep --config "$work/sweep.json" --out "$work/sweep"
+fit_points "$work/sweep/summary.json" 3
+path_is "$work/sweep/summary.json" modes
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}' > "$work/boson.json"
 "${cli[@]}" simulate --config "$work/boson.json" --out "$work/boson"
+path_is "$work/boson/summary.json" modes
 # the first qubit is not conserved: one joint eigh
 echo '{"scenario": "custom", "seed": 7, "K": 2, "group": "full", "coupling": "dephasing", "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZX": 0.2, "IX": 0.1}}' > "$work/partial.json"
 "${cli[@]}" simulate --config "$work/partial.json" --out "$work/partial"

@@ -121,16 +121,11 @@ def _phases(code, n_qubits: int) -> np.ndarray:
 
 
 def pauli_word_operator(word: str) -> Operator:
-    """Tensor-product operator for a Pauli word such as ``"XXI"``, filled in
-    one pass over the basis from its code (see :func:`_phases`), with no
-    Kronecker products."""
+    """Tensor-product operator for a Pauli word such as ``"XXI"``: the
+    :func:`pauli_sum` of the word alone."""
     if not _is_word(word):
         raise ValueError(f"invalid Pauli word {word!r}; letters must be in 'IXYZ'")
-    n, code = len(word), _code(word)
-    j = np.arange(2**n)
-    m = np.zeros((j.size, j.size), dtype=complex)
-    m[j ^ code >> n, j] = _phases(code, n)
-    return Operator(m, (2,) * n)
+    return pauli_sum({word: 1.0}, len(word))
 
 
 def _conjugate(code: int, n_qubits: int, x: np.ndarray) -> np.ndarray:
@@ -323,7 +318,7 @@ def commutant_basis(group: DecouplingGroup) -> tuple[Operator, ...]:
     """
     n, gens = group.n_qubits, group.generators
     scale = 1.0 / np.sqrt(group.dim)
-    return tuple(pauli_word_operator(w) * scale for w in _all_words(n) if _kept(_code(w), gens, n))
+    return tuple(pauli_sum({w: scale}, n) for w in _all_words(n) if _kept(_code(w), gens, n))
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,8 @@ def truncation_error(model: SystemBathModel, schedule: CycleSchedule, order: int
         raise ValueError(f"order must be 0 or 1, got {order}")
     effective = average_h0(model, schedule)
     if order == 1:
-        effective = effective + average_h1(model, schedule)
+        effective = Operator(effective.matrix + average_h1(model, schedule).matrix,
+                             effective.dims)
     exact = cycle_propagator(model, schedule)
     approx = expm_hermitian(effective, schedule.cycle_time)
     return float(np.linalg.norm(exact.matrix - approx.matrix))

@@ -389,8 +389,8 @@ def build_system_bath_model(
     system = _pauli_sums(words, n_qubits)
     dims = (2,) * n_qubits
     couplings = tuple(
-        (Operator(s, dims), Operator.deferred(
-            partial(_normalized, t, bath.coupling_scale, nrm), bath_dims))
+        (Operator(s, dims),
+         Operator.deferred(partial(_placed, bath.coupling_scale * t / nrm), bath_dims))
         for s, t, nrm in zip(system[1:], terms, norms))
     rows = coeffs * (bath.coupling_scale / np.array(norms))[:, None, None]
     modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops), rows)
@@ -409,7 +409,3 @@ def _placed(terms: Sequence[np.ndarray]) -> np.ndarray:
         np.einsum("aibajb->abij", blocks)[...] += term
     return out
 
-
-def _normalized(terms: Sequence[np.ndarray], scale: float, norm: float) -> np.ndarray:
-    """:func:`_placed` ``terms`` brought from spectral norm ``norm`` to ``scale``."""
-    return scale * _placed(terms) / norm

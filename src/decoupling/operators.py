@@ -6,9 +6,10 @@ complex square matrix tagged with the ordered list of tensor-factor
 dimensions of the space it acts on. Hamiltonians carry angular-frequency
 units (hbar = 1); unitaries and density matrices are dimensionless.
 
-Operators are immutable. The wrapped array is write-protected and every
-operation returns a new instance, so any function in this package may be
-called concurrently without locking. A deferred operator
+Operators are immutable and have no arithmetic: the wrapped array is
+write-protected, and code that combines operators combines their
+``matrix`` arrays into a new Operator, so any function in this package may
+be called concurrently without locking. A deferred operator
 (:meth:`Operator.deferred`) places its matrix on the first read of
 ``matrix``: the array is filled once, then write-protected and kept. Two
 threads racing on that first read may both place it, but each sees a whole
@@ -95,30 +96,9 @@ class Operator:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.matrix))) if self.dim else 0.0
 
-    def is_hermitian(self, tol: float = STRUCT_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         scale = max(1.0, self.max_abs())
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) <= tol * scale
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _require_same_space(self, other: "Operator"):
-        if not isinstance(other, Operator):
-            raise TypeError(f"expected Operator, got {type(other).__name__}")
-        if other.dims != self.dims:
-            raise ValueError(f"operator spaces differ: dims {self.dims} vs {other.dims}")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._require_same_space(other)
-        return Operator(self.matrix + other.matrix, self.dims)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._require_same_space(other)
-        return Operator(self.matrix - other.matrix, self.dims)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.matrix * complex(scalar), self.dims)
-
-    __rmul__ = __mul__
+        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) <= STRUCT_TOL * scale
 
     def __repr__(self) -> str:
         return f"Operator(d={self.dim}, dims={self.dims})"

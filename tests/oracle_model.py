@@ -2,10 +2,12 @@
 
 ``build_system_bath_model`` makes both bath kinds from one mode table and
 writes each mode's operators into the bath matrix by index. The builders
-here are the separate spin and boson paths it replaced, verbatim: they
-build every site operator through a chain of :func:`tensor` products,
-the Kronecker product the package no longer has, and
-``total_hamiltonian`` sums ``Operator`` terms. Their ``identity`` and
+here are the separate spin and boson paths it replaced: they build every
+site operator through a chain of :func:`tensor` products, the Kronecker
+product the package no longer has, and ``total_hamiltonian`` sums
+Kronecker terms. ``Operator`` has no arithmetic, so they combine
+``matrix`` arrays: each term scaled as ``m * complex(c)``, then added.
+Their ``identity`` and
 ``zero`` constructors left the package and live here. The new
 builder must reproduce their models bit for bit, except the bath factors:
 they are normalized here by the SVD spectral norm, and in the package by
@@ -64,10 +66,10 @@ def tensor_all(ops: Sequence[Operator]) -> Operator:
 def total_hamiltonian(model: SystemBathModel) -> Operator:
     """Assemble the full Hamiltonian on the joint system-bath space."""
     h = tensor(model.h_s, identity(list(model.h_b.dims)))
-    h = h + tensor(identity(list(model.h_s.dims)), model.h_b)
+    m = h.matrix + tensor(identity(list(model.h_s.dims)), model.h_b).matrix
     for s, b in model.couplings:
-        h = h + tensor(s, b)
-    return h
+        m = m + tensor(s, b).matrix
+    return Operator(m, h.dims)
 
 
 def _site_operator(local: np.ndarray, site: int, n_sites: int, local_dim: int = 2) -> Operator:
@@ -132,9 +134,9 @@ def build_spin_bath_model(
             f"got {m}"
         )
     bath_dims = (2,) * m
-    h_b = zero(list(bath_dims))
+    h_b = zero(list(bath_dims)).matrix
     for i, w in enumerate(bath.mode_frequencies):
-        h_b = h_b + 0.5 * w * _site_operator(PAULI_MATRICES["Z"], i, m)
+        h_b = h_b + _site_operator(PAULI_MATRICES["Z"], i, m).matrix * complex(0.5 * w)
     transverse = [
         _site_operator(PAULI_MATRICES[letter], j, m).matrix
         for j in range(m)
@@ -150,7 +152,8 @@ def build_spin_bath_model(
         h_s = zero([2] * n_qubits)
     elif h_s.dims != (2,) * n_qubits:
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
-    return SystemBathModel(h_s=h_s, h_b=h_b, couplings=couplings, cutoff=bath.cutoff)
+    return SystemBathModel(h_s=h_s, h_b=Operator(h_b, bath_dims), couplings=couplings,
+                           cutoff=bath.cutoff)
 
 
 def build_boson_dephasing_model(
@@ -181,9 +184,9 @@ def build_boson_dephasing_model(
     lower = np.diag(np.sqrt(np.arange(1, n_levels)), 1)
     number = np.diag(np.arange(n_levels, dtype=float))
     quadrature = lower + lower.conj().T
-    h_b = zero(list(bath_dims))
+    h_b = zero(list(bath_dims)).matrix
     for i, w in enumerate(bath.mode_frequencies):
-        h_b = h_b + w * _site_operator(number, i, m, local_dim=n_levels)
+        h_b = h_b + _site_operator(number, i, m, local_dim=n_levels).matrix * complex(w)
     quads = [
         _site_operator(quadrature, j, m, local_dim=n_levels).matrix for j in range(m)
     ]
@@ -197,7 +200,8 @@ def build_boson_dephasing_model(
         h_s = zero([2] * n_qubits)
     elif h_s.dims != (2,) * n_qubits:
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
-    return SystemBathModel(h_s=h_s, h_b=h_b, couplings=couplings, cutoff=bath.cutoff)
+    return SystemBathModel(h_s=h_s, h_b=Operator(h_b, bath_dims), couplings=couplings,
+                           cutoff=bath.cutoff)
 
 
 def _mode_operators(bath: BathSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -216,13 +216,14 @@ def test_design_collective_register(capsys):
     ["--interaction", "ZI", "IZ", "ZZ", "--qubits", "2"],
 ])
 def test_design_builds_no_dense_word(argv, monkeypatch, capsys):
-    """The search and its report stay in word space: no word matrix is built."""
+    """The search and its report stay in word space: no word matrix is built
+    (every one is placed by ``_pauli_sums``)."""
     groups_module = importlib.import_module("decoupling.groups")
 
-    def refuse(word):
-        raise AssertionError(f"dense matrix built for {word!r}")
+    def refuse(tables, n_qubits):
+        raise AssertionError(f"dense matrices built for {tables!r}")
 
-    monkeypatch.setattr(groups_module, "pauli_word_operator", refuse)
+    monkeypatch.setattr(groups_module, "_pauli_sums", refuse)
     assert main(["design", *argv]) == 0
     assert "minimal decoupling groups" in capsys.readouterr().out
 

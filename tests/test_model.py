@@ -187,7 +187,7 @@ def test_linear_dependence_rejected():
         SystemBathModel(
             h_s=Operator(np.zeros((2, 2), dtype=complex), [2]),
             h_b=Operator(0.5 * SZ, [2]),
-            couplings=((z, b), (x, 2.0 * b)),
+            couplings=((z, b), (x, Operator(2.0 * b.matrix, [2]))),
             cutoff=1.0,
         )
 

@@ -124,23 +124,10 @@ def test_arithmetic_matches_numpy():
     rng = np.random.default_rng(41)
     for _ in range(10):
         a = random_matrix(rng, 4)
-        b = random_matrix(rng, 4)
         oa = Operator(a, [2, 2])
-        ob = Operator(b, [2, 2])
-        assert np.allclose((oa + ob).matrix, a + b)
-        assert np.allclose((oa - ob).matrix, a - b)
-        assert np.allclose((2.5j * oa).matrix, 2.5j * a)
-        assert np.allclose((oa * 2.5j).matrix, 2.5j * a)
         assert abs(oa.trace() - np.trace(a)) < 1e-12
         assert abs(oa.norm() - np.linalg.norm(a)) < 1e-12
         assert abs(oa.max_abs() - np.abs(a).max()) < 1e-12
-
-
-def test_mismatched_dims_rejected():
-    a = Operator(np.eye(4), [4])
-    b = Operator(np.eye(4), [2, 2])
-    with pytest.raises(ValueError):
-        a + b
 
 
 def test_hermitian_predicate():

@@ -1,13 +1,17 @@
 """The package's public names, pinned.
 
 The list holds what the command line, the demos and the acceptance
-criteria call. A name is added or removed by editing it here.
+criteria call. A name is added or removed by editing it here. What an
+``Operator`` leaves out, arithmetic, is pinned here too.
 """
 
 import ast
 import importlib
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import decoupling
 
@@ -95,3 +99,15 @@ def test_package_evolve_is_the_function_and_importlib_reaches_the_module():
     assert decoupling.evolve is module.evolve
     import decoupling.evolve as bound
     assert bound is module.evolve
+
+
+def test_operators_have_no_arithmetic():
+    """An ``Operator`` is a checked, write-protected matrix with its tensor
+    factors and nothing more: code that combines operators combines their
+    ``matrix`` arrays, so adding, subtracting or scaling them raises."""
+    a = decoupling.Operator(np.eye(4), [2, 2])
+    b = decoupling.Operator(np.eye(4), [4])
+    for combine in (lambda: a + a, lambda: a - a, lambda: a + b, lambda: 2.0 * a,
+                    lambda: a * 2.0, lambda: 1j * a, lambda: a * a):
+        with pytest.raises(TypeError):
+            combine()
