@@ -72,6 +72,14 @@ code=0
 test "$code" -eq 2
 grep -q "^error: config field 'h_s.Z'" "$work/overflow2.txt"
 test ! -e "$work/overflow2"
+# |0> does not dephase: every infidelity is 0.0, the fit cannot be made, and
+# the sweep exits 2 naming the points, leaving no output directory behind
+echo '{"scenario": "custom", "seed": 7, "K": 1, "coupling": "dephasing", "group": "flip", "rho_s0": "zero", "bath": {"n_modes": 3, "cutoff": 1.0, "coupling_scale": 0.2}, "delta_t": 0.1, "n_cycles": 8, "sweep": {"parameter": "delta_t", "values": [0.2, 0.1, 0.05]}}' > "$work/zero-sweep.json"
+code=0
+"${cli[@]}" sweep --config "$work/zero-sweep.json" --out "$work/zero-sweep" 2> "$work/zero-sweep.txt" || code=$?
+test "$code" -eq 2
+grep -q "^error: .*sweep\.values\[0\]" "$work/zero-sweep.txt"
+test ! -e "$work/zero-sweep"
 echo '{"scenario": "dephasing-echo", "seed": 7, "symmetric": true, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/sweep.json"
 "${cli[@]}" sweep --config "$work/sweep.json" --out "$work/sweep"
 fit_points "$work/sweep/summary.json" 3

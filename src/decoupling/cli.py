@@ -8,8 +8,8 @@ pulse programs (:func:`boundary_pulses`).
 
 Exit codes: 0 success; 1 the configured group fails to decouple the
 interaction (residual table printed); 2 bad usage or config, an output
-directory that cannot be made, or a run whose numbers overflow or whose
-arrays do not fit in memory.
+directory that cannot be made, a run whose numbers overflow or whose
+arrays do not fit in memory, or a sweep whose infidelities cannot be fitted.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ only, so the cycle propagator is a product of one free step
 schedule's group words in visiting order. A run takes one of two paths.
 
 The product path takes a fully conserved register (every word of ``h_s``
-and of each coupling's system factor in {I, Z}^K) of a model from the
-builder (its word tables and :class:`~decoupling.model.ModeTable`) whose
-bath starts in its ground state. Register state ``c`` then sees
-``H_c = E_c + sum_i h_ci``, a sum of
+and of each coupling's system factor in {I, Z}^K, read off the word tables
+every model carries) of a model from the builder, which alone has a
+:class:`~decoupling.model.ModeTable`, whose bath starts in its ground
+state. Register state ``c`` then sees ``H_c = E_c + sum_i h_ci``, a sum of
 commuting single-mode terms, and the ground state is a product over modes,
 so ``rho_cc'(t) = rho_cc'(0) prod_i <phi_i^c'(t)|phi_i^c(t)>`` with
 ``phi_i^c`` mode ``i``'s vector in state ``c``. A frame maps ``c`` to

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import DIM_CAP, Operator
-from .groups import PAULI_MATRICES, _all_words, _pauli_sums
+from .groups import PAULI_MATRICES, _all_words, _pauli_sums, _pauli_tables
 
 
 BATH_KINDS = ("spin-bath", "boson-mode")
@@ -145,9 +145,10 @@ class SystemBathModel:
     frequencies and coefficients real, the Gram of the ``B_a`` from
     :meth:`ModeTable.gram`. Its ``h_b`` and ``B_a`` are deferred Operators,
     whose ``d_b x d_b`` matrices are placed only when read (by the joint path).
-    ``words`` holds the Pauli word tables ``h_s`` and each ``S_a`` are the sums
-    of, in that order. A hand-built model has neither table, is checked on its
-    matrices, and is always evolved on its joint spectrum.
+    ``words`` holds the Pauli word tables (word -> real coefficient) ``h_s`` and
+    each ``S_a`` are the sums of, in that order; a model given none derives them
+    from its matrices on its qubit register. A hand-built model has no mode table,
+    is checked on its matrices, and is always evolved on its joint spectrum.
     """
 
     h_s: Operator
@@ -155,7 +156,7 @@ class SystemBathModel:
     couplings: tuple[tuple[Operator, Operator], ...]
     cutoff: float
     modes: ModeTable | None = None
-    words: tuple[dict[str, complex], ...] | None = None
+    words: tuple[dict[str, float], ...] = ()
 
     def __post_init__(self):
         table = self.modes
@@ -188,12 +189,8 @@ class SystemBathModel:
                 raise ValueError(f"coupling {k} is not Hermitian")
         if self.couplings:
             if table is None:
-                gram = np.array(
-                    [
-                        [np.vdot(a.matrix.ravel(), b.matrix.ravel()) for _, b in self.couplings]
-                        for _, a in self.couplings
-                    ]
-                )
+                flat = np.array([b.matrix.ravel() for _, b in self.couplings])
+                gram = flat.conj() @ flat.T
             else:
                 gram = table.gram()
             # numerical rank relative to the leading eigenvalue, so the
@@ -206,6 +203,11 @@ class SystemBathModel:
                     "bath coupling operators are linearly dependent; "
                     "draw more bath modes or fewer coupling channels"
                 )
+        if set(self.h_s.dims) != {2}:
+            raise ValueError(f"system dims {self.h_s.dims} are not all 2 (a register of qubits)")
+        if not self.words:
+            system = [self.h_s.matrix] + [s.matrix for s, _ in self.couplings]
+            object.__setattr__(self, "words", _pauli_tables(system, len(self.h_s.dims)))
 
     @property
     def system_dim(self) -> int:
@@ -220,9 +222,9 @@ class SystemBathModel:
         """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of register state
         ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of
         ``h_s``, added to mode 0: a ``(d_s m, n, n)`` stack, register state major. None unless
-        the model has both tables and every word with a nonzero coefficient is in {I, Z}^K
+        the model has a mode table and every word with a nonzero coefficient is in {I, Z}^K
         (every register qubit conserved). Made once per model, on the first read."""
-        if self.modes is None or self.words is None or any(
+        if self.modes is None or any(
                 c and set(w) - set("IZ") for table in self.words for w, c in table.items()):
             return None
         system = [self.h_s.matrix] + [s.matrix for s, _ in self.couplings]

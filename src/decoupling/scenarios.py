@@ -551,7 +551,8 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     first, and a grid whose cycle count divides that of an evolved one
     reads its every k-th sample, while any other grid evolves its own. The summary's ``path`` is the one every
     point took. A group that fails to decouple is rejected as in
-    :func:`run_scenario`.
+    :func:`run_scenario`. A point whose infidelity is not positive cannot be
+    fitted: the ``ValueError`` names each such point, and nothing is written.
     """
     if config.sweep_values is None:
         raise ConfigError("config field 'sweep': required for the sweep command")
@@ -573,13 +574,17 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
             rows.append({"delta_t": v, "infidelity": float(1.0 - traj.fidelity[-1]),
                          "rates": estimate_rates(traj.times, free[run.n_cycles], traj.coherence)})
 
+        bad = [f"sweep.values[{i}] (delta_t {row['delta_t']!r}) has infidelity "
+               f"{row['infidelity']!r}" for i, row in enumerate(rows) if row["infidelity"] <= 0]
+        if bad:  # raised before any file is written, so no partial output is left
+            raise ValueError(f"scaling fit needs positive infidelities: {'; '.join(bad)}")
+        fit = fit_scaling_exponent([(row["delta_t"], row["infidelity"]) for row in rows])
         lines = ["delta_t, terminal_infidelity, ratio"]
         for row in rows:
             lines.append(f"{row['delta_t']!r}, {row['infidelity']!r}, "
                          f"{float(row['rates'].ratio)!r}")
         (out / "sweep.csv").write_text("\n".join(lines) + "\n")
 
-        fit = fit_scaling_exponent([(row["delta_t"], row["infidelity"]) for row in rows])
         keys = {
             "path": traj.path,  # the same for every point
             "sweep": {

@@ -14,7 +14,9 @@ they are normalized here by the SVD spectral norm, and in the package by
 per-mode eigenvalues, so the two agree to 1e-14 relative.
 :func:`kron_bath` pins those factors bit for bit too: it lifts the
 builder's per-mode terms by ``np.kron``, adds them in the builder's mode
-order and normalizes them by the same per-mode eigenvalues.
+order and normalizes them by the same per-mode eigenvalues. The hand-built
+models of two acceptance criteria live here too, so that the word tables a
+hand-built model derives from its matrices are checked on them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from decoupling import (
     Operator,
     SystemBathModel,
     coupling_tables,
+    pauli_word_operator,
 )
 from decoupling.groups import PAULI_MATRICES, pauli_sum
 
@@ -239,3 +242,42 @@ def kron_bath(bath: BathSpec, n_channels: int) -> tuple[np.ndarray, list[np.ndar
         ends = np.linalg.eigvalsh(np.tensordot(coeffs, ops, axes=1)).sum(0)
         factors.append(bath.coupling_scale * b / float(max(ends[-1], -ends[0])))
     return h_b, factors
+
+
+def random_hermitian_model(rng: np.random.Generator) -> SystemBathModel:
+    """A hand-built model whose every operator is a random Hermitian matrix from ``rng``:
+    ``h_s`` on one qubit, ``h_b`` on a 4-level bath, then two channels, each ``S_a``
+    drawn before its ``B_a``."""
+
+    def herm(d):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return Operator((m + m.conj().T) / 2, [d])
+
+    return SystemBathModel(h_s=herm(2), h_b=herm(4),
+                           couplings=((herm(2), herm(4)), (herm(2), herm(4))), cutoff=1.0)
+
+
+def commuting_dephasing_model(rng: np.random.Generator, n_modes: int = 3) -> SystemBathModel:
+    """A hand-built qubit dephasing through ``Z (x) B`` against ``n_modes`` bath spins, with
+    ``h_b = sum_i w_i Z_i / 2`` (``w_i`` uniform in [0.3, 1)) and ``B = sum_i c_i Z_i``
+    (``c_i`` standard normal) scaled to spectral norm 0.4, so ``B`` commutes with ``h_b``."""
+    sz = PAULI_MATRICES["Z"]
+
+    def site(mat, i):
+        ops = [np.eye(2, dtype=complex)] * n_modes
+        ops[i] = mat
+        out = ops[0]
+        for o in ops[1:]:
+            out = np.kron(out, o)
+        return out
+
+    freqs = rng.uniform(0.3, 1.0, size=n_modes)
+    hb = sum(0.5 * w * site(sz, i) for i, w in enumerate(freqs))
+    bz = sum(rng.normal() * site(sz, i) for i in range(n_modes))
+    bz = bz * (0.4 / np.linalg.norm(bz, 2))
+    return SystemBathModel(
+        h_s=Operator(np.zeros((2, 2), dtype=complex), [2]),
+        h_b=Operator(hb, [2] * n_modes),
+        couplings=((pauli_word_operator("Z"), Operator(bz, [2] * n_modes)),),
+        cutoff=1.0,
+    )

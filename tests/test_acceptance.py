@@ -21,7 +21,6 @@ from decoupling import (
     DecouplingGroup,
     Operator,
     SimulationRun,
-    SystemBathModel,
     average_h0,
     average_h1,
     build_model,
@@ -42,9 +41,7 @@ from decoupling import (
 )
 from decoupling.cli import main as cli_main
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
+from oracle_model import commuting_dephasing_model, random_hermitian_model
 
 
 def report(num, label, ok, detail=""):
@@ -209,19 +206,7 @@ def test_07_symmetric_cycles_kill_first_order():
     ten randomly drawn models."""
     worst = 0.0
     for seed in range(10):
-        rng = np.random.default_rng(1000 + seed)
-
-        def herm(d):
-            m = random_matrix(rng, d)
-            return Operator((m + m.conj().T) / 2, [d])
-
-        model = SystemBathModel(
-            h_s=Operator(herm(2).matrix, [2]),
-            h_b=herm(4),
-            couplings=((Operator(herm(2).matrix, [2]), herm(4)),
-                       (Operator(herm(2).matrix, [2]), herm(4))),
-            cutoff=1.0,
-        )
+        model = random_hermitian_model(np.random.default_rng(1000 + seed))
         group = pauli_group(1, "flip") if seed % 2 else pauli_group(1, "full")
         sched = symmetrize(schedule_from_group(group, delta_t=0.11))
         worst = max(worst, average_h1(model, sched).norm())
@@ -313,27 +298,7 @@ def test_11_selective_decoupling_preserves_logic():
 def test_12_echo_exactness_for_commuting_bath():
     """When the dephasing bath factor commutes with the bath Hamiltonian,
     the two-segment echo is exact at any segment length."""
-    rng = np.random.default_rng(5)
-    m = 3
-
-    def site(mat, i):
-        ops = [np.eye(2, dtype=complex)] * m
-        ops[i] = mat
-        out = ops[0]
-        for o in ops[1:]:
-            out = np.kron(out, o)
-        return out
-
-    freqs = rng.uniform(0.3, 1.0, size=m)
-    hb = sum(0.5 * w * site(SZ, i) for i, w in enumerate(freqs))
-    bz = sum(rng.normal() * site(SZ, i) for i in range(m))
-    bz = bz * (0.4 / np.linalg.norm(bz, 2))
-    model = SystemBathModel(
-        h_s=Operator(np.zeros((2, 2), dtype=complex), [2]),
-        h_b=Operator(hb, [2] * m),
-        couplings=((pauli_word_operator("Z"), Operator(bz, [2] * m)),),
-        cutoff=1.0,
-    )
+    model = commuting_dephasing_model(np.random.default_rng(5))
     flip = pauli_group(1, "flip")
     plus = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
     worst = 0.0

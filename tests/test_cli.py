@@ -187,6 +187,24 @@ def test_sweep_command(tmp_path):
     assert "slope" in summary
 
 
+def test_a_sweep_it_cannot_fit_exits_2_and_leaves_nothing(tmp_path, capsys):
+    """|0> does not dephase, so every terminal infidelity is 0.0 and the
+    log-log fit cannot be made: exit 2, an error naming each point with its
+    delta_t and infidelity, and no output directory left behind."""
+    cfg = write_config(tmp_path, {
+        "scenario": "custom", "seed": 7, "K": 1, "coupling": "dephasing", "group": "flip",
+        "rho_s0": "zero", "bath": {"n_modes": 3, "cutoff": 1.0, "coupling_scale": 0.2},
+        "delta_t": 0.1, "n_cycles": 8,
+        "sweep": {"parameter": "delta_t", "values": [0.2, 0.1, 0.05]},
+    })
+    out = tmp_path / "zero"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for i, v in enumerate([0.2, 0.1, 0.05]):
+        assert f"sweep.values[{i}] (delta_t {v}) has infidelity 0.0" in err
+    assert not out.exists()
+
+
 def test_sweep_without_sweep_block(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -187,7 +187,9 @@ def test_a_cached_joint_spectrum_leaves_the_path_alone():
     """The run, not what its model has cached, picks the path: an echo run
     takes the product path, bit for bit the same, before and after its
     model's joint spectrum is read; a hand-built model and an explicit
-    ``rho_b0`` take the joint path."""
+    ``rho_b0`` take the joint path. The hand-built copy's word tables are all
+    in {I, Z}, as the builder's are: only its missing mode table sends it
+    to the joint path."""
     config = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 6})
     model = build_model(config)
     common = dict(schedule=build_schedule(config), n_cycles=6, rho_s0=config.rho_s0)
@@ -198,6 +200,8 @@ def test_a_cached_joint_spectrum_leaves_the_path_alone():
         assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
     assert fresh.path == cached.path == "modes"
     hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
+    assert hand_built.modes is None
+    assert all(set(w) <= set("IZ") for table in hand_built.words for w in table)
     mixed_bath = Operator(np.eye(model.bath_dim) / model.bath_dim, model.h_b.dims)
     for m, rho_b0 in ((hand_built, None), (model, mixed_bath)):
         assert evolve(SimulationRun(model=m, rho_b0=rho_b0, **common)).path == "joint"

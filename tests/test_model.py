@@ -1,16 +1,21 @@
 """System-bath model construction: bath grids, coupling channels, validation."""
 
+import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from decoupling import (
+    SCENARIO_NAMES,
     BathSpec,
     Operator,
     SystemBathModel,
+    build_model,
     build_system_bath_model,
     coupling_tables,
+    parse_config,
     pauli_sum,
     pauli_word_operator,
     total_hamiltonian,
@@ -468,3 +473,110 @@ def test_tensor_against_index_loop_oracle():
     chained = tensor(tensor(Operator(a, [2]), Operator(b, [3])), Operator(c, [2]))
     assert chained.dims == (2, 3, 2)
     assert np.allclose(chained.matrix, kron_oracle(kron_oracle(a, b), c), atol=1e-13)
+
+
+# -- word tables of hand-built models ------------------------------------------
+
+
+def _random_hermitian(rng, d):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (m + m.conj().T) / 2
+
+
+def _random_register_model(n_qubits):
+    """A random Hermitian ``h_s`` and two random channels on ``n_qubits`` qubits, with a
+    random 3-level bath."""
+    rng = np.random.default_rng(40 + n_qubits)
+    dims = (2,) * n_qubits
+
+    def system():
+        return Operator(_random_hermitian(rng, 2**n_qubits), dims)
+
+    return SystemBathModel(h_s=system(), h_b=Operator(_random_hermitian(rng, 3), [3]),
+                           couplings=tuple((system(), Operator(_random_hermitian(rng, 3), [3]))
+                                           for _ in range(2)), cutoff=1.0)
+
+
+def _oracle_spin_model(kind, n_qubits):
+    n_modes = next(m for k, n, m in _spin_cases() if (k, n) == (kind, n_qubits))
+    bath = BathSpec(kind="spin-bath", n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=3)
+    h_s = Operator(_random_hermitian(np.random.default_rng(n_qubits), 2**n_qubits),
+                   (2,) * n_qubits)
+    return oracle_model.build_spin_bath_model(n_qubits, bath, coupling=kind, h_s=h_s)
+
+
+def _oracle_boson_model(n_qubits):
+    bath = BathSpec(kind="boson-mode", n_modes=n_qubits, cutoff=1.5, coupling_scale=0.3,
+                    seed=3, boson_truncation=3)
+    return oracle_model.build_boson_dephasing_model(
+        n_qubits, bath, h_s=pauli_sum({"X" * n_qubits: 0.3, "Z" * n_qubits: -0.2}, n_qubits))
+
+
+#: Every hand-built construction of the tests, by name: the two oracle builders, the
+#: models of criteria 07 and 12, the ground-vector models here, the echo-limit model
+#: of ``test_evolve`` and random Hermitian registers.
+HAND_BUILT = {
+    **{f"oracle-spin-{kind}-K{n}": partial(_oracle_spin_model, kind, n)
+       for kind in COUPLING_KINDS for n in (1, 2, 3)
+       if any((k, q) == (kind, n) for k, q, _ in _spin_cases())},
+    **{f"oracle-boson-K{n}": partial(_oracle_boson_model, n) for n in (1, 2, 3)},
+    **{f"criterion-07-{seed}": lambda seed=seed: oracle_model.random_hermitian_model(
+        np.random.default_rng(1000 + seed)) for seed in range(10)},
+    "criterion-12": lambda: oracle_model.commuting_dephasing_model(np.random.default_rng(5)),
+    **{f"ground-vector-{name}": partial(
+        SystemBathModel, h_s=pauli_word_operator("Z"), h_b=Operator(h_b, [len(h_b)]),
+        couplings=(), cutoff=1.0) for name, h_b in (
+            ("off-diagonal", np.array([[0.3, 0.2], [0.2, -0.1]], dtype=complex)),
+            ("degenerate", np.diag([0.5, -0.2, -0.2, 0.1]).astype(complex)))},
+    "echo-limit": partial(
+        SystemBathModel, h_s=Operator(np.zeros((2, 2), dtype=complex), [2]),
+        h_b=Operator(0.7 * SZ, [2]),
+        couplings=((pauli_word_operator("Z"), Operator(0.4 * SZ, [2])),), cutoff=1.0),
+    **{f"random-K{n}": partial(_random_register_model, n) for n in (1, 2, 3)},
+}
+
+
+def _system_matrices(model):
+    return [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]
+
+
+@pytest.mark.parametrize("make", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_a_hand_built_models_tables_resum_to_its_matrices(make):
+    """A model given no word tables derives them from its matrices: one real,
+    nonzero coefficient per word, and the tables re-sum to ``h_s`` and each
+    ``S_a`` within 1e-15 of their largest entry."""
+    model = make()
+    n_qubits = len(model.h_s.dims)
+    assert model.modes is None
+    assert isinstance(model.words, tuple)
+    assert len(model.words) == 1 + len(model.couplings)
+    for table, s in zip(model.words, _system_matrices(model)):
+        assert all(type(c) is float and c != 0.0 for c in table.values())
+        assert all(len(w) == n_qubits and not w.strip("IXYZ") for w in table)
+        err = np.max(np.abs(pauli_sum(table, n_qubits).matrix - s))
+        assert err <= 1e-15 * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("preset", [n for n in SCENARIO_NAMES if n != "custom"])
+def test_a_hand_built_copy_derives_the_builders_tables(preset, seed):
+    """A hand-built copy of a preset's model gets the builder's tables back,
+    each coefficient within 1e-15 of its matrix's largest entry, with no
+    extra word."""
+    model = build_model(parse_config({"scenario": preset, "seed": seed}))
+    copy = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
+    assert len(copy.words) == len(model.words)
+    for got, want, s in zip(copy.words, model.words, _system_matrices(model)):
+        assert set(got) <= set(want)
+        tol = 1e-15 * np.max(np.abs(s))
+        assert all(abs(got.get(w, 0.0) - c) <= tol for w, c in want.items())
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_system_off_a_qubit_register_is_rejected(d):
+    """The word tables need a qubit register: a system on other dims is
+    rejected, and the error names them."""
+    with pytest.raises(ValueError, match=re.escape(f"system dims ({d},)")):
+        SystemBathModel(h_s=Operator(np.diag(np.arange(d)), [d]), h_b=Operator(0.5 * SZ, [2]),
+                        couplings=((Operator(np.eye(d), [d]), Operator(0.3 * SX, [2])),),
+                        cutoff=1.0)
