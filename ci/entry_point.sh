@@ -97,9 +97,11 @@ path_is "$work/conserved/summary.json" modes
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/boson-sweep.json"
 "${cli[@]}" sweep --config "$work/boson-sweep.json" --out "$work/boson-sweep"
 fit_points "$work/boson-sweep/summary.json" 3
+path_is "$work/boson-sweep/summary.json" modes
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"n_modes": 2, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 100, "sample_every": 2}' > "$work/blocks.json"
 "${cli[@]}" simulate --config "$work/blocks.json" --out "$work/blocks"
 test $(wc -l < "$work/blocks/trajectory.csv") -eq 52
+path_is "$work/blocks/summary.json" modes
 echo '{"scenario": "dephasing-echo", "seed": 7, "sweep": {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]}}' > "$work/mixed.json"
 "${cli[@]}" sweep --config "$work/mixed.json" --out "$work/mixed"
 test $(wc -l < "$work/mixed/sweep.csv") -eq 4

@@ -7,10 +7,10 @@ only, so the cycle propagator is a product of one free step
 schedule's group words in visiting order. A run takes one of two paths.
 
 The product path takes a fully conserved register (every word of ``h_s``
-and of each coupling's system factor in {I, Z}^K, read off the word tables
-every model carries) of a model from the builder, which alone has a
-:class:`~decoupling.model.ModeTable`, whose bath starts in its ground
-state. Register state ``c`` then sees ``H_c = E_c + sum_i h_ci``, a sum of
+and of each coupling's system factor in {I, Z}^K, read off the model's
+word tables) whose bath starts in its ground state, the product of the
+ground vectors of the modes of its :class:`~decoupling.model.ModeTable`.
+Register state ``c`` then sees ``H_c = E_c + sum_i h_ci``, a sum of
 commuting single-mode terms, and the ground state is a product over modes,
 so ``rho_cc'(t) = rho_cc'(0) prod_i <phi_i^c'(t)|phi_i^c(t)>`` with
 ``phi_i^c`` mode ``i``'s vector in state ``c``. A frame maps ``c`` to
@@ -19,16 +19,17 @@ axes. Each mode's cycle in each state is an ``n x n`` matrix, its steps
 exponentiated in extended precision, and the snapshots are its powers; a
 free run takes the modes' closed form. No joint ``eigh`` is made, and
 neither the ``d x d`` joint matrix nor any ``d_b x d_b`` bath matrix is
-built: the model's ``h_b`` and ``B_a`` are never placed, and the per-mode
-Hamiltonians ``h_ci`` are made once per model.
+built: the model's ``h_b`` and ``B_a`` are never placed, dims come from its
+tables, and the per-mode Hamiltonians ``h_ci`` are made once per model.
 
-Every other run (a register not fully conserved, a hand-built model, an
-explicit ``rho_b0``) takes the joint path, the product path's oracle.
-``W`` comes from one ``eigh`` of the ``d x d`` joint Hamiltonian, which the
-model makes on first use and keeps, together with the bath ground vector
-that default runs start from, so the controlled run, the free run and every
-point of a sweep share it. A frame acts on ``W`` as the signed flip of its
-register axes (:func:`~decoupling.groups.conjugate_word`), never as a matrix.
+Every other run (a register not fully conserved, or an explicit ``rho_b0``,
+the one way to put a conserved register on it) takes the joint path, the
+product path's oracle. ``W`` comes from one ``eigh`` of the ``d x d`` joint
+Hamiltonian, which the model makes on first use and keeps, together with
+the bath ground vector that default runs start from, so the controlled
+run, the free run and every point of a sweep share it. A frame acts on
+``W`` as the signed flip of its register axes
+(:func:`~decoupling.groups.conjugate_word`), never as a matrix.
 :func:`evolve` alone picks the path, and records it as the trajectory's
 ``path``: ``"modes"`` or ``"joint"``.
 
@@ -166,9 +167,9 @@ def _closed_form(energies: np.ndarray, vectors: np.ndarray, psi0: np.ndarray, st
 
 def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBathModel:
     """``model``, once ``schedule`` is checked to act on its system."""
-    if schedule.dims != model.h_s.dims:
+    if schedule.dims != model.system_dims:
         raise ValueError(f"schedule acts on dims {schedule.dims}, "
-                         f"model system has {model.h_s.dims}")
+                         f"model system has {model.system_dims}")
     return model
 
 
@@ -180,7 +181,7 @@ def cycle_propagator(model: SystemBathModel, schedule: CycleSchedule) -> Operato
     model's joint spectrum (one ``eigh`` per model, whatever the schedule),
     multiplied by :func:`_cycle_product`.
     """
-    return Operator(_cycle_blocks(model, schedule), model.h_s.dims + model.h_b.dims)
+    return Operator(_cycle_blocks(model, schedule), model.system_dims + model.bath_dims)
 
 
 def _cycle_blocks(model: SystemBathModel, schedule: CycleSchedule) -> np.ndarray:
@@ -258,7 +259,7 @@ def _joint_purity(psi: np.ndarray) -> float:
 
 def _mode_wise(run: SimulationRun) -> bool:
     """Whether the product path evolves the run: its bath starts in its ground state, and
-    its model has the builder's tables, with every system word in {I, Z}^K."""
+    every system word of its model is in {I, Z}^K."""
     return run.rho_b0 is None and run.model._mode_hamiltonians is not None
 
 
@@ -320,8 +321,7 @@ def _path(run: SimulationRun, times: np.ndarray):
                                      every)
         return blocks, lambda block: _reduce(block, model.system_dim), _joint_purity, psi0
     rho0, h = run.rho_s0.matrix, model._mode_hamiltonians
-    psi0 = np.zeros(h.shape[:-1] + (1,), dtype=complex)
-    psi0[:, np.argmin(model.modes.h_mode.diagonal().real)] = 1.0
+    psi0 = np.tile(model._mode_ground, (model.system_dim, 1))[..., None]
     if free:
         blocks = _closed_form(*np.linalg.eigh(h), psi0, max(1, d * d // psi0.size), times)
     else:  # a frame flips the register axes of the stack at its X/Y letters
@@ -356,13 +356,13 @@ class SimulationRun:
         if self.sample_every < 1 or self.n_cycles % self.sample_every != 0:
             raise ValueError("sample_every must be positive and divide n_cycles")
         _matching_model(self.model, self.schedule)
-        if self.rho_s0.dims != self.model.h_s.dims:
+        if self.rho_s0.dims != self.model.system_dims:
             raise ValueError("rho_s0 dims do not match the model system")
         _check_density(self.rho_s0, "rho_s0")
         if self.rho_b0 is not None:
             if not isinstance(self.rho_b0, Operator):
                 raise ValueError(f"unknown bath state {self.rho_b0!r}; pass an Operator or None")
-            if self.rho_b0.dims != self.model.h_b.dims:
+            if self.rho_b0.dims != self.model.bath_dims:
                 raise ValueError("rho_b0 dims do not match the model bath")
             _check_density(self.rho_b0, "rho_b0")
 
@@ -430,9 +430,9 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     A trivial-group schedule (no pulses) is read off the eigenpairs in closed
     form; any other steps ``psi`` by its cycle. On the joint path, snapshots
     come in blocks of at most ``d x d`` numbers, reduced one stacked product
-    a block. On the product path (a builder's model whose register qubits
-    are all conserved, bath in its ground state) the cycle is made per mode
-    and per register state and the snapshots are its powers.
+    a block. On the product path (a model whose register qubits are all
+    conserved, bath in its ground state) the cycle is made per mode and
+    per register state and the snapshots are its powers.
     """
     times = np.arange(0, run.n_cycles + 1, run.sample_every) * run.schedule.cycle_time
     blocks, reduce, purity, psi0 = _path(run, times)

@@ -168,17 +168,6 @@ def _pauli_sums(tables: Sequence[dict[str, complex]], n_qubits: int) -> np.ndarr
     return out
 
 
-def _pauli_tables(matrices, n_qubits: int) -> tuple[dict[str, float], ...]:
-    """The inverse of :func:`_pauli_sums`: each Hermitian matrix's table ``w -> tr(w s) / 2**K``,
-    real parts, exact zeros dropped. Each qubit's (row, column) axes meet one 4 x 2 x 2 map."""
-    c = np.reshape(matrices, (len(matrices),) + (2,) * 2 * n_qubits)
-    maps = np.array([PAULI_MATRICES[p].T for p in "IZXY"]) / 2  # tr(P s) / 2 at digit 2 x + z
-    for k in range(n_qubits, 0, -1):  # the next qubit's row axis is 1, its column axis 1 + k
-        c = np.tensordot(c, maps, axes=([1, 1 + k], [1, 2]))
-    return tuple({np.base_repr(i, 4).zfill(n_qubits).translate(_DIGIT_LETTERS): float(row[i])
-                  for i in np.flatnonzero(row)} for row in c.real.reshape(len(matrices), -1))
-
-
 def pauli_sum(table: dict[str, complex], n_qubits: int) -> Operator:
     """The operator ``sum_w c_w w`` of a word-to-coefficient table.
 

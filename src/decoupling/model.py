@@ -5,17 +5,15 @@ The total Hamiltonian always has the split form
     H = H_S (x) 1  +  1 (x) H_B  +  sum_a  S_a (x) B_a,
 
 with Hermitian system operators S_a and Hermitian bath operators B_a.
-Everything downstream (toggling frames, averaging, propagation) consumes
-a :class:`SystemBathModel` holding these pieces as Operators, so the bath
-can be anything finite-dimensional. One builder, :func:`build_system_bath_model`,
-makes both bath kinds from a two-row mode table: a spin bath (each mode
-is a qubit precessing at its own frequency) and a truncated bosonic bath
-for pure dephasing differ only in the single-mode Hamiltonian and the
-mode operators the couplings draw on. The builder's model keeps its system
-side as Pauli word tables, and that mode table (:class:`ModeTable`) as its
-bath, on which it is checked; its ``H_B`` and ``B_a`` place their
-``d_b x d_b`` matrices only when something reads them, which the
-mode-by-mode product path never does.
+A :class:`SystemBathModel` is two tables: Pauli word tables for ``H_S``
+and each ``S_a`` on the qubit register, and a :class:`ModeTable` for the
+bath, ``H_B`` and each ``B_a`` as sums of single-mode terms. The model is
+checked on them, and places its dense Operators from them on first read,
+which the mode-by-mode product path never does for the bath. One builder,
+:func:`build_system_bath_model`, makes both bath kinds: a spin bath (each
+mode is a qubit precessing at its own frequency) and a truncated bosonic
+bath for pure dephasing differ only in the single-mode Hamiltonian and the
+mode operators the couplings draw on. An unstructured bath is one mode.
 
 Mode frequencies are laid out on a uniform grid up to the cutoff and then
 jittered, so spectra are generic but reproducible from a seed. The cutoff
@@ -26,13 +24,13 @@ cycle completes in a fraction of ``1/cutoff``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .operators import DIM_CAP, Operator
-from .groups import PAULI_MATRICES, _all_words, _pauli_sums, _pauli_tables
+from .groups import PAULI_MATRICES, _all_words, _code, _is_word, _parities, _pauli_sums
 
 
 BATH_KINDS = ("spin-bath", "boson-mode")
@@ -85,28 +83,42 @@ class BathSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModeTable:
-    """The bath of :func:`build_system_bath_model`, mode by mode: ``h_b = sum_i
-    frequencies[i] h_mode^(i)`` and ``B_a = sum_i (sum_k coefficients[a, i, k]
-    operators[k])^(i)``, ``x^(i)`` acting on mode ``i`` alone. ``coefficients[a]``
-    are channel ``a``'s drawn rows times ``coupling_scale / norm``, ``norm`` the
-    spectral norm of their sum. Shapes ``(m,)``, ``(n, n)``, ``(k, n, n)``, ``(n_a, m, k)``.
+    """The bath, mode by mode: ``h_b = sum_i frequencies[i] h_mode^(i)`` and ``B_a = scale
+    sum_i (sum_k coefficients[a, i, k] operators[k])^(i) / norms[a]``, ``x^(i)`` acting on
+    mode ``i`` alone. Shapes ``(m,)``, ``(n, n)``, ``(k, n, n)``, ``(n_a, m, k)``, ``(n_a,)``.
+    The builder's coefficients are standard-normal draws and ``norms[a]`` the spectral
+    norm of channel ``a``'s sum, so each ``B_a`` has norm ``scale``. An unstructured bath
+    is one mode: frequency 1, ``h_mode = h_b``, the ``B_a`` as operators, identity rows,
+    unit norms and scale.
     """
 
     frequencies: np.ndarray
     h_mode: np.ndarray
     operators: np.ndarray
     coefficients: np.ndarray
+    norms: np.ndarray
+    scale: float
 
     def __post_init__(self):
-        for a in (self.frequencies, self.h_mode, self.operators, self.coefficients):
+        for a in (self.frequencies, self.h_mode, self.operators, self.coefficients, self.norms):
             a.setflags(write=False)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The coefficients times each channel's ``scale / norms[a]``: the per-mode weights
+        of the product path and the Gram, ``(n_a, m, k)``. The placed ``B_a`` scale their
+        terms as ``scale * t / norms[a]`` instead: the two orders round differently, and
+        each path's outputs are pinned to its own order."""
+        rows = self.coefficients * (self.scale / self.norms)[:, None, None]
+        rows.setflags(write=False)
+        return rows
 
     def gram(self) -> np.ndarray:
         """The Frobenius Gram ``tr(B_a^dag B_b)`` of the channels, from per-mode traces:
         ``n**(m-1) sum_i tr(b_ai^dag b_bi) + n**(m-2) sum_(i != j) tr(b_ai)^* tr(b_bj)``,
         ``b_ai`` channel ``a``'s term on mode ``i``."""
         n, m = len(self.h_mode), len(self.frequencies)
-        flat, c = self.operators.reshape(len(self.operators), -1), self.coefficients
+        flat, c = self.operators.reshape(len(self.operators), -1), self.rows
         same = np.einsum("aik,kl,bil->ab", c.conj(), flat.conj() @ flat.T, c)
         t = c @ self.operators.trace(axis1=1, axis2=2)  # tr(b_ai), (n_a, m)
         cross = np.outer(t.sum(1).conj(), t.sum(1)) - t.conj() @ t.T
@@ -130,107 +142,133 @@ class _JointSpectrum(NamedTuple):
 
 @dataclass(frozen=True)
 class SystemBathModel:
-    """Finite-dimensional system-bath Hamiltonian in split form.
-
-    ``couplings`` is a tuple of ``(S_a, B_a)`` pairs; every operator is
-    checked Hermitian, dimensions must multiply out under the global cap,
-    and the bath operators must be linearly independent (a dependent set
-    silently merges decoherence channels, which the builder avoids by
-    drawing enough bath modes).
-
-    ``modes`` is the builder's :class:`ModeTable`, the frequencies, mode
-    operators and coefficient rows ``h_b`` and the ``B_a`` are placed from,
-    its shapes checked against the bath and the channels. A model with a
-    table is checked on it: ``h_mode`` and the mode operators Hermitian, the
-    frequencies and coefficients real, the Gram of the ``B_a`` from
-    :meth:`ModeTable.gram`. Its ``h_b`` and ``B_a`` are deferred Operators,
-    whose ``d_b x d_b`` matrices are placed only when read (by the joint path).
-    ``words`` holds the Pauli word tables (word -> real coefficient) ``h_s`` and
-    each ``S_a`` are the sums of, in that order; a model given none derives them
-    from its matrices on its qubit register. A hand-built model has no mode table,
-    is checked on its matrices, and is always evolved on its joint spectrum.
+    """A register of ``K`` qubits coupled to a finite bath, as two tables: ``words``,
+    the Pauli word tables (word -> real coefficient) of ``h_s`` and of each channel's
+    ``S_a``, in that order, and ``modes``, the bath's :class:`ModeTable`. It is checked
+    on them: ``K``-letter words with real coefficients, one word table per channel of
+    the mode table (a failing table is named), Hermitian ``h_mode`` and mode operators
+    with real frequencies and rows, the dimension cap, and independent ``B_a`` by
+    :meth:`ModeTable.gram` (a dependent set silently merges decoherence channels).
+    ``h_s``, ``h_b`` and ``couplings`` (the ``(S_a, B_a)`` pairs) are placed from the
+    tables on first read and kept; only the joint path reads the bath's.
     """
 
-    h_s: Operator
-    h_b: Operator
-    couplings: tuple[tuple[Operator, Operator], ...]
+    words: tuple[dict[str, float], ...]
+    modes: ModeTable
     cutoff: float
-    modes: ModeTable | None = None
-    words: tuple[dict[str, float], ...] = ()
 
     def __post_init__(self):
         table = self.modes
-        if table is not None:
-            m, (k, n, _) = len(table.frequencies), table.operators.shape
-            shape = (len(self.couplings), m, k)
-            if n**m != self.bath_dim or table.coefficients.shape != shape:
-                raise ValueError("mode table does not match the bath and its channels")
-        if not self.h_s.is_hermitian():
-            raise ValueError("system Hamiltonian is not Hermitian")
-        if not (self.h_b.is_hermitian() if table is None else
-                np.isrealobj(table.frequencies) and Operator(table.h_mode).is_hermitian()):
+        m, (k, n, _) = len(table.frequencies), table.operators.shape
+        n_channels = len(table.coefficients)
+        if (table.h_mode.shape != (n, n) or table.coefficients.shape[1:] != (m, k)
+                or table.norms.shape != (n_channels,)):
+            raise ValueError("mode table shapes do not agree")
+        if not any(self.words):
+            raise ValueError("the word tables hold no word to size the register")
+        if len(self.words) != 1 + n_channels:
+            raise ValueError(f"coupling {min(len(self.words) - 1, n_channels)}: the mode table "
+                             f"has {n_channels} channels, the word tables {len(self.words) - 1}")
+        n_qubits = self.n_qubits
+        for label, words in zip(("h_s", *(f"coupling {a}" for a in range(n_channels))),
+                                self.words):
+            for w, c in words.items():
+                if not _is_word(w, n_qubits):
+                    raise ValueError(f"{label}: {w!r} is not a {n_qubits}-letter Pauli word")
+                if complex(c).imag:
+                    raise ValueError(f"{label}: the coefficient of {w!r} is not real")
+        if not (np.isrealobj(table.frequencies) and Operator(table.h_mode).is_hermitian()):
             raise ValueError("bath Hamiltonian is not Hermitian")
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        if self.h_s.dim * self.h_b.dim > DIM_CAP:
+        if self.system_dim * self.bath_dim > DIM_CAP:
             raise ValueError(
-                f"total dimension {self.h_s.dim * self.h_b.dim} exceeds the cap {DIM_CAP}"
+                f"total dimension {self.system_dim * self.bath_dim} exceeds the cap {DIM_CAP}"
             )
-        operators_hermitian = table is not None and all(
-            Operator(x).is_hermitian() for x in table.operators)
-        for k, (s, b) in enumerate(self.couplings):
-            if s.dims != self.h_s.dims:
-                raise ValueError(f"coupling {k}: system factor dims {s.dims} != {self.h_s.dims}")
-            if b.dims != self.h_b.dims:
-                raise ValueError(f"coupling {k}: bath factor dims {b.dims} != {self.h_b.dims}")
-            if not s.is_hermitian() or not (
-                    b.is_hermitian() if table is None else
-                    operators_hermitian and not np.imag(table.coefficients[k]).any()):
-                raise ValueError(f"coupling {k} is not Hermitian")
-        if self.couplings:
-            if table is None:
-                flat = np.array([b.matrix.ravel() for _, b in self.couplings])
-                gram = flat.conj() @ flat.T
-            else:
-                gram = table.gram()
+        operators_hermitian = all(Operator(x).is_hermitian() for x in table.operators)
+        for a in range(n_channels):
+            if not operators_hermitian or np.imag(table.rows[a]).any():
+                raise ValueError(f"coupling {a} is not Hermitian")
+        if n_channels:
+            gram = table.gram()
             # numerical rank relative to the leading eigenvalue, so the
             # check is insensitive to the overall coupling strength
             evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
             top = float(evals.max()) if evals.size else 0.0
             rank = int(np.sum(evals > 1e-10 * top)) if top > 0 else 0
-            if rank < len(self.couplings):
+            if rank < n_channels:
                 raise ValueError(
                     "bath coupling operators are linearly dependent; "
                     "draw more bath modes or fewer coupling channels"
                 )
-        if set(self.h_s.dims) != {2}:
-            raise ValueError(f"system dims {self.h_s.dims} are not all 2 (a register of qubits)")
-        if not self.words:
-            system = [self.h_s.matrix] + [s.matrix for s, _ in self.couplings]
-            object.__setattr__(self, "words", _pauli_tables(system, len(self.h_s.dims)))
+
+    @property
+    def n_qubits(self) -> int:
+        return next(len(w) for words in self.words for w in words)
+
+    @property
+    def system_dims(self) -> tuple[int, ...]:
+        return (2,) * self.n_qubits
+
+    @property
+    def bath_dims(self) -> tuple[int, ...]:
+        return (len(self.modes.h_mode),) * len(self.modes.frequencies)
 
     @property
     def system_dim(self) -> int:
-        return self.h_s.dim
+        return 2**self.n_qubits
 
     @property
     def bath_dim(self) -> int:
-        return self.h_b.dim
+        return len(self.modes.h_mode) ** len(self.modes.frequencies)
+
+    @cached_property
+    def h_s(self) -> Operator:
+        return Operator(_pauli_sums(self.words[:1], self.n_qubits)[0], self.system_dims)
+
+    @cached_property
+    def h_b(self) -> Operator:
+        return Operator(_placed(self._mode_terms), self.bath_dims)
+
+    @cached_property
+    def couplings(self) -> tuple[tuple[Operator, Operator], ...]:
+        t, system = self.modes, _pauli_sums(self.words[1:], self.n_qubits)
+        terms = np.tensordot(t.coefficients, t.operators, axes=1)  # (n_a, m, n, n)
+        return tuple((Operator(s, self.system_dims),
+                      Operator(_placed(t.scale * b / nrm), self.bath_dims))
+                     for s, b, nrm in zip(system, terms, t.norms.tolist()))
+
+    @property
+    def _mode_terms(self) -> np.ndarray:
+        """``w_i h_mode``, the bath Hamiltonian's term on mode ``i``: a ``(m, n, n)`` stack."""
+        return self.modes.frequencies[:, None, None] * self.modes.h_mode
+
+    @cached_property
+    def _mode_ground(self) -> np.ndarray:
+        """Each mode's ground vector, the lowest eigenvector of its term ``w_i h_mode``,
+        from one batched ``eigh``: a read-only ``(m, n)`` array. The bath's ground state
+        is their product. A diagonal term gives the exact unit vector."""
+        g = np.ascontiguousarray(np.linalg.eigh(self._mode_terms)[1][..., 0])
+        g.setflags(write=False)
+        return g
 
     @cached_property
     def _mode_hamiltonians(self) -> np.ndarray | None:
         """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of register state
         ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of
-        ``h_s``, added to mode 0: a ``(d_s m, n, n)`` stack, register state major. None unless
-        the model has a mode table and every word with a nonzero coefficient is in {I, Z}^K
-        (every register qubit conserved). Made once per model, on the first read."""
-        if self.modes is None or any(
-                c and set(w) - set("IZ") for table in self.words for w, c in table.items()):
+        ``h_s``, added to mode 0: a ``(d_s m, n, n)`` stack, register state major. None
+        unless every word with a nonzero coefficient is in {I, Z}^K (every register qubit
+        conserved). Made once per model, on the first read, from the tables."""
+        if any(c and set(w) - set("IZ") for words in self.words for w, c in words.items()):
             return None
-        system = [self.h_s.matrix] + [s.matrix for s, _ in self.couplings]
-        t, diag = self.modes, np.array([x.diagonal().real for x in system])
-        h = t.frequencies[:, None, None] * t.h_mode + np.tensordot(
-            diag[1:].T, np.tensordot(t.coefficients, t.operators, axes=1), axes=1)
+        t, n = self.modes, self.n_qubits
+        diag = np.zeros((len(self.words), self.system_dim))  # the diagonals of the sums,
+        for row, words in zip(diag, self.words):  # added in ``_pauli_sums``' word order
+            for w in sorted(words):
+                if set(w) <= set("IZ"):  # a word with X or Y letters has no diagonal entry
+                    row += words[w] * (1 - 2 * _parities(_code(w), n))
+        h = self._mode_terms + np.tensordot(
+            diag[1:].T, np.tensordot(t.rows, t.operators, axes=1), axes=1)
         h[:, 0] += diag[0][:, None, None] * np.eye(len(t.h_mode))
         h = h.reshape(-1, *h.shape[-2:])
         h.setflags(write=False)
@@ -249,7 +287,7 @@ class SystemBathModel:
 
 def total_hamiltonian(model: SystemBathModel) -> Operator:
     """Assemble the full Hamiltonian on the joint system-bath space."""
-    return Operator(hamiltonian_matrix(model), model.h_s.dims + model.h_b.dims)
+    return Operator(hamiltonian_matrix(model), model.system_dims + model.bath_dims)
 
 
 def hamiltonian_matrix(model: SystemBathModel) -> np.ndarray:
@@ -266,12 +304,12 @@ def hamiltonian_matrix(model: SystemBathModel) -> np.ndarray:
 
 
 def bath_ground_vector(model: SystemBathModel) -> np.ndarray:
-    """Ground-state vector of the bath Hamiltonian, its lowest eigenvector: for a
-    diagonal ``h_b`` (both bath kinds) with one smallest entry, the unit vector there."""
-    h, e = model.h_b.matrix, model.h_b.matrix.diagonal().real
-    if np.count_nonzero(h) > np.count_nonzero(e) or np.count_nonzero(e == e.min()) > 1:
-        return np.linalg.eigh(h)[1][:, 0]
-    return (np.arange(len(h)) == np.argmin(e)).astype(complex)
+    """Ground-state vector of the bath Hamiltonian: the Kronecker product of the modes'
+    ground vectors, mode 0 major."""
+    vector, *rest = model._mode_ground
+    for g in rest:
+        vector = (vector[:, None] * g).ravel()
+    return vector
 
 
 def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:
@@ -348,12 +386,11 @@ def build_system_bath_model(
     the span of every mode's coupling operators (``sigma_x``, ``sigma_y``
     or ``a + a^dag``), site by site, and normalized to spectral norm
     ``bath.coupling_scale``. ``h_s`` is a Pauli word table, empty by
-    default. The model keeps the word tables of ``h_s`` and the system
-    side of each coupling, and the mode table; ``h_b`` and each ``B_a``
-    are deferred, each mode's terms written into the bath matrix by index,
-    with no Kronecker products, on the first read of its ``matrix``. The
-    bath operators do not commute with the bath Hamiltonian, so the joint
-    dynamics genuinely entangles the register with the bath.
+    default. The model is the word tables of ``h_s`` and the system side
+    of each coupling, and the mode table of the draws, their norms and the
+    coupling scale. The bath operators do not commute with the bath
+    Hamiltonian, so the joint dynamics genuinely entangles the register
+    with the bath.
 
     Coupling flavours (boson baths take only ``dephasing``):
 
@@ -372,35 +409,21 @@ def build_system_bath_model(
     problem = bath_capacity_problem(bath, n_qubits, coupling)
     if problem is not None:
         raise ValueError(problem[1])
-    words = (dict(h_s or {}), *tables)
-
     h_mode, mode_ops = _mode(bath)
-    m = bath.n_modes
-    bath_dims = (len(h_mode),) * m
-    h_b = Operator.deferred(partial(_placed, [w * h_mode for w in bath.mode_frequencies]),
-                            bath_dims)
     # every channel's per-mode rows from one draw, the stream of one draw per channel
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
-    coeffs = rng.standard_normal((len(tables), m, len(mode_ops)))
-    terms = np.tensordot(coeffs, mode_ops, axes=1)  # (channels, modes, n, n)
+    coeffs = rng.standard_normal((len(tables), bath.n_modes, len(mode_ops)))
     # extreme eigenvalues of each b: sums of those of its commuting per-mode terms
-    ends = np.linalg.eigvalsh(terms).sum(1)
-    norms = np.maximum(ends[:, -1], -ends[:, 0]).tolist()
-    if 0.0 in norms:
+    ends = np.linalg.eigvalsh(np.tensordot(coeffs, mode_ops, axes=1)).sum(1)
+    norms = np.maximum(ends[:, -1], -ends[:, 0])
+    if not norms.all():
         raise ValueError("degenerate random draw for a bath coupling operator")
-    system = _pauli_sums(words, n_qubits)
-    dims = (2,) * n_qubits
-    couplings = tuple(
-        (Operator(s, dims),
-         Operator.deferred(partial(_placed, bath.coupling_scale * t / nrm), bath_dims))
-        for s, t, nrm in zip(system[1:], terms, norms))
-    rows = coeffs * (bath.coupling_scale / np.array(norms))[:, None, None]
-    modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops), rows)
-    return SystemBathModel(h_s=Operator(system[0], dims), h_b=h_b, couplings=couplings,
-                           cutoff=bath.cutoff, modes=modes, words=words)
+    modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops), coeffs,
+                      norms, bath.coupling_scale)
+    return SystemBathModel((dict(h_s or {}), *tables), modes, bath.cutoff)
 
 
-def _placed(terms: Sequence[np.ndarray]) -> np.ndarray:
+def _placed(terms: np.ndarray) -> np.ndarray:
     """``sum_i terms[i]`` with ``terms[i]`` acting on mode ``i`` alone, added in mode order
     into the bath matrix with no Kronecker products: mode ``i``'s entries, the rows and
     columns that agree off mode ``i``, are a diagonal view of the matrix."""

@@ -9,11 +9,8 @@ units (hbar = 1); unitaries and density matrices are dimensionless.
 Operators are immutable and have no arithmetic: the wrapped array is
 write-protected, and code that combines operators combines their
 ``matrix`` arrays into a new Operator, so any function in this package may
-be called concurrently without locking. A deferred operator
-(:meth:`Operator.deferred`) places its matrix on the first read of
-``matrix``: the array is filled once, then write-protected and kept. Two
-threads racing on that first read may both place it, but each sees a whole
-array, never a partial one.
+be called concurrently without locking. An Operator holds its matrix from
+construction on.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ class Operator:
         Defaults to the single factor ``(d,)``.
     """
 
-    __slots__ = ("matrix", "dims", "_place")
+    __slots__ = ("matrix", "dims")
 
     def __init__(self, matrix, dims: Sequence[int] | None = None):
         arr = np.array(matrix, dtype=np.complex128)
@@ -55,27 +52,6 @@ class Operator:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_place", None)
-
-    @classmethod
-    def deferred(cls, place, dims: Sequence[int]) -> "Operator":
-        """An Operator on ``dims`` whose matrix is ``place()``, a fresh ``d x d`` array,
-        called on the first read of ``matrix``; ``dims`` and ``dim`` never call it."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "dims", _checked_dims(math.prod(dims), dims))
-        object.__setattr__(op, "_place", place)
-        return op
-
-    def __getattr__(self, name):
-        # reached only while a deferred operator's matrix slot is unset
-        if name != "matrix" or self._place is None:
-            raise AttributeError(name)
-        arr = np.asarray(self._place(), dtype=np.complex128)
-        if arr.shape != (self.dim, self.dim):
-            raise ValueError(f"placed matrix has shape {arr.shape}, expected dims {self.dims}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-        return arr
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator instances are immutable")

@@ -279,9 +279,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
             _fail("group", f"unknown group variant {group_field!r}")
     elif isinstance(group_field, list):
         words = [_as_str(w, f"group[{i}]") for i, w in enumerate(group_field)]
+        first: dict[str, int] = {}  # word -> its first index
         for i, w in enumerate(words):
-            if len(w) != n_qubits:
-                _fail(f"group[{i}]", f"Pauli word {w!r} is not {n_qubits} letters")
+            if not _is_word(w, n_qubits):
+                _fail(f"group[{i}]", f"{w!r} is not a {n_qubits}-letter Pauli word")
+            if first.setdefault(w, i) != i:
+                _fail(f"group[{i}]", f"Pauli word {w!r} repeats group[{first[w]}]")
         try:
             group = DecouplingGroup(words)
         except ValueError as exc:
@@ -549,10 +552,11 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     fidelity of a free run. The free reference does not depend on
     ``delta_t`` but only on the sample grid: free runs go finest grid
     first, and a grid whose cycle count divides that of an evolved one
-    reads its every k-th sample, while any other grid evolves its own. The summary's ``path`` is the one every
-    point took. A group that fails to decouple is rejected as in
-    :func:`run_scenario`. A point whose infidelity is not positive cannot be
-    fitted: the ``ValueError`` names each such point, and nothing is written.
+    reads its every k-th sample, while any other grid evolves its own.
+    The summary's ``path`` is the one every point took. A group that fails
+    to decouple is rejected as in :func:`run_scenario`. A point whose
+    infidelity is not positive cannot be fitted: the ``ValueError`` names
+    each such point, and nothing is written.
     """
     if config.sweep_values is None:
         raise ConfigError("config field 'sweep': required for the sweep command")

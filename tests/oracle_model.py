@@ -14,15 +14,18 @@ they are normalized here by the SVD spectral norm, and in the package by
 per-mode eigenvalues, so the two agree to 1e-14 relative.
 :func:`kron_bath` pins those factors bit for bit too: it lifts the
 builder's per-mode terms by ``np.kron``, adds them in the builder's mode
-order and normalizes them by the same per-mode eigenvalues. The hand-built
-models of two acceptance criteria live here too, so that the word tables a
-hand-built model derives from its matrices are checked on them.
+order and normalizes them by the same per-mode eigenvalues. Those builders
+return a :class:`DenseModel`, the dense parts a model used to hold, and
+:func:`hand_built` turns dense parts into a model: word tables by
+:func:`pauli_tables` and a one-mode bath. The hand-built model of acceptance
+criterion 07 starts from random matrices that way; criterion 12's model is
+built from its tables.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,9 +34,42 @@ from decoupling import (
     Operator,
     SystemBathModel,
     coupling_tables,
-    pauli_word_operator,
 )
-from decoupling.groups import PAULI_MATRICES, pauli_sum
+from decoupling.groups import _DIGIT_LETTERS, PAULI_MATRICES, pauli_sum
+from decoupling.model import ModeTable
+
+
+class DenseModel(NamedTuple):
+    """A model's dense parts: ``h_s``, ``h_b`` and the ``(S_a, B_a)`` pairs, as Operators."""
+
+    h_s: Operator
+    h_b: Operator
+    couplings: tuple[tuple[Operator, Operator], ...]
+    cutoff: float = 1.0
+
+
+def pauli_tables(matrices, n_qubits: int) -> tuple[dict[str, float], ...]:
+    """The inverse of ``pauli_sum``: each Hermitian matrix's table ``w -> tr(w s) / 2**K``,
+    real parts, exact zeros dropped. Each qubit's (row, column) axes meet one 4 x 2 x 2 map."""
+    c = np.reshape(matrices, (len(matrices),) + (2,) * 2 * n_qubits)
+    maps = np.array([PAULI_MATRICES[p].T for p in "IZXY"]) / 2  # tr(P s) / 2 at digit 2 x + z
+    for k in range(n_qubits, 0, -1):  # the next qubit's row axis is 1, its column axis 1 + k
+        c = np.tensordot(c, maps, axes=([1, 1 + k], [1, 2]))
+    return tuple({np.base_repr(i, 4).zfill(n_qubits).translate(_DIGIT_LETTERS): float(row[i])
+                  for i in np.flatnonzero(row)} for row in c.real.reshape(len(matrices), -1))
+
+
+def hand_built(dense: DenseModel) -> SystemBathModel:
+    """The model of dense parts on a qubit register: the word tables of ``h_s`` and each
+    ``S_a`` by :func:`pauli_tables`, and the bath as one mode, ``h_mode = h_b`` with the
+    ``B_a`` as its operators, identity rows, unit norms and scale."""
+    n_qubits, d_b = len(dense.h_s.dims), dense.h_b.dim
+    words = pauli_tables([dense.h_s.matrix] + [s.matrix for s, _ in dense.couplings], n_qubits)
+    n_a = len(dense.couplings)
+    operators = np.array([b.matrix for _, b in dense.couplings]).reshape(n_a, d_b, d_b)
+    table = ModeTable(np.array([1.0]), dense.h_b.matrix, operators,
+                      np.eye(n_a).reshape(n_a, 1, n_a), np.ones(n_a), 1.0)
+    return SystemBathModel(words, table, dense.cutoff)
 
 
 def identity(dims) -> Operator:
@@ -101,7 +137,7 @@ def build_spin_bath_model(
     bath: BathSpec,
     coupling: str = "dephasing",
     h_s: Operator | None = None,
-) -> SystemBathModel:
+) -> DenseModel:
     """Qubit register coupled to a bath of precessing spins.
 
     The bath Hamiltonian is ``sum_i (w_i/2) sigma_z^(i)`` over the jittered
@@ -155,15 +191,14 @@ def build_spin_bath_model(
         h_s = zero([2] * n_qubits)
     elif h_s.dims != (2,) * n_qubits:
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
-    return SystemBathModel(h_s=h_s, h_b=Operator(h_b, bath_dims), couplings=couplings,
-                           cutoff=bath.cutoff)
+    return DenseModel(h_s, Operator(h_b, bath_dims), couplings, bath.cutoff)
 
 
 def build_boson_dephasing_model(
     n_qubits: int,
     bath: BathSpec,
     h_s: Operator | None = None,
-) -> SystemBathModel:
+) -> DenseModel:
     """Qubit register dephasing against truncated oscillator modes.
 
     The bath Hamiltonian is ``sum_i w_i a_i^dag a_i`` with each mode cut
@@ -203,8 +238,7 @@ def build_boson_dephasing_model(
         h_s = zero([2] * n_qubits)
     elif h_s.dims != (2,) * n_qubits:
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
-    return SystemBathModel(h_s=h_s, h_b=Operator(h_b, bath_dims), couplings=couplings,
-                           cutoff=bath.cutoff)
+    return DenseModel(h_s, Operator(h_b, bath_dims), couplings, bath.cutoff)
 
 
 def _mode_operators(bath: BathSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -244,40 +278,25 @@ def kron_bath(bath: BathSpec, n_channels: int) -> tuple[np.ndarray, list[np.ndar
     return h_b, factors
 
 
-def random_hermitian_model(rng: np.random.Generator) -> SystemBathModel:
-    """A hand-built model whose every operator is a random Hermitian matrix from ``rng``:
-    ``h_s`` on one qubit, ``h_b`` on a 4-level bath, then two channels, each ``S_a``
-    drawn before its ``B_a``."""
+def random_hermitian_parts(rng: np.random.Generator) -> DenseModel:
+    """Dense parts whose every operator is a random Hermitian matrix from ``rng``: ``h_s``
+    on one qubit, ``h_b`` on a 4-level bath, then two channels, each ``S_a`` drawn before
+    its ``B_a``."""
 
     def herm(d):
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return Operator((m + m.conj().T) / 2, [d])
 
-    return SystemBathModel(h_s=herm(2), h_b=herm(4),
-                           couplings=((herm(2), herm(4)), (herm(2), herm(4))), cutoff=1.0)
+    return DenseModel(herm(2), herm(4), ((herm(2), herm(4)), (herm(2), herm(4))))
 
 
 def commuting_dephasing_model(rng: np.random.Generator, n_modes: int = 3) -> SystemBathModel:
-    """A hand-built qubit dephasing through ``Z (x) B`` against ``n_modes`` bath spins, with
-    ``h_b = sum_i w_i Z_i / 2`` (``w_i`` uniform in [0.3, 1)) and ``B = sum_i c_i Z_i``
-    (``c_i`` standard normal) scaled to spectral norm 0.4, so ``B`` commutes with ``h_b``."""
-    sz = PAULI_MATRICES["Z"]
-
-    def site(mat, i):
-        ops = [np.eye(2, dtype=complex)] * n_modes
-        ops[i] = mat
-        out = ops[0]
-        for o in ops[1:]:
-            out = np.kron(out, o)
-        return out
-
+    """A qubit dephasing through ``Z (x) B`` against ``n_modes`` bath spins, with ``h_b =
+    sum_i w_i Z_i / 2`` (``w_i`` uniform in [0.3, 1)) and ``B = sum_i c_i Z_i`` (``c_i``
+    standard normal) scaled to spectral norm 0.4, ``sum_i |c_i|``, so ``B`` commutes with
+    ``h_b``: a mode table of ``n_modes`` modes with ``h_mode = Z / 2`` and operator ``Z``."""
     freqs = rng.uniform(0.3, 1.0, size=n_modes)
-    hb = sum(0.5 * w * site(sz, i) for i, w in enumerate(freqs))
-    bz = sum(rng.normal() * site(sz, i) for i in range(n_modes))
-    bz = bz * (0.4 / np.linalg.norm(bz, 2))
-    return SystemBathModel(
-        h_s=Operator(np.zeros((2, 2), dtype=complex), [2]),
-        h_b=Operator(hb, [2] * n_modes),
-        couplings=((pauli_word_operator("Z"), Operator(bz, [2] * n_modes)),),
-        cutoff=1.0,
-    )
+    c = np.array([[[rng.normal()] for _ in range(n_modes)]])
+    sz = PAULI_MATRICES["Z"]
+    table = ModeTable(freqs, 0.5 * sz, sz[None], c, np.abs(c).sum((1, 2)), 0.4)
+    return SystemBathModel(({}, {"Z": 1.0}), table, 1.0)

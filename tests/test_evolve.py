@@ -15,7 +15,6 @@ from decoupling import (
     BathSpec,
     Operator,
     SimulationRun,
-    SystemBathModel,
     build_model,
     build_schedule,
     build_system_bath_model,
@@ -39,8 +38,9 @@ from decoupling import (
 )
 from decoupling.scenarios import PRESETS, _free_run
 
+from oracle_dm import bath_ground_state
 from oracle_groups import frames as schedule_frames
-from oracle_model import identity, tensor
+from oracle_model import DenseModel, hand_built, identity, tensor
 
 PLUS = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
 
@@ -148,8 +148,7 @@ def test_echo_runs_build_no_joint_spectrum(monkeypatch, tmp_path):
     """An echo ``simulate`` and an echo ``sweep`` take the product path: no
     joint Hamiltonian, no joint cycle, and no ``eigh`` larger than a
     register or a bath mode. A register that is not fully conserved
-    (K2-ZX-IX), a hand-built model (no mode table) and an explicit ``rho_b0``
-    still take the joint path."""
+    (K2-ZX-IX) and an explicit ``rho_b0`` still take the joint path."""
     evolve_module = importlib.import_module("decoupling.evolve")
     model_module = importlib.import_module("decoupling.model")
     calls, sizes = [], []
@@ -175,21 +174,17 @@ def test_echo_runs_build_no_joint_spectrum(monkeypatch, tmp_path):
     calls.clear()
     config = parse_config(echo)
     model = build_model(config)
-    hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
     ground = model.h_b.matrix.diagonal().real == model.h_b.matrix.diagonal().real.min()
-    for m, rho_b0 in ((hand_built, None), (model, Operator(np.diag(ground), model.h_b.dims))):
-        evolve(SimulationRun(model=m, schedule=build_schedule(config), n_cycles=4,
-                             rho_s0=config.rho_s0, rho_b0=rho_b0))
-    assert calls == ["hamiltonian_matrix", "_cycle_blocks"] * 2
+    evolve(SimulationRun(model=model, schedule=build_schedule(config), n_cycles=4,
+                         rho_s0=config.rho_s0, rho_b0=Operator(np.diag(ground), model.h_b.dims)))
+    assert calls == ["hamiltonian_matrix", "_cycle_blocks"]
 
 
 def test_a_cached_joint_spectrum_leaves_the_path_alone():
     """The run, not what its model has cached, picks the path: an echo run
     takes the product path, bit for bit the same, before and after its
-    model's joint spectrum is read; a hand-built model and an explicit
-    ``rho_b0`` take the joint path. The hand-built copy's word tables are all
-    in {I, Z}, as the builder's are: only its missing mode table sends it
-    to the joint path."""
+    model's joint spectrum is read; an explicit ``rho_b0`` takes the joint
+    path."""
     config = parse_config({"scenario": "dephasing-echo", "seed": 7, "n_cycles": 6})
     model = build_model(config)
     common = dict(schedule=build_schedule(config), n_cycles=6, rho_s0=config.rho_s0)
@@ -199,12 +194,8 @@ def test_a_cached_joint_spectrum_leaves_the_path_alone():
     for name in ("states", "fidelity", "coherence", "trace_distance"):
         assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
     assert fresh.path == cached.path == "modes"
-    hand_built = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
-    assert hand_built.modes is None
-    assert all(set(w) <= set("IZ") for table in hand_built.words for w in table)
     mixed_bath = Operator(np.eye(model.bath_dim) / model.bath_dim, model.h_b.dims)
-    for m, rho_b0 in ((hand_built, None), (model, mixed_bath)):
-        assert evolve(SimulationRun(model=m, rho_b0=rho_b0, **common)).path == "joint"
+    assert evolve(SimulationRun(model=model, rho_b0=mixed_bath, **common)).path == "joint"
 
 
 BOSON_ECHO = {"scenario": "custom", "K": 1, "group": "flip", "coupling": "dephasing",
@@ -228,24 +219,27 @@ ECHO = {"scenario": "dephasing-echo"}
     ({"scenario": "collective-register"}, None, False),
     ({"scenario": "maximal-averaging"}, None, False),
     ({"scenario": "selective-logic"}, None, False),
-    (ECHO, "hand-built", False),
-    ({**K2_DEPHASING, "h_s": {"ZZ": 0.2}}, "hand-built", False),
+    # a one-mode copy: the whole bath is one mode, still conserved
+    (ECHO, "hand-built", True),
+    ({**K2_DEPHASING, "h_s": {"ZZ": 0.2}}, "hand-built", True),
     (ECHO, "rho_b0", False),
 ], ids=["dephasing-echo", "boson-echo", "K2-ZZ", "K2-ZZ-XI0", "K2-ZX-IX", "K2-ZZ-IY1e-300",
         "K2-YZ", "K2-XI", "collective-register", "maximal-averaging", "selective-logic",
         "hand-built-echo", "hand-built-K2-ZZ", "echo-rho_b0"])
 def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
-    """A builder's model whose ``h_s`` and system factors have no nonzero X or Y
-    word, with the default bath, takes the product path (its trajectory's ``path`` is
-    ``"modes"``) and makes no ``eigh`` of joint size. Every other run takes
-    the joint path (``"joint"``), whose spectrum, cached on the model, is one
-    ``eigh`` of the ``d x d`` Hamiltonian: energies ``(d,)`` and vectors
-    ``(d, d)`` that rebuild it, and the run makes no other."""
+    """A model whose ``h_s`` and system factors have no nonzero X or Y word, with
+    the default bath, takes the product path (its trajectory's ``path`` is
+    ``"modes"``) and makes no ``eigh`` of joint size, whether its bath is the
+    builder's mode table or one mode holding all of ``h_b``. Every other run
+    takes the joint path (``"joint"``), whose spectrum, cached on the model, is
+    one ``eigh`` of the ``d x d`` Hamiltonian, energies ``(d,)`` and vectors
+    ``(d, d)`` that rebuild it, next to one batched ``eigh`` of the bath modes
+    for the ground vector; the run makes no other."""
     config = parse_config({"seed": 7, **doc})
     model = build_model(config)
     d, rho_b0 = model.system_dim * model.bath_dim, None
     if variant == "hand-built":
-        model = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
+        model = hand_built(DenseModel(model.h_s, model.h_b, model.couplings, model.cutoff))
     elif variant == "rho_b0":
         ground = model.h_b.matrix.diagonal().real == model.h_b.matrix.diagonal().real.min()
         rho_b0 = Operator(np.diag(ground), model.h_b.dims)
@@ -259,13 +253,29 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
         assert all(shape[-1] < d for shape in shapes)
         return
     spectrum = model._joint_spectrum
-    assert shapes == [(d, d)]
+    n = len(model.modes.h_mode)
+    assert shapes == [(d, d), (len(model.modes.frequencies), n, n)]
     assert evolve(SimulationRun(model=model, **common)).path == "joint"
     assert shapes.count((d, d)) == 1
     assert spectrum.energies.shape == (d,) and spectrum.vectors.shape == (d, d)
     v = spectrum.vectors
     rebuilt = (v * spectrum.energies) @ v.conj().T
     assert np.max(np.abs(rebuilt - total_hamiltonian(model).matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("doc", [ECHO, {**K2_DEPHASING, "h_s": {"ZZ": 0.2}}],
+                         ids=["echo", "K2-ZZ"])
+def test_a_one_mode_copy_evolves_like_the_builders_model(doc):
+    """Holding the whole bath as one mode, ``h_mode = h_b`` with the ``B_a`` as its
+    operators, changes how the product path groups its arithmetic, not what it
+    computes: the copy's states agree with the builder's model's to 1e-11."""
+    config = parse_config({"seed": 7, **doc})
+    model = build_model(config)
+    copy = hand_built(DenseModel(model.h_s, model.h_b, model.couplings, model.cutoff))
+    common = dict(schedule=build_schedule(config), n_cycles=20, rho_s0=config.rho_s0)
+    got, want = (evolve(SimulationRun(model=m, **common)) for m in (copy, model))
+    assert got.path == want.path == "modes"
+    assert np.max(np.abs(got.states - want.states)) <= 1e-11
 
 
 @pytest.mark.parametrize("scenario, joint_eighs", [
@@ -416,21 +426,41 @@ def test_echo_limit_is_exact_for_commuting_bath():
     """When every toggled Hamiltonian commutes, one flip cycle returns
     the system exactly (commuting dephasing bath)."""
     sz = np.diag([1.0, -1.0]).astype(complex)
-    h_b = Operator(0.7 * sz, [2])
-    b = Operator(0.4 * sz, [2])
-    from decoupling import SystemBathModel
-    model = SystemBathModel(
-        h_s=Operator(np.zeros((2, 2), dtype=complex), [2]),
-        h_b=h_b,
-        couplings=((pauli_word_operator("Z"), b),),
-        cutoff=1.0,
-    )
+    model = hand_built(DenseModel(Operator(np.zeros((2, 2), dtype=complex), [2]),
+                                  Operator(0.7 * sz, [2]),
+                                  ((pauli_word_operator("Z"), Operator(0.4 * sz, [2])),)))
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.3)
     run = SimulationRun(model=model, schedule=sched, n_cycles=100,
                         rho_s0=PLUS)
     traj = evolve(run)
     assert traj.terminal_fidelity >= 1.0 - 1e-12
     assert np.all(traj.fidelity >= 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("group", [pauli_group(1, "flip"), trivial_group(1)],
+                         ids=["flip", "free"])
+def test_product_path_on_a_non_diagonal_mode_matches_the_joint_path(group):
+    """A one-mode bath whose ``h_mode`` is a random non-diagonal Hermitian matrix, under a
+    conserved register: the product path starts from the mode's ``eigh`` ground vector
+    and agrees with the joint path, given that ground state as an explicit ``rho_b0``,
+    to 1e-10 in states and fidelity."""
+    rng = np.random.default_rng(17)
+
+    def herm(d, scale):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return Operator(scale * (m + m.conj().T) / 2, [d])
+
+    model = hand_built(DenseModel(Operator(0.3 * np.diag([1.0, -1.0]), [2]), herm(4, 1.0),
+                                  ((pauli_word_operator("Z"), herm(4, 0.2)),)))
+    assert np.count_nonzero(model.h_b.matrix - np.diag(model.h_b.matrix.diagonal()))
+    run = SimulationRun(model=model, schedule=schedule_from_group(group, delta_t=0.1),
+                        n_cycles=30, rho_s0=PLUS, sample_every=3)
+    got = evolve(run)
+    want = evolve(replace(run, rho_b0=bath_ground_state(model)))
+    assert (got.path, want.path) == ("modes", "joint")
+    assert np.max(np.abs(got.states - want.states)) <= 1e-10
+    assert np.max(np.abs(got.fidelity - want.fidelity)) <= 1e-10
+    assert got.fidelity[-1] < 1.0 - 1e-4  # the bath does act on the register
 
 
 def test_free_evolution_reference_uses_bare_hamiltonian():

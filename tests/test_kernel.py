@@ -165,10 +165,11 @@ PRODUCT_TOL = 1e-11
 def assert_product_path_matches_the_joint_path(run):
     """Every :class:`TrajectoryResult` field and observable of ``run`` (which
     takes the product path) against the same run on the joint path: its
-    model without the mode table, on its joint spectrum. The states are also
-    held to the dense oracle. Returns the largest difference."""
+    bath ground state passed as an explicit ``rho_b0``, on its joint
+    spectrum. The states are also held to the dense oracle. Returns the
+    largest difference."""
     got = evolve(run)
-    want = evolve(replace(run, model=replace(run.model, modes=None)))
+    want = evolve(replace(run, rho_b0=oracle_dm.bath_ground_state(run.model)))
     np.testing.assert_array_equal(got.times, want.times)
     np.testing.assert_array_equal(got.cycles, want.cycles)
     diffs = {name: np.max(np.abs(np.subtract(getattr(got, name), getattr(want, name))))

@@ -20,11 +20,11 @@ from decoupling import (
     pauli_word_operator,
     total_hamiltonian,
 )
-from decoupling.model import COUPLING_KINDS, bath_ground_vector
+from decoupling.model import COUPLING_KINDS, ModeTable, bath_ground_vector
 from decoupling.operators import DIM_CAP
 
 import oracle_model
-from oracle_model import tensor
+from oracle_model import DenseModel, hand_built, tensor
 from oracle_dm import bath_ground_state
 from oracle_groups import all_words, table_matrix
 
@@ -189,12 +189,9 @@ def test_linear_dependence_rejected():
     x = pauli_word_operator("X")
     b = Operator(0.3 * SX, [2])
     with pytest.raises(ValueError, match="linearly dependent"):
-        SystemBathModel(
-            h_s=Operator(np.zeros((2, 2), dtype=complex), [2]),
-            h_b=Operator(0.5 * SZ, [2]),
-            couplings=((z, b), (x, Operator(2.0 * b.matrix, [2]))),
-            cutoff=1.0,
-        )
+        hand_built(DenseModel(Operator(np.zeros((2, 2), dtype=complex), [2]),
+                              Operator(0.5 * SZ, [2]),
+                              ((z, b), (x, Operator(2.0 * b.matrix, [2])))))
 
 
 def test_total_hamiltonian_assembly():
@@ -229,18 +226,30 @@ def test_bath_ground_state():
                                           ("boson-mode", 2), ("boson-mode", 5)])
 def test_bath_ground_vector_of_a_diagonal_bath_is_eighs_vector(monkeypatch, kind, n_modes, seed):
     """Both bath kinds build a diagonal ``h_b`` with one smallest entry: the
-    ground vector is the unit vector there, bit for bit ``eigh``'s, found
-    without an ``eigh``."""
+    ground vector, the product of the modes' ground vectors from one batched
+    ``eigh`` of the ``(m, n, n)`` mode stack, is bit for bit ``eigh``'s of ``h_b``."""
     bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
                     boson_truncation=3 if kind == "boson-mode" else None)
     model = build_system_bath_model(1, bath)
     want = np.linalg.eigh(model.h_b.matrix)[1][:, 0]
     calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     got = bath_ground_vector(model)
-    assert calls == []
+    n = 3 if kind == "boson-mode" else 2
+    assert calls == [(n_modes, n, n)]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("preset", [n for n in SCENARIO_NAMES if n != "custom"])
+def test_a_presets_bath_ground_vector_is_the_unit_vector_bitwise(preset, seed):
+    """The product of a preset's per-mode ground vectors is, bit for bit, the
+    unit vector at the smallest diagonal entry of its diagonal ``h_b``."""
+    model = build_model(parse_config({"scenario": preset, "seed": seed}))
+    e = model.h_b.matrix.diagonal().real
+    want = (np.arange(len(e)) == np.argmin(e)).astype(complex)
+    assert bath_ground_vector(model).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("h_b", [
@@ -248,8 +257,9 @@ def test_bath_ground_vector_of_a_diagonal_bath_is_eighs_vector(monkeypatch, kind
     np.diag([0.5, -0.2, -0.2, 0.1]).astype(complex),  # degenerate minimum
 ], ids=["off-diagonal", "degenerate"])
 def test_bath_ground_vector_keeps_eigh_otherwise(monkeypatch, h_b):
-    model = SystemBathModel(h_s=pauli_word_operator("Z"), h_b=Operator(h_b, [len(h_b)]),
-                            couplings=(), cutoff=1.0)
+    """A one-mode table's ground vector is ``eigh``'s of its ``h_mode``, bit for bit, from
+    one ``eigh`` of the one-matrix stack."""
+    model = hand_built(DenseModel(pauli_word_operator("Z"), Operator(h_b, [len(h_b)]), ()))
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -287,7 +297,7 @@ def test_bath_factors_match_the_kron_lifts_bitwise(kind, n_qubits, n_modes, coup
                    for i, x in enumerate(terms))
 
     assert np.max(np.abs(lift(table.frequencies[:, None, None] * table.h_mode) - h_b)) <= 1e-15
-    for rows, want in zip(table.coefficients, factors):
+    for rows, want in zip(table.rows, factors):
         assert np.max(np.abs(lift(np.tensordot(rows, table.operators, axes=1)) - want)) <= 1e-15
 
 
@@ -332,7 +342,7 @@ def test_table_gram_counts_traced_mode_operators():
         return sum(np.kron(np.kron(np.eye(n**i), x), np.eye(n ** (3 - 1 - i)))
                    for i, x in enumerate(terms))
 
-    placed = [lift(np.tensordot(rows, ops, axes=1)) for rows in table.coefficients]
+    placed = [lift(np.tensordot(rows, ops, axes=1)) for rows in table.rows]
     want = np.array([[np.vdot(a, b) for b in placed] for a in placed])
     assert np.max(np.abs(table.gram() - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -354,23 +364,17 @@ def test_table_models_reject_what_dense_checks_reject():
 
 
 def test_builder_model_places_no_bath_matrix():
-    """The builder's ``h_b`` and ``B_a`` are placed on their first read, not before."""
+    """The builder's ``h_b`` and ``B_a`` are placed on their first read, not before, and
+    kept: the model's dims come from its tables."""
     bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.3, seed=3)
     model = build_system_bath_model(1, bath)
-    bath_ops = [model.h_b] + [b for _, b in model.couplings]
-    assert model.bath_dim == 16 and model.h_b.dims == (2,) * 4
-    assert not any(_placed(op) for op in bath_ops)
+    assert model.bath_dim == 16 and model.bath_dims == (2,) * 4
+    assert not {"h_b", "couplings"} & set(vars(model))
     total_hamiltonian(model)
-    assert all(_placed(op) for op in bath_ops)
-
-
-def _placed(op):
-    """Whether ``op``'s matrix is held, read without placing it."""
-    try:
-        object.__getattribute__(op, "matrix")
-    except AttributeError:
-        return False
-    return True
+    assert {"h_b", "couplings"} <= set(vars(model))
+    h_b, couplings = model.h_b, model.couplings
+    assert model.h_b is h_b and model.couplings is couplings
+    assert h_b.dims == (2,) * 4 and not h_b.matrix.flags.writeable
 
 
 def test_boson_model_structure():
@@ -492,9 +496,9 @@ def _random_register_model(n_qubits):
     def system():
         return Operator(_random_hermitian(rng, 2**n_qubits), dims)
 
-    return SystemBathModel(h_s=system(), h_b=Operator(_random_hermitian(rng, 3), [3]),
-                           couplings=tuple((system(), Operator(_random_hermitian(rng, 3), [3]))
-                                           for _ in range(2)), cutoff=1.0)
+    return DenseModel(system(), Operator(_random_hermitian(rng, 3), [3]),
+                      tuple((system(), Operator(_random_hermitian(rng, 3), [3]))
+                            for _ in range(2)))
 
 
 def _oracle_spin_model(kind, n_qubits):
@@ -512,26 +516,29 @@ def _oracle_boson_model(n_qubits):
         n_qubits, bath, h_s=pauli_sum({"X" * n_qubits: 0.3, "Z" * n_qubits: -0.2}, n_qubits))
 
 
-#: Every hand-built construction of the tests, by name: the two oracle builders, the
-#: models of criteria 07 and 12, the ground-vector models here, the echo-limit model
-#: of ``test_evolve`` and random Hermitian registers.
+def _dense(model):
+    return DenseModel(model.h_s, model.h_b, model.couplings, model.cutoff)
+
+
+#: Dense parts the tests build models from, by name: the two oracle builders', the
+#: criterion-07 models', those of criterion 12's model, the ground-vector models
+#: here, the echo-limit model of ``test_evolve`` and random Hermitian registers.
 HAND_BUILT = {
     **{f"oracle-spin-{kind}-K{n}": partial(_oracle_spin_model, kind, n)
        for kind in COUPLING_KINDS for n in (1, 2, 3)
        if any((k, q) == (kind, n) for k, q, _ in _spin_cases())},
     **{f"oracle-boson-K{n}": partial(_oracle_boson_model, n) for n in (1, 2, 3)},
-    **{f"criterion-07-{seed}": lambda seed=seed: oracle_model.random_hermitian_model(
+    **{f"criterion-07-{seed}": lambda seed=seed: oracle_model.random_hermitian_parts(
         np.random.default_rng(1000 + seed)) for seed in range(10)},
-    "criterion-12": lambda: oracle_model.commuting_dephasing_model(np.random.default_rng(5)),
+    "criterion-12": lambda: _dense(
+        oracle_model.commuting_dephasing_model(np.random.default_rng(5))),
     **{f"ground-vector-{name}": partial(
-        SystemBathModel, h_s=pauli_word_operator("Z"), h_b=Operator(h_b, [len(h_b)]),
-        couplings=(), cutoff=1.0) for name, h_b in (
+        DenseModel, pauli_word_operator("Z"), Operator(h_b, [len(h_b)]), ()) for name, h_b in (
             ("off-diagonal", np.array([[0.3, 0.2], [0.2, -0.1]], dtype=complex)),
             ("degenerate", np.diag([0.5, -0.2, -0.2, 0.1]).astype(complex)))},
     "echo-limit": partial(
-        SystemBathModel, h_s=Operator(np.zeros((2, 2), dtype=complex), [2]),
-        h_b=Operator(0.7 * SZ, [2]),
-        couplings=((pauli_word_operator("Z"), Operator(0.4 * SZ, [2])),), cutoff=1.0),
+        DenseModel, Operator(np.zeros((2, 2), dtype=complex), [2]), Operator(0.7 * SZ, [2]),
+        ((pauli_word_operator("Z"), Operator(0.4 * SZ, [2])),)),
     **{f"random-K{n}": partial(_random_register_model, n) for n in (1, 2, 3)},
 }
 
@@ -542,19 +549,24 @@ def _system_matrices(model):
 
 @pytest.mark.parametrize("make", HAND_BUILT.values(), ids=HAND_BUILT.keys())
 def test_a_hand_built_models_tables_resum_to_its_matrices(make):
-    """A model given no word tables derives them from its matrices: one real,
+    """A model made from dense parts derives its word tables from them: one real,
     nonzero coefficient per word, and the tables re-sum to ``h_s`` and each
-    ``S_a`` within 1e-15 of their largest entry."""
-    model = make()
-    n_qubits = len(model.h_s.dims)
-    assert model.modes is None
+    ``S_a`` within 1e-15 of their largest entry. Its one-mode bath places
+    ``h_b`` and each ``B_a`` back as they were."""
+    dense = make()
+    model = hand_built(dense)
+    n_qubits = len(dense.h_s.dims)
+    assert len(model.modes.frequencies) == 1
     assert isinstance(model.words, tuple)
-    assert len(model.words) == 1 + len(model.couplings)
-    for table, s in zip(model.words, _system_matrices(model)):
+    assert len(model.words) == 1 + len(dense.couplings)
+    for table, s in zip(model.words, _system_matrices(dense)):
         assert all(type(c) is float and c != 0.0 for c in table.values())
         assert all(len(w) == n_qubits and not w.strip("IXYZ") for w in table)
         err = np.max(np.abs(pauli_sum(table, n_qubits).matrix - s))
         assert err <= 1e-15 * np.max(np.abs(s))
+    assert np.array_equal(model.h_b.matrix, dense.h_b.matrix)
+    for (_, b), (_, want) in zip(model.couplings, dense.couplings):
+        assert np.array_equal(b.matrix, want.matrix)
 
 
 @pytest.mark.parametrize("seed", [7, 1009])
@@ -564,7 +576,7 @@ def test_a_hand_built_copy_derives_the_builders_tables(preset, seed):
     each coefficient within 1e-15 of its matrix's largest entry, with no
     extra word."""
     model = build_model(parse_config({"scenario": preset, "seed": seed}))
-    copy = SystemBathModel(model.h_s, model.h_b, model.couplings, model.cutoff)
+    copy = hand_built(_dense(model))
     assert len(copy.words) == len(model.words)
     for got, want, s in zip(copy.words, model.words, _system_matrices(model)):
         assert set(got) <= set(want)
@@ -572,11 +584,26 @@ def test_a_hand_built_copy_derives_the_builders_tables(preset, seed):
         assert all(abs(got.get(w, 0.0) - c) <= tol for w, c in want.items())
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_a_system_off_a_qubit_register_is_rejected(d):
-    """The word tables need a qubit register: a system on other dims is
-    rejected, and the error names them."""
-    with pytest.raises(ValueError, match=re.escape(f"system dims ({d},)")):
-        SystemBathModel(h_s=Operator(np.diag(np.arange(d)), [d]), h_b=Operator(0.5 * SZ, [2]),
-                        couplings=((Operator(np.eye(d), [d]), Operator(0.3 * SX, [2])),),
-                        cutoff=1.0)
+def _one_mode_table(n_channels):
+    ops = np.array([0.3 * SX, 0.3 * SY, 0.3 * SZ])[:n_channels]
+    return ModeTable(np.array([1.0]), 0.5 * SZ, ops,
+                     np.eye(n_channels).reshape(n_channels, 1, n_channels),
+                     np.ones(n_channels), 1.0)
+
+
+@pytest.mark.parametrize("words, n_channels, message", [
+    (({"Z": 0.5}, {"Z": 1.0}, {"XY": 1.0}), 2, "coupling 1: 'XY' is not a 1-letter Pauli word"),
+    (({"Z": 0.5}, {"Z": 1.0}, {"X": 1j}), 2, "coupling 1: the coefficient of 'X' is not real"),
+    (({"Z": 0.5j}, {"Z": 1.0}), 1, "h_s: the coefficient of 'Z' is not real"),
+    (({"Z": 0.5}, {"Z": 1.0}, {"X": 1.0}), 3,
+     "coupling 2: the mode table has 3 channels, the word tables 2"),
+    (({"Z": 0.5}, {"Z": 1.0}, {"X": 1.0}), 1,
+     "coupling 1: the mode table has 1 channels, the word tables 2"),
+], ids=["wrong-length", "imaginary", "imaginary-h_s", "too-few-tables", "too-many-tables"])
+def test_word_tables_are_checked_against_the_register_and_the_mode_table(words, n_channels,
+                                                                         message):
+    """The register is its word tables: a word of other than ``K`` letters (``K``
+    from the first word), an imaginary coefficient, and a channel count other than
+    the mode table's are each rejected, and the error names the table."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SystemBathModel(words, _one_mode_table(n_channels), 1.0)

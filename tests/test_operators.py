@@ -5,9 +5,6 @@ implementation (index loops, Taylor series, eigenvalue sums) rather
 than against the code under test.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -70,54 +67,6 @@ def test_operator_validation_and_immutability():
     # mutating the source array after construction must not leak in
     mat[0, 0] = 7.0
     assert op.matrix[0, 0] == 1.0
-
-
-def test_deferred_operator_places_its_matrix_once_on_first_read():
-    calls = []
-
-    def place():
-        calls.append(1)
-        return np.diag([1.0, -1.0, 2.0, 0.5])
-
-    op = Operator.deferred(place, [2, 2])
-    assert (op.dims, op.dim, calls) == ((2, 2), 4, [])
-    assert np.array_equal(op.matrix, np.diag([1.0, -1.0, 2.0, 0.5]))
-    assert op.matrix.dtype == np.complex128 and op.matrix is op.matrix
-    assert calls == [1]
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 5.0
-    with pytest.raises(AttributeError):
-        op.missing
-    with pytest.raises(ValueError, match="exceeds the hard cap"):
-        Operator.deferred(place, [2] * 13)
-    with pytest.raises(ValueError, match="expected dims"):
-        Operator.deferred(place, [2]).matrix
-
-
-def test_racing_first_reads_of_a_deferred_matrix_see_whole_arrays():
-    """Threads that race on the first read may each place the matrix, but every
-    one of them gets the whole, write-protected array."""
-    want = np.arange(64 * 64, dtype=complex).reshape(64, 64)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            op = Operator.deferred(lambda: want.copy(), [64])
-            barrier, seen = threading.Barrier(8), []
-
-            def read():
-                barrier.wait(timeout=10)
-                seen.append(op.matrix)
-
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert not any(t.is_alive() for t in threads) and len(seen) == 8
-            assert all(np.array_equal(m, want) and not m.flags.writeable for m in seen)
-    finally:
-        sys.setswitchinterval(old)
 
 
 def test_arithmetic_matches_numpy():

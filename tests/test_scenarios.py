@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -119,6 +120,22 @@ def test_explicit_group_word_list():
             "group": ["I", "X"],  # words too short for K=2
             "delta_t": 0.1, "n_cycles": 10,
         })
+
+
+@pytest.mark.parametrize("group, field, message", [
+    (["I", "x"], "group[1]", "'x' is not a 1-letter Pauli word"),
+    (["I", "XX"], "group[1]", "'XX' is not a 1-letter Pauli word"),
+    (["I", "X", "X", "I"], "group[2]", "Pauli word 'X' repeats group[1]"),
+    (["I", "Z", "I"], "group[2]", "Pauli word 'I' repeats group[0]"),
+    # a list of valid, distinct words is judged as a whole
+    (["X", "I"], "group", "the first group word must be the identity, got 'X'"),
+], ids=["letter", "length", "repeat", "repeated-identity", "first-not-identity"])
+def test_a_bad_group_word_names_its_index(group, field, message):
+    """A word of a ``group`` list that has a letter outside ``IXYZ`` or the wrong
+    length, or repeats an earlier word, fails at its own index, as a non-string
+    does."""
+    with pytest.raises(ConfigError, match=re.escape(f"config field {field!r}: {message}")):
+        parse_config({"scenario": "dephasing-echo", "seed": 1, "group": group})
 
 
 def test_named_system_hamiltonian_terms():

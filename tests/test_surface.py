@@ -2,7 +2,7 @@
 
 The list holds what the command line, the demos and the acceptance
 criteria call. A name is added or removed by editing it here. What an
-``Operator`` leaves out, arithmetic, is pinned here too.
+``Operator`` leaves out, arithmetic and deferred placement, is pinned here too.
 """
 
 import ast
@@ -111,3 +111,13 @@ def test_operators_have_no_arithmetic():
                     lambda: a * 2.0, lambda: 1j * a, lambda: a * a):
         with pytest.raises(TypeError):
             combine()
+
+
+def test_operators_hold_their_matrix_from_construction():
+    """An ``Operator`` has its matrix from the start: there is no deferred
+    constructor, no attribute hook that places a matrix on first read, and
+    no slot beyond the matrix and its dims. A model places its dense parts
+    itself, on their first read."""
+    assert not hasattr(decoupling.Operator, "deferred")
+    assert "__getattr__" not in vars(decoupling.Operator)
+    assert decoupling.Operator.__slots__ == ("matrix", "dims")
