@@ -87,6 +87,10 @@ path_is "$work/sweep/summary.json" modes
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}' > "$work/boson.json"
 "${cli[@]}" simulate --config "$work/boson.json" --out "$work/boson"
 path_is "$work/boson/summary.json" modes
+# X in h_s: the register is not conserved, so the joint Hamiltonian carries the boson bath blocks
+echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "h_s": {"X": 0.2}, "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}' > "$work/boson-joint.json"
+"${cli[@]}" simulate --config "$work/boson-joint.json" --out "$work/boson-joint"
+path_is "$work/boson-joint/summary.json" joint
 # the first qubit is not conserved: one joint eigh
 echo '{"scenario": "custom", "seed": 7, "K": 2, "group": "full", "coupling": "dephasing", "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZX": 0.2, "IX": 0.1}}' > "$work/partial.json"
 "${cli[@]}" simulate --config "$work/partial.json" --out "$work/partial"

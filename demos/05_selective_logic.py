@@ -22,6 +22,7 @@ from decoupling import (
     evolve,
     observable_drift,
     parse_config,
+    pauli_sum,
     pauli_word_operator,
     project_commutant,
 )
@@ -32,7 +33,7 @@ model = build_model(cfg)
 report = check_decoupling(cfg.group, coupling_tables(cfg.n_qubits, cfg.coupling))
 print(f"mode: {report.mode} (commutant dimension {report.commutant_dimension})")
 print("effective system Hamiltonian after averaging:")
-kept = project_commutant(model.h_s, cfg.group).matrix
+kept = project_commutant(pauli_sum(model.words[0], cfg.n_qubits), cfg.group).matrix
 print(np.array_str(kept.real, precision=3, suppress_small=True))
 print("the 0.1 * Z x 1 stray term is gone; the 0.25 * Z x Z logic term survives")
 

@@ -19,7 +19,7 @@ axes. Each mode's cycle in each state is an ``n x n`` matrix, its steps
 exponentiated in extended precision, and the snapshots are its powers; a
 free run takes the modes' closed form. No joint ``eigh`` is made, and
 neither the ``d x d`` joint matrix nor any ``d_b x d_b`` bath matrix is
-built: the model's ``h_b`` and ``B_a`` are never placed, dims come from its
+built: ``h_b`` and the ``B_a`` are never placed, dims come from the model's
 tables, and the per-mode Hamiltonians ``h_ci`` are made once per model.
 
 Every other run (a register not fully conserved, or an explicit ``rho_b0``,
@@ -74,7 +74,7 @@ import numpy as np
 from .operators import NUMERIC_TOL, Operator, as_matrices
 from .model import SystemBathModel
 from .sequence import CycleSchedule
-from .groups import _conjugate, _flips, _label, project_commutant
+from .groups import _conjugate, _flips, _label, pauli_sum, project_commutant
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
@@ -356,6 +356,8 @@ class SimulationRun:
         if self.sample_every < 1 or self.n_cycles % self.sample_every != 0:
             raise ValueError("sample_every must be positive and divide n_cycles")
         _matching_model(self.model, self.schedule)
+        if not isinstance(self.rho_s0, Operator):
+            raise ValueError(f"rho_s0 must be an Operator, got {type(self.rho_s0).__name__}")
         if self.rho_s0.dims != self.model.system_dims:
             raise ValueError("rho_s0 dims do not match the model system")
         _check_density(self.rho_s0, "rho_s0")
@@ -367,7 +369,8 @@ class SimulationRun:
             _check_density(self.rho_b0, "rho_b0")
 
     def ideal_system_hamiltonian(self) -> Operator:
-        return project_commutant(self.model.h_s, self.schedule.group)
+        return project_commutant(pauli_sum(self.model.words[0], self.model.n_qubits),
+                                 self.schedule.group)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ The total Hamiltonian always has the split form
     H = H_S (x) 1  +  1 (x) H_B  +  sum_a  S_a (x) B_a,
 
 with Hermitian system operators S_a and Hermitian bath operators B_a.
-A :class:`SystemBathModel` is two tables: Pauli word tables for ``H_S``
+A :class:`SystemBathModel` is exactly two tables: Pauli word tables for ``H_S``
 and each ``S_a`` on the qubit register, and a :class:`ModeTable` for the
 bath, ``H_B`` and each ``B_a`` as sums of single-mode terms. The model is
-checked on them, and places its dense Operators from them on first read,
-which the mode-by-mode product path never does for the bath. One builder,
+checked on them and holds no dense operator: :func:`hamiltonian_matrix`
+places the joint path's ``d x d`` Hamiltonian from them, and the mode-by-mode
+product path never places the bath. One builder,
 :func:`build_system_bath_model`, makes both bath kinds: a spin bath (each
 mode is a qubit precessing at its own frequency) and a truncated bosonic
 bath for pure dephasing differ only in the single-mode Hamiltonian and the
@@ -62,6 +63,9 @@ class BathSpec:
     def __post_init__(self):
         if self.kind not in BATH_KINDS:
             raise ValueError(f"unknown bath kind {self.kind!r}; expected one of {BATH_KINDS}")
+        for name, value in (("n_modes", self.n_modes), ("boson_truncation", self.boson_truncation)):
+            if type(value) is not int and (name == "n_modes" or value is not None):
+                raise ValueError(f"{name}: expected an integer, got {type(value).__name__}")
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
         if self.cutoff <= 0:
@@ -149,13 +153,12 @@ class SystemBathModel:
     the mode table (a failing table is named), Hermitian ``h_mode`` and mode operators
     with real frequencies and rows, the dimension cap, and independent ``B_a`` by
     :meth:`ModeTable.gram` (a dependent set silently merges decoherence channels).
-    ``h_s``, ``h_b`` and ``couplings`` (the ``(S_a, B_a)`` pairs) are placed from the
-    tables on first read and kept; only the joint path reads the bath's.
+    It caches no dense operator, only the joint spectrum and the per-mode arrays the
+    two paths derive from the tables.
     """
 
     words: tuple[dict[str, float], ...]
     modes: ModeTable
-    cutoff: float
 
     def __post_init__(self):
         table = self.modes
@@ -179,8 +182,6 @@ class SystemBathModel:
                     raise ValueError(f"{label}: the coefficient of {w!r} is not real")
         if not (np.isrealobj(table.frequencies) and Operator(table.h_mode).is_hermitian()):
             raise ValueError("bath Hamiltonian is not Hermitian")
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
         if self.system_dim * self.bath_dim > DIM_CAP:
             raise ValueError(
                 f"total dimension {self.system_dim * self.bath_dim} exceeds the cap {DIM_CAP}"
@@ -221,22 +222,6 @@ class SystemBathModel:
     @property
     def bath_dim(self) -> int:
         return len(self.modes.h_mode) ** len(self.modes.frequencies)
-
-    @cached_property
-    def h_s(self) -> Operator:
-        return Operator(_pauli_sums(self.words[:1], self.n_qubits)[0], self.system_dims)
-
-    @cached_property
-    def h_b(self) -> Operator:
-        return Operator(_placed(self._mode_terms), self.bath_dims)
-
-    @cached_property
-    def couplings(self) -> tuple[tuple[Operator, Operator], ...]:
-        t, system = self.modes, _pauli_sums(self.words[1:], self.n_qubits)
-        terms = np.tensordot(t.coefficients, t.operators, axes=1)  # (n_a, m, n, n)
-        return tuple((Operator(s, self.system_dims),
-                      Operator(_placed(t.scale * b / nrm), self.bath_dims))
-                     for s, b, nrm in zip(system, terms, t.norms.tolist()))
 
     @property
     def _mode_terms(self) -> np.ndarray:
@@ -292,14 +277,18 @@ def total_hamiltonian(model: SystemBathModel) -> Operator:
 
 def hamiltonian_matrix(model: SystemBathModel) -> np.ndarray:
     """The ``d x d`` array of :func:`total_hamiltonian`, placed from the split form with
-    no Kronecker products."""
-    d_s, d_b = model.system_dim, model.bath_dim
+    no Kronecker products: ``h_s`` and each ``S_a`` by ``_pauli_sums``, ``h_b`` and each
+    ``B_a`` (terms scaled as ``scale * b / norms[a]``) by :func:`_placed`."""
+    d_s, d_b, t = model.system_dim, model.bath_dim, model.modes
+    h_s, *system = _pauli_sums(model.words, model.n_qubits)
+    terms = np.tensordot(t.coefficients, t.operators, axes=1)  # (n_a, m, n, n)
     h = np.zeros((d_s, d_b, d_s, d_b), dtype=complex)
-    np.einsum("iaja->ija", h)[...] += model.h_s.matrix[..., None]  # s (x) 1 on the bath diagonal
-    np.einsum("iaib->iab", h)[...] += model.h_b.matrix  # 1 (x) h_b on the system diagonal
-    for s, b in model.couplings:  # S_a is a Pauli sum: add s_ij B_a at its nonzero s_ij only
-        for i, j in zip(*np.nonzero(s.matrix)):
-            h[i, :, j] += s.matrix[i, j] * b.matrix
+    np.einsum("iaja->ija", h)[...] += h_s[..., None]  # h_s (x) 1 on the bath diagonal
+    np.einsum("iaib->iab", h)[...] += _placed(model._mode_terms)  # 1 (x) h_b on the system diagonal
+    for s, term, nrm in zip(system, terms, t.norms.tolist()):
+        b = _placed(t.scale * term / nrm)
+        for i, j in zip(*np.nonzero(s)):  # S_a is a Pauli sum: add s_ij B_a at its nonzero s_ij
+            h[i, :, j] += s[i, j] * b
     return h.reshape(d_s * d_b, -1)
 
 
@@ -420,7 +409,7 @@ def build_system_bath_model(
         raise ValueError("degenerate random draw for a bath coupling operator")
     modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops), coeffs,
                       norms, bath.coupling_scale)
-    return SystemBathModel((dict(h_s or {}), *tables), modes, bath.cutoff)
+    return SystemBathModel((dict(h_s or {}), *tables), modes)
 
 
 def _placed(terms: np.ndarray) -> np.ndarray:

@@ -105,6 +105,8 @@ def boundary_pulses(words: Sequence[str]) -> list[str]:
     wraps to the first): the word product of the two frames, the XOR of
     their codes.
     """
+    if not words:
+        raise ValueError("a cycle needs at least one word")
     n, codes = len(words[0]), [_code(w) for w in words]
     return [_label(p, n) for p in map(int.__xor__, codes[1:] + codes[:1], codes)]
 

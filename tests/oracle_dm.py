@@ -1,8 +1,10 @@
 """Density-matrix propagation, kept as an oracle for the package kernel.
 
 This is the direct construction the package kernel is checked against.
-Every segment's toggled Hamiltonian is built with a Kronecker-lifted
-frame and exponentiated through its own eigendecomposition; the cycle
+Its joint Hamiltonian is :func:`oracle_model.total_hamiltonian`, the
+Kronecker sum of the dense parts built from the model's tables, never the
+package's placed matrix. Every segment's toggled Hamiltonian is built with a
+Kronecker-lifted frame and exponentiated through its own eigendecomposition; the cycle
 propagator is raised to ``sample_every`` by repeated squaring with
 periodic polar re-unitarization; the joint density matrix is stepped
 with two dense products, re-Hermitized after every step, and reduced by
@@ -30,12 +32,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from decoupling import Operator, expm_hermitian, total_hamiltonian
+from decoupling import Operator, expm_hermitian
 from decoupling.evolve import _cycle_blocks, _ensemble
 from decoupling.operators import STRUCT_TOL, as_matrices
 
 from oracle_groups import frames as schedule_frames, word_product
-from oracle_model import tensor
+from oracle_model import dense_parts, tensor, total_hamiltonian
 
 #: Re-unitarize running products after this many matrix multiplies.
 POLAR_EVERY = 64
@@ -63,13 +65,13 @@ def commutator(a, b):
 
 def bath_ground_vector(model):
     """The bath Hamiltonian's lowest eigenvector, from ``eigh``."""
-    return np.linalg.eigh(model.h_b.matrix)[1][:, 0]
+    return np.linalg.eigh(dense_parts(model).h_b.matrix)[1][:, 0]
 
 
 def bath_ground_state(model):
     """Density operator of the bath Hamiltonian's ground state."""
     g = bath_ground_vector(model)
-    return Operator(np.outer(g, g.conj()), model.h_b.dims)
+    return Operator(np.outer(g, g.conj()), model.bath_dims)
 
 
 def partial_trace_bath(rho, n_system_factors):
@@ -166,7 +168,7 @@ def toggled_matrices(model, schedule):
 
 def cycle_propagator(model, schedule):
     """Product of the per-segment exponentials, later segments to the left."""
-    joint_dims = tuple(model.h_s.dims) + tuple(model.h_b.dims)
+    joint_dims = model.system_dims + model.bath_dims
     u = np.eye(model.system_dim * model.bath_dim, dtype=complex)
     for h_j in toggled_matrices(model, schedule):
         u = expm_hermitian(Operator(h_j, joint_dims), schedule.delta_t).matrix @ u
@@ -186,7 +188,7 @@ def pulse_picture_propagator(model, schedule):
     for prev, g in zip(frames, frames[1:]):
         u = w @ act_on_system(g @ prev.conj().T, u)
     u = act_on_system(frames[-1].conj().T, u)
-    return Operator(u, tuple(model.h_s.dims) + tuple(model.h_b.dims))
+    return Operator(u, model.system_dims + model.bath_dims)
 
 
 def dense_cycle_propagator(model, schedule):
@@ -279,7 +281,7 @@ def evolve(run):
     model = run.model
     rho_b0 = bath_ground_state(model) if run.rho_b0 is None else run.rho_b0
     joint = tensor(run.rho_s0, rho_b0).matrix
-    n_sys = len(model.h_s.dims)
+    n_sys = model.n_qubits
     u_step = unitary_power(cycle_propagator(model, run.schedule).matrix, run.sample_every)
     cycle_time = run.schedule.cycle_time
     initial_purity = float(np.trace(joint @ joint).real)
@@ -289,7 +291,7 @@ def evolve(run):
 
     n_snapshots = run.n_cycles // run.sample_every
     times, fidelity, coherence, tdist, states = [], [], [], [], []
-    joint_dims = list(model.h_s.dims) + list(model.h_b.dims)
+    joint_dims = model.system_dims + model.bath_dims
     for k in range(n_snapshots + 1):
         t = k * run.sample_every * cycle_time
         rho_s = partial_trace_bath(Operator(joint, joint_dims), n_sys)

@@ -92,10 +92,11 @@ def all_subgroups(n_qubits):
 
 
 def table_matrix(table, n_qubits):
-    """Dense operator ``sum_w c_w w`` of a word-to-coefficient table."""
+    """Dense operator ``sum_w c_w w`` of a word-to-coefficient table, the terms added
+    from zero in sorted word order."""
     out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for w, c in table.items():
-        out += c * word_matrix(w)
+    for w in sorted(table):
+        out += table[w] * word_matrix(w)
     return out
 
 

@@ -1,25 +1,29 @@
-"""The two bath builders the package merged, kept as oracles for ``model``.
+"""The dense view of a model, built from its tables, and the two bath builders the
+package merged, kept as oracles for ``model``.
 
-``build_system_bath_model`` makes both bath kinds from one mode table and
-writes each mode's operators into the bath matrix by index. The builders
-here are the separate spin and boson paths it replaced: they build every
-site operator through a chain of :func:`tensor` products, the Kronecker
-product the package no longer has, and ``total_hamiltonian`` sums
-Kronecker terms. ``Operator`` has no arithmetic, so they combine
-``matrix`` arrays: each term scaled as ``m * complex(c)``, then added.
-Their ``identity`` and
-``zero`` constructors left the package and live here. The new
-builder must reproduce their models bit for bit, except the bath factors:
-they are normalized here by the SVD spectral norm, and in the package by
-per-mode eigenvalues, so the two agree to 1e-14 relative.
-:func:`kron_bath` pins those factors bit for bit too: it lifts the
-builder's per-mode terms by ``np.kron``, adds them in the builder's mode
-order and normalizes them by the same per-mode eigenvalues. Those builders
-return a :class:`DenseModel`, the dense parts a model used to hold, and
+:func:`dense_parts` is the model's dense view: ``h_s`` and each ``S_a`` as sums of
+``np.kron`` products of single-qubit Pauli letters, added in sorted word order, and
+``h_b`` and each ``B_a`` as sums of single-mode terms lifted by ``np.kron`` and added
+in mode order, each ``B_a`` term scaled as ``scale * term / norms[a]``. It reads the
+tables only and calls none of the package's placement routines, and
+:func:`total_hamiltonian` sums its Kronecker terms: every oracle that needs a model's
+matrices takes them from here.
+
+``build_system_bath_model`` makes both bath kinds from one mode table. The builders
+here are the separate spin and boson paths it replaced: they build every site operator
+through a chain of :func:`tensor` products. ``Operator`` has no arithmetic, so they
+combine ``matrix`` arrays: each term scaled as ``m * complex(c)``, then added. Their
+``identity`` and ``zero`` constructors left the package and live here. The new
+builder's tables must reproduce their models bit for bit, except the bath factors:
+they are normalized here by the SVD spectral norm, and in the package by per-mode
+eigenvalues, so the two agree to 1e-14 relative. :func:`kron_bath` pins those factors
+bit for bit too: it draws the builder's per-mode terms from the bath spec, lifts them
+by ``np.kron``, adds them in the builder's mode order and normalizes them by the same
+per-mode eigenvalues. Those builders return a :class:`DenseModel`, and
 :func:`hand_built` turns dense parts into a model: word tables by
 :func:`pauli_tables` and a one-mode bath. The hand-built model of acceptance
-criterion 07 starts from random matrices that way; criterion 12's model is
-built from its tables.
+criterion 07 starts from random matrices that way; criterion 12's model is built
+from its tables.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from decoupling import (
 from decoupling.groups import _DIGIT_LETTERS, PAULI_MATRICES, pauli_sum
 from decoupling.model import ModeTable
 
+from oracle_groups import table_matrix
+
 
 class DenseModel(NamedTuple):
     """A model's dense parts: ``h_s``, ``h_b`` and the ``(S_a, B_a)`` pairs, as Operators."""
@@ -45,7 +51,31 @@ class DenseModel(NamedTuple):
     h_s: Operator
     h_b: Operator
     couplings: tuple[tuple[Operator, Operator], ...]
-    cutoff: float = 1.0
+
+
+def _lifted(terms) -> np.ndarray:
+    """``sum_i 1 (x) terms[i] (x) 1``, ``terms[i]`` on mode ``i`` of ``len(terms)`` equal
+    modes, lifted by ``np.kron`` and added from zero in mode order."""
+    n, m = len(terms[0]), len(terms)
+    out = np.zeros((n**m, n**m), dtype=complex)
+    for i, term in enumerate(terms):
+        out = out + np.kron(np.kron(np.eye(n**i), term), np.eye(n ** (m - i - 1)))
+    return out
+
+
+def dense_parts(model: SystemBathModel) -> DenseModel:
+    """The dense parts of ``model``, from its word tables and mode table alone."""
+    n_qubits, t = model.n_qubits, model.modes
+    system_dims = (2,) * n_qubits
+    bath_dims = (len(t.h_mode),) * len(t.frequencies)
+    h_s, *system = (table_matrix(table, n_qubits) for table in model.words)
+    h_b = _lifted([w * t.h_mode for w in t.frequencies])
+    couplings = []
+    for s, rows, norm in zip(system, t.coefficients, t.norms):
+        terms = [sum(c * op for c, op in zip(row, t.operators)) for row in rows]
+        b = _lifted([t.scale * term / norm for term in terms])
+        couplings.append((Operator(s, system_dims), Operator(b, bath_dims)))
+    return DenseModel(Operator(h_s, system_dims), Operator(h_b, bath_dims), tuple(couplings))
 
 
 def pauli_tables(matrices, n_qubits: int) -> tuple[dict[str, float], ...]:
@@ -69,7 +99,7 @@ def hand_built(dense: DenseModel) -> SystemBathModel:
     operators = np.array([b.matrix for _, b in dense.couplings]).reshape(n_a, d_b, d_b)
     table = ModeTable(np.array([1.0]), dense.h_b.matrix, operators,
                       np.eye(n_a).reshape(n_a, 1, n_a), np.ones(n_a), 1.0)
-    return SystemBathModel(words, table, dense.cutoff)
+    return SystemBathModel(words, table)
 
 
 def identity(dims) -> Operator:
@@ -103,10 +133,12 @@ def tensor_all(ops: Sequence[Operator]) -> Operator:
 
 
 def total_hamiltonian(model: SystemBathModel) -> Operator:
-    """Assemble the full Hamiltonian on the joint system-bath space."""
-    h = tensor(model.h_s, identity(list(model.h_b.dims)))
-    m = h.matrix + tensor(identity(list(model.h_s.dims)), model.h_b).matrix
-    for s, b in model.couplings:
+    """The full Hamiltonian on the joint system-bath space: the Kronecker sum of
+    :func:`dense_parts`."""
+    dense = dense_parts(model)
+    h = tensor(dense.h_s, identity(list(dense.h_b.dims)))
+    m = h.matrix + tensor(identity(list(dense.h_s.dims)), dense.h_b).matrix
+    for s, b in dense.couplings:
         m = m + tensor(s, b).matrix
     return Operator(m, h.dims)
 
@@ -191,7 +223,7 @@ def build_spin_bath_model(
         h_s = zero([2] * n_qubits)
     elif h_s.dims != (2,) * n_qubits:
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
-    return DenseModel(h_s, Operator(h_b, bath_dims), couplings, bath.cutoff)
+    return DenseModel(h_s, Operator(h_b, bath_dims), couplings)
 
 
 def build_boson_dephasing_model(
@@ -238,7 +270,7 @@ def build_boson_dephasing_model(
         h_s = zero([2] * n_qubits)
     elif h_s.dims != (2,) * n_qubits:
         raise ValueError(f"h_s acts on dims {h_s.dims}, expected {(2,) * n_qubits}")
-    return DenseModel(h_s, Operator(h_b, bath_dims), couplings, bath.cutoff)
+    return DenseModel(h_s, Operator(h_b, bath_dims), couplings)
 
 
 def _mode_operators(bath: BathSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -259,20 +291,12 @@ def kron_bath(bath: BathSpec, n_channels: int) -> tuple[np.ndarray, list[np.ndar
     each term's extreme eigenvalues.
     """
     h_mode, ops = _mode_operators(bath)
-    n, m = h_mode.shape[0], bath.n_modes
-
-    def lifted(terms) -> np.ndarray:
-        out = np.zeros((n**m, n**m), dtype=complex)
-        for i, term in enumerate(terms):
-            out = out + np.kron(np.kron(np.eye(n**i), term), np.eye(n ** (m - i - 1)))
-        return out
-
-    h_b = lifted([w * h_mode for w in bath.mode_frequencies])
+    h_b = _lifted([w * h_mode for w in bath.mode_frequencies])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
     factors = []
     for _ in range(n_channels):
-        coeffs = rng.standard_normal(m * len(ops)).reshape(m, -1)
-        b = lifted([sum(c * op for c, op in zip(row, ops)) for row in coeffs])
+        coeffs = rng.standard_normal(bath.n_modes * len(ops)).reshape(bath.n_modes, -1)
+        b = _lifted([sum(c * op for c, op in zip(row, ops)) for row in coeffs])
         ends = np.linalg.eigvalsh(np.tensordot(coeffs, ops, axes=1)).sum(0)
         factors.append(bath.coupling_scale * b / float(max(ends[-1], -ends[0])))
     return h_b, factors
@@ -299,4 +323,4 @@ def commuting_dephasing_model(rng: np.random.Generator, n_modes: int = 3) -> Sys
     c = np.array([[[rng.normal()] for _ in range(n_modes)]])
     sz = PAULI_MATRICES["Z"]
     table = ModeTable(freqs, 0.5 * sz, sz[None], c, np.abs(c).sum((1, 2)), 0.4)
-    return SystemBathModel(({}, {"Z": 1.0}), table, 1.0)
+    return SystemBathModel(({}, {"Z": 1.0}), table)

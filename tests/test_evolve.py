@@ -33,14 +33,14 @@ from decoupling import (
     schedule_from_group,
     state_fidelity,
     symmetrize,
-    total_hamiltonian,
     trivial_group,
 )
 from decoupling.scenarios import PRESETS, _free_run
 
 from oracle_dm import bath_ground_state
 from oracle_groups import frames as schedule_frames
-from oracle_model import DenseModel, hand_built, identity, tensor
+import oracle_model
+from oracle_model import DenseModel, dense_parts, hand_built, identity, tensor
 
 PLUS = Operator(np.full((2, 2), 0.5, dtype=complex), [2])
 
@@ -73,13 +73,13 @@ def test_cycle_propagator_equals_pulse_interleaved_product():
         sched = schedule_from_group(group, delta_t=0.17)
         u_frames = cycle_propagator(model, sched)
 
-        h0 = total_hamiltonian(model)
+        h0 = oracle_model.total_hamiltonian(model)
         free = expm_hermitian(h0, sched.delta_t).matrix
-        eye_b = identity(list(model.h_b.dims))
+        eye_b = identity(list(model.bath_dims))
         frames = schedule_frames(sched)
         prod = np.eye(h0.dim, dtype=complex)
         for j, f in enumerate(frames):
-            pulse = Operator(frames[(j + 1) % len(frames)] @ f.conj().T, model.h_s.dims)
+            pulse = Operator(frames[(j + 1) % len(frames)] @ f.conj().T, model.system_dims)
             prod = tensor(pulse, eye_b).matrix @ free @ prod
         assert np.max(np.abs(prod - u_frames.matrix)) < 1e-9
 
@@ -174,9 +174,8 @@ def test_echo_runs_build_no_joint_spectrum(monkeypatch, tmp_path):
     calls.clear()
     config = parse_config(echo)
     model = build_model(config)
-    ground = model.h_b.matrix.diagonal().real == model.h_b.matrix.diagonal().real.min()
     evolve(SimulationRun(model=model, schedule=build_schedule(config), n_cycles=4,
-                         rho_s0=config.rho_s0, rho_b0=Operator(np.diag(ground), model.h_b.dims)))
+                         rho_s0=config.rho_s0, rho_b0=bath_ground_state(model)))
     assert calls == ["hamiltonian_matrix", "_cycle_blocks"]
 
 
@@ -194,7 +193,7 @@ def test_a_cached_joint_spectrum_leaves_the_path_alone():
     for name in ("states", "fidelity", "coherence", "trace_distance"):
         assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
     assert fresh.path == cached.path == "modes"
-    mixed_bath = Operator(np.eye(model.bath_dim) / model.bath_dim, model.h_b.dims)
+    mixed_bath = Operator(np.eye(model.bath_dim) / model.bath_dim, model.bath_dims)
     assert evolve(SimulationRun(model=model, rho_b0=mixed_bath, **common)).path == "joint"
 
 
@@ -239,10 +238,9 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
     model = build_model(config)
     d, rho_b0 = model.system_dim * model.bath_dim, None
     if variant == "hand-built":
-        model = hand_built(DenseModel(model.h_s, model.h_b, model.couplings, model.cutoff))
+        model = hand_built(dense_parts(model))
     elif variant == "rho_b0":
-        ground = model.h_b.matrix.diagonal().real == model.h_b.matrix.diagonal().real.min()
-        rho_b0 = Operator(np.diag(ground), model.h_b.dims)
+        rho_b0 = bath_ground_state(model)
     common = dict(schedule=build_schedule(config), n_cycles=4, rho_s0=config.rho_s0,
                   rho_b0=rho_b0)
     shapes = []
@@ -260,7 +258,7 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
     assert spectrum.energies.shape == (d,) and spectrum.vectors.shape == (d, d)
     v = spectrum.vectors
     rebuilt = (v * spectrum.energies) @ v.conj().T
-    assert np.max(np.abs(rebuilt - total_hamiltonian(model).matrix)) <= 1e-12
+    assert np.max(np.abs(rebuilt - oracle_model.total_hamiltonian(model).matrix)) <= 1e-12
 
 
 @pytest.mark.parametrize("doc", [ECHO, {**K2_DEPHASING, "h_s": {"ZZ": 0.2}}],
@@ -271,7 +269,7 @@ def test_a_one_mode_copy_evolves_like_the_builders_model(doc):
     computes: the copy's states agree with the builder's model's to 1e-11."""
     config = parse_config({"seed": 7, **doc})
     model = build_model(config)
-    copy = hand_built(DenseModel(model.h_s, model.h_b, model.couplings, model.cutoff))
+    copy = hand_built(dense_parts(model))
     common = dict(schedule=build_schedule(config), n_cycles=20, rho_s0=config.rho_s0)
     got, want = (evolve(SimulationRun(model=m, **common)) for m in (copy, model))
     assert got.path == want.path == "modes"
@@ -452,7 +450,8 @@ def test_product_path_on_a_non_diagonal_mode_matches_the_joint_path(group):
 
     model = hand_built(DenseModel(Operator(0.3 * np.diag([1.0, -1.0]), [2]), herm(4, 1.0),
                                   ((pauli_word_operator("Z"), herm(4, 0.2)),)))
-    assert np.count_nonzero(model.h_b.matrix - np.diag(model.h_b.matrix.diagonal()))
+    h_b = dense_parts(model).h_b.matrix
+    assert np.count_nonzero(h_b - np.diag(h_b.diagonal()))
     run = SimulationRun(model=model, schedule=schedule_from_group(group, delta_t=0.1),
                         n_cycles=30, rho_s0=PLUS, sample_every=3)
     got = evolve(run)
@@ -488,7 +487,7 @@ def test_trivial_group_reference_is_the_bare_hamiltonian_exactly():
     run = SimulationRun(model=model,
                         schedule=schedule_from_group(trivial_group(2), 0.1),
                         n_cycles=1, rho_s0=Operator(np.diag([1.0, 0, 0, 0]), [2, 2]))
-    assert np.array_equal(run.ideal_system_hamiltonian().matrix, model.h_s.matrix)
+    assert np.array_equal(run.ideal_system_hamiltonian().matrix, dense_parts(model).h_s.matrix)
 
 
 def test_state_fidelity_pure_state_formula():
@@ -563,6 +562,8 @@ def test_run_validation():
     with pytest.raises(ValueError):
         SimulationRun(model=model, schedule=sched, n_cycles=10, rho_s0=PLUS,
                       rho_b0="thermal")
+    with pytest.raises(ValueError, match="^rho_s0 must be an Operator, got ndarray$"):
+        SimulationRun(model, sched, 5, np.eye(2) / 2)
 
 
 def test_trajectory_metadata_and_csv(tmp_path):

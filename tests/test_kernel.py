@@ -36,6 +36,7 @@ from decoupling import (
 from decoupling.evolve import _ensemble, _mode_wise
 
 import oracle_dm
+from oracle_model import dense_parts
 
 PRESETS = ("dephasing-echo", "collective-register", "maximal-averaging", "selective-logic")
 #: Each preset plain and palindromic, ``(name, symmetric)``.
@@ -224,7 +225,7 @@ def mixed_runs():
     plus = np.full(4, 0.5)
     zero = np.eye(4)[0]
     rho_s0 = Operator(0.7 * np.outer(plus, plus) + 0.3 * np.outer(zero, zero), [2, 2])
-    rho_b0 = thermal(model.h_b, beta=2.0)
+    rho_b0 = thermal(dense_parts(model).h_b, beta=2.0)
     return [SimulationRun(model=model, schedule=schedule_from_group(group, delta_t),
                           n_cycles=40, rho_s0=rho_s0, rho_b0=rho_b0, sample_every=2)
             for group, delta_t in ((pauli_group(2, "collective"), 0.1),

@@ -37,6 +37,7 @@ from decoupling import (
 )
 from oracle_dm import conjugate_system, toggled_matrices
 from oracle_groups import frames as schedule_frames
+from oracle_model import dense_parts
 
 
 def make_model(seed=7, coupling="dephasing", n_qubits=1, h_s=None):
@@ -74,9 +75,10 @@ def test_average_h0_equals_factor_wise_projection():
     sched = schedule_from_group(group, delta_t=0.05)
     eye_b = np.eye(model.bath_dim, dtype=complex)
     eye_s = np.eye(model.system_dim, dtype=complex)
-    want = np.kron(project_commutant(model.h_s, group).matrix, eye_b)
-    want = want + np.kron(eye_s, model.h_b.matrix)
-    for s, b in model.couplings:
+    dense = dense_parts(model)
+    want = np.kron(project_commutant(dense.h_s, group).matrix, eye_b)
+    want = want + np.kron(eye_s, dense.h_b.matrix)
+    for s, b in dense.couplings:
         want = want + np.kron(project_commutant(s, group).matrix, b.matrix)
     got = average_h0(model, sched)
     assert np.max(np.abs(got.matrix - want)) < 1e-10
@@ -181,7 +183,7 @@ def test_flip_average_removes_dephasing_coupling():
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
     h0bar = average_h0(model, sched)
     eye_s = np.eye(2, dtype=complex)
-    want = np.kron(eye_s, model.h_b.matrix)
+    want = np.kron(eye_s, dense_parts(model).h_b.matrix)
     assert np.max(np.abs(h0bar.matrix - want)) < 1e-12
 
 
@@ -190,8 +192,9 @@ def test_phase_flip_group_keeps_dephasing_coupling():
     phase = DecouplingGroup(["I", "Z"])
     sched = schedule_from_group(phase, delta_t=0.1)
     h0bar = average_h0(model, sched)
-    s, b = model.couplings[0]
-    residual = h0bar.matrix - np.kron(np.eye(2, dtype=complex), model.h_b.matrix)
+    dense = dense_parts(model)
+    s, b = dense.couplings[0]
+    residual = h0bar.matrix - np.kron(np.eye(2, dtype=complex), dense.h_b.matrix)
     want = np.kron(s.matrix, b.matrix)
     assert np.max(np.abs(residual - want)) < 1e-12
 

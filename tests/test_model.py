@@ -1,7 +1,7 @@
 """System-bath model construction: bath grids, coupling channels, validation."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -11,22 +11,26 @@ from decoupling import (
     SCENARIO_NAMES,
     BathSpec,
     Operator,
+    SimulationRun,
     SystemBathModel,
     build_model,
+    build_schedule,
     build_system_bath_model,
     coupling_tables,
+    evolve,
     parse_config,
     pauli_sum,
     pauli_word_operator,
     total_hamiltonian,
 )
-from decoupling.model import COUPLING_KINDS, ModeTable, bath_ground_vector
+from decoupling.model import (COUPLING_KINDS, ModeTable, _placed, bath_ground_vector,
+                               hamiltonian_matrix)
 from decoupling.operators import DIM_CAP
 
 import oracle_model
-from oracle_model import DenseModel, hand_built, tensor
+from oracle_model import DenseModel, dense_parts, hand_built, tensor
 from oracle_dm import bath_ground_state
-from oracle_groups import all_words, table_matrix
+from oracle_groups import all_words
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,6 +55,17 @@ def test_bath_spec_validation():
     with pytest.raises(ValueError):
         BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.1,
                  seed=0, boson_truncation=1)
+
+
+@pytest.mark.parametrize("name, value", [("n_modes", 2.5), ("n_modes", True),
+                                         ("n_modes", 2.0), ("boson_truncation", 2.5),
+                                         ("boson_truncation", True)])
+def test_bath_spec_takes_only_integer_sizes(name, value):
+    """A size that is not an ``int`` (a float, or a ``bool``) is rejected by name, not
+    rounded into a Fock ladder or failed on inside numpy."""
+    sizes = {"n_modes": 2, "boson_truncation": 3, name: value}
+    with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+        BathSpec(kind="boson-mode", cutoff=1.0, coupling_scale=0.3, seed=7, **sizes)
 
 
 def test_mode_frequency_grid():
@@ -81,15 +96,16 @@ def test_spin_bath_model_shape_and_spectrum():
     model = build_system_bath_model(1, bath, coupling="dephasing")
     assert model.system_dim == 2
     assert model.bath_dim == 16
-    assert model.h_s.dims == (2,)
-    assert len(model.couplings) == 1
-    sword, bop = model.couplings[0]
+    dense = dense_parts(model)
+    assert dense.h_s.dims == (2,)
+    assert len(dense.couplings) == 1
+    sword, bop = dense.couplings[0]
     assert np.allclose(sword.matrix, SZ)
     # bath factor is normalized to the requested coupling scale
     assert abs(np.linalg.norm(bop.matrix, 2) - 0.4) < 1e-12
     # free bath spectrum lies inside +-(sum of frequencies)/2
     half_width = sum(bath.mode_frequencies) / 2
-    evals = np.linalg.eigvalsh(model.h_b.matrix)
+    evals = np.linalg.eigvalsh(dense.h_b.matrix)
     assert evals.min() >= -half_width - 1e-9
     assert evals.max() <= half_width + 1e-9
 
@@ -98,7 +114,7 @@ def test_spin_bath_coupling_is_transverse():
     """Bath coupling factors live in the span of single-site sigma_x/sigma_y."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.5, seed=8)
     model = build_system_bath_model(1, bath, coupling="dephasing")
-    _, bop = model.couplings[0]
+    _, bop = dense_parts(model).couplings[0]
     # projecting onto the transverse single-site span reproduces the operator
     basis = []
     for i in range(3):
@@ -118,19 +134,18 @@ def test_spin_bath_builder_deterministic():
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.2, seed=12)
     m1 = build_system_bath_model(2, bath, coupling="linear-collective")
     m2 = build_system_bath_model(2, bath, coupling="linear-collective")
-    assert np.array_equal(m1.h_b.matrix, m2.h_b.matrix)
-    for (s1, b1), (s2, b2) in zip(m1.couplings, m2.couplings):
-        assert np.array_equal(s1.matrix, s2.matrix)
-        assert np.array_equal(b1.matrix, b2.matrix)
+    assert m1.words == m2.words
+    for name in ("frequencies", "h_mode", "operators", "coefficients", "norms", "scale"):
+        assert np.array_equal(getattr(m1.modes, name), getattr(m2.modes, name))
 
 
 def test_coupling_kinds_give_expected_channel_counts():
     bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.2, seed=4)
-    assert len(build_system_bath_model(1, bath, coupling="dephasing").couplings) == 1
-    assert len(build_system_bath_model(1, bath, coupling="total").couplings) == 3
-    assert len(build_system_bath_model(2, bath, coupling="dephasing").couplings) == 2
-    assert len(build_system_bath_model(2, bath, coupling="linear-collective").couplings) == 3
-    assert len(build_system_bath_model(2, bath, coupling="linear-independent").couplings) == 6
+    for n_qubits, coupling, n_channels in ((1, "dephasing", 1), (1, "total", 3),
+                                           (2, "dephasing", 2), (2, "linear-collective", 3),
+                                           (2, "linear-independent", 6)):
+        model = build_system_bath_model(n_qubits, bath, coupling=coupling)
+        assert len(model.words) == 1 + n_channels == 1 + len(model.modes.norms)
     with pytest.raises(ValueError):
         build_system_bath_model(1, bath, coupling="quadratic")
 
@@ -149,8 +164,8 @@ def test_coupling_tables_list_channels_site_then_letter():
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
 @pytest.mark.parametrize("kind", COUPLING_KINDS)
 def test_spin_bath_couplings_are_their_word_tables(kind, n_qubits):
-    """Channel by channel, the system factor is exactly the Pauli sum of
-    the flavour's word table (and the Kronecker-built oracle sum)."""
+    """Channel by channel, the system factor's word table is the flavour's, and the
+    package's Pauli sum of it is exactly the oracle's Kronecker-built matrix."""
     tables = coupling_tables(n_qubits, kind)
     n_modes = max(1, (len(tables) + 1) // 2)
     if n_modes > 8:  # 'total' on 3 qubits: 63 channels need 32 bath spins
@@ -160,10 +175,9 @@ def test_spin_bath_couplings_are_their_word_tables(kind, n_qubits):
         return
     bath = BathSpec(kind="spin-bath", n_modes=n_modes, cutoff=1.0, coupling_scale=0.2, seed=3)
     model = build_system_bath_model(n_qubits, bath, coupling=kind)
-    assert len(model.couplings) == len(tables)
-    for (s, _), table in zip(model.couplings, tables):
+    assert model.words[1:] == tuple(tables)
+    for (s, _), table in zip(dense_parts(model).couplings, tables, strict=True):
         assert np.array_equal(s.matrix, pauli_sum(table, n_qubits).matrix)
-        assert np.array_equal(s.matrix, table_matrix(table, n_qubits))
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -172,8 +186,8 @@ def test_boson_couplings_are_dephasing_word_tables(n_qubits):
                     seed=2, boson_truncation=2)
     model = build_system_bath_model(n_qubits, bath)
     tables = coupling_tables(n_qubits, "dephasing")
-    assert len(model.couplings) == len(tables)
-    for (s, _), table in zip(model.couplings, tables):
+    assert model.words[1:] == tuple(tables)
+    for (s, _), table in zip(dense_parts(model).couplings, tables, strict=True):
         assert np.array_equal(s.matrix, pauli_sum(table, n_qubits).matrix)
 
 
@@ -200,25 +214,74 @@ def test_total_hamiltonian_assembly():
     h = total_hamiltonian(model)
     eye_b = np.eye(model.bath_dim, dtype=complex)
     eye_s = np.eye(2, dtype=complex)
-    want = np.kron(0.7 * SX, eye_b) + np.kron(eye_s, model.h_b.matrix)
-    for s, b in model.couplings:
+    dense = dense_parts(model)
+    want = np.kron(0.7 * SX, eye_b) + np.kron(eye_s, dense.h_b.matrix)
+    for s, b in dense.couplings:
         want = want + np.kron(s.matrix, b.matrix)
     assert np.max(np.abs(h.matrix - want)) < 1e-13
     assert h.is_hermitian()
     assert h.dims == (2, 2, 2)
 
 
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("kind, n_qubits, n_modes, coupling, h_s", [
+    ("spin-bath", 2, 3, "linear-collective", {"ZZ": 0.25, "ZI": 0.1, "XI": 0.3}),
+    ("spin-bath", 2, 8, "total", {"ZZ": 0.25, "ZI": 0.1, "XI": 0.3}),
+    ("boson-mode", 1, 2, "dephasing", {"X": 0.2}),
+], ids=["linear-collective", "total", "boson"])
+def test_hamiltonian_matrix_with_overlapping_h_s_words_is_the_kron_sum_bitwise(
+        kind, n_qubits, n_modes, coupling, h_s, seed):
+    """``h_s`` words that are also coupling words land on the same entries as those
+    channels' terms: the placed joint Hamiltonian adds them in the oracle's order
+    (``h_s``, then ``h_b``, then the channels), bit for bit its Kronecker sum."""
+    bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
+                    boson_truncation=3 if kind == "boson-mode" else None)
+    model = build_system_bath_model(n_qubits, bath, coupling=coupling, h_s=h_s)
+    want = oracle_model.total_hamiltonian(model).matrix
+    assert hamiltonian_matrix(model).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_system_bath_model(
+        2, BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=7),
+        coupling="linear-collective", h_s={"ZZ": 0.25, "XI": 0.3}),
+    lambda: build_system_bath_model(
+        1, BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.3, seed=7,
+                    boson_truncation=3), h_s={"X": 0.2}),
+    lambda: hand_built(oracle_model.random_hermitian_parts(np.random.default_rng(1000))),
+], ids=["spin", "boson", "hand-built"])
+def test_the_oracle_builds_the_dense_view_without_the_package_kernel(monkeypatch, make):
+    """The oracle's dense parts and total Hamiltonian come from the tables by ``np.kron``
+    alone: with the package's placement routines made to raise, they are still built,
+    while the package's own ``hamiltonian_matrix`` fails."""
+    model = make()
+
+    def refuse(*args):
+        raise AssertionError("the oracle called a package placement routine")
+
+    monkeypatch.setattr("decoupling.model._placed", refuse)
+    monkeypatch.setattr("decoupling.model._pauli_sums", refuse)
+    monkeypatch.setattr("decoupling.groups._pauli_sums", refuse)
+    dense = dense_parts(model)
+    assert len(dense.couplings) == len(model.words) - 1
+    assert oracle_model.total_hamiltonian(model).dims == model.system_dims + model.bath_dims
+    with pytest.raises(AssertionError, match="placement routine"):
+        hamiltonian_matrix(model)
+
+
 def test_bath_ground_state():
+    """The package's bath ground vector gives the oracle's ground-state projector, the
+    ``eigh`` ground vector of the Kronecker-built ``h_b``."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.2, seed=7)
     model = build_system_bath_model(1, bath, coupling="dephasing")
-    rho = bath_ground_state(model)
-    evals, evecs = np.linalg.eigh(model.h_b.matrix)
-    ground = evecs[:, 0]
-    want = np.outer(ground, ground.conj())
-    assert np.max(np.abs(rho.matrix - want)) < 1e-12
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+    ground = bath_ground_vector(model)
+    rho = np.outer(ground, ground.conj())
+    want = bath_ground_state(model)
+    assert want.dims == (2, 2, 2)
+    assert np.max(np.abs(rho - want.matrix)) < 1e-12
+    assert abs(np.trace(rho) - 1.0) < 1e-12
     # purity of the projector
-    assert abs(np.trace(rho.matrix @ rho.matrix) - 1.0) < 1e-12
+    assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [3, 7, 1009])
@@ -231,7 +294,7 @@ def test_bath_ground_vector_of_a_diagonal_bath_is_eighs_vector(monkeypatch, kind
     bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
                     boson_truncation=3 if kind == "boson-mode" else None)
     model = build_system_bath_model(1, bath)
-    want = np.linalg.eigh(model.h_b.matrix)[1][:, 0]
+    want = np.linalg.eigh(dense_parts(model).h_b.matrix)[1][:, 0]
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
@@ -247,7 +310,7 @@ def test_a_presets_bath_ground_vector_is_the_unit_vector_bitwise(preset, seed):
     """The product of a preset's per-mode ground vectors is, bit for bit, the
     unit vector at the smallest diagonal entry of its diagonal ``h_b``."""
     model = build_model(parse_config({"scenario": preset, "seed": seed}))
-    e = model.h_b.matrix.diagonal().real
+    e = dense_parts(model).h_b.matrix.diagonal().real
     want = (np.arange(len(e)) == np.argmin(e)).astype(complex)
     assert bath_ground_vector(model).tobytes() == want.tobytes()
 
@@ -277,19 +340,24 @@ def test_bath_ground_vector_keeps_eigh_otherwise(monkeypatch, h_b):
     ("boson-mode", 3, 3, "dephasing"), ("boson-mode", 1, 5, "dephasing"),
 ])
 def test_bath_factors_match_the_kron_lifts_bitwise(kind, n_qubits, n_modes, coupling, seed):
-    """``h_b`` and every ``B_a`` are bit for bit the per-mode terms lifted by
-    ``np.kron`` and summed in the builder's mode order, normalized by the
-    same per-mode eigenvalues: a change of term order fails here. The model's
-    mode table rebuilds them, lifted the same way, to round-off."""
+    """``h_b`` and every ``B_a``, placed from the model's mode table, are bit for bit the
+    per-mode terms of the bath spec's draws lifted by ``np.kron`` and summed in the
+    builder's mode order, normalized by the same per-mode eigenvalues: a change of term
+    order fails here. So are the oracle's dense parts of the table. The table's
+    product-path rows rebuild them, lifted the same way, to round-off."""
     bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
                     boson_truncation=3 if kind == "boson-mode" else None)
     model = build_system_bath_model(n_qubits, bath, coupling=coupling)
-    h_b, factors = oracle_model.kron_bath(bath, len(model.couplings))
-    assert model.h_b.matrix.tobytes() == h_b.tobytes()
-    assert len(factors) == len(model.couplings)
-    for (_, b), want in zip(model.couplings, factors):
-        assert b.matrix.tobytes() == want.tobytes()
     table = model.modes
+    h_b, factors = oracle_model.kron_bath(bath, len(table.norms))
+    dense = dense_parts(model)
+    assert _placed(model._mode_terms).tobytes() == h_b.tobytes()
+    assert dense.h_b.matrix.tobytes() == h_b.tobytes()
+    terms = np.tensordot(table.coefficients, table.operators, axes=1)
+    for term, norm, (_, b), want in zip(terms, table.norms, dense.couplings, factors,
+                                        strict=True):
+        assert _placed(table.scale * term / norm).tobytes() == want.tobytes()
+        assert b.matrix.tobytes() == want.tobytes()
     n = len(table.h_mode)
 
     def lift(terms):
@@ -323,8 +391,9 @@ def test_table_gram_is_the_dense_gram(kind, n_qubits, n_modes, coupling):
     bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=3,
                     boson_truncation=3 if kind == "boson-mode" else None)
     model = build_system_bath_model(n_qubits, bath, coupling=coupling)
-    want = np.array([[np.vdot(a.matrix, b.matrix) for _, b in model.couplings]
-                     for _, a in model.couplings])
+    couplings = dense_parts(model).couplings
+    want = np.array([[np.vdot(a.matrix, b.matrix) for _, b in couplings]
+                     for _, a in couplings])
     assert np.max(np.abs(model.modes.gram() - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -364,17 +433,22 @@ def test_table_models_reject_what_dense_checks_reject():
 
 
 def test_builder_model_places_no_bath_matrix():
-    """The builder's ``h_b`` and ``B_a`` are placed on their first read, not before, and
-    kept: the model's dims come from its tables."""
-    bath = BathSpec(kind="spin-bath", n_modes=4, cutoff=1.0, coupling_scale=0.3, seed=3)
-    model = build_system_bath_model(1, bath)
+    """A model is exactly its two tables and caches no dense operator: its dims come
+    from its tables, and after a joint-path run it holds, besides them, only the joint
+    spectrum and the per-mode arrays."""
+    config = parse_config({"scenario": "maximal-averaging", "seed": 7, "n_cycles": 4})
+    model = build_model(config)
+    assert [f.name for f in fields(model)] == ["words", "modes"]
+    assert set(vars(model)) == {"words", "modes"}
     assert model.bath_dim == 16 and model.bath_dims == (2,) * 4
-    assert not {"h_b", "couplings"} & set(vars(model))
     total_hamiltonian(model)
-    assert {"h_b", "couplings"} <= set(vars(model))
-    h_b, couplings = model.h_b, model.couplings
-    assert model.h_b is h_b and model.couplings is couplings
-    assert h_b.dims == (2,) * 4 and not h_b.matrix.flags.writeable
+    assert set(vars(model)) == {"words", "modes"}
+    run = SimulationRun(model=model, schedule=build_schedule(config), n_cycles=4,
+                        rho_s0=config.rho_s0)
+    assert evolve(run).path == "joint"
+    assert "_joint_spectrum" in vars(model)
+    assert set(vars(model)) <= {"words", "modes", "_joint_spectrum", "_mode_ground",
+                                "_mode_hamiltonians"}
 
 
 def test_boson_model_structure():
@@ -383,12 +457,13 @@ def test_boson_model_structure():
     model = build_system_bath_model(1, bath)
     assert model.bath_dim == 16
     # free bath spectrum is a sum of harmonic ladders: omega * {0..3}
-    evals = np.linalg.eigvalsh(model.h_b.matrix)
+    dense = dense_parts(model)
+    evals = np.linalg.eigvalsh(dense.h_b.matrix)
     w1, w2 = bath.mode_frequencies
     want = sorted(w1 * n1 + w2 * n2 for n1 in range(4) for n2 in range(4))
     assert np.allclose(sorted(evals), want, atol=1e-10)
     # couplings are pure dephasing on the system side
-    for s, b in model.couplings:
+    for s, b in dense.couplings:
         assert np.allclose(s.matrix, SZ)
         assert b.is_hermitian()
     with pytest.raises(ValueError):
@@ -413,19 +488,22 @@ def _spin_cases():
 
 
 def _assert_models_bitwise_equal(got, want):
-    """Bitwise equal but for the bath factors: the builder takes their
-    spectral norm from per-mode eigenvalues instead of an SVD, which moves
-    their last bits, so they agree to 1e-14 relative."""
-    assert np.array_equal(got.h_s.matrix, want.h_s.matrix)
-    assert np.array_equal(got.h_b.matrix, want.h_b.matrix)
-    assert got.h_b.dims == want.h_b.dims
-    assert len(got.couplings) == len(want.couplings)
-    for (s, b), (s_want, b_want) in zip(got.couplings, want.couplings):
+    """The model's tables, read by the oracle, give the old builder's parts bit for bit
+    but for the bath factors: the builder takes their spectral norm from per-mode
+    eigenvalues instead of an SVD, which moves their last bits, so they agree to 1e-14
+    relative. The package places the joint Hamiltonian from the tables bit for bit as
+    the oracle's Kronecker sum of them."""
+    dense = dense_parts(got)
+    assert np.array_equal(dense.h_s.matrix, want.h_s.matrix)
+    assert np.array_equal(dense.h_b.matrix, want.h_b.matrix)
+    assert dense.h_b.dims == want.h_b.dims
+    assert len(dense.couplings) == len(want.couplings)
+    for (s, b), (s_want, b_want) in zip(dense.couplings, want.couplings):
         assert np.array_equal(s.matrix, s_want.matrix)
         assert np.max(np.abs(b.matrix - b_want.matrix)) <= 1e-14 * np.max(np.abs(b_want.matrix))
     total = total_hamiltonian(got)
     assert total.dims == want.h_s.dims + want.h_b.dims
-    assert np.array_equal(total.matrix, oracle_model.total_hamiltonian(got).matrix)
+    assert total.matrix.tobytes() == oracle_model.total_hamiltonian(got).matrix.tobytes()
 
 
 @pytest.mark.parametrize("seed", [3, 1009])
@@ -516,10 +594,6 @@ def _oracle_boson_model(n_qubits):
         n_qubits, bath, h_s=pauli_sum({"X" * n_qubits: 0.3, "Z" * n_qubits: -0.2}, n_qubits))
 
 
-def _dense(model):
-    return DenseModel(model.h_s, model.h_b, model.couplings, model.cutoff)
-
-
 #: Dense parts the tests build models from, by name: the two oracle builders', the
 #: criterion-07 models', those of criterion 12's model, the ground-vector models
 #: here, the echo-limit model of ``test_evolve`` and random Hermitian registers.
@@ -530,7 +604,7 @@ HAND_BUILT = {
     **{f"oracle-boson-K{n}": partial(_oracle_boson_model, n) for n in (1, 2, 3)},
     **{f"criterion-07-{seed}": lambda seed=seed: oracle_model.random_hermitian_parts(
         np.random.default_rng(1000 + seed)) for seed in range(10)},
-    "criterion-12": lambda: _dense(
+    "criterion-12": lambda: dense_parts(
         oracle_model.commuting_dephasing_model(np.random.default_rng(5))),
     **{f"ground-vector-{name}": partial(
         DenseModel, pauli_word_operator("Z"), Operator(h_b, [len(h_b)]), ()) for name, h_b in (
@@ -543,8 +617,8 @@ HAND_BUILT = {
 }
 
 
-def _system_matrices(model):
-    return [model.h_s.matrix] + [s.matrix for s, _ in model.couplings]
+def _system_matrices(dense):
+    return [dense.h_s.matrix] + [s.matrix for s, _ in dense.couplings]
 
 
 @pytest.mark.parametrize("make", HAND_BUILT.values(), ids=HAND_BUILT.keys())
@@ -564,8 +638,9 @@ def test_a_hand_built_models_tables_resum_to_its_matrices(make):
         assert all(len(w) == n_qubits and not w.strip("IXYZ") for w in table)
         err = np.max(np.abs(pauli_sum(table, n_qubits).matrix - s))
         assert err <= 1e-15 * np.max(np.abs(s))
-    assert np.array_equal(model.h_b.matrix, dense.h_b.matrix)
-    for (_, b), (_, want) in zip(model.couplings, dense.couplings):
+    got = dense_parts(model)
+    assert np.array_equal(got.h_b.matrix, dense.h_b.matrix)
+    for (_, b), (_, want) in zip(got.couplings, dense.couplings, strict=True):
         assert np.array_equal(b.matrix, want.matrix)
 
 
@@ -576,9 +651,10 @@ def test_a_hand_built_copy_derives_the_builders_tables(preset, seed):
     each coefficient within 1e-15 of its matrix's largest entry, with no
     extra word."""
     model = build_model(parse_config({"scenario": preset, "seed": seed}))
-    copy = hand_built(_dense(model))
+    dense = dense_parts(model)
+    copy = hand_built(dense)
     assert len(copy.words) == len(model.words)
-    for got, want, s in zip(copy.words, model.words, _system_matrices(model)):
+    for got, want, s in zip(copy.words, model.words, _system_matrices(dense)):
         assert set(got) <= set(want)
         tol = 1e-15 * np.max(np.abs(s))
         assert all(abs(got.get(w, 0.0) - c) <= tol for w, c in want.items())
@@ -606,4 +682,4 @@ def test_word_tables_are_checked_against_the_register_and_the_mode_table(words, 
     from the first word), an imaginary coefficient, and a channel count other than
     the mode table's are each rejected, and the error names the table."""
     with pytest.raises(ValueError, match=re.escape(message)):
-        SystemBathModel(words, _one_mode_table(n_channels), 1.0)
+        SystemBathModel(words, _one_mode_table(n_channels))

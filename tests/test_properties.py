@@ -227,7 +227,7 @@ def test_explicit_ground_state_projector_matches_default_bath(case, n_snapshots,
     """The default bath state propagates from the ground vector; the same
     state passed as a projector propagates from its eigen-ensemble."""
     model, schedule = case
-    rho_s0 = _random_pure(np.random.default_rng(seed), model.h_s.dims)
+    rho_s0 = _random_pure(np.random.default_rng(seed), model.system_dims)
     common = dict(model=model, schedule=schedule,
                   n_cycles=n_snapshots * every, rho_s0=rho_s0, sample_every=every)
     default = evolve(SimulationRun(**common))
@@ -246,8 +246,8 @@ def test_mixed_system_state_is_the_weighted_sum_of_pure_runs(case, weights, seed
     model, schedule = case
     rng = np.random.default_rng(seed)
     p = np.array(weights) / sum(weights)
-    pures = [_random_pure(rng, model.h_s.dims) for _ in p]
-    mixed = Operator(sum(pk * rho.matrix for pk, rho in zip(p, pures)), model.h_s.dims)
+    pures = [_random_pure(rng, model.system_dims) for _ in p]
+    mixed = Operator(sum(pk * rho.matrix for pk, rho in zip(p, pures)), model.system_dims)
     common = dict(model=model, schedule=schedule, n_cycles=6, sample_every=2)
     got = evolve(SimulationRun(rho_s0=mixed, **common)).states
     want = sum(pk * evolve(SimulationRun(rho_s0=rho, **common)).states

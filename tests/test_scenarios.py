@@ -180,7 +180,7 @@ def test_build_model_and_schedule_roundtrip():
     cfg = parse_config({"scenario": "maximal-averaging", "seed": 5})
     model = build_model(cfg)
     assert model.system_dim == 2
-    assert len(model.couplings) == 3
+    assert len(model.words) == 1 + 3
     sched = build_schedule(cfg)
     assert sched.n_segments == 4
     assert sched.delta_t == cfg.delta_t

@@ -88,6 +88,11 @@ def test_boundary_pulses_reconstruct_frames():
             assert np.max(np.abs(dense - phase * word)) < 1e-12
 
 
+def test_boundary_pulses_need_a_word():
+    with pytest.raises(ValueError, match="a cycle needs at least one word"):
+        boundary_pulses([])
+
+
 def test_natural_full_group_cycle_uses_two_pulse_axes():
     """The identity-X-Y-Z ordering is driven by alternating X and Z pulses
     up to phase."""
