@@ -102,6 +102,11 @@ echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "de
 "${cli[@]}" sweep --config "$work/boson-sweep.json" --out "$work/boson-sweep"
 fit_points "$work/boson-sweep/summary.json" 3
 path_is "$work/boson-sweep/summary.json" modes
+# X in h_s: a boson-bath sweep on the joint path
+echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "h_s": {"X": 0.2}, "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/boson-joint-sweep.json"
+"${cli[@]}" sweep --config "$work/boson-joint-sweep.json" --out "$work/boson-joint-sweep"
+fit_points "$work/boson-joint-sweep/summary.json" 3
+path_is "$work/boson-joint-sweep/summary.json" joint
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"n_modes": 2, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 100, "sample_every": 2}' > "$work/blocks.json"
 "${cli[@]}" simulate --config "$work/blocks.json" --out "$work/blocks"
 test $(wc -l < "$work/blocks/trajectory.csv") -eq 52

@@ -351,6 +351,10 @@ class SimulationRun:
     sample_every: int = 1
 
     def __post_init__(self):
+        for name in ("n_cycles", "sample_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}: expected an integer, got {type(value).__name__}")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be at least 1")
         if self.sample_every < 1 or self.n_cycles % self.sample_every != 0:

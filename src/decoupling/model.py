@@ -7,10 +7,10 @@ The total Hamiltonian always has the split form
 with Hermitian system operators S_a and Hermitian bath operators B_a.
 A :class:`SystemBathModel` is exactly two tables: Pauli word tables for ``H_S``
 and each ``S_a`` on the qubit register, and a :class:`ModeTable` for the
-bath, ``H_B`` and each ``B_a`` as sums of single-mode terms. The model is
-checked on them and holds no dense operator: :func:`hamiltonian_matrix`
+bath, two stacks of single-mode terms, one of ``H_B`` and one of each ``B_a``.
+The model is checked on them and holds no dense operator: :func:`hamiltonian_matrix`
 places the joint path's ``d x d`` Hamiltonian from them, and the mode-by-mode
-product path never places the bath. One builder,
+product path reads the same terms and never places the bath. One builder,
 :func:`build_system_bath_model`, makes both bath kinds: a spin bath (each
 mode is a qubit precessing at its own frequency) and a truncated bosonic
 bath for pure dephasing differ only in the single-mode Hamiltonian and the
@@ -24,13 +24,13 @@ cycle completes in a fraction of ``1/cutoff``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .operators import DIM_CAP, Operator
+from .operators import DIM_CAP, Operator, hermitian
 from .groups import PAULI_MATRICES, _all_words, _code, _is_word, _parities, _pauli_sums
 
 
@@ -68,10 +68,9 @@ class BathSpec:
                 raise ValueError(f"{name}: expected an integer, got {type(value).__name__}")
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        if self.coupling_scale <= 0:
-            raise ValueError("coupling_scale must be positive")
+        for name in ("cutoff", "coupling_scale"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a positive finite number")
         if self.kind == "boson-mode":
             if self.boson_truncation is None or self.boson_truncation < 2:
                 raise ValueError("boson-mode baths need boson_truncation >= 2")
@@ -87,44 +86,31 @@ class BathSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModeTable:
-    """The bath, mode by mode: ``h_b = sum_i frequencies[i] h_mode^(i)`` and ``B_a = scale
-    sum_i (sum_k coefficients[a, i, k] operators[k])^(i) / norms[a]``, ``x^(i)`` acting on
-    mode ``i`` alone. Shapes ``(m,)``, ``(n, n)``, ``(k, n, n)``, ``(n_a, m, k)``, ``(n_a,)``.
-    The builder's coefficients are standard-normal draws and ``norms[a]`` the spectral
-    norm of channel ``a``'s sum, so each ``B_a`` has norm ``scale``. An unstructured bath
-    is one mode: frequency 1, ``h_mode = h_b``, the ``B_a`` as operators, identity rows,
-    unit norms and scale.
+    """The bath as two stacks of single-mode terms: ``h_b = sum_i hamiltonian[i]^(i)`` and
+    ``B_a = sum_i couplings[a, i]^(i)``, ``x^(i)`` acting on mode ``i`` alone, of shapes
+    ``(m, n, n)`` and ``(n_a, m, n, n)``. Both are read-only complex copies of the arrays
+    given. The builder's terms are ``w_i h_mode`` and ``sum_k r_aik op_k``, with rows
+    ``r_a`` the standard-normal draws scaled so that each ``B_a`` has spectral norm
+    ``coupling_scale``. An unstructured bath is one mode: ``ModeTable(h_b[None], B[:, None])``.
     """
 
-    frequencies: np.ndarray
-    h_mode: np.ndarray
-    operators: np.ndarray
-    coefficients: np.ndarray
-    norms: np.ndarray
-    scale: float
+    hamiltonian: np.ndarray
+    couplings: np.ndarray
 
     def __post_init__(self):
-        for a in (self.frequencies, self.h_mode, self.operators, self.coefficients, self.norms):
+        for f in fields(self):
+            a = np.array(getattr(self, f.name), dtype=complex)
             a.setflags(write=False)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The coefficients times each channel's ``scale / norms[a]``: the per-mode weights
-        of the product path and the Gram, ``(n_a, m, k)``. The placed ``B_a`` scale their
-        terms as ``scale * t / norms[a]`` instead: the two orders round differently, and
-        each path's outputs are pinned to its own order."""
-        rows = self.coefficients * (self.scale / self.norms)[:, None, None]
-        rows.setflags(write=False)
-        return rows
+            object.__setattr__(self, f.name, a)
 
     def gram(self) -> np.ndarray:
         """The Frobenius Gram ``tr(B_a^dag B_b)`` of the channels, from per-mode traces:
         ``n**(m-1) sum_i tr(b_ai^dag b_bi) + n**(m-2) sum_(i != j) tr(b_ai)^* tr(b_bj)``,
-        ``b_ai`` channel ``a``'s term on mode ``i``."""
-        n, m = len(self.h_mode), len(self.frequencies)
-        flat, c = self.operators.reshape(len(self.operators), -1), self.rows
-        same = np.einsum("aik,kl,bil->ab", c.conj(), flat.conj() @ flat.T, c)
-        t = c @ self.operators.trace(axis1=1, axis2=2)  # tr(b_ai), (n_a, m)
+        ``b_ai = couplings[a, i]``."""
+        (m, n, _), b = self.hamiltonian.shape, self.couplings
+        flat = b.reshape(len(b), m, -1)
+        same = np.einsum("aix,bix->ab", flat.conj(), flat)
+        t = b.trace(axis1=2, axis2=3)  # tr(b_ai), (n_a, m)
         cross = np.outer(t.sum(1).conj(), t.sum(1)) - t.conj() @ t.T
         return n ** (m - 1) * same + n ** (m - 2.0) * cross
 
@@ -149,23 +135,21 @@ class SystemBathModel:
     """A register of ``K`` qubits coupled to a finite bath, as two tables: ``words``,
     the Pauli word tables (word -> real coefficient) of ``h_s`` and of each channel's
     ``S_a``, in that order, and ``modes``, the bath's :class:`ModeTable`. It is checked
-    on them: ``K``-letter words with real coefficients, one word table per channel of
-    the mode table (a failing table is named), Hermitian ``h_mode`` and mode operators
-    with real frequencies and rows, the dimension cap, and independent ``B_a`` by
-    :meth:`ModeTable.gram` (a dependent set silently merges decoherence channels).
-    It caches no dense operator, only the joint spectrum and the per-mode arrays the
-    two paths derive from the tables.
+    on them: stacks of agreeing shapes, ``K``-letter words with real coefficients, one
+    word table per channel of the mode table (a failing table is named), Hermitian
+    terms of ``h_b`` and of each ``B_a`` (a failing channel is named), the dimension cap,
+    and independent ``B_a`` by :meth:`ModeTable.gram` (a dependent set silently merges
+    decoherence channels). It caches no dense operator, only the joint spectrum and the
+    per-mode arrays the two paths derive from the tables.
     """
 
     words: tuple[dict[str, float], ...]
     modes: ModeTable
 
     def __post_init__(self):
-        table = self.modes
-        m, (k, n, _) = len(table.frequencies), table.operators.shape
-        n_channels = len(table.coefficients)
-        if (table.h_mode.shape != (n, n) or table.coefficients.shape[1:] != (m, k)
-                or table.norms.shape != (n_channels,)):
+        h, b = self.modes.hamiltonian, self.modes.couplings
+        n_channels = len(b)
+        if h.ndim != 3 or h.shape[1] != h.shape[2] or b.shape[1:] != h.shape:
             raise ValueError("mode table shapes do not agree")
         if not any(self.words):
             raise ValueError("the word tables hold no word to size the register")
@@ -180,18 +164,17 @@ class SystemBathModel:
                     raise ValueError(f"{label}: {w!r} is not a {n_qubits}-letter Pauli word")
                 if complex(c).imag:
                     raise ValueError(f"{label}: the coefficient of {w!r} is not real")
-        if not (np.isrealobj(table.frequencies) and Operator(table.h_mode).is_hermitian()):
+        if not hermitian(h).all():
             raise ValueError("bath Hamiltonian is not Hermitian")
         if self.system_dim * self.bath_dim > DIM_CAP:
             raise ValueError(
                 f"total dimension {self.system_dim * self.bath_dim} exceeds the cap {DIM_CAP}"
             )
-        operators_hermitian = all(Operator(x).is_hermitian() for x in table.operators)
-        for a in range(n_channels):
-            if not operators_hermitian or np.imag(table.rows[a]).any():
-                raise ValueError(f"coupling {a} is not Hermitian")
+        skewed = ~hermitian(b).all(1)
+        if skewed.any():
+            raise ValueError(f"coupling {skewed.argmax()} is not Hermitian")
         if n_channels:
-            gram = table.gram()
+            gram = self.modes.gram()
             # numerical rank relative to the leading eigenvalue, so the
             # check is insensitive to the overall coupling strength
             evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
@@ -213,7 +196,8 @@ class SystemBathModel:
 
     @property
     def bath_dims(self) -> tuple[int, ...]:
-        return (len(self.modes.h_mode),) * len(self.modes.frequencies)
+        m, n, _ = self.modes.hamiltonian.shape
+        return (n,) * m
 
     @property
     def system_dim(self) -> int:
@@ -221,29 +205,26 @@ class SystemBathModel:
 
     @property
     def bath_dim(self) -> int:
-        return len(self.modes.h_mode) ** len(self.modes.frequencies)
-
-    @property
-    def _mode_terms(self) -> np.ndarray:
-        """``w_i h_mode``, the bath Hamiltonian's term on mode ``i``: a ``(m, n, n)`` stack."""
-        return self.modes.frequencies[:, None, None] * self.modes.h_mode
+        m, n, _ = self.modes.hamiltonian.shape
+        return n**m
 
     @cached_property
     def _mode_ground(self) -> np.ndarray:
-        """Each mode's ground vector, the lowest eigenvector of its term ``w_i h_mode``,
-        from one batched ``eigh``: a read-only ``(m, n)`` array. The bath's ground state
-        is their product. A diagonal term gives the exact unit vector."""
-        g = np.ascontiguousarray(np.linalg.eigh(self._mode_terms)[1][..., 0])
+        """Each mode's ground vector, the lowest eigenvector of its term of ``h_b``, from one
+        ``eigh`` of the ``hamiltonian`` stack: a read-only ``(m, n)`` array. The bath's ground
+        state is their product. A diagonal term gives the exact unit vector."""
+        g = np.ascontiguousarray(np.linalg.eigh(self.modes.hamiltonian)[1][..., 0])
         g.setflags(write=False)
         return g
 
     @cached_property
     def _mode_hamiltonians(self) -> np.ndarray | None:
-        """``h_ci = w_i h_mode + sum_a s_a(c) b_ai``, mode ``i``'s term of register state
-        ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with ``E_c``, that of
-        ``h_s``, added to mode 0: a ``(d_s m, n, n)`` stack, register state major. None
-        unless every word with a nonzero coefficient is in {I, Z}^K (every register qubit
-        conserved). Made once per model, on the first read, from the tables."""
+        """``h_ci = hamiltonian[i] + sum_a s_a(c) couplings[a, i]``, mode ``i``'s term of
+        register state ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with
+        ``E_c``, that of ``h_s``, added to mode 0: a ``(d_s m, n, n)`` stack, register
+        state major. None unless every word with a nonzero coefficient is in {I, Z}^K
+        (every register qubit conserved). Made once per model, on the first read, from
+        the tables."""
         if any(c and set(w) - set("IZ") for words in self.words for w, c in words.items()):
             return None
         t, n = self.modes, self.n_qubits
@@ -252,9 +233,8 @@ class SystemBathModel:
             for w in sorted(words):
                 if set(w) <= set("IZ"):  # a word with X or Y letters has no diagonal entry
                     row += words[w] * (1 - 2 * _parities(_code(w), n))
-        h = self._mode_terms + np.tensordot(
-            diag[1:].T, np.tensordot(t.rows, t.operators, axes=1), axes=1)
-        h[:, 0] += diag[0][:, None, None] * np.eye(len(t.h_mode))
+        h = t.hamiltonian + np.tensordot(diag[1:].T, t.couplings, axes=1)
+        h[:, 0] += diag[0][:, None, None] * np.eye(t.hamiltonian.shape[-1])
         h = h.reshape(-1, *h.shape[-2:])
         h.setflags(write=False)
         return h
@@ -278,15 +258,14 @@ def total_hamiltonian(model: SystemBathModel) -> Operator:
 def hamiltonian_matrix(model: SystemBathModel) -> np.ndarray:
     """The ``d x d`` array of :func:`total_hamiltonian`, placed from the split form with
     no Kronecker products: ``h_s`` and each ``S_a`` by ``_pauli_sums``, ``h_b`` and each
-    ``B_a`` (terms scaled as ``scale * b / norms[a]``) by :func:`_placed`."""
+    ``B_a`` from their stacks of mode terms by :func:`_placed`."""
     d_s, d_b, t = model.system_dim, model.bath_dim, model.modes
     h_s, *system = _pauli_sums(model.words, model.n_qubits)
-    terms = np.tensordot(t.coefficients, t.operators, axes=1)  # (n_a, m, n, n)
     h = np.zeros((d_s, d_b, d_s, d_b), dtype=complex)
     np.einsum("iaja->ija", h)[...] += h_s[..., None]  # h_s (x) 1 on the bath diagonal
-    np.einsum("iaib->iab", h)[...] += _placed(model._mode_terms)  # 1 (x) h_b on the system diagonal
-    for s, term, nrm in zip(system, terms, t.norms.tolist()):
-        b = _placed(t.scale * term / nrm)
+    np.einsum("iaib->iab", h)[...] += _placed(t.hamiltonian)  # 1 (x) h_b on the system diagonal
+    for s, terms in zip(system, t.couplings):
+        b = _placed(terms)
         for i, j in zip(*np.nonzero(s)):  # S_a is a Pauli sum: add s_ij B_a at its nonzero s_ij
             h[i, :, j] += s[i, j] * b
     return h.reshape(d_s * d_b, -1)
@@ -322,8 +301,9 @@ def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:
     raise ValueError(f"unknown coupling kind {kind!r}; expected one of {COUPLING_KINDS}")
 
 
-def _mode(bath: BathSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """One bath mode: its Hamiltonian per unit frequency and its coupling operators.
+def _mode(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One bath mode: its Hamiltonian per unit frequency and the stack of its coupling
+    operators.
 
     A spin precesses under ``sigma_z/2`` and couples through ``sigma_x``
     and ``sigma_y``. An oscillator cut off at ``boson_truncation`` Fock
@@ -332,10 +312,10 @@ def _mode(bath: BathSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     complex arithmetic.
     """
     if bath.kind == "spin-bath":
-        return 0.5 * PAULI_MATRICES["Z"], (PAULI_MATRICES["X"], PAULI_MATRICES["Y"])
+        return 0.5 * PAULI_MATRICES["Z"], np.array([PAULI_MATRICES["X"], PAULI_MATRICES["Y"]])
     n_levels = bath.boson_truncation
     lower = np.diag(np.sqrt(np.arange(1, n_levels)), 1).astype(complex)
-    return np.diag(np.arange(n_levels)).astype(complex), (lower + lower.T,)
+    return np.diag(np.arange(n_levels)).astype(complex), (lower + lower.T)[None]
 
 
 def bath_capacity_problem(
@@ -376,8 +356,9 @@ def build_system_bath_model(
     or ``a + a^dag``), site by site, and normalized to spectral norm
     ``bath.coupling_scale``. ``h_s`` is a Pauli word table, empty by
     default. The model is the word tables of ``h_s`` and the system side
-    of each coupling, and the mode table of the draws, their norms and the
-    coupling scale. The bath operators do not commute with the bath
+    of each coupling, and the mode table of the terms ``w_i h_mode`` and,
+    per channel, ``sum_k r_ik op_k``, the draws ``r`` already scaled to the
+    norm. The bath operators do not commute with the bath
     Hamiltonian, so the joint dynamics genuinely entangles the register
     with the bath.
 
@@ -398,17 +379,18 @@ def build_system_bath_model(
     problem = bath_capacity_problem(bath, n_qubits, coupling)
     if problem is not None:
         raise ValueError(problem[1])
-    h_mode, mode_ops = _mode(bath)
-    # every channel's per-mode rows from one draw, the stream of one draw per channel
+    h_mode, ops = _mode(bath)
+    # every channel's per-mode draws from one draw, the stream of one draw per channel
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
-    coeffs = rng.standard_normal((len(tables), bath.n_modes, len(mode_ops)))
+    draws = rng.standard_normal((len(tables), bath.n_modes, len(ops)))
     # extreme eigenvalues of each b: sums of those of its commuting per-mode terms
-    ends = np.linalg.eigvalsh(np.tensordot(coeffs, mode_ops, axes=1)).sum(1)
+    ends = np.linalg.eigvalsh(np.tensordot(draws, ops, axes=1)).sum(1)
     norms = np.maximum(ends[:, -1], -ends[:, 0])
     if not norms.all():
         raise ValueError("degenerate random draw for a bath coupling operator")
-    modes = ModeTable(np.array(bath.mode_frequencies), h_mode, np.array(mode_ops), coeffs,
-                      norms, bath.coupling_scale)
+    rows = draws * (bath.coupling_scale / norms)[:, None, None]
+    modes = ModeTable(np.array(bath.mode_frequencies)[:, None, None] * h_mode,
+                      np.tensordot(rows, ops, axes=1))
     return SystemBathModel((dict(h_s or {}), *tables), modes)
 
 

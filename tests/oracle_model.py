@@ -3,11 +3,10 @@ package merged, kept as oracles for ``model``.
 
 :func:`dense_parts` is the model's dense view: ``h_s`` and each ``S_a`` as sums of
 ``np.kron`` products of single-qubit Pauli letters, added in sorted word order, and
-``h_b`` and each ``B_a`` as sums of single-mode terms lifted by ``np.kron`` and added
-in mode order, each ``B_a`` term scaled as ``scale * term / norms[a]``. It reads the
-tables only and calls none of the package's placement routines, and
-:func:`total_hamiltonian` sums its Kronecker terms: every oracle that needs a model's
-matrices takes them from here.
+``h_b`` and each ``B_a`` as sums of their single-mode terms lifted by ``np.kron`` and
+added in mode order. It reads the tables only and calls none of the package's placement
+routines, and :func:`total_hamiltonian` sums its Kronecker terms: every oracle that
+needs a model's matrices takes them from here.
 
 ``build_system_bath_model`` makes both bath kinds from one mode table. The builders
 here are the separate spin and boson paths it replaced: they build every site operator
@@ -17,11 +16,11 @@ combine ``matrix`` arrays: each term scaled as ``m * complex(c)``, then added. T
 builder's tables must reproduce their models bit for bit, except the bath factors:
 they are normalized here by the SVD spectral norm, and in the package by per-mode
 eigenvalues, so the two agree to 1e-14 relative. :func:`kron_bath` pins those factors
-bit for bit too: it draws the builder's per-mode terms from the bath spec, lifts them
-by ``np.kron``, adds them in the builder's mode order and normalizes them by the same
-per-mode eigenvalues. Those builders return a :class:`DenseModel`, and
-:func:`hand_built` turns dense parts into a model: word tables by
-:func:`pauli_tables` and a one-mode bath. The hand-built model of acceptance
+bit for bit too: it draws the builder's rows from the bath spec, scales them to the norm
+by the same per-mode eigenvalues, forms each mode's term from the scaled rows, lifts the
+terms by ``np.kron`` and adds them in the builder's mode order. Those builders return a
+:class:`DenseModel`, and :func:`hand_built` turns dense parts into a model: word tables
+by :func:`pauli_tables` and a one-mode bath. The hand-built model of acceptance
 criterion 07 starts from random matrices that way; criterion 12's model is built
 from its tables.
 """
@@ -67,15 +66,12 @@ def dense_parts(model: SystemBathModel) -> DenseModel:
     """The dense parts of ``model``, from its word tables and mode table alone."""
     n_qubits, t = model.n_qubits, model.modes
     system_dims = (2,) * n_qubits
-    bath_dims = (len(t.h_mode),) * len(t.frequencies)
+    bath_dims = (t.hamiltonian.shape[-1],) * len(t.hamiltonian)
     h_s, *system = (table_matrix(table, n_qubits) for table in model.words)
-    h_b = _lifted([w * t.h_mode for w in t.frequencies])
-    couplings = []
-    for s, rows, norm in zip(system, t.coefficients, t.norms):
-        terms = [sum(c * op for c, op in zip(row, t.operators)) for row in rows]
-        b = _lifted([t.scale * term / norm for term in terms])
-        couplings.append((Operator(s, system_dims), Operator(b, bath_dims)))
-    return DenseModel(Operator(h_s, system_dims), Operator(h_b, bath_dims), tuple(couplings))
+    couplings = tuple((Operator(s, system_dims), Operator(_lifted(terms), bath_dims))
+                      for s, terms in zip(system, t.couplings))
+    return DenseModel(Operator(h_s, system_dims), Operator(_lifted(t.hamiltonian), bath_dims),
+                      couplings)
 
 
 def pauli_tables(matrices, n_qubits: int) -> tuple[dict[str, float], ...]:
@@ -91,15 +87,12 @@ def pauli_tables(matrices, n_qubits: int) -> tuple[dict[str, float], ...]:
 
 def hand_built(dense: DenseModel) -> SystemBathModel:
     """The model of dense parts on a qubit register: the word tables of ``h_s`` and each
-    ``S_a`` by :func:`pauli_tables`, and the bath as one mode, ``h_mode = h_b`` with the
-    ``B_a`` as its operators, identity rows, unit norms and scale."""
+    ``S_a`` by :func:`pauli_tables`, and the bath as one mode, ``h_b`` and the ``B_a``
+    each its own one-term stack."""
     n_qubits, d_b = len(dense.h_s.dims), dense.h_b.dim
     words = pauli_tables([dense.h_s.matrix] + [s.matrix for s, _ in dense.couplings], n_qubits)
-    n_a = len(dense.couplings)
-    operators = np.array([b.matrix for _, b in dense.couplings]).reshape(n_a, d_b, d_b)
-    table = ModeTable(np.array([1.0]), dense.h_b.matrix, operators,
-                      np.eye(n_a).reshape(n_a, 1, n_a), np.ones(n_a), 1.0)
-    return SystemBathModel(words, table)
+    couplings = np.array([b.matrix for _, b in dense.couplings]).reshape(-1, 1, d_b, d_b)
+    return SystemBathModel(words, ModeTable(dense.h_b.matrix[None], couplings))
 
 
 def identity(dims) -> Operator:
@@ -286,19 +279,20 @@ def kron_bath(bath: BathSpec, n_channels: int) -> tuple[np.ndarray, list[np.ndar
 
     Mode ``i``'s term is lifted as ``1 (x) term (x) 1`` and the lifts are
     summed from zero in mode order: ``w_i h_mode`` for ``h_b``, and for each
-    ``B_a`` the term ``sum_k c_ik op_k`` of that channel's row of standard
-    normal draws, normalized to ``coupling_scale`` by the sum over modes of
-    each term's extreme eigenvalues.
+    ``B_a`` the term ``sum_k r_ik op_k``, where ``r`` is that channel's row of
+    standard normal draws already scaled by ``coupling_scale`` over the
+    channel's norm, the sum over modes of each unscaled term's extreme
+    eigenvalues.
     """
     h_mode, ops = _mode_operators(bath)
     h_b = _lifted([w * h_mode for w in bath.mode_frequencies])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
     factors = []
     for _ in range(n_channels):
-        coeffs = rng.standard_normal(bath.n_modes * len(ops)).reshape(bath.n_modes, -1)
-        b = _lifted([sum(c * op for c, op in zip(row, ops)) for row in coeffs])
-        ends = np.linalg.eigvalsh(np.tensordot(coeffs, ops, axes=1)).sum(0)
-        factors.append(bath.coupling_scale * b / float(max(ends[-1], -ends[0])))
+        draws = rng.standard_normal(bath.n_modes * len(ops)).reshape(bath.n_modes, -1)
+        ends = np.linalg.eigvalsh(np.tensordot(draws, ops, axes=1)).sum(0)
+        rows = draws * (bath.coupling_scale / float(max(ends[-1], -ends[0])))
+        factors.append(_lifted([sum(r * op for r, op in zip(row, ops)) for row in rows]))
     return h_b, factors
 
 
@@ -318,9 +312,11 @@ def commuting_dephasing_model(rng: np.random.Generator, n_modes: int = 3) -> Sys
     """A qubit dephasing through ``Z (x) B`` against ``n_modes`` bath spins, with ``h_b =
     sum_i w_i Z_i / 2`` (``w_i`` uniform in [0.3, 1)) and ``B = sum_i c_i Z_i`` (``c_i``
     standard normal) scaled to spectral norm 0.4, ``sum_i |c_i|``, so ``B`` commutes with
-    ``h_b``: a mode table of ``n_modes`` modes with ``h_mode = Z / 2`` and operator ``Z``."""
+    ``h_b``: a mode table of ``n_modes`` modes with terms ``w_i Z / 2`` and ``0.4 c_i Z /
+    sum_j |c_j|``."""
     freqs = rng.uniform(0.3, 1.0, size=n_modes)
-    c = np.array([[[rng.normal()] for _ in range(n_modes)]])
+    c = np.array([rng.normal() for _ in range(n_modes)])
     sz = PAULI_MATRICES["Z"]
-    table = ModeTable(freqs, 0.5 * sz, sz[None], c, np.abs(c).sum((1, 2)), 0.4)
+    table = ModeTable(freqs[:, None, None] * (0.5 * sz),
+                      (c * (0.4 / np.abs(c).sum()))[None, :, None, None] * sz)
     return SystemBathModel(({}, {"Z": 1.0}), table)

@@ -251,8 +251,7 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
         assert all(shape[-1] < d for shape in shapes)
         return
     spectrum = model._joint_spectrum
-    n = len(model.modes.h_mode)
-    assert shapes == [(d, d), (len(model.modes.frequencies), n, n)]
+    assert shapes == [(d, d), model.modes.hamiltonian.shape]
     assert evolve(SimulationRun(model=model, **common)).path == "joint"
     assert shapes.count((d, d)) == 1
     assert spectrum.energies.shape == (d,) and spectrum.vectors.shape == (d, d)
@@ -264,8 +263,8 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
 @pytest.mark.parametrize("doc", [ECHO, {**K2_DEPHASING, "h_s": {"ZZ": 0.2}}],
                          ids=["echo", "K2-ZZ"])
 def test_a_one_mode_copy_evolves_like_the_builders_model(doc):
-    """Holding the whole bath as one mode, ``h_mode = h_b`` with the ``B_a`` as its
-    operators, changes how the product path groups its arithmetic, not what it
+    """Holding the whole bath as one mode, ``h_b`` and the ``B_a`` each one term,
+    changes how the product path groups its arithmetic, not what it
     computes: the copy's states agree with the builder's model's to 1e-11."""
     config = parse_config({"seed": 7, **doc})
     model = build_model(config)
@@ -438,7 +437,7 @@ def test_echo_limit_is_exact_for_commuting_bath():
 @pytest.mark.parametrize("group", [pauli_group(1, "flip"), trivial_group(1)],
                          ids=["flip", "free"])
 def test_product_path_on_a_non_diagonal_mode_matches_the_joint_path(group):
-    """A one-mode bath whose ``h_mode`` is a random non-diagonal Hermitian matrix, under a
+    """A one-mode bath whose term of ``h_b`` is a random non-diagonal Hermitian matrix, under a
     conserved register: the product path starts from the mode's ``eigh`` ground vector
     and agrees with the joint path, given that ground state as an explicit ``rho_b0``,
     to 1e-10 in states and fidelity."""
@@ -564,6 +563,26 @@ def test_run_validation():
                       rho_b0="thermal")
     with pytest.raises(ValueError, match="^rho_s0 must be an Operator, got ndarray$"):
         SimulationRun(model, sched, 5, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("name, value", [("n_cycles", 2.5), ("n_cycles", 10.0),
+                                         ("n_cycles", True), ("sample_every", 2.0),
+                                         ("sample_every", True)])
+def test_run_takes_only_integer_counts(name, value):
+    """A cycle count or sample stride that is not an integer (a float, or a ``bool``) is
+    rejected by name, not failed on inside ``matrix_power`` or misreported as a stride
+    that does not divide; numpy integers run as the ints they hold."""
+    model = make_model()
+    sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
+    counts = {"n_cycles": 10, "sample_every": 2, name: value}
+    with pytest.raises(ValueError, match=f"^{name}: expected an integer, got "
+                                         f"{type(value).__name__}$"):
+        SimulationRun(model=model, schedule=sched, rho_s0=PLUS, **counts)
+    got, want = (evolve(SimulationRun(model=model, schedule=sched, rho_s0=PLUS, n_cycles=n,
+                                      sample_every=k))
+                 for n, k in ((np.int64(10), np.int32(2)), (10, 2)))
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.cycles.tolist() == want.cycles.tolist()
 
 
 def test_trajectory_metadata_and_csv(tmp_path):

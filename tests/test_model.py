@@ -28,7 +28,7 @@ from decoupling.model import (COUPLING_KINDS, ModeTable, _placed, bath_ground_ve
 from decoupling.operators import DIM_CAP
 
 import oracle_model
-from oracle_model import DenseModel, dense_parts, hand_built, tensor
+from oracle_model import DenseModel, _lifted, dense_parts, hand_built, tensor
 from oracle_dm import bath_ground_state
 from oracle_groups import all_words
 
@@ -66,6 +66,16 @@ def test_bath_spec_takes_only_integer_sizes(name, value):
     sizes = {"n_modes": 2, "boson_truncation": 3, name: value}
     with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
         BathSpec(kind="boson-mode", cutoff=1.0, coupling_scale=0.3, seed=7, **sizes)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["cutoff", "coupling_scale"])
+def test_bath_spec_takes_only_finite_numbers(name, value):
+    """A NaN or infinite cutoff or coupling scale is rejected by name, not failed on
+    inside the frequency draw or misread later as linearly dependent couplings."""
+    numbers = {"cutoff": 1.0, "coupling_scale": 0.3, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a positive finite number$"):
+        BathSpec(kind="spin-bath", n_modes=2, seed=7, **numbers)
 
 
 def test_mode_frequency_grid():
@@ -135,8 +145,8 @@ def test_spin_bath_builder_deterministic():
     m1 = build_system_bath_model(2, bath, coupling="linear-collective")
     m2 = build_system_bath_model(2, bath, coupling="linear-collective")
     assert m1.words == m2.words
-    for name in ("frequencies", "h_mode", "operators", "coefficients", "norms", "scale"):
-        assert np.array_equal(getattr(m1.modes, name), getattr(m2.modes, name))
+    for f in fields(ModeTable):
+        assert np.array_equal(getattr(m1.modes, f.name), getattr(m2.modes, f.name))
 
 
 def test_coupling_kinds_give_expected_channel_counts():
@@ -145,7 +155,7 @@ def test_coupling_kinds_give_expected_channel_counts():
                                            (2, "dephasing", 2), (2, "linear-collective", 3),
                                            (2, "linear-independent", 6)):
         model = build_system_bath_model(n_qubits, bath, coupling=coupling)
-        assert len(model.words) == 1 + n_channels == 1 + len(model.modes.norms)
+        assert len(model.words) == 1 + n_channels == 1 + len(model.modes.couplings)
     with pytest.raises(ValueError):
         build_system_bath_model(1, bath, coupling="quadratic")
 
@@ -320,7 +330,7 @@ def test_a_presets_bath_ground_vector_is_the_unit_vector_bitwise(preset, seed):
     np.diag([0.5, -0.2, -0.2, 0.1]).astype(complex),  # degenerate minimum
 ], ids=["off-diagonal", "degenerate"])
 def test_bath_ground_vector_keeps_eigh_otherwise(monkeypatch, h_b):
-    """A one-mode table's ground vector is ``eigh``'s of its ``h_mode``, bit for bit, from
+    """A one-mode table's ground vector is ``eigh``'s of its one term, bit for bit, from
     one ``eigh`` of the one-matrix stack."""
     model = hand_built(DenseModel(pauli_word_operator("Z"), Operator(h_b, [len(h_b)]), ()))
     calls = []
@@ -341,40 +351,76 @@ def test_bath_ground_vector_keeps_eigh_otherwise(monkeypatch, h_b):
 ])
 def test_bath_factors_match_the_kron_lifts_bitwise(kind, n_qubits, n_modes, coupling, seed):
     """``h_b`` and every ``B_a``, placed from the model's mode table, are bit for bit the
-    per-mode terms of the bath spec's draws lifted by ``np.kron`` and summed in the
-    builder's mode order, normalized by the same per-mode eigenvalues: a change of term
-    order fails here. So are the oracle's dense parts of the table. The table's
-    product-path rows rebuild them, lifted the same way, to round-off."""
+    per-mode terms of the bath spec's draws, scaled to the norm by the same per-mode
+    eigenvalues, lifted by ``np.kron`` and summed in the builder's mode order: a change of
+    term order fails here. So are the oracle's dense parts of the table."""
     bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
                     boson_truncation=3 if kind == "boson-mode" else None)
     model = build_system_bath_model(n_qubits, bath, coupling=coupling)
     table = model.modes
-    h_b, factors = oracle_model.kron_bath(bath, len(table.norms))
+    h_b, factors = oracle_model.kron_bath(bath, len(table.couplings))
     dense = dense_parts(model)
-    assert _placed(model._mode_terms).tobytes() == h_b.tobytes()
+    assert _placed(table.hamiltonian).tobytes() == h_b.tobytes()
     assert dense.h_b.matrix.tobytes() == h_b.tobytes()
-    terms = np.tensordot(table.coefficients, table.operators, axes=1)
-    for term, norm, (_, b), want in zip(terms, table.norms, dense.couplings, factors,
-                                        strict=True):
-        assert _placed(table.scale * term / norm).tobytes() == want.tobytes()
+    for terms, (_, b), want in zip(table.couplings, dense.couplings, factors, strict=True):
+        assert _placed(terms).tobytes() == want.tobytes()
         assert b.matrix.tobytes() == want.tobytes()
-    n = len(table.h_mode)
 
-    def lift(terms):
-        return sum(np.kron(np.kron(np.eye(n**i), x), np.eye(n ** (n_modes - 1 - i)))
-                   for i, x in enumerate(terms))
 
-    assert np.max(np.abs(lift(table.frequencies[:, None, None] * table.h_mode) - h_b)) <= 1e-15
-    for rows, want in zip(table.rows, factors):
-        assert np.max(np.abs(lift(np.tensordot(rows, table.operators, axes=1)) - want)) <= 1e-15
+@pytest.mark.parametrize("seed", [3, 1009])
+@pytest.mark.parametrize("kind,n_qubits,n_modes,coupling", [
+    ("spin-bath", 2, 3, "dephasing"), ("spin-bath", 2, 4, "linear-independent"),
+    ("spin-bath", 2, 3, "linear-collective"), ("spin-bath", 1, 3, "total"),
+    ("boson-mode", 2, 2, "dephasing"), ("boson-mode", 1, 4, "dephasing"),
+])
+def test_product_path_terms_are_the_spec_draws_bitwise(kind, n_qubits, n_modes, coupling, seed):
+    """The product path's per-mode Hamiltonians are bit for bit ``w_i h_mode + sum_a s_a(c)
+    sum_k r_aik op_k``, ``E_c`` added on mode 0, and its ground vectors ``eigh``'s of
+    ``w_i h_mode``, all from the bath spec's own draws with the rows ``r`` scaled to the
+    norm before any product. A coupling kind with X or Y letters is read with its
+    letters made Z, so that every register qubit is conserved."""
+    bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
+                    boson_truncation=3 if kind == "boson-mode" else None)
+    built = build_system_bath_model(n_qubits, bath, coupling=coupling)
+    words = ({"Z" * n_qubits: 0.25},
+             *({w.translate(str.maketrans("XY", "ZZ")): c for w, c in t.items()}
+               for t in built.words[1:]))
+    model = SystemBathModel(words, built.modes)
+    h_mode, ops = oracle_model._mode_operators(bath)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    draws = rng.standard_normal((len(words) - 1, n_modes, len(ops)))
+    ends = np.linalg.eigvalsh(np.tensordot(draws, ops, axes=1)).sum(1)
+    rows = draws * (0.3 / np.maximum(ends[:, -1], -ends[:, 0]))[:, None, None]
+    terms = np.array(bath.mode_frequencies)[:, None, None] * h_mode
+    s = np.array([pauli_sum(t, n_qubits).matrix.diagonal().real for t in words])
+    want = terms + np.tensordot(s[1:].T, np.tensordot(rows, ops, axes=1), axes=1)
+    want[:, 0] += s[0][:, None, None] * np.eye(len(h_mode))
+    assert model._mode_hamiltonians.tobytes() == want.reshape(-1, *h_mode.shape).tobytes()
+    ground = np.ascontiguousarray(np.linalg.eigh(terms)[1][..., 0])
+    assert model._mode_ground.tobytes() == ground.tobytes()
+
+
+def test_a_mode_table_copies_the_arrays_it_is_given():
+    """A table holds read-only complex copies: the caller's arrays stay writable, and
+    writing to them, or to what they view, leaves the table unchanged."""
+    base = np.array([0.5 * SZ.real, 0.25 * SZ.real, 0.7 * SZ.real])
+    h, b = base[:2], np.array([[0.3 * SX, 0.2 * SY]])
+    table = SystemBathModel(({"Z": 0.1}, {"Z": 1.0}), ModeTable(h, b)).modes
+    h[0, 0, 0], base[1, 1, 1], b[0, 0, 0, 1] = 2.0, -2.0, 2.0
+    assert h.flags.writeable and b.flags.writeable
+    assert not (table.hamiltonian.flags.writeable or table.couplings.flags.writeable)
+    assert table.hamiltonian.dtype == table.couplings.dtype == complex
+    assert table.hamiltonian.tobytes() == np.array([0.5 * SZ, 0.25 * SZ]).tobytes()
+    assert table.couplings.tobytes() == np.array([[0.3 * SX, 0.2 * SY]]).tobytes()
 
 
 def test_mode_table_must_match_the_bath():
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
     model = build_system_bath_model(2, bath)
     table = model.modes
-    for bad in (replace(table, frequencies=table.frequencies[:2]),
-                replace(table, coefficients=table.coefficients[:1])):
+    for bad in (replace(table, hamiltonian=table.hamiltonian[:2]),
+                replace(table, couplings=table.couplings[:, :2]),
+                replace(table, couplings=table.couplings[0])):
         with pytest.raises(ValueError, match="mode table"):
             replace(model, modes=bad)
 
@@ -398,20 +444,13 @@ def test_table_gram_is_the_dense_gram(kind, n_qubits, n_modes, coupling):
 
 
 def test_table_gram_counts_traced_mode_operators():
-    """Cross terms between modes carry the mode operators' traces: a table
-    with a traced operator (not one the builder draws) still gives the Gram
-    of the operators it places."""
+    """Cross terms between modes carry the terms' traces: a table with traced terms
+    (not ones the builder draws) still gives the Gram of the operators it places."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
     model = build_system_bath_model(2, bath, coupling="dephasing")
-    ops = np.array([SX + 0.5 * np.eye(2), SZ + 0.2 * np.eye(2)])
-    table = replace(model.modes, operators=ops)
-    n = len(table.h_mode)
-
-    def lift(terms):
-        return sum(np.kron(np.kron(np.eye(n**i), x), np.eye(n ** (3 - 1 - i)))
-                   for i, x in enumerate(terms))
-
-    placed = [lift(np.tensordot(rows, ops, axes=1)) for rows in table.rows]
+    shifts = np.array([0.5, 0.2])[:, None, None, None] * np.eye(2)
+    table = replace(model.modes, couplings=model.modes.couplings + shifts)
+    placed = [_lifted(terms) for terms in table.couplings]
     want = np.array([[np.vdot(a, b) for b in placed] for a in placed])
     assert np.max(np.abs(table.gram() - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -420,16 +459,21 @@ def test_table_models_reject_what_dense_checks_reject():
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
     model = build_system_bath_model(2, bath)
     table = model.modes
-    rows = table.coefficients.copy()
-    rows[1] = 2.0 * rows[0]
+    dependent = table.couplings.copy()
+    dependent[1] = 2.0 * dependent[0]
     with pytest.raises(ValueError, match="linearly dependent"):
-        replace(model, modes=replace(table, coefficients=rows))
+        replace(model, modes=replace(table, couplings=dependent))
+    skewed = table.couplings.copy()
+    skewed[0, 1] = [[0, 1], [0, 0]]
     with pytest.raises(ValueError, match="coupling 0 is not Hermitian"):
-        replace(model, modes=replace(table, operators=np.array([SX, [[0, 1], [0, 0]]])))
+        replace(model, modes=replace(table, couplings=skewed))
     with pytest.raises(ValueError, match="coupling 1 is not Hermitian"):
-        replace(model, modes=replace(table, coefficients=table.coefficients * [[[1]], [[1j]]]))
+        replace(model, modes=replace(table, couplings=table.couplings
+                                     * np.array([1, 1j])[:, None, None, None]))
+    h = table.hamiltonian.copy()
+    h[2] = [[0, 1], [0, 0]]
     with pytest.raises(ValueError, match="bath Hamiltonian is not Hermitian"):
-        replace(model, modes=replace(table, h_mode=np.array([[0, 1], [0, 0]], dtype=complex)))
+        replace(model, modes=replace(table, hamiltonian=h))
 
 
 def test_builder_model_places_no_bath_matrix():
@@ -630,7 +674,7 @@ def test_a_hand_built_models_tables_resum_to_its_matrices(make):
     dense = make()
     model = hand_built(dense)
     n_qubits = len(dense.h_s.dims)
-    assert len(model.modes.frequencies) == 1
+    assert len(model.modes.hamiltonian) == 1
     assert isinstance(model.words, tuple)
     assert len(model.words) == 1 + len(dense.couplings)
     for table, s in zip(model.words, _system_matrices(dense)):
@@ -661,10 +705,7 @@ def test_a_hand_built_copy_derives_the_builders_tables(preset, seed):
 
 
 def _one_mode_table(n_channels):
-    ops = np.array([0.3 * SX, 0.3 * SY, 0.3 * SZ])[:n_channels]
-    return ModeTable(np.array([1.0]), 0.5 * SZ, ops,
-                     np.eye(n_channels).reshape(n_channels, 1, n_channels),
-                     np.ones(n_channels), 1.0)
+    return ModeTable((0.5 * SZ)[None], np.array([0.3 * SX, 0.3 * SY, 0.3 * SZ])[:n_channels, None])
 
 
 @pytest.mark.parametrize("words, n_channels, message", [

@@ -2,10 +2,12 @@
 
 The list holds what the command line, the demos and the acceptance
 criteria call. A name is added or removed by editing it here. What an
-``Operator`` leaves out, arithmetic and deferred placement, is pinned here too.
+``Operator`` leaves out, arithmetic and deferred placement, is pinned here too,
+and so are the fields of a model's bath table.
 """
 
 import ast
+import dataclasses
 import importlib
 import types
 from pathlib import Path
@@ -121,3 +123,10 @@ def test_operators_hold_their_matrix_from_construction():
     assert not hasattr(decoupling.Operator, "deferred")
     assert "__getattr__" not in vars(decoupling.Operator)
     assert decoupling.Operator.__slots__ == ("matrix", "dims")
+
+
+def test_a_mode_table_is_its_two_stacks():
+    """The bath table is the stack of ``h_b``'s mode terms and that of each ``B_a``:
+    one set of terms that the joint path, the product path and the Gram all read."""
+    from decoupling.model import ModeTable
+    assert tuple(f.name for f in dataclasses.fields(ModeTable)) == ("hamiltonian", "couplings")
