@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import DIM_CAP, Operator, hermitian
+from .operators import DIM_CAP, Operator
 from .groups import PAULI_MATRICES, _all_words, _code, _is_word, _parities, _pauli_sums
 
 
@@ -164,15 +164,15 @@ class SystemBathModel:
                     raise ValueError(f"{label}: {w!r} is not a {n_qubits}-letter Pauli word")
                 if complex(c).imag:
                     raise ValueError(f"{label}: the coefficient of {w!r} is not real")
-        if not hermitian(h).all():
+        if not all(Operator(x).is_hermitian() for x in h):
             raise ValueError("bath Hamiltonian is not Hermitian")
         if self.system_dim * self.bath_dim > DIM_CAP:
             raise ValueError(
                 f"total dimension {self.system_dim * self.bath_dim} exceeds the cap {DIM_CAP}"
             )
-        skewed = ~hermitian(b).all(1)
-        if skewed.any():
-            raise ValueError(f"coupling {skewed.argmax()} is not Hermitian")
+        for a, terms in enumerate(b):
+            if not all(Operator(x).is_hermitian() for x in terms):
+                raise ValueError(f"coupling {a} is not Hermitian")
         if n_channels:
             gram = self.modes.gram()
             # numerical rank relative to the leading eigenvalue, so the

@@ -73,17 +73,11 @@ class Operator:
         return float(np.max(np.abs(self.matrix))) if self.dim else 0.0
 
     def is_hermitian(self) -> bool:
-        return bool(hermitian(self.matrix))
+        scale = max(1.0, self.max_abs())
+        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) <= STRUCT_TOL * scale
 
     def __repr__(self) -> str:
         return f"Operator(d={self.dim}, dims={self.dims})"
-
-
-def hermitian(stack: np.ndarray) -> np.ndarray:
-    """Whether each ``(..., d, d)`` matrix of ``stack`` is Hermitian: its largest deviation
-    from its adjoint at most ``STRUCT_TOL`` times its largest entry, or times 1."""
-    skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max((-1, -2), initial=0.0)
-    return skew <= STRUCT_TOL * np.abs(stack).max((-1, -2), initial=1.0)
 
 
 def _checked_dims(d: int, dims: Sequence[int] | None) -> tuple[int, ...]:

@@ -16,9 +16,9 @@ combine ``matrix`` arrays: each term scaled as ``m * complex(c)``, then added. T
 builder's tables must reproduce their models bit for bit, except the bath factors:
 they are normalized here by the SVD spectral norm, and in the package by per-mode
 eigenvalues, so the two agree to 1e-14 relative. :func:`kron_bath` pins those factors
-bit for bit too: it draws the builder's rows from the bath spec, scales them to the norm
-by the same per-mode eigenvalues, forms each mode's term from the scaled rows, lifts the
-terms by ``np.kron`` and adds them in the builder's mode order. Those builders return a
+bit for bit too: it takes the builder's rows from :func:`scaled_rows`, the bath spec's
+draws scaled to the norm by the same per-mode eigenvalues, forms each mode's term from
+the scaled rows, lifts the terms by ``np.kron`` and adds them in the builder's mode order. Those builders return a
 :class:`DenseModel`, and :func:`hand_built` turns dense parts into a model: word tables
 by :func:`pauli_tables` and a one-mode bath. The hand-built model of acceptance
 criterion 07 starts from random matrices that way; criterion 12's model is built
@@ -274,25 +274,32 @@ def _mode_operators(bath: BathSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]
     return np.diag(np.arange(bath.boson_truncation)).astype(complex), (lower + lower.T,)
 
 
+def scaled_rows(bath: BathSpec, n_channels: int) -> np.ndarray:
+    """The ``(n_channels, n_modes, n_ops)`` rows ``r`` of the bath factors: each channel's
+    standard normal draws from the bath spec's stream, scaled by ``coupling_scale`` over
+    the channel's norm, the sum over modes of each unscaled term's extreme eigenvalues."""
+    _, ops = _mode_operators(bath)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
+    rows = []
+    for _ in range(n_channels):
+        draws = rng.standard_normal(bath.n_modes * len(ops)).reshape(bath.n_modes, -1)
+        ends = np.linalg.eigvalsh(np.tensordot(draws, ops, axes=1)).sum(0)
+        rows.append(draws * (bath.coupling_scale / float(max(ends[-1], -ends[0]))))
+    return np.array(rows)
+
+
 def kron_bath(bath: BathSpec, n_channels: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """``h_b`` and the ``n_channels`` bath factors ``B_a`` by Kronecker lifts.
 
     Mode ``i``'s term is lifted as ``1 (x) term (x) 1`` and the lifts are
     summed from zero in mode order: ``w_i h_mode`` for ``h_b``, and for each
-    ``B_a`` the term ``sum_k r_ik op_k``, where ``r`` is that channel's row of
-    standard normal draws already scaled by ``coupling_scale`` over the
-    channel's norm, the sum over modes of each unscaled term's extreme
-    eigenvalues.
+    ``B_a`` the term ``sum_k r_ik op_k``, with ``r`` that channel's
+    :func:`scaled_rows`.
     """
     h_mode, ops = _mode_operators(bath)
     h_b = _lifted([w * h_mode for w in bath.mode_frequencies])
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))
-    factors = []
-    for _ in range(n_channels):
-        draws = rng.standard_normal(bath.n_modes * len(ops)).reshape(bath.n_modes, -1)
-        ends = np.linalg.eigvalsh(np.tensordot(draws, ops, axes=1)).sum(0)
-        rows = draws * (bath.coupling_scale / float(max(ends[-1], -ends[0])))
-        factors.append(_lifted([sum(r * op for r, op in zip(row, ops)) for row in rows]))
+    factors = [_lifted([sum(r * op for r, op in zip(row, ops)) for row in rows])
+               for rows in scaled_rows(bath, n_channels)]
     return h_b, factors
 
 

@@ -387,10 +387,7 @@ def test_product_path_terms_are_the_spec_draws_bitwise(kind, n_qubits, n_modes, 
                for t in built.words[1:]))
     model = SystemBathModel(words, built.modes)
     h_mode, ops = oracle_model._mode_operators(bath)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    draws = rng.standard_normal((len(words) - 1, n_modes, len(ops)))
-    ends = np.linalg.eigvalsh(np.tensordot(draws, ops, axes=1)).sum(1)
-    rows = draws * (0.3 / np.maximum(ends[:, -1], -ends[:, 0]))[:, None, None]
+    rows = oracle_model.scaled_rows(bath, len(words) - 1)
     terms = np.array(bath.mode_frequencies)[:, None, None] * h_mode
     s = np.array([pauli_sum(t, n_qubits).matrix.diagonal().real for t in words])
     want = terms + np.tensordot(s[1:].T, np.tensordot(rows, ops, axes=1), axes=1)
@@ -444,11 +441,13 @@ def test_table_gram_is_the_dense_gram(kind, n_qubits, n_modes, coupling):
 
 
 def test_table_gram_counts_traced_mode_operators():
-    """Cross terms between modes carry the terms' traces: a table with traced terms
-    (not ones the builder draws) still gives the Gram of the operators it places."""
+    """Cross terms between modes carry the terms' traces: a table whose terms have traces
+    that differ from mode to mode, some complex (not terms the builder draws), still gives
+    the Gram of the operators it places, so a wrong pairing of modes ``i != j`` fails."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
     model = build_system_bath_model(2, bath, coupling="dephasing")
-    shifts = np.array([0.5, 0.2])[:, None, None, None] * np.eye(2)
+    shifts = np.array([[0.5, -0.3 + 0.2j, 0.1], [0.2j, 0.7, -0.4 - 0.1j]])[..., None, None]
+    shifts = shifts * np.eye(2)  # tr(b_ai) differs from mode to mode, complex on some
     table = replace(model.modes, couplings=model.modes.couplings + shifts)
     placed = [_lifted(terms) for terms in table.couplings]
     want = np.array([[np.vdot(a, b) for b in placed] for a in placed])

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from decoupling import Operator, expm_hermitian
-from decoupling.operators import hermitian
 
 from oracle_dm import commutator, partial_trace_bath, trace_distance
 
@@ -87,17 +86,6 @@ def test_hermitian_predicate():
     assert not Operator(h + 1e-6 * 1j * np.eye(3), [3]).is_hermitian()
     # scale invariance: a large Hermitian matrix stays Hermitian
     assert Operator(1e9 * h, [3]).is_hermitian()
-
-
-def test_hermitian_mask_of_a_stack_is_each_matrixs_predicate():
-    """A stack is checked matrix by matrix, each to its own scale, with no Operator per
-    matrix: the mask is the predicate's answer for each."""
-    rng = np.random.default_rng(7)
-    h = random_hermitian(rng, 3)
-    stack = np.array([[h, 1e9 * h, h + 1e-6j * np.eye(3)],
-                      [1e9 * h + 1e-3j * np.eye(3), np.zeros((3, 3)), 1e-12j * np.eye(3)]])
-    want = [[Operator(x, [3]).is_hermitian() for x in row] for row in stack]
-    assert hermitian(stack).tolist() == want == [[True, True, False], [True, True, True]]
 
 
 def test_commutator_oracle():
