@@ -72,6 +72,13 @@ code=0
 test "$code" -eq 2
 grep -q "^error: config field 'h_s.Z'" "$work/overflow2.txt"
 test ! -e "$work/overflow2"
+# a coupling scale whose square is subnormal is a config error naming the field
+echo '{"scenario": "collective-register", "seed": 7, "bath": {"coupling_scale": 1e-320}}' > "$work/underflow.json"
+code=0
+"${cli[@]}" simulate --config "$work/underflow.json" --out "$work/underflow" 2> "$work/underflow.txt" || code=$?
+test "$code" -eq 2
+grep -q "^error: config field 'bath.coupling_scale'" "$work/underflow.txt"
+test ! -e "$work/underflow"
 # |0> does not dephase: every infidelity is 0.0, the fit cannot be made, and
 # the sweep exits 2 naming the points, leaving no output directory behind
 echo '{"scenario": "custom", "seed": 7, "K": 1, "coupling": "dephasing", "group": "flip", "rho_s0": "zero", "bath": {"n_modes": 3, "cutoff": 1.0, "coupling_scale": 0.2}, "delta_t": 0.1, "n_cycles": 8, "sweep": {"parameter": "delta_t", "values": [0.2, 0.1, 0.05]}}' > "$work/zero-sweep.json"

@@ -9,7 +9,7 @@ schedule's group words in visiting order. A run takes one of two paths.
 The product path takes a fully conserved register (every word of ``h_s``
 and of each coupling's system factor in {I, Z}^K, read off the model's
 word tables) whose bath starts in its ground state, the product of the
-ground vectors of the modes of its :class:`~decoupling.model.ModeTable`.
+ground vectors of its modes, from the model's ``hamiltonian`` stack.
 Register state ``c`` then sees ``H_c = E_c + sum_i h_ci``, a sum of
 commuting single-mode terms, and the ground state is a product over modes,
 so ``rho_cc'(t) = rho_cc'(0) prod_i <phi_i^c'(t)|phi_i^c(t)>`` with
@@ -83,12 +83,12 @@ _ROUNDOFF_EIGENVALUE = 1e-13
 
 def _check_density(rho: Operator, what: str):
     if not rho.is_hermitian():
-        raise ValueError(f"{what} is not Hermitian")
+        raise ValueError(f"{what}: not Hermitian")
     if abs(rho.trace() - 1.0) > 1e-10 * max(1.0, abs(rho.trace())):
-        raise ValueError(f"{what} does not have unit trace")
+        raise ValueError(f"{what}: trace is not 1")
     evals = np.linalg.eigvalsh(rho.matrix)
     if float(evals.min()) < -1e-10:
-        raise ValueError(f"{what} has a negative eigenvalue ({evals.min():.3e})")
+        raise ValueError(f"{what}: has a negative eigenvalue ({evals.min():.3e})")
 
 
 def _sqrt_density(p: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -168,7 +168,7 @@ def _closed_form(energies: np.ndarray, vectors: np.ndarray, psi0: np.ndarray, st
 def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBathModel:
     """``model``, once ``schedule`` is checked to act on its system."""
     if schedule.dims != model.system_dims:
-        raise ValueError(f"schedule acts on dims {schedule.dims}, "
+        raise ValueError(f"schedule: acts on dims {schedule.dims}, "
                          f"model system has {model.system_dims}")
     return model
 
@@ -356,20 +356,20 @@ class SimulationRun:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name}: expected an integer, got {type(value).__name__}")
         if self.n_cycles < 1:
-            raise ValueError("n_cycles must be at least 1")
+            raise ValueError("n_cycles: must be at least 1")
         if self.sample_every < 1 or self.n_cycles % self.sample_every != 0:
-            raise ValueError("sample_every must be positive and divide n_cycles")
+            raise ValueError("sample_every: must be positive and divide n_cycles")
         _matching_model(self.model, self.schedule)
         if not isinstance(self.rho_s0, Operator):
-            raise ValueError(f"rho_s0 must be an Operator, got {type(self.rho_s0).__name__}")
+            raise ValueError(f"rho_s0: expected an Operator, got {type(self.rho_s0).__name__}")
         if self.rho_s0.dims != self.model.system_dims:
-            raise ValueError("rho_s0 dims do not match the model system")
+            raise ValueError("rho_s0: dims do not match the model system")
         _check_density(self.rho_s0, "rho_s0")
         if self.rho_b0 is not None:
             if not isinstance(self.rho_b0, Operator):
-                raise ValueError(f"unknown bath state {self.rho_b0!r}; pass an Operator or None")
+                raise ValueError(f"rho_b0: expected an Operator, got {type(self.rho_b0).__name__}")
             if self.rho_b0.dims != self.model.bath_dims:
-                raise ValueError("rho_b0 dims do not match the model bath")
+                raise ValueError("rho_b0: dims do not match the model bath")
             _check_density(self.rho_b0, "rho_b0")
 
     def ideal_system_hamiltonian(self) -> Operator:

@@ -5,12 +5,12 @@ The total Hamiltonian always has the split form
     H = H_S (x) 1  +  1 (x) H_B  +  sum_a  S_a (x) B_a,
 
 with Hermitian system operators S_a and Hermitian bath operators B_a.
-A :class:`SystemBathModel` is exactly two tables: Pauli word tables for ``H_S``
-and each ``S_a`` on the qubit register, and a :class:`ModeTable` for the
-bath, two stacks of single-mode terms, one of ``H_B`` and one of each ``B_a``.
-The model is checked on them and holds no dense operator: :func:`hamiltonian_matrix`
-places the joint path's ``d x d`` Hamiltonian from them, and the mode-by-mode
-product path reads the same terms and never places the bath. One builder,
+A :class:`SystemBathModel` is exactly that: Pauli word tables for ``H_S`` and
+each ``S_a`` on the qubit register, and the bath as two stacks of single-mode
+terms, one of ``H_B`` and one of each ``B_a``. The model is checked on them and
+holds no dense operator: :func:`hamiltonian_matrix` places the joint path's
+``d x d`` Hamiltonian from them, and the mode-by-mode product path reads the
+same terms and never places the bath. One builder,
 :func:`build_system_bath_model`, makes both bath kinds: a spin bath (each
 mode is a qubit precessing at its own frequency) and a truncated bosonic
 bath for pure dephasing differ only in the single-mode Hamiltonian and the
@@ -24,7 +24,7 @@ cycle completes in a fraction of ``1/cutoff``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -36,6 +36,11 @@ from .groups import PAULI_MATRICES, _all_words, _code, _is_word, _parities, _pau
 
 BATH_KINDS = ("spin-bath", "boson-mode")
 COUPLING_KINDS = ("dephasing", "linear-independent", "linear-collective", "total")
+
+
+#: The smallest coupling scale: below it its square, and with it the Gram of the
+#: couplings, is subnormal, and their independence can no longer be told.
+MIN_COUPLING_SCALE = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,13 @@ class BathSpec:
     coupling operator. ``boson_truncation`` is the Fock-ladder length per
     mode and applies to the boson kind only. All randomness derives from
     ``seed``.
+
+    It is the one check of a bath's fields, each message led by the field's
+    name, all made before any draw: a known kind, a truncation for boson baths
+    only, ``int`` sizes and seed (not ``bool``) at their minimum or above, a
+    bath dimension ``n_levels**n_modes`` within ``DIM_CAP``, and a finite
+    positive cutoff and coupling scale, stored as ``float``, the coupling scale
+    at least :data:`MIN_COUPLING_SCALE`.
     """
 
     kind: str
@@ -62,20 +74,35 @@ class BathSpec:
 
     def __post_init__(self):
         if self.kind not in BATH_KINDS:
-            raise ValueError(f"unknown bath kind {self.kind!r}; expected one of {BATH_KINDS}")
-        for name, value in (("n_modes", self.n_modes), ("boson_truncation", self.boson_truncation)):
-            if type(value) is not int and (name == "n_modes" or value is not None):
+            raise ValueError(f"kind: unknown bath kind {self.kind!r}; expected one of {BATH_KINDS}")
+        boson = self.kind == "boson-mode"
+        if boson != (self.boson_truncation is not None):
+            raise ValueError("boson_truncation: " + ("required for boson-mode baths" if boson
+                                                     else "only applies to boson-mode baths"))
+        for name, minimum in {"n_modes": 1, **({"boson_truncation": 2} if boson else {}),
+                              "seed": 0}.items():
+            value = getattr(self, name)
+            if type(value) is not int:
                 raise ValueError(f"{name}: expected an integer, got {type(value).__name__}")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
+            if value < minimum:
+                raise ValueError(f"{name}: must be >= {minimum}, got {value}")
+        levels = self.boson_truncation or 2
+        # the exponent stops where the power already exceeds the cap, so a huge
+        # n_modes never becomes a huge integer
+        if levels ** min(self.n_modes, DIM_CAP.bit_length()) > DIM_CAP:
+            raise ValueError(f"n_modes: bath dimension {levels}**{self.n_modes} "
+                             f"exceeds the cap {DIM_CAP}")
         for name in ("cutoff", "coupling_scale"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be a positive finite number")
-        if self.kind == "boson-mode":
-            if self.boson_truncation is None or self.boson_truncation < 2:
-                raise ValueError("boson-mode baths need boson_truncation >= 2")
-        elif self.boson_truncation is not None:
-            raise ValueError("boson_truncation only applies to boson-mode baths")
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ValueError(f"{name}: expected a number, got {type(value).__name__}")
+            value = np.inf if abs(value) >= 2**1024 else float(value)  # a huge int overflows
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name}: must be a positive finite number, got {value!r}")
+            object.__setattr__(self, name, value)
+        if self.coupling_scale < MIN_COUPLING_SCALE:
+            raise ValueError(f"coupling_scale: must be at least {MIN_COUPLING_SCALE!r}, where "
+                             f"its square is still a normal double, got {self.coupling_scale!r}")
         rng = np.random.default_rng(self.seed)
         spacing = self.cutoff / self.n_modes
         base = spacing * np.arange(1, self.n_modes + 1)
@@ -84,35 +111,16 @@ class BathSpec:
         object.__setattr__(self, "mode_frequencies", tuple(float(w) for w in freqs))
 
 
-@dataclass(frozen=True, eq=False)
-class ModeTable:
-    """The bath as two stacks of single-mode terms: ``h_b = sum_i hamiltonian[i]^(i)`` and
-    ``B_a = sum_i couplings[a, i]^(i)``, ``x^(i)`` acting on mode ``i`` alone, of shapes
-    ``(m, n, n)`` and ``(n_a, m, n, n)``. Both are read-only complex copies of the arrays
-    given. The builder's terms are ``w_i h_mode`` and ``sum_k r_aik op_k``, with rows
-    ``r_a`` the standard-normal draws scaled so that each ``B_a`` has spectral norm
-    ``coupling_scale``. An unstructured bath is one mode: ``ModeTable(h_b[None], B[:, None])``.
-    """
-
-    hamiltonian: np.ndarray
-    couplings: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):
-            a = np.array(getattr(self, f.name), dtype=complex)
-            a.setflags(write=False)
-            object.__setattr__(self, f.name, a)
-
-    def gram(self) -> np.ndarray:
-        """The Frobenius Gram ``tr(B_a^dag B_b)`` of the channels, from per-mode traces:
-        ``n**(m-1) sum_i tr(b_ai^dag b_bi) + n**(m-2) sum_(i != j) tr(b_ai)^* tr(b_bj)``,
-        ``b_ai = couplings[a, i]``."""
-        (m, n, _), b = self.hamiltonian.shape, self.couplings
-        flat = b.reshape(len(b), m, -1)
-        same = np.einsum("aix,bix->ab", flat.conj(), flat)
-        t = b.trace(axis1=2, axis2=3)  # tr(b_ai), (n_a, m)
-        cross = np.outer(t.sum(1).conj(), t.sum(1)) - t.conj() @ t.T
-        return n ** (m - 1) * same + n ** (m - 2.0) * cross
+def coupling_gram(couplings: np.ndarray) -> np.ndarray:
+    """The Frobenius Gram ``tr(B_a^dag B_b)`` of the channels of a ``(n_a, m, n, n)``
+    stack, from per-mode traces: ``n**(m-1) sum_i tr(b_ai^dag b_bi) + n**(m-2)
+    sum_(i != j) tr(b_ai)^* tr(b_bj)``, ``b_ai = couplings[a, i]``."""
+    n_a, m, n, _ = couplings.shape
+    flat = couplings.reshape(n_a, m, -1)
+    same = np.einsum("aix,bix->ab", flat.conj(), flat)
+    t = couplings.trace(axis1=2, axis2=3)  # tr(b_ai), (n_a, m)
+    cross = np.outer(t.sum(1).conj(), t.sum(1)) - t.conj() @ t.T
+    return n ** (m - 1) * same + n ** (m - 2.0) * cross
 
 
 class _JointSpectrum(NamedTuple):
@@ -130,32 +138,42 @@ class _JointSpectrum(NamedTuple):
         return (v * np.exp(-1j * self.energies * float(t))) @ v.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemBathModel:
-    """A register of ``K`` qubits coupled to a finite bath, as two tables: ``words``,
-    the Pauli word tables (word -> real coefficient) of ``h_s`` and of each channel's
-    ``S_a``, in that order, and ``modes``, the bath's :class:`ModeTable`. It is checked
-    on them: stacks of agreeing shapes, ``K``-letter words with real coefficients, one
-    word table per channel of the mode table (a failing table is named), Hermitian
-    terms of ``h_b`` and of each ``B_a`` (a failing channel is named), the dimension cap,
-    and independent ``B_a`` by :meth:`ModeTable.gram` (a dependent set silently merges
-    decoherence channels). It caches no dense operator, only the joint spectrum and the
-    per-mode arrays the two paths derive from the tables.
+    """A register of ``K`` qubits coupled to a finite bath, as its tables: ``words``, the
+    Pauli word tables (word -> real coefficient) of ``h_s`` and of each channel's ``S_a``,
+    in that order, and the bath as two stacks of single-mode terms, ``h_b = sum_i
+    hamiltonian[i]^(i)`` and ``B_a = sum_i couplings[a, i]^(i)``, ``x^(i)`` acting on mode
+    ``i`` alone, of shapes ``(m, n, n)`` and ``(n_a, m, n, n)``, each a read-only complex
+    copy of the array given. An unstructured bath is one mode, ``SystemBathModel(words,
+    h_b[None], B[:, None])``.
+
+    It is checked on its tables: stacks of agreeing shapes, ``K``-letter words with real
+    coefficients, one word table per channel of the stacks (a failing table is named),
+    Hermitian terms of ``h_b`` and of each ``B_a`` (a failing channel is named), the
+    dimension cap, and independent ``B_a`` by :func:`coupling_gram` (a dependent set
+    silently merges decoherence channels). It caches no dense operator, only the joint
+    spectrum and the per-mode arrays the two paths derive from the tables.
     """
 
     words: tuple[dict[str, float], ...]
-    modes: ModeTable
+    hamiltonian: np.ndarray
+    couplings: np.ndarray
 
     def __post_init__(self):
-        h, b = self.modes.hamiltonian, self.modes.couplings
+        for name in ("hamiltonian", "couplings"):
+            a = np.array(getattr(self, name), dtype=complex)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        h, b = self.hamiltonian, self.couplings
         n_channels = len(b)
         if h.ndim != 3 or h.shape[1] != h.shape[2] or b.shape[1:] != h.shape:
-            raise ValueError("mode table shapes do not agree")
+            raise ValueError(f"the mode stacks of shapes {h.shape}, {b.shape} do not agree")
         if not any(self.words):
             raise ValueError("the word tables hold no word to size the register")
         if len(self.words) != 1 + n_channels:
-            raise ValueError(f"coupling {min(len(self.words) - 1, n_channels)}: the mode table "
-                             f"has {n_channels} channels, the word tables {len(self.words) - 1}")
+            raise ValueError(f"coupling {min(len(self.words) - 1, n_channels)}: the couplings "
+                             f"have {n_channels} channels, the word tables {len(self.words) - 1}")
         n_qubits = self.n_qubits
         for label, words in zip(("h_s", *(f"coupling {a}" for a in range(n_channels))),
                                 self.words):
@@ -174,7 +192,7 @@ class SystemBathModel:
             if not all(Operator(x).is_hermitian() for x in terms):
                 raise ValueError(f"coupling {a} is not Hermitian")
         if n_channels:
-            gram = self.modes.gram()
+            gram = coupling_gram(b)
             # numerical rank relative to the leading eigenvalue, so the
             # check is insensitive to the overall coupling strength
             evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
@@ -196,7 +214,7 @@ class SystemBathModel:
 
     @property
     def bath_dims(self) -> tuple[int, ...]:
-        m, n, _ = self.modes.hamiltonian.shape
+        m, n, _ = self.hamiltonian.shape
         return (n,) * m
 
     @property
@@ -205,7 +223,7 @@ class SystemBathModel:
 
     @property
     def bath_dim(self) -> int:
-        m, n, _ = self.modes.hamiltonian.shape
+        m, n, _ = self.hamiltonian.shape
         return n**m
 
     @cached_property
@@ -213,7 +231,7 @@ class SystemBathModel:
         """Each mode's ground vector, the lowest eigenvector of its term of ``h_b``, from one
         ``eigh`` of the ``hamiltonian`` stack: a read-only ``(m, n)`` array. The bath's ground
         state is their product. A diagonal term gives the exact unit vector."""
-        g = np.ascontiguousarray(np.linalg.eigh(self.modes.hamiltonian)[1][..., 0])
+        g = np.ascontiguousarray(np.linalg.eigh(self.hamiltonian)[1][..., 0])
         g.setflags(write=False)
         return g
 
@@ -227,14 +245,14 @@ class SystemBathModel:
         the tables."""
         if any(c and set(w) - set("IZ") for words in self.words for w, c in words.items()):
             return None
-        t, n = self.modes, self.n_qubits
+        n = self.n_qubits
         diag = np.zeros((len(self.words), self.system_dim))  # the diagonals of the sums,
         for row, words in zip(diag, self.words):  # added in ``_pauli_sums``' word order
             for w in sorted(words):
                 if set(w) <= set("IZ"):  # a word with X or Y letters has no diagonal entry
                     row += words[w] * (1 - 2 * _parities(_code(w), n))
-        h = t.hamiltonian + np.tensordot(diag[1:].T, t.couplings, axes=1)
-        h[:, 0] += diag[0][:, None, None] * np.eye(t.hamiltonian.shape[-1])
+        h = self.hamiltonian + np.tensordot(diag[1:].T, self.couplings, axes=1)
+        h[:, 0] += diag[0][:, None, None] * np.eye(self.hamiltonian.shape[-1])
         h = h.reshape(-1, *h.shape[-2:])
         h.setflags(write=False)
         return h
@@ -259,12 +277,12 @@ def hamiltonian_matrix(model: SystemBathModel) -> np.ndarray:
     """The ``d x d`` array of :func:`total_hamiltonian`, placed from the split form with
     no Kronecker products: ``h_s`` and each ``S_a`` by ``_pauli_sums``, ``h_b`` and each
     ``B_a`` from their stacks of mode terms by :func:`_placed`."""
-    d_s, d_b, t = model.system_dim, model.bath_dim, model.modes
+    d_s, d_b = model.system_dim, model.bath_dim
     h_s, *system = _pauli_sums(model.words, model.n_qubits)
     h = np.zeros((d_s, d_b, d_s, d_b), dtype=complex)
     np.einsum("iaja->ija", h)[...] += h_s[..., None]  # h_s (x) 1 on the bath diagonal
-    np.einsum("iaib->iab", h)[...] += _placed(t.hamiltonian)  # 1 (x) h_b on the system diagonal
-    for s, terms in zip(system, t.couplings):
+    np.einsum("iaib->iab", h)[...] += _placed(model.hamiltonian)  # 1 (x) h_b on the system diagonal
+    for s, terms in zip(system, model.couplings):
         b = _placed(terms)
         for i, j in zip(*np.nonzero(s)):  # S_a is a Pauli sum: add s_ij B_a at its nonzero s_ij
             h[i, :, j] += s[i, j] * b
@@ -356,7 +374,7 @@ def build_system_bath_model(
     or ``a + a^dag``), site by site, and normalized to spectral norm
     ``bath.coupling_scale``. ``h_s`` is a Pauli word table, empty by
     default. The model is the word tables of ``h_s`` and the system side
-    of each coupling, and the mode table of the terms ``w_i h_mode`` and,
+    of each coupling, and the bath's two stacks of the terms ``w_i h_mode`` and,
     per channel, ``sum_k r_ik op_k``, the draws ``r`` already scaled to the
     norm. The bath operators do not commute with the bath
     Hamiltonian, so the joint dynamics genuinely entangles the register
@@ -389,9 +407,9 @@ def build_system_bath_model(
     if not norms.all():
         raise ValueError("degenerate random draw for a bath coupling operator")
     rows = draws * (bath.coupling_scale / norms)[:, None, None]
-    modes = ModeTable(np.array(bath.mode_frequencies)[:, None, None] * h_mode,
-                      np.tensordot(rows, ops, axes=1))
-    return SystemBathModel((dict(h_s or {}), *tables), modes)
+    return SystemBathModel((dict(h_s or {}), *tables),
+                           np.array(bath.mode_frequencies)[:, None, None] * h_mode,
+                           np.tensordot(rows, ops, axes=1))
 
 
 def _placed(terms: np.ndarray) -> np.ndarray:

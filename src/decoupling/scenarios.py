@@ -28,7 +28,6 @@ import numpy as np
 
 from .operators import DIM_CAP, Operator
 from .model import (
-    BATH_KINDS,
     COUPLING_KINDS,
     BathSpec,
     SystemBathModel,
@@ -233,38 +232,19 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _fail("K", f"register dimension 2**{n_qubits} exceeds the cap {DIM_CAP}")
 
     merged_bath.setdefault("kind", "spin-bath")
+    merged_bath.setdefault("seed", seed)
     for key in ("n_modes", "cutoff", "coupling_scale"):
         if key not in merged_bath:
             _fail(f"bath.{key}", "required field is missing")
-    kind = _as_str(merged_bath["kind"], "bath.kind")
-    if kind not in BATH_KINDS:
-        _fail("bath.kind", f"unknown bath kind {kind!r}; expected one of {BATH_KINDS}")
-    truncated = merged_bath.get("boson_truncation") is not None
-    if kind == "boson-mode" and not truncated:
-        _fail("bath.boson_truncation", "required for boson-mode baths")
-    if kind != "boson-mode" and truncated:
-        _fail("bath.boson_truncation", "only applies to boson-mode baths")
-    n_modes = _as_int(merged_bath["n_modes"], "bath.n_modes", minimum=1)
-    truncation = (
-        _as_int(merged_bath["boson_truncation"], "bath.boson_truncation", minimum=2)
-        if truncated else None
-    )
-    local = truncation or 2
-    # the exponent stops where the product already exceeds the cap, so a
-    # huge n_modes never becomes a huge integer
-    if 2**n_qubits * local ** min(n_modes, DIM_CAP.bit_length()) > DIM_CAP:
-        _fail("bath.n_modes", f"joint dimension 2**{n_qubits} * {local}**{n_modes} "
+    try:
+        bath = BathSpec(**merged_bath)
+    except ValueError as exc:  # its message starts with the field's name
+        name, message = str(exc).split(": ", 1)
+        _fail(f"bath.{name}", message)
+    local = bath.boson_truncation or 2
+    if 2**n_qubits * local**bath.n_modes > DIM_CAP:
+        _fail("bath.n_modes", f"joint dimension 2**{n_qubits} * {local}**{bath.n_modes} "
                               f"exceeds the cap {DIM_CAP}")
-    bath = BathSpec(
-        kind=kind,
-        n_modes=n_modes,
-        cutoff=_as_number(merged_bath["cutoff"], "bath.cutoff", positive=True),
-        coupling_scale=_as_number(
-            merged_bath["coupling_scale"], "bath.coupling_scale", positive=True
-        ),
-        seed=_as_int(merged_bath.get("seed", seed), "bath.seed", minimum=0),
-        boson_truncation=truncation,
-    )
 
     group_field = _require(merged, "group", "")
     if isinstance(group_field, str):

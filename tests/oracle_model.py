@@ -8,7 +8,7 @@ added in mode order. It reads the tables only and calls none of the package's pl
 routines, and :func:`total_hamiltonian` sums its Kronecker terms: every oracle that
 needs a model's matrices takes them from here.
 
-``build_system_bath_model`` makes both bath kinds from one mode table. The builders
+``build_system_bath_model`` makes both bath kinds from one pair of mode stacks. The builders
 here are the separate spin and boson paths it replaced: they build every site operator
 through a chain of :func:`tensor` products. ``Operator`` has no arithmetic, so they
 combine ``matrix`` arrays: each term scaled as ``m * complex(c)``, then added. Their
@@ -39,7 +39,6 @@ from decoupling import (
     coupling_tables,
 )
 from decoupling.groups import _DIGIT_LETTERS, PAULI_MATRICES, pauli_sum
-from decoupling.model import ModeTable
 
 from oracle_groups import table_matrix
 
@@ -63,14 +62,14 @@ def _lifted(terms) -> np.ndarray:
 
 
 def dense_parts(model: SystemBathModel) -> DenseModel:
-    """The dense parts of ``model``, from its word tables and mode table alone."""
-    n_qubits, t = model.n_qubits, model.modes
+    """The dense parts of ``model``, from its word tables and mode stacks alone."""
+    n_qubits, h_b = model.n_qubits, model.hamiltonian
     system_dims = (2,) * n_qubits
-    bath_dims = (t.hamiltonian.shape[-1],) * len(t.hamiltonian)
+    bath_dims = (h_b.shape[-1],) * len(h_b)
     h_s, *system = (table_matrix(table, n_qubits) for table in model.words)
     couplings = tuple((Operator(s, system_dims), Operator(_lifted(terms), bath_dims))
-                      for s, terms in zip(system, t.couplings))
-    return DenseModel(Operator(h_s, system_dims), Operator(_lifted(t.hamiltonian), bath_dims),
+                      for s, terms in zip(system, model.couplings))
+    return DenseModel(Operator(h_s, system_dims), Operator(_lifted(h_b), bath_dims),
                       couplings)
 
 
@@ -92,7 +91,7 @@ def hand_built(dense: DenseModel) -> SystemBathModel:
     n_qubits, d_b = len(dense.h_s.dims), dense.h_b.dim
     words = pauli_tables([dense.h_s.matrix] + [s.matrix for s, _ in dense.couplings], n_qubits)
     couplings = np.array([b.matrix for _, b in dense.couplings]).reshape(-1, 1, d_b, d_b)
-    return SystemBathModel(words, ModeTable(dense.h_b.matrix[None], couplings))
+    return SystemBathModel(words, dense.h_b.matrix[None], couplings)
 
 
 def identity(dims) -> Operator:
@@ -319,11 +318,10 @@ def commuting_dephasing_model(rng: np.random.Generator, n_modes: int = 3) -> Sys
     """A qubit dephasing through ``Z (x) B`` against ``n_modes`` bath spins, with ``h_b =
     sum_i w_i Z_i / 2`` (``w_i`` uniform in [0.3, 1)) and ``B = sum_i c_i Z_i`` (``c_i``
     standard normal) scaled to spectral norm 0.4, ``sum_i |c_i|``, so ``B`` commutes with
-    ``h_b``: a mode table of ``n_modes`` modes with terms ``w_i Z / 2`` and ``0.4 c_i Z /
+    ``h_b``: mode stacks of ``n_modes`` modes with terms ``w_i Z / 2`` and ``0.4 c_i Z /
     sum_j |c_j|``."""
     freqs = rng.uniform(0.3, 1.0, size=n_modes)
     c = np.array([rng.normal() for _ in range(n_modes)])
     sz = PAULI_MATRICES["Z"]
-    table = ModeTable(freqs[:, None, None] * (0.5 * sz),
-                      (c * (0.4 / np.abs(c).sum()))[None, :, None, None] * sz)
-    return SystemBathModel(({}, {"Z": 1.0}), table)
+    return SystemBathModel(({}, {"Z": 1.0}), freqs[:, None, None] * (0.5 * sz),
+                           (c * (0.4 / np.abs(c).sum()))[None, :, None, None] * sz)

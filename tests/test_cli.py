@@ -141,6 +141,10 @@ def test_invalid_config_reports_field(tmp_path, capsys):
     ({"scenario": "dephasing-echo", "seed": -1}, "seed"),
     ({"scenario": "dephasing-echo", "seed": 1, "bath": {"seed": -1}}, "bath.seed"),
     ({"scenario": "dephasing-echo", "seed": 1, "K": 10**12}, "K"),
+    ({"scenario": "collective-register", "seed": 7, "bath": {"coupling_scale": 1e-200}},
+     "bath.coupling_scale"),
+    ({"scenario": "collective-register", "seed": 7, "bath": {"coupling_scale": 1e-320}},
+     "bath.coupling_scale"),
 ])
 def test_config_errors_name_the_field_before_any_output(tmp_path, capsys, doc, field):
     cfg = write_config(tmp_path, doc)

@@ -229,7 +229,7 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
     """A model whose ``h_s`` and system factors have no nonzero X or Y word, with
     the default bath, takes the product path (its trajectory's ``path`` is
     ``"modes"``) and makes no ``eigh`` of joint size, whether its bath is the
-    builder's mode table or one mode holding all of ``h_b``. Every other run
+    builder's mode stacks or one mode holding all of ``h_b``. Every other run
     takes the joint path (``"joint"``), whose spectrum, cached on the model, is
     one ``eigh`` of the ``d x d`` Hamiltonian, energies ``(d,)`` and vectors
     ``(d, d)`` that rebuild it, next to one batched ``eigh`` of the bath modes
@@ -251,7 +251,7 @@ def test_which_runs_take_the_product_path(monkeypatch, doc, variant, product):
         assert all(shape[-1] < d for shape in shapes)
         return
     spectrum = model._joint_spectrum
-    assert shapes == [(d, d), model.modes.hamiltonian.shape]
+    assert shapes == [(d, d), model.hamiltonian.shape]
     assert evolve(SimulationRun(model=model, **common)).path == "joint"
     assert shapes.count((d, d)) == 1
     assert spectrum.energies.shape == (d,) and spectrum.vectors.shape == (d, d)
@@ -561,7 +561,7 @@ def test_run_validation():
     with pytest.raises(ValueError):
         SimulationRun(model=model, schedule=sched, n_cycles=10, rho_s0=PLUS,
                       rho_b0="thermal")
-    with pytest.raises(ValueError, match="^rho_s0 must be an Operator, got ndarray$"):
+    with pytest.raises(ValueError, match="^rho_s0: expected an Operator, got ndarray$"):
         SimulationRun(model, sched, 5, np.eye(2) / 2)
 
 

@@ -149,7 +149,7 @@ def test_sector_blocks_match_dense_oracle(overrides):
         assert np.max(np.abs(evolve(run).states - oracle_dm.dense_states(run))) <= TOL
 
 
-#: Fully conserved registers with a mode table and the default bath, which
+#: Fully conserved registers with mode stacks and the default bath, which
 #: the product path evolves mode by mode.
 PRODUCT_CONFIGS = [{"scenario": "dephasing-echo"},
                    {"scenario": "dephasing-echo", "symmetric": True},

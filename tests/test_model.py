@@ -23,8 +23,8 @@ from decoupling import (
     pauli_word_operator,
     total_hamiltonian,
 )
-from decoupling.model import (COUPLING_KINDS, ModeTable, _placed, bath_ground_vector,
-                               hamiltonian_matrix)
+from decoupling.model import (COUPLING_KINDS, MIN_COUPLING_SCALE, _placed, bath_ground_vector,
+                               coupling_gram, hamiltonian_matrix)
 from decoupling.operators import DIM_CAP
 
 import oracle_model
@@ -38,21 +38,21 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_bath_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kind: unknown bath kind 'lattice'"):
         BathSpec(kind="lattice", n_modes=2, cutoff=1.0, coupling_scale=0.1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_modes: must be >= 1, got 0$"):
         BathSpec(kind="spin-bath", n_modes=0, cutoff=1.0, coupling_scale=0.1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cutoff: must be a positive finite number"):
         BathSpec(kind="spin-bath", n_modes=2, cutoff=-1.0, coupling_scale=0.1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^coupling_scale: must be a positive finite number"):
         BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.0, seed=0)
     # truncation only makes sense for boson baths
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^boson_truncation: only applies to boson-mode baths$"):
         BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.1,
                  seed=0, boson_truncation=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^boson_truncation: required for boson-mode baths$"):
         BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^boson_truncation: must be >= 2, got 1$"):
         BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.1,
                  seed=0, boson_truncation=1)
 
@@ -74,8 +74,52 @@ def test_bath_spec_takes_only_finite_numbers(name, value):
     """A NaN or infinite cutoff or coupling scale is rejected by name, not failed on
     inside the frequency draw or misread later as linearly dependent couplings."""
     numbers = {"cutoff": 1.0, "coupling_scale": 0.3, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be a positive finite number$"):
+    with pytest.raises(ValueError, match=f"^{name}: must be a positive finite number, got "):
         BathSpec(kind="spin-bath", n_modes=2, seed=7, **numbers)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_modes": 10**12}, "n_modes: bath dimension 2**1000000000000 exceeds the cap 4096"),
+    ({"n_modes": 13}, "n_modes: bath dimension 2**13 exceeds the cap 4096"),
+    ({"kind": "boson-mode", "boson_truncation": 10**12, "n_modes": 1},
+     "n_modes: bath dimension 1000000000000**1 exceeds the cap 4096"),
+    ({"cutoff": True}, "cutoff: expected a number, got bool"),
+    ({"cutoff": "1"}, "cutoff: expected a number, got str"),
+    ({"cutoff": 10**400}, "cutoff: must be a positive finite number, got inf"),
+    ({"coupling_scale": 1e-200}, "coupling_scale: must be at least 1.4916681462400413e-154"),
+    ({"coupling_scale": 1e-320}, "coupling_scale: must be at least 1.4916681462400413e-154"),
+    ({"seed": -1}, "seed: must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed: expected an integer, got float"),
+    ({"seed": True}, "seed: expected an integer, got bool"),
+], ids=["n_modes-1e12", "n_modes-13", "truncation-1e12", "cutoff-bool", "cutoff-str",
+        "cutoff-1e400", "coupling_scale-1e-200", "coupling_scale-1e-320", "seed-negative",
+        "seed-float", "seed-bool"])
+def test_bath_spec_names_the_field_of_each_bad_value(monkeypatch, fields, message):
+    """Every rule on a bath field raises a ``ValueError`` that starts with the field's
+    name, before any frequency is drawn: no ``TypeError`` or ``OverflowError`` of a bad
+    type or a huge int, no numpy error of a negative seed, no array the size of a huge
+    ``n_modes``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frequency was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    spec = {"kind": "spin-bath", "n_modes": 2, "cutoff": 1.0, "coupling_scale": 0.3,
+            "seed": 7, **fields}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        BathSpec(**spec)
+
+
+def test_bath_spec_stores_its_numbers_as_floats():
+    """An ``int`` cutoff or coupling scale, however large, is stored as the ``float`` it
+    rounds to; the coupling scale may be as small as its bound, whose square is the
+    smallest normal double."""
+    spec = BathSpec(kind="spin-bath", n_modes=2, cutoff=10**300, coupling_scale=1, seed=7)
+    assert type(spec.cutoff) is float and spec.cutoff == 1e300
+    assert type(spec.coupling_scale) is float and spec.coupling_scale == 1.0
+    assert MIN_COUPLING_SCALE**2 == np.finfo(float).tiny
+    spec = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=MIN_COUPLING_SCALE,
+                    seed=7)
+    assert spec.coupling_scale == MIN_COUPLING_SCALE
 
 
 def test_mode_frequency_grid():
@@ -145,8 +189,8 @@ def test_spin_bath_builder_deterministic():
     m1 = build_system_bath_model(2, bath, coupling="linear-collective")
     m2 = build_system_bath_model(2, bath, coupling="linear-collective")
     assert m1.words == m2.words
-    for f in fields(ModeTable):
-        assert np.array_equal(getattr(m1.modes, f.name), getattr(m2.modes, f.name))
+    for name in ("hamiltonian", "couplings"):
+        assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
 
 def test_coupling_kinds_give_expected_channel_counts():
@@ -155,7 +199,7 @@ def test_coupling_kinds_give_expected_channel_counts():
                                            (2, "dephasing", 2), (2, "linear-collective", 3),
                                            (2, "linear-independent", 6)):
         model = build_system_bath_model(n_qubits, bath, coupling=coupling)
-        assert len(model.words) == 1 + n_channels == 1 + len(model.modes.couplings)
+        assert len(model.words) == 1 + n_channels == 1 + len(model.couplings)
     with pytest.raises(ValueError):
         build_system_bath_model(1, bath, coupling="quadratic")
 
@@ -330,7 +374,7 @@ def test_a_presets_bath_ground_vector_is_the_unit_vector_bitwise(preset, seed):
     np.diag([0.5, -0.2, -0.2, 0.1]).astype(complex),  # degenerate minimum
 ], ids=["off-diagonal", "degenerate"])
 def test_bath_ground_vector_keeps_eigh_otherwise(monkeypatch, h_b):
-    """A one-mode table's ground vector is ``eigh``'s of its one term, bit for bit, from
+    """A one-mode bath's ground vector is ``eigh``'s of its one term, bit for bit, from
     one ``eigh`` of the one-matrix stack."""
     model = hand_built(DenseModel(pauli_word_operator("Z"), Operator(h_b, [len(h_b)]), ()))
     calls = []
@@ -350,19 +394,18 @@ def test_bath_ground_vector_keeps_eigh_otherwise(monkeypatch, h_b):
     ("boson-mode", 3, 3, "dephasing"), ("boson-mode", 1, 5, "dephasing"),
 ])
 def test_bath_factors_match_the_kron_lifts_bitwise(kind, n_qubits, n_modes, coupling, seed):
-    """``h_b`` and every ``B_a``, placed from the model's mode table, are bit for bit the
+    """``h_b`` and every ``B_a``, placed from the model's mode stacks, are bit for bit the
     per-mode terms of the bath spec's draws, scaled to the norm by the same per-mode
     eigenvalues, lifted by ``np.kron`` and summed in the builder's mode order: a change of
-    term order fails here. So are the oracle's dense parts of the table."""
+    term order fails here. So are the oracle's dense parts of the stacks."""
     bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=seed,
                     boson_truncation=3 if kind == "boson-mode" else None)
     model = build_system_bath_model(n_qubits, bath, coupling=coupling)
-    table = model.modes
-    h_b, factors = oracle_model.kron_bath(bath, len(table.couplings))
+    h_b, factors = oracle_model.kron_bath(bath, len(model.couplings))
     dense = dense_parts(model)
-    assert _placed(table.hamiltonian).tobytes() == h_b.tobytes()
+    assert _placed(model.hamiltonian).tobytes() == h_b.tobytes()
     assert dense.h_b.matrix.tobytes() == h_b.tobytes()
-    for terms, (_, b), want in zip(table.couplings, dense.couplings, factors, strict=True):
+    for terms, (_, b), want in zip(model.couplings, dense.couplings, factors, strict=True):
         assert _placed(terms).tobytes() == want.tobytes()
         assert b.matrix.tobytes() == want.tobytes()
 
@@ -385,7 +428,7 @@ def test_product_path_terms_are_the_spec_draws_bitwise(kind, n_qubits, n_modes, 
     words = ({"Z" * n_qubits: 0.25},
              *({w.translate(str.maketrans("XY", "ZZ")): c for w, c in t.items()}
                for t in built.words[1:]))
-    model = SystemBathModel(words, built.modes)
+    model = SystemBathModel(words, built.hamiltonian, built.couplings)
     h_mode, ops = oracle_model._mode_operators(bath)
     rows = oracle_model.scaled_rows(bath, len(words) - 1)
     terms = np.array(bath.mode_frequencies)[:, None, None] * h_mode
@@ -398,28 +441,26 @@ def test_product_path_terms_are_the_spec_draws_bitwise(kind, n_qubits, n_modes, 
 
 
 def test_a_mode_table_copies_the_arrays_it_is_given():
-    """A table holds read-only complex copies: the caller's arrays stay writable, and
-    writing to them, or to what they view, leaves the table unchanged."""
+    """A model holds read-only complex copies of its mode stacks: the caller's arrays stay
+    writable, and writing to them, or to what they view, leaves the model unchanged."""
     base = np.array([0.5 * SZ.real, 0.25 * SZ.real, 0.7 * SZ.real])
     h, b = base[:2], np.array([[0.3 * SX, 0.2 * SY]])
-    table = SystemBathModel(({"Z": 0.1}, {"Z": 1.0}), ModeTable(h, b)).modes
+    model = SystemBathModel(({"Z": 0.1}, {"Z": 1.0}), h, b)
     h[0, 0, 0], base[1, 1, 1], b[0, 0, 0, 1] = 2.0, -2.0, 2.0
     assert h.flags.writeable and b.flags.writeable
-    assert not (table.hamiltonian.flags.writeable or table.couplings.flags.writeable)
-    assert table.hamiltonian.dtype == table.couplings.dtype == complex
-    assert table.hamiltonian.tobytes() == np.array([0.5 * SZ, 0.25 * SZ]).tobytes()
-    assert table.couplings.tobytes() == np.array([[0.3 * SX, 0.2 * SY]]).tobytes()
+    assert not (model.hamiltonian.flags.writeable or model.couplings.flags.writeable)
+    assert model.hamiltonian.dtype == model.couplings.dtype == complex
+    assert model.hamiltonian.tobytes() == np.array([0.5 * SZ, 0.25 * SZ]).tobytes()
+    assert model.couplings.tobytes() == np.array([[0.3 * SX, 0.2 * SY]]).tobytes()
 
 
 def test_mode_table_must_match_the_bath():
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
     model = build_system_bath_model(2, bath)
-    table = model.modes
-    for bad in (replace(table, hamiltonian=table.hamiltonian[:2]),
-                replace(table, couplings=table.couplings[:, :2]),
-                replace(table, couplings=table.couplings[0])):
-        with pytest.raises(ValueError, match="mode table"):
-            replace(model, modes=bad)
+    for bad in ({"hamiltonian": model.hamiltonian[:2]}, {"couplings": model.couplings[:, :2]},
+                {"couplings": model.couplings[0]}):
+        with pytest.raises(ValueError, match="the mode stacks of shapes .* do not agree"):
+            replace(model, **bad)
 
 
 @pytest.mark.parametrize("kind,n_qubits,n_modes,coupling", [
@@ -429,7 +470,7 @@ def test_mode_table_must_match_the_bath():
     ("boson-mode", 2, 2, "dephasing"), ("boson-mode", 3, 4, "dephasing"),
 ])
 def test_table_gram_is_the_dense_gram(kind, n_qubits, n_modes, coupling):
-    """The model checks a builder's bath on its mode table: the Gram from
+    """The model checks a builder's bath on its mode stacks: the Gram from
     per-mode traces is that of the placed ``B_a``."""
     bath = BathSpec(kind=kind, n_modes=n_modes, cutoff=1.0, coupling_scale=0.3, seed=3,
                     boson_truncation=3 if kind == "boson-mode" else None)
@@ -437,61 +478,59 @@ def test_table_gram_is_the_dense_gram(kind, n_qubits, n_modes, coupling):
     couplings = dense_parts(model).couplings
     want = np.array([[np.vdot(a.matrix, b.matrix) for _, b in couplings]
                      for _, a in couplings])
-    assert np.max(np.abs(model.modes.gram() - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(coupling_gram(model.couplings) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_table_gram_counts_traced_mode_operators():
-    """Cross terms between modes carry the terms' traces: a table whose terms have traces
+    """Cross terms between modes carry the terms' traces: a stack whose terms have traces
     that differ from mode to mode, some complex (not terms the builder draws), still gives
     the Gram of the operators it places, so a wrong pairing of modes ``i != j`` fails."""
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
     model = build_system_bath_model(2, bath, coupling="dephasing")
     shifts = np.array([[0.5, -0.3 + 0.2j, 0.1], [0.2j, 0.7, -0.4 - 0.1j]])[..., None, None]
     shifts = shifts * np.eye(2)  # tr(b_ai) differs from mode to mode, complex on some
-    table = replace(model.modes, couplings=model.modes.couplings + shifts)
-    placed = [_lifted(terms) for terms in table.couplings]
+    couplings = model.couplings + shifts
+    placed = [_lifted(terms) for terms in couplings]
     want = np.array([[np.vdot(a, b) for b in placed] for a in placed])
-    assert np.max(np.abs(table.gram() - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(coupling_gram(couplings) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_table_models_reject_what_dense_checks_reject():
     bath = BathSpec(kind="spin-bath", n_modes=3, cutoff=1.0, coupling_scale=0.3, seed=3)
     model = build_system_bath_model(2, bath)
-    table = model.modes
-    dependent = table.couplings.copy()
+    dependent = model.couplings.copy()
     dependent[1] = 2.0 * dependent[0]
     with pytest.raises(ValueError, match="linearly dependent"):
-        replace(model, modes=replace(table, couplings=dependent))
-    skewed = table.couplings.copy()
+        replace(model, couplings=dependent)
+    skewed = model.couplings.copy()
     skewed[0, 1] = [[0, 1], [0, 0]]
     with pytest.raises(ValueError, match="coupling 0 is not Hermitian"):
-        replace(model, modes=replace(table, couplings=skewed))
+        replace(model, couplings=skewed)
     with pytest.raises(ValueError, match="coupling 1 is not Hermitian"):
-        replace(model, modes=replace(table, couplings=table.couplings
-                                     * np.array([1, 1j])[:, None, None, None]))
-    h = table.hamiltonian.copy()
+        replace(model, couplings=model.couplings * np.array([1, 1j])[:, None, None, None])
+    h = model.hamiltonian.copy()
     h[2] = [[0, 1], [0, 0]]
     with pytest.raises(ValueError, match="bath Hamiltonian is not Hermitian"):
-        replace(model, modes=replace(table, hamiltonian=h))
+        replace(model, hamiltonian=h)
 
 
 def test_builder_model_places_no_bath_matrix():
-    """A model is exactly its two tables and caches no dense operator: its dims come
-    from its tables, and after a joint-path run it holds, besides them, only the joint
+    """A model is exactly its tables and caches no dense operator: its dims come from
+    its tables, and after a joint-path run it holds, besides them, only the joint
     spectrum and the per-mode arrays."""
     config = parse_config({"scenario": "maximal-averaging", "seed": 7, "n_cycles": 4})
     model = build_model(config)
-    assert [f.name for f in fields(model)] == ["words", "modes"]
-    assert set(vars(model)) == {"words", "modes"}
+    tables = ["words", "hamiltonian", "couplings"]
+    assert [f.name for f in fields(model)] == tables
+    assert set(vars(model)) == set(tables)
     assert model.bath_dim == 16 and model.bath_dims == (2,) * 4
     total_hamiltonian(model)
-    assert set(vars(model)) == {"words", "modes"}
+    assert set(vars(model)) == set(tables)
     run = SimulationRun(model=model, schedule=build_schedule(config), n_cycles=4,
                         rho_s0=config.rho_s0)
     assert evolve(run).path == "joint"
     assert "_joint_spectrum" in vars(model)
-    assert set(vars(model)) <= {"words", "modes", "_joint_spectrum", "_mode_ground",
-                                "_mode_hamiltonians"}
+    assert set(vars(model)) <= {*tables, "_joint_spectrum", "_mode_ground", "_mode_hamiltonians"}
 
 
 def test_boson_model_structure():
@@ -673,7 +712,7 @@ def test_a_hand_built_models_tables_resum_to_its_matrices(make):
     dense = make()
     model = hand_built(dense)
     n_qubits = len(dense.h_s.dims)
-    assert len(model.modes.hamiltonian) == 1
+    assert len(model.hamiltonian) == 1
     assert isinstance(model.words, tuple)
     assert len(model.words) == 1 + len(dense.couplings)
     for table, s in zip(model.words, _system_matrices(dense)):
@@ -703,8 +742,8 @@ def test_a_hand_built_copy_derives_the_builders_tables(preset, seed):
         assert all(abs(got.get(w, 0.0) - c) <= tol for w, c in want.items())
 
 
-def _one_mode_table(n_channels):
-    return ModeTable((0.5 * SZ)[None], np.array([0.3 * SX, 0.3 * SY, 0.3 * SZ])[:n_channels, None])
+def _one_mode_stacks(n_channels):
+    return (0.5 * SZ)[None], np.array([0.3 * SX, 0.3 * SY, 0.3 * SZ])[:n_channels, None]
 
 
 @pytest.mark.parametrize("words, n_channels, message", [
@@ -712,14 +751,14 @@ def _one_mode_table(n_channels):
     (({"Z": 0.5}, {"Z": 1.0}, {"X": 1j}), 2, "coupling 1: the coefficient of 'X' is not real"),
     (({"Z": 0.5j}, {"Z": 1.0}), 1, "h_s: the coefficient of 'Z' is not real"),
     (({"Z": 0.5}, {"Z": 1.0}, {"X": 1.0}), 3,
-     "coupling 2: the mode table has 3 channels, the word tables 2"),
+     "coupling 2: the couplings have 3 channels, the word tables 2"),
     (({"Z": 0.5}, {"Z": 1.0}, {"X": 1.0}), 1,
-     "coupling 1: the mode table has 1 channels, the word tables 2"),
+     "coupling 1: the couplings have 1 channels, the word tables 2"),
 ], ids=["wrong-length", "imaginary", "imaginary-h_s", "too-few-tables", "too-many-tables"])
 def test_word_tables_are_checked_against_the_register_and_the_mode_table(words, n_channels,
                                                                          message):
     """The register is its word tables: a word of other than ``K`` letters (``K``
     from the first word), an imaginary coefficient, and a channel count other than
-    the mode table's are each rejected, and the error names the table."""
+    the couplings' are each rejected, and the error names the table."""
     with pytest.raises(ValueError, match=re.escape(message)):
-        SystemBathModel(words, _one_mode_table(n_channels))
+        SystemBathModel(words, *_one_mode_stacks(n_channels))

@@ -12,6 +12,7 @@ import pytest
 import oracle_sweep
 
 from decoupling import (
+    BathSpec,
     ConfigError,
     build_model,
     build_schedule,
@@ -21,6 +22,7 @@ from decoupling import (
     run_scenario,
     run_sweep,
 )
+from decoupling.model import MIN_COUPLING_SCALE
 from decoupling.scenarios import PRESETS, SCENARIO_NAMES, _named_state
 
 
@@ -223,16 +225,58 @@ def test_boson_bath_scenario():
 @pytest.mark.parametrize("bath, message", [
     ({"kind": "boson-mode", "n_modes": 1, "boson_truncation": 3},
      "2 coupling channels need at least 2 bath modes, got 1"),
+    ({"kind": "boson-mode", "n_modes": 7, "boson_truncation": 3},
+     r"joint dimension 2\*\*2 \* 3\*\*7 exceeds the cap"),
+    ({"n_modes": 11}, r"joint dimension 2\*\*2 \* 2\*\*11 exceeds the cap"),
     ({"kind": "boson-mode", "n_modes": 8, "boson_truncation": 3},
-     r"joint dimension 2\*\*2 \* 3\*\*8 exceeds the cap"),
-    ({"n_modes": 10**6}, r"joint dimension 2\*\*2 \* 2\*\*1000000 exceeds the cap"),
+     r"bath dimension 3\*\*8 exceeds the cap"),
+    ({"n_modes": 10**6}, r"bath dimension 2\*\*1000000 exceeds the cap"),
 ])
 def test_bath_size_is_checked_at_parse_time(bath, message):
-    """Mode count against the coupling channels and the joint dimension
-    against the cap, for both bath kinds, before any bath is drawn."""
+    """Mode count against the coupling channels, the bath's own dimension
+    (``BathSpec``'s rule) and the joint dimension against the cap, for both
+    bath kinds, before any bath is drawn."""
     doc = {"scenario": "collective-register", "seed": 1, "coupling": "dephasing", "bath": bath}
     with pytest.raises(ConfigError, match=f"config field 'bath.n_modes': {message}"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("bath, field", [
+    ({"kind": ["spin-bath"]}, "kind"),
+    ({"cutoff": True}, "cutoff"),
+    ({"cutoff": 10**400}, "cutoff"),
+    ({"cutoff": "1"}, "cutoff"),
+    ({"coupling_scale": 1e-200}, "coupling_scale"),
+    ({"coupling_scale": 1e-320}, "coupling_scale"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"n_modes": 10**12}, "n_modes"),
+    ({"n_modes": 2.0}, "n_modes"),
+    ({"kind": "boson-mode", "boson_truncation": True}, "boson_truncation"),
+], ids=["kind-list", "cutoff-bool", "cutoff-1e400", "cutoff-str", "coupling_scale-1e-200",
+        "coupling_scale-1e-320", "seed-negative", "seed-float", "n_modes-1e12", "n_modes-float",
+        "truncation-bool"])
+def test_bath_errors_are_bath_spec_errors_on_their_field(bath, field):
+    """The parser checks no bath field itself: ``BathSpec``'s ``ValueError``, which
+    starts with the field's name, becomes a ``ConfigError`` on ``bath.<field>`` with
+    ``BathSpec``'s message."""
+    doc = {"scenario": "collective-register", "seed": 7, "bath": bath}
+    with pytest.raises(ValueError) as spec_error:
+        BathSpec(**{**PRESETS["collective-register"]["bath"], "seed": 7, **bath})
+    name, message = str(spec_error.value).split(": ", 1)
+    assert name == field
+    with pytest.raises(ConfigError, match=re.escape(f"config field 'bath.{field}': {message}")):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("scale", [MIN_COUPLING_SCALE, 1.4917e-154])
+@pytest.mark.parametrize("preset", [n for n in SCENARIO_NAMES if n != "custom"])
+def test_presets_build_at_the_smallest_coupling_scale(preset, scale):
+    """The coupling scale's lower bound rejects no model that can be told apart from
+    a dependent one: each preset builds at, and just above, the bound."""
+    model = build_model(parse_config({"scenario": preset, "seed": 7,
+                                      "bath": {"coupling_scale": scale}}))
+    assert model.couplings.any()
 
 
 @pytest.mark.parametrize("k", [13, 10**12])
@@ -280,7 +324,7 @@ NON_DECOUPLING = {
 
 
 def test_a_d4096_echo_places_no_bath_matrix(tmp_path):
-    """The product path evolves the echo from the mode table: a d = 4096
+    """The product path evolves the echo from the mode stacks: a d = 4096
     ``simulate`` (2048 x 2048 bath, one complex matrix of which is 64 MiB)
     allocates less than 16 MiB in all."""
     config = parse_config({"scenario": "dephasing-echo", "seed": 7, "bath": {"n_modes": 11}})

@@ -3,7 +3,7 @@
 The list holds what the command line, the demos and the acceptance
 criteria call. A name is added or removed by editing it here. What an
 ``Operator`` leaves out, arithmetic and deferred placement, is pinned here too,
-and so are the fields of a model's bath table.
+and so are the fields of a model.
 """
 
 import ast
@@ -126,7 +126,9 @@ def test_operators_hold_their_matrix_from_construction():
 
 
 def test_a_mode_table_is_its_two_stacks():
-    """The bath table is the stack of ``h_b``'s mode terms and that of each ``B_a``:
-    one set of terms that the joint path, the product path and the Gram all read."""
-    from decoupling.model import ModeTable
-    assert tuple(f.name for f in dataclasses.fields(ModeTable)) == ("hamiltonian", "couplings")
+    """The bath's mode table is no type of its own: it is the model's stack of ``h_b``'s
+    mode terms and that of each ``B_a``, one set of terms that the joint path, the
+    product path and the Gram function all read."""
+    fields = tuple(f.name for f in dataclasses.fields(decoupling.SystemBathModel))
+    assert fields == ("words", "hamiltonian", "couplings")
+    assert not hasattr(decoupling.model, "ModeTable")
