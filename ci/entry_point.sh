@@ -114,10 +114,18 @@ echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "de
 "${cli[@]}" sweep --config "$work/boson-joint-sweep.json" --out "$work/boson-joint-sweep"
 fit_points "$work/boson-joint-sweep/summary.json" 3
 path_is "$work/boson-joint-sweep/summary.json" joint
-echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"n_modes": 2, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 100, "sample_every": 2}' > "$work/blocks.json"
-"${cli[@]}" simulate --config "$work/blocks.json" --out "$work/blocks"
-test $(wc -l < "$work/blocks/trajectory.csv") -eq 52
-path_is "$work/blocks/summary.json" modes
+echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "bath": {"n_modes": 2, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 100, "sample_every": 2}' > "$work/every-2.json"
+"${cli[@]}" simulate --config "$work/every-2.json" --out "$work/every-2"
+test $(wc -l < "$work/every-2/trajectory.csv") -eq 52
+path_is "$work/every-2/summary.json" modes
+# a run whose snapshots cannot be held is refused on n_cycles before anything is
+# allocated; the address-space limit keeps a broken bound from exhausting the machine
+echo '{"scenario": "dephasing-echo", "seed": 7, "n_cycles": 100000000}' > "$work/too-long.json"
+code=0
+(ulimit -v 2000000; "${cli[@]}" simulate --config "$work/too-long.json" --out "$work/too-long") 2> "$work/too-long.txt" || code=$?
+test "$code" -eq 2
+grep -q "^error: config field 'n_cycles'" "$work/too-long.txt"
+test ! -e "$work/too-long"
 echo '{"scenario": "dephasing-echo", "seed": 7, "sweep": {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]}}' > "$work/mixed.json"
 "${cli[@]}" sweep --config "$work/mixed.json" --out "$work/mixed"
 test $(wc -l < "$work/mixed/sweep.csv") -eq 4

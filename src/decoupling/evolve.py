@@ -48,8 +48,8 @@ the initial system and bath states. The default states are pure, so
 ``r = 1``; an explicit mixed state takes the same code path with more
 columns. Observation happens at cycle boundaries only: that is where the
 control frame returns to the physical frame and where average-Hamiltonian
-statements hold. Snapshots, stepped or not, come in blocks of at most
-``d x d`` numbers, one stacked ``M M^dag`` per block, into one
+statements hold. A run's snapshots, stepped or not, are one array, bounded
+by :class:`SimulationRun`, and one stacked ``M M^dag`` reduces them to an
 ``(n + 1, d_s, d_s)`` stack; each snapshot observable, and the ideal
 reference of fidelity, is computed on that stack on its first read.
 
@@ -66,12 +66,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .operators import NUMERIC_TOL, Operator, as_matrices
+from .operators import DIM_CAP, NUMERIC_TOL, Operator, as_matrices
 from .model import SystemBathModel
 from .sequence import CycleSchedule
 from .groups import _conjugate, _flips, _label, pauli_sum, project_commutant
@@ -80,8 +80,17 @@ from .groups import _conjugate, _flips, _label, pauli_sum, project_commutant
 #: of exact zeros: they are left out of ensembles and square roots.
 _ROUNDOFF_EIGENVALUE = 1e-13
 
+#: The most numbers a run's snapshot array may hold: what one ``d x d``
+#: array holds at the dimension cap.
+SNAPSHOT_CAP = DIM_CAP**2
 
-def _check_density(rho: Operator, what: str):
+
+class SnapshotBoundError(ValueError):
+    """A run whose snapshot array would hold more than :data:`SNAPSHOT_CAP` numbers."""
+
+
+def _check_density(rho: Operator, what: str) -> int:
+    """Checks ``rho`` is a density matrix; returns its rank, the eigenvalues above round-off."""
     if not rho.is_hermitian():
         raise ValueError(f"{what}: not Hermitian")
     if abs(rho.trace() - 1.0) > 1e-10 * max(1.0, abs(rho.trace())):
@@ -89,6 +98,7 @@ def _check_density(rho: Operator, what: str):
     evals = np.linalg.eigvalsh(rho.matrix)
     if float(evals.min()) < -1e-10:
         raise ValueError(f"{what}: has a negative eigenvalue ({evals.min():.3e})")
+    return int(np.count_nonzero(evals > _ROUNDOFF_EIGENVALUE))
 
 
 def _sqrt_density(p: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -144,25 +154,17 @@ def coherence_l1(rho: Operator | np.ndarray) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times):
-    """``V_c (exp(-i E_c t) * coeffs_c)`` at each ``t`` of ``times``, ``coeffs = V^dag psi`` an
-    ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product. The times are
+def _spectral_evolution(energies: np.ndarray, vectors: np.ndarray, psi0: np.ndarray, times):
+    """The closed form ``V_c exp(-i E_c t) V_c^dag psi0`` at each ``t`` of ``times``, ``psi0``
+    an ``(n_c, D, r)`` stack: an ``(n, n_c, D, r)`` stack from one product. The times are
     uniform, so ``exp(-i E t_(qb+j)) = exp(-i E t_(qb)) exp(-i E (t_j - t_0))``,
     ``b = isqrt(n)``: each energy takes ``b + ceil(n / b)`` exponentials rather than ``n``."""
+    coeffs = vectors.conj().swapaxes(-1, -2) @ psi0
     b, e = math.isqrt(len(times)), -1j * energies[..., None]
     phases = np.exp(e * times[::b])[..., None] * np.exp(e * (times[:b] - times[0]))[..., None, :]
     phased = phases.reshape(*energies.shape, -1)[..., :len(times), None] * coeffs[:, :, None]
     out = vectors @ phased.reshape(*coeffs.shape[:2], -1)
     return np.moveaxis(out.reshape(phased.shape), 2, 0)
-
-
-def _closed_form(energies: np.ndarray, vectors: np.ndarray, psi0: np.ndarray, step: int,
-                 times: np.ndarray):
-    """Blocks of ``V_c exp(-i E_c t) V_c^dag psi0`` at ``times``: :func:`_spectral_evolution`
-    on each block of ``step`` of the uniform ``times``."""
-    coeffs = vectors.conj().swapaxes(-1, -2) @ psi0
-    for i in range(0, len(times), step):
-        yield _spectral_evolution(energies, vectors, coeffs, times[i:i + step])
 
 
 def _matching_model(model: SystemBathModel, schedule: CycleSchedule) -> SystemBathModel:
@@ -217,18 +219,16 @@ def _cycle_product(w: np.ndarray, conj, codes: np.ndarray) -> np.ndarray:
     return _cycle_product(w, conj, b) @ _cycle_product(w, conj, a)
 
 
-def _stepped_blocks(u: np.ndarray, psi: np.ndarray, n: int, step: int, every: int):
-    """The ``n`` snapshots ``u**(k every) psi`` in blocks of ``step``, each snapshot's
-    ``u @ psi`` product written into its block."""
-    for i in range(0, n, step):
-        block = np.empty((min(step, n - i),) + psi.shape, dtype=complex)
-        if i == 0:
-            block[0] = psi  # the initial state opens the first block
-        for out in block[int(i == 0):]:
-            for _ in range(every - 1):
-                psi = u @ psi
-            psi = np.matmul(u, psi, out=out)
-        yield block
+def _stepped(u: np.ndarray, psi: np.ndarray, n: int, every: int) -> np.ndarray:
+    """The ``n`` snapshots ``u**(k every) psi``, each snapshot's ``u @ psi`` product
+    written into its row."""
+    out = np.empty((n,) + psi.shape, dtype=complex)
+    out[0] = psi
+    for row in out[1:]:
+        for _ in range(every - 1):
+            psi = u @ psi
+        psi = np.matmul(u, psi, out=row)
+    return out
 
 
 def _ensemble(rho: Operator) -> np.ndarray:
@@ -244,12 +244,6 @@ def _initial_columns(run: SimulationRun) -> np.ndarray:
     bath = (run.model._joint_spectrum.bath_ground[:, None] if run.rho_b0 is None
             else _ensemble(run.rho_b0))
     return (system[:, None, :, None] * bath[:, None]).reshape(len(system) * len(bath), -1)
-
-
-def _reduce(block: np.ndarray, system_dim: int) -> np.ndarray:
-    """Reduced system states of a block of joint snapshots, one stacked ``M M^dag``."""
-    m = block.reshape(len(block), system_dim, -1)
-    return m @ m.conj().swapaxes(-1, -2)
 
 
 def _joint_purity(psi: np.ndarray) -> float:
@@ -287,9 +281,9 @@ def _powers(u: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _mode_reduce(rho0: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Reduced states ``rho0_cc' prod_i <phi_i^c'|phi_i^c>`` of a block of per-mode vectors."""
-    phi = block.reshape(len(block), len(rho0), -1, block.shape[-2])
+def _mode_reduce(rho0: np.ndarray, snapshots: np.ndarray) -> np.ndarray:
+    """Reduced states ``rho0_cc' prod_i <phi_i^c'|phi_i^c>`` of a stack of per-mode vectors."""
+    phi = snapshots.reshape(len(snapshots), len(rho0), -1, snapshots.shape[-2])
     return rho0 * np.einsum("kcia,kdia->kcdi", phi, phi.conj()).prod(-1)
 
 
@@ -301,36 +295,36 @@ def _mode_purity(rho0: np.ndarray, psi: np.ndarray) -> float:
 
 
 def _path(run: SimulationRun, times: np.ndarray):
-    """``(blocks, reduce, purity, psi0)``: the run's snapshots at ``times`` in blocks, in
-    closed form for a trivial-group schedule (no pulses) and stepped by its cycle otherwise,
-    the reduced states of a block, the joint purity of a snapshot, and the initial one.
+    """``(states, joint_purity)``: the reduced states of the run's snapshots at ``times``,
+    in closed form for a trivial-group schedule (no pulses) and stepped by its cycle
+    otherwise, and the joint purity of the first and the last.
 
     The product path, when the run is :func:`_mode_wise`, evolves each mode's vector in
     each register state from that mode's ground state; otherwise the joint path evolves
     ``psi`` on the model's joint spectrum."""
     model, schedule, every = run.model, run.schedule, run.sample_every
-    d, free = model.system_dim * model.bath_dim, schedule.group.order == 1
+    free = schedule.group.order == 1
     if not _mode_wise(run):
         spectrum, psi0 = model._joint_spectrum, _initial_columns(run)
-        step = max(1, d * d // psi0.size)  # snapshots of at most d x d numbers a block
         if free:
-            blocks = _closed_form(spectrum.energies[None], spectrum.vectors[None], psi0[None],
-                                  step, times)
+            snapshots = _spectral_evolution(spectrum.energies[None], spectrum.vectors[None],
+                                            psi0[None], times)
         else:
-            blocks = _stepped_blocks(_cycle_blocks(model, schedule), psi0, len(times), step,
-                                     every)
-        return blocks, lambda block: _reduce(block, model.system_dim), _joint_purity, psi0
+            snapshots = _stepped(_cycle_blocks(model, schedule), psi0, len(times), every)
+        m = snapshots.reshape(len(times), model.system_dim, -1)  # one stacked M M^dag
+        return m @ m.conj().swapaxes(-1, -2), (_joint_purity(psi0), _joint_purity(snapshots[-1]))
     rho0, h = run.rho_s0.matrix, model._mode_hamiltonians
     psi0 = np.tile(model._mode_ground, (model.system_dim, 1))[..., None]
     if free:
-        blocks = _closed_form(*np.linalg.eigh(h), psi0, max(1, d * d // psi0.size), times)
+        snapshots = _spectral_evolution(*np.linalg.eigh(h), psi0, times)
     else:  # a frame flips the register axes of the stack at its X/Y letters
         w = _expm(h, schedule.delta_t).reshape(schedule.dims + (-1,) + h.shape[-2:])
         n = schedule.group.n_qubits
         w = _cycle_product(w, lambda code, p: p[_flips(code, n)], schedule.codes)
         u = np.linalg.matrix_power(w.reshape(h.shape), every)
-        blocks = [_powers(u, psi0.astype(u.dtype), len(times)).astype(complex)]
-    return blocks, partial(_mode_reduce, rho0), partial(_mode_purity, rho0), psi0
+        snapshots = _powers(u, psi0.astype(u.dtype), len(times)).astype(complex)
+    return _mode_reduce(rho0, snapshots), (_mode_purity(rho0, psi0),
+                                           _mode_purity(rho0, snapshots[-1]))
 
 
 @dataclass(frozen=True)
@@ -341,6 +335,10 @@ class SimulationRun:
     bath ground state. The ideal reference trajectory evolves under
     the system Hamiltonian averaged over the schedule's group. Snapshots
     are taken every ``sample_every`` cycles, which must divide ``n_cycles``.
+    A snapshot takes ``d r`` numbers on the joint path (``r``: the initial
+    ensemble's columns) and, in extended precision, twice ``d_s m n`` on the
+    product path (``m`` modes of ``n`` levels); a run whose snapshots would
+    take more than :data:`SNAPSHOT_CAP` raises :class:`SnapshotBoundError`.
     """
 
     model: SystemBathModel
@@ -364,13 +362,20 @@ class SimulationRun:
             raise ValueError(f"rho_s0: expected an Operator, got {type(self.rho_s0).__name__}")
         if self.rho_s0.dims != self.model.system_dims:
             raise ValueError("rho_s0: dims do not match the model system")
-        _check_density(self.rho_s0, "rho_s0")
+        columns = _check_density(self.rho_s0, "rho_s0")
         if self.rho_b0 is not None:
             if not isinstance(self.rho_b0, Operator):
                 raise ValueError(f"rho_b0: expected an Operator, got {type(self.rho_b0).__name__}")
             if self.rho_b0.dims != self.model.bath_dims:
                 raise ValueError("rho_b0: dims do not match the model bath")
-            _check_density(self.rho_b0, "rho_b0")
+            columns *= _check_density(self.rho_b0, "rho_b0")
+        model, snapshots = self.model, int(self.n_cycles) // int(self.sample_every) + 1
+        width = (2 * model.system_dim * model._mode_ground.size if _mode_wise(self)
+                 else model.system_dim * model.bath_dim * columns)
+        if snapshots * width > SNAPSHOT_CAP:
+            raise SnapshotBoundError(f"n_cycles: {snapshots} snapshots of {width} numbers exceed "
+                                     f"the {SNAPSHOT_CAP} a run may hold; at most "
+                                     f"{SNAPSHOT_CAP // width} fit")
 
     def ideal_system_hamiltonian(self) -> Operator:
         return project_commutant(pauli_sum(self.model.words[0], self.model.n_qubits),
@@ -409,8 +414,8 @@ class TrajectoryResult:
     @cached_property
     def fidelity(self) -> np.ndarray:
         w, v = np.linalg.eigh(self.run.ideal_system_hamiltonian().matrix)
-        system = v.conj().T @ _ensemble(self.run.rho_s0)
-        roots = _spectral_evolution(w[None], v[None], system[None], self.times)[:, 0]
+        roots = _spectral_evolution(w[None], v[None], _ensemble(self.run.rho_s0)[None],
+                                    self.times)[:, 0]
         return _reference_fidelity(self.states, roots)
 
     @cached_property
@@ -435,21 +440,16 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     """Propagate a run and record its reduced-state snapshots.
 
     A trivial-group schedule (no pulses) is read off the eigenpairs in closed
-    form; any other steps ``psi`` by its cycle. On the joint path, snapshots
-    come in blocks of at most ``d x d`` numbers, reduced one stacked product
-    a block. On the product path (a model whose register qubits are all
-    conserved, bath in its ground state) the cycle is made per mode and
-    per register state and the snapshots are its powers.
+    form at every sample time at once; any other steps ``psi`` by its cycle,
+    each snapshot written into its row of one array. On the product path (a
+    model whose register qubits are all conserved, bath in its ground state)
+    the cycle is made per mode and per register state and the snapshots are
+    its powers. The whole snapshot array is reduced by one stacked product.
     """
     times = np.arange(0, run.n_cycles + 1, run.sample_every) * run.schedule.cycle_time
-    blocks, reduce, purity, psi0 = _path(run, times)
-    states = []
-    for block in blocks:
-        states.append(reduce(block))
-    states = np.concatenate(states)
+    states, joint_purity = _path(run, times)
     states.setflags(write=False)
-    return TrajectoryResult(run, states, "modes" if _mode_wise(run) else "joint",
-                            (purity(psi0), purity(block[-1])))
+    return TrajectoryResult(run, states, "modes" if _mode_wise(run) else "joint", joint_purity)
 
 
 def observable_drift(traj: TrajectoryResult, observable: Operator) -> tuple[np.ndarray, np.ndarray]:

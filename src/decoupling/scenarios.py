@@ -37,7 +37,7 @@ from .model import (
 )
 from .groups import DecouplingGroup, _is_word, check_decoupling, pauli_group, trivial_group
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
-from .evolve import SimulationRun, estimate_rates, evolve, fit_scaling_exponent
+from .evolve import SimulationRun, SnapshotBoundError, estimate_rates, evolve, fit_scaling_exponent
 
 SCENARIO_NAMES = (
     "dephasing-echo",
@@ -439,8 +439,10 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     def body(model, out, report):
         schedule = build_schedule(config)
         omega_c_delta_t = config.bath.cutoff * config.delta_t
-        run = SimulationRun(model=model, schedule=schedule, n_cycles=config.n_cycles,
-                            rho_s0=config.rho_s0, sample_every=config.sample_every)
+        # a run sampled every cycle is too long; one sampled more sparsely, too dense
+        field = "sample_every" if config.sample_every > 1 else "n_cycles"
+        run = _bounded_run(field, model=model, schedule=schedule, n_cycles=config.n_cycles,
+                           rho_s0=config.rho_s0, sample_every=config.sample_every)
         controlled, free = evolve(run), evolve(_free_run(run))
         rates = estimate_rates(controlled.times, free.coherence, controlled.coherence)
 
@@ -478,6 +480,15 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         return keys, text
 
     return _command(config, out_dir, body)
+
+
+def _bounded_run(field: str, **fields) -> SimulationRun:
+    """``SimulationRun(**fields)``; one whose snapshots would not fit in memory is refused
+    naming config ``field``, before anything is allocated."""
+    try:
+        return SimulationRun(**fields)
+    except SnapshotBoundError as exc:
+        _fail(field, str(exc).removeprefix("n_cycles: "))
 
 
 def _free_run(run: SimulationRun) -> SimulationRun:
@@ -543,9 +554,10 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     total_time, counts = _sweep_cycle_counts(config)
 
     def body(model, out, report):
-        runs = [SimulationRun(model=model, schedule=build_schedule(config, delta_t=v),
-                              n_cycles=n, rho_s0=config.rho_s0, sample_every=config.sample_every)
-                for v, n in zip(config.sweep_values, counts)]
+        runs = [_bounded_run(f"sweep.values[{i}]", model=model,
+                             schedule=build_schedule(config, delta_t=v), n_cycles=n,
+                             rho_s0=config.rho_s0, sample_every=config.sample_every)
+                for i, (v, n) in enumerate(zip(config.sweep_values, counts))]
 
         free = {}  # cycle count -> free coherence, finest grid first
         for run in sorted(runs, key=lambda run: -run.n_cycles):

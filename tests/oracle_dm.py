@@ -22,12 +22,14 @@ of the whole joint Hamiltonian, the coset-halving product on ``d x d``
 matrices, and ``psi`` stepped by the dense cycle. The package's stepping
 loop from before it reduced snapshots in blocks is kept too: ``psi``
 stepped one cycle at a time by the package's cycle, each kept snapshot
-reduced on its own. The fidelity kernels are the package's from
-before every fidelity took one exact formula: they read a state within
-1e-10 of pure as pure.
+reduced on its own, and its closed form from before a run's snapshots were
+one array, in blocks of at most ``d x d`` numbers. The fidelity kernels are
+the package's from before every fidelity took one exact formula: they read
+a state within 1e-10 of pure as pure.
 """
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,6 +250,24 @@ def stepped_snapshots(run):
         psis.append(psi)
         states.append(m @ m.conj().swapaxes(-1, -2))
     return np.array(psis), np.concatenate(states)
+
+
+def blocked_closed_form(energies, vectors, psi0, times, step):
+    """``V_c exp(-i E_c t) V_c^dag psi0`` at the uniform ``times``, in blocks of
+    ``step`` of them, concatenated: the kernel's closed form when a run's
+    snapshots came in blocks of at most ``d x d`` numbers. Each block takes its
+    phases by angle addition from its own first time, ``b = isqrt(len(block))``
+    apart."""
+    coeffs = vectors.conj().swapaxes(-1, -2) @ psi0
+    blocks = []
+    for i in range(0, len(times), step):
+        t = times[i:i + step]
+        b, e = math.isqrt(len(t)), -1j * energies[..., None]
+        phases = np.exp(e * t[::b])[..., None] * np.exp(e * (t[:b] - t[0]))[..., None, :]
+        phased = phases.reshape(*energies.shape, -1)[..., :len(t), None] * coeffs[:, :, None]
+        out = vectors @ phased.reshape(*coeffs.shape[:2], -1)
+        blocks.append(np.moveaxis(out.reshape(phased.shape), 2, 0))
+    return np.concatenate(blocks)
 
 
 def _closest_unitary(m):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -101,10 +102,9 @@ def test_the_phase_bound_is_inclusive():
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_a_run_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
-    """An allocation that fails (numpy's ``MemoryError``, e.g. for an
-    ``n_cycles`` of 10**13) is an ``error:`` line and exit 2, and leaves no
-    output directory behind. The failure is simulated: a real one would
-    first try to fill the memory."""
+    """An allocation that fails (numpy's ``MemoryError``) is an ``error:``
+    line and exit 2, and leaves no output directory behind. The failure is
+    simulated: a real one would first try to fill the memory."""
     def refuse(run):
         raise MemoryError("Unable to allocate 72.8 TiB for an array")
 
@@ -114,6 +114,36 @@ def test_a_run_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
                                                              "values": [0.04, 0.08, 0.16]}})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: Unable to allocate 72.8 TiB for an array\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("simulate", {"scenario": "dephasing-echo", "n_cycles": 10**8}, "n_cycles"),  # product path
+    ("simulate", {"scenario": "maximal-averaging", "n_cycles": 10**8}, "n_cycles"),  # joint path
+    ("simulate", {"scenario": "dephasing-echo", "n_cycles": 10**8, "sample_every": 10},
+     "sample_every"),
+    ("sweep", {"scenario": "dephasing-echo",
+               "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 1e-9]}}, "sweep.values[2]"),
+], ids=["echo", "maximal", "echo-every-10", "sweep"])
+def test_a_run_too_long_to_hold_names_its_field(tmp_path, capsys, command, doc, field):
+    """A run whose snapshots would not fit is refused naming its config field,
+    with exit 2 and no output directory, before anything is allocated: the
+    second of two calls (the first pays the interpreter's lazy imports)
+    allocates less than 1 MiB in all. A sweep point's cycle count comes from
+    its ``delta_t``, so the point is named."""
+    cfg = write_config(tmp_path, {"seed": 7, **doc})
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}': ") and "snapshots" in err
     assert not (tmp_path / "o").exists()
 
 

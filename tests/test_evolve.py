@@ -35,6 +35,7 @@ from decoupling import (
     symmetrize,
     trivial_group,
 )
+from decoupling.evolve import SNAPSHOT_CAP, SnapshotBoundError, _mode_wise
 from decoupling.scenarios import PRESETS, _free_run
 
 from oracle_dm import bath_ground_state
@@ -583,6 +584,26 @@ def test_run_takes_only_integer_counts(name, value):
                  for n, k in ((np.int64(10), np.int32(2)), (10, 2)))
     assert got.states.tobytes() == want.states.tobytes()
     assert got.cycles.tolist() == want.cycles.tolist()
+
+
+@pytest.mark.parametrize("h_s, rho_s0, width, product", [
+    ({"Z": 0.3}, PLUS, 2 * 2 * 3 * 2, True),  # d_s m n, twice: extended precision
+    ({"X": 0.3}, PLUS, 16, False),  # d = 2 * 2**3, one column
+    ({"X": 0.3}, Operator(np.diag([0.75, 0.25]).astype(complex), [2]), 32, False),  # rank 2
+], ids=["product", "joint", "joint-mixed"])
+def test_a_run_is_bounded_by_its_snapshot_array(h_s, rho_s0, width, product):
+    """A run whose snapshot array would hold more than ``SNAPSHOT_CAP`` numbers
+    is refused on ``n_cycles`` when it is made: the longest run that fits is
+    made, and one more snapshot, at any ``sample_every``, is refused. Counts
+    are compared as Python ints, so a numpy count cannot wrap past the bound."""
+    model = make_model(h_s=h_s)
+    sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
+    fit = SNAPSHOT_CAP // width
+    assert _mode_wise(SimulationRun(model, sched, fit - 1, rho_s0)) == product
+    for n_cycles, every in ((fit, 1), (2 * fit, 2), (np.int64(2**62), np.int64(1))):
+        with pytest.raises(SnapshotBoundError, match=f"^n_cycles: {n_cycles // every + 1} "
+                                                     f"snapshots of {width} numbers exceed"):
+            SimulationRun(model, sched, n_cycles, rho_s0, sample_every=every)
 
 
 def test_trajectory_metadata_and_csv(tmp_path):

@@ -5,8 +5,8 @@ initial state's eigen-ensemble; ``oracle_dm`` steps the joint density
 matrix with one eigendecomposition per segment. Both must give the same
 snapshots on every preset and for mixed initial states. The stacked
 snapshot observables must also agree, state by state, with the scalar
-kernels ``oracle_dm`` keeps, and the blocks of stepped snapshots with the
-per-snapshot stepping loop it keeps.
+kernels ``oracle_dm`` keeps, the stepped snapshots with the per-snapshot
+stepping loop it keeps, and the closed form with its closed form in blocks.
 """
 
 import importlib
@@ -259,32 +259,57 @@ MIXED = Operator(np.array([[0.6, 0.3], [0.3, 0.4]], dtype=complex), [2])
 PLUS2 = Operator(np.full((4, 4), 0.25, dtype=complex), [2, 2])
 
 
-@pytest.mark.parametrize("args, n_blocks", [
-    (("flip", "dephasing", 100, 2, PLUS), 7),  # d = 8: 51 snapshots, 8 a block
-    (("full", "total", 99, 3, MIXED), 9),  # rank 2: 34 snapshots, 4 a block
-    (("full", "dephasing", 60, 1, PLUS2, 2), 4),  # K = 2, d = 16: 61 snapshots
-], ids=["pure-every-2", "mixed-every-3", "sectors"])
-def test_stepped_blocks_match_the_per_snapshot_loop(monkeypatch, args, n_blocks):
-    """Stepped snapshots come in blocks of at most ``d x d`` numbers; every
-    ``psi`` is byte for byte the per-snapshot loop's, and the states agree
-    with its one-at-a-time reductions."""
+def recorded(monkeypatch, name):
+    """Replaces the kernel function ``name`` of :mod:`decoupling.evolve` by one that
+    records each call's ``(args, result)`` in the returned list."""
     evolve_module = importlib.import_module("decoupling.evolve")
-    inner = evolve_module._stepped_blocks
-    blocks = []
+    inner, calls = getattr(evolve_module, name), []
 
-    def recording(*a):
-        for block in inner(*a):
-            blocks.append(block.copy())
-            yield block
+    def recording(*args):
+        calls.append((args, inner(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(evolve_module, "_stepped_blocks", recording)
+    monkeypatch.setattr(evolve_module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("args", [
+    ("flip", "dephasing", 100, 2, PLUS),  # d = 8: 51 snapshots
+    ("full", "total", 99, 3, MIXED),  # rank 2: 34 snapshots
+    ("full", "dephasing", 60, 1, PLUS2, 2),  # K = 2, d = 16: 61 snapshots
+], ids=["pure-every-2", "mixed-every-3", "sectors"])
+def test_stepped_snapshots_match_the_per_snapshot_loop(monkeypatch, args):
+    """Every stepped ``psi``, written into its row of one array, is byte for
+    byte the per-snapshot loop's, and the states agree with its
+    one-at-a-time reductions."""
+    calls = recorded(monkeypatch, "_stepped")
     run = two_spin_run(*args)
     got = evolve(run)
     psis, states = oracle_dm.stepped_snapshots(run)
-    d = run.model.system_dim * run.model.bath_dim
-    assert len(blocks) == n_blocks and all(b.size <= d * d for b in blocks)
-    assert np.concatenate(blocks).tobytes() == psis.tobytes()
+    assert len(calls) == 1 and calls[0][1].tobytes() == psis.tobytes()
     assert np.max(np.abs(got.states - states)) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("name", PRESETS)
+def test_closed_form_matches_the_blocked_oracle(monkeypatch, name, seed):
+    """The free run's closed form over every sample time at once against the
+    same form in blocks of at most ``d x d`` numbers, on each preset's own
+    path and, for a conserved register, on the joint path too (its bath
+    ground state passed as ``rho_b0``). The angle-addition phases split the
+    times differently, so the two agree to round-off."""
+    calls = recorded(monkeypatch, "_spectral_evolution")
+    free = preset_runs(name, seed=seed)[1]
+    runs = [free] + ([replace(free, rho_b0=oracle_dm.bath_ground_state(free.model))]
+                     if _mode_wise(free) else [])
+    for run in runs:
+        evolve(run)
+    d = free.model.system_dim * free.model.bath_dim
+    assert len(calls) == len(runs)
+    for (energies, vectors, psi0, times), got in calls:
+        want = oracle_dm.blocked_closed_form(energies, vectors, psi0, times,
+                                             max(1, d * d // psi0.size))
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("angle, tol", [(1e2, 1e-13), (1e3, 4 * np.spacing(1e3))],
