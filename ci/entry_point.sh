@@ -24,6 +24,14 @@ path_is() {
 mode_is() {
   python -c 'import json, sys; assert json.load(open(sys.argv[1]))["mode"] == sys.argv[2]' "$1" "$2"
 }
+# the summary's path_reason holds the given text
+reason_has() {
+  python -c 'import json, sys; assert sys.argv[2] in json.load(open(sys.argv[1]))["diagnostics"]["path_reason"]' "$1" "$2"
+}
+# the summary's h_s_kept (or h_s_removed) words are exactly the given ones
+words_are() {
+  python -c 'import json, sys; assert sorted(json.load(open(sys.argv[1]))[sys.argv[2]]) == sys.argv[3:]' "$@"
+}
 
 # the listing's length and order: 16 groups of order 4, two lines each
 "${cli[@]}" design --interaction ZI IZ ZZ --qubits 2 > "$work/design2.txt"
@@ -41,12 +49,15 @@ grep -m1 "^  group " "$work/design3.txt" | grep -qF "group ['III', 'XYX']"
 echo '{"scenario": "dephasing-echo", "seed": 7}' > "$work/echo.json"
 "${cli[@]}" simulate --config "$work/echo.json" --out "$work/echo"
 mode_is "$work/echo/summary.json" selective
+reason_has "$work/echo/summary.json" "the register is conserved"
 echo '{"scenario": "maximal-averaging", "seed": 7}' > "$work/maximal.json"
 "${cli[@]}" simulate --config "$work/maximal.json" --out "$work/maximal"
 mode_is "$work/maximal/summary.json" maximal
+words_are "$work/maximal/summary.json" h_s_removed X Z
 echo '{"scenario": "selective-logic", "seed": 7}' > "$work/selective.json"
 "${cli[@]}" simulate --config "$work/selective.json" --out "$work/selective"
 mode_is "$work/selective/summary.json" selective
+words_are "$work/selective/summary.json" h_s_kept XX
 echo '{"scenario": "collective-register", "seed": 7, "group": "flip"}' > "$work/flip.json"
 code=0
 "${cli[@]}" simulate --config "$work/flip.json" --out "$work/flip" || code=$?
@@ -98,6 +109,7 @@ path_is "$work/boson/summary.json" modes
 echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "dephasing", "h_s": {"X": 0.2}, "bath": {"kind": "boson-mode", "n_modes": 2, "boson_truncation": 3, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.1, "n_cycles": 20}' > "$work/boson-joint.json"
 "${cli[@]}" simulate --config "$work/boson-joint.json" --out "$work/boson-joint"
 path_is "$work/boson-joint/summary.json" joint
+reason_has "$work/boson-joint/summary.json" "h_s word 'X'"
 # the first qubit is not conserved: one joint eigh
 echo '{"scenario": "custom", "seed": 7, "K": 2, "group": "full", "coupling": "dephasing", "bath": {"n_modes": 4, "cutoff": 1.0, "coupling_scale": 0.3}, "delta_t": 0.05, "n_cycles": 20, "h_s": {"ZX": 0.2, "IX": 0.1}}' > "$work/partial.json"
 "${cli[@]}" simulate --config "$work/partial.json" --out "$work/partial"

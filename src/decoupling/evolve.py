@@ -30,8 +30,9 @@ the bath ground vector that default runs start from, so the controlled
 run, the free run and every point of a sweep share it. A frame acts on
 ``W`` as the signed flip of its register axes
 (:func:`~decoupling.groups.conjugate_word`), never as a matrix.
-:func:`evolve` alone picks the path, and records it as the trajectory's
-``path``: ``"modes"`` or ``"joint"``.
+A :class:`SimulationRun` decides its path once, when it is made, by
+:func:`~decoupling.model.run_path`, which also says why; its trajectory
+records it as ``path``: ``"modes"`` or ``"joint"``.
 
 Pauli words commute up to sign, so when the second half of a visiting
 order is the first half multiplied word by word by one word ``h`` (a
@@ -55,8 +56,9 @@ reference of fidelity, is computed on that stack on its first read.
 
 Two decay diagnostics are tracked. Fidelity is measured against an ideal
 reference trajectory: the system evolving alone under its effective
-Hamiltonian, the system Hamiltonian averaged over the schedule's group
-(for the free run's trivial group, the bare one), so it starts at one and
+Hamiltonian, the system Hamiltonian averaged over the schedule's group, read
+off the word table of ``h_s`` as its words that commute with every generator
+(for the free run's trivial group, all of them), so it starts at one and
 falls only through system-bath correlation. Decoherence rates are fitted
 to the l1 coherence, whose exponential-looking decay is the directly
 observable signature of dephasing.
@@ -65,40 +67,42 @@ observable signature of dephasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .operators import DIM_CAP, NUMERIC_TOL, Operator, as_matrices
-from .model import SystemBathModel
+from .model import SystemBathModel, run_path
 from .sequence import CycleSchedule
-from .groups import _conjugate, _flips, _label, pauli_sum, project_commutant
+from .groups import _averaged, _conjugate, _flips, _label, pauli_sum
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
 #: of exact zeros: they are left out of ensembles and square roots.
 _ROUNDOFF_EIGENVALUE = 1e-13
 
-#: The most numbers a run's snapshot array may hold: what one ``d x d``
-#: array holds at the dimension cap.
+#: The most numbers a run may hold at its peak, its snapshots and what they are
+#: reduced with: what one ``d x d`` array holds at the dimension cap.
 SNAPSHOT_CAP = DIM_CAP**2
 
 
 class SnapshotBoundError(ValueError):
-    """A run whose snapshot array would hold more than :data:`SNAPSHOT_CAP` numbers."""
+    """A run that would hold more than :data:`SNAPSHOT_CAP` numbers at its peak."""
 
 
-def _check_density(rho: Operator, what: str) -> int:
-    """Checks ``rho`` is a density matrix; returns its rank, the eigenvalues above round-off."""
+def _check_density(rho: Operator, what: str) -> np.ndarray:
+    """Checks ``rho`` is a density matrix (Hermitian, trace 1, no eigenvalue below -1e-10) by
+    one ``eigh``; returns its ensemble, columns ``sqrt(p_k) psi_k`` above round-off."""
     if not rho.is_hermitian():
         raise ValueError(f"{what}: not Hermitian")
     if abs(rho.trace() - 1.0) > 1e-10 * max(1.0, abs(rho.trace())):
         raise ValueError(f"{what}: trace is not 1")
-    evals = np.linalg.eigvalsh(rho.matrix)
-    if float(evals.min()) < -1e-10:
-        raise ValueError(f"{what}: has a negative eigenvalue ({evals.min():.3e})")
-    return int(np.count_nonzero(evals > _ROUNDOFF_EIGENVALUE))
+    p, vecs = np.linalg.eigh(rho.matrix)
+    if float(p.min()) < -1e-10:
+        raise ValueError(f"{what}: has a negative eigenvalue ({p.min():.3e})")
+    keep = p > _ROUNDOFF_EIGENVALUE
+    return vecs[:, keep] * np.sqrt(p[keep])
 
 
 def _sqrt_density(p: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -231,30 +235,16 @@ def _stepped(u: np.ndarray, psi: np.ndarray, n: int, every: int) -> np.ndarray:
     return out
 
 
-def _ensemble(rho: Operator) -> np.ndarray:
-    """Columns ``sqrt(p_k) psi_k`` over the eigenpairs of a density matrix."""
-    p, vecs = np.linalg.eigh(rho.matrix)
-    keep = p > _ROUNDOFF_EIGENVALUE
-    return vecs[:, keep] * np.sqrt(p[keep])
-
-
 def _initial_columns(run: SimulationRun) -> np.ndarray:
     """``psi0``: the system's ensemble columns times the bath's, a ``d x r`` array."""
-    system = _ensemble(run.rho_s0)
-    bath = (run.model._joint_spectrum.bath_ground[:, None] if run.rho_b0 is None
-            else _ensemble(run.rho_b0))
+    system, bath = run._columns
+    bath = run.model._joint_spectrum.bath_ground[:, None] if bath is None else bath
     return (system[:, None, :, None] * bath[:, None]).reshape(len(system) * len(bath), -1)
 
 
 def _joint_purity(psi: np.ndarray) -> float:
     """``tr(rho**2)`` of ``rho = psi psi^dag``, as ``||psi^dag psi||_F**2``."""
     return float(np.linalg.norm(psi.conj().swapaxes(-1, -2) @ psi) ** 2)
-
-
-def _mode_wise(run: SimulationRun) -> bool:
-    """Whether the product path evolves the run: its bath starts in its ground state, and
-    every system word of its model is in {I, Z}^K."""
-    return run.rho_b0 is None and run.model._mode_hamiltonians is not None
 
 
 def _expm(h: np.ndarray, t: float) -> np.ndarray:
@@ -299,12 +289,12 @@ def _path(run: SimulationRun, times: np.ndarray):
     in closed form for a trivial-group schedule (no pulses) and stepped by its cycle
     otherwise, and the joint purity of the first and the last.
 
-    The product path, when the run is :func:`_mode_wise`, evolves each mode's vector in
-    each register state from that mode's ground state; otherwise the joint path evolves
-    ``psi`` on the model's joint spectrum."""
+    The product path, the run's ``path`` ``"modes"``, evolves each mode's vector in each
+    register state from that mode's ground state; the joint path evolves ``psi`` on the
+    model's joint spectrum."""
     model, schedule, every = run.model, run.schedule, run.sample_every
     free = schedule.group.order == 1
-    if not _mode_wise(run):
+    if run.path == "joint":
         spectrum, psi0 = model._joint_spectrum, _initial_columns(run)
         if free:
             snapshots = _spectral_evolution(spectrum.energies[None], spectrum.vectors[None],
@@ -335,10 +325,17 @@ class SimulationRun:
     bath ground state. The ideal reference trajectory evolves under
     the system Hamiltonian averaged over the schedule's group. Snapshots
     are taken every ``sample_every`` cycles, which must divide ``n_cycles``.
-    A snapshot takes ``d r`` numbers on the joint path (``r``: the initial
-    ensemble's columns) and, in extended precision, twice ``d_s m n`` on the
-    product path (``m`` modes of ``n`` levels); a run whose snapshots would
-    take more than :data:`SNAPSHOT_CAP` raises :class:`SnapshotBoundError`.
+    A run resolves its inputs once, when it is made: one ``eigh`` of each
+    initial state checks it and gives the ensemble columns that the joint
+    path and the reference evolve, and :func:`~decoupling.model.run_path`
+    gives its ``path`` and ``path_reason``.
+    The bound counts what :func:`evolve` holds at its peak, per snapshot: on
+    the joint path three arrays of ``d r`` numbers (``r``: the initial
+    ensemble's columns) and the reduced state; on the product path (``m``
+    modes of ``n`` levels) the snapshots twice in extended precision, at most
+    ``4 d_s m n``, and the ``(m + 2) d_s**2`` of the per-mode overlaps and the
+    reduced state. A run that would hold more than :data:`SNAPSHOT_CAP`
+    numbers raises :class:`SnapshotBoundError`.
     """
 
     model: SystemBathModel
@@ -347,6 +344,9 @@ class SimulationRun:
     rho_s0: Operator
     rho_b0: Operator | None = None
     sample_every: int = 1
+    path: str = field(init=False)
+    path_reason: str = field(init=False)
+    _columns: tuple = field(init=False, repr=False, compare=False)  # rho_s0's, rho_b0's or None
 
     def __post_init__(self):
         for name in ("n_cycles", "sample_every"):
@@ -362,24 +362,30 @@ class SimulationRun:
             raise ValueError(f"rho_s0: expected an Operator, got {type(self.rho_s0).__name__}")
         if self.rho_s0.dims != self.model.system_dims:
             raise ValueError("rho_s0: dims do not match the model system")
-        columns = _check_density(self.rho_s0, "rho_s0")
+        system, bath = _check_density(self.rho_s0, "rho_s0"), None
         if self.rho_b0 is not None:
             if not isinstance(self.rho_b0, Operator):
                 raise ValueError(f"rho_b0: expected an Operator, got {type(self.rho_b0).__name__}")
             if self.rho_b0.dims != self.model.bath_dims:
                 raise ValueError("rho_b0: dims do not match the model bath")
-            columns *= _check_density(self.rho_b0, "rho_b0")
+            bath = _check_density(self.rho_b0, "rho_b0")
         model, snapshots = self.model, int(self.n_cycles) // int(self.sample_every) + 1
-        width = (2 * model.system_dim * model._mode_ground.size if _mode_wise(self)
-                 else model.system_dim * model.bath_dim * columns)
+        path, reason = run_path(model.words, self.rho_b0)
+        for name, value in (("path", path), ("path_reason", reason), ("_columns", (system, bath))):
+            object.__setattr__(self, name, value)
+        d_s, (m, n, _) = model.system_dim, model.hamiltonian.shape
+        r = system.shape[1] * (1 if bath is None else bath.shape[1])
+        width = (4 * d_s * m * n + (m + 2) * d_s**2 if path == "modes"
+                 else 3 * d_s * model.bath_dim * r + d_s**2)
         if snapshots * width > SNAPSHOT_CAP:
-            raise SnapshotBoundError(f"n_cycles: {snapshots} snapshots of {width} numbers exceed "
-                                     f"the {SNAPSHOT_CAP} a run may hold; at most "
+            raise SnapshotBoundError(f"n_cycles: {snapshots} snapshots of {width} numbers at the "
+                                     f"peak exceed the {SNAPSHOT_CAP} a run may hold; at most "
                                      f"{SNAPSHOT_CAP // width} fit")
 
     def ideal_system_hamiltonian(self) -> Operator:
-        return project_commutant(pauli_sum(self.model.words[0], self.model.n_qubits),
-                                 self.schedule.group)
+        """``h_s`` averaged over the schedule's group: the Pauli sum of the words it keeps."""
+        group = self.schedule.group
+        return pauli_sum(_averaged(self.model.words[0], group)[0], group.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -414,7 +420,7 @@ class TrajectoryResult:
     @cached_property
     def fidelity(self) -> np.ndarray:
         w, v = np.linalg.eigh(self.run.ideal_system_hamiltonian().matrix)
-        roots = _spectral_evolution(w[None], v[None], _ensemble(self.run.rho_s0)[None],
+        roots = _spectral_evolution(w[None], v[None], self.run._columns[0][None],
                                     self.times)[:, 0]
         return _reference_fidelity(self.states, roots)
 
@@ -449,7 +455,7 @@ def evolve(run: SimulationRun) -> TrajectoryResult:
     times = np.arange(0, run.n_cycles + 1, run.sample_every) * run.schedule.cycle_time
     states, joint_purity = _path(run, times)
     states.setflags(write=False)
-    return TrajectoryResult(run, states, "modes" if _mode_wise(run) else "joint", joint_purity)
+    return TrajectoryResult(run, states, run.path, joint_purity)
 
 
 def observable_drift(traj: TrajectoryResult, observable: Operator) -> tuple[np.ndarray, np.ndarray]:

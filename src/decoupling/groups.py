@@ -341,11 +341,12 @@ class DecouplingReport:
 # -- classification by codes ----------------------------------------------
 #
 # A channel is a Pauli word table S = sum_w c_w w, and averaging keeps a
-# component iff ``_kept`` keeps its word. The words are orthogonal with
-# squared Frobenius norm d, so the surviving traceless part has norm
-# sqrt(d * sum |c_w|**2) over the surviving non-identity words, summed in
-# table order; identity components commute with everything and only shift
-# phases. ``check_decoupling`` scores a configured group this way, and
+# component iff ``_kept`` keeps its word (``_averaged`` splits a table so; a
+# run's reference Hamiltonian is its ``h_s`` kept part). The words are
+# orthogonal with squared Frobenius norm d, so the surviving traceless part
+# has norm sqrt(d * sum |c_w|**2) over the surviving non-identity words,
+# summed in table order; identity components commute with everything and only
+# shift phases. ``check_decoupling`` scores a configured group this way, and
 # ``minimal_group_search`` scores every candidate subgroup of a level at once.
 
 
@@ -356,13 +357,17 @@ def _check_tables(tables: Sequence[dict[str, complex]], n_qubits: int):
                 raise ValueError(f"{w!r} is not a {n_qubits}-letter Pauli word")
 
 
-def _surviving_norm(table: dict[str, complex], generators: Sequence[int], n_qubits: int) -> float:
-    """Norm of the traceless part of ``table`` that averaging over the group of
-    ``generators`` keeps."""
-    id_word = "I" * n_qubits
-    surviving = sum(abs(c) ** 2 for w, c in table.items()
-                    if w != id_word and _kept(_code(w), generators, n_qubits))
-    return math.sqrt(2**n_qubits * surviving)
+def _averaged(table: dict[str, complex], group: DecouplingGroup) -> tuple[dict, dict]:
+    """``(kept, removed)``: the terms of ``table``, in table order, that averaging over
+    ``group`` keeps and removes. The kept terms' Pauli sum is the average."""
+    kept = {w: c for w, c in table.items() if _kept(_code(w), group.generators, group.n_qubits)}
+    return kept, {w: c for w, c in table.items() if w not in kept}
+
+
+def _frobenius(table: dict[str, complex], n_qubits: int) -> float:
+    """The Frobenius norm ``sqrt(d sum |c_w|**2)`` of a table's Pauli sum: its words are
+    orthogonal, each of squared norm ``d``."""
+    return math.sqrt(2**n_qubits * sum(abs(c) ** 2 for c in table.values()))
 
 
 def check_decoupling(
@@ -373,9 +378,10 @@ def check_decoupling(
     ``tables`` holds one channel per entry, as a mapping from Pauli word
     to coefficient (see :func:`decoupling.model.coupling_tables`).
     """
-    n_qubits, gens = group.n_qubits, group.generators
+    n_qubits = group.n_qubits
     _check_tables(tables, n_qubits)
-    residuals = tuple(_surviving_norm(t, gens, n_qubits) for t in tables)
+    residuals = tuple(_frobenius({w: c for w, c in _averaged(t, group)[0].items()
+                                  if w != "I" * n_qubits}, n_qubits) for t in tables)
     cdim = group.commutant_dimension
     if all(r <= NUMERIC_TOL for r in residuals):
         mode = "maximal" if cdim == 1 else "selective"

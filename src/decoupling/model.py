@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,6 +123,28 @@ def coupling_gram(couplings: np.ndarray) -> np.ndarray:
     return n ** (m - 1) * same + n ** (m - 2.0) * cross
 
 
+def _named(words: Sequence[dict[str, float]]):
+    """Each word table with its name: ``h_s`` first, then ``coupling a`` for channel ``a``."""
+    return zip(("h_s", *(f"coupling {a}" for a in range(len(words) - 1))), words)
+
+
+def run_path(words: Sequence[dict[str, float]], rho_b0=None) -> tuple[str, str]:
+    """``(path, reason)``: the path a run of the model of word tables ``words`` takes, and why.
+
+    ``"modes"``, the product path, when every word with a nonzero coefficient is in {I, Z}^K
+    (every register qubit conserved) and the bath starts in its ground state (``rho_b0`` is
+    None); ``"joint"`` otherwise, its reason naming the first word with an X or Y letter and
+    its table, or else that ``rho_b0`` was given.
+    """
+    for label, table in _named(words):
+        for w, c in table.items():
+            if c and set(w) - set("IZ"):
+                return "joint", f"{label} word {w!r} has an X or Y letter"
+    if rho_b0 is not None:
+        return "joint", "rho_b0 was given"
+    return "modes", "the register is conserved: every word is in {I, Z}^K"
+
+
 class _JointSpectrum(NamedTuple):
     """Eigenpairs ``H = V diag(E) V^dag`` of the joint Hamiltonian, ``energies`` ``(d,)`` and
     ``vectors`` ``(d, d)``, next to ``bath_ground``, the ground vector of ``h_b`` that every
@@ -175,8 +197,7 @@ class SystemBathModel:
             raise ValueError(f"coupling {min(len(self.words) - 1, n_channels)}: the couplings "
                              f"have {n_channels} channels, the word tables {len(self.words) - 1}")
         n_qubits = self.n_qubits
-        for label, words in zip(("h_s", *(f"coupling {a}" for a in range(n_channels))),
-                                self.words):
+        for label, words in _named(self.words):
             for w, c in words.items():
                 if not _is_word(w, n_qubits):
                     raise ValueError(f"{label}: {w!r} is not a {n_qubits}-letter Pauli word")
@@ -241,9 +262,9 @@ class SystemBathModel:
         register state ``c``'s Hamiltonian (``s_a(c)``: the diagonal of ``S_a``), with
         ``E_c``, that of ``h_s``, added to mode 0: a ``(d_s m, n, n)`` stack, register
         state major. None unless every word with a nonzero coefficient is in {I, Z}^K
-        (every register qubit conserved). Made once per model, on the first read, from
-        the tables."""
-        if any(c and set(w) - set("IZ") for words in self.words for w, c in words.items()):
+        (every register qubit conserved: :func:`run_path`). Made once per model, on the first
+        read, from the tables."""
+        if run_path(self.words)[0] != "modes":
             return None
         n = self.n_qubits
         diag = np.zeros((len(self.words), self.system_dim))  # the diagonals of the sums,

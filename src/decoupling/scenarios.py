@@ -35,9 +35,11 @@ from .model import (
     build_system_bath_model,
     coupling_tables,
 )
-from .groups import DecouplingGroup, _is_word, check_decoupling, pauli_group, trivial_group
+from .groups import (DecouplingGroup, _averaged, _frobenius, _is_word, check_decoupling,
+                     pauli_group, trivial_group)
 from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
-from .evolve import SimulationRun, SnapshotBoundError, estimate_rates, evolve, fit_scaling_exponent
+from .evolve import (SimulationRun, SnapshotBoundError, TrajectoryResult, estimate_rates, evolve,
+                     fit_scaling_exponent)
 
 SCENARIO_NAMES = (
     "dephasing-echo",
@@ -383,7 +385,8 @@ def _command(config: ScenarioConfig, out_dir, body) -> int:
     model is built, and the code is 1. Otherwise ``body(model, out, report)``
     runs on the one model and returns the summary keys past the shared
     ``scenario``/``seed``/``mode`` head and the text to print. Either way
-    the frame writes ``summary.json`` and ``run.log``; if the run raises,
+    the frame writes ``summary.json``, with what the group keeps of ``h_s``
+    (:func:`_control`) after the head, and ``run.log``; if the run raises,
     an ``out_dir`` it made that is still empty is removed.
     """
     t_start = time.time()
@@ -409,7 +412,8 @@ def _command(config: ScenarioConfig, out_dir, body) -> int:
         else:
             keys, text = body(build_model(config), out, report)
             status, code = "ok", 0
-        summary = {"scenario": config.scenario, "seed": config.seed, "mode": report.mode, **keys}
+        summary = {"scenario": config.scenario, "seed": config.seed, "mode": report.mode,
+                   **_control(config), **keys}
         (out / "summary.json").write_text(_json_text(summary))
         _write_log(out, config, t_start, status=status)
         print(text)
@@ -420,19 +424,33 @@ def _command(config: ScenarioConfig, out_dir, body) -> int:
         raise
 
 
+def _control(config: ScenarioConfig) -> dict:
+    """What averaging over the group does to ``h_s``, read off its word table: the words it
+    keeps and removes, with their coefficients, and the Frobenius norm of the removed part."""
+    kept, removed = _averaged(config.h_s, config.group)
+    return {"h_s_kept": kept, "h_s_removed": removed,
+            "h_s_removed_norm": _frobenius(removed, config.n_qubits)}
+
+
+def _diagnostics(traj: TrajectoryResult) -> dict:
+    """The ``diagnostics`` keys of one controlled trajectory, for ``simulate`` and for each
+    sweep point: why the run took its path."""
+    return {"path_reason": traj.run.path_reason}
+
+
 def run_scenario(config: ScenarioConfig, out_dir) -> int:
     """Run one controlled-versus-free comparison and write artifacts.
 
     Writes ``trajectory.csv`` (controlled), ``trajectory_free.csv``,
     ``summary.json``, and ``run.log`` into ``out_dir``. The summary's
     ``path`` is the one both runs took (``"modes"`` or ``"joint"``, see
-    :func:`evolve`); its ``diagnostics`` give each trajectory's joint
-    purity drift, terminal minus initial: unitary propagation conserves
-    purity, so anything above round-off is a numerical fault. Returns a
-    process exit code: nonzero when the configured group fails to average
-    the coupling away (mode ``none``), with the per-channel residual table
-    on stdout; that check reads the config only, so a rejected run builds
-    no model.
+    :class:`SimulationRun`); its ``diagnostics`` give why the runs took it
+    (``path_reason``) and each trajectory's joint purity drift, terminal
+    minus initial: unitary propagation conserves purity, so anything above
+    round-off is a numerical fault. Returns a process exit code: nonzero
+    when the configured group fails to average the coupling away (mode
+    ``none``), with the per-channel residual table on stdout; that check
+    reads the config only, so a rejected run builds no model.
     """
     _check_sample_every(config.n_cycles, config, "sample_every")
 
@@ -469,8 +487,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
                 "trace_distance_free": float(free.trace_distance[-1]),
             },
             "diagnostics": {
-                f"joint_purity_drift_{name}": traj.joint_purity[1] - traj.joint_purity[0]
-                for name, traj in (("controlled", controlled), ("free", free))
+                **_diagnostics(controlled),
+                **{f"joint_purity_drift_{name}": traj.joint_purity[1] - traj.joint_purity[0]
+                   for name, traj in (("controlled", controlled), ("free", free))},
             },
         }
         text = (f"{config.scenario}: mode={report.mode}, "
@@ -544,7 +563,8 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
     ``delta_t`` but only on the sample grid: free runs go finest grid
     first, and a grid whose cycle count divides that of an evolved one
     reads its every k-th sample, while any other grid evolves its own.
-    The summary's ``path`` is the one every point took. A group that fails
+    The summary's ``path`` is the one every point took, and each point's
+    ``diagnostics`` say why (``path_reason``). A group that fails
     to decouple is rejected as in :func:`run_scenario`. A point whose
     infidelity is not positive cannot be fitted: the ``ValueError`` names
     each such point, and nothing is written.
@@ -568,7 +588,8 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
         for v, run in zip(config.sweep_values, runs):
             traj = evolve(run)
             rows.append({"delta_t": v, "infidelity": float(1.0 - traj.fidelity[-1]),
-                         "rates": estimate_rates(traj.times, free[run.n_cycles], traj.coherence)})
+                         "rates": estimate_rates(traj.times, free[run.n_cycles], traj.coherence),
+                         "diagnostics": _diagnostics(traj)})
 
         bad = [f"sweep.values[{i}] (delta_t {row['delta_t']!r}) has infidelity "
                f"{row['infidelity']!r}" for i, row in enumerate(rows) if row["infidelity"] <= 0]
@@ -595,8 +616,7 @@ def run_sweep(config: ScenarioConfig, out_dir) -> int:
             "r_squared": fit.r_squared,
             "fit_point_count": len(rows),
             "points": [
-                {"delta_t": row["delta_t"], "infidelity": row["infidelity"],
-                 "rates": row["rates"].to_record()}
+                {**row, "rates": row["rates"].to_record()}
                 for row in rows
             ],
             "feasibility": _feasibility(config.bath.cutoff * max(config.sweep_values)),

@@ -35,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from decoupling import Operator, expm_hermitian
-from decoupling.evolve import _cycle_blocks, _ensemble
+from decoupling.evolve import _cycle_blocks
 from decoupling.operators import STRUCT_TOL, as_matrices
 
 from oracle_groups import frames as schedule_frames, word_product
@@ -238,8 +238,9 @@ def stepped_snapshots(run):
     the package's cycle, and each one's reduced state, one ``M M^dag``
     a snapshot: the kernel's loop before it reduced snapshots in blocks."""
     spectrum = run.model._joint_spectrum
-    bath = spectrum.bath_ground[:, None] if run.rho_b0 is None else _ensemble(run.rho_b0)
-    psi0 = _ensemble(run.rho_s0)[:, None, :, None] * bath[:, None]
+    system, bath = run._columns
+    bath = spectrum.bath_ground[:, None] if bath is None else bath
+    psi0 = system[:, None, :, None] * bath[:, None]
     psi0 = psi0.reshape(spectrum.energies.shape + (-1,))
     u_cycle = _cycle_blocks(run.model, run.schedule)
     every_cycle = itertools.accumulate(

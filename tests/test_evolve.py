@@ -2,8 +2,10 @@
 
 import gc
 import importlib
+import itertools
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -27,7 +29,9 @@ from decoupling import (
     observable_drift,
     parse_config,
     pauli_group,
+    pauli_sum,
     pauli_word_operator,
+    project_commutant,
     run_scenario,
     run_sweep,
     schedule_from_group,
@@ -35,7 +39,7 @@ from decoupling import (
     symmetrize,
     trivial_group,
 )
-from decoupling.evolve import SNAPSHOT_CAP, SnapshotBoundError, _mode_wise
+from decoupling.evolve import SNAPSHOT_CAP, SnapshotBoundError
 from decoupling.scenarios import PRESETS, _free_run
 
 from oracle_dm import bath_ground_state
@@ -393,11 +397,12 @@ def test_initial_columns_are_the_kron_product_bitwise(monkeypatch, mixed):
                       [2, 2])
     rho_b0 = Operator(np.diag([0.5, 0.3, 0.2] + [0.0] * 5), [2, 2, 2]) if mixed else None
     schedule = schedule_from_group(pauli_group(2, "flip"), 0.1)
-    evolve(SimulationRun(model=model, schedule=schedule, n_cycles=2, rho_s0=rho_s0,
-                         rho_b0=rho_b0))
+    run = SimulationRun(model=model, schedule=schedule, n_cycles=2, rho_s0=rho_s0,
+                        rho_b0=rho_b0)
+    evolve(run)
     spectrum = model._joint_spectrum
-    bath = evolve_module._ensemble(rho_b0) if mixed else spectrum.bath_ground[:, None]
-    want = np.kron(evolve_module._ensemble(rho_s0), bath)
+    system, bath = run._columns
+    want = np.kron(system, bath if mixed else spectrum.bath_ground[:, None])
     assert spectrum.energies.shape == (32,) and want.shape == (32, 6 if mixed else 1)
     assert np.array_equal(seen[0], want)
 
@@ -476,6 +481,85 @@ def test_free_evolution_reference_uses_bare_hamiltonian():
     assert traj.terminal_fidelity > 1.0 - 1e-8
     # but the state itself rotates: it is not frozen
     assert np.max(np.abs(traj.states[-1] - ground.matrix)) > 0.1
+
+
+@pytest.mark.parametrize("name", [name for name in PRESETS if name != "custom"])
+def test_the_reference_is_the_dense_projection_bitwise_on_every_preset(name):
+    """The reference Hamiltonian, the Pauli sum of the words of ``h_s`` the group
+    keeps, is the dense projection of ``h_s`` (the oracle), bit for bit."""
+    config = parse_config({"scenario": name, "seed": 7})
+    run = SimulationRun(build_model(config), build_schedule(config), 1, config.rho_s0)
+    want = project_commutant(pauli_sum(config.h_s, config.n_qubits), config.group)
+    assert run.ideal_system_hamiltonian().matrix.tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_the_reference_is_the_dense_projection_on_every_named_group(n_qubits):
+    """On every named group of one to three qubits, the word-table reference is the
+    dense projection bit for bit for each word alone, and to 1e-15 times the sum of
+    ``|c|`` for ``h_s`` holding every word at once with coefficients in [-1, 1]:
+    there the dense projection adds kept and removed words of one entry before it
+    cancels them."""
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n_qubits)]
+    coefficients = np.random.default_rng(n_qubits).uniform(-1.0, 1.0, len(words))
+    rho_s0 = Operator(np.eye(2**n_qubits) / 2**n_qubits, (2,) * n_qubits)
+    groups = [trivial_group(n_qubits)] + [pauli_group(n_qubits, variant)
+                                          for variant in ("flip", "collective", "full")]
+    for table, tol in [*(({w: 0.7}, None) for w in words),
+                       (dict(zip(words, coefficients.tolist())),
+                        1e-15 * np.abs(coefficients).sum())]:
+        model = make_model(n_qubits=n_qubits, h_s=table)
+        for group in groups:
+            run = SimulationRun(model, schedule_from_group(group, 0.1), 1, rho_s0)
+            got = run.ideal_system_hamiltonian().matrix
+            want = project_commutant(pauli_sum(table, n_qubits), group).matrix
+            if tol is None:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("h_s, mixed, ground", [
+    ({"Z": 0.3}, False, False), ({"Z": 0.3}, True, False), ({"X": 0.3}, False, False),
+    ({"X": 0.3}, True, False), ({"Z": 0.3}, True, True)],
+    ids=["modes", "modes-mixed", "joint", "joint-mixed", "joint-rho_b0"])
+def test_a_run_decomposes_its_initial_states_once(monkeypatch, h_s, mixed, ground):
+    """Making a run, evolving it and reading its fidelity make one ``eigh`` or
+    ``eigvalsh`` whose input is the matrix of ``rho_s0``, and one of ``rho_b0``
+    when it is given: the run's check gives the columns both the joint path and
+    the reference read."""
+    model = make_model(h_s=h_s)
+    rho_s0 = Operator(np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex) if mixed
+                      else PLUS.matrix, [2])
+    rho_b0 = bath_ground_state(model) if ground else None
+    seen = {"rho_s0": 0, "rho_b0": 0}
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, inner=getattr(np.linalg, name), **kwargs):
+            for key, rho in (("rho_s0", rho_s0), ("rho_b0", rho_b0)):
+                seen[key] += rho is not None and np.shape(a) == rho.matrix.shape and bool(
+                    np.array_equal(a, rho.matrix))
+            return inner(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    run = SimulationRun(model, schedule_from_group(pauli_group(1, "flip"), 0.1), 20, rho_s0,
+                        rho_b0=rho_b0)
+    evolve(run).fidelity
+    assert seen == {"rho_s0": 1, "rho_b0": int(ground)}
+
+
+def test_no_run_makes_the_dense_projection(monkeypatch, tmp_path):
+    """A ``simulate`` and a ``sweep``, on the joint and on the product path, never
+    call ``project_commutant``: the reference comes from the word table."""
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "decoupling"]:
+        if hasattr(module, "project_commutant"):
+            monkeypatch.setattr(module, "project_commutant",
+                                lambda *args: calls.append(args) or project_commutant(*args))
+    for name in ("collective-register", "dephasing-echo"):
+        config = parse_config({"scenario": name, "seed": 7, "n_cycles": 8, "delta_t": 0.04,
+                               "sweep": {"parameter": "delta_t", "values": [0.01, 0.02, 0.04]}})
+        for run in (run_scenario, run_sweep):
+            assert run(config, tmp_path / name / run.__name__) == 0
+    assert calls == []
 
 
 def test_trivial_group_reference_is_the_bare_hamiltonian_exactly():
@@ -586,24 +670,57 @@ def test_run_takes_only_integer_counts(name, value):
     assert got.cycles.tolist() == want.cycles.tolist()
 
 
-@pytest.mark.parametrize("h_s, rho_s0, width, product", [
-    ({"Z": 0.3}, PLUS, 2 * 2 * 3 * 2, True),  # d_s m n, twice: extended precision
-    ({"X": 0.3}, PLUS, 16, False),  # d = 2 * 2**3, one column
-    ({"X": 0.3}, Operator(np.diag([0.75, 0.25]).astype(complex), [2]), 32, False),  # rank 2
+@pytest.mark.parametrize("h_s, rho_s0, width, path", [
+    # 4 d_s m n (the snapshots twice, in extended precision) + (m + 2) d_s**2
+    ({"Z": 0.3}, PLUS, 4 * 2 * 3 * 2 + 5 * 4, "modes"),
+    ({"X": 0.3}, PLUS, 3 * 16 + 4, "joint"),  # three arrays of d = 2 * 2**3 + d_s**2
+    ({"X": 0.3}, Operator(np.diag([0.75, 0.25]).astype(complex), [2]), 3 * 32 + 4,
+     "joint"),  # rank 2: two columns
 ], ids=["product", "joint", "joint-mixed"])
-def test_a_run_is_bounded_by_its_snapshot_array(h_s, rho_s0, width, product):
-    """A run whose snapshot array would hold more than ``SNAPSHOT_CAP`` numbers
-    is refused on ``n_cycles`` when it is made: the longest run that fits is
+def test_a_run_is_bounded_by_its_snapshot_array(h_s, rho_s0, width, path):
+    """A run whose peak would hold more than ``SNAPSHOT_CAP`` numbers is
+    refused on ``n_cycles`` when it is made: the longest run that fits is
     made, and one more snapshot, at any ``sample_every``, is refused. Counts
     are compared as Python ints, so a numpy count cannot wrap past the bound."""
     model = make_model(h_s=h_s)
     sched = schedule_from_group(pauli_group(1, "flip"), delta_t=0.1)
     fit = SNAPSHOT_CAP // width
-    assert _mode_wise(SimulationRun(model, sched, fit - 1, rho_s0)) == product
+    assert SimulationRun(model, sched, fit - 1, rho_s0).path == path
     for n_cycles, every in ((fit, 1), (2 * fit, 2), (np.int64(2**62), np.int64(1))):
         with pytest.raises(SnapshotBoundError, match=f"^n_cycles: {n_cycles // every + 1} "
-                                                     f"snapshots of {width} numbers exceed"):
+                                                     f"snapshots of {width} numbers at the "
+                                                     "peak exceed"):
             SimulationRun(model, sched, n_cycles, rho_s0, sample_every=every)
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["stepped", "free"])
+@pytest.mark.parametrize("word, path", [("Z", "modes"), ("ZZZ", "modes"), ("X", "joint"),
+                                        ("XII", "joint")])
+def test_a_runs_peak_stays_within_what_its_bound_counts(word, path, free):
+    """What ``evolve`` allocates at its peak (tracemalloc), on a run of 4097
+    snapshots of a small model, stays within the numbers per snapshot that
+    the bound counts, 16 bytes each: ``3 d r + d_s**2`` on the joint path and
+    ``4 d_s m n + (m + 2) d_s**2`` on the product path. Three qubits make the
+    reduced states and the per-mode overlaps count."""
+    n_qubits = len(word)
+    model = build_system_bath_model(
+        n_qubits, BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.4, seed=7),
+        coupling="dephasing", h_s={word: 0.3})
+    group = trivial_group(n_qubits) if free else pauli_group(n_qubits, "flip")
+    psi = np.full(2**n_qubits, 2 ** (-n_qubits / 2))
+    run = SimulationRun(model, schedule_from_group(group, 0.1), 4096,
+                        Operator(np.outer(psi, psi).astype(complex), (2,) * n_qubits))
+    assert run.path == path
+    d_s, (m, n, _) = model.system_dim, model.hamiltonian.shape
+    width = (4 * d_s * m * n + (m + 2) * d_s**2 if path == "modes"
+             else 3 * d_s * model.bath_dim + d_s**2)
+    tracemalloc.start()
+    try:
+        evolve(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4097 * width * 16
 
 
 def test_trajectory_metadata_and_csv(tmp_path):

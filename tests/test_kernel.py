@@ -33,8 +33,6 @@ from decoupling import (
     trivial_group,
 )
 
-from decoupling.evolve import _ensemble, _mode_wise
-
 import oracle_dm
 from oracle_model import dense_parts
 
@@ -186,7 +184,7 @@ def assert_product_path_matches_the_joint_path(run):
 def test_product_path_matches_the_sector_path(overrides):
     for run in preset_runs(overrides["scenario"], **{k: v for k, v in overrides.items()
                                                      if k != "scenario"}):
-        assert _mode_wise(run)
+        assert run.path == "modes"
         assert_product_path_matches_the_joint_path(run)
 
 
@@ -301,7 +299,7 @@ def test_closed_form_matches_the_blocked_oracle(monkeypatch, name, seed):
     calls = recorded(monkeypatch, "_spectral_evolution")
     free = preset_runs(name, seed=seed)[1]
     runs = [free] + ([replace(free, rho_b0=oracle_dm.bath_ground_state(free.model))]
-                     if _mode_wise(free) else [])
+                     if free.path == "modes" else [])
     for run in runs:
         evolve(run)
     d = free.model.system_dim * free.model.bath_dim
@@ -341,7 +339,7 @@ def assert_fidelity_matches_the_threshold_kernel(run):
     1e-10 of pure as pure, on the same states and a reference evolved by
     its own exponential: they differ by at most that 1e-10."""
     got = evolve(run)
-    system = _ensemble(run.rho_s0)
+    system = run._columns[0]
     h_ideal = run.ideal_system_hamiltonian()
     roots = np.array([expm_hermitian(h_ideal, t).matrix @ system for t in got.times])
     diff = np.max(np.abs(got.fidelity - oracle_dm.reference_fidelity(got.states, roots)))

@@ -29,6 +29,7 @@ from decoupling import (
     cycle_propagator,
     evolve,
     minimal_group_search,
+    pauli_sum,
     project_commutant,
     schedule_from_group,
 )
@@ -79,6 +80,26 @@ def test_group_rejects_span_missing_a_word(words):
         else:
             with pytest.raises(ValueError, match="closed"):
                 DecouplingGroup(rest)
+
+
+@PROPERTY_SETTINGS
+@given(subgroups(), st.data())
+def test_reference_from_the_word_table_is_the_dense_projection(words, data):
+    """A run's reference Hamiltonian, the Pauli sum of the words of ``h_s`` that
+    commute with every generator, is the dense projection of ``h_s`` to 1e-15
+    times the sum of ``|c|`` (the largest entry either can hold), for a random
+    table of coefficients in [-1, 1] on a random subgroup."""
+    group = DecouplingGroup(words)
+    k = group.n_qubits
+    table = data.draw(st.dictionaries(st.text(alphabet="IXYZ", min_size=k, max_size=k),
+                                      st.floats(-1.0, 1.0), max_size=12))
+    bath = BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.4, seed=7)
+    run = SimulationRun(build_system_bath_model(k, bath, h_s=table),
+                        schedule_from_group(group, 0.1), 1,
+                        Operator(np.eye(group.dim) / group.dim, group.dims))
+    want = project_commutant(pauli_sum(table, k), group).matrix
+    scale = max(1.0, sum(abs(c) for c in table.values()))
+    assert np.max(np.abs(run.ideal_system_hamiltonian().matrix - want)) <= 1e-15 * scale
 
 
 @PROPERTY_SETTINGS

@@ -2,27 +2,32 @@
 
 import importlib
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle_sweep
+from oracle_dm import bath_ground_state
 
 from decoupling import (
     BathSpec,
     ConfigError,
+    SimulationRun,
     build_model,
     build_schedule,
+    evolve,
     load_config,
     parse_config,
     pauli_sum,
     run_scenario,
     run_sweep,
 )
-from decoupling.model import MIN_COUPLING_SCALE
+from decoupling.model import MIN_COUPLING_SCALE, run_path
 from decoupling.scenarios import PRESETS, SCENARIO_NAMES, _named_state
 
 
@@ -360,9 +365,10 @@ def test_rejection_builds_no_model(tmp_path, monkeypatch, run):
 @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "custom"])
 def test_joint_purity_drift_is_round_off(tmp_path, name):
     assert run_scenario(parse_config({"scenario": name, "seed": 7}), tmp_path) == 0
-    drift = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]
-    assert sorted(drift) == ["joint_purity_drift_controlled", "joint_purity_drift_free"]
-    assert max(abs(v) for v in drift.values()) <= 1e-10
+    diagnostics = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]
+    drift = [diagnostics.pop(f"joint_purity_drift_{run}") for run in ("controlled", "free")]
+    assert sorted(diagnostics) == ["path_reason"]
+    assert max(abs(v) for v in drift) <= 1e-10
 
 
 def test_run_sweep_rejects_non_decoupling_group(tmp_path, capsys):
@@ -650,3 +656,83 @@ def test_run_sweep_evolves_each_free_sample_time_once(doc, free_snapshots, tmp_p
     assert len(results) == len(free) + len(config.sweep_values)
     assert not any("fidelity" in vars(result) for result in free)
     assert not any("trace_distance" in vars(result) for result in results)
+
+
+#: What each preset's group keeps and removes of its ``h_s``, and the removed part's norm.
+CONTROL = {
+    "collective-register": ({"ZZ": 0.25}, {"ZI": 0.1}, 0.2),
+    "maximal-averaging": ({}, {"X": 0.3, "Z": 0.2}, math.sqrt(0.26)),
+    "selective-logic": ({"XX": 0.2}, {}, 0.0),
+    "dephasing-echo": ({}, {}, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", CONTROL)
+def test_a_summary_says_what_the_control_keeps(tmp_path, name):
+    """``summary.json`` of ``simulate`` and of ``sweep`` holds the words of ``h_s``
+    the group keeps and removes, with their coefficients, and the Frobenius norm
+    ``sqrt(d_s sum c**2)`` of the removed part, and says why the run took its path."""
+    kept, removed, norm = CONTROL[name]
+    config = parse_config({"scenario": name, "seed": 7, "n_cycles": 8, "delta_t": 0.04,
+                           "sweep": {"parameter": "delta_t", "values": [0.01, 0.02, 0.04]}})
+    for run in (run_scenario, run_sweep):
+        assert run(config, tmp_path / run.__name__) == 0
+        summary = json.loads((tmp_path / run.__name__ / "summary.json").read_text())
+        assert summary["h_s_kept"] == kept and summary["h_s_removed"] == removed
+        assert summary["h_s_removed_norm"] == pytest.approx(norm, rel=1e-15, abs=0.0)
+        reasons = ([summary["diagnostics"]["path_reason"]] if run is run_scenario
+                   else [point["diagnostics"]["path_reason"] for point in summary["points"]])
+        assert reasons == [run_path(build_model(config).words)[1]] * len(reasons)
+
+
+def test_a_rejected_run_says_what_the_control_keeps(tmp_path):
+    """A group that does not decouple still reports what it keeps of ``h_s``."""
+    config = parse_config({**NON_DECOUPLING, "h_s": {"Z": 0.5, "X": 0.1}})
+    assert run_scenario(config, tmp_path) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["h_s_kept"] == {"X": 0.1} and summary["h_s_removed"] == {"Z": 0.5}
+    assert summary["h_s_removed_norm"] == math.sqrt(2 * 0.25)
+
+
+def _ci_configs():
+    """The config documents of ``ci/entry_point.sh`` that the parser takes (the others
+    never run), by file name."""
+    text = (Path(__file__).resolve().parent.parent / "ci" / "entry_point.sh").read_text()
+    configs = {}
+    for doc, name in re.findall(r"echo '(\{.*\})' > \"\$work/([\w-]+)\.json\"", text):
+        try:
+            configs[name] = parse_config(json.loads(doc))
+        except ConfigError:
+            pass
+    return configs
+
+
+CI_CONFIGS = _ci_configs()
+
+
+@pytest.mark.parametrize("config", [parse_config({"scenario": name, "seed": 7})
+                                    for name in CONTROL] + list(CI_CONFIGS.values()),
+                         ids=[*CONTROL, *(f"ci-{name}" for name in CI_CONFIGS)])
+def test_the_path_reason_agrees_with_the_path(config):
+    """On every preset and every config the CI runs, the run's ``path_reason``
+    agrees with the path its trajectory took, and with the model's product-path
+    Hamiltonians: the product path says the register is conserved, and the joint
+    path names the first word with an X or Y letter, in table order, with its
+    table. A conserved register given ``rho_b0`` takes the joint path for that."""
+    model = build_model(config)
+    run = SimulationRun(model, build_schedule(config), config.sample_every, config.rho_s0,
+                        sample_every=config.sample_every)
+    assert evolve(run).path == run.path
+    assert (model._mode_hamiltonians is not None) == (run.path == "modes")
+    tables = dict(zip(["h_s", *(f"coupling {a}" for a in range(len(model.words) - 1))],
+                      model.words))
+    with_xy = [(label, w) for label, table in tables.items() for w, c in table.items()
+               if c and set(w) & set("XY")]
+    if run.path == "modes":
+        assert not with_xy
+        assert run.path_reason == "the register is conserved: every word is in {I, Z}^K"
+        run = replace(run, rho_b0=bath_ground_state(model))
+        assert (run.path, run.path_reason) == ("joint", "rho_b0 was given")
+    else:
+        label, word = with_xy[0]
+        assert run.path_reason == f"{label} word {word!r} has an X or Y letter"
