@@ -32,6 +32,17 @@ reason_has() {
 words_are() {
   python -c 'import json, sys; assert sorted(json.load(open(sys.argv[1]))[sys.argv[2]]) == sys.argv[3:]' "$@"
 }
+# refuses FIELD OUT COMMAND...: the command exits 2 with an `error:` line naming FIELD
+# and leaves no OUT behind; the address-space limit keeps a broken check (one that
+# lets a run start allocating) from exhausting the machine
+refuses() {
+  local field=$1 out=$2 code=0
+  shift 2
+  (ulimit -v 2000000; "$@") 2> "$work/refused.txt" || code=$?
+  test "$code" -eq 2
+  grep "^error: " "$work/refused.txt" | grep -qF -- "$field"
+  test ! -e "$out"
+}
 
 # the listing's length and order: 16 groups of order 4, two lines each
 "${cli[@]}" design --interaction ZI IZ ZZ --qubits 2 > "$work/design2.txt"
@@ -72,32 +83,26 @@ test ! -e "$work/flip-sweep/sweep.csv"
 # a coefficient whose phase a double cannot resolve is a config error naming
 # the field and exit 2, not exit 1, before any output is written
 echo '{"scenario": "dephasing-echo", "seed": 7, "h_s": {"Z": 1e308}}' > "$work/overflow.json"
-code=0
-"${cli[@]}" simulate --config "$work/overflow.json" --out "$work/overflow" 2> "$work/overflow.txt" || code=$?
-test "$code" -eq 2
-grep -q "^error: config field 'h_s.Z'" "$work/overflow.txt"
-test ! -e "$work/overflow"
+refuses "config field 'h_s.Z'" "$work/overflow" "${cli[@]}" simulate --config "$work/overflow.json" --out "$work/overflow"
 echo '{"scenario": "dephasing-echo", "seed": 7, "h_s": {"Z": 1e200}}' > "$work/overflow2.json"
-code=0
-"${cli[@]}" simulate --config "$work/overflow2.json" --out "$work/overflow2" 2> "$work/overflow2.txt" || code=$?
-test "$code" -eq 2
-grep -q "^error: config field 'h_s.Z'" "$work/overflow2.txt"
-test ! -e "$work/overflow2"
+refuses "config field 'h_s.Z'" "$work/overflow2" "${cli[@]}" simulate --config "$work/overflow2.json" --out "$work/overflow2"
 # a coupling scale whose square is subnormal is a config error naming the field
 echo '{"scenario": "collective-register", "seed": 7, "bath": {"coupling_scale": 1e-320}}' > "$work/underflow.json"
-code=0
-"${cli[@]}" simulate --config "$work/underflow.json" --out "$work/underflow" 2> "$work/underflow.txt" || code=$?
-test "$code" -eq 2
-grep -q "^error: config field 'bath.coupling_scale'" "$work/underflow.txt"
-test ! -e "$work/underflow"
+refuses "config field 'bath.coupling_scale'" "$work/underflow" "${cli[@]}" simulate --config "$work/underflow.json" --out "$work/underflow"
+# a group word that repeats an earlier one is named by its index
+echo '{"scenario": "dephasing-echo", "seed": 7, "group": ["I", "X", "X"]}' > "$work/repeat.json"
+refuses "config field 'group[2]'" "$work/repeat" "${cli[@]}" simulate --config "$work/repeat.json" --out "$work/repeat"
+echo '{"scenario": "dephasing-echo", "seed": 7, "coupling": "nope"}' > "$work/nope.json"
+refuses "config field 'coupling'" "$work/nope" "${cli[@]}" simulate --config "$work/nope.json" --out "$work/nope"
+# a subnormal delta_t divides the total time into infinitely many cycles
+echo '{"scenario": "dephasing-echo", "seed": 7, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 1e-320]}}' > "$work/subnormal-sweep.json"
+refuses "config field 'sweep.values[2]'" "$work/subnormal-sweep" "${cli[@]}" sweep --config "$work/subnormal-sweep.json" --out "$work/subnormal-sweep"
+# design names the flag of a bad word (and makes no directory)
+refuses "--interaction: 'ZQ'" "$work/design-zq" "${cli[@]}" design --interaction ZQ --qubits 2
 # |0> does not dephase: every infidelity is 0.0, the fit cannot be made, and
 # the sweep exits 2 naming the points, leaving no output directory behind
 echo '{"scenario": "custom", "seed": 7, "K": 1, "coupling": "dephasing", "group": "flip", "rho_s0": "zero", "bath": {"n_modes": 3, "cutoff": 1.0, "coupling_scale": 0.2}, "delta_t": 0.1, "n_cycles": 8, "sweep": {"parameter": "delta_t", "values": [0.2, 0.1, 0.05]}}' > "$work/zero-sweep.json"
-code=0
-"${cli[@]}" sweep --config "$work/zero-sweep.json" --out "$work/zero-sweep" 2> "$work/zero-sweep.txt" || code=$?
-test "$code" -eq 2
-grep -q "^error: .*sweep\.values\[0\]" "$work/zero-sweep.txt"
-test ! -e "$work/zero-sweep"
+refuses "sweep.values[0] (delta_t 0.2) has infidelity" "$work/zero-sweep" "${cli[@]}" sweep --config "$work/zero-sweep.json" --out "$work/zero-sweep"
 echo '{"scenario": "dephasing-echo", "seed": 7, "symmetric": true, "sweep": {"parameter": "delta_t", "values": [0.1, 0.05, 0.025]}}' > "$work/sweep.json"
 "${cli[@]}" sweep --config "$work/sweep.json" --out "$work/sweep"
 fit_points "$work/sweep/summary.json" 3
@@ -130,14 +135,9 @@ echo '{"scenario": "custom", "seed": 7, "K": 1, "group": "flip", "coupling": "de
 "${cli[@]}" simulate --config "$work/every-2.json" --out "$work/every-2"
 test $(wc -l < "$work/every-2/trajectory.csv") -eq 52
 path_is "$work/every-2/summary.json" modes
-# a run whose snapshots cannot be held is refused on n_cycles before anything is
-# allocated; the address-space limit keeps a broken bound from exhausting the machine
+# a run whose snapshots cannot be held is refused on n_cycles before anything is allocated
 echo '{"scenario": "dephasing-echo", "seed": 7, "n_cycles": 100000000}' > "$work/too-long.json"
-code=0
-(ulimit -v 2000000; "${cli[@]}" simulate --config "$work/too-long.json" --out "$work/too-long") 2> "$work/too-long.txt" || code=$?
-test "$code" -eq 2
-grep -q "^error: config field 'n_cycles'" "$work/too-long.txt"
-test ! -e "$work/too-long"
+refuses "config field 'n_cycles'" "$work/too-long" "${cli[@]}" simulate --config "$work/too-long.json" --out "$work/too-long"
 echo '{"scenario": "dephasing-echo", "seed": 7, "sweep": {"parameter": "delta_t", "values": [0.1, 0.08, 0.05]}}' > "$work/mixed.json"
 "${cli[@]}" sweep --config "$work/mixed.json" --out "$work/mixed"
 test $(wc -l < "$work/mixed/sweep.csv") -eq 4

@@ -18,19 +18,23 @@ import argparse
 import functools
 import sys
 
-from .groups import SEARCH_MAX_ORDER, SEARCH_MAX_QUBITS, check_decoupling, minimal_group_search
+from .groups import SEARCH_MAX_ORDER, check_decoupling, minimal_group_search
 from .sequence import boundary_pulses
 from .scenarios import ConfigError, load_config, run_scenario, run_sweep
 
 
+#: The flag that sets each parameter of :func:`minimal_group_search`.
+_FLAGS = {"n_qubits": "--qubits", "max_order": "--max-order", "tables": "--interaction"}
+
+
 def _design(args) -> int:
-    for flag, value, cap in (("--qubits", args.qubits, SEARCH_MAX_QUBITS),
-                             ("--max-order", args.max_order, SEARCH_MAX_ORDER)):
-        if not 1 <= value <= cap:
-            raise ValueError(f"{flag} must be between 1 and {cap}, got {value}")
     words = [w.upper() for w in args.interaction]
     tables = [{w: 1.0} for w in words]
-    groups = minimal_group_search(tables, args.qubits, max_order=args.max_order)
+    try:
+        groups = minimal_group_search(tables, args.qubits, max_order=args.max_order)
+    except ValueError as exc:  # led by the parameter's name, ``tables[i].<word>`` for a word
+        name, message = str(exc).split(": ", 1)
+        raise ValueError(f"{_FLAGS[name.split('[')[0]]}: {message}") from None
 
     print(f"interaction span: {words} on {args.qubits} qubit(s)")
     if not groups:

@@ -75,7 +75,7 @@ import numpy as np
 
 from .operators import DIM_CAP, NUMERIC_TOL, Operator, as_matrices
 from .model import SystemBathModel, run_path
-from .sequence import CycleSchedule
+from .sequence import CycleSchedule, _check_sampling
 from .groups import _averaged, _conjugate, _flips, _label, pauli_sum
 
 #: Density-matrix eigenvalues at or below this are eigensolver round-off
@@ -324,7 +324,8 @@ class SimulationRun:
     ``rho_b0`` is a bath density operator, ``None`` (the default) for the
     bath ground state. The ideal reference trajectory evolves under
     the system Hamiltonian averaged over the schedule's group. Snapshots
-    are taken every ``sample_every`` cycles, which must divide ``n_cycles``.
+    are taken every ``sample_every`` cycles, which must divide ``n_cycles``; both
+    are integers (numpy's too, stored as ``int``) of at least 1.
     A run resolves its inputs once, when it is made: one ``eigh`` of each
     initial state checks it and gives the ensemble columns that the joint
     path and the reference evolve, and :func:`~decoupling.model.run_path`
@@ -349,14 +350,7 @@ class SimulationRun:
     _columns: tuple = field(init=False, repr=False, compare=False)  # rho_s0's, rho_b0's or None
 
     def __post_init__(self):
-        for name in ("n_cycles", "sample_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name}: expected an integer, got {type(value).__name__}")
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles: must be at least 1")
-        if self.sample_every < 1 or self.n_cycles % self.sample_every != 0:
-            raise ValueError("sample_every: must be positive and divide n_cycles")
+        n_cycles, every = _check_sampling(self.n_cycles, self.sample_every)
         _matching_model(self.model, self.schedule)
         if not isinstance(self.rho_s0, Operator):
             raise ValueError(f"rho_s0: expected an Operator, got {type(self.rho_s0).__name__}")
@@ -369,9 +363,10 @@ class SimulationRun:
             if self.rho_b0.dims != self.model.bath_dims:
                 raise ValueError("rho_b0: dims do not match the model bath")
             bath = _check_density(self.rho_b0, "rho_b0")
-        model, snapshots = self.model, int(self.n_cycles) // int(self.sample_every) + 1
+        model, snapshots = self.model, n_cycles // every + 1
         path, reason = run_path(model.words, self.rho_b0)
-        for name, value in (("path", path), ("path_reason", reason), ("_columns", (system, bath))):
+        for name, value in (("n_cycles", n_cycles), ("sample_every", every), ("path", path),
+                            ("path_reason", reason), ("_columns", (system, bath))):
             object.__setattr__(self, name, value)
         d_s, (m, n, _) = model.system_dim, model.hamiltonian.shape
         r = system.shape[1] * (1 if bath is None else bath.shape[1])

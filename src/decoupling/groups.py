@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import Operator, NUMERIC_TOL
+from .operators import Operator, NUMERIC_TOL, _integer, _real
 
 PAULI_LETTERS = "IXYZ"
 
@@ -181,30 +181,33 @@ def pauli_sum(table: dict[str, complex], n_qubits: int) -> Operator:
 class DecouplingGroup:
     """Pauli words on a qubit register, closed under products up to phase.
 
-    ``words`` is the full element list: equal-length words over
-    ``IXYZ``, the identity word first, none repeated. ``codes`` holds
-    their codes, in that order. Closure is checked at every order by
+    ``words`` is the full element list: strings of as many letters over
+    ``IXYZ`` as the first, the identity word first, none repeated. ``codes``
+    holds their codes, in that order. Closure is checked at every order by
     spanning the list from its own words, one XOR per element, and the
     first product outside the list is named. ``generators`` holds the
     code of the first word of each new coset of that walk, in list order:
-    ``log2 |G|`` codes whose XOR span is ``codes``.
+    ``log2 |G|`` codes whose XOR span is ``codes``. A ``ValueError`` is led
+    by ``group[k]`` for a bad word ``k`` and by ``group`` for the list.
     """
 
     def __init__(self, words: Sequence[str]):
-        words = tuple(str(w) for w in words)
+        words = tuple(words)
         if not words:
-            raise ValueError("a decoupling group needs at least one word")
-        n = len(words[0])
+            raise ValueError("group: a decoupling group needs at least one word")
         position: dict[int, int] = {}  # code -> word index
         for k, w in enumerate(words):
-            if not _is_word(w):
-                raise ValueError(f"group word {k} ({w!r}) is not a Pauli word over 'IXYZ'")
-            if len(w) != n:
-                raise ValueError(f"group word {k} ({w!r}) has {len(w)} letters, expected {n}")
-            if position.setdefault(_code(w), k) != k:
-                raise ValueError(f"group word {k} ({w!r}) repeats an earlier word")
+            if not isinstance(w, str):
+                raise ValueError(f"group[{k}]: expected a string, got {type(w).__name__}")
+            n = len(words[0])
+            if not _is_word(w, n):
+                raise ValueError(f"group[{k}]: {w!r} is not a {n}-letter Pauli word")
+            c = _code(w)
+            if position.setdefault(c, k) != k:
+                raise ValueError(f"group[{k}]: Pauli word {w!r} repeats group[{position[c]}]")
+        words = tuple(map(str, words))
         if words[0] != "I" * n:
-            raise ValueError(f"the first group word must be the identity, got {words[0]!r}")
+            raise ValueError(f"group: the first group word must be the identity, got {words[0]!r}")
         span, spanned, generators = [0], {0}, []
         for k, c in enumerate(position):
             if c in spanned:
@@ -213,7 +216,7 @@ class DecouplingGroup:
             for s, p in zip(span, coset):
                 if p not in position:
                     raise ValueError(
-                        f"not projectively closed: product of {words[position[s]]!r} * "
+                        f"group: not projectively closed: product of {words[position[s]]!r} * "
                         f"{words[k]!r} is outside the set"
                     )
             span += coset
@@ -273,18 +276,18 @@ def pauli_group(n_qubits: int, variant: str = "full") -> DecouplingGroup:
         ``{1, X..X}`` of order 2: the collective spin echo, enough for
         purely dephasing (sigma_z) couplings.
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be at least 1")
+    _integer("n_qubits", n_qubits, 1)
     if variant == "full":
         if 4**n_qubits > 4096:
-            raise ValueError(f"full Pauli group on {n_qubits} qubits exceeds the order cap")
+            raise ValueError(f"group: full Pauli group on {n_qubits} qubits exceeds the order cap")
         words = _all_words(n_qubits)
     elif variant == "collective":
         words = [c * n_qubits for c in PAULI_LETTERS]
     elif variant == "flip":
         words = ["I" * n_qubits, "X" * n_qubits]
     else:
-        raise ValueError(f"unknown variant {variant!r}; expected 'full', 'collective' or 'flip'")
+        raise ValueError(f"group: unknown variant {variant!r}; "
+                         "expected 'full', 'collective' or 'flip'")
     return DecouplingGroup(words)
 
 
@@ -350,11 +353,21 @@ class DecouplingReport:
 # ``minimal_group_search`` scores every candidate subgroup of a level at once.
 
 
-def _check_tables(tables: Sequence[dict[str, complex]], n_qubits: int):
-    for table in tables:
-        for w in table:
+def _check_tables(tables: Sequence[dict[str, complex]], n_qubits: int,
+                  names: Sequence[str] | None = None, real: bool = False):
+    """Check word tables: each a dict of ``n_qubits``-letter words over ``IXYZ``, in sorted
+    word order, with ``real`` each coefficient a finite real number. A ``ValueError`` is led
+    by ``<name>.<word>``, or by ``<name>`` for a table that is not a dict; table ``i`` is
+    named ``names[i]``, by default ``tables[i]``."""
+    for i, table in enumerate(tables):
+        name = f"tables[{i}]" if names is None else names[i]
+        if not isinstance(table, dict):
+            raise ValueError(f"{name}: expected an object mapping Pauli words to coefficients")
+        for w in sorted(table):
+            if real:
+                _real(f"{name}.{w}", table[w])
             if not _is_word(w, n_qubits):
-                raise ValueError(f"{w!r} is not a {n_qubits}-letter Pauli word")
+                raise ValueError(f"{name}.{w}: {w!r} is not a {n_qubits}-letter Pauli word")
 
 
 def _averaged(table: dict[str, complex], group: DecouplingGroup) -> tuple[dict, dict]:
@@ -420,12 +433,15 @@ def minimal_group_search(
     (breadth-first by order, generators in lexicographic word order) and
     returns all groups of minimal order whose averaging leaves no
     channel a traceless part above ``NUMERIC_TOL``. Returns an empty list
-    if nothing within ``max_order`` works.
+    if nothing within ``max_order`` works. ``n_qubits`` runs from 1 to
+    :data:`SEARCH_MAX_QUBITS` and ``max_order`` from 1 to
+    :data:`SEARCH_MAX_ORDER`; a ``ValueError`` is led by the parameter's name
+    (``tables[i].<word>`` for a bad word).
     """
-    if not 1 <= n_qubits <= SEARCH_MAX_QUBITS:
-        raise ValueError(f"search covers 1 to {SEARCH_MAX_QUBITS} qubits, got {n_qubits}")
-    if max_order > SEARCH_MAX_ORDER:
-        raise ValueError(f"search capped at order {SEARCH_MAX_ORDER}, got {max_order}")
+    for name, value, cap in (("n_qubits", n_qubits, SEARCH_MAX_QUBITS),
+                             ("max_order", max_order, SEARCH_MAX_ORDER)):
+        if _integer(name, value, 1) > cap:
+            raise ValueError(f"{name}: must be at most {cap}, got {value}")
     _check_tables(tables, n_qubits)
     # every channel's terms, flattened: channel, code and |c|**2 (zero for the identity)
     owner = np.repeat(np.arange(len(tables)), [len(t) for t in tables])

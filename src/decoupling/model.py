@@ -30,8 +30,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import DIM_CAP, Operator
-from .groups import PAULI_MATRICES, _all_words, _code, _is_word, _parities, _pauli_sums
+from .operators import DIM_CAP, Operator, _integer, _real
+from .groups import PAULI_MATRICES, _all_words, _check_tables, _code, _parities, _pauli_sums
 
 
 BATH_KINDS = ("spin-bath", "boson-mode")
@@ -57,11 +57,11 @@ class BathSpec:
     ``seed``.
 
     It is the one check of a bath's fields, each message led by the field's
-    name, all made before any draw: a known kind, a truncation for boson baths
-    only, ``int`` sizes and seed (not ``bool``) at their minimum or above, a
-    bath dimension ``n_levels**n_modes`` within ``DIM_CAP``, and a finite
-    positive cutoff and coupling scale, stored as ``float``, the coupling scale
-    at least :data:`MIN_COUPLING_SCALE`.
+    config path, ``bath.<field>``, all made before any draw: a known kind, a
+    truncation for boson baths only, integer sizes and seed at their minimum or
+    above, stored as ``int``, a bath dimension ``n_levels**n_modes`` within
+    ``DIM_CAP``, and a finite positive cutoff and coupling scale, stored as
+    ``float``, the coupling scale at least :data:`MIN_COUPLING_SCALE`.
     """
 
     kind: str
@@ -74,35 +74,28 @@ class BathSpec:
 
     def __post_init__(self):
         if self.kind not in BATH_KINDS:
-            raise ValueError(f"kind: unknown bath kind {self.kind!r}; expected one of {BATH_KINDS}")
+            raise ValueError(f"bath.kind: unknown bath kind {self.kind!r}; "
+                             f"expected one of {BATH_KINDS}")
         boson = self.kind == "boson-mode"
         if boson != (self.boson_truncation is not None):
-            raise ValueError("boson_truncation: " + ("required for boson-mode baths" if boson
-                                                     else "only applies to boson-mode baths"))
+            raise ValueError("bath.boson_truncation: " + (
+                "required for boson-mode baths" if boson else "only applies to boson-mode baths"))
         for name, minimum in {"n_modes": 1, **({"boson_truncation": 2} if boson else {}),
                               "seed": 0}.items():
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name}: expected an integer, got {type(value).__name__}")
-            if value < minimum:
-                raise ValueError(f"{name}: must be >= {minimum}, got {value}")
+            object.__setattr__(self, name, _integer(f"bath.{name}", getattr(self, name), minimum))
         levels = self.boson_truncation or 2
         # the exponent stops where the power already exceeds the cap, so a huge
         # n_modes never becomes a huge integer
         if levels ** min(self.n_modes, DIM_CAP.bit_length()) > DIM_CAP:
-            raise ValueError(f"n_modes: bath dimension {levels}**{self.n_modes} "
+            raise ValueError(f"bath.n_modes: bath dimension {levels}**{self.n_modes} "
                              f"exceeds the cap {DIM_CAP}")
         for name in ("cutoff", "coupling_scale"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, float)):
-                raise ValueError(f"{name}: expected a number, got {type(value).__name__}")
-            value = np.inf if abs(value) >= 2**1024 else float(value)  # a huge int overflows
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name}: must be a positive finite number, got {value!r}")
+            value = _real(f"bath.{name}", getattr(self, name), positive=True)
             object.__setattr__(self, name, value)
         if self.coupling_scale < MIN_COUPLING_SCALE:
-            raise ValueError(f"coupling_scale: must be at least {MIN_COUPLING_SCALE!r}, where "
-                             f"its square is still a normal double, got {self.coupling_scale!r}")
+            raise ValueError(f"bath.coupling_scale: must be at least {MIN_COUPLING_SCALE!r}, "
+                             "where its square is still a normal double, "
+                             f"got {self.coupling_scale!r}")
         rng = np.random.default_rng(self.seed)
         spacing = self.cutoff / self.n_modes
         base = spacing * np.arange(1, self.n_modes + 1)
@@ -170,8 +163,8 @@ class SystemBathModel:
     copy of the array given. An unstructured bath is one mode, ``SystemBathModel(words,
     h_b[None], B[:, None])``.
 
-    It is checked on its tables: stacks of agreeing shapes, ``K``-letter words with real
-    coefficients, one word table per channel of the stacks (a failing table is named),
+    It is checked on its tables: stacks of agreeing shapes, ``K``-letter words with finite
+    real coefficients, one word table per channel of the stacks (a failing table is named),
     Hermitian terms of ``h_b`` and of each ``B_a`` (a failing channel is named), the
     dimension cap, and independent ``B_a`` by :func:`coupling_gram` (a dependent set
     silently merges decoherence channels). It caches no dense operator, only the joint
@@ -196,13 +189,8 @@ class SystemBathModel:
         if len(self.words) != 1 + n_channels:
             raise ValueError(f"coupling {min(len(self.words) - 1, n_channels)}: the couplings "
                              f"have {n_channels} channels, the word tables {len(self.words) - 1}")
-        n_qubits = self.n_qubits
-        for label, words in _named(self.words):
-            for w, c in words.items():
-                if not _is_word(w, n_qubits):
-                    raise ValueError(f"{label}: {w!r} is not a {n_qubits}-letter Pauli word")
-                if complex(c).imag:
-                    raise ValueError(f"{label}: the coefficient of {w!r} is not real")
+        _check_tables(self.words, self.n_qubits, [label for label, _ in _named(self.words)],
+                      real=True)
         if not all(Operator(x).is_hermitian() for x in h):
             raise ValueError("bath Hamiltonian is not Hermitian")
         if self.system_dim * self.bath_dim > DIM_CAP:
@@ -337,7 +325,7 @@ def coupling_tables(n_qubits: int, kind: str) -> list[dict[str, complex]]:
         return [{site(letter, i): 1.0 for i in range(n_qubits)} for letter in "XYZ"]
     if kind == "total":
         return [{w: 1.0} for w in _all_words(n_qubits)[1:]]
-    raise ValueError(f"unknown coupling kind {kind!r}; expected one of {COUPLING_KINDS}")
+    raise ValueError(f"coupling: unknown coupling kind {kind!r}; expected one of {COUPLING_KINDS}")
 
 
 def _mode(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -357,25 +345,22 @@ def _mode(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(np.arange(n_levels)).astype(complex), (lower + lower.T)[None]
 
 
-def bath_capacity_problem(
-    bath: BathSpec, n_qubits: int, coupling: str
-) -> tuple[str, str] | None:
-    """Why ``bath`` cannot carry the ``coupling`` channels, or None if it can.
+def _check_capacity(bath: BathSpec, n_qubits: int, coupling: str):
+    """Check that ``bath`` can carry the ``coupling`` channels; a ``ValueError`` is led by
+    the field to blame, ``coupling`` or ``bath.n_modes``.
 
-    The answer is the config field to blame and a message. Boson baths
-    take only ``dephasing``. Each channel needs its own bath operator,
-    and the channels' operators are independent only if the modes offer
-    enough coupling directions: two per spin, one per boson.
+    ``coupling`` is a known kind. Boson baths take only ``dephasing``. Each channel needs
+    its own bath operator, and the channels' operators are independent only if the modes
+    offer enough coupling directions: two per spin, one per boson.
     """
-    if bath.kind == "boson-mode" and coupling != "dephasing":
-        return "coupling", "boson-mode baths support only 'dephasing'"
     n_channels = len(coupling_tables(n_qubits, coupling))
+    if bath.kind == "boson-mode" and coupling != "dephasing":
+        raise ValueError("coupling: boson-mode baths support only 'dephasing'")
     directions = len(_mode(bath)[1])
     needed = -(-n_channels // directions)
     if bath.n_modes < needed:
-        return "bath.n_modes", (f"{n_channels} coupling channels need at least {needed} "
-                                f"bath modes, got {bath.n_modes}")
-    return None
+        raise ValueError(f"bath.n_modes: {n_channels} coupling channels need at least {needed} "
+                         f"bath modes, got {bath.n_modes}")
 
 
 def build_system_bath_model(
@@ -412,12 +397,8 @@ def build_system_bath_model(
     ``total``
         every nontrivial Pauli word (errors of arbitrary weight).
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be at least 1")
-    tables = coupling_tables(n_qubits, coupling)
-    problem = bath_capacity_problem(bath, n_qubits, coupling)
-    if problem is not None:
-        raise ValueError(problem[1])
+    tables = coupling_tables(_integer("n_qubits", n_qubits, 1), coupling)
+    _check_capacity(bath, n_qubits, coupling)
     h_mode, ops = _mode(bath)
     # every channel's per-mode draws from one draw, the stream of one draw per channel
     rng = np.random.default_rng(np.random.SeedSequence(entropy=bath.seed, spawn_key=(1,)))

@@ -80,6 +80,28 @@ class Operator:
         return f"Operator(d={self.dim}, dims={self.dims})"
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``: an ``int`` or numpy integer, not a ``bool``, at least
+    ``minimum``; otherwise a ``ValueError`` led by ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: expected an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite ``float``: a real number, not a ``bool``, an int too large for a
+    double reading as infinite, and with ``positive`` above 0; otherwise a ``ValueError``
+    led by ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name}: expected a number, got {type(value).__name__}")
+    v = math.inf if isinstance(value, int) and abs(value) >= 2**1024 else float(value)
+    if not math.isfinite(v) or (positive and v <= 0):
+        raise ValueError(f"{name}: must be a {'positive ' * positive}finite number, got {v!r}")
+    return v
+
+
 def _checked_dims(d: int, dims: Sequence[int] | None) -> tuple[int, ...]:
     """``dims`` (default ``(d,)``) as a tuple, checked to multiply to ``d``, at most the cap."""
     if d < 1:

@@ -21,24 +21,19 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .operators import DIM_CAP, Operator
-from .model import (
-    COUPLING_KINDS,
-    BathSpec,
-    SystemBathModel,
-    bath_capacity_problem,
-    build_system_bath_model,
-    coupling_tables,
-)
-from .groups import (DecouplingGroup, _averaged, _frobenius, _is_word, check_decoupling,
+from .operators import DIM_CAP, Operator, _integer, _real
+from .model import (BathSpec, SystemBathModel, _check_capacity, build_system_bath_model,
+                    coupling_tables)
+from .groups import (DecouplingGroup, _averaged, _check_tables, _frobenius, check_decoupling,
                      pauli_group, trivial_group)
-from .sequence import CycleSchedule, schedule_from_group, schedule_to_record
-from .evolve import (SimulationRun, SnapshotBoundError, TrajectoryResult, estimate_rates, evolve,
+from .sequence import CycleSchedule, _check_sampling, schedule_from_group, schedule_to_record
+from .evolve import (SimulationRun, TrajectoryResult, estimate_rates, evolve,
                      fit_scaling_exponent)
 
 SCENARIO_NAMES = (
@@ -124,23 +119,18 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    if type(value) is not int:
-        _fail(path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_number(value, path: str, positive: bool = False) -> float:
-    if type(value) is bool or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
-    v = float(value) if abs(value) < 2**1024 else math.inf  # no OverflowError for huge ints
-    if not math.isfinite(v):
-        _fail(path, "must be finite")
-    if positive and v <= 0:
-        _fail(path, f"must be positive, got {v}")
-    return v
+@contextmanager
+def _fields(path: str | None = None):
+    """Map a library check's ``ValueError``, led by its field's config path, to a
+    :class:`ConfigError` on that path, or on ``path`` when given; a ``ConfigError``
+    passes as it is. Also a decorator."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        name, message = str(exc).split(": ", 1)
+        _fail(path or name, message)
 
 
 def _as_bool(value, path: str) -> bool:
@@ -177,16 +167,6 @@ def _named_state(name: str, n_qubits: int, path: str) -> Operator:
     return Operator(np.outer(psi, psi.conj()), (2,) * n_qubits)
 
 
-def _word_table(table: dict, n_qubits: int, path: str) -> dict[str, float]:
-    if not isinstance(table, dict):
-        _fail(path, "expected an object mapping Pauli words to real coefficients")
-    for word in sorted(table):
-        _as_number(table[word], f"{path}.{word}")
-        if not _is_word(word, n_qubits):
-            _fail(f"{path}.{word}", f"not a {n_qubits}-letter Pauli word")
-    return {word: float(table[word]) for word in sorted(table)}
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved scenario: validated objects, not raw JSON values."""
@@ -207,17 +187,20 @@ class ScenarioConfig:
     output_dir: str | None
 
 
+@_fields()
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a config document and resolve it against its preset.
 
     Unknown keys anywhere are hard errors; every error message names the
-    offending field path. The ``seed`` field is mandatory.
+    offending field path. The ``seed`` field is mandatory. The library type
+    that owns a value checks it (:func:`_fields`); the parser adds only the
+    rules that need the rest of the document.
     """
     _check_keys(doc, _TOP_KEYS, "")
     scenario = _as_str(_require(doc, "scenario", ""), "scenario")
     if scenario not in SCENARIO_NAMES:
         _fail("scenario", f"unknown scenario {scenario!r}; expected one of {SCENARIO_NAMES}")
-    seed = _as_int(_require(doc, "seed", ""), "seed", minimum=0)
+    seed = _integer("seed", _require(doc, "seed", ""), 0)
 
     preset = PRESETS[scenario]
     merged = {**PRESETS["custom"], **preset}
@@ -229,7 +212,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         else:
             merged[key] = value
 
-    n_qubits = _as_int(_require(merged, "K", ""), "K", minimum=1)
+    n_qubits = _integer("K", _require(merged, "K", ""), 1)
     if n_qubits >= DIM_CAP.bit_length():  # 2**K > DIM_CAP, with no huge 2**K formed
         _fail("K", f"register dimension 2**{n_qubits} exceeds the cap {DIM_CAP}")
 
@@ -238,11 +221,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     for key in ("n_modes", "cutoff", "coupling_scale"):
         if key not in merged_bath:
             _fail(f"bath.{key}", "required field is missing")
-    try:
-        bath = BathSpec(**merged_bath)
-    except ValueError as exc:  # its message starts with the field's name
-        name, message = str(exc).split(": ", 1)
-        _fail(f"bath.{name}", message)
+    bath = BathSpec(**merged_bath)
     local = bath.boson_truncation or 2
     if 2**n_qubits * local**bath.n_modes > DIM_CAP:
         _fail("bath.n_modes", f"joint dimension 2**{n_qubits} * {local}**{bath.n_modes} "
@@ -253,34 +232,22 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if group_field == "trivial":
             group = trivial_group(n_qubits)
         elif group_field in ("full", "collective", "flip"):
-            try:
-                group = pauli_group(n_qubits, group_field)
-            except ValueError as exc:
-                _fail("group", str(exc))
+            group = pauli_group(n_qubits, group_field)
         else:
             _fail("group", f"unknown group variant {group_field!r}")
     elif isinstance(group_field, list):
-        words = [_as_str(w, f"group[{i}]") for i, w in enumerate(group_field)]
-        first: dict[str, int] = {}  # word -> its first index
-        for i, w in enumerate(words):
-            if not _is_word(w, n_qubits):
-                _fail(f"group[{i}]", f"{w!r} is not a {n_qubits}-letter Pauli word")
-            if first.setdefault(w, i) != i:
-                _fail(f"group[{i}]", f"Pauli word {w!r} repeats group[{first[w]}]")
-        try:
-            group = DecouplingGroup(words)
-        except ValueError as exc:
-            _fail("group", str(exc))
+        first = group_field[0] if group_field else None  # the group sizes its words by it
+        if isinstance(first, str) and len(first) != n_qubits:
+            _fail("group[0]", f"{first!r} is not a {n_qubits}-letter Pauli word")
+        group = DecouplingGroup(group_field)
     else:
         _fail("group", "expected a named variant or a list of Pauli words")
 
-    coupling = _as_str(_require(merged, "coupling", ""), "coupling")
-    if coupling not in COUPLING_KINDS:
-        _fail("coupling", f"unknown coupling {coupling!r}; expected one of {COUPLING_KINDS}")
-    problem = bath_capacity_problem(bath, n_qubits, coupling)
-    if problem is not None:
-        _fail(*problem)
-    h_s = _word_table(merged.get("h_s", {}), n_qubits, "h_s")
+    coupling = _require(merged, "coupling", "")
+    _check_capacity(bath, n_qubits, coupling)
+    h_s = merged.get("h_s", {})
+    _check_tables([h_s], n_qubits, ["h_s"], real=True)
+    h_s = {word: float(h_s[word]) for word in sorted(h_s)}
     rho_s0 = _named_state(_as_str(merged["rho_s0"], "rho_s0"), n_qubits, "rho_s0")
 
     sweep_values = None
@@ -293,9 +260,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raw_values = _require(sweep, "values", "sweep.")
         if not isinstance(raw_values, list) or len(raw_values) < 3:
             _fail("sweep.values", "need a list of at least 3 values")
-        sweep_values = tuple(
-            _as_number(v, f"sweep.values[{i}]", positive=True) for i, v in enumerate(raw_values)
-        )
+        sweep_values = tuple(_real(f"sweep.values[{i}]", v, positive=True)
+                             for i, v in enumerate(raw_values))
         for i, v in enumerate(sweep_values):
             if v in sweep_values[:i]:
                 _fail(f"sweep.values[{i}]",
@@ -305,10 +271,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if output_dir is not None:
         output_dir = _as_str(output_dir, "output_dir")
 
-    delta_t = _as_number(_require(merged, "delta_t", ""), "delta_t", positive=True)
-    n_cycles = _as_int(_require(merged, "n_cycles", ""), "n_cycles", minimum=1)
+    delta_t = _real("delta_t", _require(merged, "delta_t", ""), positive=True)
+    n_cycles = _integer("n_cycles", _require(merged, "n_cycles", ""), 1)
     symmetric = _as_bool(merged["symmetric"], "symmetric")
-    total_time = _as_number(n_cycles, "n_cycles") * group.order * (1 + symmetric) * delta_t
+    total_time = _real("n_cycles", n_cycles) * group.order * (1 + symmetric) * delta_t
     if not math.isfinite(total_time):
         _fail("delta_t", "the total time n_cycles * n_segments * delta_t overflows")
     for path, value in [*((f"h_s.{w}", c) for w, c in h_s.items()),
@@ -329,7 +295,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         coupling=coupling,
         h_s=h_s,
         rho_s0=rho_s0,
-        sample_every=_as_int(merged["sample_every"], "sample_every", minimum=1),
+        sample_every=_integer("sample_every", merged["sample_every"], 1),
         sweep_values=sweep_values,
         output_dir=output_dir,
     )
@@ -452,7 +418,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     ``none``), with the per-channel residual table on stdout; that check
     reads the config only, so a rejected run builds no model.
     """
-    _check_sample_every(config.n_cycles, config, "sample_every")
+    with _fields():
+        _check_sampling(config.n_cycles, config.sample_every)
 
     def body(model, out, report):
         schedule = build_schedule(config)
@@ -504,10 +471,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
 def _bounded_run(field: str, **fields) -> SimulationRun:
     """``SimulationRun(**fields)``; one whose snapshots would not fit in memory is refused
     naming config ``field``, before anything is allocated."""
-    try:
+    with _fields(field):
         return SimulationRun(**fields)
-    except SnapshotBoundError as exc:
-        _fail(field, str(exc).removeprefix("n_cycles: "))
 
 
 def _free_run(run: SimulationRun) -> SimulationRun:
@@ -518,32 +483,26 @@ def _free_run(run: SimulationRun) -> SimulationRun:
                                                      run.schedule.cycle_time))
 
 
-def _check_sample_every(n_cycles: int, config: ScenarioConfig, path: str):
-    if n_cycles % config.sample_every:
-        _fail(path, f"sample_every={config.sample_every} does not divide "
-                    f"n_cycles={n_cycles}")
-
-
 def _sweep_cycle_counts(config: ScenarioConfig) -> tuple[float, list[int]]:
     """Total time of the reference run and integer cycle counts per value.
 
     The sweep holds the total evolution time fixed (that of the reference
     ``delta_t``/``n_cycles`` pair) so terminal errors at different step
     sizes are comparable; each sweep value must divide that time into a
-    whole number of cycles, and ``sample_every`` must divide each count.
+    whole number of cycles, and ``sample_every`` must divide each count; a
+    ``ConfigError`` names a value that fails either.
     """
     n_segments = build_schedule(config).n_segments
     total_time = config.n_cycles * n_segments * config.delta_t
     counts = []
     for i, v in enumerate(config.sweep_values):
-        n_exact = total_time / (n_segments * v)
-        n = round(n_exact)
+        n_exact = total_time / (n_segments * v)  # infinite for a subnormal value
+        n = round(n_exact) if math.isfinite(n_exact) else 0
         if n < 1 or abs(n_exact - n) > 1e-9 * max(1.0, abs(n_exact)):
-            raise ConfigError(
-                f"config field 'sweep.values[{i}]': delta_t={v!r} does not divide the "
-                f"total time {total_time!r} into whole cycles (got {n_exact!r})"
-            )
-        _check_sample_every(n, config, f"sweep.values[{i}]")
+            _fail(f"sweep.values[{i}]", f"delta_t={v!r} does not divide the total time "
+                                        f"{total_time!r} into whole cycles (got {n_exact!r})")
+        with _fields(f"sweep.values[{i}]"):
+            _check_sampling(n, config.sample_every)
         counts.append(n)
     return total_time, counts
 

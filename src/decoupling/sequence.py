@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import DecouplingGroup, _code, _label
+from .operators import _integer, _real
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,9 @@ class CycleSchedule:
 
     ``ordering`` is a permutation of ``range(group.order)``. A
     ``symmetric`` cycle appends the reversed order, doubling the number
-    of segments and the cycle time.
+    of segments and the cycle time. ``delta_t`` is a positive real number,
+    stored as a ``float``, whose cycle time is finite; a ``ValueError`` is
+    led by the field's name.
     """
 
     group: DecouplingGroup
@@ -34,17 +37,17 @@ class CycleSchedule:
     symmetric: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta_t) and self.delta_t > 0):
-            raise ValueError("delta_t must be a positive finite number")
+        delta_t = _real("delta_t", self.delta_t, positive=True)
         ordering = tuple(int(k) for k in self.ordering)
         if sorted(ordering) != list(range(self.group.order)):
             raise ValueError(
-                f"ordering must be a permutation of range({self.group.order}), "
+                f"ordering: must be a permutation of range({self.group.order}), "
                 f"got {list(ordering)}"
             )
         object.__setattr__(self, "ordering", ordering)
-        if not np.isfinite(self.n_segments * float(self.delta_t)):
-            raise ValueError(f"delta_t={self.delta_t!r}: cycle time n_segments * delta_t overflows")
+        object.__setattr__(self, "delta_t", delta_t)
+        if not np.isfinite(self.cycle_time):
+            raise ValueError(f"delta_t: the cycle time {self.n_segments} * {delta_t!r} overflows")
 
     @property
     def visits(self) -> tuple[int, ...]:
@@ -95,6 +98,16 @@ def symmetrize(schedule: CycleSchedule) -> CycleSchedule:
     if schedule.symmetric:
         raise ValueError("schedule is already symmetric")
     return replace(schedule, symmetric=True)
+
+
+def _check_sampling(n_cycles, sample_every) -> tuple[int, int]:
+    """A run's cycle count and snapshot stride, ``(n_cycles, sample_every)``, as ints of at
+    least 1, the stride dividing the count; otherwise a ``ValueError`` led by the field's
+    name."""
+    n, every = _integer("n_cycles", n_cycles, 1), _integer("sample_every", sample_every, 1)
+    if n % every:
+        raise ValueError(f"sample_every: sample_every={every} does not divide n_cycles={n}")
+    return n, every
 
 
 def boundary_pulses(words: Sequence[str]) -> list[str]:

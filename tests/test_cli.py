@@ -239,6 +239,18 @@ def test_a_sweep_it_cannot_fit_exits_2_and_leaves_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_sweep_value_whose_cycle_count_overflows_names_its_field(tmp_path, capsys):
+    """A subnormal ``delta_t`` divides the total time into infinitely many cycles: exit 2
+    naming the value, not an ``OverflowError`` of rounding infinity, and nothing written."""
+    cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7, "sweep": {
+        "parameter": "delta_t", "values": [0.1, 0.05, 1e-320]}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: config field 'sweep.values[2]': "
+                                              "delta_t=1e-320 does not divide")
+    assert not out.exists()
+
+
 def test_sweep_without_sweep_block(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": "dephasing-echo", "seed": 7})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -304,12 +316,16 @@ def test_design_rejects_wrong_length_words(capsys):
     (["--interaction", "Z", "--qubits", "1", "--max-order", "65"], "--max-order"),
     (["--interaction", "", "--qubits", "0"], "--qubits"),
     (["--interaction", "ZIII", "--qubits", "4"], "--qubits"),
+    (["--interaction", "ZQ", "--qubits", "2"], "--interaction"),
+    (["--interaction", "ZI", "Z", "--qubits", "2"], "--interaction"),
 ])
 def test_design_rejects_bad_flags_before_searching(argv, flag, capsys):
+    """``minimal_group_search`` checks its arguments; the command names the flag that set
+    the one it refuses."""
     assert main(["design", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.err.startswith(f"error: {flag}: ")
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -38,21 +38,21 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_bath_spec_validation():
-    with pytest.raises(ValueError, match="^kind: unknown bath kind 'lattice'"):
+    with pytest.raises(ValueError, match="^bath.kind: unknown bath kind 'lattice'"):
         BathSpec(kind="lattice", n_modes=2, cutoff=1.0, coupling_scale=0.1, seed=0)
-    with pytest.raises(ValueError, match="^n_modes: must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^bath.n_modes: must be >= 1, got 0$"):
         BathSpec(kind="spin-bath", n_modes=0, cutoff=1.0, coupling_scale=0.1, seed=0)
-    with pytest.raises(ValueError, match="^cutoff: must be a positive finite number"):
+    with pytest.raises(ValueError, match="^bath.cutoff: must be a positive finite number"):
         BathSpec(kind="spin-bath", n_modes=2, cutoff=-1.0, coupling_scale=0.1, seed=0)
-    with pytest.raises(ValueError, match="^coupling_scale: must be a positive finite number"):
+    with pytest.raises(ValueError, match="^bath.coupling_scale: must be a positive finite number"):
         BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.0, seed=0)
     # truncation only makes sense for boson baths
-    with pytest.raises(ValueError, match="^boson_truncation: only applies to boson-mode baths$"):
+    with pytest.raises(ValueError, match="^bath.boson_truncation: only applies to boson-mode baths$"):
         BathSpec(kind="spin-bath", n_modes=2, cutoff=1.0, coupling_scale=0.1,
                  seed=0, boson_truncation=3)
-    with pytest.raises(ValueError, match="^boson_truncation: required for boson-mode baths$"):
+    with pytest.raises(ValueError, match="^bath.boson_truncation: required for boson-mode baths$"):
         BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.1, seed=0)
-    with pytest.raises(ValueError, match="^boson_truncation: must be >= 2, got 1$"):
+    with pytest.raises(ValueError, match="^bath.boson_truncation: must be >= 2, got 1$"):
         BathSpec(kind="boson-mode", n_modes=2, cutoff=1.0, coupling_scale=0.1,
                  seed=0, boson_truncation=1)
 
@@ -64,7 +64,7 @@ def test_bath_spec_takes_only_integer_sizes(name, value):
     """A size that is not an ``int`` (a float, or a ``bool``) is rejected by name, not
     rounded into a Fock ladder or failed on inside numpy."""
     sizes = {"n_modes": 2, "boson_truncation": 3, name: value}
-    with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+    with pytest.raises(ValueError, match=f"^bath.{name}: expected an integer"):
         BathSpec(kind="boson-mode", cutoff=1.0, coupling_scale=0.3, seed=7, **sizes)
 
 
@@ -74,23 +74,25 @@ def test_bath_spec_takes_only_finite_numbers(name, value):
     """A NaN or infinite cutoff or coupling scale is rejected by name, not failed on
     inside the frequency draw or misread later as linearly dependent couplings."""
     numbers = {"cutoff": 1.0, "coupling_scale": 0.3, name: value}
-    with pytest.raises(ValueError, match=f"^{name}: must be a positive finite number, got "):
+    with pytest.raises(ValueError, match=f"^bath.{name}: must be a positive finite number, got "):
         BathSpec(kind="spin-bath", n_modes=2, seed=7, **numbers)
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"n_modes": 10**12}, "n_modes: bath dimension 2**1000000000000 exceeds the cap 4096"),
-    ({"n_modes": 13}, "n_modes: bath dimension 2**13 exceeds the cap 4096"),
+    ({"n_modes": 10**12}, "bath.n_modes: bath dimension 2**1000000000000 exceeds the cap 4096"),
+    ({"n_modes": 13}, "bath.n_modes: bath dimension 2**13 exceeds the cap 4096"),
     ({"kind": "boson-mode", "boson_truncation": 10**12, "n_modes": 1},
-     "n_modes: bath dimension 1000000000000**1 exceeds the cap 4096"),
-    ({"cutoff": True}, "cutoff: expected a number, got bool"),
-    ({"cutoff": "1"}, "cutoff: expected a number, got str"),
-    ({"cutoff": 10**400}, "cutoff: must be a positive finite number, got inf"),
-    ({"coupling_scale": 1e-200}, "coupling_scale: must be at least 1.4916681462400413e-154"),
-    ({"coupling_scale": 1e-320}, "coupling_scale: must be at least 1.4916681462400413e-154"),
-    ({"seed": -1}, "seed: must be >= 0, got -1"),
-    ({"seed": 1.5}, "seed: expected an integer, got float"),
-    ({"seed": True}, "seed: expected an integer, got bool"),
+     "bath.n_modes: bath dimension 1000000000000**1 exceeds the cap 4096"),
+    ({"cutoff": True}, "bath.cutoff: expected a number, got bool"),
+    ({"cutoff": "1"}, "bath.cutoff: expected a number, got str"),
+    ({"cutoff": 10**400}, "bath.cutoff: must be a positive finite number, got inf"),
+    ({"coupling_scale": 1e-200},
+     "bath.coupling_scale: must be at least 1.4916681462400413e-154"),
+    ({"coupling_scale": 1e-320},
+     "bath.coupling_scale: must be at least 1.4916681462400413e-154"),
+    ({"seed": -1}, "bath.seed: must be >= 0, got -1"),
+    ({"seed": 1.5}, "bath.seed: expected an integer, got float"),
+    ({"seed": True}, "bath.seed: expected an integer, got bool"),
 ], ids=["n_modes-1e12", "n_modes-13", "truncation-1e12", "cutoff-bool", "cutoff-str",
         "cutoff-1e400", "coupling_scale-1e-200", "coupling_scale-1e-320", "seed-negative",
         "seed-float", "seed-bool"])
@@ -747,9 +749,10 @@ def _one_mode_stacks(n_channels):
 
 
 @pytest.mark.parametrize("words, n_channels, message", [
-    (({"Z": 0.5}, {"Z": 1.0}, {"XY": 1.0}), 2, "coupling 1: 'XY' is not a 1-letter Pauli word"),
-    (({"Z": 0.5}, {"Z": 1.0}, {"X": 1j}), 2, "coupling 1: the coefficient of 'X' is not real"),
-    (({"Z": 0.5j}, {"Z": 1.0}), 1, "h_s: the coefficient of 'Z' is not real"),
+    (({"Z": 0.5}, {"Z": 1.0}, {"XY": 1.0}), 2,
+     "coupling 1.XY: 'XY' is not a 1-letter Pauli word"),
+    (({"Z": 0.5}, {"Z": 1.0}, {"X": 1j}), 2, "coupling 1.X: expected a number, got complex"),
+    (({"Z": 0.5j}, {"Z": 1.0}), 1, "h_s.Z: expected a number, got complex"),
     (({"Z": 0.5}, {"Z": 1.0}, {"X": 1.0}), 3,
      "coupling 2: the couplings have 3 channels, the word tables 2"),
     (({"Z": 0.5}, {"Z": 1.0}, {"X": 1.0}), 1,

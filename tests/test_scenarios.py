@@ -263,13 +263,13 @@ def test_bath_size_is_checked_at_parse_time(bath, message):
         "truncation-bool"])
 def test_bath_errors_are_bath_spec_errors_on_their_field(bath, field):
     """The parser checks no bath field itself: ``BathSpec``'s ``ValueError``, which
-    starts with the field's name, becomes a ``ConfigError`` on ``bath.<field>`` with
-    ``BathSpec``'s message."""
+    starts with the field's config path, ``bath.<field>``, becomes a ``ConfigError`` on
+    that path with ``BathSpec``'s message."""
     doc = {"scenario": "collective-register", "seed": 7, "bath": bath}
     with pytest.raises(ValueError) as spec_error:
         BathSpec(**{**PRESETS["collective-register"]["bath"], "seed": 7, **bath})
     name, message = str(spec_error.value).split(": ", 1)
-    assert name == field
+    assert name == f"bath.{field}"
     with pytest.raises(ConfigError, match=re.escape(f"config field 'bath.{field}': {message}")):
         parse_config(doc)
 
