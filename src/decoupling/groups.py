@@ -199,7 +199,7 @@ class DecouplingGroup:
         for k, w in enumerate(words):
             if not isinstance(w, str):
                 raise ValueError(f"group[{k}]: expected a string, got {type(w).__name__}")
-            n = len(words[0])
+            n = len(words[0])  # word 0 sizes the rest; it passed this loop first
             if not _is_word(w, n):
                 raise ValueError(f"group[{k}]: {w!r} is not a {n}-letter Pauli word")
             c = _code(w)
